@@ -7,6 +7,12 @@ open Wafl_aacache
    (fleet-scale volume counts must not pay a list walk per allocation). *)
 let next_uid = Atomic.make 0
 
+(* A file's block map: [vvbns.(offset)] is the VVBN backing that offset,
+   -1 for a hole.  Dense because every writer fills offsets from 0 (a
+   working set or a sequential cursor); it grows by doubling, and
+   [mapped] counts the non-hole entries. *)
+type block_map = { mutable vvbns : int array; mutable mapped : int }
+
 type t = {
   uid : int;
   spec : Config.vol_spec;
@@ -16,7 +22,7 @@ type t = {
   mutable cache : Cache.t option;
   delta : Score.delta;
   container : int array;  (* vvbn -> pvbn, -1 when unmapped *)
-  inodes : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* file -> offset -> vvbn *)
+  inodes : (int, block_map) Hashtbl.t;  (* file -> offset -> vvbn *)
   snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
   zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
   mutable next_snapshot : int;
@@ -202,8 +208,11 @@ let create_snapshot t =
 let snapshots t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.snapshots [])
 
+(* Asked on every overwrite: with no snapshot, skip the fold (and the
+   closure it allocates). *)
 let snapshot_holds t ~vvbn =
-  Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
+  Hashtbl.length t.snapshots > 0
+  && Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
 
 let detach_vvbn t ~vvbn =
   if t.container.(vvbn) < 0 then invalid_arg "Flexvol.detach_vvbn: VVBN not mapped";
@@ -236,26 +245,43 @@ let snapshot_read t ~snapshot ~vvbn =
   | Some pinned -> if Hashtbl.mem pinned vvbn then pvbn_of_vvbn t vvbn else None
 
 let inode t file =
-  match Hashtbl.find_opt t.inodes file with
-  | Some map -> map
-  | None ->
-    let map = Hashtbl.create 64 in
+  match Hashtbl.find t.inodes file with
+  | map -> map
+  | exception Not_found ->
+    let map = { vvbns = [||]; mapped = 0 } in
     Hashtbl.add t.inodes file map;
     map
 
+let check_offset fn offset = if offset < 0 then invalid_arg (fn ^ ": negative offset")
+
 let write_file t ~file ~offset ~vvbn =
+  check_offset "Flexvol.write_file" offset;
   let map = inode t file in
-  let old = Hashtbl.find_opt map offset in
-  Hashtbl.replace map offset vvbn;
-  old
+  let len = Array.length map.vvbns in
+  if offset >= len then begin
+    let grown = Array.make (max (offset + 1) (max 16 (2 * len))) (-1) in
+    Array.blit map.vvbns 0 grown 0 len;
+    map.vvbns <- grown
+  end;
+  let old = map.vvbns.(offset) in
+  map.vvbns.(offset) <- vvbn;
+  if old < 0 then begin
+    map.mapped <- map.mapped + 1;
+    None
+  end
+  else Some old
 
 let read_file t ~file ~offset =
-  match Hashtbl.find_opt t.inodes file with
-  | None -> None
-  | Some map -> Hashtbl.find_opt map offset
+  check_offset "Flexvol.read_file" offset;
+  match Hashtbl.find t.inodes file with
+  | map when offset < Array.length map.vvbns ->
+    let vvbn = map.vvbns.(offset) in
+    if vvbn < 0 then None else Some vvbn
+  | _ -> None
+  | exception Not_found -> None
 
 let file_blocks t ~file =
-  match Hashtbl.find_opt t.inodes file with None -> 0 | Some map -> Hashtbl.length map
+  match Hashtbl.find_opt t.inodes file with None -> 0 | Some map -> map.mapped
 
 let files t = Hashtbl.fold (fun file _ acc -> file :: acc) t.inodes []
 
@@ -266,24 +292,28 @@ let files t = Hashtbl.fold (fun file _ acc -> file :: acc) t.inodes []
    block holds file F offset O", and Iron cannot cross-check container
    references against the bitmaps. *)
 
+type namespace = { container_copy : int array; file_maps : (int * block_map) list }
+
+(* Copies, trimmed to each file's last mapped offset: the image must not
+   alias the live arrays the source system keeps writing. *)
 let export_namespace t =
-  let mappings = ref [] in
-  Array.iteri
-    (fun vvbn pvbn -> if pvbn >= 0 then mappings := (vvbn, pvbn) :: !mappings)
-    t.container;
-  let files =
+  let file_maps =
     Hashtbl.fold
       (fun file map acc ->
-        Hashtbl.fold (fun offset vvbn acc -> (file, offset, vvbn) :: acc) map acc)
+        let len = ref (Array.length map.vvbns) in
+        while !len > 0 && map.vvbns.(!len - 1) < 0 do
+          decr len
+        done;
+        (file, { vvbns = Array.sub map.vvbns 0 !len; mapped = map.mapped }) :: acc)
       t.inodes []
   in
-  (List.rev !mappings, files)
+  { container_copy = Array.copy t.container; file_maps }
 
-let import_namespace t ~mappings ~files =
+let import_namespace t ns =
+  if Array.length ns.container_copy <> Array.length t.container then
+    invalid_arg "Flexvol.import_namespace: volume size differs";
+  Array.blit ns.container_copy 0 t.container 0 (Array.length t.container);
   List.iter
-    (fun (vvbn, pvbn) ->
-      if vvbn < 0 || vvbn >= Array.length t.container then
-        invalid_arg "Flexvol.import_namespace: VVBN out of range";
-      t.container.(vvbn) <- pvbn)
-    mappings;
-  List.iter (fun (file, offset, vvbn) -> Hashtbl.replace (inode t file) offset vvbn) files
+    (fun (file, map) ->
+      Hashtbl.replace t.inodes file { vvbns = Array.copy map.vvbns; mapped = map.mapped })
+    ns.file_maps

@@ -130,10 +130,15 @@ val snapshot_read : t -> snapshot:int -> vvbn:int -> int option
 
 val write_file : t -> file:int -> offset:int -> vvbn:int -> int option
 (** Point file block [offset] at [vvbn]; returns the VVBN it previously
-    pointed at (the block an overwrite frees), if any. *)
+    pointed at (the block an overwrite frees), if any.  A file's block map
+    is a dense array indexed by offset that grows by doubling, so offsets
+    should be dense from 0 (as every workload writes them).  Raises
+    [Invalid_argument] for a negative offset. *)
 
 val read_file : t -> file:int -> offset:int -> int option
-(** VVBN currently backing a file block. *)
+(** VVBN currently backing a file block; [None] for a hole or an offset
+    past the end of the file.  Raises [Invalid_argument] for a negative
+    offset. *)
 
 val file_blocks : t -> file:int -> int
 (** Blocks currently mapped in a file. *)
@@ -142,13 +147,16 @@ val files : t -> int list
 
 (** {2 Namespace persistence} *)
 
-val export_namespace : t -> (int * int) list * (int * int * int) list
-(** [(container mappings as (vvbn, pvbn), inode entries as (file, offset,
-    vvbn))] — the durable namespace a crash image carries so a remounted
-    system can still translate file reads and Iron can cross-check
-    container references. *)
+type namespace
+(** A volume's durable namespace: the container map and every file's block
+    map, copied out of the live volume. *)
 
-val import_namespace :
-  t -> mappings:(int * int) list -> files:(int * int * int) list -> unit
+val export_namespace : t -> namespace
+(** Capture the namespace a crash image carries so a remounted system can
+    still translate file reads and Iron can cross-check container
+    references. *)
+
+val import_namespace : t -> namespace -> unit
 (** Load a namespace captured by {!export_namespace} into a fresh volume.
-    Raises [Invalid_argument] if a VVBN is out of range for this volume. *)
+    Raises [Invalid_argument] if it was captured from a volume of another
+    size. *)

@@ -86,6 +86,7 @@ let vol_index t v =
   go 0
 
 let stage_write t ~vol ~file ~offset =
+  if offset < 0 then invalid_arg "Fs.stage_write: negative offset";
   let key = (vol_index t vol, file, offset) in
   if not (Hashtbl.mem t.staged key) then t.staged_order <- key :: t.staged_order;
   Hashtbl.replace t.staged key { Cp.vol; file; offset }

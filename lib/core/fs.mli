@@ -35,7 +35,8 @@ val rng : t -> Wafl_util.Rng.t
 
 val stage_write : t -> vol:Flexvol.t -> file:int -> offset:int -> unit
 (** Stage one 4KiB block write.  Writing the same (vol, file, offset) twice
-    before a CP coalesces, as the in-memory buffer cache would. *)
+    before a CP coalesces, as the in-memory buffer cache would.  Raises
+    [Invalid_argument] for a negative offset, before anything is staged. *)
 
 val staged_count : t -> int
 

@@ -19,9 +19,9 @@ type image = {
   range_topaa : range_topaa array;        (* one entry per physical range *)
   vol_topaa : (Pagestore.t * Pagestore.t) array;  (* HBPS pages per volume *)
   nvram : (string * int * int) list;      (* logged ops since the last CP *)
-  namespace : (string * ((int * int) list * (int * int * int) list)) array;
-      (* per volume: container (vvbn, pvbn) mappings and (file, offset,
-         vvbn) inode entries — the durable namespace Iron cross-checks *)
+  namespace : (string * Flexvol.namespace) array;
+      (* per volume: container map and file block maps — the durable
+         namespace Iron cross-checks *)
 }
 
 type verify_report = {
@@ -253,10 +253,7 @@ let restore ?(verify = false) ?pool image =
   Array.iter
     (fun (name, bits) -> Metafile.load (Flexvol.metafile (Fs.vol fs name)) bits)
     image.vol_bits;
-  Array.iter
-    (fun (name, (mappings, files)) ->
-      Flexvol.import_namespace (Fs.vol fs name) ~mappings ~files)
-    image.namespace;
+  Array.iter (fun (name, ns) -> Flexvol.import_namespace (Fs.vol fs name) ns) image.namespace;
   Aggregate.disable_caches aggregate;
   Array.iter (fun v -> Flexvol.set_cache v None) (Fs.vols fs);
   let vreport =
@@ -341,9 +338,12 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
      whatever the TopAA pass installs below stays an approximation until
      that range's first touch (pick, harvest, Iron scan, cleaner pass)
      pays its exact rescore.  Fault fallbacks rebuild from the bitmap
-     right here and re-stamp themselves fresh under the new epoch. *)
-  if lazy_rebuild then begin
-    Telemetry.incr "mount.lazy_mounts";
+     right here and re-stamp themselves fresh under the new epoch.  A
+     TopAA mount with no background rebuild is in the same position: the
+     restored scores are still [Fs.create]'s empty-volume values and
+     nothing else would make them exact, so it is stamped stale too. *)
+  if lazy_rebuild || (with_topaa && not background_rebuild) then begin
+    if lazy_rebuild then Telemetry.incr "mount.lazy_mounts";
     Aggregate.invalidate_caches aggregate;
     Array.iter Flexvol.invalidate_cache (Fs.vols fs)
   end;

@@ -84,9 +84,9 @@ val mount :
   image ->
   with_topaa:bool ->
   Fs.t * timing
-(** Bring the snapshot back as a fresh system (the file namespace itself is
-    not part of the image; only the space state matters for allocator
-    readiness).  [with_topaa:true] seeds caches from the persisted blocks;
+(** Bring the snapshot back as a fresh system: space state, each volume's
+    namespace (container map and file block maps) and the NVRAM log.
+    [with_topaa:true] seeds caches from the persisted blocks;
     [false] pays the full scan.
 
     [background_rebuild] selects what happens after TopAA seeding:
@@ -96,9 +96,11 @@ val mount :
       dozens of seconds after mount.  By the time [mount] returns, a
       TopAA mount allocates identically to a full-scan mount.
     - [false]: the system runs on the seeded caches alone (top ~500
-      AAs per range) until something else rebuilds them — the state the
-      paper measures immediately after failover.  Use this to observe
-      seeded-cache behaviour, or to keep mount itself cheap in tests.
+      AAs per range) — the state the paper measures immediately after
+      failover.  The restored scores are not exact, so every range and
+      volume is stamped stale as on a lazy mount and rescored on its
+      first touch.  Use this to observe seeded-cache behaviour, or to
+      keep mount itself cheap in tests.
 
     [background_rebuild] only affects [with_topaa:true] mounts; the
     full-scan path always rebuilds exactly.

@@ -985,6 +985,12 @@ let cp_finish t =
                   ~score)
           | _ -> None
       in
+      (* A range still stale after a mount (lazy, or TopAA without a
+         background rebuild) was never picked from this CP, but its frees
+         were noted against scores that are not yet exact: drop them —
+         its first touch rescores from the bitmap, which already holds
+         them. *)
+      if not (Aggregate.range_fresh t.aggregate range) then Score.clear range.Aggregate.delta;
       cp_finish_space ~keep_claimed_rings:(t.classes > 1) ?wear_adjust
         ~delta:range.Aggregate.delta ~scores:range.Aggregate.scores
         ~cache:range.Aggregate.cache
@@ -992,6 +998,7 @@ let cp_finish t =
     (Aggregate.ranges t.aggregate);
   List.iter
     (fun (vol, cursor) ->
+      if not (Flexvol.cache_fresh vol) then Score.clear (Flexvol.delta vol);
       cp_finish_space ~delta:(Flexvol.delta vol) ~scores:(Flexvol.scores vol)
         ~cache:(Flexvol.cache vol) [| cursor |])
     t.vols

@@ -208,50 +208,6 @@ let ensure_scratch t n =
     t.torn_scratch <- Array.make (Array.length t.scratch) 0
   end
 
-(* In-place quicksort (median-of-three, insertion below 16) over
-   [scratch.(lo .. hi)]: the staging pass must not allocate, whatever the
-   CP flush size. *)
-let rec sort_scratch a lo hi =
-  if hi - lo < 16 then begin
-    for i = lo + 1 to hi do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  end
-  else begin
-    let mid = (lo + hi) / 2 in
-    let swap i j =
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    in
-    if a.(mid) < a.(lo) then swap mid lo;
-    if a.(hi) < a.(lo) then swap hi lo;
-    if a.(hi) < a.(mid) then swap hi mid;
-    let pivot = a.(mid) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) < pivot do
-        incr i
-      done;
-      while a.(!j) > pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        swap !i !j;
-        incr i;
-        decr j
-      end
-    done;
-    sort_scratch a lo !j;
-    sort_scratch a !i hi
-  end
-
 (* Process one flush's host writes for [stream].  The batch is staged in
    the reused scratch array — sorted, deduplicated and fault-filtered in
    place — then walked in erase-block runs, so a large CP flush costs no
@@ -269,19 +225,11 @@ let write_batch ?(stream = 0) t pages =
         scratch.(!k) <- p;
         incr k)
       pages;
-    sort_scratch scratch 0 (n - 1);
-    (* Dedup (coalesce rewrites within one flush), then the fault plane:
-       failed pages never reach the flash and are dropped here; torn pages
-       are programmed (cost is paid) but their content is garbage, so they
-       are parked in [torn_scratch] and do not become live. *)
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || scratch.(i) <> scratch.(i - 1) then begin
-        scratch.(!m) <- scratch.(i);
-        incr m
-      end
-    done;
-    let host = !m in
+    (* Sort and dedup (coalesce rewrites within one flush), then the fault
+       plane: failed pages never reach the flash and are dropped here; torn
+       pages are programmed (cost is paid) but their content is garbage, so
+       they are parked in [torn_scratch] and do not become live. *)
+    let host = Wafl_util.Int_sort.sort_uniq scratch ~len:n in
     let torn = ref 0 in
     let kept = ref 0 in
     (match t.fault with

@@ -7,48 +7,6 @@ type classification = {
   extra_reads : int;
 }
 
-let classify geom ~vbns =
-  let data = Geometry.data_devices geom in
-  let parity = Geometry.parity_devices geom in
-  (* Count written blocks per stripe. *)
-  let per_stripe = Hashtbl.create 256 in
-  let seen = Hashtbl.create 256 in
-  List.iter
-    (fun vbn ->
-      if not (Hashtbl.mem seen vbn) then begin
-        Hashtbl.add seen vbn ();
-        let s = Geometry.stripe_of_vbn geom vbn in
-        let count = try Hashtbl.find per_stripe s with Not_found -> 0 in
-        Hashtbl.replace per_stripe s (count + 1)
-      end)
-    vbns;
-  Hashtbl.fold
-    (fun _stripe count acc ->
-      if count = data then
-        {
-          acc with
-          full_stripes = acc.full_stripes + 1;
-          blocks_in_full = acc.blocks_in_full + count;
-          parity_writes = acc.parity_writes + parity;
-        }
-      else
-        {
-          acc with
-          partial_stripes = acc.partial_stripes + 1;
-          blocks_in_partial = acc.blocks_in_partial + count;
-          parity_writes = acc.parity_writes + parity;
-          extra_reads = acc.extra_reads + count + parity;
-        })
-    per_stripe
-    {
-      full_stripes = 0;
-      partial_stripes = 0;
-      blocks_in_full = 0;
-      blocks_in_partial = 0;
-      parity_writes = 0;
-      extra_reads = 0;
-    }
-
 let fullness_ratio c =
   let total = c.blocks_in_full + c.blocks_in_partial in
   if total = 0 then 0.0 else float_of_int c.blocks_in_full /. float_of_int total

@@ -2,9 +2,13 @@
 
     A full stripe write provides every data block of a stripe, so parity is
     computed without reads; a partial stripe write forces RAID to read the
-    missing data (or old data + parity) first (§2.3).  Given the set of VBNs
-    written in one flush, this module classifies stripes and derives the
-    device I/O bill. *)
+    missing data (or old data + parity) first (§2.3).  {!Group.record_flush}
+    classifies one flush's stripes; this module holds the classification
+    and derives the device I/O bill from it.  Duplicate VBNs in a flush are
+    counted once.  For a partial stripe with [k < data_devices] new blocks,
+    parity is computed by read-modify-write: read the [k] old data blocks
+    plus the [parity_devices] old parity blocks ([k + parity] extra reads),
+    then write [k + parity] blocks. *)
 
 type classification = {
   full_stripes : int;
@@ -14,13 +18,6 @@ type classification = {
   parity_writes : int;      (** parity blocks written: stripes * parity_devices *)
   extra_reads : int;        (** blocks read to compute parity for partial stripes *)
 }
-
-val classify : Geometry.t -> vbns:int list -> classification
-(** Classify one flush's writes.  Duplicate VBNs are counted once.  For a
-    partial stripe with [k < data_devices] new blocks, parity is computed by
-    read-modify-write: read the [k] old data blocks plus the
-    [parity_devices] old parity blocks ([k + parity] extra reads), then
-    write [k + parity] blocks. *)
 
 val fullness_ratio : classification -> float
 (** Fraction of written data blocks that were part of full stripes;

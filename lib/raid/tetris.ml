@@ -1,8 +1,4 @@
-open Wafl_block
-
-let stripes_per_tetris = Units.tetris_stripes
-
-type t = { index : int; vbns : int list; stripes_touched : int }
+let stripes_per_tetris = Wafl_block.Units.tetris_stripes
 
 type summary = {
   tetrises : int;
@@ -10,48 +6,6 @@ type summary = {
   mean_blocks_per_tetris : float;
   per_device_blocks : int array;
 }
-
-let group geom ~vbns =
-  let by_tetris = Hashtbl.create 64 in
-  let seen = Hashtbl.create 256 in
-  List.iter
-    (fun vbn ->
-      if not (Hashtbl.mem seen vbn) then begin
-        Hashtbl.add seen vbn ();
-        let stripe = Geometry.stripe_of_vbn geom vbn in
-        let index = stripe / stripes_per_tetris in
-        let existing = try Hashtbl.find by_tetris index with Not_found -> [] in
-        Hashtbl.replace by_tetris index (vbn :: existing)
-      end)
-    vbns;
-  let entries = Hashtbl.fold (fun index vbns acc -> (index, vbns) :: acc) by_tetris [] in
-  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
-  let build (index, tetris_vbns) =
-    let stripes = List.sort_uniq Int.compare (List.map (Geometry.stripe_of_vbn geom) tetris_vbns) in
-    { index; vbns = List.rev tetris_vbns; stripes_touched = List.length stripes }
-  in
-  List.map build sorted
-
-let summarize geom ~vbns =
-  let tetrises = group geom ~vbns in
-  let per_device = Array.make (Geometry.data_devices geom) 0 in
-  let blocks = ref 0 in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun vbn ->
-          let loc = Geometry.location_of_vbn geom vbn in
-          per_device.(loc.Geometry.device) <- per_device.(loc.Geometry.device) + 1;
-          incr blocks)
-        t.vbns)
-    tetrises;
-  let n = List.length tetrises in
-  {
-    tetrises = n;
-    blocks = !blocks;
-    mean_blocks_per_tetris = (if n = 0 then 0.0 else float_of_int !blocks /. float_of_int n);
-    per_device_blocks = per_device;
-  }
 
 let pp_summary fmt s =
   Format.fprintf fmt "tetrises=%d blocks=%d mean=%.1f" s.tetrises s.blocks

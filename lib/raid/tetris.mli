@@ -5,13 +5,9 @@
     group.  Tetrises covering fragmented regions carry partial stripes and
     fewer blocks, which is why Figure 7 reports both blocks/s per disk and
     tetrises/s per RAID group: aged groups get {e fewer blocks} but a
-    {e marginally higher} tetris rate per block. *)
-
-type t = {
-  index : int;           (** tetris number: first stripe / 64 *)
-  vbns : int list;       (** written VBNs falling in this tetris *)
-  stripes_touched : int; (** distinct stripes written inside the tetris *)
-}
+    {e marginally higher} tetris rate per block.  {!Group.record_flush}
+    counts a flush's tetrises: the distinct [stripe / 64] values among its
+    written blocks. *)
 
 type summary = {
   tetrises : int;
@@ -22,11 +18,5 @@ type summary = {
 
 val stripes_per_tetris : int
 (** 64. *)
-
-val group : Geometry.t -> vbns:int list -> t list
-(** Partition a flush's writes into tetrises, ordered by index.  Duplicate
-    VBNs are dropped. *)
-
-val summarize : Geometry.t -> vbns:int list -> summary
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -111,6 +111,46 @@ let test_flexvol_files () =
   Alcotest.(check (option int)) "read" (Some 20) (Flexvol.read_file vol ~file:1 ~offset:0);
   check_int "blocks in file" 1 (Flexvol.file_blocks vol ~file:1)
 
+let test_flexvol_dense_block_map () =
+  let vol =
+    Flexvol.create { Config.name = "v"; blocks = 1000; aa_blocks = None; policy = Config.Best_aa }
+  in
+  let read offset = Flexvol.read_file vol ~file:2 ~offset in
+  Alcotest.(check (option int)) "unknown file reads a hole" None (read 0);
+  check_int "unknown file is empty" 0 (Flexvol.file_blocks vol ~file:2);
+  Alcotest.(check (option int)) "fresh write" None (Flexvol.write_file vol ~file:2 ~offset:3 ~vvbn:30);
+  Alcotest.(check (option int)) "read back" (Some 30) (read 3);
+  Alcotest.(check (option int)) "hole below" None (read 2);
+  Alcotest.(check (option int)) "past the end" None (read 1_000_000);
+  Alcotest.(check (option int)) "overwrite returns old" (Some 30)
+    (Flexvol.write_file vol ~file:2 ~offset:3 ~vvbn:31);
+  (* grow far past the current length: earlier entries survive, the gap is
+     holes, and only mapped offsets count *)
+  ignore (Flexvol.write_file vol ~file:2 ~offset:5000 ~vvbn:50);
+  for offset = 0 to 99 do
+    ignore (Flexvol.write_file vol ~file:2 ~offset:(100 + offset) ~vvbn:(offset + 100))
+  done;
+  Alcotest.(check (option int)) "kept across growth" (Some 31) (read 3);
+  Alcotest.(check (option int)) "grown entry" (Some 50) (read 5000);
+  Alcotest.(check (option int)) "gap is a hole" None (read 4999);
+  Alcotest.(check (option int)) "sequential entry" (Some 150) (read 150);
+  check_int "mapped blocks" 102 (Flexvol.file_blocks vol ~file:2);
+  check_int "other file untouched" 0 (Flexvol.file_blocks vol ~file:1);
+  Alcotest.check_raises "negative write offset"
+    (Invalid_argument "Flexvol.write_file: negative offset") (fun () ->
+      ignore (Flexvol.write_file vol ~file:2 ~offset:(-1) ~vvbn:7));
+  Alcotest.check_raises "negative read offset"
+    (Invalid_argument "Flexvol.read_file: negative offset") (fun () ->
+      ignore (Flexvol.read_file vol ~file:2 ~offset:(-1)));
+  check_int "rejected write changed nothing" 102 (Flexvol.file_blocks vol ~file:2)
+
+let test_stage_write_rejects_negative_offset () =
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  Alcotest.check_raises "negative offset" (Invalid_argument "Fs.stage_write: negative offset")
+    (fun () -> Fs.stage_write fs ~vol ~file:1 ~offset:(-4));
+  check_int "nothing staged" 0 (Fs.staged_count fs)
+
 let test_flexvol_remap () =
   let vol =
     Flexvol.create { Config.name = "v"; blocks = 1000; aa_blocks = None; policy = Config.Best_aa }
@@ -748,6 +788,90 @@ let test_mount_restores_namespace () =
   check_bool "identical mapping" true
     (Flexvol.read_file vol ~file:3 ~offset:17 = Flexvol.read_file vol2 ~file:3 ~offset:17)
 
+(* Every (file, offset) -> vvbn entry of every volume survives the image:
+   several files, holes, overwrites, and a snapshot-held zombie. *)
+let test_mount_preserves_every_mapping () =
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  for offset = 0 to 1499 do
+    Fs.stage_write fs ~vol ~file:1 ~offset;
+    if offset mod 3 = 0 then Fs.stage_write fs ~vol ~file:7 ~offset:(offset * 2)
+  done;
+  ignore (Fs.run_cp fs);
+  ignore (Flexvol.create_snapshot vol);
+  for offset = 0 to 299 do
+    Fs.stage_write fs ~vol ~file:1 ~offset:(offset * 5)
+  done;
+  ignore (Fs.run_cp fs);
+  let mappings v =
+    List.concat_map
+      (fun file ->
+        List.init 3000 (fun offset -> (file, offset, Flexvol.read_file v ~file ~offset)))
+      [ 1; 7; 9 ]
+  in
+  let fs2, _ = Mount.mount (Mount.snapshot fs) ~with_topaa:true in
+  let vol2 = Fs.vol fs2 "vol0" in
+  check_bool "every mapping identical" true (mappings vol = mappings vol2);
+  List.iter
+    (fun file ->
+      check_int "file blocks" (Flexvol.file_blocks vol ~file) (Flexvol.file_blocks vol2 ~file))
+    [ 1; 7; 9 ];
+  check_int "file 7 blocks" 500 (Flexvol.file_blocks vol2 ~file:7)
+
+(* A TopAA mount with no background rebuild leaves the restored scores at
+   the empty-volume values; they must be stamped stale so the first touch
+   rescores them, or the first CP's score update overflows an AA. *)
+let test_topaa_mount_without_rebuild_runs_cps () =
+  let fs =
+    Fs.create
+      (Config.make ~vols:[ Config.default_vol ~name:"v" ~blocks:65536 ] ~seed:1 ())
+  in
+  let vol = Fs.vol fs "v" and rng = Wafl_util.Rng.create ~seed:1 in
+  for offset = 0 to 19_999 do
+    Fs.stage_write fs ~vol ~file:1 ~offset
+  done;
+  ignore (Fs.run_cp fs);
+  for _ = 1 to 10 do
+    for _ = 1 to 1000 do
+      Fs.stage_write fs ~vol ~file:1 ~offset:(Wafl_util.Rng.int rng 20_000)
+    done;
+    ignore (Fs.run_cp fs)
+  done;
+  let fs', _ = Mount.mount ~background_rebuild:false (Mount.snapshot fs) ~with_topaa:true in
+  let vol' = Fs.vol fs' "v" in
+  for _ = 1 to 3 do
+    for _ = 1 to 1000 do
+      Fs.stage_write fs' ~vol:vol' ~file:1 ~offset:(Wafl_util.Rng.int rng 20_000)
+    done;
+    ignore (Fs.run_cp fs')
+  done;
+  check_int "iron clean after the CPs" 0 (List.length (Iron.check fs'))
+
+(* A CP can free blocks in a range it never allocates from.  After a lazy
+   (or rebuild-less TopAA) mount that range is still stale at cp_finish,
+   so its frees must not be applied to its not-yet-exact scores. *)
+let test_stale_range_frees_after_mount () =
+  List.iter
+    (fun (lazy_rebuild, background_rebuild) ->
+      let fs = Fs.create (small_config ()) in
+      let vol = Fs.vol fs "vol0" in
+      for offset = 0 to 39_999 do
+        Fs.stage_write fs ~vol ~file:1 ~offset
+      done;
+      ignore (Fs.run_cp fs);
+      let fs', _ =
+        Mount.mount ~lazy_rebuild ~background_rebuild (Mount.snapshot fs) ~with_topaa:true
+      in
+      let vol' = Fs.vol fs' "vol0" and agg = Fs.aggregate fs' in
+      for k = 0 to 199 do
+        Fs.stage_write fs' ~vol:vol' ~file:1 ~offset:(k * 199);
+        ignore (Fs.run_cp fs')
+      done;
+      check_bool "a range freed into was never touched" true
+        (Array.exists (fun r -> not (Aggregate.range_fresh agg r)) (Aggregate.ranges agg));
+      check_int "iron clean once every range materializes" 0 (List.length (Iron.check fs')))
+    [ (true, true); (false, false) ]
+
 let test_torn_bitmap_page_repaired () =
   let fs = Fs.create (small_config ()) in
   let vol = Fs.vol fs "vol0" in
@@ -1161,6 +1285,9 @@ let () =
           Alcotest.test_case "mapping" `Quick test_flexvol_mapping;
           Alcotest.test_case "files" `Quick test_flexvol_files;
           Alcotest.test_case "remap" `Quick test_flexvol_remap;
+          Alcotest.test_case "dense block map" `Quick test_flexvol_dense_block_map;
+          Alcotest.test_case "stage rejects negative offset" `Quick
+            test_stage_write_rejects_negative_offset;
         ] );
       ( "write_alloc",
         [
@@ -1197,6 +1324,10 @@ let () =
           Alcotest.test_case "lazy matches eager" `Quick test_lazy_mount_matches_eager;
           Alcotest.test_case "lazy deferred scan" `Quick test_lazy_deferred_scan_mount;
           Alcotest.test_case "iron clean on lazy mount" `Quick test_iron_clean_on_lazy_mount;
+          Alcotest.test_case "topaa mount without rebuild runs CPs" `Quick
+            test_topaa_mount_without_rebuild_runs_cps;
+          Alcotest.test_case "stale range frees after mount" `Quick
+            test_stale_range_frees_after_mount;
         ] );
       ( "backends",
         [
@@ -1242,6 +1373,8 @@ let () =
           Alcotest.test_case "corruption costs time" `Quick test_mount_corrupt_costlier_than_clean;
           Alcotest.test_case "corrupt bounds checked" `Quick test_mount_corrupt_bounds;
           Alcotest.test_case "namespace survives mount" `Quick test_mount_restores_namespace;
+          Alcotest.test_case "every mapping survives mount" `Quick
+            test_mount_preserves_every_mapping;
           Alcotest.test_case "torn bitmap page repaired" `Quick test_torn_bitmap_page_repaired;
         ] );
       ( "mixed-media",

@@ -49,12 +49,129 @@ let test_geometry_bounds () =
   Alcotest.check_raises "oob vbn" (Invalid_argument "Geometry: VBN out of bounds") (fun () ->
       ignore (Geometry.location_of_vbn geom 6000))
 
+(* --- Reference accounting ---
+
+   A direct list-and-hashtable statement of the flush accounting, the
+   oracle the array kernel in [Group.record_flush] is checked against:
+   per-stripe and per-tetris hashtables, one location record per block,
+   per-device chain coalescing. *)
+
+module Naive = struct
+  let distinct vbns = List.sort_uniq Int.compare vbns
+
+  let classify geom vbns =
+    let data = Geometry.data_devices geom and parity = Geometry.parity_devices geom in
+    let per_stripe = Hashtbl.create 256 in
+    List.iter
+      (fun vbn ->
+        let s = Geometry.stripe_of_vbn geom vbn in
+        Hashtbl.replace per_stripe s (1 + Option.value ~default:0 (Hashtbl.find_opt per_stripe s)))
+      (distinct vbns);
+    Hashtbl.fold
+      (fun _ count (c : Stripe.classification) ->
+        if count = data then
+          {
+            c with
+            full_stripes = c.full_stripes + 1;
+            blocks_in_full = c.blocks_in_full + count;
+            parity_writes = c.parity_writes + parity;
+          }
+        else
+          {
+            c with
+            partial_stripes = c.partial_stripes + 1;
+            blocks_in_partial = c.blocks_in_partial + count;
+            parity_writes = c.parity_writes + parity;
+            extra_reads = c.extra_reads + count + parity;
+          })
+      per_stripe
+      {
+        Stripe.full_stripes = 0;
+        partial_stripes = 0;
+        blocks_in_full = 0;
+        blocks_in_partial = 0;
+        parity_writes = 0;
+        extra_reads = 0;
+      }
+
+  (* (tetris index, its VBNs) in index order *)
+  let group geom vbns =
+    let by_tetris = Hashtbl.create 64 in
+    List.iter
+      (fun vbn ->
+        let index = Geometry.stripe_of_vbn geom vbn / Tetris.stripes_per_tetris in
+        Hashtbl.replace by_tetris index
+          (vbn :: Option.value ~default:[] (Hashtbl.find_opt by_tetris index)))
+      (distinct vbns);
+    List.sort compare (Hashtbl.fold (fun i vs acc -> (i, List.rev vs) :: acc) by_tetris [])
+
+  let summarize geom vbns =
+    let tetrises = List.length (group geom vbns) in
+    let per_device = Array.make (Geometry.data_devices geom) 0 in
+    List.iter
+      (fun vbn ->
+        let d = (Geometry.location_of_vbn geom vbn).Geometry.device in
+        per_device.(d) <- per_device.(d) + 1)
+      (distinct vbns);
+    let blocks = List.length (distinct vbns) in
+    {
+      Tetris.tetrises;
+      blocks;
+      mean_blocks_per_tetris =
+        (if tetrises = 0 then 0.0 else float_of_int blocks /. float_of_int tetrises);
+      per_device_blocks = per_device;
+    }
+
+  let chains geom vbns =
+    let by_device = Hashtbl.create 16 in
+    List.iter
+      (fun vbn ->
+        let loc = Geometry.location_of_vbn geom vbn in
+        Hashtbl.replace by_device loc.Geometry.device
+          (loc.Geometry.dbn
+          :: Option.value ~default:[] (Hashtbl.find_opt by_device loc.Geometry.device)))
+      vbns;
+    Hashtbl.fold
+      (fun _ dbns (count, blocks) ->
+        let s = Wafl_block.Chain.of_blocks dbns in
+        (count + s.Wafl_block.Chain.chains, blocks + s.Wafl_block.Chain.blocks))
+      by_device (0, 0)
+
+  let record_flush geom vbns =
+    let chains, chain_blocks = chains geom vbns in
+    {
+      Group.classification = classify geom vbns;
+      tetris = summarize geom vbns;
+      chains;
+      chain_blocks;
+    }
+
+  let accumulate (tot : Group.totals) (f : Group.flush_report) =
+    {
+      Group.flushes = tot.flushes + 1;
+      blocks_written = tot.blocks_written + f.tetris.Tetris.blocks;
+      tetrises_written = tot.tetrises_written + f.tetris.Tetris.tetrises;
+      full_stripes = tot.full_stripes + f.classification.Stripe.full_stripes;
+      partial_stripes = tot.partial_stripes + f.classification.Stripe.partial_stripes;
+      parity_writes = tot.parity_writes + f.classification.Stripe.parity_writes;
+      extra_parity_reads = tot.extra_parity_reads + f.classification.Stripe.extra_reads;
+      per_device_blocks =
+        Array.mapi (fun i n -> n + f.tetris.Tetris.per_device_blocks.(i)) tot.per_device_blocks;
+      chain_count = tot.chain_count + f.chains;
+      chain_blocks = tot.chain_blocks + f.chain_blocks;
+    }
+end
+
+let flush vbns = Group.record_flush (Group.create geom) ~vbns
+let classify vbns = (flush vbns).Group.classification
+let summarize vbns = (flush vbns).Group.tetris
+
 (* --- Stripe --- *)
 
 let test_stripe_full () =
   (* write one complete stripe: vbns at dbn=5 across all 6 devices *)
   let vbns = Geometry.vbns_of_stripe geom 5 in
-  let c = Stripe.classify geom ~vbns in
+  let c = classify vbns in
   check_int "full" 1 c.Stripe.full_stripes;
   check_int "partial" 0 c.Stripe.partial_stripes;
   check_int "parity writes" 1 c.Stripe.parity_writes;
@@ -65,7 +182,7 @@ let test_stripe_partial () =
   (* write 2 of 6 blocks of a stripe *)
   let vbns = [ Geometry.vbn_of_location geom { Geometry.device = 0; dbn = 7 };
                Geometry.vbn_of_location geom { Geometry.device = 3; dbn = 7 } ] in
-  let c = Stripe.classify geom ~vbns in
+  let c = classify vbns in
   check_int "partial" 1 c.Stripe.partial_stripes;
   check_int "blocks in partial" 2 c.Stripe.blocks_in_partial;
   (* RMW: read 2 old data + 1 old parity *)
@@ -75,7 +192,7 @@ let test_stripe_partial () =
 let test_stripe_mixed () =
   let full = Geometry.vbns_of_stripe geom 1 in
   let partial = [ Geometry.vbn_of_location geom { Geometry.device = 0; dbn = 2 } ] in
-  let c = Stripe.classify geom ~vbns:(full @ partial) in
+  let c = classify (full @ partial) in
   check_int "full" 1 c.Stripe.full_stripes;
   check_int "partial" 1 c.Stripe.partial_stripes;
   let ratio = Stripe.fullness_ratio c in
@@ -83,14 +200,14 @@ let test_stripe_mixed () =
 
 let test_stripe_duplicates () =
   let v = Geometry.vbn_of_location geom { Geometry.device = 0; dbn = 3 } in
-  let c = Stripe.classify geom ~vbns:[ v; v; v ] in
+  let c = classify [ v; v; v ] in
   check_int "counted once" 1 c.Stripe.blocks_in_partial
 
 let prop_stripe_blocks_conserved =
   QCheck.Test.make ~name:"classified blocks = distinct vbns" ~count:200
     QCheck.(list (int_bound 5999))
     (fun vbns ->
-      let c = Stripe.classify geom ~vbns in
+      let c = classify vbns in
       let distinct = List.length (List.sort_uniq Int.compare vbns) in
       c.Stripe.blocks_in_full + c.Stripe.blocks_in_partial = distinct)
 
@@ -103,19 +220,22 @@ let test_tetris_grouping () =
       Geometry.vbn_of_location geom { Geometry.device = 1; dbn = 63 };
       Geometry.vbn_of_location geom { Geometry.device = 2; dbn = 64 } ]
   in
-  let groups = Tetris.group geom ~vbns in
-  check_int "two tetrises" 2 (List.length groups);
-  match groups with
-  | [ t0; t1 ] ->
-    check_int "t0 index" 0 t0.Tetris.index;
-    check_int "t0 stripes" 2 t0.Tetris.stripes_touched;
-    check_int "t1 index" 1 t1.Tetris.index;
-    check_int "t1 blocks" 1 (List.length t1.Tetris.vbns)
-  | _ -> Alcotest.fail "unexpected groups"
+  let s = summarize vbns in
+  check_int "two tetrises" 2 s.Tetris.tetrises;
+  check_int "blocks" 3 s.Tetris.blocks;
+  (match Naive.group geom vbns with
+  | [ (0, t0); (1, t1) ] ->
+    check_int "t0 blocks" 2 (List.length t0);
+    check_int "t1 blocks" 1 (List.length t1)
+  | _ -> Alcotest.fail "unexpected reference groups");
+  (* a tetris boundary on one device: stripes 63 and 64 are two tetrises *)
+  let d0 dbn = Geometry.vbn_of_location geom { Geometry.device = 0; dbn } in
+  check_int "boundary splits" 2 (summarize [ d0 63; d0 64 ]).Tetris.tetrises;
+  check_int "same tetris" 1 (summarize [ d0 64; d0 127 ]).Tetris.tetrises
 
 let test_tetris_summary () =
   let vbns = Geometry.vbns_of_stripe geom 0 @ Geometry.vbns_of_stripe geom 100 in
-  let s = Tetris.summarize geom ~vbns in
+  let s = summarize vbns in
   check_int "tetrises" 2 s.Tetris.tetrises;
   check_int "blocks" 12 s.Tetris.blocks;
   Alcotest.(check (float 1e-9)) "mean" 6.0 s.Tetris.mean_blocks_per_tetris;
@@ -125,7 +245,7 @@ let prop_tetris_blocks_conserved =
   QCheck.Test.make ~name:"tetris blocks = distinct vbns" ~count:200
     QCheck.(list (int_bound 5999))
     (fun vbns ->
-      let s = Tetris.summarize geom ~vbns in
+      let s = summarize vbns in
       let distinct = List.length (List.sort_uniq Int.compare vbns) in
       s.Tetris.blocks = distinct
       && Array.fold_left ( + ) 0 s.Tetris.per_device_blocks = distinct)
@@ -171,10 +291,95 @@ let test_group_reset () =
   Group.reset g;
   check_int "zeroed" 0 (Group.totals g).Group.blocks_written
 
+(* --- Kernel vs reference --- *)
+
+(* A small group (4 data + 2 parity devices of 96 blocks) so random flushes
+   fill whole stripes and tetrises.  The generator mixes uniform VBNs,
+   whole stripes, repeats, and the VBNs either side of each device
+   boundary: the last DBN of device d and DBN 0 of device d+1 are
+   consecutive VBNs but must count as two chains. *)
+let small = Geometry.create ~data_devices:4 ~parity_devices:2 ~device_blocks:96
+
+let gen_flush =
+  let open QCheck.Gen in
+  let total = Geometry.total_blocks small and db = Geometry.device_blocks small in
+  let piece =
+    frequency
+      [
+        (4, map (fun v -> [ v ]) (int_bound (total - 1)));
+        (1, map (Geometry.vbns_of_stripe small) (int_bound (db - 1)));
+        (1, map (fun d -> [ (d * db) - 1; d * db ]) (int_range 1 (Geometry.data_devices small - 1)));
+        (1, map (fun v -> [ v; v ]) (int_bound (total - 1)));
+        (1, map (fun v -> List.init 8 (fun i -> min (total - 1) (v + i))) (int_bound (total - 1)));
+      ]
+  in
+  map List.concat (list_size (int_bound 40) piece)
+
+let same_report (a : Group.flush_report) (b : Group.flush_report) =
+  a.classification = b.classification
+  && a.tetris.Tetris.tetrises = b.tetris.Tetris.tetrises
+  && a.tetris.Tetris.blocks = b.tetris.Tetris.blocks
+  && Float.equal a.tetris.Tetris.mean_blocks_per_tetris b.tetris.Tetris.mean_blocks_per_tetris
+  && a.tetris.Tetris.per_device_blocks = b.tetris.Tetris.per_device_blocks
+  && a.chains = b.chains && a.chain_blocks = b.chain_blocks
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"record_flush matches the list reference" ~count:300
+    QCheck.(make ~print:Print.(list (list int)) Gen.(list_size (int_range 1 6) gen_flush))
+    (fun flushes ->
+      let g = Group.create small in
+      let expected =
+        List.fold_left
+          (fun tot vbns ->
+            let want = Naive.record_flush small vbns in
+            if not (same_report (Group.record_flush g ~vbns) want) then
+              QCheck.Test.fail_reportf "flush report differs on %s"
+                (QCheck.Print.(list int) vbns);
+            Naive.accumulate tot want)
+          (Group.totals (Group.create small))
+          flushes
+      in
+      Group.totals g = expected)
+
+let test_group_empty_flush () =
+  let g = Group.create geom in
+  let f = Group.record_flush g ~vbns:[] in
+  check_bool "empty report" true (same_report f (Naive.record_flush geom []));
+  check_int "counted as a flush" 1 (Group.totals g).Group.flushes;
+  check_int "no tetrises" 0 (Group.totals g).Group.tetrises_written
+
+let test_group_device_boundary_chains () =
+  (* VBNs 999 and 1000: adjacent numbers, different devices *)
+  let f = flush [ 999; 1000 ] in
+  check_int "two chains" 2 f.Group.chains;
+  check_int "two blocks" 2 f.Group.chain_blocks
+
+let test_group_flush_allocation_flat () =
+  let g = Group.create geom in
+  (* distinct VBNs in scrambled order: 7919 is coprime with 6000 *)
+  let big = List.init 4096 (fun i -> i * 7919 mod 6000) in
+  let tiny = List.filteri (fun i _ -> i < 16) big in
+  let words vbns =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Group.record_flush g ~vbns));
+    Gc.minor_words () -. before
+  in
+  ignore (words big) (* grows the scratch array once *);
+  let w_big = words big and w_tiny = words tiny in
+  check_bool
+    (Printf.sprintf "4096-block flush allocates no more than a 16-block one (%.0f vs %.0f words)"
+       w_big w_tiny)
+    true (w_big <= w_tiny)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_geometry_roundtrip; prop_stripe_blocks_conserved; prop_tetris_blocks_conserved ]
+      [
+        prop_geometry_roundtrip;
+        prop_stripe_blocks_conserved;
+        prop_tetris_blocks_conserved;
+        prop_kernel_matches_reference;
+      ]
   in
   Alcotest.run "wafl_raid"
     [
@@ -205,6 +410,11 @@ let () =
           Alcotest.test_case "chains split across devices" `Quick
             test_group_chain_split_across_devices;
           Alcotest.test_case "reset" `Quick test_group_reset;
+          Alcotest.test_case "empty flush" `Quick test_group_empty_flush;
+          Alcotest.test_case "device boundary splits chains" `Quick
+            test_group_device_boundary_chains;
+          Alcotest.test_case "flush allocation independent of size" `Quick
+            test_group_flush_allocation_flat;
         ]
         @ qsuite );
     ]

@@ -316,8 +316,37 @@ let test_json_number_leaves () =
     [ ([ "a" ], 1.0); ([ "b"; "c" ], 2.0); ([ "d"; "0" ], 3.0); ([ "d"; "1"; "e" ], 4.0) ]
     (Json.number_leaves v)
 
+(* --- Int_sort --- *)
+
+let prop_int_sort_matches_list_sort =
+  QCheck.Test.make ~name:"int_sort sorts and dedups a prefix like List" ~count:300
+    QCheck.(pair (list (int_range (-50) 50)) small_nat)
+    (fun (xs, tail) ->
+      let len = List.length xs in
+      let a = Array.of_list (xs @ List.init tail (fun i -> 1000 + i)) in
+      let b = Array.copy a in
+      Wafl_util.Int_sort.sort a ~len;
+      let m = Wafl_util.Int_sort.sort_uniq b ~len in
+      Array.to_list (Array.sub a 0 len) = List.sort Int.compare xs
+      && Array.to_list (Array.sub b 0 m) = List.sort_uniq Int.compare xs
+      && Array.sub a len tail = Array.init tail (fun i -> 1000 + i))
+
+let test_int_sort_allocates_nothing () =
+  let n = 10_000 in
+  let a = Array.init n (fun i -> (i * 7919) mod n) in
+  let before = Gc.minor_words () in
+  let m = Wafl_util.Int_sort.sort_uniq a ~len:n in
+  let words = Gc.minor_words () -. before in
+  check_int "distinct" n m;
+  check_bool "sorted" true (a = Array.init n Fun.id);
+  check_bool (Printf.sprintf "no minor-heap words (%.0f)" words) true (words = 0.0);
+  Alcotest.check_raises "length past the array"
+    (Invalid_argument "Int_sort.sort: length out of bounds") (fun () ->
+      Wafl_util.Int_sort.sort a ~len:(n + 1))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_histo_total_conserved ] in
+  let sort_suite = List.map QCheck_alcotest.to_alcotest [ prop_int_sort_matches_list_sort ] in
   Alcotest.run "wafl_util"
     [
       ( "rng",
@@ -363,6 +392,9 @@ let () =
           Alcotest.test_case "highest_nonempty" `Quick test_histo_highest;
         ]
         @ qsuite );
+      ( "int_sort",
+        Alcotest.test_case "allocates nothing" `Quick test_int_sort_allocates_nothing
+        :: sort_suite );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
