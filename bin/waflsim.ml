@@ -10,9 +10,9 @@ let scale_arg =
 
 let metrics_out_arg =
   let doc =
-    "Write a JSON telemetry report (counters, gauges, histograms, per-CP snapshots) to \
-     $(docv) when the run finishes.  With $(b,.csv) as the extension the report is \
-     rendered as CSV rows instead."
+    "Write a JSON telemetry report (counters, gauges, span totals, the per-CP series \
+     schema) to $(docv) when the run finishes.  With $(b,.csv) as the extension the \
+     report is rendered as CSV rows, with $(b,.prom) as Prometheus text."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
@@ -432,11 +432,15 @@ let flush_telemetry ~metrics_out ~metrics_format ~trace_out ~timeseries_out tel 
    M/G/1 sweeps price the same work identically. *)
 let make_latency ~latency ~slos =
   if latency || slos <> [] then
-    Some
-      (Latency.create
-         ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
-         ?slo:(match slos with [] -> None | l -> Some (Slo.create l))
-         ())
+    match if slos = [] then None else Some (Slo.create slos) with
+    | slo ->
+      Some
+        (Latency.create
+           ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
+           ?slo ())
+    | exception Invalid_argument msg ->
+      Printf.eprintf "waflsim: %s\n" msg;
+      exit 2
   else None
 
 (* Post-run latency summary on stdout: headline quantiles, per-volume
@@ -487,9 +491,7 @@ let with_telemetry ~metrics_out ~metrics_format ~trace_out ~trace_capacity ~time
       Printf.eprintf "waflsim: --trace-capacity must be positive (got %d)\n" trace_capacity;
       exit 2
     end;
-    Option.iter check_writable metrics_out;
-    Option.iter check_writable trace_out;
-    Option.iter check_writable timeseries_out;
+    List.iter (Option.iter check_writable) [ metrics_out; trace_out; timeseries_out ];
     let tel =
       Telemetry.create ~trace_capacity ~tracing:(trace_out <> None) ?latency:lat ()
     in
@@ -711,9 +713,7 @@ let top_cmd =
     with_alloc_domains alloc_domains (fun () ->
     with_scrub scrub_rate (fun () ->
         with_fault_spec (parse_fault_spec fault_spec) (fun () ->
-            Option.iter check_writable metrics_out;
-            Option.iter check_writable trace_out;
-            Option.iter check_writable timeseries_out;
+            List.iter (Option.iter check_writable) [ metrics_out; trace_out; timeseries_out ];
             (* top always installs telemetry: the health view is the point *)
             let tel =
               Telemetry.create ~trace_capacity ~series_capacity:(max 1024 cps)

@@ -35,6 +35,11 @@ type report = {
   cache_work : int;
   alloc_candidates : int;
   fault_totals : Wafl_fault.Fault.io_stats option;
+  picks : int;
+  replenishes : int;
+  hbps_score_error_max : float;
+  search_ns : int;
+  wall_ns : int;
 }
 
 let empty_report =
@@ -50,6 +55,11 @@ let empty_report =
     cache_work = 0;
     alloc_candidates = 0;
     fault_totals = None;
+    picks = 0;
+    replenishes = 0;
+    hbps_score_error_max = 0.0;
+    search_ns = 0;
+    wall_ns = 0;
   }
 
 (* Writes grouped per volume, preserving order. *)
@@ -92,9 +102,7 @@ let smr_streams geometry locals =
       (device, List.map (fun dbn -> (device * span) + Azcs.device_position_of_data dbn) dbns))
     devices
 
-let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_locals =
-  let aggregate = Write_alloc.aggregate walloc in
-  ignore aggregate;
+let flush_range_body (range : Aggregate.range) ~cls_locals locals freed_locals =
   let flush =
     match range.Aggregate.group with
     | Some group ->
@@ -255,11 +263,11 @@ let flush_range_body walloc (range : Aggregate.range) ~cls_locals locals freed_l
 (* [Device_flush] spans may run concurrently on pool domains; each domain
    stamps its own start slot, so the enter/exit pair is race-free.  The
    [Fun.protect] closure is per-range-per-CP — off the hot path. *)
-let flush_range walloc range ~cls_locals locals freed_locals =
+let flush_range range ~cls_locals locals freed_locals =
   Telemetry.span_enter Span.Device_flush;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Device_flush)
-    (fun () -> flush_range_body walloc range ~cls_locals locals freed_locals)
+    (fun () -> flush_range_body range ~cls_locals locals freed_locals)
 
 (* Aggregate cache stats over the physical ranges and this CP's active
    volumes: (picks, replenishes, work, worst HBPS score error). *)
@@ -278,29 +286,171 @@ let cache_totals ranges by_vol =
   List.iter (fun (vol, _) -> tally (Flexvol.cache vol)) by_vol;
   (!picks, !repl, !work, !err)
 
-(* Schema of the per-CP time-series row sampled at the end of [run]; one
-   name per cell of the row array below, in order. *)
-let timeseries_columns =
+(* Aggregate state read once per sampled time-series row: the free-run
+   scan, the AA-score deciles, SSD write amplification and wear, the scrub
+   counters and the modeled latency quantiles.  Built only when telemetry
+   is installed. *)
+type view = {
+  cp_index : int;
+  ring_high_water : float;
+  free : int;
+  total : int;
+  free_runs : int;
+  largest_run : int;
+  deciles : float array;  (* d1..d9 *)
+  scrub_pages : int;
+  scrub_bad : int;
+  ssd_wa : float;
+  ssd_wear : int;
+  lat : float array array;  (* [|p50; p99; p999|]: overall, then volume slots 0..3 *)
+}
+
+let view tel aggregate =
+  let reg = Telemetry.registry tel in
+  let ranges = Aggregate.ranges aggregate in
+  let free_runs, largest_run = Aggregate.free_run_stats aggregate in
+  let scores =
+    Array.concat (Array.to_list (Array.map (fun (r : Aggregate.range) -> r.Aggregate.scores) ranges))
+  in
+  Array.sort Int.compare scores;
+  let n = Array.length scores in
+  let ssd_host = ref 0 and ssd_dev = ref 0 and ssd_wear = ref 0 in
+  Array.iter
+    (fun (r : Aggregate.range) ->
+      match r.Aggregate.device with
+      | Aggregate.Ssd_sim ftl ->
+        let s = Ftl.stats ftl in
+        ssd_host := !ssd_host + s.Ftl.host_pages_written;
+        ssd_dev := !ssd_dev + s.Ftl.device_pages_written;
+        ssd_wear := max !ssd_wear (snd (Ftl.wear_spread ftl))
+      | _ -> ())
+    ranges;
+  let ring_high_water = Registry.value (Registry.gauge reg "write_alloc.ring_high_water") in
+  let scrub_bad = Registry.count (Registry.counter reg "scrub.bad_pages") in
+  let scrub_pages = Registry.count (Registry.counter reg "scrub.pages_verified") in
+  {
+    cp_index = Tracer.current_cp (Telemetry.tracer tel);
+    ring_high_water;
+    free = Aggregate.free_blocks aggregate;
+    total = Aggregate.total_blocks aggregate;
+    free_runs;
+    largest_run;
+    deciles =
+      Array.init 9 (fun k -> if n = 0 then 0.0 else float_of_int scores.((k + 1) * (n - 1) / 10));
+    scrub_pages;
+    scrub_bad;
+    ssd_wa = (if !ssd_host = 0 then 1.0 else float_of_int !ssd_dev /. float_of_int !ssd_host);
+    ssd_wear = !ssd_wear;
+    lat =
+      Array.init 5 (fun i ->
+          let p50, p99, p999 = Telemetry.lat_quantiles_ms ~vol:(i - 1) in
+          [| p50; p99; p999 |]);
+  }
+
+(* This CP's FTL relocations on write stream [s] over every SSD range;
+   streams beyond 3 fold into the s3 column. *)
+let stream_relocations r s =
+  List.fold_left
+    (fun acc (d : device_report) ->
+      let sum = ref acc in
+      Array.iteri
+        (fun i (st : Ftl.stats) -> if min i 3 = s then sum := !sum + st.Ftl.relocated_pages)
+        d.ssd_stream_stats;
+      !sum)
+    0 r.devices
+
+type column = {
+  name : string;
+  unit : string;
+  kind : Timeseries.kind;
+  get : report -> view -> float;
+}
+
+(* The per-CP time series: the paper's time-resolved axes (search cost per
+   block, AA score distribution, HBPS error bound, free-space
+   fragmentation) plus allocator, fault, SSD and modeled-latency health,
+   then the remaining report fields.  Columns are only ever appended. *)
+let table =
+  let fl = float_of_int in
+  let rep name unit kind f = { name; unit; kind; get = (fun r _ -> f r) } in
+  let agg name unit kind f = { name; unit; kind; get = (fun _ v -> f v) } in
+  let count name unit f = rep name unit Timeseries.Count (fun r -> fl (f r)) in
+  let fault name unit (f : Wafl_fault.Fault.io_stats -> int) =
+    count name unit (fun r -> match r.fault_totals with None -> 0 | Some fs -> f fs)
+  in
+  let lat prefix i =
+    List.mapi
+      (fun j q -> agg (Printf.sprintf "%s_%s_ms" prefix q) "ms" Modeled (fun v -> v.lat.(i).(j)))
+      [ "p50"; "p99"; "p999" ]
+  in
   [
-    "cp"; "ops"; "blocks_allocated"; "pvbns_freed"; "picks"; "replenishes";
-    "search_ns_per_block"; "cp_wall_ns"; "hbps_score_error_max"; "aa_score_d1";
-    "aa_score_d2"; "aa_score_d3"; "aa_score_d4"; "aa_score_d5"; "aa_score_d6";
-    "aa_score_d7"; "aa_score_d8"; "aa_score_d9"; "free_blocks"; "free_frac";
-    "free_runs"; "largest_free_run"; "frag"; "ring_high_water"; "device_us";
-    "fault_transients"; "fault_torn"; "fault_failed"; "fault_retries";
-    "scrub_pages"; "scrub_bad"; "ssd_wa"; "ssd_reloc_s0"; "ssd_reloc_s1";
-    "ssd_reloc_s2"; "ssd_reloc_s3"; "ssd_max_wear";
-    (* Modeled request latency (ms), zero when no latency recorder is
-       attached.  Volume slots are first-seen order and only the first
-       four get columns (keeping the schema fixed across runs, like the
-       reloc_s* cells); later volumes stay visible in the health pane and
-       the Prometheus export. *)
-    "lat_p50_ms"; "lat_p99_ms"; "lat_p999_ms";
-    "lat_v0_p50_ms"; "lat_v0_p99_ms"; "lat_v0_p999_ms";
-    "lat_v1_p50_ms"; "lat_v1_p99_ms"; "lat_v1_p999_ms";
-    "lat_v2_p50_ms"; "lat_v2_p99_ms"; "lat_v2_p999_ms";
-    "lat_v3_p50_ms"; "lat_v3_p99_ms"; "lat_v3_p999_ms";
+    agg "cp" "index" Count (fun v -> fl v.cp_index);
+    count "ops" "ops" (fun r -> r.ops);
+    count "blocks_allocated" "blocks" (fun r -> r.blocks_allocated);
+    count "pvbns_freed" "blocks" (fun r -> r.pvbns_freed);
+    count "picks" "picks" (fun r -> r.picks);
+    count "replenishes" "replenishes" (fun r -> r.replenishes);
+    rep "search_ns_per_block" "ns/block" Measured (fun r ->
+        fl r.search_ns /. fl (max 1 r.blocks_allocated));
+    rep "cp_wall_ns" "ns" Measured (fun r -> fl r.wall_ns);
+    rep "hbps_score_error_max" "fraction" Count (fun r -> r.hbps_score_error_max);
   ]
+  @ List.init 9 (fun k ->
+        agg (Printf.sprintf "aa_score_d%d" (k + 1)) "blocks" Count (fun v -> v.deciles.(k)))
+  @ [
+      agg "free_blocks" "blocks" Count (fun v -> fl v.free);
+      agg "free_frac" "fraction" Count (fun v -> fl v.free /. fl v.total);
+      agg "free_runs" "runs" Count (fun v -> fl v.free_runs);
+      agg "largest_free_run" "blocks" Count (fun v -> fl v.largest_run);
+      (* 0.0 = one contiguous free run, -> 1.0 as free space shatters *)
+      agg "frag" "fraction" Count (fun v ->
+          if v.free = 0 then 0.0 else 1.0 -. (fl v.largest_run /. fl v.free));
+      agg "ring_high_water" "blocks" Count (fun v -> v.ring_high_water);
+      rep "device_us" "us" Modeled (fun r -> r.device_time_us);
+      fault "fault_transients" "bursts" (fun fs -> fs.injected_transient);
+      fault "fault_torn" "writes" (fun fs -> fs.torn);
+      fault "fault_failed" "writes" (fun fs -> fs.failed);
+      fault "fault_retries" "retries" (fun fs -> fs.retries);
+      agg "scrub_pages" "pages" Count (fun v -> fl v.scrub_pages);
+      agg "scrub_bad" "pages" Count (fun v -> fl v.scrub_bad);
+      agg "ssd_wa" "ratio" Count (fun v -> v.ssd_wa);
+    ]
+  @ List.init 4 (fun s ->
+        count (Printf.sprintf "ssd_reloc_s%d" s) "pages" (fun r -> stream_relocations r s))
+  @ [ agg "ssd_max_wear" "erases" Count (fun v -> fl v.ssd_wear) ]
+  @ lat "lat" 0
+  @ List.concat (List.init 4 (fun i -> lat (Printf.sprintf "lat_v%d" i) (i + 1)))
+  @ [
+      count "vvbns_freed" "blocks" (fun r -> r.vvbns_freed);
+      count "agg_metafile_pages" "pages" (fun r -> r.agg_metafile_pages);
+      count "vol_metafile_pages" "pages" (fun r -> r.vol_metafile_pages);
+      count "cache_work" "work units" (fun r -> r.cache_work);
+      count "alloc_candidates" "positions" (fun r -> r.alloc_candidates);
+      fault "fault_retries_ok" "bursts" (fun fs -> fs.retries_ok);
+      rep "fault_penalty_us" "us" Modeled (fun r ->
+          match r.fault_totals with None -> 0.0 | Some fs -> fs.Wafl_fault.Fault.penalty_us);
+    ]
+
+let columns = List.map (fun c -> { Timeseries.name = c.name; unit = c.unit; kind = c.kind }) table
+
+(* Every per-CP surface is a projection of the report: the counters here
+   and, when telemetry is installed, one time-series row. *)
+let publish aggregate report =
+  Telemetry.incr "cp.count";
+  Telemetry.add "cp.ops" report.ops;
+  Telemetry.add "cp.blocks_allocated" report.blocks_allocated;
+  Telemetry.add "cp.pvbns_freed" report.pvbns_freed;
+  Telemetry.add "cp.vvbns_freed" report.vvbns_freed;
+  Telemetry.add "metafile.agg_pages_written" report.agg_metafile_pages;
+  Telemetry.add "metafile.vol_pages_written" report.vol_metafile_pages;
+  Telemetry.add "cache.picks" report.picks;
+  Telemetry.add "cache.replenishes" report.replenishes;
+  Telemetry.add "cache.work" report.cache_work;
+  Telemetry.add "alloc.candidates_scanned" report.alloc_candidates;
+  Telemetry.max_gauge "cache.hbps.score_error_max" report.hbps_score_error_max;
+  Telemetry.sample ~columns (fun tel ->
+      let v = view tel aggregate in
+      Array.of_list (List.map (fun c -> c.get report v) table))
 
 let run ?pool ?temp walloc staged =
   let pool = Par.resolve pool in
@@ -509,7 +659,7 @@ let run ?pool ?temp walloc staged =
       Array.iter (fun _ -> Wafl_fault.Crash.point "cp.device_flush") ranges;
       Array.to_list
         (Par.map p ~chunks:(Array.length ranges) ~f:(fun i ->
-             flush_range walloc ranges.(i) ~cls_locals:(cls_locals_of i)
+             flush_range ranges.(i) ~cls_locals:(cls_locals_of i)
                (List.rev locals_by_range.(i))
                (List.rev freed_by_range.(i))))
     | _ ->
@@ -517,7 +667,7 @@ let run ?pool ?temp walloc staged =
         (Array.mapi
            (fun i (r : Aggregate.range) ->
              Wafl_fault.Crash.point "cp.device_flush";
-             flush_range walloc r ~cls_locals:(cls_locals_of i)
+             flush_range r ~cls_locals:(cls_locals_of i)
                (List.rev locals_by_range.(i))
                (List.rev freed_by_range.(i)))
            ranges)
@@ -541,28 +691,14 @@ let run ?pool ?temp walloc staged =
   let fault_totals =
     List.fold_left
       (fun acc (d : device_report) ->
-        match d.fault with
-        | None -> acc
-        | Some fs -> (
-          match acc with
-          | None -> Some fs
-          | Some t ->
-            Some
-              {
-                Wafl_fault.Fault.ios = t.Wafl_fault.Fault.ios + fs.Wafl_fault.Fault.ios;
-                injected_transient =
-                  t.Wafl_fault.Fault.injected_transient
-                  + fs.Wafl_fault.Fault.injected_transient;
-                retries = t.Wafl_fault.Fault.retries + fs.Wafl_fault.Fault.retries;
-                retries_ok = t.Wafl_fault.Fault.retries_ok + fs.Wafl_fault.Fault.retries_ok;
-                torn = t.Wafl_fault.Fault.torn + fs.Wafl_fault.Fault.torn;
-                failed = t.Wafl_fault.Fault.failed + fs.Wafl_fault.Fault.failed;
-                spikes = t.Wafl_fault.Fault.spikes + fs.Wafl_fault.Fault.spikes;
-                penalty_us =
-                  t.Wafl_fault.Fault.penalty_us +. fs.Wafl_fault.Fault.penalty_us;
-              }))
+        match (acc, d.fault) with
+        | _, None -> acc
+        | None, fs -> fs
+        | Some t, Some fs -> Some (Wafl_fault.Fault.add_stats t fs))
       None devices
   in
+  let pick_ns = Telemetry.span_total_ns Span.Pick - pick_ns0 in
+  let harvest_ns = Telemetry.span_total_ns Span.Harvest - harvest_ns0 in
   let report =
     {
       ops;
@@ -576,12 +712,15 @@ let run ?pool ?temp walloc staged =
       cache_work = cache_work_after - cache_work_before;
       alloc_candidates = Write_alloc.candidates_scanned walloc - candidates_before;
       fault_totals;
+      picks = picks_after - picks_before;
+      replenishes = replenishes_after - replenishes_before;
+      hbps_score_error_max = score_error_max;
+      search_ns = pick_ns + harvest_ns;
+      wall_ns = Telemetry.now_ns () - cp_t0;
     }
   in
-  (* 5. Telemetry: a per-CP snapshot plus CP-granularity counters (the hot
-     allocation path above only touched the zero-cost trace emitters). *)
-  (* Assign modeled latencies to this CP's ops first, so the time-series
-     row below reads quantiles that include this CP.  device_time_us
+  (* 5. Telemetry.  Assign modeled latencies to this CP's ops first, so the
+     time-series row reads quantiles that include this CP.  device_time_us
      already carries the injected spike penalty; spike_us is passed
      separately so exemplar blame can tell a faulted flush from a merely
      slow one. *)
@@ -596,180 +735,8 @@ let run ?pool ?temp walloc staged =
         (match fault_totals with
         | Some fs -> fs.Wafl_fault.Fault.penalty_us
         | None -> 0.0)
-      ~pick_ns:(Telemetry.span_total_ns Span.Pick - pick_ns0)
-      ~harvest_ns:(Telemetry.span_total_ns Span.Harvest - harvest_ns0);
-  Telemetry.trace_free_commit ~space:(-1) ~freed:report.pvbns_freed ~pages:agg_pages;
-  Telemetry.trace_cp_end ~ops ~blocks:report.blocks_allocated ~freed:report.pvbns_freed
-    ~pages:(agg_pages + vol_pages) ~device_us:device_time_us;
-  Telemetry.incr "cp.count";
-  Telemetry.add "cp.ops" ops;
-  Telemetry.add "cp.blocks_allocated" report.blocks_allocated;
-  Telemetry.add "cp.pvbns_freed" report.pvbns_freed;
-  Telemetry.add "cp.vvbns_freed" report.vvbns_freed;
-  Telemetry.add "metafile.agg_pages_written" agg_pages;
-  Telemetry.add "metafile.vol_pages_written" vol_pages;
-  Telemetry.add "cache.picks" (picks_after - picks_before);
-  Telemetry.add "cache.replenishes" (replenishes_after - replenishes_before);
-  Telemetry.add "cache.work" report.cache_work;
-  Telemetry.add "alloc.candidates_scanned" report.alloc_candidates;
-  Telemetry.max_gauge "cache.hbps.score_error_max" score_error_max;
-  Telemetry.observe "cp.device_us" (int_of_float device_time_us);
-  Telemetry.observe "cp.blocks" report.blocks_allocated;
-  Telemetry.record ~label:"cp" (fun () ->
-      let base =
-        [
-          ("ops", Telemetry.Int ops);
-          ("blocks_allocated", Telemetry.Int report.blocks_allocated);
-          ("pvbns_freed", Telemetry.Int report.pvbns_freed);
-          ("vvbns_freed", Telemetry.Int report.vvbns_freed);
-          ("agg_metafile_pages", Telemetry.Int agg_pages);
-          ("vol_metafile_pages", Telemetry.Int vol_pages);
-          ("picks", Telemetry.Int (picks_after - picks_before));
-          ("replenishes", Telemetry.Int (replenishes_after - replenishes_before));
-          ("cache_work", Telemetry.Int report.cache_work);
-          ("hbps_score_error_max", Telemetry.Float score_error_max);
-          ("alloc_candidates", Telemetry.Int report.alloc_candidates);
-          ("device_time_us", Telemetry.Float device_time_us);
-        ]
-      in
-      let base =
-        match report.fault_totals with
-        | None -> base
-        | Some fs ->
-          base
-          @ [
-              ("fault.transients", Telemetry.Int fs.Wafl_fault.Fault.injected_transient);
-              ("fault.retries", Telemetry.Int fs.Wafl_fault.Fault.retries);
-              ("fault.retries_ok", Telemetry.Int fs.Wafl_fault.Fault.retries_ok);
-              ("fault.torn", Telemetry.Int fs.Wafl_fault.Fault.torn);
-              ("fault.failed", Telemetry.Int fs.Wafl_fault.Fault.failed);
-              ("fault.penalty_us", Telemetry.Float fs.Wafl_fault.Fault.penalty_us);
-            ]
-      in
-      let per_range =
-        List.concat_map
-          (fun (d : device_report) ->
-            let p = Printf.sprintf "range%d." d.range_index in
-            [
-              (p ^ "media", Telemetry.String d.media);
-              (p ^ "blocks_written", Telemetry.Int d.blocks_written);
-              (p ^ "device_us", Telemetry.Float d.device_time_us);
-              (p ^ "tetrises", Telemetry.Int d.tetrises);
-            ])
-          report.devices
-      in
-      base @ per_range);
-  (* One time-series row per CP: the paper's time-resolved axes (search
-     cost per block, AA score distribution, HBPS error bound, free-space
-     fragmentation) plus allocator/fault health.  The row thunk — and in
-     particular the whole-bitmap free-run scan and the score sort — only
-     runs when telemetry is installed. *)
-  Telemetry.sample ~columns:(fun () -> timeseries_columns)
-    (fun () ->
-      let fl = float_of_int in
-      let cp_idx =
-        match Telemetry.installed () with
-        | Some tel -> Tracer.current_cp (Telemetry.tracer tel)
-        | None -> 0
-      in
-      let ring_hw =
-        match Telemetry.installed () with
-        | Some tel ->
-          Registry.value (Registry.gauge (Telemetry.registry tel) "write_alloc.ring_high_water")
-        | None -> 0.0
-      in
-      let search_ns =
-        Telemetry.span_total_ns Span.Pick - pick_ns0
-        + (Telemetry.span_total_ns Span.Harvest - harvest_ns0)
-      in
-      let free = Aggregate.free_blocks aggregate in
-      let total = Aggregate.total_blocks aggregate in
-      let free_runs, largest_run = Aggregate.free_run_stats aggregate in
-      (* fragmentation: how little of the free space the largest single
-         run covers — 0.0 = one contiguous run, -> 1.0 as it shatters *)
-      let frag = if free = 0 then 0.0 else 1.0 -. (fl largest_run /. fl free) in
-      let scores =
-        Array.concat
-          (Array.to_list (Array.map (fun (r : Aggregate.range) -> r.Aggregate.scores) ranges))
-      in
-      Array.sort compare scores;
-      let decile k =
-        let n = Array.length scores in
-        if n = 0 then 0.0 else fl scores.(k * (n - 1) / 10)
-      in
-      let ft sel = match report.fault_totals with None -> 0 | Some fs -> sel fs in
-      let scrub_count name =
-        match Telemetry.installed () with
-        | Some tel -> fl (Registry.count (Registry.counter (Telemetry.registry tel) name))
-        | None -> 0.0
-      in
-      (* SSD health: cumulative write amplification and peak wear over the
-         aggregate's FTLs, plus this CP's relocations per write stream
-         (streams beyond 3 fold into the s3 cell). *)
-      let ssd_host = ref 0 and ssd_dev = ref 0 and ssd_wear = ref 0 in
-      Array.iter
-        (fun (r : Aggregate.range) ->
-          match r.Aggregate.device with
-          | Aggregate.Ssd_sim ftl ->
-            let s = Ftl.stats ftl in
-            ssd_host := !ssd_host + s.Ftl.host_pages_written;
-            ssd_dev := !ssd_dev + s.Ftl.device_pages_written;
-            ssd_wear := max !ssd_wear (snd (Ftl.wear_spread ftl))
-          | _ -> ())
-        ranges;
-      let ssd_wa = if !ssd_host = 0 then 1.0 else fl !ssd_dev /. fl !ssd_host in
-      let reloc_s = Array.make 4 0 in
-      List.iter
-        (fun (d : device_report) ->
-          Array.iteri
-            (fun s (st : Ftl.stats) ->
-              let s = min s 3 in
-              reloc_s.(s) <- reloc_s.(s) + st.Ftl.relocated_pages)
-            d.ssd_stream_stats)
-        report.devices;
-      (* Modeled latency quantiles (all zeros when no recorder is live). *)
-      let lat_all_50, lat_all_99, lat_all_999 = Telemetry.lat_quantiles_ms ~vol:(-1) in
-      let lat_v0_50, lat_v0_99, lat_v0_999 = Telemetry.lat_quantiles_ms ~vol:0 in
-      let lat_v1_50, lat_v1_99, lat_v1_999 = Telemetry.lat_quantiles_ms ~vol:1 in
-      let lat_v2_50, lat_v2_99, lat_v2_999 = Telemetry.lat_quantiles_ms ~vol:2 in
-      let lat_v3_50, lat_v3_99, lat_v3_999 = Telemetry.lat_quantiles_ms ~vol:3 in
-      [|
-        fl cp_idx;
-        fl ops;
-        fl report.blocks_allocated;
-        fl report.pvbns_freed;
-        fl (picks_after - picks_before);
-        fl (replenishes_after - replenishes_before);
-        fl search_ns /. fl (max 1 report.blocks_allocated);
-        fl (Telemetry.now_ns () - cp_t0);
-        score_error_max;
-        decile 1; decile 2; decile 3; decile 4; decile 5;
-        decile 6; decile 7; decile 8; decile 9;
-        fl free;
-        fl free /. fl total;
-        fl free_runs;
-        fl largest_run;
-        frag;
-        ring_hw;
-        device_time_us;
-        fl (ft (fun fs -> fs.Wafl_fault.Fault.injected_transient));
-        fl (ft (fun fs -> fs.Wafl_fault.Fault.torn));
-        fl (ft (fun fs -> fs.Wafl_fault.Fault.failed));
-        fl (ft (fun fs -> fs.Wafl_fault.Fault.retries));
-        scrub_count "scrub.pages_verified";
-        scrub_count "scrub.bad_pages";
-        ssd_wa;
-        fl reloc_s.(0);
-        fl reloc_s.(1);
-        fl reloc_s.(2);
-        fl reloc_s.(3);
-        fl !ssd_wear;
-        lat_all_50; lat_all_99; lat_all_999;
-        lat_v0_50; lat_v0_99; lat_v0_999;
-        lat_v1_50; lat_v1_99; lat_v1_999;
-        lat_v2_50; lat_v2_99; lat_v2_999;
-        lat_v3_50; lat_v3_99; lat_v3_999;
-      |]);
+      ~pick_ns ~harvest_ns;
+  publish aggregate report;
   (* Tick the temperature clock after the CP's placements: lifespans are
      measured in whole CPs between a birth and the overwrite killing it. *)
   (match temp with Some tm -> Temperature.advance_cp tm | None -> ());

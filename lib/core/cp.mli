@@ -45,22 +45,25 @@ type report = {
                                    AAs are emptier (§2.5) *)
   fault_totals : Wafl_fault.Fault.io_stats option;
       (** summed fault activity across devices; [None] without a plane *)
+  picks : int;                 (** AA picks across every cache this CP *)
+  replenishes : int;           (** cache replenishes this CP *)
+  hbps_score_error_max : float;
+      (** worst HBPS score-error bound over the caches (§3.3) *)
+  search_ns : int;             (** wall ns in the [cp.pick] + [cp.harvest]
+                                   spans this CP; 0 without telemetry *)
+  wall_ns : int;               (** CP wall ns up to this report; 0 without
+                                   telemetry *)
 }
 
-val timeseries_columns : string list
+val columns : Wafl_telemetry.Timeseries.column list
 (** Schema of the per-CP row [run] appends to the installed telemetry
-    instance's time series ({!Wafl_telemetry.Timeseries}): CP index,
-    op/alloc/free counts, pick and replenish counts, free-block search
-    cost in ns per allocated block (the [cp.pick] + [cp.harvest] span
-    delta), CP wall ns, the HBPS score-error bound, AA score deciles
-    d1..d9, free-space totals and fragmentation
-    ([1 - largest_free_run / free_blocks]), the harvest-ring high-water
-    mark, modeled device time, fault totals, scrub totals, the SSD
-    segregation axes (cumulative write amplification, per-stream
-    relocations this CP, peak erase-block wear), and modeled request
-    latency ([lat_p50/99/999_ms] overall plus [lat_v0..v3_*] for the
-    first four volume slots — all zeros unless the installed telemetry
-    instance carries a {!Wafl_telemetry.Latency.t}). *)
+    instance's time series: each column is a projection of the {!report}
+    (or of aggregate state read once per row — free-space runs, AA score
+    deciles d1..d9, SSD write amplification and wear, scrub totals,
+    modeled latency quantiles overall and for the first four volume
+    slots) and carries a unit and a kind.  Only the two wall-clock
+    columns, [search_ns_per_block] and [cp_wall_ns], are [Measured];
+    every other cell is identical at any domain count. *)
 
 val run :
   ?pool:Wafl_par.Par.t -> ?temp:Temperature.t -> Write_alloc.t -> staged list -> report

@@ -221,6 +221,18 @@ let diff_stats ~before ~after =
     penalty_us = after.penalty_us -. before.penalty_us;
   }
 
+let add_stats a b =
+  {
+    ios = a.ios + b.ios;
+    injected_transient = a.injected_transient + b.injected_transient;
+    retries = a.retries + b.retries;
+    retries_ok = a.retries_ok + b.retries_ok;
+    torn = a.torn + b.torn;
+    failed = a.failed + b.failed;
+    spikes = a.spikes + b.spikes;
+    penalty_us = a.penalty_us +. b.penalty_us;
+  }
+
 type t = { plane_spec : spec; rng : Wafl_util.Rng.t }
 
 type device = {

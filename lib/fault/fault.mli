@@ -89,6 +89,10 @@ type io_stats = {
 val zero_stats : io_stats
 val diff_stats : before:io_stats -> after:io_stats -> io_stats
 
+val add_stats : io_stats -> io_stats -> io_stats
+(** Field-wise sum, e.g. plane-wide totals over devices; the inverse of
+    {!diff_stats}. *)
+
 type t
 (** A fault plane: the spec plus the per-device handle factory. *)
 

@@ -19,11 +19,6 @@ let json_string s = "\"" ^ escape_json s ^ "\""
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let json_value = function
-  | Telemetry.Int i -> string_of_int i
-  | Telemetry.Float f -> json_float f
-  | Telemetry.String s -> json_string s
-
 let comma_sep buf items render =
   List.iteri
     (fun i x ->
@@ -32,17 +27,13 @@ let comma_sep buf items render =
     items
 
 let metrics_json tel =
-  let reg = Telemetry.registry tel in
-  let counters, gauges, histograms =
-    Registry.fold reg ~init:([], [], []) ~f:(fun (cs, gs, hs) m ->
+  let counters, gauges =
+    Registry.fold (Telemetry.registry tel) ~init:([], []) ~f:(fun (cs, gs) m ->
         match m with
-        | Registry.Counter c -> ((Registry.name m, c) :: cs, gs, hs)
-        | Registry.Gauge g -> (cs, (Registry.name m, g) :: gs, hs)
-        | Registry.Histogram h -> (cs, gs, (Registry.name m, h) :: hs))
+        | Registry.Counter c -> ((Registry.name m, c) :: cs, gs)
+        | Registry.Gauge g -> (cs, (Registry.name m, g) :: gs))
   in
-  let counters = List.rev counters
-  and gauges = List.rev gauges
-  and histograms = List.rev histograms in
+  let counters = List.rev counters and gauges = List.rev gauges in
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add "{\n  \"counters\": {";
@@ -53,25 +44,6 @@ let metrics_json tel =
   comma_sep buf gauges (fun (n, g) ->
       add (Printf.sprintf "\n    %s: %s" (json_string n) (json_float (Registry.value g))));
   add (if gauges = [] then "},\n" else "\n  },\n");
-  add "  \"histograms\": {";
-  comma_sep buf histograms (fun (n, h) ->
-      add
-        (Printf.sprintf "\n    %s: { \"observations\": %d, \"sum\": %d, \"buckets\": ["
-           (json_string n) (Registry.observations h) (Registry.sum h));
-      comma_sep buf (Registry.nonempty_buckets h) (fun (i, c) ->
-          add
-            (Printf.sprintf "{ \"ge\": %d, \"count\": %d }" (Registry.bucket_lower_bound i) c));
-      add "] }");
-  add (if histograms = [] then "},\n" else "\n  },\n");
-  add "  \"snapshots\": [";
-  comma_sep buf (Telemetry.snapshots tel) (fun (s : Telemetry.snapshot) ->
-      add (Printf.sprintf "\n    { \"seq\": %d, \"label\": %s" s.Telemetry.seq
-             (json_string s.Telemetry.label));
-      List.iter
-        (fun (k, v) -> add (Printf.sprintf ", %s: %s" (json_string k) (json_value v)))
-        s.Telemetry.fields;
-      add " }");
-  add (if Telemetry.snapshots tel = [] then "],\n" else "\n  ],\n");
   let sp = Telemetry.spans tel in
   add "  \"spans\": {";
   comma_sep buf
@@ -117,16 +89,7 @@ let metrics_csv tel =
       let name = Registry.name m in
       match m with
       | Registry.Counter c -> row "counter" name (string_of_int (Registry.count c))
-      | Registry.Gauge g -> row "gauge" name (Printf.sprintf "%.6g" (Registry.value g))
-      | Registry.Histogram h ->
-        row "histogram" (name ^ ".observations") (string_of_int (Registry.observations h));
-        row "histogram" (name ^ ".sum") (string_of_int (Registry.sum h));
-        List.iter
-          (fun (i, c) ->
-            row "histogram"
-              (Printf.sprintf "%s.ge_%d" name (Registry.bucket_lower_bound i))
-              (string_of_int c))
-          (Registry.nonempty_buckets h));
+      | Registry.Gauge g -> row "gauge" name (Printf.sprintf "%.6g" (Registry.value g)));
   let sp = Telemetry.spans tel in
   List.iter
     (fun k ->
@@ -142,10 +105,9 @@ let metrics_csv tel =
 (* Wide trace rows: every event kind fills the columns it has. *)
 let trace_columns =
   [
-    "event"; "cp"; "space"; "aa"; "score"; "ops"; "blocks"; "freed"; "pages"; "listed";
-    "tetrises"; "full_stripes"; "partial_stripes"; "aas"; "relocated"; "reclaimed";
-    "device_us"; "transients"; "torn"; "failed"; "spikes"; "retries"; "ok";
-    "slo"; "burn_fast"; "burn_slow"; "violations";
+    "event"; "cp"; "space"; "aa"; "score"; "listed"; "tetrises"; "full_stripes";
+    "partial_stripes"; "aas"; "relocated"; "reclaimed"; "transients"; "torn"; "failed";
+    "spikes"; "retries"; "ok"; "slo"; "burn_fast"; "burn_slow"; "violations";
   ]
 
 (* Trace fields whose values are strings, not numbers (for trace_json). *)
@@ -154,14 +116,6 @@ let string_field k = k = "event" || k = "slo"
 let event_fields (ev : Tracer.event) =
   match ev with
   | Tracer.Cp_begin _ -> []
-  | Tracer.Cp_end e ->
-    [
-      ("ops", string_of_int e.ops);
-      ("blocks", string_of_int e.blocks);
-      ("freed", string_of_int e.freed);
-      ("pages", string_of_int e.pages);
-      ("device_us", Printf.sprintf "%.3f" e.device_us);
-    ]
   | Tracer.Aa_pick e ->
     [
       ("space", string_of_int e.space);
@@ -182,12 +136,6 @@ let event_fields (ev : Tracer.event) =
       ("aas", string_of_int e.aas);
       ("relocated", string_of_int e.relocated);
       ("reclaimed", string_of_int e.reclaimed);
-    ]
-  | Tracer.Free_commit e ->
-    [
-      ("space", string_of_int e.space);
-      ("freed", string_of_int e.freed);
-      ("pages", string_of_int e.pages);
     ]
   | Tracer.Fault_inject e ->
     [
@@ -264,9 +212,17 @@ let timeseries_json tel =
   let ts = Telemetry.series tel in
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
-  add "{\n  \"columns\": [";
-  comma_sep buf (Timeseries.columns ts) (fun c -> add (json_string c));
-  add (Printf.sprintf "],\n  \"appended\": %d,\n  \"retained\": %d,\n  \"rows\": ["
+  let schema = Timeseries.schema ts in
+  let strings key f =
+    add (Printf.sprintf "  %s: [" (json_string key));
+    comma_sep buf schema (fun c -> add (json_string (f c)));
+    add "],\n"
+  in
+  add "{\n";
+  strings "columns" (fun c -> c.Timeseries.name);
+  strings "units" (fun c -> c.Timeseries.unit);
+  strings "kinds" (fun c -> Timeseries.kind_name c.Timeseries.kind);
+  add (Printf.sprintf "  \"appended\": %d,\n  \"retained\": %d,\n  \"rows\": ["
          (Timeseries.appended ts) (Timeseries.length ts));
   comma_sep buf (Timeseries.rows ts) (fun row ->
       add "\n    [";
@@ -319,24 +275,25 @@ let metrics_prom tel =
       let n = prom_name (Registry.name m) in
       match m with
       | Registry.Counter c ->
-        add (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n (Registry.count c))
+        (* The conventional [_total] suffix also keeps a counter apart from
+           the same-named column gauge below ([cp.ops] vs column [ops]). *)
+        add (Printf.sprintf "# TYPE %s_total counter\n%s_total %d\n" n n (Registry.count c))
       | Registry.Gauge g ->
         add
           (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n
-             (prom_float (Registry.value g)))
-      | Registry.Histogram h ->
-        (* Power-of-two buckets; le is each bucket's inclusive upper bound. *)
-        add (Printf.sprintf "# TYPE %s histogram\n" n);
-        let cum = ref 0 in
-        List.iter
-          (fun (i, c) ->
-            cum := !cum + c;
-            let le = if i = 0 then 0 else (1 lsl i) - 1 in
-            add (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n le !cum))
-          (Registry.nonempty_buckets h);
-        add (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n (Registry.observations h));
-        add (Printf.sprintf "%s_sum %d\n" n (Registry.sum h));
-        add (Printf.sprintf "%s_count %d\n" n (Registry.observations h)));
+             (prom_float (Registry.value g))));
+  (* The newest CP row: one gauge per series column, unit and kind in HELP. *)
+  let ts = Telemetry.series tel in
+  Option.iter
+    (fun row ->
+      List.iteri
+        (fun i (c : Timeseries.column) ->
+          let n = prom_name ("cp." ^ c.name) in
+          add
+            (Printf.sprintf "# HELP %s newest CP, %s (%s)\n# TYPE %s gauge\n%s %s\n" n
+               c.unit (Timeseries.kind_name c.kind) n n (prom_float row.(i))))
+        (Timeseries.schema ts))
+    (Timeseries.last ts);
   let sp = Telemetry.spans tel in
   List.iter
     (fun k ->

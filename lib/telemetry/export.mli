@@ -1,15 +1,12 @@
 (** JSON and CSV renderings of a telemetry instance.  Self-contained (no
     external JSON dependency); output is deterministic: metrics in
-    registration order, snapshots and events oldest first. *)
+    registration order, series rows and events oldest first. *)
 
 val metrics_json : Telemetry.t -> string
 (** One JSON object:
     {v
     { "counters":   { name: int, ... },
       "gauges":     { name: float, ... },
-      "histograms": { name: { "observations": int, "sum": int,
-                              "buckets": [ { "ge": int, "count": int } ] } },
-      "snapshots":  [ { "seq": int, "label": str, <field>: <value>, ... } ],
       "spans":      { name: { "count": int, "total_ns": int, "open": int,
                               "parent": str|null } },
       "timeseries": { "columns": [str], "appended": int, "retained": int },
@@ -19,15 +16,16 @@ val metrics_json : Telemetry.t -> string
     exported separately by {!timeseries_json}/{!timeseries_csv}. *)
 
 val metrics_csv : Telemetry.t -> string
-(** [kind,name,value] rows; histograms flatten to one row per populated
-    bucket plus [observations]/[sum] rows, fired span kinds to
-    [.count]/[.total_ns]/[.open] rows. *)
+(** [kind,name,value] rows for counters and gauges; fired span kinds
+    flatten to [.count]/[.total_ns]/[.open] rows. *)
 
 val metrics_prom : Telemetry.t -> string
 (** Prometheus text exposition (format 0.0.4).  Dotted registry names
-    become [wafl_]-prefixed underscore names with [# TYPE] lines;
-    registry histograms render cumulative [_bucket{le=...}]/[_sum]/
-    [_count] series; fired spans render [_count]/[_total_ns] counters.
+    become [wafl_]-prefixed underscore names with [# TYPE] lines
+    (counters take the [_total] suffix); the newest time-series row
+    renders as one [wafl_cp_<column>] gauge per column, its [# HELP]
+    line stating the column's unit and kind; fired spans render
+    [_count]/[_total_ns] counters.
     When the instance carries a latency recorder, per-(op, volume)
     latency histograms export as [wafl_op_latency_ms_bucket{op=,vol=,le=}]
     (le in milliseconds) plus headline p50/p99/p999 quantile gauges. *)
@@ -35,9 +33,12 @@ val metrics_prom : Telemetry.t -> string
 val timeseries_json : Telemetry.t -> string
 (** The recorded per-CP series:
     {v
-    { "columns": [str], "appended": int, "retained": int,
+    { "columns": [str], "units": [str], "kinds": [str],
+      "appended": int, "retained": int,
       "rows": [ [num|null, ...], ... ] }
     v}
+    [units] and [kinds] line up with [columns]; a kind is ["count"],
+    ["modeled"] or ["measured"] ({!Timeseries.kind}).
     Cells print so that parsing them back yields the recorded float
     exactly (non-finite cells become [null]). *)
 

@@ -27,8 +27,8 @@ let default_model =
 (* One recording domain's private histograms: a cell per (op, vol slot)
    plus an overall one, created lazily so idle cells cost nothing.  Only
    the owning domain writes; readers merge possibly-stale counts and
-   become exact after the domain's next synchronising edge (same contract
-   as Registry histograms). *)
+   become exact after the domain's next synchronising edge (e.g. pool task
+   completion). *)
 type shard = {
   cells : Hdrhist.t option array; (* n_ops * max_vols *)
   mutable overall : Hdrhist.t option;

@@ -16,9 +16,8 @@
     the per-op path.
 
     Samples land in log-linear {!Hdrhist}s keyed by (op kind x volume
-    slot), sharded per domain exactly like [Registry] histograms: record
-    is lock-free and allocation-free in steady state, the read side merges
-    shards.
+    slot), sharded per domain: record is lock-free and allocation-free in
+    steady state, the read side merges shards.
 
     Tail exemplars: when an op's modeled latency clears the current p999
     (tracked across CPs), a preallocated slot captures (latency, op kind,

@@ -1,47 +1,19 @@
 (* Counters and gauges are Atomic-backed so increments from parallel
-   scan domains are never lost (the multi-domain hammer tests in
-   test_telemetry and test_par exercise this).  The registry table itself
-   is guarded by a mutex: registration is rare, but first-touch of a name
-   can race when two domains emit the same new counter simultaneously.
-
-   Histograms shard per domain: each observing domain owns a private
-   bucket array (indexed by its domain id), so observe is a couple of
-   plain stores with no contention, and the read side merges the shards.
-   The shard table is published through an Atomic and grown under a
-   per-histogram lock; growth copies the shard *references*, so an
-   observation racing a growth lands in a shard the new table also
-   points at — no update is lost.  A domain's plain stores become
-   visible to readers at its next synchronising operation (e.g. the
-   pool's task-completion edge), which every current caller crosses
-   before reading. *)
+   scan domains are never lost (the multi-domain hammer test in test_par
+   exercises this).  The registry table itself is guarded by a mutex:
+   registration is rare, but first-touch of a name can race when two
+   domains emit the same new counter simultaneously. *)
 
 type counter = { c_name : string; c_count : int Atomic.t }
 type gauge = { g_name : string; g_value : float Atomic.t }
 
-type shard = {
-  s_buckets : int array;
-  mutable s_observations : int;
-  mutable s_sum : int;
-}
-
-type histogram = {
-  h_name : string;
-  h_lock : Mutex.t;
-  h_shards : shard array Atomic.t;  (* indexed by domain id; grown on demand *)
-}
-
-type metric =
-  | Counter of counter
-  | Gauge of gauge
-  | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge
 
 type t = {
   table : (string, metric) Hashtbl.t;
   mutable order : string list; (* reverse registration order *)
   lock : Mutex.t;
 }
-
-let n_buckets = 63
 
 let create () = { table = Hashtbl.create 64; order = []; lock = Mutex.create () }
 
@@ -68,30 +40,14 @@ let register t name make =
 let counter t name =
   match register t name (fun () -> Counter { c_name = name; c_count = Atomic.make 0 }) with
   | Counter c -> c
-  | Gauge _ | Histogram _ ->
+  | Gauge _ ->
     invalid_arg (Printf.sprintf "Registry.counter: %S is not a counter" name)
 
 let gauge t name =
   match register t name (fun () -> Gauge { g_name = name; g_value = Atomic.make 0.0 }) with
   | Gauge g -> g
-  | Counter _ | Histogram _ ->
+  | Counter _ ->
     invalid_arg (Printf.sprintf "Registry.gauge: %S is not a gauge" name)
-
-let new_shard () = { s_buckets = Array.make n_buckets 0; s_observations = 0; s_sum = 0 }
-
-let histogram t name =
-  match
-    register t name (fun () ->
-        Histogram
-          {
-            h_name = name;
-            h_lock = Mutex.create ();
-            h_shards = Atomic.make (Array.init 8 (fun _ -> new_shard ()));
-          })
-  with
-  | Histogram h -> h
-  | Counter _ | Gauge _ ->
-    invalid_arg (Printf.sprintf "Registry.histogram: %S is not a histogram" name)
 
 let incr c = Atomic.incr c.c_count
 
@@ -109,64 +65,7 @@ let rec set_max g v =
 
 let value g = Atomic.get g.g_value
 
-(* bucket 0: v <= 0; bucket i >= 1: 2^(i-1) <= v < 2^i *)
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let rec go i v = if v = 0 then i else go (i + 1) (v lsr 1) in
-    min (n_buckets - 1) (go 0 v)
-  end
-
-(* The calling domain's shard, growing the table on first touch.  The
-   steady state (shard already present) is one Atomic read and an array
-   index — no allocation, no lock. *)
-let rec shard_for h =
-  let id = (Domain.self () :> int) in
-  let shards = Atomic.get h.h_shards in
-  if id < Array.length shards then shards.(id)
-  else begin
-    Mutex.lock h.h_lock;
-    let shards = Atomic.get h.h_shards in
-    (if id >= Array.length shards then begin
-       let n = ref (max 8 (Array.length shards)) in
-       while !n <= id do
-         n := !n * 2
-       done;
-       Atomic.set h.h_shards
-         (Array.init !n (fun i ->
-              if i < Array.length shards then shards.(i) else new_shard ()))
-     end);
-    Mutex.unlock h.h_lock;
-    shard_for h
-  end
-
-let observe h v =
-  let s = shard_for h in
-  let b = bucket_of v in
-  s.s_buckets.(b) <- s.s_buckets.(b) + 1;
-  s.s_observations <- s.s_observations + 1;
-  s.s_sum <- s.s_sum + max 0 v
-
-let fold_shards h ~init ~f = Array.fold_left f init (Atomic.get h.h_shards)
-
-let observations h = fold_shards h ~init:0 ~f:(fun acc s -> acc + s.s_observations)
-let sum h = fold_shards h ~init:0 ~f:(fun acc s -> acc + s.s_sum)
-let bucket_count _ = n_buckets
-let bucket h i = fold_shards h ~init:0 ~f:(fun acc s -> acc + s.s_buckets.(i))
-let bucket_lower_bound i = if i <= 1 then 0 else 1 lsl (i - 1)
-
-let nonempty_buckets h =
-  let acc = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    let c = bucket h i in
-    if c > 0 then acc := (i, c) :: !acc
-  done;
-  !acc
-
-let name = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
+let name = function Counter c -> c.c_name | Gauge g -> g.g_name
 
 let fold t ~init ~f =
   let order = with_lock t (fun () -> List.rev t.order) in
@@ -179,12 +78,5 @@ let clear t =
       Hashtbl.iter
         (fun _ -> function
           | Counter c -> Atomic.set c.c_count 0
-          | Gauge g -> Atomic.set g.g_value 0.0
-          | Histogram h ->
-            Array.iter
-              (fun s ->
-                Array.fill s.s_buckets 0 (Array.length s.s_buckets) 0;
-                s.s_observations <- 0;
-                s.s_sum <- 0)
-              (Atomic.get h.h_shards))
+          | Gauge g -> Atomic.set g.g_value 0.0)
         t.table)

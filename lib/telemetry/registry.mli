@@ -1,33 +1,28 @@
-(** Metrics registry: named counters, gauges and log₂-bucket histograms.
+(** Metrics registry: named counters and gauges.
 
     Handles are cheap records meant to be resolved once (by name) and
     then updated directly on whatever path owns them.  Per-CP paths may
     instead go through the name-based helpers each time; the hot allocation
     path must not (see {!Tracer} for the per-pick instrument).  Metric
-    names are dotted, e.g. ["cache.picks"].
+    names are dotted, e.g. ["cache.picks"].  Distributions live elsewhere:
+    per-CP values in the time series, request latency in {!Hdrhist}.
 
     Domain safety: counters and gauges are [Atomic]-backed — concurrent
     [incr]/[add]/[set_max] from pool domains lose no updates — and
-    registration of a new name is serialised by an internal lock.
-    Histograms shard per observing domain and merge the shards on read,
-    so concurrent [observe] from pool domains loses no updates either;
-    a domain's observations are guaranteed visible to a reader once a
-    synchronising edge (e.g. pool task completion) separates them. *)
+    registration of a new name is serialised by an internal lock. *)
 
 type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
 val counter : t -> string -> counter
 (** Get or register the counter [name].  Raises [Invalid_argument] when
-    the name is already registered as a different metric kind. *)
+    the name is already registered as a gauge. *)
 
 val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
 
 (* --- counters: monotonically increasing ints --- *)
 
@@ -45,29 +40,9 @@ val set_max : gauge -> float -> unit
 
 val value : gauge -> float
 
-(* --- histograms: fixed log₂ buckets over non-negative ints ---
-
-   Bucket 0 counts observations <= 0; bucket [i >= 1] counts observations
-   [v] with [2^(i-1) <= v < 2^i].  The bucket count is fixed (63); the
-   read accessors below merge the per-domain shards. *)
-
-val observe : histogram -> int -> unit
-val observations : histogram -> int
-val sum : histogram -> int
-val bucket_count : histogram -> int
-val bucket : histogram -> int -> int
-val bucket_lower_bound : int -> int
-(** Smallest value landing in bucket [i] (0 for buckets 0 and 1). *)
-
-val nonempty_buckets : histogram -> (int * int) list
-(** [(bucket index, count)] for every populated bucket, ascending. *)
-
 (* --- enumeration (registration order) --- *)
 
-type metric =
-  | Counter of counter
-  | Gauge of gauge
-  | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge
 
 val name : metric -> string
 val fold : t -> init:'a -> f:('a -> metric -> 'a) -> 'a

@@ -76,6 +76,14 @@ let create ?(fast_window = 12) ?(slow_window = 120) objectives =
   if objectives = [] then invalid_arg "Slo.create: no objectives";
   if fast_window <= 0 || slow_window <= 0 then
     invalid_arg "Slo.create: windows must be positive";
+  let rec check_unique = function
+    | [] -> ()
+    | o :: rest ->
+      if List.exists (fun o' -> o'.name = o.name) rest then
+        invalid_arg (Printf.sprintf "duplicate SLO name %S: each objective needs its own name" o.name);
+      check_unique rest
+  in
+  check_unique objectives;
   let objs = Array.of_list objectives in
   {
     objs;

@@ -28,8 +28,9 @@ val objective_to_string : objective -> string
 type t
 
 val create : ?fast_window:int -> ?slow_window:int -> objective list -> t
-(** Windows are counted in CPs.  Raises [Invalid_argument] on empty
-    objective list or non-positive windows. *)
+(** Windows are counted in CPs.  Raises [Invalid_argument] on an empty
+    objective list, a repeated objective name (its gauges and counters
+    would collide) or non-positive windows. *)
 
 val objectives : t -> objective list
 val thresholds_ns : t -> int array

@@ -1,15 +1,9 @@
-type value = Int of int | Float of float | String of string
-
-type snapshot = { seq : int; label : string; fields : (string * value) list }
-
 type t = {
   registry : Registry.t;
   tracer : Tracer.t;
   spans : Span.t;
   series : Timeseries.t;
   latency : Latency.t option;
-  mutable snapshots_rev : snapshot list;
-  mutable snapshot_seq : int;
   mutable sample_hook : (unit -> unit) option;
 }
 
@@ -21,8 +15,6 @@ let create ?trace_capacity ?series_capacity ?clock ?(tracing = false) ?latency
     spans = Span.create ?clock ();
     series = Timeseries.create ?capacity:series_capacity ();
     latency;
-    snapshots_rev = [];
-    snapshot_seq = 0;
     sample_hook = None;
   }
 
@@ -31,11 +23,6 @@ let tracer t = t.tracer
 let spans t = t.spans
 let series t = t.series
 let latency t = t.latency
-let snapshots t = List.rev t.snapshots_rev
-
-let add_snapshot t ~label fields =
-  t.snapshot_seq <- t.snapshot_seq + 1;
-  t.snapshots_rev <- { seq = t.snapshot_seq; label; fields } :: t.snapshots_rev
 
 let on_sample t hook = t.sample_hook <- hook
 
@@ -43,9 +30,7 @@ let reset t =
   Registry.clear t.registry;
   Tracer.clear t.tracer;
   Span.clear t.spans;
-  Timeseries.clear t.series;
-  t.snapshots_rev <- [];
-  t.snapshot_seq <- 0
+  Timeseries.clear t.series
 
 (* --- process-wide installation --- *)
 
@@ -74,14 +59,6 @@ let set_gauge name v =
 let max_gauge name v =
   match !state with None -> () | Some t -> Registry.set_max (Registry.gauge t.registry name) v
 
-let observe name v =
-  match !state with
-  | None -> ()
-  | Some t -> Registry.observe (Registry.histogram t.registry name) v
-
-let record ~label fields =
-  match !state with None -> () | Some t -> add_snapshot t ~label (fields ())
-
 (* --- spans (branch-only no-ops when uninstalled) --- *)
 
 let span_enter k = match !state with None -> () | Some t -> Span.enter t.spans k
@@ -95,19 +72,14 @@ let sample ~columns row =
   match !state with
   | None -> ()
   | Some t ->
-    Timeseries.set_columns t.series (columns ());
-    Timeseries.append t.series (row ());
+    Timeseries.set_columns t.series columns;
+    Timeseries.append t.series (row t);
     (match t.sample_hook with None -> () | Some hook -> hook ())
 
 (* --- trace emitters --- *)
 
 let trace_cp_begin () =
   match !state with None -> () | Some t -> Tracer.cp_begin t.tracer
-
-let trace_cp_end ~ops ~blocks ~freed ~pages ~device_us =
-  match !state with
-  | None -> ()
-  | Some t -> Tracer.cp_end t.tracer ~ops ~blocks ~freed ~pages ~device_us
 
 let trace_aa_pick ~space ~aa ~score =
   match !state with None -> () | Some t -> Tracer.aa_pick t.tracer ~space ~aa ~score
@@ -124,11 +96,6 @@ let trace_cleaner_pass ~aas ~relocated ~reclaimed =
   match !state with
   | None -> ()
   | Some t -> Tracer.cleaner_pass t.tracer ~aas ~relocated ~reclaimed
-
-let trace_free_commit ~space ~freed ~pages =
-  match !state with
-  | None -> ()
-  | Some t -> Tracer.free_commit t.tracer ~space ~freed ~pages
 
 let trace_fault_inject ~space ~transients ~torn ~failed ~spikes =
   match !state with

@@ -1,7 +1,7 @@
-(** Telemetry subsystem front-end: one {!Registry.t} of metrics, one
-    {!Tracer.t} of structured events, one {!Span.t} phase-span recorder,
-    one {!Timeseries.t} of per-CP rows, and a list of labelled snapshots
-    (one per consistency point, produced by [Cp.run]).
+(** Telemetry subsystem front-end: one {!Registry.t} of counters and
+    gauges, one {!Tracer.t} of structured events, one {!Span.t}
+    phase-span recorder and one {!Timeseries.t} of per-CP rows (one per
+    consistency point, projected from [Cp.report] by [Cp.run]).
 
     Instrumented code does not thread a handle around; it goes through the
     process-wide {e installed} instance.  When nothing is installed every
@@ -10,12 +10,11 @@
     emitters additionally check the tracer's enabled flag, so an installed
     instance with tracing off still allocates nothing on the pick path.
 
-    Domain safety: counter, gauge and span updates are atomic, histogram
-    observations shard per domain, and trace pushes are serialised, so
-    the name-based helpers below may be called from parallel scan domains
-    (see {!Wafl_par.Par}) without losing updates.  Snapshots and time
-    series remain single-domain: they are emitted only from the serial
-    sections of [Cp.run].
+    Domain safety: counter, gauge and span updates are atomic and trace
+    pushes are serialised, so the name-based helpers below may be called
+    from parallel scan domains (see {!Wafl_par.Par}) without losing
+    updates.  The time series remains single-domain: it is sampled only
+    from the serial tail of [Cp.run].
 
     Typical use:
     {[
@@ -26,14 +25,6 @@
       print_string (Export.metrics_json tel)
     ]} *)
 
-type value = Int of int | Float of float | String of string
-
-type snapshot = {
-  seq : int;  (** 1-based snapshot index, in emission order *)
-  label : string;
-  fields : (string * value) list;
-}
-
 type t
 
 val create :
@@ -43,7 +34,7 @@ val create :
     time-series rows (both raise [Invalid_argument] when not positive);
     [tracing] (the tracer's enabled flag) to [false]; [clock] (the span
     recorder's nanosecond clock, injectable for tests) to the wall clock.
-    Metrics, spans, series and snapshots are always on for an installed
+    Metrics, spans and the series are always on for an installed
     instance; event tracing and request-latency accounting ([latency],
     off by default) have separate switches. *)
 
@@ -55,10 +46,6 @@ val series : t -> Timeseries.t
 val latency : t -> Latency.t option
 (** The request-latency recorder, when this instance carries one. *)
 
-val snapshots : t -> snapshot list
-(** Oldest first. *)
-
-val add_snapshot : t -> label:string -> (string * value) list -> unit
 val reset : t -> unit
 
 (* --- process-wide installation --- *)
@@ -79,11 +66,6 @@ val incr : string -> unit
 val add : string -> int -> unit
 val set_gauge : string -> float -> unit
 val max_gauge : string -> float -> unit
-val observe : string -> int -> unit
-
-val record : label:string -> (unit -> (string * value) list) -> unit
-(** Append a snapshot; the field thunk only runs when an instance is
-    installed, so building the field list costs nothing otherwise. *)
 
 (* --- phase spans (branch-only no-ops when uninstalled) --- *)
 
@@ -103,11 +85,11 @@ val span_total_ns : Span.kind -> int
 
 (* --- time series --- *)
 
-val sample : columns:(unit -> string list) -> (unit -> float array) -> unit
+val sample : columns:Timeseries.column list -> (t -> float array) -> unit
 (** Append one row to the installed instance's time series: fixes the
-    schema on first use ({!Timeseries.set_columns}), appends the row, then
-    runs the {!on_sample} hook.  Both thunks only run when an instance is
-    installed. *)
+    schema on first use ({!Timeseries.set_columns}), appends the row built
+    from the installed instance, then runs the {!on_sample} hook.  The row
+    function only runs when an instance is installed. *)
 
 val on_sample : t -> (unit -> unit) option -> unit
 (** Hook invoked after every {!sample} append — the live reporter's
@@ -116,7 +98,6 @@ val on_sample : t -> (unit -> unit) option -> unit
 (* --- trace emitters (no-op unless installed AND tracing enabled) --- *)
 
 val trace_cp_begin : unit -> unit
-val trace_cp_end : ops:int -> blocks:int -> freed:int -> pages:int -> device_us:float -> unit
 val trace_aa_pick : space:int -> aa:int -> score:int -> unit
 val trace_cache_replenish : space:int -> listed:int -> unit
 
@@ -124,7 +105,6 @@ val trace_tetris_write :
   space:int -> tetrises:int -> full_stripes:int -> partial_stripes:int -> unit
 
 val trace_cleaner_pass : aas:int -> relocated:int -> reclaimed:int -> unit
-val trace_free_commit : space:int -> freed:int -> pages:int -> unit
 
 val trace_fault_inject :
   space:int -> transients:int -> torn:int -> failed:int -> spikes:int -> unit

@@ -1,6 +1,12 @@
+type kind = Count | Modeled | Measured
+
+let kind_name = function Count -> "count" | Modeled -> "modeled" | Measured -> "measured"
+
+type column = { name : string; unit : string; kind : kind }
+
 type t = {
   cap : int;
-  mutable cols : string array;  (* [||] until set_columns *)
+  mutable cols : column array;  (* [||] until set_columns *)
   rows : float array array;     (* ring of row copies; slot = seq mod cap *)
   mutable head : int;           (* oldest retained slot *)
   mutable len : int;
@@ -19,7 +25,8 @@ let set_columns t cols =
   else if t.cols <> cols then
     invalid_arg "Timeseries.set_columns: schema already fixed to different columns"
 
-let columns t = Array.to_list t.cols
+let schema t = Array.to_list t.cols
+let columns t = List.map (fun c -> c.name) (schema t)
 
 let append t row =
   if Array.length t.cols = 0 then invalid_arg "Timeseries.append: no schema set";
@@ -49,7 +56,7 @@ let last t = if t.len = 0 then None else Some (get t (t.len - 1))
 
 let column_index t name =
   let n = Array.length t.cols in
-  let rec go i = if i >= n then None else if t.cols.(i) = name then Some i else go (i + 1) in
+  let rec go i = if i >= n then None else if t.cols.(i).name = name then Some i else go (i + 1) in
   go 0
 
 let clear t =

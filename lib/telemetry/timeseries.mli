@@ -12,6 +12,16 @@
     Appends and reads are meant for the serial sections of a run (the CP
     tail, the live reporter); the recorder is not domain-safe. *)
 
+type kind =
+  | Count  (** deterministic counts and ratios of counts *)
+  | Modeled  (** cost-model outputs: device time, modeled latency *)
+  | Measured  (** wall clock on the host running the simulator *)
+
+val kind_name : kind -> string
+(** ["count"], ["modeled"] or ["measured"]. *)
+
+type column = { name : string; unit : string; kind : kind }
+
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -20,13 +30,16 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val set_columns : t -> string list -> unit
+val set_columns : t -> column list -> unit
 (** Fix the schema.  The first call wins; later calls must pass the same
     columns (raises [Invalid_argument] otherwise), so independent sample
     sites cannot silently interleave different schemas. *)
 
-val columns : t -> string list
+val schema : t -> column list
 (** Empty until {!set_columns}. *)
+
+val columns : t -> string list
+(** The schema's column names. *)
 
 val append : t -> float array -> unit
 (** Append one row (copied).  Raises [Invalid_argument] when the width

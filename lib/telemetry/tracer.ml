@@ -1,13 +1,5 @@
 type event =
   | Cp_begin of { cp : int }
-  | Cp_end of {
-      cp : int;
-      ops : int;
-      blocks : int;
-      freed : int;
-      pages : int;
-      device_us : float;
-    }
   | Aa_pick of { cp : int; space : int; aa : int; score : int }
   | Cache_replenish of { cp : int; space : int; listed : int }
   | Tetris_write of {
@@ -18,7 +10,6 @@ type event =
       partial_stripes : int;
     }
   | Cleaner_pass of { cp : int; aas : int; relocated : int; reclaimed : int }
-  | Free_commit of { cp : int; space : int; freed : int; pages : int }
   | Fault_inject of {
       cp : int;
       space : int;
@@ -88,9 +79,6 @@ let cp_begin t =
   t.cp <- t.cp + 1;
   if t.enabled then push t (Cp_begin { cp = t.cp })
 
-let cp_end t ~ops ~blocks ~freed ~pages ~device_us =
-  if t.enabled then push t (Cp_end { cp = t.cp; ops; blocks; freed; pages; device_us })
-
 let aa_pick t ~space ~aa ~score =
   if t.enabled then push t (Aa_pick { cp = t.cp; space; aa; score })
 
@@ -103,9 +91,6 @@ let tetris_write t ~space ~tetrises ~full_stripes ~partial_stripes =
 
 let cleaner_pass t ~aas ~relocated ~reclaimed =
   if t.enabled then push t (Cleaner_pass { cp = t.cp; aas; relocated; reclaimed })
-
-let free_commit t ~space ~freed ~pages =
-  if t.enabled then push t (Free_commit { cp = t.cp; space; freed; pages })
 
 let fault_inject t ~space ~transients ~torn ~failed ~spikes =
   if t.enabled then
@@ -120,24 +105,20 @@ let slo_violation t ~slo ~burn_fast ~burn_slow ~violations =
 
 let event_name = function
   | Cp_begin _ -> "cp_begin"
-  | Cp_end _ -> "cp_end"
   | Aa_pick _ -> "aa_pick"
   | Cache_replenish _ -> "cache_replenish"
   | Tetris_write _ -> "tetris_write"
   | Cleaner_pass _ -> "cleaner_pass"
-  | Free_commit _ -> "free_commit"
   | Fault_inject _ -> "fault_inject"
   | Io_retry _ -> "io_retry"
   | Slo_violation _ -> "slo_violation"
 
 let event_cp = function
   | Cp_begin { cp } -> cp
-  | Cp_end { cp; _ } -> cp
   | Aa_pick { cp; _ } -> cp
   | Cache_replenish { cp; _ } -> cp
   | Tetris_write { cp; _ } -> cp
   | Cleaner_pass { cp; _ } -> cp
-  | Free_commit { cp; _ } -> cp
   | Fault_inject { cp; _ } -> cp
   | Io_retry { cp; _ } -> cp
   | Slo_violation { cp; _ } -> cp

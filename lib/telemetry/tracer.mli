@@ -12,14 +12,6 @@
 
 type event =
   | Cp_begin of { cp : int }
-  | Cp_end of {
-      cp : int;
-      ops : int;
-      blocks : int;
-      freed : int;
-      pages : int;
-      device_us : float;
-    }
   | Aa_pick of { cp : int; space : int; aa : int; score : int }
   | Cache_replenish of { cp : int; space : int; listed : int }
   | Tetris_write of {
@@ -30,7 +22,6 @@ type event =
       partial_stripes : int;
     }
   | Cleaner_pass of { cp : int; aas : int; relocated : int; reclaimed : int }
-  | Free_commit of { cp : int; space : int; freed : int; pages : int }
   | Fault_inject of {
       cp : int;
       space : int;
@@ -78,7 +69,6 @@ val cp_begin : t -> unit
 (** Advances the CP stamp carried by subsequent events.  The stamp advances
     even when disabled, so enabling mid-run yields correct CP numbers. *)
 
-val cp_end : t -> ops:int -> blocks:int -> freed:int -> pages:int -> device_us:float -> unit
 val aa_pick : t -> space:int -> aa:int -> score:int -> unit
 val cache_replenish : t -> space:int -> listed:int -> unit
 
@@ -86,7 +76,6 @@ val tetris_write :
   t -> space:int -> tetrises:int -> full_stripes:int -> partial_stripes:int -> unit
 
 val cleaner_pass : t -> aas:int -> relocated:int -> reclaimed:int -> unit
-val free_commit : t -> space:int -> freed:int -> pages:int -> unit
 
 val fault_inject :
   t -> space:int -> transients:int -> torn:int -> failed:int -> spikes:int -> unit

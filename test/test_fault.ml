@@ -270,6 +270,22 @@ let test_crash_matrix_small () =
     (List.length r.Crash_matrix.points + 1)
     r.Crash_matrix.runs
 
+(* Penalties are whole microseconds, as the fault plane's backoff and
+   spike costs are, so the float field round-trips exactly too. *)
+let gen_stats =
+  let open QCheck.Gen in
+  let n = int_bound 1_000_000 in
+  map
+    (fun ((ios, injected_transient, retries, retries_ok), (torn, failed, spikes, pen)) ->
+      { Fault.ios; injected_transient; retries; retries_ok; torn; failed; spikes;
+        penalty_us = float_of_int pen })
+    (pair (quad n n n n) (quad n n n n))
+
+let prop_add_diff_inverse =
+  QCheck.Test.make ~name:"diff_stats undoes add_stats" ~count:200
+    (QCheck.make (QCheck.Gen.pair gen_stats gen_stats))
+    (fun (a, b) -> Fault.diff_stats ~before:a ~after:(Fault.add_stats a b) = b)
+
 let () =
   Alcotest.run "wafl_fault"
     [
@@ -279,6 +295,7 @@ let () =
           Alcotest.test_case "default round-trip" `Quick test_spec_default_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_spec_rejects_garbage;
         ] );
+      ("stats", [ QCheck_alcotest.to_alcotest prop_add_diff_inverse ]);
       ( "injection",
         [
           Alcotest.test_case "deterministic" `Quick test_determinism;

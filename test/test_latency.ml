@@ -208,6 +208,19 @@ let test_slo_parse_errors () =
     check_bool "name" true (o.Slo.name = "writes");
     check_bool "roundtrip" true (Slo.objective_to_string o = "writes:5:0.99")
 
+(* Two objectives under one name would share their slo.NAME.* gauges and
+   counters: the pane showed one breaching while the exported burn gauge
+   held the other's value.  Creation must refuse the pair. *)
+let test_slo_duplicate_names () =
+  let obj threshold_ms target =
+    match Slo.objective ~name:"w" ~threshold_ms ~target with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  match Slo.create [ obj 1.0 0.99; obj 100000.0 0.5 ] with
+  | _ -> Alcotest.fail "duplicate SLO names accepted"
+  | exception Invalid_argument msg -> check_bool "names the objective" true (contains msg "\"w\"")
+
 let test_slo_burn_and_breach () =
   let o =
     match Slo.objective ~name:"w" ~threshold_ms:1.0 ~target:0.9 with
@@ -315,7 +328,21 @@ let test_prom_exposition () =
   check_bool "overall quantile gauge" true
     (contains prom "wafl_op_latency_quantile_ms{quantile=\"0.999\"}");
   check_bool "per-vol quantile gauge" true
-    (contains prom "wafl_op_latency_vol_quantile_ms{vol=\"vol0\",quantile=\"0.5\"}")
+    (contains prom "wafl_op_latency_vol_quantile_ms{vol=\"vol0\",quantile=\"0.5\"}");
+  check_bool "newest CP row as typed gauges" true
+    (contains prom "# HELP wafl_cp_lat_p99_ms newest CP, ms (modeled)\n# TYPE wafl_cp_lat_p99_ms gauge");
+  check_bool "counters carry _total" true (contains prom "wafl_cp_ops_total 800");
+  (* one # TYPE line per metric name, or scrapers reject the exposition *)
+  let types =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; _ ] -> Some name
+        | _ -> None)
+      (String.split_on_char '\n' prom)
+  in
+  check_int "metric names unique" (List.length types)
+    (List.length (List.sort_uniq String.compare types))
 
 let test_record_path_zero_alloc () =
   let lat = Latency.create () in
@@ -353,6 +380,7 @@ let () =
       ( "slo",
         [
           Alcotest.test_case "parse errors" `Quick test_slo_parse_errors;
+          Alcotest.test_case "duplicate names rejected" `Quick test_slo_duplicate_names;
           Alcotest.test_case "burn and breach" `Quick test_slo_burn_and_breach;
           Alcotest.test_case "violations from cp_record" `Quick
             test_slo_violations_from_cp_record;

@@ -13,17 +13,12 @@ let astring_contains s sub =
 
 let report ~ops ~pages ~device_us ~cache_work =
   {
-    Cp.ops;
+    Cp.empty_report with
+    ops;
     blocks_allocated = ops;
-    pvbns_freed = 0;
-    vvbns_freed = 0;
     agg_metafile_pages = pages;
-    vol_metafile_pages = 0;
-    devices = [];
     device_time_us = device_us;
     cache_work;
-    alloc_candidates = 0;
-    fault_totals = None;
   }
 
 let base = Cost_model.default.Cost_model.cpu_base_us_per_op
