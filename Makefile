@@ -12,7 +12,7 @@ test:
 check: build test
 
 bench:
-	dune exec bench/main.exe
+	dune exec bench/main.exe -- overhead offheap
 
 # ocamlformat is optional locally; `dune fmt` no-ops politely without it
 fmt:

@@ -260,15 +260,6 @@ let commit_frees ?pool t =
     result.Activemap.freed;
   (result.Activemap.pages_written, result.Activemap.freed)
 
-let cp_update_caches t =
-  Array.iter
-    (fun r ->
-      let updates = Score.apply r.delta r.scores in
-      match r.cache with
-      | Some cache -> Cache.cp_update cache updates
-      | None -> ())
-    t.ranges
-
 let aa_score_now t range aa =
   let mf = metafile t in
   List.fold_left

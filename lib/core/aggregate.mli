@@ -92,10 +92,6 @@ val commit_frees : ?pool:Wafl_par.Par.t -> t -> int * int list
     the installed one) parallelises the bit-clear apply — see
     {!Wafl_bitmap.Activemap.commit}. *)
 
-val cp_update_caches : t -> unit
-(** Apply each range's batched score delta to its score array and rebalance
-    its cache — the CP-boundary step of §3.3. *)
-
 (** {2 Cache validity epochs (incremental mount rebuild)}
 
     A range's scores and cache are {e exact} iff its [cache_epoch] equals

@@ -37,12 +37,7 @@ type result = {
   wear_max : int;
 }
 
-val measurement : Common.scale -> int * int
-(** (checkpoints, overwrites per checkpoint) measured after aging. *)
-
-val run_variant : Common.scale -> variant -> result
 val run : ?scale:Common.scale -> unit -> result list
-val find : result list -> variant -> result
 
 val print : ?scale:Common.scale -> result list -> unit
 (** [scale] (default [Quick]) picks the gate: at quick scale the

@@ -156,15 +156,17 @@ let spec_of_string s =
     else Ok spec
 
 let spec_to_string spec =
+  let exact_float = Slo.exact_float in
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf "seed=%d" spec.seed);
-  Buffer.add_string buf (Printf.sprintf ",transient=%g" spec.transient_p);
+  Buffer.add_string buf (Printf.sprintf ",transient=%s" (exact_float spec.transient_p));
   Buffer.add_string buf (Printf.sprintf ",burst=%d" spec.transient_burst_max);
-  if spec.torn_p > 0.0 then Buffer.add_string buf (Printf.sprintf ",torn=%g" spec.torn_p);
-  if spec.spike_p > 0.0 then
-    Buffer.add_string buf (Printf.sprintf ",spike=%g:%g" spec.spike_p spec.spike_us);
+  if spec.torn_p > 0.0 then
+    Buffer.add_string buf (Printf.sprintf ",torn=%s" (exact_float spec.torn_p));
+  Buffer.add_string buf
+    (Printf.sprintf ",spike=%s:%s" (exact_float spec.spike_p) (exact_float spec.spike_us));
   Buffer.add_string buf (Printf.sprintf ",retries=%d" spec.retry_budget);
-  Buffer.add_string buf (Printf.sprintf ",backoff=%g" spec.retry_backoff_us);
+  Buffer.add_string buf (Printf.sprintf ",backoff=%s" (exact_float spec.retry_backoff_us));
   List.iter
     (fun (d, s, l) -> Buffer.add_string buf (Printf.sprintf ",bad=%d:%d+%d" d s l))
     spec.bad_ranges;

@@ -30,8 +30,15 @@ let objective_of_string s =
       | _ -> fail ())
   | _ -> fail ()
 
+let exact_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let objective_to_string o =
-  Printf.sprintf "%s:%g:%g" o.name o.threshold_ms o.target
+  Printf.sprintf "%s:%s:%s" o.name (exact_float o.threshold_ms) (exact_float o.target)
 
 (* Circular per-CP windows of (ops, violations). *)
 type win = {

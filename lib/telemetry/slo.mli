@@ -24,6 +24,13 @@ val objective_of_string : string -> (objective, string) result
     human-actionable error for malformed specs (used by the CLI conv). *)
 
 val objective_to_string : objective -> string
+(** Round-trips through {!objective_of_string}. *)
+
+val exact_float : float -> string
+(** The shortest of 15, 16 or 17 significant digits that parses back to
+    the same float: [0.99] prints as ["0.99"], and no value loses digits
+    on a reprint.  The number format of the spec printers
+    ({!objective_to_string} and the fault-spec printer). *)
 
 type t
 

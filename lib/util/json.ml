@@ -224,14 +224,3 @@ let to_string v =
   Buffer.contents buf
 
 let member k = function Obj members -> List.assoc_opt k members | _ -> None
-
-let number_leaves root =
-  let acc = ref [] in
-  let rec go path = function
-    | Num f -> acc := (List.rev path, f) :: !acc
-    | Null | Bool _ | Str _ -> ()
-    | List items -> List.iteri (fun i v -> go (string_of_int i :: path) v) items
-    | Obj members -> List.iter (fun (k, v) -> go (k :: path) v) members
-  in
-  go [] root;
-  List.rev !acc

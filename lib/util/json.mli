@@ -1,6 +1,6 @@
 (** A minimal JSON reader/writer — just enough to parse the exporter's
-    own output (metrics, time-series, bench references) back into a tree
-    for regression diffing and round-trip tests.  No external dependency,
+    own output (metrics, time series) back into a tree for round-trip
+    tests.  No external dependency,
     no streaming: documents here are small (tens of KiB).
 
     Numbers all parse to [float]; the exporters print integers without an
@@ -27,8 +27,3 @@ val to_string : t -> string
 
 val member : string -> t -> t option
 (** Field of an [Obj]; [None] on a missing field or a non-object. *)
-
-val number_leaves : t -> (string list * float) list
-(** Every numeric leaf with its path from the root, in document order —
-    the flattened view the regression differ compares.  List elements
-    contribute their index as a path component. *)

@@ -116,6 +116,58 @@ let test_hammer_jobs2 () = hammer 2
 let test_hammer_jobs4 () = hammer 4
 let test_hammer_jobs8 () = hammer 8
 
+(* Modeled critical path of one fill to capacity, in block-equivalents:
+   the largest per-shard consume share of each allocation window, plus
+   blocks the post-window serial path handed out, plus each AA pick's
+   serialized section at [pick_units] blocks.  With no pool every block
+   is on the serial path, so the same formula covers the serial fill. *)
+let pick_units = 64
+
+let modeled_fill_units ~jobs =
+  let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
+  let config =
+    Config.make ~raid_groups:[ rg; rg ]
+      ~vols:[ Config.default_vol ~name:"vol0" ~blocks:4096 ]
+      ~aggregate_policy:Config.Best_aa ~seed:7 ()
+  in
+  let fill () =
+    let fs = Fs.create config in
+    let wa = Fs.write_alloc fs in
+    let n = Aggregate.free_blocks (Fs.aggregate fs) in
+    let batch = 65_536 in
+    let dst = Array.make batch 0 in
+    let in_windows = ref 0 and max_shard = ref 0 in
+    let rec go () =
+      let got = Write_alloc.allocate_pvbns_into wa ~dst batch in
+      if jobs > 1 then begin
+        let shares =
+          Array.map (fun s -> s.Write_alloc.ps_allocated) (Write_alloc.last_par_stats wa)
+        in
+        in_windows := !in_windows + Array.fold_left ( + ) 0 shares;
+        max_shard := !max_shard + Array.fold_left max 0 shares
+      end;
+      if got > 0 then go ()
+    in
+    go ();
+    check_int "fill drains the aggregate" 0 (Aggregate.free_blocks (Fs.aggregate fs));
+    !max_shard + (n - !in_windows) + (Write_alloc.aas_taken wa * pick_units)
+  in
+  if jobs > 1 then begin
+    Write_alloc.install_alloc_pool ~jobs;
+    Fun.protect ~finally:Write_alloc.uninstall_alloc_pool fill
+  end
+  else fill ()
+
+(* 4 allocation domains must shorten the modeled critical path at least
+   2.5x (the model gives 3.82x). *)
+let test_modeled_speedup () =
+  let speedup =
+    float_of_int (modeled_fill_units ~jobs:1) /. float_of_int (modeled_fill_units ~jobs:4)
+  in
+  check_bool
+    (Printf.sprintf "modeled allocation speedup at 4 domains %.2fx >= 2.5x" speedup)
+    true (speedup >= 2.5)
+
 (* jobs=1 through the front-end API must behave exactly like no pool at
    all (install_alloc_pool ~jobs:1 is a no-op uninstall, and
    alloc_pool_jobs reports the serial degree 1). *)
@@ -202,6 +254,7 @@ let () =
           Alcotest.test_case "hammer jobs=8" `Slow test_hammer_jobs8;
           Alcotest.test_case "pooled CPs conserve" `Quick
             test_pooled_cps_conserve;
+          Alcotest.test_case "modeled speedup at 4" `Quick test_modeled_speedup;
         ] );
       ( "mmap backend",
         [

@@ -301,28 +301,43 @@ let test_harvest_ring_no_double_handout () =
       Hashtbl.replace seen q ())
     (mid @ rest)
 
-let test_walloc_consume_allocates_nothing () =
+(* The ring-served consume window: after a warm-up call fills each
+   range's harvest ring (one AA = 2048 blocks), the next call allocates
+   no minor-heap words, on either in-memory page-store backend. *)
+let check_consume_window_zero_alloc label =
   let fs = Fs.create (small_config ()) in
   let w = Fs.write_alloc fs in
   let dst = Array.make 256 0 in
-  let consume () = ignore (Write_alloc.allocate_pvbns_into w ~dst 256) in
-  (* warm up: fills each range's harvest ring (one AA = 2048 blocks) *)
-  consume ();
-  let before = Gc.minor_words () in
-  consume ();
-  let words = Gc.minor_words () -. before in
+  let words_of consume =
+    consume ();
+    let before = Gc.minor_words () in
+    consume ();
+    Gc.minor_words () -. before
+  in
+  let words = words_of (fun () -> ignore (Write_alloc.allocate_pvbns_into w ~dst 256)) in
   check_bool
-    (Printf.sprintf "ring-served PVBN allocation is heap-allocation-free (%.0f words)" words)
+    (Printf.sprintf "%s: ring-served PVBN allocation is heap-allocation-free (%.0f words)"
+       label words)
     true (words = 0.0);
   let vol = Fs.vol fs "vol0" in
-  let vconsume () = ignore (Write_alloc.allocate_vvbns_into w vol ~dst 256) in
-  vconsume ();
-  let before = Gc.minor_words () in
-  vconsume ();
-  let words = Gc.minor_words () -. before in
+  let words = words_of (fun () -> ignore (Write_alloc.allocate_vvbns_into w vol ~dst 256)) in
   check_bool
-    (Printf.sprintf "ring-served VVBN allocation is heap-allocation-free (%.0f words)" words)
+    (Printf.sprintf "%s: ring-served VVBN allocation is heap-allocation-free (%.0f words)"
+       label words)
     true (words = 0.0)
+
+let test_walloc_consume_allocates_nothing () =
+  List.iter
+    (fun backend ->
+      Pagestore.with_default backend (fun () ->
+          check_consume_window_zero_alloc (Pagestore.backend_name backend)))
+    [ Pagestore.Heap; Pagestore.Bigarray ]
+
+(* An installed scan pool must not put work on the consume window. *)
+let test_walloc_consume_allocates_nothing_under_pool () =
+  Wafl_par.Par.install ~jobs:4;
+  Fun.protect ~finally:Wafl_par.Par.uninstall (fun () ->
+      check_consume_window_zero_alloc "4-domain pool")
 
 (* --- CP integration --- *)
 
@@ -1304,6 +1319,8 @@ let () =
           Alcotest.test_case "ring no double handout" `Quick test_harvest_ring_no_double_handout;
           Alcotest.test_case "consume window zero-alloc" `Quick
             test_walloc_consume_allocates_nothing;
+          Alcotest.test_case "consume window under a pool" `Quick
+            test_walloc_consume_allocates_nothing_under_pool;
         ] );
       ( "cp",
         [

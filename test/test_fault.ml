@@ -36,6 +36,52 @@ let test_spec_default_roundtrip () =
   | Ok again -> check_bool "default round-trips" true (again = Fault.default_spec)
   | Error msg -> Alcotest.fail msg
 
+(* Reprints that used to lose digits (%g keeps 6) or drop the spike
+   duration must now parse back to the spec they came from. *)
+let test_spec_reprint_exact () =
+  List.iter
+    (fun s ->
+      match Fault.spec_of_string s with
+      | Error msg -> Alcotest.fail msg
+      | Ok spec ->
+        check_bool (s ^ " reprints exactly") true
+          (Fault.spec_of_string (Fault.spec_to_string spec) = Ok spec))
+    [ "seed=9,spike=0.9:5000063"; "spike=0:50000"; "transient=0.9911048" ]
+
+let gen_spec =
+  let open QCheck.Gen in
+  let prob = oneof [ float_bound_inclusive 1.0; oneofl [ 0.0; 1.0; 0.9911048 ] ] in
+  let us = oneof [ map float_of_int (int_bound 10_000_000); float_bound_inclusive 1e7 ] in
+  let n = int_bound 100_000 in
+  let ats = list_size (int_bound 2) (pair n n) in
+  let pages = list_size (int_bound 2) (triple n n (int_range 1 1000)) in
+  let* seed = int and* transient_p = prob and* transient_burst_max = int_range 1 16 in
+  let* torn_p = prob and* spike_p = prob and* spike_us = us in
+  let* retry_budget = int_bound 16 and* retry_backoff_us = us in
+  let* bad_ranges = list_size (int_bound 2) (triple n n n) in
+  let* offline_after = ats and* degraded_after = ats in
+  let+ rot_pages = pages and+ lost_pages = pages in
+  {
+    Fault.seed;
+    transient_p;
+    transient_burst_max;
+    torn_p;
+    spike_p;
+    spike_us;
+    retry_budget;
+    retry_backoff_us;
+    bad_ranges;
+    offline_after;
+    degraded_after;
+    rot_pages;
+    lost_pages;
+  }
+
+let prop_spec_roundtrip =
+  QCheck.Test.make ~name:"printer round-trips" ~count:500
+    (QCheck.make ~print:Fault.spec_to_string gen_spec)
+    (fun s -> Fault.spec_of_string (Fault.spec_to_string s) = Ok s)
+
 let test_spec_rejects_garbage () =
   let bad s =
     match Fault.spec_of_string s with
@@ -294,6 +340,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_spec_roundtrip;
           Alcotest.test_case "default round-trip" `Quick test_spec_default_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_spec_rejects_garbage;
+          Alcotest.test_case "reprint exact" `Quick test_spec_reprint_exact;
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
         ] );
       ("stats", [ QCheck_alcotest.to_alcotest prop_add_diff_inverse ]);
       ( "injection",

@@ -236,6 +236,89 @@ let test_scrub_heals () =
           let stats' = Scrub.pass fs ~budget:4096 in
           check_int "second sweep finds nothing" 0 stats'.Scrub.bad_pages))
 
+(* --- the heal closure, end to end on a 64k-block aggregate ----------- *)
+
+let in_mmap_dir dir f =
+  Pagestore.with_default Pagestore.Bigarray (fun () -> Pagestore.with_mmap_dir dir f)
+
+let closure_config ~seed =
+  let rg =
+    {
+      Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+      data_devices = 4;
+      parity_devices = 1;
+      device_blocks = 8192;
+      aa_stripes = Some 512;
+    }
+  in
+  Config.make ~raid_groups:[ rg; rg ]
+    ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+    ~seed ()
+
+(* Inject one fault at its exact generation; the damaged page must
+   classify as [expect], one scrub pass must find and heal exactly that
+   page back to a clean Iron check, and once a further CP has persisted
+   the healed sidecar, a fresh session's verified remount finds nothing. *)
+let check_heal_closure ~name ~spec ~cps_to_fire ~expect =
+  let dir = fresh_dir ("wafl_test_integrity_closure_" ^ name) in
+  let spec =
+    match Wafl_fault.Fault.spec_of_string spec with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Wafl_fault.Fault.install_default spec;
+  Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
+      in_mmap_dir dir (fun () ->
+          let fs = Fs.create (closure_config ~seed:11) in
+          let rng = Wafl_util.Rng.create ~seed:13 in
+          let vol = (Fs.vols fs).(0) in
+          let cp () =
+            for _ = 1 to 400 do
+              Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
+                ~offset:(Wafl_util.Rng.int rng 2048)
+            done;
+            ignore (Fs.run_cp fs)
+          in
+          for _ = 1 to cps_to_fire do
+            cp ()
+          done;
+          let store = Metafile.store (Aggregate.metafile (Fs.aggregate fs)) in
+          check_bool (name ^ ": damaged page classified") true
+            (Integrity.verify_page store 0 = Some expect);
+          let stats = Scrub.pass fs ~budget:8192 in
+          check_int (name ^ ": scrub finds one bad page") 1 stats.Scrub.bad_pages;
+          check_int (name ^ ": scrub heals it") 1 stats.Scrub.healed;
+          check_int (name ^ ": iron clean after heal") 0 (List.length (Iron.check fs));
+          cp ()));
+  in_mmap_dir dir (fun () ->
+      let r = Mount.verify_pagestores (Fs.create (closure_config ~seed:11)) in
+      check_int (name ^ ": fresh remount finds no damage") 0
+        (r.Mount.torn_pages + r.Mount.stale_pages))
+
+let test_heal_closure () =
+  check_heal_closure ~name:"rot" ~spec:"rot=0:0@1" ~cps_to_fire:1 ~expect:Integrity.Torn;
+  check_heal_closure ~name:"lost" ~spec:"lost=0:0@2" ~cps_to_fire:2 ~expect:Integrity.Stale
+
+(* Sealing rides the CP flush, never the consume: the ring-served
+   allocation window on file-mapped stores allocates no minor words. *)
+let test_sealed_consume_zero_alloc () =
+  let dir = fresh_dir "wafl_test_integrity_consume" in
+  in_mmap_dir dir (fun () ->
+      let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
+      let agg =
+        Aggregate.create
+          (Config.make ~raid_groups:[ rg ] ~aggregate_policy:Config.Best_aa ~seed:7 ())
+      in
+      let w = Write_alloc.create agg ~rng:(Wafl_util.Rng.create ~seed:7) in
+      let dst = Array.make 256 0 in
+      ignore (Write_alloc.allocate_pvbns_into w ~dst 256);
+      let before = Gc.minor_words () in
+      ignore (Write_alloc.allocate_pvbns_into w ~dst 256);
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "sealed mmap consume window allocates nothing (%.0f words)" words)
+        true (words = 0.0))
+
 let () =
   Alcotest.run "integrity"
     [
@@ -252,5 +335,9 @@ let () =
       ( "fault grammar",
         [ Alcotest.test_case "rot/lost round trip" `Quick test_fault_grammar ] );
       ( "scrubber",
-        [ Alcotest.test_case "rot healed between CPs" `Quick test_scrub_heals ] );
+        [
+          Alcotest.test_case "rot healed between CPs" `Quick test_scrub_heals;
+          Alcotest.test_case "rot/lost heal closure" `Quick test_heal_closure;
+          Alcotest.test_case "consume window zero-alloc" `Quick test_sealed_consume_zero_alloc;
+        ] );
     ]

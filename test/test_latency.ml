@@ -208,6 +208,32 @@ let test_slo_parse_errors () =
     check_bool "name" true (o.Slo.name = "writes");
     check_bool "roundtrip" true (Slo.objective_to_string o = "writes:5:0.99")
 
+(* %g kept 6 digits: w:1:0.9911048 used to reprint as w:1:0.991105. *)
+let test_slo_reprint_exact () =
+  match Slo.objective_of_string "w:1:0.9911048" with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    check_bool "reprints exactly" true (Slo.objective_to_string o = "w:1:0.9911048");
+    check_bool "re-parses equal" true (Slo.objective_of_string (Slo.objective_to_string o) = Ok o)
+
+let prop_slo_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let* name = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
+    let* threshold_ms =
+      oneof [ map float_of_int (int_range 1 100_000); float_range 1e-6 1e6 ]
+    in
+    let+ target =
+      oneof [ float_range 1e-9 (1. -. epsilon_float); oneofl [ 0.99; 0.9911048 ] ]
+    in
+    match Slo.objective ~name ~threshold_ms ~target with
+    | Ok o -> o
+    | Error e -> failwith e
+  in
+  QCheck.Test.make ~name:"printer round-trips" ~count:500
+    (QCheck.make ~print:Slo.objective_to_string gen)
+    (fun o -> Slo.objective_of_string (Slo.objective_to_string o) = Ok o)
+
 (* Two objectives under one name would share their slo.NAME.* gauges and
    counters: the pane showed one breaching while the exported burn gauge
    held the other's value.  Creation must refuse the pair. *)
@@ -264,7 +290,21 @@ let test_slo_violations_from_cp_record () =
 let test_uninstalled_hooks_inert () =
   check_bool "inactive" true (not (Telemetry.lat_active ()));
   check_int "slot -1" (-1) (Telemetry.lat_vol_slot ~uid:1 ~name:"x");
-  check_bool "quantiles zero" true (Telemetry.lat_quantiles_ms ~vol:(-1) = (0., 0., 0.))
+  check_bool "quantiles zero" true (Telemetry.lat_quantiles_ms ~vol:(-1) = (0., 0., 0.));
+  (* the uninstalled hook is one match on a global ref: 1M calls, no words *)
+  let hits = ref 0 in
+  let loop () =
+    for _ = 1 to 1_000_000 do
+      if Telemetry.lat_active () then incr hits
+    done
+  in
+  loop ();
+  let before = Gc.minor_words () in
+  loop ();
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "1M uninstalled calls allocate nothing (%.0f words)" words) true
+    (words = 0.0);
+  check_int "never active" 0 !hits
 
 let e2e_tel () =
   let lat =
@@ -344,6 +384,95 @@ let test_prom_exposition () =
   check_int "metric names unique" (List.length types)
     (List.length (List.sort_uniq String.compare types))
 
+let lat_model = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default
+
+(* [cps] CPs of [ops] sequential writes on a fresh quick-scale HDD
+   aggregate with [tel] installed; returns the per-CP reports. *)
+let sequential_run ~tel ~cps ~ops =
+  let open Wafl_core in
+  let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
+  let config =
+    Config.make ~raid_groups:[ rg ]
+      ~vols:
+        [
+          {
+            Config.name = "seq";
+            blocks = rg.Config.data_devices * rg.Config.device_blocks;
+            aa_blocks = None;
+            policy = Config.Best_aa;
+          };
+        ]
+      ~aggregate_policy:Config.Best_aa ~seed:7 ()
+  in
+  let fs = Fs.create config in
+  let workload = Wafl_workload.Sequential.create fs (Fs.vol fs "seq") () in
+  Telemetry.with_installed tel (fun () ->
+      List.init cps (fun _ -> Wafl_workload.Sequential.step workload ops))
+
+(* A device-latency spike injected through the fault plane must surface
+   end to end: tail exemplars blamed on the device flush, and a breach of
+   a 5 ms / 0.999 objective. *)
+let test_spike_blamed_end_to_end () =
+  let spec =
+    match Wafl_fault.Fault.spec_of_string "seed=9,spike=0.9:50000" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let objective =
+    match Slo.objective ~name:"writes" ~threshold_ms:5.0 ~target:0.999 with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  Wafl_fault.Fault.install_default spec;
+  Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
+      let lat = Latency.create ~model:lat_model ~slo:(Slo.create [ objective ]) () in
+      ignore (sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:30 ~ops:500);
+      let exs = Latency.exemplars lat in
+      check_bool "tail exemplars captured" true (exs <> []);
+      check_bool "an exemplar blames device_flush" true
+        (List.exists (fun e -> e.Latency.ex_phase = Span.Device_flush) exs);
+      check_bool "5ms/0.999 objective breached" true
+        (List.exists (fun r -> r.Slo.r_breach) (Latency.last_slo_reports lat)))
+
+(* Sweep the closed-loop batch size: the modeled p50 must rise
+   monotonically with offered work, the largest batch's throughput must
+   sit within 2x of the analytic M/G/1 capacity built from the same CPs'
+   cost reports, the analytic mid-load latency must sit below the
+   measured saturated tail, and a load past the peak must be refused with
+   an explanation. *)
+let test_curve_shape () =
+  let measure ops =
+    let lat = Latency.create ~model:lat_model () in
+    let reports = sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:12 ~ops in
+    let costs =
+      Wafl_sim.Cost_model.combine (List.map Wafl_sim.Cost_model.of_report reports)
+    in
+    let p50, _, _ = Latency.quantiles_ms lat in
+    (p50, costs)
+  in
+  let points = List.map measure [ 100; 200; 400; 800; 1600 ] in
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> a <= b +. 1e-9 && monotone rest
+    | _ -> true
+  in
+  check_bool "p50 monotone in batch size" true (monotone (List.map fst points));
+  let p50_max, costs = List.nth points 4 in
+  let thr =
+    1e6 *. float_of_int costs.Wafl_sim.Cost_model.ops
+    /. costs.Wafl_sim.Cost_model.cp_duration_us
+  in
+  let curve = Wafl_sim.Load.sweep ~label:"measured service demand" costs in
+  let peak = Wafl_sim.Load.peak_throughput curve in
+  check_bool
+    (Printf.sprintf "throughput %.0f within 2x of peak %.0f ops/s" thr peak)
+    true
+    (thr >= peak /. 2.0 && thr <= peak *. 2.0);
+  (match Wafl_sim.Load.latency_at_load_ms curve (peak *. 0.5) with
+  | Ok ms -> check_bool "mid-load latency below the saturated tail" true (ms < p50_max)
+  | Error e -> Alcotest.fail e);
+  check_bool "overload refused" true
+    (Result.is_error (Wafl_sim.Load.latency_at_load_ms curve (peak *. 2.0)))
+
 let test_record_path_zero_alloc () =
   let lat = Latency.create () in
   let vol = Latency.vol_slot lat ~uid:1 ~name:"z" in
@@ -380,6 +509,8 @@ let () =
       ( "slo",
         [
           Alcotest.test_case "parse errors" `Quick test_slo_parse_errors;
+          Alcotest.test_case "reprint exact" `Quick test_slo_reprint_exact;
+          QCheck_alcotest.to_alcotest prop_slo_roundtrip;
           Alcotest.test_case "duplicate names rejected" `Quick test_slo_duplicate_names;
           Alcotest.test_case "burn and breach" `Quick test_slo_burn_and_breach;
           Alcotest.test_case "violations from cp_record" `Quick
@@ -390,5 +521,7 @@ let () =
           Alcotest.test_case "uninstalled hooks inert" `Quick test_uninstalled_hooks_inert;
           Alcotest.test_case "end-to-end fs run" `Quick test_end_to_end_fs_run;
           Alcotest.test_case "prom exposition" `Quick test_prom_exposition;
+          Alcotest.test_case "spike blamed end to end" `Quick test_spike_blamed_end_to_end;
+          Alcotest.test_case "curve shape" `Quick test_curve_shape;
         ] );
     ]

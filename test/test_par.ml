@@ -385,6 +385,35 @@ let test_crash_matrix_with_pool () =
         (par.Crash_matrix.points = serial.Crash_matrix.points);
       check_bool "parallel matrix clean" true (par.Crash_matrix.violations = []))
 
+(* --- modeled scaling of the full-scan mount ---
+
+   The full-scan mount's modeled ready_us divides its linear page-scan
+   term by the domain count.  On a quick-scale two-RAID-group system aged
+   by four overwrite CPs, 4 domains must cut it at least 2.5x (the model
+   gives 3.95x). *)
+let test_modeled_mount_speedup () =
+  let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
+  let fs =
+    Fs.create
+      (Config.make ~raid_groups:[ rg; rg ]
+         ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65_536 ]
+         ~aggregate_policy:Config.Best_aa ~seed:7 ())
+  in
+  let vol = (Fs.vols fs).(0) in
+  for cp = 0 to 3 do
+    for i = 0 to 2047 do
+      Fs.stage_write fs ~vol ~file:(cp mod 4) ~offset:i
+    done;
+    ignore (Fs.run_cp fs)
+  done;
+  let image = Mount.snapshot fs in
+  let _, serial = Mount.mount image ~with_topaa:false in
+  let _, par = Par.with_pool ~jobs:4 (fun p -> Mount.mount ~pool:p image ~with_topaa:false) in
+  let speedup = serial.Mount.ready_us /. par.Mount.ready_us in
+  check_bool
+    (Printf.sprintf "modeled full-scan speedup at 4 domains %.2fx >= 2.5x" speedup)
+    true (speedup >= 2.5)
+
 let () =
   Alcotest.run "wafl_par"
     [
@@ -414,4 +443,6 @@ let () =
           Alcotest.test_case "crash matrix bigarray + lazy" `Slow test_crash_matrix_bigarray_lazy;
           Alcotest.test_case "crash matrix under a pool" `Slow test_crash_matrix_with_pool;
         ] );
+      ( "scaling",
+        [ Alcotest.test_case "modeled mount speedup at 4" `Quick test_modeled_mount_speedup ] );
     ]

@@ -164,6 +164,28 @@ let test_routed_rows_disjoint_aas () =
         sets)
     sets
 
+(* The routed consume window: after a warm-up call fills each class
+   row's harvest ring, the next call on every row allocates no minor-heap
+   words. *)
+let test_routed_consume_zero_alloc () =
+  let wa = Fs.write_alloc (Fs.create routed_config) in
+  let dst = Array.make 256 0 in
+  (* [?cls] boxing would charge 2 minor words per call to the window;
+     pre-build the options so only the allocator itself is measured *)
+  let cls_opts = Array.init 4 (fun c -> Some c) in
+  let consume () =
+    for c = 0 to 3 do
+      ignore (Write_alloc.allocate_pvbns_into ?cls:cls_opts.(c) wa ~dst 256)
+    done
+  in
+  consume ();
+  let before = Gc.minor_words () in
+  consume ();
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "4 class rows served from their rings allocate nothing (%.0f words)" words)
+    true (words = 0.0)
+
 (* Routed fill to capacity: cycling the four class rows must drain every
    allocatable block exactly once — serial and at every pool degree — and
    leave the activemap bit-identical to the serial run.  Blocks left in a
@@ -326,6 +348,7 @@ let () =
             test_routed_rows_disjoint_aas;
           Alcotest.test_case "routed fill bit-identical at 1-8 domains" `Quick
             test_routed_fill_bit_identical;
+          Alcotest.test_case "consume window zero-alloc" `Quick test_routed_consume_zero_alloc;
         ] );
       ( "end-to-end",
         [ Alcotest.test_case "classes reach FTL streams" `Quick test_streams_end_to_end ] );

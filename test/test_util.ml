@@ -309,13 +309,6 @@ let test_json_errors () =
   check_bool "bare word" true (bad "nulle");
   check_bool "unterminated string" true (bad {|"abc|})
 
-let test_json_number_leaves () =
-  let v = Json.parse_exn {|{"a": 1, "b": {"c": 2, "s": "x"}, "d": [3, {"e": 4}]}|} in
-  Alcotest.(check (list (pair (list string) (float 1e-9))))
-    "flattened paths"
-    [ ([ "a" ], 1.0); ([ "b"; "c" ], 2.0); ([ "d"; "0" ], 3.0); ([ "d"; "1"; "e" ], 4.0) ]
-    (Json.number_leaves v)
-
 (* --- Int_sort --- *)
 
 let prop_int_sort_matches_list_sort =
@@ -416,6 +409,5 @@ let () =
         [
           Alcotest.test_case "parse round-trip" `Quick test_json_parse_roundtrip;
           Alcotest.test_case "errors" `Quick test_json_errors;
-          Alcotest.test_case "number leaves" `Quick test_json_number_leaves;
         ] );
     ]
