@@ -105,16 +105,16 @@ let mmap_cp_secs ~sealed ~cps ~ops () =
       aa_stripes = Some 512;
     }
   in
+  let dir = fresh_dir "wafl_bench_overhead_seal" in
   let config =
     Config.make ~raid_groups:[ rg; rg ] ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+      ~run:{ Config.default_run with Config.backend = Config.Mmap dir }
       ~seed:3 ()
   in
-  let dir = fresh_dir "wafl_bench_overhead_seal" in
   Wafl_bitmap.Integrity.set_enabled sealed;
   Fun.protect
     ~finally:(fun () -> Wafl_bitmap.Integrity.set_enabled true)
     (fun () ->
-      Wafl_bitmap.Pagestore.with_default Wafl_bitmap.Pagestore.Bigarray (fun () ->
           Wafl_bitmap.Pagestore.with_mmap_dir dir (fun () ->
               let fs = Fs.create config in
               let vol = (Fs.vols fs).(0) in
@@ -131,7 +131,7 @@ let mmap_cp_secs ~sealed ~cps ~ops () =
               time (fun () ->
                   for _ = 1 to cps do
                     cp ()
-                  done))))
+                  done)))
 
 let run_overhead () =
   print_endline "CP-time overhead: installed vs base (best of 5 interleaved pairs)";
@@ -209,68 +209,69 @@ let vm_rss_mb () =
 let offheap_aa_blocks = 32768
 
 let offheap_case ~backend ~blocks =
-  Wafl_bitmap.Pagestore.with_default backend (fun () ->
-      let n_ranges = 16 in
-      let spec =
-        {
-          Wafl_core.Config.profile = Wafl_device.Profile.default_object_store;
-          blocks = blocks / n_ranges;
-          aa_blocks = Some offheap_aa_blocks;
-        }
-      in
-      let config =
-        Wafl_core.Config.make ~raid_groups:[]
-          ~object_ranges:(List.init n_ranges (fun _ -> spec))
-          ~aggregate_policy:Wafl_core.Config.Best_aa ~seed:7 ()
-      in
-      let fs = Wafl_core.Fs.create config in
-      (* one small committed CP so the image is not trivially empty *)
-      let w = Wafl_core.Fs.write_alloc fs in
-      let dst = Array.make 4096 0 in
-      ignore (Wafl_core.Write_alloc.allocate_pvbns_into w ~dst 4096);
-      Wafl_core.Write_alloc.cp_finish w;
-      let image = Wafl_core.Mount.snapshot fs in
-      let mounted, lazy_t =
-        Wafl_core.Mount.mount ~lazy_rebuild:true image ~with_topaa:true
-      in
-      (* first touch: a small allocation refills one cursor, so exactly
-         the ranges it drew from pay their rescore — not the aggregate *)
-      let agg = Wafl_core.Fs.aggregate mounted in
-      let mf = Wafl_core.Aggregate.metafile agg in
-      let reads_before = (Wafl_bitmap.Metafile.stats mf).Wafl_bitmap.Metafile.page_reads in
-      ignore (Wafl_core.Write_alloc.allocate_pvbns_into (Wafl_core.Fs.write_alloc mounted) ~dst 8);
-      let first_touch_pages =
-        (Wafl_bitmap.Metafile.stats mf).Wafl_bitmap.Metafile.page_reads - reads_before
-      in
-      let touched =
-        Array.fold_left
-          (fun acc r -> if Wafl_core.Aggregate.range_fresh agg r then acc + 1 else acc)
-          0 (Wafl_core.Aggregate.ranges agg)
-      in
-      let _, eager_t = Wafl_core.Mount.mount image ~with_topaa:false in
-      Gc.full_major ();
-      let heap_mb = float_of_int ((Gc.quick_stat ()).Gc.heap_words * 8) /. 1048576.0 in
-      {
-        oh_blocks = blocks;
-        oh_backend = Wafl_bitmap.Pagestore.backend_name backend;
-        oh_lazy_ready_us = lazy_t.Wafl_core.Mount.ready_us;
-        oh_eager_ready_us = eager_t.Wafl_core.Mount.ready_us;
-        oh_touched_ranges = touched;
-        oh_total_ranges = n_ranges;
-        oh_first_touch_pages = first_touch_pages;
-        oh_heap_mb = heap_mb;
-        oh_rss_mb = vm_rss_mb ();
-      })
+  let n_ranges = 16 in
+  let spec =
+    {
+      Wafl_core.Config.profile = Wafl_device.Profile.default_object_store;
+      blocks = blocks / n_ranges;
+      aa_blocks = Some offheap_aa_blocks;
+    }
+  in
+  let config =
+    Wafl_core.Config.make ~raid_groups:[]
+      ~object_ranges:(List.init n_ranges (fun _ -> spec))
+      ~aggregate_policy:Wafl_core.Config.Best_aa
+      ~run:{ Wafl_core.Config.default_run with Wafl_core.Config.backend }
+      ~seed:7 ()
+  in
+  let fs = Wafl_core.Fs.create config in
+  (* one small committed CP so the image is not trivially empty *)
+  let w = Wafl_core.Fs.write_alloc fs in
+  let dst = Array.make 4096 0 in
+  ignore (Wafl_core.Write_alloc.allocate_pvbns_into w ~dst 4096);
+  Wafl_core.Write_alloc.cp_finish w;
+  let image = Wafl_core.Mount.snapshot fs in
+  let mounted, lazy_t =
+    Wafl_core.Mount.mount ~lazy_rebuild:true image ~with_topaa:true
+  in
+  (* first touch: a small allocation refills one cursor, so exactly
+     the ranges it drew from pay their rescore — not the aggregate *)
+  let agg = Wafl_core.Fs.aggregate mounted in
+  let mf = Wafl_core.Aggregate.metafile agg in
+  let reads_before = (Wafl_bitmap.Metafile.stats mf).Wafl_bitmap.Metafile.page_reads in
+  ignore (Wafl_core.Write_alloc.allocate_pvbns_into (Wafl_core.Fs.write_alloc mounted) ~dst 8);
+  let first_touch_pages =
+    (Wafl_bitmap.Metafile.stats mf).Wafl_bitmap.Metafile.page_reads - reads_before
+  in
+  let touched =
+    Array.fold_left
+      (fun acc r -> if Wafl_core.Aggregate.range_fresh agg r then acc + 1 else acc)
+      0 (Wafl_core.Aggregate.ranges agg)
+  in
+  let _, eager_t = Wafl_core.Mount.mount image ~with_topaa:false in
+  Gc.full_major ();
+  let heap_mb = float_of_int ((Gc.quick_stat ()).Gc.heap_words * 8) /. 1048576.0 in
+  {
+    oh_blocks = blocks;
+    oh_backend = Wafl_core.Config.backend_to_string backend;
+    oh_lazy_ready_us = lazy_t.Wafl_core.Mount.ready_us;
+    oh_eager_ready_us = eager_t.Wafl_core.Mount.ready_us;
+    oh_touched_ranges = touched;
+    oh_total_ranges = n_ranges;
+    oh_first_touch_pages = first_touch_pages;
+    oh_heap_mb = heap_mb;
+    oh_rss_mb = vm_rss_mb ();
+  }
 
 let run_offheap () =
   print_endline "Off-heap page store: modeled billion-block aggregate, lazy vs eager mount";
   let cases =
     [
-      (Wafl_bitmap.Pagestore.Heap, 1 lsl 24);
-      (Wafl_bitmap.Pagestore.Heap, 1 lsl 27);
-      (Wafl_bitmap.Pagestore.Bigarray, 1 lsl 24);
-      (Wafl_bitmap.Pagestore.Bigarray, 1 lsl 27);
-      (Wafl_bitmap.Pagestore.Bigarray, 1 lsl 30);
+      (Wafl_core.Config.Heap, 1 lsl 24);
+      (Wafl_core.Config.Heap, 1 lsl 27);
+      (Wafl_core.Config.Bigarray, 1 lsl 24);
+      (Wafl_core.Config.Bigarray, 1 lsl 27);
+      (Wafl_core.Config.Bigarray, 1 lsl 30);
     ]
   in
   let rows =

@@ -31,10 +31,10 @@ let new_block magic count =
 (* Blocks are staged in [Bytes] while being (de)serialized, but live as
    {!Pagestore} pages — the same backend as the bitmaps they seed, so a
    bigarray-backed system keeps its TopAA state off-heap too. *)
-let seal b =
+let seal ?backend b =
   let crc = Checksum.crc32 b ~pos:0 ~len:(block_size - crc_bytes) in
   Bytes.set_int32_le b (block_size - crc_bytes) crc;
-  Pagestore.of_bytes b
+  Pagestore.of_bytes ?backend ~mapped:true b
 
 let open_block magic page =
   if Pagestore.length_bytes page <> block_size then Error Bad_layout
@@ -52,7 +52,7 @@ let open_block magic page =
 
 let raid_aware_capacity = (block_size - header_bytes - crc_bytes) / 8
 
-let save_raid_aware heap =
+let save_raid_aware ?backend heap =
   let entries = Max_heap.top_k heap raid_aware_capacity in
   let b = new_block magic_raid_aware (List.length entries) in
   List.iteri
@@ -61,7 +61,7 @@ let save_raid_aware heap =
       Bytes.set_int32_le b off (Int32.of_int aa);
       Bytes.set_int32_le b (off + 4) (Int32.of_int score))
     entries;
-  seal b
+  seal ?backend b
 
 let load_raid_aware page =
   match open_block magic_raid_aware page with
@@ -87,7 +87,7 @@ type hbps_seed = {
 
 (* Histogram page payload: [bin_width u32][max_score u32][bins u16] then per
    bin [count u32][seg_len u16]. *)
-let save_hbps hbps =
+let save_hbps ?backend hbps =
   let bins = Hbps.bins hbps in
   let histogram = new_block magic_histogram bins in
   Bytes.set_int32_le histogram header_bytes (Int32.of_int (Hbps.bin_width hbps));
@@ -112,7 +112,7 @@ let save_hbps hbps =
     (fun i (aa, _score) ->
       Bytes.set_int32_le list_page (header_bytes + (i * 4)) (Int32.of_int aa))
     listed;
-  (seal histogram, seal list_page)
+  (seal ?backend histogram, seal ?backend list_page)
 
 let load_hbps (histogram_page, list_page) =
   match open_block magic_histogram histogram_page with

@@ -29,8 +29,10 @@ val raid_aware_capacity : int
 (** Entries that fit one block alongside header and CRC (510; the paper
     quotes 512 with no header overhead). *)
 
-val save_raid_aware : Max_heap.t -> Wafl_bitmap.Pagestore.t
-(** Serialize the heap's best entries into one 4KiB block. *)
+val save_raid_aware :
+  ?backend:Wafl_bitmap.Pagestore.backend -> Max_heap.t -> Wafl_bitmap.Pagestore.t
+(** Serialize the heap's best entries into one 4KiB block on [backend]
+    (default [Heap]; a file under an installed map directory). *)
 
 val load_raid_aware : Wafl_bitmap.Pagestore.t -> ((int * int) list, error) result
 (** Decode the (aa, score) seed list, best first. *)
@@ -44,7 +46,10 @@ type hbps_seed = {
   entries : (int * int) list;  (** list page: (aa, bin) in stored order *)
 }
 
-val save_hbps : Hbps.t -> Wafl_bitmap.Pagestore.t * Wafl_bitmap.Pagestore.t
+val save_hbps :
+  ?backend:Wafl_bitmap.Pagestore.backend ->
+  Hbps.t ->
+  Wafl_bitmap.Pagestore.t * Wafl_bitmap.Pagestore.t
 (** (histogram page, list page), each exactly one 4KiB block. *)
 
 val load_hbps :

@@ -9,12 +9,12 @@ type t = {
 
 type commit_result = { freed : int list; pages_written : int }
 
-let create ?page_bits ~blocks () =
-  let metafile = Metafile.create ?page_bits ~blocks () in
+let create ?backend ?page_bits ~blocks () =
+  let metafile = Metafile.create ?backend ?page_bits ~blocks () in
   (* The pending mask mirrors the in-memory queue, so it is transient by
      definition: zero it explicitly, since in a re-entered mmap directory
      its backing file may still hold a previous process's bits. *)
-  let pending = Bitmap.create ~bits:blocks in
+  let pending = Bitmap.create ?backend ~bits:blocks () in
   Bitmap.clear_range pending ~start:0 ~len:blocks;
   { metafile; pending; queue = []; n_pending = 0 }
 
@@ -110,7 +110,7 @@ let commit ?pool t =
   let freed = List.rev t.queue in
   Wafl_telemetry.Telemetry.span_enter Wafl_telemetry.Span.Bit_clear;
   let parallel =
-    match Par.resolve pool with
+    match pool with
     | Some p
       when Par.jobs p > 1 && t.n_pending >= par_min_frees
            && Metafile.page_bits t.metafile mod 8 = 0 ->

@@ -14,7 +14,7 @@ type commit_result = {
   pages_written : int;    (** metafile pages flushed *)
 }
 
-val create : ?page_bits:int -> blocks:int -> unit -> t
+val create : ?backend:Pagestore.backend -> ?page_bits:int -> blocks:int -> unit -> t
 
 val metafile : t -> Metafile.t
 (** The underlying map; reads through it see allocations immediately and
@@ -52,7 +52,7 @@ val has_pending_free : t -> int -> bool
 
 val commit : ?pool:Wafl_par.Par.t -> t -> commit_result
 (** Apply all queued frees, flush the metafile, and return the batch.
-    With a pool (explicit, or installed via [Wafl_par.Par.install]) and
+    With a pool of more than one domain and
     enough queued frees, the bit clears are applied in parallel: VBNs
     are bucketed into page-aligned chunks of the block space so domains
     own disjoint bitmap bytes and disjoint pages, and the dirty-page

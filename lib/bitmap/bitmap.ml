@@ -2,13 +2,13 @@ open Wafl_util
 
 type t = { bits : int; data : Pagestore.t }
 
-let create ~bits =
+let create ?backend ~bits () =
   assert (bits >= 0);
   (* Round the backing store up to whole 8-byte words so the word-at-a-time
      loops never straddle the end; the tail bits stay clear forever because
      every mutator is bounds-checked against [bits]. *)
   let words = Bitops.ceil_div (max bits 1) 64 in
-  { bits; data = Pagestore.create words }
+  { bits; data = Pagestore.create ?backend ~mapped:true words }
 
 let length t = t.bits
 

@@ -8,9 +8,10 @@
 
 type t
 
-val create : bits:int -> t
-(** All bits clear (all blocks free).  [bits >= 0].  The backing store uses
-    the process-wide {!Pagestore.default} backend. *)
+val create : ?backend:Pagestore.backend -> bits:int -> unit -> t
+(** All bits clear (all blocks free).  [bits >= 0].  The backing store is
+    on [backend] (default [Heap]), or the next file of an installed map
+    directory ({!Pagestore.create} [~mapped:true]). *)
 
 val backend : t -> Pagestore.backend
 

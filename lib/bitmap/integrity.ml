@@ -73,8 +73,9 @@ type state = {
   mutable n_entries : int;
   mutable any_sealed : bool;
   mutable super_fd : Unix.file_descr option;  (* held open across commits *)
-  rot_arms : rot_arm list;
-  lost_arms : lost_arm list;
+  mutable rot_arms : rot_arm list;
+  mutable lost_arms : lost_arm list;
+  mutable armed : bool;  (* a fault spec was handed over this epoch *)
 }
 
 let state : state option ref = ref None
@@ -193,29 +194,26 @@ let load_sidecar dir seq n_pages =
 
 (* --- epoch-keyed state ------------------------------------------------- *)
 
-let arm_injections committed =
-  match Wafl_fault.Fault.installed_default () with
-  | None -> ([], [])
-  | Some spec ->
-    (* Arms whose generation is already committed can never fire in this
-       epoch — that is what keeps a post-remount replay CP (running at a
-       higher generation) from re-injecting the same damage. *)
-    let rot =
-      List.filter_map
-        (fun (s, p, g) ->
-          if g > committed then Some { r_ord = s; r_page = p; r_gen = g; r_fired = false }
-          else None)
-        spec.Wafl_fault.Fault.rot_pages
-    in
-    let lost =
-      List.filter_map
-        (fun (s, p, g) ->
-          if g > committed then
-            Some { l_ord = s; l_page = p; l_gen = g; shadow = None; l_fired = false }
-          else None)
-        spec.Wafl_fault.Fault.lost_pages
-    in
-    (rot, lost)
+let arm_injections (spec : Wafl_fault.Fault.spec) committed =
+  (* Arms whose generation is already committed can never fire in this
+     epoch — that is what keeps a post-remount replay CP (running at a
+     higher generation) from re-injecting the same damage. *)
+  let rot =
+    List.filter_map
+      (fun (s, p, g) ->
+        if g > committed then Some { r_ord = s; r_page = p; r_gen = g; r_fired = false }
+        else None)
+      spec.Wafl_fault.Fault.rot_pages
+  in
+  let lost =
+    List.filter_map
+      (fun (s, p, g) ->
+        if g > committed then
+          Some { l_ord = s; l_page = p; l_gen = g; shadow = None; l_fired = false }
+        else None)
+      spec.Wafl_fault.Fault.lost_pages
+  in
+  (rot, lost)
 
 (* Descriptors belong to the epoch that opened them: close them whenever
    the state they live in is discarded (the paths themselves may be reused
@@ -253,7 +251,6 @@ let sync () =
       | _ ->
         Option.iter close_state_fds !state;
         let committed = load_superblock dir in
-        let rot_arms, lost_arms = arm_injections committed in
         let s =
           {
             st_epoch = ep;
@@ -263,8 +260,9 @@ let sync () =
             n_entries = 0;
             any_sealed = false;
             super_fd = None;
-            rot_arms;
-            lost_arms;
+            rot_arms = [];
+            lost_arms = [];
+            armed = false;
           }
         in
         state := Some s;
@@ -363,6 +361,27 @@ let track store =
               a.shadow <- Some (copy_page store a.l_page))
           s.lost_arms
       end)
+
+(* An aggregate hands its run's fault spec over when it attaches its fault
+   plane.  Arms are built once per epoch, against the generation the epoch
+   loaded: a remount that builds a second aggregate in the same epoch must
+   not re-arm what already fired.  Stores tracked before the hand-over
+   (the aggregate's own) get their lost-write shadows here, as [track]
+   gives them to stores tracked after it. *)
+let arm spec =
+  match sync () with
+  | Some s when not s.armed ->
+    let rot, lost = arm_injections spec s.committed in
+    List.iter
+      (fun a ->
+        match entry_of_ord s a.l_ord with
+        | Some e when a.l_page < e.n_pages -> a.shadow <- Some (copy_page e.store a.l_page)
+        | _ -> ())
+      lost;
+    s.rot_arms <- rot;
+    s.lost_arms <- lost;
+    s.armed <- true
+  | _ -> ()
 
 (* --- sealing ----------------------------------------------------------- *)
 

@@ -11,16 +11,16 @@
     generation.
 
     The plane is passive unless a map directory is installed
-    ({!Pagestore.set_mmap_dir}); every operation below is a no-op on
+    ({!Pagestore.with_mmap_dir}); every operation below is a no-op on
     heap/anonymous stores, so non-mmap configurations pay nothing.  All
     state is keyed to {!Pagestore.mmap_epoch}: a remount (new epoch)
     discards in-memory seals and reloads sidecars from disk, exactly like
     a reboot.
 
-    Fault closure: when the installed default {!Wafl_fault.Fault} spec
-    carries [rot=STORE:PAGE\@GEN] / [lost=STORE:PAGE\@GEN] entries
-    ([STORE] is the tracked-store ordinal: 0 = the first tracked store,
-    normally the aggregate activemap), {!cp_commit} injects the damage
+    Fault closure: when the fault spec handed over by {!arm} carries
+    [rot=STORE:PAGE\@GEN] / [lost=STORE:PAGE\@GEN] entries ([STORE] is
+    the tracked-store ordinal: 0 = the first tracked store, normally the
+    aggregate activemap), {!cp_commit} injects the damage
     into the persisted bytes at exactly that committed generation —
     bit-rot flips bits (classifies {e torn}), a lost write reverts the
     page to the previous commit's image (classifies {e stale}).  An arm
@@ -44,6 +44,13 @@ val set_enabled : bool -> unit
     under an mmap directory — how the bench measures unsealed CP cost. *)
 
 val enabled : unit -> bool
+
+val arm : Wafl_fault.Fault.spec -> unit
+(** Arm the spec's [rot]/[lost] injections for the current epoch — called
+    by an aggregate as it attaches its fault plane.  Idempotent within an
+    epoch: only the first call arms, so a remount that builds a second
+    aggregate in the same epoch cannot re-arm damage that already fired.
+    No-op without an installed map directory. *)
 
 val committed_generation : unit -> int
 (** The committed CP generation of the current epoch (loaded from

@@ -15,17 +15,17 @@ type t = {
   mutable flushes : int;
 }
 
-let create ?(page_bits = Units.bits_per_metafile_block) ~blocks () =
+let create ?backend ?(page_bits = Units.bits_per_metafile_block) ~blocks () =
   assert (blocks > 0 && page_bits > 0);
   let n_pages = Bitops.ceil_div blocks page_bits in
-  let map = Bitmap.create ~bits:blocks in
+  let map = Bitmap.create ?backend ~bits:blocks () in
   (* Only the map is durable state worth vouching for; the dirty bitmap
      below is rebuilt from scratch on every mount. *)
   Integrity.track (Bitmap.store map);
   (* Transient state must start from zero explicitly: in a re-entered mmap
      directory the bitmap's backing file may still hold the bits a previous
      process (or a crashed run) left behind. *)
-  let dirty = Bitmap.create ~bits:n_pages in
+  let dirty = Bitmap.create ?backend ~bits:n_pages () in
   Bitmap.clear_range dirty ~start:0 ~len:n_pages;
   {
     map;

@@ -1,21 +1,5 @@
 type backend = Heap | Bigarray
 
-let backend_name = function Heap -> "heap" | Bigarray -> "bigarray"
-
-let backend_of_string = function
-  | "heap" -> Some Heap
-  | "bigarray" -> Some Bigarray
-  | _ -> None
-
-let default_backend = ref Heap
-let set_default b = default_backend := b
-let default () = !default_backend
-
-let with_default b f =
-  let saved = !default_backend in
-  default_backend := b;
-  Fun.protect ~finally:(fun () -> default_backend := saved) f
-
 type ba = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Byte-kind view of the little-endian int64-word layout: byte loads and
@@ -26,13 +10,13 @@ type t =
   | Bytes_store of Bytes.t
   | Big_store of ba
 
-(* File-backed stores: when a map directory is installed, every
-   anonymously created store (no explicit [?backend]) becomes a shared
-   mapping of the next file in the directory's deterministic ps<seq>
-   sequence.  A structure-for-structure identical system (same config,
-   same creation order) maps the same files, which is what lets a remount
-   pick up exactly the bytes a previous process persisted.  Snapshots and
-   other explicit-backend copies stay anonymous. *)
+(* File-backed stores: when a map directory is installed, every store
+   created [~mapped:true] becomes a shared mapping of the next file in the
+   directory's deterministic ps<seq> sequence.  A structure-for-structure
+   identical system (same config, same creation order) maps the same
+   files, which is what lets a remount pick up exactly the bytes a
+   previous process persisted.  Snapshots and other copies stay
+   anonymous. *)
 let mmap_dir : string option ref = ref None
 let mmap_seq = ref 0
 
@@ -44,12 +28,6 @@ let mmap_seq = ref 0
    holding per-epoch state (sidecars) reload theirs. *)
 let mapped_rev : (int * string * t) list ref = ref []
 let epoch = ref 0
-
-let set_mmap_dir dir =
-  mmap_dir := dir;
-  mmap_seq := 0;
-  mapped_rev := [];
-  incr epoch
 
 let with_mmap_dir dir f =
   let saved_dir = !mmap_dir and saved_seq = !mmap_seq in
@@ -105,10 +83,10 @@ let map_file ~path words =
       in
       Big_store a)
 
-let create ?backend words =
+let create ?(backend = Heap) ?(mapped = false) words =
   if words < 0 then invalid_arg "Pagestore.create: negative size";
-  match (backend, !mmap_dir) with
-  | None, Some dir when words > 0 ->
+  match !mmap_dir with
+  | Some dir when mapped && words > 0 ->
     let seq = !mmap_seq in
     incr mmap_seq;
     let path = Filename.concat dir ("ps" ^ string_of_int seq ^ ".bin") in
@@ -116,7 +94,7 @@ let create ?backend words =
     mapped_rev := (seq, path, t) :: !mapped_rev;
     t
   | _ -> (
-    match Option.value backend ~default:!default_backend with
+    match backend with
     | Heap -> Bytes_store (Bytes.make (words * 8) '\000')
     | Bigarray ->
       let a =
@@ -195,10 +173,10 @@ let equal a b =
     let rec go i = i >= n || (byte a i = byte b i && go (i + 1)) in
     go 0
 
-let of_bytes ?backend b =
+let of_bytes ?backend ?mapped b =
   let n = Bytes.length b in
   if n mod 8 <> 0 then invalid_arg "Pagestore.of_bytes: not whole words";
-  let t = create ?backend (n / 8) in
+  let t = create ?backend ?mapped (n / 8) in
   (match t with
   | Bytes_store d -> Bytes.blit b 0 d 0 n
   | Big_store _ ->

@@ -19,41 +19,23 @@
 
 type backend = Heap | Bigarray
 
-val backend_name : backend -> string
-(** ["heap"] / ["bigarray"]. *)
-
-val backend_of_string : string -> backend option
-
-val set_default : backend -> unit
-(** Process-wide default used when [create] is not given an explicit
-    backend — how [--backend bigarray] switches a whole simulated system
-    without threading a parameter through every constructor. *)
-
-val default : unit -> backend
-
-val with_default : backend -> (unit -> 'a) -> 'a
-(** Run a thunk with the default swapped, restoring it on exit (including
-    exceptional exit). *)
-
-val set_mmap_dir : string option -> unit
-(** Install (or clear, with [None]) a map directory: every subsequent
-    anonymous {!create} (no explicit [?backend]) becomes a shared file
-    mapping of [<dir>/ps<seq>.bin], where [seq] counts creations since the
+val with_mmap_dir : string -> (unit -> 'a) -> 'a
+(** Run a thunk with a map directory installed: every [~mapped:true]
+    {!create} inside becomes a shared file mapping of
+    [<dir>/ps<seq>.bin], where [seq] counts such creations since the
     directory was installed.  A process that rebuilds the same structures
     in the same order therefore maps the same files — the
-    [--backend mmap:<path>] remount path.  Explicit-backend creations
-    (snapshots, copies) stay anonymous. *)
-
-val with_mmap_dir : string -> (unit -> 'a) -> 'a
-(** Run a thunk with the map directory installed and the sequence counter
-    at 0, restoring both on exit (including exceptional exit). *)
+    [--backend mmap:<path>] remount path.  Other creations (snapshots,
+    copies, scratch stores) stay anonymous.  The previous directory and
+    sequence counter are restored on exit (including exceptional
+    exit). *)
 
 val mmap_dir_path : unit -> string option
 (** The currently installed map directory, if any. *)
 
 val mmap_epoch : unit -> int
-(** Bumped every time the map directory changes (installation, clearing,
-    and both sides of {!with_mmap_dir}).  Consumers holding state derived
+(** Bumped every time the map directory changes (both sides of
+    {!with_mmap_dir}).  Consumers holding state derived
     from the mapped file set — integrity sidecars — compare epochs to
     know when to reload. *)
 
@@ -69,12 +51,14 @@ val mapped_path : t -> (int * string) option
     directory installation; [None] for anonymous stores and for handles
     surviving from an earlier epoch. *)
 
-val create : ?backend:backend -> int -> t
+val create : ?backend:backend -> ?mapped:bool -> int -> t
 (** [create words] is a zero-filled store of [words] 64-bit words
-    ([words >= 0]).  [backend] defaults to {!default}[ ()] — unless a map
-    directory is installed ({!set_mmap_dir}) and no explicit [backend] is
-    given, in which case the store maps the next file in the directory's
-    sequence (and a right-sized existing file keeps its contents). *)
+    ([words >= 0]) on [backend] (default [Heap]) — unless [mapped]
+    (default false) and a map directory is installed ({!with_mmap_dir}),
+    in which case the store maps the next file in the directory's
+    sequence (and a right-sized existing file keeps its contents).  The
+    system's durable structures (bitmaps, TopAA pages) are created
+    [~mapped:true]. *)
 
 val map_file : path:string -> int -> t
 (** [map_file ~path words] maps (creating if missing) [path] as a shared
@@ -84,7 +68,7 @@ val map_file : path:string -> int -> t
     a wrong-sized non-empty file is surfaced: a [pagestore.recreated]
     telemetry increment plus a stderr warning naming the file. *)
 
-val of_bytes : ?backend:backend -> Bytes.t -> t
+val of_bytes : ?backend:backend -> ?mapped:bool -> Bytes.t -> t
 (** Copy a byte image into a fresh store.  The image length must be a
     multiple of 8 (whole words) — raises [Invalid_argument] otherwise. *)
 

@@ -54,6 +54,7 @@ type t = {
   ranges : range array;
   activemap : Activemap.t;
   total_blocks : int;
+  pool : Par.t option;
   mutable rebuild_epoch : int;
 }
 
@@ -167,7 +168,8 @@ let create config =
   let ranges = ref [] in
   let base = ref 0 in
   let index = ref 0 in
-  let streams = config.Config.streams.Config.ssd_streams in
+  let run = config.Config.run in
+  let streams = run.Config.streams.Config.ssd_streams in
   List.iter
     (fun spec ->
       let r = make_raid_range ~streams !index !base spec in
@@ -188,21 +190,26 @@ let create config =
     {
       config;
       ranges;
-      activemap = Activemap.create ~blocks:!base ();
+      activemap =
+        Activemap.create ~backend:(Config.store_backend run.Config.backend) ~blocks:!base ();
       total_blocks = !base;
+      pool = Par.shared Par.Scan ~jobs:run.Config.jobs;
       rebuild_epoch = 0;
     }
   in
   if config.Config.aggregate_policy = Config.Best_aa then
     Array.iter (fun r -> r.cache <- Some (build_cache r)) ranges;
-  (match Wafl_fault.Fault.installed_default () with
-  | Some spec -> attach_faults_ranges ranges (Wafl_fault.Fault.create spec)
+  (match run.Config.faults with
+  | Some spec ->
+    attach_faults_ranges ranges (Wafl_fault.Fault.create spec);
+    Integrity.arm spec
   | None -> ());
   t
 
 let attach_faults t plane = attach_faults_ranges t.ranges plane
 
 let config t = t.config
+let pool t = t.pool
 let ranges t = t.ranges
 let total_blocks t = t.total_blocks
 let activemap t = t.activemap
@@ -251,8 +258,8 @@ let[@inline] allocate_harvested t range ~aa ~pvbn =
 
 let queue_free t ~pvbn = Activemap.queue_free t.activemap pvbn
 
-let commit_frees ?pool t =
-  let result = Activemap.commit ?pool t.activemap in
+let commit_frees t =
+  let result = Activemap.commit ?pool:t.pool t.activemap in
   List.iter
     (fun pvbn ->
       let r = range_of_pvbn t pvbn in
@@ -312,10 +319,10 @@ let mark_range_fresh t r = r.cache_epoch <- t.rebuild_epoch
 (* Per-range exact rebuild: the building block the unified [Rebuild]
    entry point orchestrates (callers go through [Rebuild.request] /
    [Rebuild.touch_range], never here directly). *)
-let rebuild_range ?pool t r =
+let rebuild_range t r =
   Telemetry.incr "aggregate.range_rebuilds";
   Score.clear r.delta;
-  rescore_range (Par.resolve pool) t r;
+  rescore_range t.pool t r;
   r.cache <- Some (build_cache r);
   mark_range_fresh t r
 

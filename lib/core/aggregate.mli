@@ -38,9 +38,12 @@ type range = {
 type t
 
 val create : Config.t -> t
-(** Builds the ranges and their caches.  If a process-wide fault spec is
-    installed ({!Wafl_fault.Fault.install_default}), a fault plane is
-    created from it and attached as by {!attach_faults}. *)
+(** Builds the ranges and their caches from the config; its run
+    ({!Config.run}) picks the page-store backend and the size of the
+    shared scan pool ({!pool}).  When the run carries a fault spec, a
+    fault plane is created from it and attached as by {!attach_faults},
+    and the spec's persisted-state injections are armed
+    ({!Wafl_bitmap.Integrity.arm}). *)
 
 val attach_faults : t -> Wafl_fault.Fault.t -> unit
 (** Create one fault-plane device handle per range (in range-index order,
@@ -51,6 +54,12 @@ val attach_faults : t -> Wafl_fault.Fault.t -> unit
     allocator's bad-range / offline probes. *)
 
 val config : t -> Config.t
+
+val pool : t -> Wafl_par.Par.t option
+(** The scan pool every parallel-capable stage of this system uses —
+    rebuilds, Iron scans, the CP's commits and flushes, large harvests;
+    [None] when the run has [jobs = 1]. *)
+
 val ranges : t -> range array
 val total_blocks : t -> int
 val activemap : t -> Wafl_bitmap.Activemap.t
@@ -85,11 +94,11 @@ val allocate_harvested : t -> range -> aa:int -> pvbn:int -> unit
 val queue_free : t -> pvbn:int -> unit
 (** Queue a PVBN free for the next CP. *)
 
-val commit_frees : ?pool:Wafl_par.Par.t -> t -> int * int list
+val commit_frees : t -> int * int list
 (** Apply queued frees (noting score increments) and flush the aggregate
     bitmap metafile; returns (metafile pages written, freed PVBNs).  The
-    freed list is what gets trimmed down to SSDs.  [pool] (defaulting to
-    the installed one) parallelises the bit-clear apply — see
+    freed list is what gets trimmed down to SSDs.  The {!pool}
+    parallelises the bit-clear apply — see
     {!Wafl_bitmap.Activemap.commit}. *)
 
 (** {2 Cache validity epochs (incremental mount rebuild)}
@@ -111,11 +120,11 @@ val range_fresh : t -> range -> bool
 
 val mark_range_fresh : t -> range -> unit
 
-val rebuild_range : ?pool:Wafl_par.Par.t -> t -> range -> unit
+val rebuild_range : t -> range -> unit
 (** Recompute one range's scores from the bitmap, rebuild its cache and
-    stamp it fresh.  With a pool (explicit, or installed process-wide)
-    the per-AA rescoring is spread over its domains; every score slot is
-    written exactly once with a pure function of the bitmap, so the score
+    stamp it fresh.  The {!pool}, if any, spreads the per-AA rescoring
+    over its domains; every score slot is written exactly once with a
+    pure function of the bitmap, so the score
     array — and the cache built from it — is bit-identical to a serial
     rebuild at any domain count.  Building block of {!Rebuild.request};
     callers use that API. *)

@@ -35,14 +35,107 @@ type stream_spec = {
 let default_streams =
   { temp_classes = 1; ssd_streams = 1; wear_bias = 0; meta_file = None }
 
-let default_streams_ref = ref default_streams
-let set_default_streams s = default_streams_ref := s
-let current_default_streams () = !default_streams_ref
+type backend = Heap | Bigarray | Mmap of string
 
-let with_default_streams s f =
-  let saved = !default_streams_ref in
-  default_streams_ref := s;
-  Fun.protect ~finally:(fun () -> default_streams_ref := saved) f
+type run = {
+  backend : backend;
+  jobs : int;
+  alloc_domains : int;
+  scrub_rate : int;
+  faults : Wafl_fault.Fault.spec option;
+  streams : stream_spec;
+}
+
+let default_run =
+  {
+    backend = Heap;
+    jobs = 1;
+    alloc_domains = 1;
+    scrub_rate = 0;
+    faults = None;
+    streams = default_streams;
+  }
+
+type run_error =
+  | Jobs_below_one of int
+  | Alloc_domains_below_one of int
+  | Scrub_rate_negative of int
+  | Scrub_without_mmap of int
+  | Temp_classes_out_of_range of int
+  | Streams_out_of_range of int
+  | Wear_bias_out_of_range of int
+  | Empty_mmap_path
+
+let validate r =
+  let s = r.streams in
+  if r.jobs < 1 then Error (Jobs_below_one r.jobs)
+  else if r.alloc_domains < 1 then Error (Alloc_domains_below_one r.alloc_domains)
+  else if r.scrub_rate < 0 then Error (Scrub_rate_negative r.scrub_rate)
+  else if s.temp_classes < 1 || s.temp_classes > 4 then
+    Error (Temp_classes_out_of_range s.temp_classes)
+  else if s.ssd_streams < 1 || s.ssd_streams > 8 then
+    Error (Streams_out_of_range s.ssd_streams)
+  else if s.wear_bias < 0 || s.wear_bias > 255 then
+    Error (Wear_bias_out_of_range s.wear_bias)
+  else
+    match r.backend with
+    | Mmap "" -> Error Empty_mmap_path
+    | Heap | Bigarray when r.scrub_rate > 0 -> Error (Scrub_without_mmap r.scrub_rate)
+    | _ -> Ok r
+
+let run_error_to_string = function
+  | Jobs_below_one n -> Printf.sprintf "--jobs must be at least 1 (got %d)" n
+  | Alloc_domains_below_one n -> Printf.sprintf "--alloc-domains must be at least 1 (got %d)" n
+  | Scrub_rate_negative n -> Printf.sprintf "--scrub-rate must be >= 0 (got %d)" n
+  | Scrub_without_mmap n ->
+    Printf.sprintf
+      "--scrub-rate %d needs --backend mmap:PATH (only file-mapped stores carry the \
+       integrity sidecars the scrubber verifies)"
+      n
+  | Temp_classes_out_of_range n -> Printf.sprintf "--temp-classes must be in 1..4 (got %d)" n
+  | Streams_out_of_range n -> Printf.sprintf "--streams must be in 1..8 (got %d)" n
+  | Wear_bias_out_of_range n -> Printf.sprintf "--wear-bias must be in 0..255 (got %d)" n
+  | Empty_mmap_path -> "--backend mmap: expects a directory path (mmap:PATH)"
+
+let backend_to_string = function
+  | Heap -> "heap"
+  | Bigarray -> "bigarray"
+  | Mmap dir -> "mmap:" ^ dir
+
+let backend_of_string = function
+  | "heap" -> Some Heap
+  | "bigarray" -> Some Bigarray
+  | s when String.starts_with ~prefix:"mmap:" s ->
+    Some (Mmap (String.sub s 5 (String.length s - 5)))
+  | _ -> None
+
+let store_backend = function
+  | Heap -> Wafl_bitmap.Pagestore.Heap
+  | Bigarray | Mmap _ -> Wafl_bitmap.Pagestore.Bigarray
+
+let run_args r =
+  let int = string_of_int and s = r.streams in
+  let fault = Option.map (fun f -> ("fault-spec", Wafl_fault.Fault.spec_to_string f)) r.faults in
+  List.concat_map
+    (fun (flag, v) -> [ "--" ^ flag; v ])
+    ([ ("backend", backend_to_string r.backend); ("jobs", int r.jobs);
+       ("alloc-domains", int r.alloc_domains); ("scrub-rate", int r.scrub_rate) ]
+    @ Option.to_list fault
+    @ [ ("temp-classes", int s.temp_classes); ("streams", int s.ssd_streams);
+        ("wear-bias", int s.wear_bias) ])
+
+(* Quote only the words a POSIX shell would split or expand, so the
+   common line stays readable and a pasted one reproduces the run. *)
+let shell_word w =
+  let plain = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' | '/' | ':' | '=' | ',' | '@'
+    | '+' ->
+      true
+    | _ -> false
+  in
+  if w <> "" && String.for_all plain w then w else Filename.quote w
+
+let run_to_string r = String.concat " " (List.map shell_word (run_args r))
 
 type t = {
   raid_groups : raid_group_spec list;
@@ -50,7 +143,7 @@ type t = {
   vols : vol_spec list;
   aggregate_policy : allocation_policy;
   rg_score_threshold : int option;
-  streams : stream_spec;
+  run : run;
   seed : int;
 }
 
@@ -66,14 +159,10 @@ let default_raid_group =
 let default_vol ~name ~blocks = { name; blocks; aa_blocks = None; policy = Best_aa }
 
 let make ?(raid_groups = [ default_raid_group ]) ?(object_ranges = []) ?(vols = [])
-    ?(aggregate_policy = Best_aa) ?rg_score_threshold ?streams ?(seed = 42) () =
-  let streams = Option.value streams ~default:!default_streams_ref in
-  if streams.temp_classes < 1 || streams.temp_classes > 4 then
-    invalid_arg "Config.make: temp_classes must be in 1..4";
-  if streams.ssd_streams < 1 || streams.ssd_streams > 8 then
-    invalid_arg "Config.make: ssd_streams must be in 1..8";
-  if streams.wear_bias < 0 then invalid_arg "Config.make: wear_bias must be >= 0";
-  { raid_groups; object_ranges; vols; aggregate_policy; rg_score_threshold; streams; seed }
+    ?(aggregate_policy = Best_aa) ?rg_score_threshold ?(run = default_run) ?(seed = 42) () =
+  match validate run with
+  | Error e -> invalid_arg ("Config.make: " ^ run_error_to_string e)
+  | Ok run -> { raid_groups; object_ranges; vols; aggregate_policy; rg_score_threshold; run; seed }
 
 let aa_stripes_for spec =
   let media_default =

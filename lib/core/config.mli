@@ -56,15 +56,68 @@ val default_streams : stream_spec
 (** [{temp_classes = 1; ssd_streams = 1; wear_bias = 0; meta_file = None}] —
     exactly the pre-segregation behavior. *)
 
-val set_default_streams : stream_spec -> unit
-(** Process-wide default used by {!make} when [?streams] is omitted — the
-    hook the [--temp-classes]/[--streams]/[--wear-bias] CLI flags use so
-    experiment-built configs inherit them. *)
+(** {1 Run configuration}
 
-val current_default_streams : unit -> stream_spec
+    How one run executes, as opposed to what system it builds: the eight
+    settings [waflsim] exposes as flags.  Every system carries its run in
+    its {!t}, so nothing about a run is process-wide: two systems built
+    with different runs in one process behave as their own runs say. *)
 
-val with_default_streams : stream_spec -> (unit -> 'a) -> 'a
-(** Run [f] with the default swapped in, restoring it after. *)
+type backend =
+  | Heap  (** page stores are OCaml bytes *)
+  | Bigarray  (** page stores are off-heap words *)
+  | Mmap of string
+      (** off-heap words file-mapped under the directory — the map
+          session itself ({!Wafl_bitmap.Pagestore.with_mmap_dir}) is
+          opened by whoever drives the run *)
+
+type run = {
+  backend : backend;  (** [--backend] *)
+  jobs : int;  (** [--jobs]: domains of the system's scan pool *)
+  alloc_domains : int;  (** [--alloc-domains]: domains of its allocation pool *)
+  scrub_rate : int;  (** [--scrub-rate]: pages scrubbed after every CP; 0 = off *)
+  faults : Wafl_fault.Fault.spec option;  (** [--fault-spec] *)
+  streams : stream_spec;
+      (** [--temp-classes], [--streams], [--wear-bias]; [meta_file] has no
+          flag *)
+}
+
+val default_run : run
+(** Heap stores, serial scans and allocation, no scrubber, no faults,
+    {!default_streams}. *)
+
+type run_error =
+  | Jobs_below_one of int
+  | Alloc_domains_below_one of int
+  | Scrub_rate_negative of int
+  | Scrub_without_mmap of int
+      (** only file-mapped stores carry the sidecars a scrub verifies *)
+  | Temp_classes_out_of_range of int  (** outside 1..4 *)
+  | Streams_out_of_range of int  (** outside 1..8 *)
+  | Wear_bias_out_of_range of int  (** outside 0..255 *)
+  | Empty_mmap_path
+
+val validate : run -> (run, run_error) result
+(** The one range check of a run; never raises. *)
+
+val run_error_to_string : run_error -> string
+(** Names the offending flag and its legal range. *)
+
+val backend_to_string : backend -> string
+(** [heap], [bigarray] or [mmap:PATH] — the [--backend] spelling. *)
+
+val backend_of_string : string -> backend option
+
+val store_backend : backend -> Wafl_bitmap.Pagestore.backend
+(** The page-store backend a system's stores use ([Bigarray] for mmap). *)
+
+val run_args : run -> string list
+(** The flags that reproduce the run, as an argument vector ([meta_file]
+    has no flag and is not included). *)
+
+val run_to_string : run -> string
+(** {!run_args} as one shell line, words quoted only where a shell would
+    split or expand them. *)
 
 type t = {
   raid_groups : raid_group_spec list;
@@ -73,7 +126,7 @@ type t = {
   aggregate_policy : allocation_policy;
   rg_score_threshold : int option;
       (** skip a RAID group whose best AA score is below this (§3.3.1) *)
-  streams : stream_spec;
+  run : run;
   seed : int;
 }
 
@@ -88,14 +141,12 @@ val make :
   ?vols:vol_spec list ->
   ?aggregate_policy:allocation_policy ->
   ?rg_score_threshold:int ->
-  ?streams:stream_spec ->
+  ?run:run ->
   ?seed:int ->
   unit ->
   t
-(** @raise Invalid_argument when [streams] is out of range
-    ([temp_classes] outside 1..4, [ssd_streams] outside 1..8, negative
-    [wear_bias]).  When [?streams] is omitted the process-wide default
-    ({!set_default_streams}) applies. *)
+(** [run] defaults to {!default_run}.
+    @raise Invalid_argument when {!validate} rejects [run]. *)
 
 val aa_stripes_for : raid_group_spec -> int
 (** The spec's override or the §3.2 media default, clamped to the group's

@@ -452,14 +452,14 @@ let publish aggregate report =
       let v = view tel aggregate in
       Array.of_list (List.map (fun c -> c.get report v) table))
 
-let run ?pool ?temp walloc staged =
-  let pool = Par.resolve pool in
+let run ?temp walloc staged =
   Telemetry.trace_cp_begin ();
   Telemetry.span_enter Span.Cp;
   let cp_t0 = Telemetry.now_ns () in
   let pick_ns0 = Telemetry.span_total_ns Span.Pick in
   let harvest_ns0 = Telemetry.span_total_ns Span.Harvest in
   let aggregate = Write_alloc.aggregate walloc in
+  let pool = Aggregate.pool aggregate in
   let by_vol = group_by_vol staged in
   let ranges = Aggregate.ranges aggregate in
   let picks_before, replenishes_before, cache_work_before, _ = cache_totals ranges by_vol in
@@ -593,7 +593,7 @@ let run ?pool ?temp walloc staged =
   Telemetry.span_enter Span.Activemap_commit;
   ignore (Write_alloc.drain_queued_frees walloc);
   Wafl_fault.Crash.point "cp.agg_free_commit";
-  let agg_pages, freed_pvbns = Aggregate.commit_frees ?pool aggregate in
+  let agg_pages, freed_pvbns = Aggregate.commit_frees aggregate in
   let vol_pages =
     match pool with
     | Some p when Par.jobs p > 1 && List.length by_vol > 1 ->
@@ -612,7 +612,7 @@ let run ?pool ?temp walloc staged =
       List.fold_left
         (fun acc (vol, _) ->
           Wafl_fault.Crash.point "cp.vol_free_commit";
-          acc + Flexvol.commit_frees ?pool vol)
+          acc + Flexvol.commit_frees vol)
         0 by_vol
   in
   Telemetry.span_exit Span.Activemap_commit;

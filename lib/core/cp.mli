@@ -65,10 +65,9 @@ val columns : Wafl_telemetry.Timeseries.column list
     columns, [search_ns_per_block] and [cp_wall_ns], are [Measured];
     every other cell is identical at any domain count. *)
 
-val run :
-  ?pool:Wafl_par.Par.t -> ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
-(** Execute one CP over the staged writes.  With a pool (explicit, or
-    installed via [Wafl_par.Par.install]) the CP is sharded: the delayed-
+val run : ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
+(** Execute one CP over the staged writes.  With the system's scan pool
+    ({!Aggregate.pool}) the CP is sharded: the delayed-
     free apply is chunked over page-aligned slices of the block space, the
     per-volume commits run one volume per domain, and the per-range device
     flushes run one range per domain.  Crash points fire serially before

@@ -12,7 +12,7 @@ type result = {
 let pp_violation fmt v =
   Format.fprintf fmt "point %d (%s): %s" v.index v.point v.what
 
-let default_config ~seed =
+let default_config ?run ~seed () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -24,7 +24,7 @@ let default_config ~seed =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-    ~seed ()
+    ?run ~seed ()
 
 (* Deterministic client workload.  Ops land in [acked] as they are staged:
    staging models the NVRAM ack, so everything in the table at crash time
@@ -113,9 +113,9 @@ let with_pass_dir k f =
     wipe_dir sub;
     Pagestore.with_mmap_dir sub (fun () -> f (Some sub))
 
-let run ?config ?(with_cleaner = true) ?(background_rebuild = true) ?(lazy_rebuild = false)
+let run ?config ?run ?(with_cleaner = true) ?(background_rebuild = true) ?(lazy_rebuild = false)
     ?(verify_mount = false) ~seed ~warmup_cps ~ops_per_cp () =
-  let config = match config with Some c -> c | None -> default_config ~seed in
+  let config = match config with Some c -> c | None -> default_config ?run ~seed () in
   (* Pass 1: enumerate the dynamic crash-point sequence the workload
      actually reaches — programmatic, never a hand-maintained list. *)
   Wafl_fault.Crash.record ();

@@ -26,11 +26,12 @@ type result = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val default_config : seed:int -> Config.t
+val default_config : ?run:Config.run -> seed:int -> unit -> Config.t
 (** A small two-RAID-group HDD system sized so the matrix stays fast. *)
 
 val run :
   ?config:Config.t ->
+  ?run:Config.run ->
   ?with_cleaner:bool ->
   ?background_rebuild:bool ->
   ?lazy_rebuild:bool ->
@@ -48,8 +49,9 @@ val run :
     [lazy_rebuild] (default false) is likewise forwarded: the remounts
     come up stale-but-seeded and the repair's Iron scan is the first
     touch that materializes exact caches range by range.
-    If a process-wide fault spec is installed, every run (including the
-    remounts) executes under it.
+    [run] (ignored when [config] is given) is the run of the default
+    config; every pass and every remount executes as it says — under its
+    fault spec, scrubber and pools.
     [verify_mount] (default false) forwards [~verify:true] to every
     post-crash {!Mount.mount}, classifying the persisted pagestore bytes
     against their integrity sidecars before the image restore.  When an
@@ -59,9 +61,8 @@ val run :
     sequence restarts so the remount maps the very files the crashed run
     persisted, and {!Wafl_bitmap.Integrity} reloads sidecars and
     superblock from disk, discarding seals that died with the crash.
-    Runs with rot/lost fault specs should also enable {!Scrub} so damage
+    Runs with rot/lost fault specs should also set a scrub rate so damage
     injected during replay CPs is healed before the invariant checks.
-    If a domain pool is installed
-    ({!Wafl_par.Par.install}), the remounts, repairs and replay CPs all
-    shard over it — the recorded point sequence and the verdicts are
+    With [jobs > 1] the remounts, repairs and replay CPs all shard over
+    the scan pool — the recorded point sequence and the verdicts are
     identical at any domain count. *)

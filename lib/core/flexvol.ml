@@ -26,11 +26,12 @@ type t = {
   snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
   zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
   mutable next_snapshot : int;
+  pool : Wafl_par.Par.t option;
   mutable rebuild_epoch : int;
   mutable cache_epoch : int;  (* cache/scores exact iff = rebuild_epoch *)
 }
 
-let create (spec : Config.vol_spec) =
+let create ?backend ?pool (spec : Config.vol_spec) =
   if spec.Config.blocks <= 0 then invalid_arg "Flexvol.create: empty volume";
   let aa_blocks = Option.value spec.Config.aa_blocks ~default:Sizing.default_raid_agnostic_blocks in
   let aa_blocks = min aa_blocks spec.Config.blocks in
@@ -44,7 +45,7 @@ let create (spec : Config.vol_spec) =
       (* one metafile page per AA — the §3.2.1 alignment — even when the
          simulation scales AAs below the physical 32k-bits-per-block *)
       activemap =
-        Activemap.create
+        Activemap.create ?backend
           ~page_bits:(min Wafl_block.Units.bits_per_metafile_block aa_blocks)
           ~blocks:spec.Config.blocks ();
       scores;
@@ -55,6 +56,7 @@ let create (spec : Config.vol_spec) =
       snapshots = Hashtbl.create 4;
       zombies = Hashtbl.create 256;
       next_snapshot = 1;
+      pool;
       rebuild_epoch = 0;
       cache_epoch = 0;
     }
@@ -126,8 +128,8 @@ let queue_unmap t ~vvbn =
   Activemap.queue_free t.activemap vvbn;
   t.container.(vvbn) <- -1
 
-let commit_frees ?pool t =
-  let result = Activemap.commit ?pool t.activemap in
+let commit_frees t =
+  let result = Activemap.commit ?pool:t.pool t.activemap in
   List.iter (fun vvbn -> Score.note_free t.delta ~vbn:vvbn) result.Activemap.freed;
   result.Activemap.pages_written
 
@@ -142,14 +144,14 @@ let invalidate_cache t = t.rebuild_epoch <- t.rebuild_epoch + 1
 let[@inline] cache_fresh t = t.cache_epoch = t.rebuild_epoch
 
 (* Exact rescore + fresh HBPS; building block of [Rebuild.request]. *)
-let rebuild_cache ?pool t =
+let rebuild_cache t =
   Score.clear t.delta;
   let mf = metafile t in
   let n = Topology.aa_count t.topology in
   (* Parallel rescoring writes each (disjoint) score slot exactly once
      with a pure function of the bitmap — bit-identical to the serial
      fill at any domain count. *)
-  (match Wafl_par.Par.resolve pool with
+  (match t.pool with
   | Some p when Wafl_par.Par.jobs p > 1 && n >= 32 ->
     let bounds =
       Wafl_par.Par.chunk_bounds ~total:n ~align:1 ~chunks:(Wafl_par.Par.jobs p * 4)

@@ -10,7 +10,10 @@
 type t
 
 val create :
-  Config.vol_spec -> t
+  ?backend:Wafl_bitmap.Pagestore.backend -> ?pool:Wafl_par.Par.t -> Config.vol_spec -> t
+(** A volume with its bitmaps on [backend] (default [Heap]).  [pool] —
+    its system's scan pool — spreads the volume's free commits and
+    rescans. *)
 
 val uid : t -> int
 (** Process-wide dense volume id, assigned at creation.  The write
@@ -64,10 +67,10 @@ val queue_unmap : t -> vvbn:int -> unit
     commits). Clears the container-map entry immediately; the VVBN itself
     stays unusable until the commit. *)
 
-val commit_frees : ?pool:Wafl_par.Par.t -> t -> int
+val commit_frees : t -> int
 (** Apply queued frees and flush the volume's bitmap metafile; returns
-    metafile pages written.  [pool] parallelises the bit-clear apply
-    (see {!Wafl_bitmap.Activemap.commit}). *)
+    metafile pages written.  The volume's pool parallelises the bit-clear
+    apply (see {!Wafl_bitmap.Activemap.commit}). *)
 
 val cp_update_cache : t -> unit
 
@@ -78,10 +81,10 @@ val invalidate_cache : t -> unit
 
 val cache_fresh : t -> bool
 
-val rebuild_cache : ?pool:Wafl_par.Par.t -> t -> unit
+val rebuild_cache : t -> unit
 (** Full-scan score recomputation + fresh HBPS; stamps the cache fresh.
-    With a pool the per-AA rescoring is spread over its domains; the
-    scores — and the HBPS built from them — are bit-identical to a
+    The volume's pool, if any, spreads the per-AA rescoring over its
+    domains; the scores — and the HBPS built from them — are bit-identical to a
     serial rebuild at any domain count.  Building block of
     {!Rebuild.request}; callers use that API. *)
 

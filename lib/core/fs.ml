@@ -11,19 +11,19 @@ type t = {
   staged : (int * int * int, Cp.staged) Hashtbl.t;  (* (vol idx, file, offset) *)
   mutable staged_order : (int * int * int) list;
   mutable cps : int;
+  scrub_cursor : int ref;  (* the scrubber's round-robin page position *)
 }
+
+(* The background scrubber runs between CPs on every system whose run
+   sets a scrub rate.  It heals through [Iron.repair], which takes an
+   [Fs.t], so it cannot be called from here: [Scrub] fills this slot when
+   it is linked (the library links all of its modules). *)
+let scrubber : (t -> budget:int -> unit) ref = ref (fun _ ~budget:_ -> ())
+let set_scrubber f = scrubber := f
 
 (* Optional process-wide registry of live systems, so batch drivers
    (waflsim) can audit every Fs an experiment built without the
    experiment having to surface its handles. *)
-(* Post-CP hooks: process-wide callbacks run after every completed CP,
-   with the system that ran it.  The background scrubber registers here so
-   rate-limited verification rides between CPs without Cp or the callers
-   knowing about it. *)
-let post_cp_hooks : (t -> unit) list ref = ref []
-let add_post_cp_hook f = post_cp_hooks := !post_cp_hooks @ [ f ]
-let clear_post_cp_hooks () = post_cp_hooks := []
-
 let registry_enabled = ref false
 let registered_rev : t list ref = ref []
 let enable_registry () =
@@ -35,16 +35,21 @@ let disable_registry () =
 let registered () = List.rev !registered_rev
 
 let create config =
+  let run = config.Config.run in
+  let backend = Config.store_backend run.Config.backend in
   let aggregate = Aggregate.create config in
   let rng = Rng.create ~seed:config.Config.seed in
   let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) in
-  let vols = Array.of_list (List.map Flexvol.create config.Config.vols) in
+  let vols =
+    Array.of_list
+      (List.map (Flexvol.create ~backend ?pool:(Aggregate.pool aggregate)) config.Config.vols)
+  in
   Array.iter (Write_alloc.register_vol walloc) vols;
   let temp =
-    let s = config.Config.streams in
+    let s = run.Config.streams in
     if s.Config.temp_classes > 1 then
       Some
-        (Temperature.create ?meta_file:s.Config.meta_file
+        (Temperature.create ~backend ?meta_file:s.Config.meta_file
            ~classes:s.Config.temp_classes ())
     else None
   in
@@ -59,6 +64,7 @@ let create config =
       staged = Hashtbl.create 4096;
       staged_order = [];
       cps = 0;
+      scrub_cursor = ref 0;
     }
   in
   if !registry_enabled then registered_rev := t :: !registered_rev;
@@ -69,6 +75,7 @@ let aggregate t = t.aggregate
 let write_alloc t = t.walloc
 let vols t = t.vols
 let temperature t = t.temp
+let scrub_cursor t = t.scrub_cursor
 
 let vol t name =
   match Array.find_opt (fun v -> String.equal (Flexvol.name v) name) t.vols with
@@ -100,16 +107,17 @@ let staged_ops t =
       (Flexvol.name s.Cp.vol, s.Cp.file, s.Cp.offset))
     t.staged_order
 
-let run_cp ?pool t =
+let run_cp t =
   let writes = List.rev_map (fun key -> Hashtbl.find t.staged key) t.staged_order in
   (* run the CP before draining the staged table: it stands in for the
      NVRAM log, which survives a mid-CP crash so the ops can be replayed
      (re-running a partial CP is idempotent under COW) *)
-  let report = Cp.run ?pool ?temp:t.temp t.walloc writes in
+  let report = Cp.run ?temp:t.temp t.walloc writes in
   Hashtbl.reset t.staged;
   t.staged_order <- [];
   t.cps <- t.cps + 1;
-  List.iter (fun f -> f t) !post_cp_hooks;
+  let rate = t.config.Config.run.Config.scrub_rate in
+  if rate > 0 then !scrubber t ~budget:rate;
   report
 
 let cps_completed t = t.cps

@@ -7,6 +7,13 @@
 type t
 
 val create : Config.t -> t
+(** Build the system the config describes, running as its {!Config.run}
+    says: page stores on the run's backend, scans and CP stages sharded
+    over a scan pool of [jobs] domains ({!Aggregate.pool}), allocation
+    windows over a separate pool of [alloc_domains], the run's fault spec
+    attached, and [scrub_rate] pages scrubbed after every CP.  Pools come
+    from a process-wide cache ({!Wafl_par.Par.shared}), so building a
+    system spawns no domains of its own. *)
 
 val enable_registry : unit -> unit
 (** Start recording every subsequently {!create}d system in a process-wide
@@ -45,18 +52,21 @@ val staged_ops : t -> (string * int * int) list
     file, offset) in arrival order — the NVRAM log a failover partner
     replays before resuming service (§3.4). *)
 
-val run_cp : ?pool:Wafl_par.Par.t -> t -> Cp.report
-(** Flush everything staged as one consistency point.  [pool] (or the
-    installed one) shards the CP over its domains with results identical
-    to a serial CP — see {!Cp.run}.  After the CP completes, every
-    registered post-CP hook runs with this system. *)
+val run_cp : t -> Cp.report
+(** Flush everything staged as one consistency point.  The system's scan
+    pool shards the CP over its domains with results identical to a
+    serial CP — see {!Cp.run}.  When the run's [scrub_rate] is positive,
+    one scrubber pass of that many pages ({!Scrub.pass}) follows the
+    CP. *)
 
-val add_post_cp_hook : (t -> unit) -> unit
-(** Register a process-wide callback run after every completed CP on any
-    system, in registration order — the between-CPs slot the background
-    scrubber ({!Scrub.enable}) occupies. *)
+val set_scrubber : (t -> budget:int -> unit) -> unit
+(** The link to {!Scrub}, which heals through {!Iron.repair} and so
+    cannot be called from here; [Scrub] fills it when linked.  Not a
+    switch: whether a system scrubs is its run's [scrub_rate]. *)
 
-val clear_post_cp_hooks : unit -> unit
+val scrub_cursor : t -> int ref
+(** The scrubber's round-robin position in this system's tracked
+    pages. *)
 
 val create_snapshot : t -> vol:Flexvol.t -> int
 (** Pin the volume's current state (free at creation, COW). *)

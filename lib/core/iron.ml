@@ -46,9 +46,9 @@ let scan_indices pool n ~test ~push =
       match test i with Some f -> push f | None -> ()
     done
 
-let check_body ?pool fs =
-  let pool = Par.resolve pool in
+let check_body fs =
   let aggregate = Fs.aggregate fs in
+  let pool = Aggregate.pool aggregate in
   let mf = Aggregate.metafile aggregate in
   let findings = ref [] in
   let push f = findings := f :: !findings in
@@ -127,9 +127,8 @@ let check_body ?pool fs =
 
 type authority = Bitmap_authority | Container_authority
 
-let repair_body ?(authority = Bitmap_authority) ?pool fs =
-  let pool = Par.resolve pool in
-  let findings = check_body ?pool fs in
+let repair_body ?(authority = Bitmap_authority) fs =
+  let findings = check_body fs in
   let aggregate = Fs.aggregate fs in
   let mf = Aggregate.metafile aggregate in
   let repaired = ref 0 in
@@ -196,26 +195,26 @@ let repair_body ?(authority = Bitmap_authority) ?pool fs =
     findings;
   if Hashtbl.length drifted_ranges > 0 || !container_fixes > 0 then begin
     (* recompute every range's scores and rebuild the caches from truth *)
-    Rebuild.request ?pool aggregate Rebuild.Full;
+    Rebuild.request aggregate Rebuild.Full;
     repaired := !repaired + Hashtbl.length drifted_ranges
   end;
   Hashtbl.iter
     (fun vol () ->
-      Rebuild.request_vol ?pool (Fs.vol fs vol);
+      Rebuild.request_vol (Fs.vol fs vol);
       incr repaired)
     drifted_vols;
   (findings, !repaired)
 
 (* Consistency checking and repair are each one [Iron] span; [repair]
    wraps its embedded check in the same span rather than nesting two. *)
-let check ?pool fs =
+let check fs =
   Wafl_telemetry.Telemetry.span_enter Wafl_telemetry.Span.Iron;
   Fun.protect
     ~finally:(fun () -> Wafl_telemetry.Telemetry.span_exit Wafl_telemetry.Span.Iron)
-    (fun () -> check_body ?pool fs)
+    (fun () -> check_body fs)
 
-let repair ?authority ?pool fs =
+let repair ?authority fs =
   Wafl_telemetry.Telemetry.span_enter Wafl_telemetry.Span.Iron;
   Fun.protect
     ~finally:(fun () -> Wafl_telemetry.Telemetry.span_exit Wafl_telemetry.Span.Iron)
-    (fun () -> repair_body ?authority ?pool fs)
+    (fun () -> repair_body ?authority fs)

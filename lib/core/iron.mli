@@ -25,9 +25,9 @@ type finding =
 
 val pp_finding : Format.formatter -> finding -> unit
 
-val check : ?pool:Wafl_par.Par.t -> Fs.t -> finding list
-(** Scan everything; empty list = consistent.  With a pool (explicit, or
-    installed via [Wafl_par.Par.install]) the score-drift and orphan
+val check : Fs.t -> finding list
+(** Scan everything; empty list = consistent.  With the system's scan
+    pool ({!Aggregate.pool}) the score-drift and orphan
     scans — pure bitmap reads — are chunked over its domains, with
     per-chunk findings concatenated in chunk order, so the finding list
     is identical to a serial check at any domain count.  The
@@ -44,7 +44,7 @@ type authority =
           allocated blocks are freed — the stance crash recovery needs
           when a bitmap page write was torn *)
 
-val repair : ?authority:authority -> ?pool:Wafl_par.Par.t -> Fs.t -> finding list * int
+val repair : ?authority:authority -> Fs.t -> finding list * int
 (** Run {!check}, then fix what is derivable under [authority] (default
     {!Bitmap_authority}): score drift is repaired by recomputing scores
     and rebuilding the affected caches; dangling container entries are

@@ -66,27 +66,28 @@ let default_cost_model =
 
 let snapshot fs =
   let aggregate = Fs.aggregate fs in
+  let backend = Config.store_backend (Fs.config fs).Config.run.Config.backend in
   let range_topaa =
     Array.map
       (fun (r : Aggregate.range) ->
         match r.Aggregate.cache with
         | Some cache -> (
           match Cache.backend cache with
-          | Cache.Raid_aware heap -> Topaa_heap (Topaa.save_raid_aware heap)
+          | Cache.Raid_aware heap -> Topaa_heap (Topaa.save_raid_aware ~backend heap)
           | Cache.Raid_agnostic hbps ->
-            let histogram, list_page = Topaa.save_hbps hbps in
+            let histogram, list_page = Topaa.save_hbps ~backend hbps in
             Topaa_hbps (histogram, list_page))
         | None ->
           (* cache disabled: persist a heap built on the spot, as the real
              system would from its current scores *)
-          Topaa_heap (Topaa.save_raid_aware (Max_heap.of_scores r.Aggregate.scores)))
+          Topaa_heap (Topaa.save_raid_aware ~backend (Max_heap.of_scores r.Aggregate.scores)))
       (Aggregate.ranges aggregate)
   in
   let vol_topaa =
     Array.map
       (fun vol ->
         match Option.map Cache.backend (Flexvol.cache vol) with
-        | Some (Cache.Raid_agnostic hbps) -> Topaa.save_hbps hbps
+        | Some (Cache.Raid_agnostic hbps) -> Topaa.save_hbps ~backend hbps
         | Some (Cache.Raid_aware _) | None ->
           let h =
             Hbps.create
@@ -94,7 +95,7 @@ let snapshot fs =
               ~scores:(Flexvol.scores vol) ()
           in
           Hbps.replenish h;
-          Topaa.save_hbps h)
+          Topaa.save_hbps ~backend h)
       (Fs.vols fs)
   in
   {
@@ -206,10 +207,10 @@ let classify_stores fs =
 
 (* Damage routing: the cost of a verified remount is proportional to the
    damage — only the ranges/volumes a bad page overlaps are rescanned. *)
-let quarantine ?pool fs ~bad_ranges ~bad_vols =
+let quarantine fs ~bad_ranges ~bad_vols =
   let aggregate = Fs.aggregate fs in
-  if bad_ranges <> [] then Rebuild.request ?pool aggregate (Rebuild.Ranges bad_ranges);
-  List.iter (fun (vol, _, _) -> Rebuild.request_vol ?pool vol) bad_vols
+  if bad_ranges <> [] then Rebuild.request aggregate (Rebuild.Ranges bad_ranges);
+  List.iter (fun (vol, _, _) -> Rebuild.request_vol vol) bad_vols
 
 let emit_verify_telemetry r =
   Telemetry.incr "mount.verified_mounts";
@@ -219,9 +220,9 @@ let emit_verify_telemetry r =
   Telemetry.add "mount.verify_quarantined_ranges" r.ranges_quarantined;
   Telemetry.add "mount.verify_quarantined_vols" r.vols_quarantined
 
-let verify_pagestores ?pool fs =
+let verify_pagestores fs =
   let totals, agg_store, agg_bad, bad_ranges, bad_vols = classify_stores fs in
-  quarantine ?pool fs ~bad_ranges ~bad_vols;
+  quarantine fs ~bad_ranges ~bad_vols;
   (* The persisted bits are all we have on this path: take them as bitmap
      truth, re-stamp the damaged pages, and let the caller's Iron pass
      settle bitmap-vs-container disagreements under container
@@ -241,8 +242,11 @@ let verify_pagestores ?pool fs =
 (* Restore space state into a fresh system.  The caches Fs.create builds
    assume an empty file system; drop them — the caller installs either
    TopAA seeds or a full-scan rebuild. *)
-let restore ?(verify = false) ?pool image =
-  let fs = Fs.create image.config in
+let restore ?(verify = false) ?run image =
+  let config =
+    match run with None -> image.config | Some run -> { image.config with Config.run }
+  in
+  let fs = Fs.create config in
   (* Classification must see the persisted bytes, so it runs between the
      store mapping above and the image blit below; the blit then heals the
      data (and [Metafile.load] re-stamps the sidecar state), leaving only
@@ -260,7 +264,7 @@ let restore ?(verify = false) ?pool image =
     match pre with
     | None -> None
     | Some (totals, _, _, bad_ranges, bad_vols) ->
-      quarantine ?pool fs ~bad_ranges ~bad_vols;
+      quarantine fs ~bad_ranges ~bad_vols;
       let r =
         {
           totals with
@@ -321,9 +325,8 @@ let seed_range_cache aggregate (r : Aggregate.range) block =
     | Error _ -> fallback ())
 
 let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
-    ?(lazy_rebuild = false) ?(verify = false) ?pool image ~with_topaa =
-  let pool = Wafl_par.Par.resolve pool in
-  let fs, vreport = restore ~verify ?pool image in
+    ?(lazy_rebuild = false) ?(verify = false) ?run image ~with_topaa =
+  let fs, vreport = restore ~verify ?run image in
   (* replay the NVRAM log: the logged client operations are re-staged so
      the first CP commits them (no data loss across the takeover) *)
   List.iter
@@ -390,7 +393,7 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
       +. replay_us
     in
     if background_rebuild && not lazy_rebuild then
-      Rebuild.request ?pool ~vols:(Fs.vols fs) aggregate Rebuild.Full;
+      Rebuild.request ~vols:(Fs.vols fs) aggregate Rebuild.Full;
     Telemetry.incr "mount.topaa_mounts";
     Telemetry.add "mount.topaa_blocks_read" blocks_read;
     Telemetry.add "mount.topaa_seeds" !seeds;
@@ -434,7 +437,7 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
           acc + Metafile.scan_read (Flexvol.metafile vol) ~start:0 ~len:(Flexvol.blocks vol))
         0 (Fs.vols fs)
     in
-    Rebuild.request ?pool ~vols:(Fs.vols fs) aggregate Rebuild.Full;
+    Rebuild.request ~vols:(Fs.vols fs) aggregate Rebuild.Full;
     let aas =
       Array.fold_left
         (fun acc (r : Aggregate.range) -> acc + Topology.aa_count r.Aggregate.topology)
@@ -452,7 +455,7 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
        scoring over the cores — so the linear page term divides by the
        domain count.  Seeding the caches and replaying the log stay
        serial.  With one job this is exactly the serial model. *)
-    let jobs = float_of_int (Wafl_par.Par.effective_jobs pool) in
+    let jobs = float_of_int (Wafl_par.Par.effective_jobs (Aggregate.pool aggregate)) in
     let ready_us =
       (float_of_int pages *. (cost.page_read_us +. cost.page_scan_cpu_us) /. jobs)
       +. (float_of_int aas *. cost.seed_insert_us)
@@ -471,9 +474,9 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
 
 (* The whole mount — restore, NVRAM replay, cache seeding or full-scan
    rebuild — is one [Mount_rebuild] span. *)
-let mount ?cost ?background_rebuild ?lazy_rebuild ?verify ?pool image ~with_topaa =
+let mount ?cost ?background_rebuild ?lazy_rebuild ?verify ?run image ~with_topaa =
   Telemetry.span_enter Span.Mount_rebuild;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Mount_rebuild)
     (fun () ->
-      mount_body ?cost ?background_rebuild ?lazy_rebuild ?verify ?pool image ~with_topaa)
+      mount_body ?cost ?background_rebuild ?lazy_rebuild ?verify ?run image ~with_topaa)

@@ -62,7 +62,7 @@ val tear_agg_bitmap_page : image -> page:int -> unit
     [Container_authority] re-marks the referenced blocks.  Raises
     [Invalid_argument] if [page] is out of range. *)
 
-val verify_pagestores : ?pool:Wafl_par.Par.t -> Fs.t -> verify_report
+val verify_pagestores : Fs.t -> verify_report
 (** Check every integrity-tracked pagestore of a {e live} system against
     its persisted sidecars ({!Wafl_bitmap.Integrity}): classify each 4 KiB
     page intact / ahead / torn / stale, quarantine the aggregate ranges
@@ -80,7 +80,7 @@ val mount :
   ?background_rebuild:bool ->
   ?lazy_rebuild:bool ->
   ?verify:bool ->
-  ?pool:Wafl_par.Par.t ->
+  ?run:Config.run ->
   image ->
   with_topaa:bool ->
   Fs.t * timing
@@ -134,8 +134,10 @@ val mount :
     after the restore heals the data.  Meaningless (empty report) without
     an installed mmap directory.
 
-    [pool] (defaulting to the installed one) parallelises the full-scan
-    rescoring — and the background rebuild — across its domains with
+    [run] (default: the image's own) is how the mounted system runs — a
+    heap image can come back on bigarray stores, or with more domains.
+    Its scan pool parallelises the full-scan rescoring — and the
+    background rebuild — across its domains with
     bit-identical resulting cache state; the modeled [ready_us] of a
     full-scan mount divides its linear page-scan term by the domain
     count, since each domain reads and scores a disjoint slice of the

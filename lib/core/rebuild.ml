@@ -1,23 +1,21 @@
 open Wafl_bitmap
 open Wafl_telemetry
-module Par = Wafl_par.Par
-
 type scope = Full | Ranges of Aggregate.range list
 
-let request ?pool ?(vols = [||]) agg scope =
+let request ?(vols = [||]) agg scope =
   match scope with
   | Full ->
     Telemetry.incr "aggregate.cache_rebuilds";
-    Array.iter (fun r -> Aggregate.rebuild_range ?pool agg r) (Aggregate.ranges agg);
-    Array.iter (fun v -> Flexvol.rebuild_cache ?pool v) vols
-  | Ranges rs -> List.iter (fun r -> Aggregate.rebuild_range ?pool agg r) rs
+    Array.iter (fun r -> Aggregate.rebuild_range agg r) (Aggregate.ranges agg);
+    Array.iter Flexvol.rebuild_cache vols
+  | Ranges rs -> List.iter (fun r -> Aggregate.rebuild_range agg r) rs
 
-let request_vol ?pool vol = Flexvol.rebuild_cache ?pool vol
+let request_vol vol = Flexvol.rebuild_cache vol
 
 (* First-touch hooks: a fresh range/volume costs one integer compare; a
    stale one pays the page reads its exact rescore implies (accounted as
    metafile scan I/O, like the eager mount scan) and is re-stamped.  The
-   installed domain pool, if any, spreads the rescore. *)
+   system's scan pool, if any, spreads the rescore. *)
 
 let materialize_range agg r =
   Telemetry.incr "rebuild.lazy_ranges";

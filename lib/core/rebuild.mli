@@ -13,13 +13,13 @@ type scope =
   | Ranges of Aggregate.range list
       (** just these ranges (fault fallback / targeted repair) *)
 
-val request : ?pool:Wafl_par.Par.t -> ?vols:Flexvol.t array -> Aggregate.t -> scope -> unit
-(** Rescore and rebuild the caches in [scope], stamping them fresh.
-    [pool] (explicit, or installed process-wide) spreads the per-AA
-    rescoring over its domains; results are bit-identical to a serial
-    rebuild at any domain count. *)
+val request : ?vols:Flexvol.t array -> Aggregate.t -> scope -> unit
+(** Rescore and rebuild the caches in [scope], stamping them fresh.  The
+    system's scan pool ({!Aggregate.pool}) spreads the per-AA rescoring
+    over its domains; results are bit-identical to a serial rebuild at
+    any domain count. *)
 
-val request_vol : ?pool:Wafl_par.Par.t -> Flexvol.t -> unit
+val request_vol : Flexvol.t -> unit
 (** Volume-granular {!request} (the old [Flexvol.rebuild_cache] entry
     point). *)
 

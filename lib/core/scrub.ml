@@ -15,30 +15,17 @@ module Par = Wafl_par.Par
    {!Iron.repair} under container authority, after which the page is
    resealed as the new truth.
 
-   The scrubber is a post-CP hook ({!Fs.add_post_cp_hook}), so it costs
-   nothing on the allocation hot path and rides the same cadence as the
-   CP pipeline; the per-CP budget makes a full sweep take
-   [total_pages / rate] CPs, a knob directly comparable to the
-   rate-limited media scrubs of production systems. *)
+   The scrubber runs after every CP of a system whose run sets a scrub
+   rate ({!Fs.run_cp}), so it costs nothing on the allocation hot path
+   and rides the same cadence as the CP pipeline; the per-CP budget makes
+   a full sweep take [total_pages / rate] CPs, a knob directly comparable
+   to the rate-limited media scrubs of production systems. *)
 
 type stats = { pages_verified : int; bad_pages : int; healed : int; passes : int }
 
 let zero_stats = { pages_verified = 0; bad_pages = 0; healed = 0; passes = 0 }
 
 type owner = Agg | Vol of Flexvol.t
-
-(* Round-robin cursor per system, keyed by physical identity.  The page
-   total can change across remount epochs; the cursor is re-wrapped
-   against the current total each pass. *)
-let cursors : (Fs.t * int ref) list ref = ref []
-
-let cursor fs =
-  match List.find_opt (fun (f, _) -> f == fs) !cursors with
-  | Some (_, c) -> c
-  | None ->
-    let c = ref 0 in
-    cursors := (fs, c) :: !cursors;
-    c
 
 (* The scannable universe of a system: every integrity-tracked metafile
    store, as (store, owner, n_pages). *)
@@ -56,7 +43,7 @@ let tracked_stores fs =
       | _ -> None)
     stores
 
-let heal ?pool fs store owner page =
+let heal fs store owner page =
   let aggregate = Fs.aggregate fs in
   (match owner with
   | Agg ->
@@ -68,16 +55,16 @@ let heal ?pool fs store owner page =
       |> List.filter (fun (r : Aggregate.range) ->
              r.Aggregate.base <= vbn1 && r.Aggregate.base + r.Aggregate.blocks - 1 >= vbn0)
     in
-    if rs <> [] then Rebuild.request ?pool aggregate (Rebuild.Ranges rs)
-  | Vol vol -> Rebuild.request_vol ?pool vol);
+    if rs <> [] then Rebuild.request aggregate (Rebuild.Ranges rs)
+  | Vol vol -> Rebuild.request_vol vol);
   (* The page's bits are damaged and there is no replica to read back: the
      container maps are the redundant copy.  Container-authority repair
      re-marks every block they reference and frees the orphans, which
      rewrites the activemap truth the page should have held. *)
-  ignore (Iron.repair ~authority:Iron.Container_authority ?pool fs);
+  ignore (Iron.repair ~authority:Iron.Container_authority fs);
   Integrity.reseal_page store page
 
-let pass ?pool fs ~budget =
+let pass fs ~budget =
   let tracked = tracked_stores fs in
   let total = List.fold_left (fun acc (_, _, n) -> acc + n) 0 tracked in
   if total = 0 || budget <= 0 then zero_stats
@@ -86,7 +73,9 @@ let pass ?pool fs ~budget =
     Fun.protect
       ~finally:(fun () -> Telemetry.span_exit Span.Scrub)
       (fun () ->
-        let c = cursor fs in
+        (* The page total can change across remount epochs; the cursor
+           is re-wrapped against the current total each pass. *)
+        let c = Fs.scrub_cursor fs in
         let start = !c mod total in
         let n = min budget total in
         (* Flatten cursor positions into (store, owner, page) probes. *)
@@ -104,8 +93,8 @@ let pass ?pool fs ~budget =
            [verify_page] classifies against already-synced sidecar state,
            so pool domains never race on it; healing stays serial. *)
         let verdicts =
-          match Par.resolve pool with
-          | Some p when Par.jobs p > 1 && n > 1 ->
+          match Aggregate.pool (Fs.aggregate fs) with
+          | Some p when n > 1 ->
             Par.map p ~chunks:(min n (Par.jobs p * 4)) ~f:(fun i ->
                 let store, _, page = probes.(i) in
                 Integrity.verify_page store page)
@@ -119,7 +108,7 @@ let pass ?pool fs ~budget =
             | Some Integrity.Torn | Some Integrity.Stale ->
               let store, owner, page = probes.(i) in
               incr bad;
-              heal ?pool fs store owner page;
+              heal fs store owner page;
               incr healed
             | _ -> ())
           verdicts;
@@ -133,22 +122,4 @@ let pass ?pool fs ~budget =
         { pages_verified = n; bad_pages = !bad; healed = !healed; passes = 1 })
   end
 
-(* --- process-wide enablement ------------------------------------------- *)
-
-let rate = ref 0
-let hook_pool : Par.t option ref = ref None
-let hook_registered = ref false
-
-let enable ?pool ~rate:r () =
-  if r < 0 then invalid_arg "Scrub.enable: negative rate";
-  rate := r;
-  hook_pool := pool;
-  if not !hook_registered then begin
-    hook_registered := true;
-    Fs.add_post_cp_hook (fun fs ->
-        if !rate > 0 then ignore (pass ?pool:!hook_pool fs ~budget:!rate))
-  end
-
-let disable () = rate := 0
-let enabled () = !rate > 0
-let current_rate () = !rate
+let () = Fs.set_scrubber (fun fs ~budget -> ignore (pass fs ~budget))

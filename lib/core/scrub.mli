@@ -16,29 +16,19 @@
     [scrub.passes], [scrub.pages_verified], [scrub.bad_pages] and
     [scrub.healed]; the per-CP time series carries the cumulative
     [scrub_pages] / [scrub_bad] columns.  Everything is a no-op unless an
-    mmap directory is installed (nothing is tracked otherwise). *)
+    mmap directory is installed (nothing is tracked otherwise) — which is
+    why {!Config.validate} rejects a positive scrub rate without an mmap
+    backend. *)
 
 type stats = { pages_verified : int; bad_pages : int; healed : int; passes : int }
 
 val zero_stats : stats
 
-val pass : ?pool:Wafl_par.Par.t -> Fs.t -> budget:int -> stats
+val pass : Fs.t -> budget:int -> stats
 (** Run one scrub pass over [fs] now: verify up to [budget] integrity
-    pages from the system's round-robin cursor (CRC checks chunked over
-    [pool] or the installed pool; healing serial), heal any torn/stale
-    page found.  Returns what happened. *)
-
-val enable : ?pool:Wafl_par.Par.t -> rate:int -> unit -> unit
-(** Install the scrubber as a process-wide post-CP hook
-    ({!Fs.add_post_cp_hook}): after every completed CP on any system, one
-    {!pass} with [budget = rate] runs on that system.  A full sweep of
-    [N] tracked pages therefore takes [ceil (N / rate)] CPs.  [rate = 0]
-    disables without unregistering; calling again updates rate and
-    pool. *)
-
-val disable : unit -> unit
-(** Stop scrubbing (equivalent to [rate = 0]). *)
-
-val enabled : unit -> bool
-
-val current_rate : unit -> int
+    pages from the system's round-robin cursor ({!Fs.scrub_cursor}; CRC
+    checks chunked over the system's scan pool, healing serial), heal
+    any torn/stale page found.  Returns what happened.  {!Fs.run_cp}
+    runs one pass with [budget = scrub_rate] after every CP of a system
+    whose run sets a positive rate, so a full sweep of [N] tracked pages
+    takes [ceil (N / rate)] CPs. *)

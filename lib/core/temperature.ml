@@ -15,28 +15,29 @@ type t = {
   mutable cp : int;
   vols : (int, vol) Hashtbl.t;
   classified : int array; (* per-cls decision counters, indexed by cls_index *)
+  backend : Pagestore.backend;
 }
 
-let create ?meta_file ~classes () =
+let create ?(backend = Pagestore.Heap) ?meta_file ~classes () =
   if classes < 1 || classes > 4 then invalid_arg "Temperature.create: classes in 1..4";
-  { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0 }
+  { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0; backend }
 
 let classes t = t.classes
 let cp_clock t = t.cp
 let advance_cp t = t.cp <- t.cp + 1
 
 (* Births are stored as 16-bit little-endian (cp mod 65535) + 1 so that a
-   zero-filled store reads back as "unknown".  The store is created with
-   an explicit backend so it never joins an installed mmap directory's
-   file sequence: inferred temperature is a reconstructible cache, not
-   persisted state, and must not perturb the remount mapping. *)
+   zero-filled store reads back as "unknown".  The store is never mapped
+   into an installed mmap directory's file sequence: inferred temperature
+   is a reconstructible cache, not persisted state, and must not perturb
+   the remount mapping. *)
 let vol_state t ~uid ~blocks =
   match Hashtbl.find_opt t.vols uid with
   | Some v -> v
   | None ->
     let words = ((2 * blocks) + 7) / 8 in
     let v =
-      { store = Pagestore.create ~backend:(Pagestore.default ()) words; blocks; avg = 8.0 }
+      { store = Pagestore.create ~backend:t.backend words; blocks; avg = 8.0 }
     in
     Hashtbl.add t.vols uid v;
     v

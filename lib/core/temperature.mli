@@ -25,9 +25,12 @@ val cls_index : cls -> int
 
 type t
 
-val create : ?meta_file:int -> classes:int -> unit -> t
+val create :
+  ?backend:Wafl_bitmap.Pagestore.backend -> ?meta_file:int -> classes:int -> unit -> t
 (** [classes] (1..4) is how many routing slots {!slot_of} collapses onto;
-    [meta_file] marks one file id as metafile traffic. *)
+    [meta_file] marks one file id as metafile traffic.  The per-volume
+    birth stores live on [backend] (default [Heap]) and are never
+    file-mapped. *)
 
 val classes : t -> int
 

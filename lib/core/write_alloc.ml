@@ -56,6 +56,7 @@ type t = {
   weight : int array;                     (* scratch: weight per eligible entry *)
   mutable shards : int array array;       (* harvest-kernel scratch (lazy) *)
   mutable alloc_shards : Alloc_shard.t array;  (* per-domain front-end shards *)
+  alloc_pool : Par.t option;              (* drives parallel allocation windows *)
   pick_mutex : Mutex.t;                   (* serialises cache picks across domains *)
   mutable used_par : bool;                (* a parallel window ran this epoch *)
   mutable par_capable : int;              (* -1 unknown, 0 no, 1 yes (cached) *)
@@ -93,9 +94,8 @@ let push_taken cursor aa =
 
 let create aggregate ~rng =
   let ranges = Aggregate.ranges aggregate in
-  let classes =
-    (Aggregate.config aggregate).Config.streams.Config.temp_classes
-  in
+  let run = (Aggregate.config aggregate).Config.run in
+  let classes = run.Config.streams.Config.temp_classes in
   {
     aggregate;
     rng;
@@ -120,6 +120,7 @@ let create aggregate ~rng =
     weight = Array.make (Array.length ranges) 0;
     shards = [||];
     alloc_shards = [||];
+    alloc_pool = Par.shared Par.Alloc ~jobs:run.Config.alloc_domains;
     pick_mutex = Mutex.create ();
     used_par = false;
     par_capable = -1;
@@ -311,8 +312,8 @@ let ensure_shards t ~jobs ~capacity =
    see {!Aggregate.harvest_free_of_aa_sharded} — for large ones. *)
 let harvest_range t range aa ~(cursor : cursor) =
   let capacity = Array.length cursor.ring in
-  match Par.resolve None with
-  | Some p when Par.jobs p > 1 && capacity >= min_sharded_capacity ->
+  match Aggregate.pool t.aggregate with
+  | Some p when capacity >= min_sharded_capacity ->
     let shards = ensure_shards t ~jobs:(Par.jobs p) ~capacity in
     Aggregate.harvest_free_of_aa_sharded p t.aggregate range aa ~shards ~dst:cursor.ring
       ~words:t.words
@@ -490,24 +491,6 @@ let allocate_pvbns_serial t ~row ~dst ~pos0 n =
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent allocation front-end (the multi-writer path).            *)
-
-(* The pool driving parallel allocation windows, installed process-wide
-   (mirrors Par.install): waflsim's [--alloc-domains N].  Kept separate
-   from the scan pool so scan and allocation parallelism compose. *)
-let alloc_pool : Par.t option ref = ref None
-
-let uninstall_alloc_pool () =
-  match !alloc_pool with
-  | None -> ()
-  | Some p ->
-    alloc_pool := None;
-    Par.shutdown p
-
-let install_alloc_pool ~jobs =
-  uninstall_alloc_pool ();
-  if jobs > 1 then alloc_pool := Some (Par.create ~jobs)
-
-let alloc_pool_jobs () = match !alloc_pool with Some p -> Par.jobs p | None -> 1
 
 (* Concurrent word-at-a-time bitmap mutation is only safe when no two AAs
    can share a bitmap byte: every extent of every AA must start and end on
@@ -808,10 +791,9 @@ let allocate_pvbns_into ?(cls = 0) t ~dst n =
   if n <= 0 then 0
   else begin
     let row = t.cursors.(if cls < 0 || cls >= t.classes then 0 else cls) in
-    match !alloc_pool with
+    match t.alloc_pool with
     | Some p
-      when Par.jobs p > 1
-           && n >= Par.jobs p * 16
+      when n >= Par.jobs p * 16
            && (Aggregate.config t.aggregate).Config.aggregate_policy = Config.Best_aa
            && parallel_capable t ->
       allocate_pvbns_par t p ~row ~dst n
@@ -970,7 +952,7 @@ let cp_finish t =
     Array.iter Alloc_shard.flush t.alloc_shards;
     t.used_par <- false
   end;
-  let bias = (Aggregate.config t.aggregate).Config.streams.Config.wear_bias in
+  let bias = (Aggregate.config t.aggregate).Config.run.Config.streams.Config.wear_bias in
   Array.iteri
     (fun i (range : Aggregate.range) ->
       let wear_adjust =

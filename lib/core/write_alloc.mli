@@ -16,8 +16,10 @@
     what lets multiple domains allocate concurrently (below) without two
     writers ever touching the same AA between CPs.
 
-    {b Concurrent front-end.}  With an allocation pool installed
-    ({!install_alloc_pool}), large [allocate_pvbns_into] calls fan out
+    {b Concurrent front-end.}  When the run asks for more than one
+    allocation domain ({!Config.run} [alloc_domains]), the allocator takes
+    an allocation pool of that size (apart from the scan pool) and large
+    [allocate_pvbns_into] calls fan out
     over per-domain shards ({!Alloc_shard}): each domain pops from its own
     lock-free harvest ring, claims fresh AAs through the shared
     (mutex-serialised) cache pick path, steals byte-aligned ring suffixes
@@ -90,18 +92,11 @@ val register_vol : t -> Flexvol.t -> unit
 
 (** {2 Concurrent allocation front-end} *)
 
-val install_alloc_pool : jobs:int -> unit
-(** Install the process-wide allocation pool ([--alloc-domains N]); a
-    previous pool is shut down first.  [jobs <= 1] just uninstalls. *)
-
-val uninstall_alloc_pool : unit -> unit
-val alloc_pool_jobs : unit -> int
-
 val parallel_capable : t -> bool
 (** Whether every AA extent of every range is bitmap-byte aligned — the
     static precondition for unsynchronised multi-domain bitmap writes.
     When false, {!allocate_pvbns_into} stays serial regardless of the
-    installed pool. *)
+    allocation pool. *)
 
 val prepare_par : t -> jobs:int -> unit
 (** Materialize [jobs] shards up front (e.g. so {!queue_free_par} can be

@@ -78,7 +78,7 @@ let policy_name = function
   | Config.Random_aa -> "random (baseline)"
   | Config.First_fit -> "first-fit"
 
-let policy_point scale policy =
+let policy_point ?run scale policy =
   let rg = Common.hdd_raid_group scale in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
   let config =
@@ -86,7 +86,7 @@ let policy_point scale policy =
       ~vols:
         [ { Config.name = "v"; blocks = agg_blocks; aa_blocks = Some 4096;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:policy ~seed:4242 ()
+      ~aggregate_policy:policy ?run ~seed:4242 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "v" in
@@ -123,7 +123,7 @@ let policy_point scale policy =
 
 (* --- RG fragmentation threshold (§3.3.1) --- *)
 
-let threshold_point scale threshold =
+let threshold_point ?run scale threshold =
   let rg = Common.hdd_raid_group scale in
   let agg_blocks = 2 * rg.Config.data_devices * rg.Config.device_blocks in
   let config =
@@ -132,7 +132,7 @@ let threshold_point scale threshold =
       ~vols:
         [ { Config.name = "v"; blocks = agg_blocks; aa_blocks = Some 4096;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ?rg_score_threshold:threshold ~seed:5151 ()
+      ~aggregate_policy:Config.Best_aa ?rg_score_threshold:threshold ?run ~seed:5151 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "v" in
@@ -181,7 +181,7 @@ let threshold_point scale threshold =
 
 (* --- Cleaner strategy --- *)
 
-let cleaner_point scale strategy =
+let cleaner_point ?run scale strategy =
   let rg = Common.hdd_raid_group scale in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
   let config =
@@ -189,7 +189,7 @@ let cleaner_point scale strategy =
       ~vols:
         [ { Config.name = "v"; blocks = agg_blocks; aa_blocks = Some 4096;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:6161 ()
+      ~aggregate_policy:Config.Best_aa ?run ~seed:6161 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "v" in
@@ -216,15 +216,15 @@ let cleaner_point scale strategy =
     blocks_reclaimed = report.Cleaner.blocks_relocated + report.Cleaner.blocks_reclaimed;
   }
 
-let run ?(scale = Common.Quick) () =
+let run ?(scale = Common.Quick) ?run () =
   let rng = Rng.create ~seed:77 in
   {
     bin_widths =
       List.map (fun w -> bin_width_point ~rng:(Rng.split rng) w) [ 256; 1024; 4096; 16384 ];
     policies =
-      List.map (policy_point scale) [ Config.Best_aa; Config.Random_aa; Config.First_fit ];
-    thresholds = List.map (threshold_point scale) [ None; Some 512; Some 2048 ];
-    cleaner = List.map (cleaner_point scale) [ Cleaner.Emptiest_first; Cleaner.Fullest_first ];
+      List.map (policy_point ?run scale) [ Config.Best_aa; Config.Random_aa; Config.First_fit ];
+    thresholds = List.map (threshold_point ?run scale) [ None; Some 512; Some 2048 ];
+    cleaner = List.map (cleaner_point ?run scale) [ Cleaner.Emptiest_first; Cleaner.Fullest_first ];
   }
 
 let print r =

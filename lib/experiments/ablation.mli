@@ -43,5 +43,5 @@ type result = {
   cleaner : cleaner_point list;
 }
 
-val run : ?scale:Common.scale -> unit -> result
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result
 val print : result -> unit

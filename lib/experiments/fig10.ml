@@ -20,7 +20,7 @@ let hdd_rg scale = Common.hdd_raid_group scale
 
 (* Build a system with [n] volumes of [blocks] each, lightly used so the
    TopAA content is non-trivial, then measure both mount paths. *)
-let measure scale ~n_vols ~vol_blocks =
+let measure ?run scale ~n_vols ~vol_blocks =
   let rg = hdd_rg scale in
   let vols =
     List.init n_vols (fun i ->
@@ -31,7 +31,7 @@ let measure scale ~n_vols ~vol_blocks =
           policy = Config.Best_aa;
         })
   in
-  let config = Config.make ~raid_groups:[ rg ] ~vols ~seed:(10007 + n_vols) () in
+  let config = Config.make ~raid_groups:[ rg ] ~vols ?run ~seed:(10007 + n_vols) () in
   let fs = Fs.create config in
   (* put a little data in each volume so bitmaps are non-empty *)
   List.iteri
@@ -47,19 +47,19 @@ let measure scale ~n_vols ~vol_blocks =
   let _, without = Mount.mount ~background_rebuild:false image ~with_topaa:false in
   (with_topaa.Mount.ready_us, without.Mount.ready_us)
 
-let run ?(scale = Common.Quick) () =
+let run ?(scale = Common.Quick) ?run () =
   let vols_a, sizes_a, vol_blocks_b, counts_b = params scale in
   let sweep_a =
     List.map
       (fun size ->
-        let w, wo = measure scale ~n_vols:vols_a ~vol_blocks:size in
+        let w, wo = measure ?run scale ~n_vols:vols_a ~vol_blocks:size in
         { x = size; with_topaa_us = w; without_topaa_us = wo })
       sizes_a
   in
   let sweep_b =
     List.map
       (fun count ->
-        let w, wo = measure scale ~n_vols:count ~vol_blocks:vol_blocks_b in
+        let w, wo = measure ?run scale ~n_vols:count ~vol_blocks:vol_blocks_b in
         { x = count; with_topaa_us = w; without_topaa_us = wo })
       counts_b
   in

@@ -19,5 +19,5 @@ type result = {
   vol_blocks_b : int;
 }
 
-val run : ?scale:Common.scale -> unit -> result
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result
 val print : result -> unit

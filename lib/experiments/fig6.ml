@@ -58,7 +58,7 @@ let ssd_aa_stripes scale =
      one erase block per AA keeps the AA population large at this scale *)
   Wafl_aa.Sizing.ssd_stripes ~erase_blocks_per_aa:1 (Common.ssd_profile scale)
 
-let run_variant scale variant =
+let run_variant ?run scale variant =
   let agg_policy, vol_policy = policies variant in
   let rg = Common.ssd_raid_group scale ~aa_stripes:(Some (ssd_aa_stripes scale)) in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
@@ -68,7 +68,7 @@ let run_variant scale variant =
       ~vols:
         [ { Config.name = "lun"; blocks = vol_blocks; aa_blocks = Some vol_aa_blocks;
             policy = vol_policy } ]
-      ~aggregate_policy:agg_policy ~seed:1009 ()
+      ~aggregate_policy:agg_policy ?run ~seed:1009 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "lun" in
@@ -110,8 +110,8 @@ let run_variant scale variant =
     aggregate_free_frac = 1.0 -. Aggregate.used_fraction (Fs.aggregate fs);
   }
 
-let run ?(scale = Common.Quick) () =
-  List.map (run_variant scale) [ Both; Flexvol_only; Aggregate_only; Neither ]
+let run ?(scale = Common.Quick) ?run () =
+  List.map (run_variant ?run scale) [ Both; Flexvol_only; Aggregate_only; Neither ]
 
 let find results v = List.find (fun r -> r.variant = v) results
 

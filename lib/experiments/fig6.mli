@@ -23,9 +23,9 @@ type result = {
   aggregate_free_frac : float;    (** overall free fraction at measurement *)
 }
 
-val run_variant : Common.scale -> variant -> result
+val run_variant : ?run:Wafl_core.Config.run -> Common.scale -> variant -> result
 
-val run : ?scale:Common.scale -> unit -> result list
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result list
 (** All four variants on identically-aged systems. *)
 
 val print : result list -> unit

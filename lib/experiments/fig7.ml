@@ -37,7 +37,7 @@ let age_range fs (range : Aggregate.range) ~fraction ~rng =
     end
   done
 
-let run ?(scale = Common.Quick) () =
+let run ?(scale = Common.Quick) ?run () =
   let rg = Common.hdd_raid_group scale in
   let agg_blocks = 4 * rg.Config.data_devices * rg.Config.device_blocks in
   let config =
@@ -46,7 +46,7 @@ let run ?(scale = Common.Quick) () =
       ~vols:
         [ { Config.name = "db"; blocks = agg_blocks; aa_blocks = Some 4096;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:2003 ()
+      ~aggregate_policy:Config.Best_aa ?run ~seed:2003 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "db" in

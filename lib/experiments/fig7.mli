@@ -24,5 +24,5 @@ type result = {
   ops_per_s : float;    (** client load the measurement models *)
 }
 
-val run : ?scale:Common.scale -> unit -> result
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result
 val print : result -> unit

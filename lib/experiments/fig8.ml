@@ -39,7 +39,7 @@ let aging_spec scale =
   | Common.Full ->
     { Aging.fill_fraction = 0.85; fragmentation_cps = 250; writes_per_cp = 4000; file = 1 }
 
-let run_sizing scale sizing =
+let run_sizing ?run scale sizing =
   let aa_stripes = aa_stripes_of scale sizing in
   let rg = Common.ssd_raid_group scale ~aa_stripes:(Some aa_stripes) in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
@@ -48,7 +48,7 @@ let run_sizing scale sizing =
       ~vols:
         [ { Config.name = "lun"; blocks = agg_blocks * 9 / 8; aa_blocks = Some 1024;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:8009 ()
+      ~aggregate_policy:Config.Best_aa ?run ~seed:8009 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "lun" in
@@ -82,7 +82,7 @@ let run_sizing scale sizing =
     write_amp = Ftl.write_amplification ftl;
   }
 
-let run ?(scale = Common.Quick) () = List.map (run_sizing scale) [ Small_hdd_aa; Large_ssd_aa ]
+let run ?(scale = Common.Quick) ?run () = List.map (run_sizing ?run scale) [ Small_hdd_aa; Large_ssd_aa ]
 
 let find results s = List.find (fun r -> r.sizing = s) results
 

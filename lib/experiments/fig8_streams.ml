@@ -74,7 +74,7 @@ let aging_spec scale =
   | Common.Full ->
     { Aging.fill_fraction = 0.85; fragmentation_cps = 250; writes_per_cp = 8000; file = 1 }
 
-let run_variant scale variant =
+let run_variant ?(run = Config.default_run) scale variant =
   let aa_stripes = aa_stripes_of scale variant in
   let spec = stream_spec_of variant in
   let rg = Common.ssd_raid_group scale ~aa_stripes:(Some aa_stripes) in
@@ -84,7 +84,7 @@ let run_variant scale variant =
       ~vols:
         [ { Config.name = "lun"; blocks = agg_blocks * 9 / 8; aa_blocks = Some 1024;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~streams:spec ~seed:8009 ()
+      ~aggregate_policy:Config.Best_aa ~run:{ run with Config.streams = spec } ~seed:8009 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "lun" in
@@ -148,8 +148,8 @@ let run_variant scale variant =
     wear_max;
   }
 
-let run ?(scale = Common.Quick) () =
-  List.map (run_variant scale) [ Small_aa; Large_aa; Large_aa_segregated ]
+let run ?(scale = Common.Quick) ?run () =
+  List.map (run_variant ?run scale) [ Small_aa; Large_aa; Large_aa_segregated ]
 
 let find results v = List.find (fun r -> r.variant = v) results
 

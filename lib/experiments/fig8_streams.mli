@@ -37,7 +37,7 @@ type result = {
   wear_max : int;
 }
 
-val run : ?scale:Common.scale -> unit -> result list
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result list
 
 val print : ?scale:Common.scale -> result list -> unit
 (** [scale] (default [Quick]) picks the gate: at quick scale the

@@ -44,7 +44,7 @@ let measurement scale =
   | Common.Quick -> (40, 2000) (* cps, blocks per cp *)
   | Common.Full -> (80, 4000)
 
-let run_sizing scale sizing =
+let run_sizing ?run scale sizing =
   let aa_stripes = aa_stripes_of scale sizing in
   let rg = Common.smr_raid_group scale ~aa_stripes:(Some aa_stripes) in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
@@ -53,7 +53,7 @@ let run_sizing scale sizing =
       ~vols:
         [ { Config.name = "seq"; blocks = agg_blocks; aa_blocks = None;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:9001 ()
+      ~aggregate_policy:Config.Best_aa ?run ~seed:9001 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "seq" in
@@ -94,7 +94,7 @@ let run_sizing scale sizing =
        else float_of_int stats.Smr.sequential_writes /. float_of_int total_writes);
   }
 
-let run ?(scale = Common.Quick) () = List.map (run_sizing scale) [ Hdd_aa; Azcs_aligned_aa ]
+let run ?(scale = Common.Quick) ?run () = List.map (run_sizing ?run scale) [ Hdd_aa; Azcs_aligned_aa ]
 
 let find results s = List.find (fun r -> r.sizing = s) results
 

@@ -25,6 +25,6 @@ type result = {
                                     sequential appends *)
 }
 
-val run_sizing : Common.scale -> sizing -> result
-val run : ?scale:Common.scale -> unit -> result list
+val run_sizing : ?run:Wafl_core.Config.run -> Common.scale -> sizing -> result
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result list
 val print : result list -> unit

@@ -39,7 +39,7 @@ let hbps_worst_error ~rng =
   done;
   !worst
 
-let run ?(scale = Common.Quick) () =
+let run ?(scale = Common.Quick) ?run () =
   (* cache CPU share under the Fig-6 "both caches" workload *)
   let rg = Common.ssd_raid_group scale ~aa_stripes:(Some 2048) in
   let agg_blocks = rg.Config.data_devices * rg.Config.device_blocks in
@@ -48,7 +48,7 @@ let run ?(scale = Common.Quick) () =
       ~vols:
         [ { Config.name = "lun"; blocks = agg_blocks * 9 / 8; aa_blocks = Some 1024;
             policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:41 ()
+      ~aggregate_policy:Config.Best_aa ?run ~seed:41 ()
   in
   let fs = Fs.create config in
   let vol = Fs.vol fs "lun" in

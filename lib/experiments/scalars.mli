@@ -15,5 +15,5 @@ type result = {
   topaa_entries_per_block : int;
 }
 
-val run : ?scale:Common.scale -> unit -> result
+val run : ?scale:Common.scale -> ?run:Wafl_core.Config.run -> unit -> result
 val print : result -> unit

@@ -371,11 +371,3 @@ let write d ~block =
     d.st <- !st;
     !result
   end
-
-(* --- process-wide default --------------------------------------------- *)
-
-let default : spec option ref = ref None
-
-let install_default s = default := Some s
-let uninstall_default () = default := None
-let installed_default () = !default

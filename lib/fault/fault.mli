@@ -129,13 +129,3 @@ val range_faulty : device -> start:int -> len:int -> bool
 (** Allocation-time probe: does [\[start, start+len)] (device-local)
     overlap a configured permanent bad range, or is the device offline?
     Allocation-free; used by {!Wafl_core.Write_alloc} to quarantine AAs. *)
-
-(* --- process-wide default (consulted by [Aggregate.create]) --- *)
-
-val install_default : spec -> unit
-(** Make every subsequently created aggregate attach a fault plane built
-    from [spec] (one device handle per range).  This is how [--fault-spec]
-    reaches experiments that build their own aggregates internally. *)
-
-val uninstall_default : unit -> unit
-val installed_default : unit -> spec option

@@ -238,21 +238,25 @@ let chunk_bounds ~total ~align ~chunks =
         (start, stop - start))
   end
 
-(* Process-wide default, mirroring Telemetry.install. *)
+(* Pools are process resources, not settings: systems built one after
+   another (an experiment builds dozens) take theirs from this cache by
+   size instead of each spawning domains.  Scan and allocation pools are
+   cached apart, so a run's two domain counts stay two pools. *)
 
-let default : t option ref = ref None
+type kind = Scan | Alloc
 
-let uninstall () =
-  match !default with
-  | None -> ()
-  | Some t ->
-    default := None;
-    shutdown t
+let cache : (kind * int, t) Hashtbl.t = Hashtbl.create 4
 
-let install ~jobs =
-  uninstall ();
-  default := Some (create ~jobs)
+let shared kind ~jobs =
+  if jobs <= 1 then None
+  else
+    match Hashtbl.find_opt cache (kind, jobs) with
+    | Some p -> Some p
+    | None ->
+      if Hashtbl.length cache = 0 then
+        at_exit (fun () -> Hashtbl.iter (fun _ p -> shutdown p) cache);
+      let p = create ~jobs in
+      Hashtbl.replace cache (kind, jobs) p;
+      Some p
 
-let installed () = !default
-let resolve = function Some _ as p -> p | None -> !default
-let effective_jobs pool = match resolve pool with Some t -> jobs t | None -> 1
+let effective_jobs = function Some t -> jobs t | None -> 1

@@ -76,24 +76,19 @@ val chunk_bounds : total:int -> align:int -> chunks:int -> (int * int) array
     the range exactly; returns [[||]] when [total <= 0].  Purely
     arithmetic — the same inputs always produce the same split. *)
 
-(** {1 Process-wide default pool}
+(** {1 Shared pools}
 
-    Mirrors [Telemetry.install]: subsystems take [?pool] and fall back
-    to the installed pool via [resolve], so a single [--jobs N] at the
-    CLI parallelises every scan without threading a handle through the
-    whole call graph. *)
+    Pools are resources, not settings: a system's configuration says how
+    many domains it uses, and the system takes a pool of that size from
+    a process-wide cache, so building many systems spawns each pool's
+    domains once.  Scan and allocation pools are cached apart, so a
+    run's two domain counts ([jobs], [alloc_domains]) stay two pools. *)
 
-val install : jobs:int -> unit
-(** Install a fresh process-wide pool, shutting down any previous one. *)
+type kind = Scan | Alloc
 
-val uninstall : unit -> unit
-(** Shut down and remove the process-wide pool, if any. *)
-
-val installed : unit -> t option
-
-val resolve : t option -> t option
-(** [resolve (Some p)] is [Some p]; [resolve None] is [installed ()].
-    The conventional first line of every [?pool] entry point. *)
+val shared : kind -> jobs:int -> t option
+(** The cached pool of [kind] with [jobs] domains, created on first use
+    and shut down at exit; [None] when [jobs <= 1] (serial). *)
 
 val effective_jobs : t option -> int
-(** [jobs] of [resolve pool], or 1 when no pool is available. *)
+(** [jobs] of the pool, or 1 for [None]. *)

@@ -13,7 +13,7 @@ let check_bool = Alcotest.(check bool)
 
 (* Byte-aligned geometry (every AA extent starts and ends on a bitmap
    byte), so the front-end's static [parallel_capable] gate opens. *)
-let par_config =
+let par_config ?(alloc_domains = 1) () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -25,7 +25,9 @@ let par_config =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-    ~aggregate_policy:Config.Best_aa ~seed:7 ()
+    ~aggregate_policy:Config.Best_aa
+    ~run:{ Config.default_run with Config.alloc_domains }
+    ~seed:7 ()
 
 let agg_bitmap fs = Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs))
 
@@ -58,7 +60,7 @@ let check_all_distinct label pvbns =
   check_bool (label ^ ": no pvbn handed out twice") false !dup
 
 let test_capable () =
-  let fs = Fs.create par_config in
+  let fs = Fs.create (par_config ()) in
   check_bool "byte-aligned config is parallel-capable" true
     (Write_alloc.parallel_capable (Fs.write_alloc fs))
 
@@ -68,49 +70,47 @@ let test_capable () =
    no block out twice, and loses no concurrent free. *)
 let hammer jobs =
   (* Serial reference. *)
-  let fs_s = Fs.create par_config in
+  let fs_s = Fs.create (par_config ()) in
   let pv_s = fill_to_capacity (Fs.write_alloc fs_s) in
   check_int "serial fill drains the aggregate" 0
     (Aggregate.free_blocks (Fs.aggregate fs_s));
   let want = agg_bitmap fs_s in
   (* Parallel run. *)
-  Write_alloc.install_alloc_pool ~jobs;
-  Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
-      let fs = Fs.create par_config in
-      let wa = Fs.write_alloc fs in
-      let before = agg_bitmap fs in
-      let free0 = Aggregate.free_blocks (Fs.aggregate fs) in
-      let pv = fill_to_capacity wa in
-      let label = Printf.sprintf "jobs=%d" jobs in
-      check_int (label ^ ": same blocks handed out") (Array.length pv_s)
-        (Array.length pv);
-      check_all_distinct label pv;
-      check_int (label ^ ": parallel fill drains the aggregate") 0
-        (Aggregate.free_blocks (Fs.aggregate fs));
-      check_bool
-        (label ^ ": final bitmap identical to serial")
-        true
-        (Bitmap.equal want (agg_bitmap fs));
-      if jobs > 1 then
-        check_int (label ^ ": one shard per domain") jobs
-          (Array.length (Write_alloc.last_par_stats wa));
-      check_int (label ^ ": claim CAS races") 0 (Write_alloc.claim_conflicts wa);
-      (* CP boundary releases every claim and refiles taken AAs. *)
-      Write_alloc.cp_finish wa;
-      (* Free everything back through the concurrent per-slot queues. *)
-      Write_alloc.prepare_par wa ~jobs;
-      Array.iteri
-        (fun i pvbn -> Write_alloc.queue_free_par wa ~slot:(i mod jobs) ~pvbn)
-        pv;
-      check_int (label ^ ": no concurrent free lost") (Array.length pv)
-        (Write_alloc.drain_queued_frees wa);
-      ignore (Aggregate.commit_frees (Fs.aggregate fs));
-      check_int (label ^ ": all blocks free again") free0
-        (Aggregate.free_blocks (Fs.aggregate fs));
-      check_bool
-        (label ^ ": free-all restores the pre-fill bitmap")
-        true
-        (Bitmap.equal before (agg_bitmap fs)))
+  let fs = Fs.create (par_config ~alloc_domains:jobs ()) in
+  let wa = Fs.write_alloc fs in
+  let before = agg_bitmap fs in
+  let free0 = Aggregate.free_blocks (Fs.aggregate fs) in
+  let pv = fill_to_capacity wa in
+  let label = Printf.sprintf "jobs=%d" jobs in
+  check_int (label ^ ": same blocks handed out") (Array.length pv_s)
+    (Array.length pv);
+  check_all_distinct label pv;
+  check_int (label ^ ": parallel fill drains the aggregate") 0
+    (Aggregate.free_blocks (Fs.aggregate fs));
+  check_bool
+    (label ^ ": final bitmap identical to serial")
+    true
+    (Bitmap.equal want (agg_bitmap fs));
+  if jobs > 1 then
+    check_int (label ^ ": one shard per domain") jobs
+      (Array.length (Write_alloc.last_par_stats wa));
+  check_int (label ^ ": claim CAS races") 0 (Write_alloc.claim_conflicts wa);
+  (* CP boundary releases every claim and refiles taken AAs. *)
+  Write_alloc.cp_finish wa;
+  (* Free everything back through the concurrent per-slot queues. *)
+  Write_alloc.prepare_par wa ~jobs;
+  Array.iteri
+    (fun i pvbn -> Write_alloc.queue_free_par wa ~slot:(i mod jobs) ~pvbn)
+    pv;
+  check_int (label ^ ": no concurrent free lost") (Array.length pv)
+    (Write_alloc.drain_queued_frees wa);
+  ignore (Aggregate.commit_frees (Fs.aggregate fs));
+  check_int (label ^ ": all blocks free again") free0
+    (Aggregate.free_blocks (Fs.aggregate fs));
+  check_bool
+    (label ^ ": free-all restores the pre-fill bitmap")
+    true
+    (Bitmap.equal before (agg_bitmap fs))
 
 let test_hammer_jobs2 () = hammer 2
 let test_hammer_jobs4 () = hammer 4
@@ -128,7 +128,9 @@ let modeled_fill_units ~jobs =
   let config =
     Config.make ~raid_groups:[ rg; rg ]
       ~vols:[ Config.default_vol ~name:"vol0" ~blocks:4096 ]
-      ~aggregate_policy:Config.Best_aa ~seed:7 ()
+      ~aggregate_policy:Config.Best_aa
+      ~run:{ Config.default_run with Config.alloc_domains = jobs }
+      ~seed:7 ()
   in
   let fill () =
     let fs = Fs.create config in
@@ -152,11 +154,7 @@ let modeled_fill_units ~jobs =
     check_int "fill drains the aggregate" 0 (Aggregate.free_blocks (Fs.aggregate fs));
     !max_shard + (n - !in_windows) + (Write_alloc.aas_taken wa * pick_units)
   in
-  if jobs > 1 then begin
-    Write_alloc.install_alloc_pool ~jobs;
-    Fun.protect ~finally:Write_alloc.uninstall_alloc_pool fill
-  end
-  else fill ()
+  fill ()
 
 (* 4 allocation domains must shorten the modeled critical path at least
    2.5x (the model gives 3.82x). *)
@@ -168,12 +166,13 @@ let test_modeled_speedup () =
     (Printf.sprintf "modeled allocation speedup at 4 domains %.2fx >= 2.5x" speedup)
     true (speedup >= 2.5)
 
-(* jobs=1 through the front-end API must behave exactly like no pool at
-   all (install_alloc_pool ~jobs:1 is a no-op uninstall, and
-   alloc_pool_jobs reports the serial degree 1). *)
+(* One allocation domain means no allocation pool at all: even a batch
+   far above the parallel-window threshold runs no window. *)
 let test_jobs1_is_serial () =
-  Write_alloc.install_alloc_pool ~jobs:1;
-  check_int "jobs=1 leaves no pool" 1 (Write_alloc.alloc_pool_jobs ())
+  let wa = Fs.write_alloc (Fs.create (par_config ~alloc_domains:1 ())) in
+  let dst = Array.make 4096 0 in
+  check_int "a full batch is served" 4096 (Write_alloc.allocate_pvbns_into wa ~dst 4096);
+  check_int "jobs=1 runs no parallel window" 0 (Array.length (Write_alloc.last_par_stats wa))
 
 (* Whole CPs with the pool installed: the op-for-op identical workload
    must allocate exactly as many blocks as the serial system (the
@@ -191,11 +190,9 @@ let test_pooled_cps_conserve () =
     done;
     Aggregate.free_blocks (Fs.aggregate fs)
   in
-  let free_serial = run (Fs.create par_config) in
-  Write_alloc.install_alloc_pool ~jobs:4;
-  Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
-      let free_par = run (Fs.create par_config) in
-      check_int "pooled CPs allocate the same block count" free_serial free_par)
+  let free_serial = run (Fs.create (par_config ())) in
+  let free_par = run (Fs.create (par_config ~alloc_domains:4 ())) in
+  check_int "pooled CPs allocate the same block count" free_serial free_par
 
 (* --- mmap pagestore: remount reproduces persisted state --- *)
 
@@ -212,16 +209,16 @@ let test_mmap_remount () =
   (* First process: create two stores (deterministic ps0/ps1 sequence)
      and persist a bit pattern into each. *)
   Pagestore.with_mmap_dir dir (fun () ->
-      let a = Bitmap.create ~bits:bits_a in
-      let b = Bitmap.create ~bits:bits_b in
+      let a = Bitmap.create ~bits:bits_a () in
+      let b = Bitmap.create ~bits:bits_b () in
       Bitmap.set a 7;
       Bitmap.set a 4090;
       Bitmap.set_range b ~start:100 ~len:33);
   (* Remount: the same creation order maps the same files, so the bits
      come back without any explicit load step. *)
   Pagestore.with_mmap_dir dir (fun () ->
-      let a = Bitmap.create ~bits:bits_a in
-      let b = Bitmap.create ~bits:bits_b in
+      let a = Bitmap.create ~bits:bits_a () in
+      let b = Bitmap.create ~bits:bits_b () in
       check_bool "bit 7 persisted" true (Bitmap.get a 7);
       check_bool "bit 4090 persisted" true (Bitmap.get a 4090);
       check_int "store a population" 2 (Bitmap.count_set a);
@@ -230,7 +227,7 @@ let test_mmap_remount () =
   (* A size change must not inherit stale bytes: recreating store a at a
      different word count zero-fills it. *)
   Pagestore.with_mmap_dir dir (fun () ->
-      let a = Bitmap.create ~bits:(2 * bits_a) in
+      let a = Bitmap.create ~bits:(2 * bits_a) () in
       check_int "resized store is zero-filled" 0 (Bitmap.count_set a))
 
 let test_mmap_explicit_backend_stays_anonymous () =

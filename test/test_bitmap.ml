@@ -8,7 +8,7 @@ let check_bool = Alcotest.(check bool)
 (* --- Bitmap --- *)
 
 let test_bitmap_set_get () =
-  let b = Bitmap.create ~bits:100 in
+  let b = Bitmap.create ~bits:100 () in
   check_bool "initially clear" false (Bitmap.get b 0);
   Bitmap.set b 0;
   Bitmap.set b 99;
@@ -19,14 +19,14 @@ let test_bitmap_set_get () =
   check_bool "cleared" false (Bitmap.get b 0)
 
 let test_bitmap_bounds () =
-  let b = Bitmap.create ~bits:10 in
+  let b = Bitmap.create ~bits:10 () in
   Alcotest.check_raises "get oob" (Invalid_argument "Bitmap: index out of bounds") (fun () ->
       ignore (Bitmap.get b 10));
   Alcotest.check_raises "set negative" (Invalid_argument "Bitmap: index out of bounds") (fun () ->
       Bitmap.set b (-1))
 
 let test_bitmap_range_ops () =
-  let b = Bitmap.create ~bits:1000 in
+  let b = Bitmap.create ~bits:1000 () in
   Bitmap.set_range b ~start:100 ~len:300;
   check_int "count" 300 (Bitmap.count_set b);
   check_bool "edge before" false (Bitmap.get b 99);
@@ -40,7 +40,7 @@ let test_bitmap_range_ops () =
   check_bool "kept" true (Bitmap.get b 250)
 
 let test_bitmap_count_in () =
-  let b = Bitmap.create ~bits:256 in
+  let b = Bitmap.create ~bits:256 () in
   Bitmap.set b 10;
   Bitmap.set b 64;
   Bitmap.set b 65;
@@ -50,7 +50,7 @@ let test_bitmap_count_in () =
   check_int "all" 4 (Bitmap.count_set_in b ~start:0 ~len:256)
 
 let test_bitmap_find () =
-  let b = Bitmap.create ~bits:200 in
+  let b = Bitmap.create ~bits:200 () in
   Bitmap.set_range b ~start:0 ~len:150;
   Alcotest.(check (option int)) "first clear" (Some 150) (Bitmap.find_first_clear b ~from:0);
   Alcotest.(check (option int)) "first clear from 160" (Some 160)
@@ -59,12 +59,12 @@ let test_bitmap_find () =
   Alcotest.(check (option int)) "first set from 100" (Some 100)
     (Bitmap.find_first_set b ~from:100);
   Alcotest.(check (option int)) "set after end" None (Bitmap.find_first_set b ~from:150);
-  let full = Bitmap.create ~bits:64 in
+  let full = Bitmap.create ~bits:64 () in
   Bitmap.set_range full ~start:0 ~len:64;
   Alcotest.(check (option int)) "no clear" None (Bitmap.find_first_clear full ~from:0)
 
 let test_bitmap_free_extents () =
-  let b = Bitmap.create ~bits:100 in
+  let b = Bitmap.create ~bits:100 () in
   Bitmap.set_range b ~start:10 ~len:10;
   Bitmap.set_range b ~start:50 ~len:5;
   let extents = Bitmap.free_extents b ~start:0 ~len:100 in
@@ -91,7 +91,7 @@ let prop_bitmap_count_matches_naive =
   QCheck.Test.make ~name:"count_set_in matches naive count" ~count:100
     QCheck.(pair (list (int_bound 499)) (pair (int_bound 400) (int_bound 99)))
     (fun (sets, (start, len)) ->
-      let b = Bitmap.create ~bits:500 in
+      let b = Bitmap.create ~bits:500 () in
       List.iter (fun i -> Bitmap.set b i) sets;
       let naive = ref 0 in
       for i = start to start + len - 1 do
@@ -103,7 +103,7 @@ let prop_bitmap_free_extents_cover =
   QCheck.Test.make ~name:"free_extents exactly covers clear bits" ~count:100
     QCheck.(list (int_bound 299))
     (fun sets ->
-      let b = Bitmap.create ~bits:300 in
+      let b = Bitmap.create ~bits:300 () in
       List.iter (fun i -> Bitmap.set b i) sets;
       let extents = Bitmap.free_extents b ~start:0 ~len:300 in
       let from_extents = Hashtbl.create 64 in
@@ -126,10 +126,7 @@ let prop_bitmap_free_extents_cover =
    bytes and the off-heap bigarray share the word layout, so the same
    naive per-bit reference must hold on both. *)
 
-let on_backends f =
-  List.for_all
-    (fun backend -> Pagestore.with_default backend f)
-    [ Pagestore.Heap; Pagestore.Bigarray ]
+let on_backends f = List.for_all f [ Pagestore.Heap; Pagestore.Bigarray ]
 
 (* Random bitmap of [bits] bits with a ragged window [start, start+len). *)
 let ragged_window_gen bits =
@@ -139,8 +136,8 @@ let ragged_window_gen bits =
       (int_bound (bits - 1))
       (int_bound (bits - 1)))
 
-let make_bitmap bits sets =
-  let b = Bitmap.create ~bits in
+let make_bitmap ~backend bits sets =
+  let b = Bitmap.create ~backend ~bits () in
   List.iter (fun i -> Bitmap.set b i) sets;
   b
 
@@ -150,9 +147,9 @@ let prop_fold_clear_matches_naive =
   QCheck.Test.make ~name:"fold_clear_in matches naive clear-bit scan" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun () ->
+      on_backends (fun backend ->
           let start, len = clamp_window 500 start len in
-          let b = make_bitmap 500 sets in
+          let b = make_bitmap ~backend 500 sets in
           let naive = ref [] in
           for i = start + len - 1 downto start do
             if not (Bitmap.get b i) then naive := i :: !naive
@@ -166,9 +163,9 @@ let prop_harvest_matches_fold =
   QCheck.Test.make ~name:"harvest_clear_into matches fold_clear_in" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun () ->
+      on_backends (fun backend ->
           let start, len = clamp_window 500 start len in
-          let b = make_bitmap 500 sets in
+          let b = make_bitmap ~backend 500 sets in
           let dst = Array.make 500 (-1) in
           let n = Bitmap.harvest_clear_into b ~start ~len ~offset:1000 ~dst ~pos:0 in
           let harvested = Array.to_list (Array.sub dst 0 n) in
@@ -182,8 +179,8 @@ let prop_find_first_matches_naive =
   QCheck.Test.make ~name:"find_first_clear/set match naive scans" ~count:200
     QCheck.(pair (list (int_bound 299)) (int_bound 299))
     (fun (sets, from) ->
-      on_backends (fun () ->
-          let b = make_bitmap 300 sets in
+      on_backends (fun backend ->
+          let b = make_bitmap ~backend 300 sets in
           let naive target =
             let rec go i =
               if i >= 300 then None else if Bitmap.get b i = target then Some i else go (i + 1)
@@ -197,10 +194,10 @@ let prop_fill_range_matches_naive =
   QCheck.Test.make ~name:"set_range/clear_range match per-bit loops" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun () ->
+      on_backends (fun backend ->
           let start, len = clamp_window 500 start len in
-          let fast = make_bitmap 500 sets in
-          let slow = make_bitmap 500 sets in
+          let fast = make_bitmap ~backend 500 sets in
+          let slow = make_bitmap ~backend 500 sets in
           Bitmap.set_range fast ~start ~len;
           for i = start to start + len - 1 do
             Bitmap.set slow i
@@ -216,9 +213,9 @@ let prop_count_kernels_match_naive =
   QCheck.Test.make ~name:"count_set_in/count_clear_in/free_run_stats match naive" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun () ->
+      on_backends (fun backend ->
           let start, len = clamp_window 500 start len in
-          let b = make_bitmap 500 sets in
+          let b = make_bitmap ~backend 500 sets in
           let set = ref 0 and runs = ref 0 and largest = ref 0 and cur = ref 0 in
           for i = start to start + len - 1 do
             if Bitmap.get b i then begin
@@ -239,8 +236,8 @@ let prop_clear_mask32_matches_naive =
   QCheck.Test.make ~name:"clear_mask32 matches naive 32-bit window" ~count:200
     QCheck.(pair (list (int_bound 299)) (int_bound 299))
     (fun (sets, pos) ->
-      on_backends (fun () ->
-          let b = make_bitmap 300 sets in
+      on_backends (fun backend ->
+          let b = make_bitmap ~backend 300 sets in
           let naive = ref 0 in
           for i = 31 downto 0 do
             naive := !naive lsl 1;
@@ -257,11 +254,10 @@ let prop_backends_bit_identical =
     (fun (sets, start, len) ->
       let start, len = clamp_window 500 start len in
       let build backend =
-        Pagestore.with_default backend (fun () ->
-            let b = make_bitmap 500 sets in
-            Bitmap.set_range b ~start ~len;
-            if len > 2 then Bitmap.clear_range b ~start:(start + 1) ~len:(len - 2);
-            b)
+        let b = make_bitmap ~backend 500 sets in
+        Bitmap.set_range b ~start ~len;
+        if len > 2 then Bitmap.clear_range b ~start:(start + 1) ~len:(len - 2);
+        b
       in
       let h = build Pagestore.Heap and g = build Pagestore.Bigarray in
       Bitmap.backend h = Pagestore.Heap
@@ -272,7 +268,7 @@ let prop_backends_bit_identical =
       && Bitmap.free_extents h ~start:0 ~len:500 = Bitmap.free_extents g ~start:0 ~len:500)
 
 let test_clear_mask32 () =
-  let b = Bitmap.create ~bits:100 in
+  let b = Bitmap.create ~bits:100 () in
   Bitmap.set b 0;
   Bitmap.set b 2;
   Bitmap.set b 33;
@@ -284,7 +280,7 @@ let test_clear_mask32 () =
   check_int "ragged tail" ((1 lsl 10) - 1) (Bitmap.clear_mask32 b 90)
 
 let test_iter_clear_words_window () =
-  let b = Bitmap.create ~bits:200 in
+  let b = Bitmap.create ~bits:200 () in
   Bitmap.set_range b ~start:0 ~len:200;
   Bitmap.clear b 70;
   Bitmap.clear b 130;
@@ -298,9 +294,9 @@ let test_iter_clear_words_window () =
   Alcotest.(check (list int)) "only in-window clear bits" [ 70; 130 ] (List.rev !hits)
 
 let test_bitmap_blit () =
-  let a = Bitmap.create ~bits:128 in
+  let a = Bitmap.create ~bits:128 () in
   Bitmap.set_range a ~start:10 ~len:50;
-  let b = Bitmap.create ~bits:128 in
+  let b = Bitmap.create ~bits:128 () in
   Bitmap.blit ~src:a ~dst:b;
   check_bool "equal after blit" true (Bitmap.equal a b);
   Bitmap.set b 0;

@@ -41,7 +41,7 @@ let free_vvbns_of_aa vol aa =
 (* A small test system: 2 HDD RAID groups (4+1, 8192 blocks/device),
    AA = 512 stripes, one FlexVol. *)
 let small_config ?(aggregate_policy = Config.Best_aa) ?(vol_policy = Config.Best_aa)
-    ?rg_score_threshold ?(vol_blocks = 65536) ?(seed = 7) () =
+    ?rg_score_threshold ?(vol_blocks = 65536) ?run ?(seed = 7) () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -53,7 +53,7 @@ let small_config ?(aggregate_policy = Config.Best_aa) ?(vol_policy = Config.Best
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ { Config.name = "vol0"; blocks = vol_blocks; aa_blocks = None; policy = vol_policy } ]
-    ~aggregate_policy ?rg_score_threshold ~seed ()
+    ~aggregate_policy ?rg_score_threshold ?run ~seed ()
 
 (* --- Aggregate --- *)
 
@@ -304,8 +304,8 @@ let test_harvest_ring_no_double_handout () =
 (* The ring-served consume window: after a warm-up call fills each
    range's harvest ring (one AA = 2048 blocks), the next call allocates
    no minor-heap words, on either in-memory page-store backend. *)
-let check_consume_window_zero_alloc label =
-  let fs = Fs.create (small_config ()) in
+let check_consume_window_zero_alloc ~run label =
+  let fs = Fs.create (small_config ~run ()) in
   let w = Fs.write_alloc fs in
   let dst = Array.make 256 0 in
   let words_of consume =
@@ -329,15 +329,16 @@ let check_consume_window_zero_alloc label =
 let test_walloc_consume_allocates_nothing () =
   List.iter
     (fun backend ->
-      Pagestore.with_default backend (fun () ->
-          check_consume_window_zero_alloc (Pagestore.backend_name backend)))
-    [ Pagestore.Heap; Pagestore.Bigarray ]
+      check_consume_window_zero_alloc
+        ~run:{ Config.default_run with Config.backend }
+        (Config.backend_to_string backend))
+    [ Config.Heap; Config.Bigarray ]
 
-(* An installed scan pool must not put work on the consume window. *)
+(* A scan pool must not put work on the consume window. *)
 let test_walloc_consume_allocates_nothing_under_pool () =
-  Wafl_par.Par.install ~jobs:4;
-  Fun.protect ~finally:Wafl_par.Par.uninstall (fun () ->
-      check_consume_window_zero_alloc "4-domain pool")
+  check_consume_window_zero_alloc
+    ~run:{ Config.default_run with Config.jobs = 4 }
+    "4-domain pool"
 
 (* --- CP integration --- *)
 
@@ -466,8 +467,8 @@ let test_cp_colocation_best_vs_random () =
 
 (* --- Mount / TopAA --- *)
 
-let aged_fs () =
-  let fs = Fs.create (small_config ()) in
+let aged_fs ?run () =
+  let fs = Fs.create (small_config ?run ()) in
   let vol = Fs.vol fs "vol0" in
   let r = Wafl_util.Rng.create ~seed:5 in
   for offset = 0 to 19_999 do
@@ -586,8 +587,8 @@ let test_iron_clean_on_lazy_mount () =
 (* The same workload, CP for CP, leaves byte-identical free-space state
    whether the stores live on the OCaml heap or off-heap. *)
 let test_backends_identical_after_cps () =
-  let fs_h = Pagestore.with_default Pagestore.Heap aged_fs in
-  let fs_b = Pagestore.with_default Pagestore.Bigarray aged_fs in
+  let fs_h = aged_fs () in
+  let fs_b = aged_fs ~run:{ Config.default_run with Config.backend = Config.Bigarray } () in
   check_bool "aggregate bitmap byte-identical" true
     (Bitmap.equal
        (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_h)))
@@ -613,11 +614,15 @@ let test_backends_identical_after_cps () =
    bigarray-backed one (and vice versa) with identical behavior — the
    crash-image restore path of a backend migration. *)
 let test_cross_backend_mount () =
-  let image = Pagestore.with_default Pagestore.Heap (fun () -> Mount.snapshot (aged_fs ())) in
-  let fs_h, _ = Pagestore.with_default Pagestore.Heap (fun () -> Mount.mount image ~with_topaa:true) in
+  let image = Mount.snapshot (aged_fs ()) in
+  let fs_h, _ = Mount.mount image ~with_topaa:true in
   let fs_b, _ =
-    Pagestore.with_default Pagestore.Bigarray (fun () -> Mount.mount image ~with_topaa:true)
+    Mount.mount ~run:{ Config.default_run with Config.backend = Config.Bigarray } image
+      ~with_topaa:true
   in
+  check_bool "the image restored onto bigarray stores" true
+    (Bitmap.backend (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_b)))
+     = Pagestore.Bigarray);
   check_int "same free space"
     (Aggregate.free_blocks (Fs.aggregate fs_h))
     (Aggregate.free_blocks (Fs.aggregate fs_b));
@@ -1287,6 +1292,154 @@ let test_cleaner_reclaims () =
     | None -> Alcotest.fail "lost file block"
   done
 
+(* --- run configuration: one term parses it, one validate checks it --- *)
+
+let silent = Format.make_formatter (fun _ _ _ -> ()) ignore
+let run_cmd term = Cmdliner.Cmd.v (Cmdliner.Cmd.info "waflsim") term
+
+(* [args] through waflsim's own run term. *)
+let parse_run args =
+  match
+    Cmdliner.Cmd.eval_value ~help:silent ~err:silent
+      ~argv:(Array.of_list ("waflsim" :: args))
+      (run_cmd Wafl_cli.Run_flags.term)
+  with
+  | Ok (`Ok r) -> Some r
+  | _ -> None
+
+let run_exit_code args =
+  Cmdliner.Cmd.eval ~help:silent ~err:silent
+    ~argv:(Array.of_list ("waflsim" :: args))
+    (run_cmd Cmdliner.Term.(const ignore $ Wafl_cli.Run_flags.term))
+
+(* POSIX words of a line as [Config.run_to_string] quotes them: bare
+   words and single-quoted runs. *)
+let shell_words line =
+  let words = ref [] and cur = Buffer.create 16 and live = ref false in
+  let flush () =
+    if !live then words := Buffer.contents cur :: !words;
+    Buffer.clear cur;
+    live := false
+  in
+  let n = String.length line in
+  let i = ref 0 in
+  while !i < n do
+    (match line.[!i] with
+    | ' ' -> flush ()
+    | '\'' ->
+      live := true;
+      incr i;
+      while line.[!i] <> '\'' do
+        Buffer.add_char cur line.[!i];
+        incr i
+      done
+    | '\\' ->
+      live := true;
+      incr i;
+      Buffer.add_char cur line.[!i]
+    | c ->
+      live := true;
+      Buffer.add_char cur c);
+    incr i
+  done;
+  flush ();
+  List.rev !words
+
+(* mmap paths with spaces and quotes; parsing one creates it *)
+let mmap_root = Filename.concat (Filename.get_temp_dir_name ()) "wafl run flags"
+
+let gen_fault_spec =
+  let open QCheck.Gen in
+  let prob = map (fun k -> float_of_int k /. 1000.0) (int_bound 1000) in
+  let us = map float_of_int (int_bound 100_000) in
+  let small = int_bound 64 in
+  let+ seed = int_bound 1_000_000
+  and+ transient_p = prob
+  and+ transient_burst_max = int_range 1 8
+  and+ torn_p = prob
+  and+ spike_p = prob
+  and+ spike_us = us
+  and+ retry_budget = int_bound 8
+  and+ retry_backoff_us = us
+  and+ bad_ranges = list_size (int_bound 2) (triple small (int_bound 8192) (int_range 1 512))
+  and+ offline_after = list_size (int_bound 2) (pair small (int_bound 10_000))
+  and+ degraded_after = list_size (int_bound 2) (pair small (int_bound 10_000))
+  and+ rot_pages = list_size (int_bound 2) (triple small small (int_range 1 9))
+  and+ lost_pages = list_size (int_bound 2) (triple small small (int_range 1 9)) in
+  { Wafl_fault.Fault.seed; transient_p; transient_burst_max; torn_p; spike_p; spike_us;
+    retry_budget; retry_backoff_us; bad_ranges; offline_after; degraded_after; rot_pages;
+    lost_pages }
+
+let gen_backend =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(oneofl [ 'a'; 'b'; '7'; ' '; '\''; '-'; '_' ]) (int_range 1 8) in
+  oneof
+    [ return Config.Heap; return Config.Bigarray;
+      map (fun n -> Config.Mmap (Filename.concat mmap_root ("d " ^ n))) name ]
+
+let gen_valid_run =
+  let open QCheck.Gen in
+  let+ backend = gen_backend
+  and+ jobs = int_range 1 64
+  and+ alloc_domains = int_range 1 64
+  and+ rate = int_bound 5000
+  and+ faults = opt gen_fault_spec
+  and+ temp_classes = int_range 1 4
+  and+ ssd_streams = int_range 1 8
+  and+ wear_bias = int_bound 255 in
+  let scrub_rate = match backend with Config.Mmap _ -> rate | _ -> 0 in
+  { Config.backend; jobs; alloc_domains; scrub_rate; faults;
+    streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
+
+let gen_any_run =
+  let open QCheck.Gen in
+  let any = int_range (-1000) 1000 in
+  let+ backend = oneof [ gen_backend; return (Config.Mmap "") ]
+  and+ jobs = any
+  and+ alloc_domains = any
+  and+ scrub_rate = any
+  and+ temp_classes = any
+  and+ ssd_streams = any
+  and+ wear_bias = any in
+  { Config.backend; jobs; alloc_domains; scrub_rate; faults = None;
+    streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
+
+let print_run r = Config.run_to_string r
+
+let prop_run_line_round_trips =
+  QCheck.Test.make ~name:"the printed run line parses back to the run" ~count:200
+    (QCheck.make ~print:print_run gen_valid_run)
+    (fun r -> parse_run (shell_words (Config.run_to_string r)) = Some r)
+
+let prop_validate_never_raises =
+  QCheck.Test.make ~name:"validate returns, never raises" ~count:500
+    (QCheck.make ~print:print_run gen_any_run)
+    (fun r ->
+      match Config.validate r with
+      | Ok r' -> r' = r
+      | Error e -> String.length (Config.run_error_to_string e) > 0
+      | exception _ -> false)
+
+(* Every bad run setting fails the command line with cmdliner's CLI-error
+   code, before anything runs. *)
+let test_bad_run_settings_exit_124 () =
+  List.iter
+    (fun args -> check_int (String.concat " " args) 124 (run_exit_code args))
+    [ [ "--jobs"; "0" ]; [ "--alloc-domains"; "0" ]; [ "--fault-spec"; "bogus" ];
+      [ "--temp-classes"; "9" ]; [ "--streams"; "0" ]; [ "--backend"; "nope" ];
+      [ "--scrub-rate=-1" ]; [ "--scrub-rate"; "8" ]; [ "--wear-bias"; "256" ];
+      [ "--backend"; "mmap:" ] ];
+  check_int "defaults are a valid run" 0 (run_exit_code []);
+  check_bool "defaults parse to the default run" true (parse_run [] = Some Config.default_run)
+
+let test_config_make_validates () =
+  check_bool "Config.make applies validate" true
+    (match
+       Config.make ~run:{ Config.default_run with Config.scrub_rate = 8 } ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "wafl_core"
     [
@@ -1398,6 +1551,13 @@ let () =
         [
           Alcotest.test_case "flash pool" `Quick test_flash_pool_mixed_media;
           Alcotest.test_case "fabric pool object range" `Quick test_fabric_pool_object_range;
+        ] );
+      ( "run config",
+        [
+          QCheck_alcotest.to_alcotest prop_run_line_round_trips;
+          QCheck_alcotest.to_alcotest prop_validate_never_raises;
+          Alcotest.test_case "bad settings exit 124" `Quick test_bad_run_settings_exit_124;
+          Alcotest.test_case "make validates" `Quick test_config_make_validates;
         ] );
       ( "policy",
         [

@@ -192,7 +192,7 @@ let test_transient_retries_survive () =
 
 (* --- the write path under an installed fault plane --- *)
 
-let small_config ?(seed = 7) () =
+let small_config ?faults ?(seed = 7) () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -204,11 +204,8 @@ let small_config ?(seed = 7) () =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+    ~run:{ Config.default_run with Config.faults }
     ~seed ()
-
-let with_default_spec spec f =
-  Fault.install_default spec;
-  Fun.protect ~finally:Fault.uninstall_default f
 
 let counter tel name =
   match Registry.find (Telemetry.registry tel) name with
@@ -220,21 +217,20 @@ let test_cp_under_transients () =
      allocation never fails and the CP report carries the fault stats *)
   let tel = Telemetry.create () in
   Telemetry.with_installed tel (fun () ->
-      with_default_spec Fault.default_spec (fun () ->
-          let fs = Fs.create (small_config ()) in
-          let vol = Fs.vol fs "vol0" in
-          for offset = 0 to 4999 do
-            Fs.stage_write fs ~vol ~file:1 ~offset
-          done;
-          let report = Fs.run_cp fs in
-          check_int "all ops placed" 5000 report.Cp.blocks_allocated;
-          match report.Cp.fault_totals with
-          | None -> Alcotest.fail "no fault totals on a faulted system"
-          | Some fs_totals ->
-            check_bool "transients injected" true (fs_totals.Fault.injected_transient > 0);
-            check_int "all bursts survived" fs_totals.Fault.injected_transient
-              fs_totals.Fault.retries_ok;
-            check_int "no write failed" 0 fs_totals.Fault.failed));
+      let fs = Fs.create (small_config ~faults:Fault.default_spec ()) in
+      let vol = Fs.vol fs "vol0" in
+      for offset = 0 to 4999 do
+        Fs.stage_write fs ~vol ~file:1 ~offset
+      done;
+      let report = Fs.run_cp fs in
+      check_int "all ops placed" 5000 report.Cp.blocks_allocated;
+      match report.Cp.fault_totals with
+      | None -> Alcotest.fail "no fault totals on a faulted system"
+      | Some fs_totals ->
+        check_bool "transients injected" true (fs_totals.Fault.injected_transient > 0);
+        check_int "all bursts survived" fs_totals.Fault.injected_transient
+          fs_totals.Fault.retries_ok;
+        check_int "no write failed" 0 fs_totals.Fault.failed);
   check_bool "retries_ok counter" true (counter tel "fault.retries_ok" > 0);
   check_int "no failures counted" 0 (counter tel "fault.write_failures")
 
@@ -251,24 +247,23 @@ let test_bad_range_quarantines_aas () =
   in
   let tel = Telemetry.create () in
   Telemetry.with_installed tel (fun () ->
-      with_default_spec spec (fun () ->
-          let fs = Fs.create (small_config ()) in
-          let vol = Fs.vol fs "vol0" in
-          for offset = 0 to 4999 do
-            Fs.stage_write fs ~vol ~file:1 ~offset
-          done;
-          let report = Fs.run_cp fs in
-          check_int "all ops placed despite the bad device" 5000 report.Cp.blocks_allocated;
-          (* everything landed outside the faulty range *)
-          let ranges = Aggregate.ranges (Fs.aggregate fs) in
-          let r1_base = ranges.(1).Aggregate.base in
-          for offset = 0 to 4999 do
-            match Flexvol.read_file vol ~file:1 ~offset with
-            | None -> Alcotest.fail "op lost"
-            | Some vvbn ->
-              let pvbn = Option.get (Flexvol.pvbn_of_vvbn vol vvbn) in
-              check_bool "placed in the healthy range" true (pvbn >= r1_base)
-          done));
+      let fs = Fs.create (small_config ~faults:spec ()) in
+      let vol = Fs.vol fs "vol0" in
+      for offset = 0 to 4999 do
+        Fs.stage_write fs ~vol ~file:1 ~offset
+      done;
+      let report = Fs.run_cp fs in
+      check_int "all ops placed despite the bad device" 5000 report.Cp.blocks_allocated;
+      (* everything landed outside the faulty range *)
+      let ranges = Aggregate.ranges (Fs.aggregate fs) in
+      let r1_base = ranges.(1).Aggregate.base in
+      for offset = 0 to 4999 do
+        match Flexvol.read_file vol ~file:1 ~offset with
+        | None -> Alcotest.fail "op lost"
+        | Some vvbn ->
+          let pvbn = Option.get (Flexvol.pvbn_of_vvbn vol vvbn) in
+          check_bool "placed in the healthy range" true (pvbn >= r1_base)
+      done);
   check_bool "AAs quarantined" true (counter tel "fault.aa_quarantined" > 0)
 
 let test_torn_ftl_pages () =

@@ -21,7 +21,7 @@ let fresh_dir name =
 (* Small enough that the whole aggregate activemap is one integrity page
    (2 rg x 4 data x 1024 blocks = 8192 bits < 32768), so every CP dirties
    page 0 and that page straddles both physical ranges. *)
-let config ~seed =
+let config ?faults ?(scrub_rate = 0) ?dir ~seed () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -33,6 +33,11 @@ let config ~seed =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:4096 ]
+    ~run:
+      { Config.default_run with
+        Config.faults;
+        scrub_rate;
+        backend = (match dir with Some d -> Config.Mmap d | None -> Config.Heap) }
     ~seed ()
 
 let stage_and_cp fs ~seed ~ops =
@@ -87,13 +92,13 @@ let test_torn_remount () =
   let dir = fresh_dir "wafl_test_integrity_torn" in
   let path = ref "" in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:7) in
+      let fs = Fs.create (config ~seed:7 ()) in
       stage_and_cp fs ~seed:1 ~ops:200;
       stage_and_cp fs ~seed:2 ~ops:200;
       path := agg_map_path fs);
   flip_byte !path ~pos:5;
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:7) in
+      let fs = Fs.create (config ~seed:7 ()) in
       let r = Mount.verify_pagestores fs in
       check_bool "torn page detected" true (r.Mount.torn_pages >= 1);
       check_int "nothing classified stale" 0 r.Mount.stale_pages;
@@ -110,7 +115,7 @@ let test_stale_remount () =
   let path = ref "" in
   let gen1_page = ref "" in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:11) in
+      let fs = Fs.create (config ~seed:11 ()) in
       stage_and_cp fs ~seed:1 ~ops:200;
       path := agg_map_path fs;
       (* the mapping is shared, so the committed bytes are visible to a
@@ -121,7 +126,7 @@ let test_stale_remount () =
   check_bool "second CP changed the page" true (!gen1_page <> read_all !path);
   write_bytes !path ~pos:0 !gen1_page;
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:11) in
+      let fs = Fs.create (config ~seed:11 ()) in
       let r = Mount.verify_pagestores fs in
       check_bool "stale page detected" true (r.Mount.stale_pages >= 1);
       check_int "nothing classified torn" 0 r.Mount.torn_pages;
@@ -134,12 +139,12 @@ let test_store_missing () =
   let dir = fresh_dir "wafl_test_integrity_nostore" in
   let path = ref "" in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:3) in
+      let fs = Fs.create (config ~seed:3 ()) in
       stage_and_cp fs ~seed:1 ~ops:200;
       path := agg_map_path fs);
   Sys.remove !path;
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:3) in
+      let fs = Fs.create (config ~seed:3 ()) in
       let r = Mount.verify_pagestores fs in
       (* the recreated store is zero-filled; the sidecar vouches for the
          committed bits, so the wipe must be flagged *)
@@ -153,13 +158,13 @@ let test_sidecar_missing () =
   let dir = fresh_dir "wafl_test_integrity_nosidecar" in
   let seq = ref (-1) in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:5) in
+      let fs = Fs.create (config ~seed:5 ()) in
       stage_and_cp fs ~seed:1 ~ops:200;
       let store = Metafile.store (Aggregate.metafile (Fs.aggregate fs)) in
       seq := fst (Option.get (Pagestore.mapped_path store)));
   Sys.remove (Filename.concat dir (Printf.sprintf "ps%d.crc" !seq));
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:5) in
+      let fs = Fs.create (config ~seed:5 ()) in
       let r = Mount.verify_pagestores fs in
       check_bool "store without sidecar reported unverified" true
         (r.Mount.unverified_stores >= 1);
@@ -171,19 +176,19 @@ let test_sidecar_missing () =
 let test_generation_stable () =
   let dir = fresh_dir "wafl_test_integrity_gen" in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:9) in
+      let fs = Fs.create (config ~seed:9 ()) in
       stage_and_cp fs ~seed:1 ~ops:200;
       stage_and_cp fs ~seed:2 ~ops:200);
   let g = ref (-1) in
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:9) in
+      let fs = Fs.create (config ~seed:9 ()) in
       let r = Mount.verify_pagestores fs in
       check_int "first write-free remount sees no damage" 0
         (r.Mount.torn_pages + r.Mount.stale_pages);
       g := Integrity.committed_generation ());
   check_bool "two CPs committed two generations" true (!g >= 2);
   Pagestore.with_mmap_dir dir (fun () ->
-      let fs = Fs.create (config ~seed:9) in
+      let fs = Fs.create (config ~seed:9 ()) in
       let r = Mount.verify_pagestores fs in
       check_int "second write-free remount sees no damage" 0
         (r.Mount.torn_pages + r.Mount.stale_pages);
@@ -221,27 +226,62 @@ let test_scrub_heals () =
     | Ok s -> s
     | Error msg -> Alcotest.fail msg
   in
-  Wafl_fault.Fault.install_default spec;
-  Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
+  Pagestore.with_mmap_dir dir (fun () ->
+      let fs = Fs.create (config ~faults:spec ~seed:13 ()) in
+      (* first CP commits generation 1: the rot arm fires right after
+         the sidecar persist, corrupting the committed activemap *)
+      stage_and_cp fs ~seed:1 ~ops:200;
+      let stats = Scrub.pass fs ~budget:4096 in
+      check_bool "scrub found the rotted page" true (stats.Scrub.bad_pages >= 1);
+      check_int "scrub healed what it found" stats.Scrub.bad_pages
+        stats.Scrub.healed;
+      check_int "iron clean after scrub heal" 0 (List.length (Iron.check fs));
+      let stats' = Scrub.pass fs ~budget:4096 in
+      check_int "second sweep finds nothing" 0 stats'.Scrub.bad_pages)
+
+(* The aggregate arms its run's injections after its own stores are
+   tracked; a lost write at the very first generation must still have
+   the pre-CP image to revert to. *)
+let test_lost_write_first_generation () =
+  let dir = fresh_dir "wafl_test_integrity_lost1" in
+  let spec =
+    match Wafl_fault.Fault.spec_of_string "lost=0:0@1" with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Pagestore.with_mmap_dir dir (fun () ->
+      let fs = Fs.create (config ~faults:spec ~dir ~seed:17 ()) in
+      stage_and_cp fs ~seed:2 ~ops:200;
+      let store = Metafile.store (Aggregate.metafile (Fs.aggregate fs)) in
+      check_bool "generation-1 lost write classifies stale" true
+        (Integrity.verify_page store 0 = Some Integrity.Stale))
+
+(* The scrubber keeps its round-robin position on the system it scrubs,
+   so a scrubbed system that is dropped is collected like any other. *)
+let test_scrubbed_systems_collected () =
+  let dir = fresh_dir "wafl_test_integrity_collect" in
+  let collected = ref 0 in
+  let tel = Wafl_telemetry.Telemetry.create () in
+  Wafl_telemetry.Telemetry.with_installed tel (fun () ->
       Pagestore.with_mmap_dir dir (fun () ->
-          let fs = Fs.create (config ~seed:13) in
-          (* first CP commits generation 1: the rot arm fires right after
-             the sidecar persist, corrupting the committed activemap *)
-          stage_and_cp fs ~seed:1 ~ops:200;
-          let stats = Scrub.pass fs ~budget:4096 in
-          check_bool "scrub found the rotted page" true (stats.Scrub.bad_pages >= 1);
-          check_int "scrub healed what it found" stats.Scrub.bad_pages
-            stats.Scrub.healed;
-          check_int "iron clean after scrub heal" 0 (List.length (Iron.check fs));
-          let stats' = Scrub.pass fs ~budget:4096 in
-          check_int "second sweep finds nothing" 0 stats'.Scrub.bad_pages))
+          for seed = 1 to 20 do
+            let fs = Fs.create (config ~scrub_rate:64 ~dir ~seed ()) in
+            Gc.finalise (fun _ -> incr collected) fs;
+            stage_and_cp fs ~seed ~ops:50
+          done));
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "every system was scrubbed after its CP" true
+    (match
+       Wafl_telemetry.Registry.find (Wafl_telemetry.Telemetry.registry tel) "scrub.passes"
+     with
+    | Some (Wafl_telemetry.Registry.Counter c) -> Wafl_telemetry.Registry.count c = 20
+    | _ -> false);
+  check_int "every dropped scrubbed system is collected" 20 !collected
 
 (* --- the heal closure, end to end on a 64k-block aggregate ----------- *)
 
-let in_mmap_dir dir f =
-  Pagestore.with_default Pagestore.Bigarray (fun () -> Pagestore.with_mmap_dir dir f)
-
-let closure_config ~seed =
+let closure_config ?faults ~dir ~seed () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -253,6 +293,7 @@ let closure_config ~seed =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+    ~run:{ Config.default_run with Config.backend = Config.Mmap dir; faults }
     ~seed ()
 
 (* Inject one fault at its exact generation; the damaged page must
@@ -266,32 +307,30 @@ let check_heal_closure ~name ~spec ~cps_to_fire ~expect =
     | Ok s -> s
     | Error msg -> Alcotest.fail msg
   in
-  Wafl_fault.Fault.install_default spec;
-  Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
-      in_mmap_dir dir (fun () ->
-          let fs = Fs.create (closure_config ~seed:11) in
-          let rng = Wafl_util.Rng.create ~seed:13 in
-          let vol = (Fs.vols fs).(0) in
-          let cp () =
-            for _ = 1 to 400 do
-              Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
-                ~offset:(Wafl_util.Rng.int rng 2048)
-            done;
-            ignore (Fs.run_cp fs)
-          in
-          for _ = 1 to cps_to_fire do
-            cp ()
-          done;
-          let store = Metafile.store (Aggregate.metafile (Fs.aggregate fs)) in
-          check_bool (name ^ ": damaged page classified") true
-            (Integrity.verify_page store 0 = Some expect);
-          let stats = Scrub.pass fs ~budget:8192 in
-          check_int (name ^ ": scrub finds one bad page") 1 stats.Scrub.bad_pages;
-          check_int (name ^ ": scrub heals it") 1 stats.Scrub.healed;
-          check_int (name ^ ": iron clean after heal") 0 (List.length (Iron.check fs));
-          cp ()));
-  in_mmap_dir dir (fun () ->
-      let r = Mount.verify_pagestores (Fs.create (closure_config ~seed:11)) in
+  Pagestore.with_mmap_dir dir (fun () ->
+      let fs = Fs.create (closure_config ~faults:spec ~dir ~seed:11 ()) in
+      let rng = Wafl_util.Rng.create ~seed:13 in
+      let vol = (Fs.vols fs).(0) in
+      let cp () =
+        for _ = 1 to 400 do
+          Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
+            ~offset:(Wafl_util.Rng.int rng 2048)
+        done;
+        ignore (Fs.run_cp fs)
+      in
+      for _ = 1 to cps_to_fire do
+        cp ()
+      done;
+      let store = Metafile.store (Aggregate.metafile (Fs.aggregate fs)) in
+      check_bool (name ^ ": damaged page classified") true
+        (Integrity.verify_page store 0 = Some expect);
+      let stats = Scrub.pass fs ~budget:8192 in
+      check_int (name ^ ": scrub finds one bad page") 1 stats.Scrub.bad_pages;
+      check_int (name ^ ": scrub heals it") 1 stats.Scrub.healed;
+      check_int (name ^ ": iron clean after heal") 0 (List.length (Iron.check fs));
+      cp ());
+  Pagestore.with_mmap_dir dir (fun () ->
+      let r = Mount.verify_pagestores (Fs.create (closure_config ~dir ~seed:11 ())) in
       check_int (name ^ ": fresh remount finds no damage") 0
         (r.Mount.torn_pages + r.Mount.stale_pages))
 
@@ -303,11 +342,13 @@ let test_heal_closure () =
    allocation window on file-mapped stores allocates no minor words. *)
 let test_sealed_consume_zero_alloc () =
   let dir = fresh_dir "wafl_test_integrity_consume" in
-  in_mmap_dir dir (fun () ->
+  Pagestore.with_mmap_dir dir (fun () ->
       let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
       let agg =
         Aggregate.create
-          (Config.make ~raid_groups:[ rg ] ~aggregate_policy:Config.Best_aa ~seed:7 ())
+          (Config.make ~raid_groups:[ rg ] ~aggregate_policy:Config.Best_aa
+             ~run:{ Config.default_run with Config.backend = Config.Mmap dir }
+             ~seed:7 ())
       in
       let w = Write_alloc.create agg ~rng:(Wafl_util.Rng.create ~seed:7) in
       let dst = Array.make 256 0 in
@@ -333,11 +374,16 @@ let () =
             test_generation_stable;
         ] );
       ( "fault grammar",
-        [ Alcotest.test_case "rot/lost round trip" `Quick test_fault_grammar ] );
+        [
+          Alcotest.test_case "rot/lost round trip" `Quick test_fault_grammar;
+          Alcotest.test_case "lost write at generation 1" `Quick
+            test_lost_write_first_generation;
+        ] );
       ( "scrubber",
         [
           Alcotest.test_case "rot healed between CPs" `Quick test_scrub_heals;
           Alcotest.test_case "rot/lost heal closure" `Quick test_heal_closure;
           Alcotest.test_case "consume window zero-alloc" `Quick test_sealed_consume_zero_alloc;
+          Alcotest.test_case "dropped systems collected" `Quick test_scrubbed_systems_collected;
         ] );
     ]

@@ -388,7 +388,7 @@ let lat_model = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default
 
 (* [cps] CPs of [ops] sequential writes on a fresh quick-scale HDD
    aggregate with [tel] installed; returns the per-CP reports. *)
-let sequential_run ~tel ~cps ~ops =
+let sequential_run ?faults ~tel ~cps ~ops () =
   let open Wafl_core in
   let rg = Wafl_experiments.Common.hdd_raid_group Wafl_experiments.Common.Quick in
   let config =
@@ -402,7 +402,9 @@ let sequential_run ~tel ~cps ~ops =
             policy = Config.Best_aa;
           };
         ]
-      ~aggregate_policy:Config.Best_aa ~seed:7 ()
+      ~aggregate_policy:Config.Best_aa
+      ~run:{ Config.default_run with Config.faults }
+      ~seed:7 ()
   in
   let fs = Fs.create config in
   let workload = Wafl_workload.Sequential.create fs (Fs.vol fs "seq") () in
@@ -423,16 +425,15 @@ let test_spike_blamed_end_to_end () =
     | Ok o -> o
     | Error e -> Alcotest.fail e
   in
-  Wafl_fault.Fault.install_default spec;
-  Fun.protect ~finally:Wafl_fault.Fault.uninstall_default (fun () ->
-      let lat = Latency.create ~model:lat_model ~slo:(Slo.create [ objective ]) () in
-      ignore (sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:30 ~ops:500);
-      let exs = Latency.exemplars lat in
-      check_bool "tail exemplars captured" true (exs <> []);
-      check_bool "an exemplar blames device_flush" true
-        (List.exists (fun e -> e.Latency.ex_phase = Span.Device_flush) exs);
-      check_bool "5ms/0.999 objective breached" true
-        (List.exists (fun r -> r.Slo.r_breach) (Latency.last_slo_reports lat)))
+  let lat = Latency.create ~model:lat_model ~slo:(Slo.create [ objective ]) () in
+  ignore
+    (sequential_run ~faults:spec ~tel:(Telemetry.create ~latency:lat ()) ~cps:30 ~ops:500 ());
+  let exs = Latency.exemplars lat in
+  check_bool "tail exemplars captured" true (exs <> []);
+  check_bool "an exemplar blames device_flush" true
+    (List.exists (fun e -> e.Latency.ex_phase = Span.Device_flush) exs);
+  check_bool "5ms/0.999 objective breached" true
+    (List.exists (fun r -> r.Slo.r_breach) (Latency.last_slo_reports lat))
 
 (* Sweep the closed-loop batch size: the modeled p50 must rise
    monotonically with offered work, the largest batch's throughput must
@@ -443,7 +444,7 @@ let test_spike_blamed_end_to_end () =
 let test_curve_shape () =
   let measure ops =
     let lat = Latency.create ~model:lat_model () in
-    let reports = sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:12 ~ops in
+    let reports = sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:12 ~ops () in
     let costs =
       Wafl_sim.Cost_model.combine (List.map Wafl_sim.Cost_model.of_report reports)
     in

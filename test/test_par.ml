@@ -87,12 +87,16 @@ let test_chunk_bounds_properties () =
         [ 1; 8; 32; 256 ])
     [ 0; 1; 5; 31; 32; 33; 1000; 4096 ]
 
-let test_install_resolve () =
-  Par.install ~jobs:3;
-  Fun.protect ~finally:Par.uninstall (fun () ->
-      check_bool "resolve None finds installed" true (Par.resolve None <> None);
-      check_int "effective jobs" 3 (Par.effective_jobs None));
-  check_bool "uninstalled" true (Par.installed () = None);
+(* Pools are cached process resources: one per (kind, size), none for a
+   single domain, and scan pools never double as allocation pools. *)
+let test_shared_pools () =
+  check_bool "one domain needs no pool" true (Par.shared Par.Scan ~jobs:1 = None);
+  let scan = Par.shared Par.Scan ~jobs:3 in
+  check_bool "same size, same pool" true
+    (match (scan, Par.shared Par.Scan ~jobs:3) with Some a, Some b -> a == b | _ -> false);
+  check_bool "allocation pool kept apart" true
+    (match (scan, Par.shared Par.Alloc ~jobs:3) with Some a, Some b -> a != b | _ -> false);
+  check_int "effective jobs" 3 (Par.effective_jobs scan);
   check_int "effective jobs without pool" 1 (Par.effective_jobs None)
 
 (* --- domain-safe telemetry: no lost increments under a multi-domain
@@ -127,7 +131,7 @@ let test_telemetry_hammer () =
 
 (* --- determinism: parallel scans vs serial, bit for bit --- *)
 
-let aged_config =
+let aged_config ?run () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -139,12 +143,14 @@ let aged_config =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-    ~aggregate_policy:Config.Best_aa ~seed:11 ()
+    ~aggregate_policy:Config.Best_aa ?run ~seed:11 ()
+
+let jobs_run jobs = { Config.default_run with Config.jobs }
 
 (* Overwrite pressure leaves nonuniform free space behind, so the scans
    under test have real structure to reproduce. *)
-let aged_fs () =
-  let fs = Fs.create aged_config in
+let aged_fs ?run () =
+  let fs = Fs.create (aged_config ?run ()) in
   let vol = (Fs.vols fs).(0) in
   for cp = 0 to 2 do
     for i = 0 to 1023 do
@@ -199,27 +205,25 @@ let test_mount_full_scan_determinism () =
   let want = cache_state fs_serial in
   List.iter
     (fun jobs ->
-      Par.with_pool ~jobs (fun p ->
-          let fs_par, timing_par = Mount.mount ~pool:p image ~with_topaa:false in
-          check_bool
-            (Printf.sprintf "jobs=%d cache state identical" jobs)
-            true
-            (cache_state fs_par = want);
-          check_bitmaps_equal (Printf.sprintf "jobs=%d" jobs) fs_par fs_serial;
-          check_int
-            (Printf.sprintf "jobs=%d same pages scanned" jobs)
-            timing_serial.Mount.metafile_pages_scanned
-            timing_par.Mount.metafile_pages_scanned;
-          check_bool
-            (Printf.sprintf "jobs=%d modeled ready_us shrinks" jobs)
-            true
-            (timing_par.Mount.ready_us < timing_serial.Mount.ready_us)))
+      let fs_par, timing_par = Mount.mount ~run:(jobs_run jobs) image ~with_topaa:false in
+      check_bool
+        (Printf.sprintf "jobs=%d cache state identical" jobs)
+        true
+        (cache_state fs_par = want);
+      check_bitmaps_equal (Printf.sprintf "jobs=%d" jobs) fs_par fs_serial;
+      check_int
+        (Printf.sprintf "jobs=%d same pages scanned" jobs)
+        timing_serial.Mount.metafile_pages_scanned
+        timing_par.Mount.metafile_pages_scanned;
+      check_bool
+        (Printf.sprintf "jobs=%d modeled ready_us shrinks" jobs)
+        true
+        (timing_par.Mount.ready_us < timing_serial.Mount.ready_us))
     [ 2; 3; 8 ];
-  (* jobs=1 through a pool must model exactly the serial mount *)
-  Par.with_pool ~jobs:1 (fun p ->
-      let _, timing1 = Mount.mount ~pool:p image ~with_topaa:false in
-      Alcotest.(check (float 0.0))
-        "jobs=1 ready_us equals serial" timing_serial.Mount.ready_us timing1.Mount.ready_us)
+  (* an explicit jobs=1 run must model exactly the serial mount *)
+  let _, timing1 = Mount.mount ~run:(jobs_run 1) image ~with_topaa:false in
+  Alcotest.(check (float 0.0))
+    "jobs=1 ready_us equals serial" timing_serial.Mount.ready_us timing1.Mount.ready_us
 
 let test_rebuild_caches_determinism () =
   let fs = aged_fs () in
@@ -227,18 +231,18 @@ let test_rebuild_caches_determinism () =
   let want = cache_state fs in
   List.iter
     (fun jobs ->
-      Par.with_pool ~jobs (fun p ->
-          Rebuild.request ~pool:p ~vols:(Fs.vols fs) (Fs.aggregate fs) Rebuild.Full;
-          check_bool
-            (Printf.sprintf "jobs=%d rebuild identical" jobs)
-            true
-            (cache_state fs = want)))
+      let fs = aged_fs ~run:(jobs_run jobs) () in
+      Rebuild.request ~vols:(Fs.vols fs) (Fs.aggregate fs) Rebuild.Full;
+      check_bool
+        (Printf.sprintf "jobs=%d rebuild identical" jobs)
+        true
+        (cache_state fs = want))
     [ 2; 5 ]
 
-let test_iron_determinism () =
-  let fs = aged_fs () in
-  (* inject score drift in a range and a volume so the scans have
-     findings to order *)
+(* Score drift injected in a range and a volume so the scans have
+   findings to order. *)
+let drifted_fs ?run () =
+  let fs = aged_fs ?run () in
   let r = (Aggregate.ranges (Fs.aggregate fs)).(1) in
   r.Aggregate.scores.(3) <- r.Aggregate.scores.(3) + 1;
   r.Aggregate.scores.(Array.length r.Aggregate.scores - 1) <-
@@ -246,15 +250,17 @@ let test_iron_determinism () =
   let vol = (Fs.vols fs).(0) in
   let vol_scores = Flexvol.scores vol in
   vol_scores.(Array.length vol_scores - 1) <- vol_scores.(Array.length vol_scores - 1) + 1;
-  let serial = Iron.check fs in
+  fs
+
+let test_iron_determinism () =
+  let serial = Iron.check (drifted_fs ()) in
   check_bool "drift detected" true (List.length serial >= 3);
   List.iter
     (fun jobs ->
-      Par.with_pool ~jobs (fun p ->
-          check_bool
-            (Printf.sprintf "jobs=%d findings identical (content and order)" jobs)
-            true
-            (Iron.check ~pool:p fs = serial)))
+      check_bool
+        (Printf.sprintf "jobs=%d findings identical (content and order)" jobs)
+        true
+        (Iron.check (drifted_fs ~run:(jobs_run jobs) ()) = serial))
     [ 2; 4 ]
 
 let test_activemap_parallel_commit () =
@@ -285,7 +291,7 @@ let test_activemap_parallel_commit () =
       check_int "pending drained" 0 (Activemap.pending_free_count par_am))
 
 let test_sharded_harvest_identical () =
-  let agg = Aggregate.create aged_config in
+  let agg = Aggregate.create (aged_config ()) in
   (* scatter allocations so the free pattern is nonuniform *)
   for pvbn = 0 to Aggregate.total_blocks agg - 1 do
     if pvbn mod 3 = 0 || pvbn mod 7 = 0 then Aggregate.allocate agg ~pvbn
@@ -315,75 +321,130 @@ let test_sharded_harvest_identical () =
         [ 0; 1; 5 ])
 
 let test_parallel_cp_identical () =
-  let final_cp fs pool =
+  let final_cp fs =
     let vol = (Fs.vols fs).(0) in
     for i = 0 to 1023 do
       (* overwrites: generates > par_min_frees queued frees *)
       Fs.stage_write fs ~vol ~file:0 ~offset:i
     done;
-    Fs.run_cp ?pool fs
+    Fs.run_cp fs
   in
   let fs_serial = aged_fs () in
-  let serial_report = final_cp fs_serial None in
+  let serial_report = final_cp fs_serial in
   let want = cache_state fs_serial in
-  Par.with_pool ~jobs:4 (fun p ->
-      let fs_par = aged_fs () in
-      let par_report = final_cp fs_par (Some p) in
-      check_bool "reports identical" true (par_report = serial_report);
-      check_bool "cache state identical" true (cache_state fs_par = want);
-      check_bitmaps_equal "parallel CP" fs_par fs_serial)
+  let fs_par = aged_fs ~run:(jobs_run 4) () in
+  let par_report = final_cp fs_par in
+  check_bool "reports identical" true (par_report = serial_report);
+  check_bool "cache state identical" true (cache_state fs_par = want);
+  check_bitmaps_equal "parallel CP" fs_par fs_serial
 
 (* The backend axis composed with the domain axis: the same pooled
    workload leaves byte-identical state on heap and bigarray stores at
    every job count (the serial heap run is the single reference). *)
 let test_backends_identical_across_jobs () =
-  let build backend pool =
-    Pagestore.with_default backend (fun () ->
-        let fs = Fs.create aged_config in
-        let vol = (Fs.vols fs).(0) in
-        for cp = 0 to 2 do
-          for i = 0 to 1023 do
-            Fs.stage_write fs ~vol ~file:(cp mod 2) ~offset:i
-          done;
-          ignore (Fs.run_cp ?pool fs)
-        done;
-        fs)
+  let build backend jobs =
+    let fs = Fs.create (aged_config ~run:{ Config.default_run with Config.backend; jobs } ()) in
+    let vol = (Fs.vols fs).(0) in
+    for cp = 0 to 2 do
+      for i = 0 to 1023 do
+        Fs.stage_write fs ~vol ~file:(cp mod 2) ~offset:i
+      done;
+      ignore (Fs.run_cp fs)
+    done;
+    fs
   in
-  let want_fs = build Pagestore.Heap None in
+  let want_fs = build Config.Heap 1 in
   let want = cache_state want_fs in
   List.iter
     (fun jobs ->
-      Par.with_pool ~jobs (fun p ->
-          List.iter
-            (fun backend ->
-              let label =
-                Printf.sprintf "jobs=%d backend=%s" jobs (Pagestore.backend_name backend)
-              in
-              let fs = build backend (Some p) in
-              check_bool (label ^ ": cache state identical") true (cache_state fs = want);
-              check_bitmaps_equal label fs want_fs)
-            [ Pagestore.Heap; Pagestore.Bigarray ]))
+      List.iter
+        (fun backend ->
+          let label =
+            Printf.sprintf "jobs=%d backend=%s" jobs (Config.backend_to_string backend)
+          in
+          let fs = build backend jobs in
+          check_bool (label ^ ": cache state identical") true (cache_state fs = want);
+          check_bitmaps_equal label fs want_fs)
+        [ Config.Heap; Config.Bigarray ])
     [ 1; 2; 4; 8 ]
 
 let test_crash_matrix_bigarray_lazy () =
   let heap = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
   check_bool "heap matrix clean" true (heap.Crash_matrix.violations = []);
-  Pagestore.with_default Pagestore.Bigarray (fun () ->
-      let big = Crash_matrix.run ~lazy_rebuild:true ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
-      check_bool "same crash-point sequence off-heap" true
-        (big.Crash_matrix.points = heap.Crash_matrix.points);
-      check_bool "bigarray + lazy-remount matrix clean" true
-        (big.Crash_matrix.violations = []))
+  let big =
+    Crash_matrix.run
+      ~run:{ Config.default_run with Config.backend = Config.Bigarray }
+      ~lazy_rebuild:true ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 ()
+  in
+  check_bool "same crash-point sequence off-heap" true
+    (big.Crash_matrix.points = heap.Crash_matrix.points);
+  check_bool "bigarray + lazy-remount matrix clean" true (big.Crash_matrix.violations = [])
 
 let test_crash_matrix_with_pool () =
   let serial = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
   check_bool "serial matrix clean" true (serial.Crash_matrix.violations = []);
-  Par.install ~jobs:2;
-  Fun.protect ~finally:Par.uninstall (fun () ->
-      let par = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
-      check_bool "same crash-point sequence" true
-        (par.Crash_matrix.points = serial.Crash_matrix.points);
-      check_bool "parallel matrix clean" true (par.Crash_matrix.violations = []))
+  let par = Crash_matrix.run ~run:(jobs_run 2) ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
+  check_bool "same crash-point sequence" true
+    (par.Crash_matrix.points = serial.Crash_matrix.points);
+  check_bool "parallel matrix clean" true (par.Crash_matrix.violations = [])
+
+(* --- every pool-capable stage still dispatches to its pool ---
+
+   State is bit-identical at any domain count, so the determinism tests
+   above cannot see a stage that silently runs serially.  This fixed rig
+   drives every stage that dispatches at two domains — allocation
+   windows (allocation pool), the CP's activemap commits, per-volume
+   commits and per-range flushes, scrubber verification, Iron's scans
+   and a full-scan remount's rescoring (scan pool) — and pins the
+   dispatch counters to the values the same rig produced when both pools
+   were installed process-wide (SSD, 2 temperature classes, 2 + 2
+   domains, 10 CPs).  A sharded harvest at two domains runs its second
+   shard inline and dispatches nothing; "sharded harvest" above covers
+   it. *)
+let test_pool_dispatch_counts () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wafl_test_par_rig" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o700;
+  (* ranges with 128 AAs (parallel rescoring); three ranges and three
+     volumes, since a two-chunk map runs its second chunk inline *)
+  let rg =
+    { Config.media = Config.Ssd (Wafl_experiments.Common.ssd_profile Wafl_experiments.Common.Quick);
+      data_devices = 4; parity_devices = 1; device_blocks = 16384; aa_stripes = Some 128 }
+  in
+  let vol name = { Config.name; blocks = 32768; aa_blocks = Some 1024; policy = Config.Best_aa } in
+  let run =
+    { Config.backend = Config.Mmap dir; jobs = 2; alloc_domains = 2; scrub_rate = 64;
+      faults = None; streams = { Config.default_streams with Config.temp_classes = 2 } }
+  in
+  let config =
+    Config.make ~raid_groups:[ rg; rg; rg ] ~vols:[ vol "a"; vol "b"; vol "c" ]
+      ~aggregate_policy:Config.Best_aa ~run ~seed:42 ()
+  in
+  let tel = Telemetry.create () in
+  Pagestore.with_mmap_dir dir (fun () ->
+      Telemetry.with_installed tel (fun () ->
+          let fs = Fs.create config in
+          let rng = Wafl_util.Rng.create ~seed:5 in
+          for _ = 1 to 10 do
+            Array.iter
+              (fun vol ->
+                for _ = 1 to 1000 do
+                  Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 4)
+                    ~offset:(Wafl_util.Rng.int rng 4096)
+                done)
+              (Fs.vols fs);
+            ignore (Fs.run_cp fs)
+          done;
+          ignore (Iron.check fs);
+          ignore (Mount.mount (Mount.snapshot fs) ~with_topaa:false)));
+  let counter name =
+    match Registry.find (Telemetry.registry tel) name with
+    | Some (Registry.Counter c) -> Registry.count c
+    | _ -> 0
+  in
+  check_int "par.tasks" 106 (counter "par.tasks");
+  check_int "par.chunks" 333 (counter "par.chunks")
 
 (* --- modeled scaling of the full-scan mount ---
 
@@ -408,7 +469,7 @@ let test_modeled_mount_speedup () =
   done;
   let image = Mount.snapshot fs in
   let _, serial = Mount.mount image ~with_topaa:false in
-  let _, par = Par.with_pool ~jobs:4 (fun p -> Mount.mount ~pool:p image ~with_topaa:false) in
+  let _, par = Mount.mount ~run:(jobs_run 4) image ~with_topaa:false in
   let speedup = serial.Mount.ready_us /. par.Mount.ready_us in
   check_bool
     (Printf.sprintf "modeled full-scan speedup at 4 domains %.2fx >= 2.5x" speedup)
@@ -426,7 +487,7 @@ let () =
           Alcotest.test_case "jobs=1 and shutdown degrade" `Quick
             test_jobs1_and_shutdown_degrade;
           Alcotest.test_case "chunk_bounds properties" `Quick test_chunk_bounds_properties;
-          Alcotest.test_case "install/resolve" `Quick test_install_resolve;
+          Alcotest.test_case "shared cache" `Quick test_shared_pools;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "multi-domain hammer" `Quick test_telemetry_hammer ] );
@@ -443,6 +504,8 @@ let () =
           Alcotest.test_case "crash matrix bigarray + lazy" `Slow test_crash_matrix_bigarray_lazy;
           Alcotest.test_case "crash matrix under a pool" `Slow test_crash_matrix_with_pool;
         ] );
+      ( "stages",
+        [ Alcotest.test_case "dispatch counts pinned" `Quick test_pool_dispatch_counts ] );
       ( "scaling",
         [ Alcotest.test_case "modeled mount speedup at 4" `Quick test_modeled_mount_speedup ] );
     ]

@@ -112,7 +112,7 @@ let test_wear_adjusted_scoring () =
 
 (* Byte-aligned geometry (as in test_allocpar) so the parallel front-end's
    static gate opens, with 4 temperature classes configured. *)
-let routed_config =
+let routed_config ?(alloc_domains = 1) () =
   let rg =
     {
       Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
@@ -125,13 +125,16 @@ let routed_config =
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
     ~aggregate_policy:Config.Best_aa
-    ~streams:{ Config.temp_classes = 4; ssd_streams = 1; wear_bias = 0; meta_file = None }
+    ~run:
+      { Config.default_run with
+        Config.alloc_domains;
+        streams = { Config.temp_classes = 4; ssd_streams = 1; wear_bias = 0; meta_file = None } }
     ~seed:7 ()
 
 (* Within one CP, no two class rows may ever fill the same AA: each row
    claims its AAs through the shared per-AA owner words. *)
 let test_routed_rows_disjoint_aas () =
-  let fs = Fs.create routed_config in
+  let fs = Fs.create (routed_config ()) in
   let wa = Fs.write_alloc fs in
   check_int "temp classes" 4 (Write_alloc.temp_classes wa);
   let agg = Fs.aggregate fs in
@@ -168,7 +171,7 @@ let test_routed_rows_disjoint_aas () =
    row's harvest ring, the next call on every row allocates no minor-heap
    words. *)
 let test_routed_consume_zero_alloc () =
-  let wa = Fs.write_alloc (Fs.create routed_config) in
+  let wa = Fs.write_alloc (Fs.create (routed_config ())) in
   let dst = Array.make 256 0 in
   (* [?cls] boxing would charge 2 minor words per call to the window;
      pre-build the options so only the allocator itself is measured *)
@@ -238,7 +241,7 @@ let check_all_distinct label pvbns =
   check_bool (label ^ ": no pvbn handed out twice") false !dup
 
 let test_routed_fill_bit_identical () =
-  let fs_s = Fs.create routed_config in
+  let fs_s = Fs.create (routed_config ()) in
   let pv_s = fill_routed fs_s in
   check_int "serial routed fill drains the aggregate" 0
     (Aggregate.free_blocks (Fs.aggregate fs_s));
@@ -246,22 +249,19 @@ let test_routed_fill_bit_identical () =
   let want = agg_bitmap fs_s in
   List.iter
     (fun jobs ->
-      Write_alloc.install_alloc_pool ~jobs;
-      Fun.protect ~finally:Write_alloc.uninstall_alloc_pool (fun () ->
-          let fs = Fs.create routed_config in
-          let pv = fill_routed fs in
-          let label = Printf.sprintf "jobs=%d" jobs in
-          check_int (label ^ ": same blocks handed out") (Array.length pv_s)
-            (Array.length pv);
-          check_all_distinct label pv;
-          check_int
-            (label ^ ": routed fill drains the aggregate")
-            0
-            (Aggregate.free_blocks (Fs.aggregate fs));
-          check_bool
-            (label ^ ": final bitmap identical to serial")
-            true
-            (Bitmap.equal want (agg_bitmap fs))))
+      let fs = Fs.create (routed_config ~alloc_domains:jobs ()) in
+      let pv = fill_routed fs in
+      let label = Printf.sprintf "jobs=%d" jobs in
+      check_int (label ^ ": same blocks handed out") (Array.length pv_s) (Array.length pv);
+      check_all_distinct label pv;
+      check_int
+        (label ^ ": routed fill drains the aggregate")
+        0
+        (Aggregate.free_blocks (Fs.aggregate fs));
+      check_bool
+        (label ^ ": final bitmap identical to serial")
+        true
+        (Bitmap.equal want (agg_bitmap fs)))
     [ 2; 4; 8 ]
 
 (* --- end to end: classes to FTL streams through real CPs --- *)
@@ -286,7 +286,10 @@ let test_streams_end_to_end () =
     Config.make ~raid_groups:[ rg ]
       ~vols:[ Config.default_vol ~name:"v" ~blocks:8192 ]
       ~aggregate_policy:Config.Best_aa
-      ~streams:{ Config.temp_classes = 4; ssd_streams = 4; wear_bias = 2; meta_file = Some 0 }
+      ~run:
+        { Config.default_run with
+          Config.streams =
+            { Config.temp_classes = 4; ssd_streams = 4; wear_bias = 2; meta_file = Some 0 } }
       ~seed:42 ()
   in
   let fs = Fs.create config in

@@ -476,7 +476,12 @@ let cp_run ~ssd ~jobs =
       ~vols:
         [ { Config.name = "lun"; blocks = 4 * rg.Config.device_blocks * 9 / 8;
             aa_blocks = Some 1024; policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa ~seed:42 ()
+      ~aggregate_policy:Config.Best_aa
+      ~run:
+        { Config.default_run with
+          Config.jobs;
+          faults = (if ssd then Some Wafl_fault.Fault.default_spec else None) }
+      ~seed:42 ()
   in
   let lat =
     Latency.create ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default) ()
@@ -496,23 +501,7 @@ let cp_run ~ssd ~jobs =
     in
     List.init 10 (fun _ -> Wafl_workload.Random_overwrite.step w 400)
   in
-  let with_variant f =
-    if not ssd then f ()
-    else
-      Config.with_default_streams
-        { Config.temp_classes = 3; ssd_streams = 4; wear_bias = 0; meta_file = None }
-        (fun () ->
-          Wafl_fault.Fault.install_default Wafl_fault.Fault.default_spec;
-          Fun.protect ~finally:Wafl_fault.Fault.uninstall_default f)
-  in
-  let with_jobs f =
-    if jobs = 1 then f ()
-    else begin
-      Wafl_par.Par.install ~jobs;
-      Fun.protect ~finally:Wafl_par.Par.uninstall f
-    end
-  in
-  let reports = Telemetry.with_installed tel (fun () -> with_variant (fun () -> with_jobs run)) in
+  let reports = Telemetry.with_installed tel run in
   (tel, reports)
 
 let ssd_run = lazy (cp_run ~ssd:true ~jobs:1)
