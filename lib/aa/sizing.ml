@@ -18,11 +18,6 @@ let smr_stripes ?(zones_per_aa = 2) ~azcs (p : Profile.smr) =
      device after every 63, so AZCS alignment means a multiple of 63. *)
   if azcs then Bitops.round_up stripes Units.azcs_data_blocks else stripes
 
-let stripes_for = function
-  | Hdd -> default_hdd_stripes
-  | Ssd p -> ssd_stripes p
-  | Smr p -> smr_stripes ~azcs:true p
-
 let is_erase_block_aligned ~aa_stripes (p : Profile.ssd) =
   aa_stripes mod p.Profile.erase_block_blocks = 0
 

@@ -27,10 +27,6 @@ val smr_stripes :
     (63) so every AA covers whole checksum regions and checksum blocks are
     always written in sequence (§3.2.3-3.2.4, Figure 4 (C)). *)
 
-val stripes_for : media -> int
-(** Recommended AA stripes for a medium with default parameters (AZCS
-    alignment on for SMR). *)
-
 val is_erase_block_aligned : aa_stripes:int -> Wafl_device.Profile.ssd -> bool
 (** Whether the per-device AA span is a whole multiple of the erase block. *)
 

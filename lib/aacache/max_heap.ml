@@ -158,8 +158,6 @@ let top_k t k =
   in
   go [] k
 
-let to_sorted_list t = top_k t t.size
-
 let check_invariant t =
   let order_ok = ref true in
   for i = 1 to t.size - 1 do

@@ -58,8 +58,5 @@ val top_k : t -> int -> (int * int) list
 (** The [k] best (aa, score) pairs in descending score order, without
     disturbing the heap — the TopAA snapshot (§3.4). *)
 
-val to_sorted_list : t -> (int * int) list
-(** All entries, best first. *)
-
 val check_invariant : t -> bool
 (** Heap-order and position-index consistency (for tests). *)

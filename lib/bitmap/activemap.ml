@@ -106,16 +106,15 @@ let commit_parallel t pool freed =
     Some ()
   end
 
-let commit ?pool t =
+let commit ?(pool = Par.serial) t =
   let freed = List.rev t.queue in
   Wafl_telemetry.Telemetry.span_enter Wafl_telemetry.Span.Bit_clear;
   let parallel =
-    match pool with
-    | Some p
-      when Par.jobs p > 1 && t.n_pending >= par_min_frees
-           && Metafile.page_bits t.metafile mod 8 = 0 ->
-      commit_parallel t p freed
-    | _ -> None
+    if
+      Par.jobs pool > 1 && t.n_pending >= par_min_frees
+      && Metafile.page_bits t.metafile mod 8 = 0
+    then commit_parallel t pool freed
+    else None
   in
   (match parallel with
   | Some () -> ()
@@ -134,4 +133,3 @@ let commit ?pool t =
   { freed; pages_written }
 
 let free_count t ~start ~len = Metafile.free_count t.metafile ~start ~len
-let usable_free_count = free_count

@@ -52,7 +52,8 @@ val has_pending_free : t -> int -> bool
 
 val commit : ?pool:Wafl_par.Par.t -> t -> commit_result
 (** Apply all queued frees, flush the metafile, and return the batch.
-    With a pool of more than one domain and
+    [pool] defaults to {!Wafl_par.Par.serial}.  With a pool of more than
+    one domain and
     enough queued frees, the bit clears are applied in parallel: VBNs
     are bucketed into page-aligned chunks of the block space so domains
     own disjoint bitmap bytes and disjoint pages, and the dirty-page
@@ -62,8 +63,3 @@ val commit : ?pool:Wafl_par.Par.t -> t -> commit_result
 
 val free_count : t -> start:int -> len:int -> int
 (** Free VBNs in a range per the on-media state. *)
-
-val usable_free_count : t -> start:int -> len:int -> int
-(** Free VBNs the allocator may use right now: on-media free and not
-    shadowed by in-flight allocations (equals {!free_count} since
-    allocations apply immediately). *)

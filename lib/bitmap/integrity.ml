@@ -270,10 +270,8 @@ let sync () =
 
 let find_entry s store = List.find_opt (fun e -> e.store == store) s.entries_rev
 let entry_of_ord s ord = List.find_opt (fun e -> e.ord = ord) s.entries_rev
-let entries s = List.rev s.entries_rev
 
 let committed_generation () = match sync () with None -> 0 | Some s -> s.committed
-let tracked_count () = match sync () with None -> 0 | Some s -> s.n_entries
 let tracked store = match sync () with None -> false | Some s -> find_entry s store <> None
 
 (* --- page CRCs --------------------------------------------------------- *)
@@ -515,9 +513,6 @@ let verify_store store =
   match sync () with
   | None -> None
   | Some s -> Option.map (verify_entry s) (find_entry s store)
-
-let verify_all () =
-  match sync () with None -> [] | Some s -> List.map (verify_entry s) (entries s)
 
 (* --- CP commit: persist, advance, inject ------------------------------- *)
 

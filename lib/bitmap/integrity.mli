@@ -56,8 +56,6 @@ val committed_generation : unit -> int
 (** The committed CP generation of the current epoch (loaded from
     [superblock.bin], advanced by {!cp_commit}); 0 when inactive. *)
 
-val tracked_count : unit -> int
-
 val track : Pagestore.t -> unit
 (** Register a store for sealing/verification.  No-op unless the store is
     file-mapped under the current directory epoch.  Loads the store's
@@ -111,9 +109,6 @@ val verify_store : Pagestore.t -> store_report option
     into the committed generation (and counted); torn/stale pages are
     only reported — the caller quarantines and heals them.  Increments
     [integrity.unverified_stores] for a store without a loaded sidecar. *)
-
-val verify_all : unit -> store_report list
-(** {!verify_store} over every tracked store, in ordinal order. *)
 
 val cp_commit : unit -> unit
 (** End-of-CP hook: seal every page marked by {!seal_range} since the

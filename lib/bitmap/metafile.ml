@@ -101,7 +101,6 @@ let allocate_range t ~start ~len =
     done
 
 let free_count t ~start ~len = Bitmap.count_clear_in t.map ~start ~len
-let fold_free_in t ~start ~len ~init ~f = Bitmap.fold_clear_in t.map ~start ~len ~init ~f
 let free_mask32 t pos = Bitmap.clear_mask32 t.map pos
 
 let harvest_free_into t ~start ~len ~offset ~dst ~pos =
@@ -109,7 +108,6 @@ let harvest_free_into t ~start ~len ~offset ~dst ~pos =
 let used_count t ~start ~len = Bitmap.count_set_in t.map ~start ~len
 let free_extents t ~start ~len = Bitmap.free_extents t.map ~start ~len
 let free_run_stats t ~start ~len = Bitmap.free_run_stats t.map ~start ~len
-let find_first_free t ~from = Bitmap.find_first_clear t.map ~from
 
 (* Parallel delayed-free support.  [free_batch_into] clears map bits
    without touching the shared dirty bitmap: each pool domain gets a

@@ -69,10 +69,6 @@ val free_count : t -> start:int -> len:int -> int
 
 val used_count : t -> start:int -> len:int -> int
 
-val fold_free_in : t -> start:int -> len:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over free VBNs in a range, ascending, word-at-a-time
-    ({!Bitmap.fold_clear_in}). *)
-
 val free_mask32 : t -> int -> int
 (** 32-bit free mask at a VBN ({!Bitmap.clear_mask32}): bit [i] set iff
     VBN [pos + i] is in bounds and free.  Allocation-free. *)
@@ -88,8 +84,6 @@ val free_extents : t -> start:int -> len:int -> Wafl_block.Extent.t list
 val free_run_stats : t -> start:int -> len:int -> int * int
 (** [(run count, largest run length)] over the range without
     materializing extents ({!Bitmap.free_run_stats}).  Not I/O-counted. *)
-
-val find_first_free : t -> from:int -> int option
 
 val free_batch_into : t -> vbns:int array -> pos:int -> len:int -> touched:Bytes.t -> unit
 (** Free [vbns.(pos .. pos+len-1)] without updating the shared dirty

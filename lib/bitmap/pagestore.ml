@@ -46,7 +46,6 @@ let with_mmap_dir dir f =
 
 let mmap_dir_path () = !mmap_dir
 let mmap_epoch () = !epoch
-let mapped_stores () = List.rev !mapped_rev
 
 let mapped_path t =
   List.find_map (fun (seq, path, s) -> if s == t then Some (seq, path) else None) !mapped_rev

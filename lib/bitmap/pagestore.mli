@@ -41,11 +41,6 @@ val mmap_epoch : unit -> int
 
 type t
 
-val mapped_stores : unit -> (int * string * t) list
-(** The stores file-mapped under the current directory installation, as
-    [(seq, path, store)] in creation order.  Empty when no directory is
-    installed. *)
-
 val mapped_path : t -> (int * string) option
 (** [(seq, path)] when the store was file-mapped under the {e current}
     directory installation; [None] for anonymous stores and for handles

@@ -13,14 +13,3 @@ let tib = kib * gib
 
 let blocks_of_bytes bytes = Wafl_util.Bitops.ceil_div bytes block_size
 let bytes_of_blocks blocks = blocks * block_size
-
-let pp_bytes fmt n =
-  let pp unit_name unit_size =
-    if n mod unit_size = 0 then Format.fprintf fmt "%d%s" (n / unit_size) unit_name
-    else Format.fprintf fmt "%.2f%s" (float_of_int n /. float_of_int unit_size) unit_name
-  in
-  if n >= tib then pp "TiB" tib
-  else if n >= gib then pp "GiB" gib
-  else if n >= mib then pp "MiB" mib
-  else if n >= kib then pp "KiB" kib
-  else Format.fprintf fmt "%dB" n

@@ -35,6 +35,3 @@ val blocks_of_bytes : int -> int
 (** Bytes to whole 4KiB blocks, rounding up. *)
 
 val bytes_of_blocks : int -> int
-
-val pp_bytes : Format.formatter -> int -> unit
-(** Human-readable byte count, e.g. "16TiB". *)

@@ -42,19 +42,15 @@ let no_owner = -1
 let make_owners topology =
   Array.init (Topology.aa_count topology) (fun _ -> Atomic.make no_owner)
 
-let[@inline] aa_claimed range ~aa = Atomic.get range.owners.(aa) <> no_owner
-
 let[@inline] claim_aa range ~aa ~owner =
   Atomic.compare_and_set range.owners.(aa) no_owner owner
-
-let[@inline] release_aa range ~aa = Atomic.set range.owners.(aa) no_owner
 
 type t = {
   config : Config.t;
   ranges : range array;
   activemap : Activemap.t;
   total_blocks : int;
-  pool : Par.t option;
+  pool : Par.t;
   mutable rebuild_epoch : int;
 }
 
@@ -259,7 +255,7 @@ let[@inline] allocate_harvested t range ~aa ~pvbn =
 let queue_free t ~pvbn = Activemap.queue_free t.activemap pvbn
 
 let commit_frees t =
-  let result = Activemap.commit ?pool:t.pool t.activemap in
+  let result = Activemap.commit ~pool:t.pool t.activemap in
   List.iter
     (fun pvbn ->
       let r = range_of_pvbn t pvbn in
@@ -278,29 +274,16 @@ let aa_score_now t range aa =
     0
     (Topology.extents_of_aa range.topology aa)
 
-(* Below this many AAs a range is rescored inline: the pool's dispatch
-   overhead would exceed the scan. *)
-let par_min_aas = 32
-
-(* Rescore [scores.(aa)] for every AA of [r].  Parallel mode chunks the
-   AA index space and lets each domain fill its chunk's (disjoint) score
-   slots; since each slot is written exactly once with a value that is a
-   pure function of the bitmap, the array is bit-identical to the serial
-   fill at any domain count. *)
-let rescore_range pool t r =
-  let n = Topology.aa_count r.topology in
-  match pool with
-  | Some p when Par.jobs p > 1 && n >= par_min_aas ->
-    let bounds = Par.chunk_bounds ~total:n ~align:1 ~chunks:(Par.jobs p * 4) in
-    Par.run p ~chunks:(Array.length bounds) ~f:(fun c ->
-        let s, len = bounds.(c) in
-        for aa = s to s + len - 1 do
-          r.scores.(aa) <- aa_score_now t r aa
-        done)
-  | _ ->
-    for aa = 0 to n - 1 do
-      r.scores.(aa) <- aa_score_now t r aa
-    done
+(* Rescore [scores.(aa)] for every AA of [r], chunked over the pool:
+   each chunk fills its own (disjoint) score slots with a pure function
+   of the bitmap, so the array is bit-identical at any domain count.
+   Below 32 AAs the dispatch would cost more than the scan, so the range
+   is rescored inline. *)
+let rescore_range t r =
+  Par.run_ranges t.pool ~min:32 (Topology.aa_count r.topology) ~f:(fun s len ->
+      for aa = s to s + len - 1 do
+        r.scores.(aa) <- aa_score_now t r aa
+      done)
 
 (* --- cache validity epochs (incremental mount rebuild) ---
 
@@ -322,7 +305,7 @@ let mark_range_fresh t r = r.cache_epoch <- t.rebuild_epoch
 let rebuild_range t r =
   Telemetry.incr "aggregate.range_rebuilds";
   Score.clear r.delta;
-  rescore_range t.pool t r;
+  rescore_range t r;
   r.cache <- Some (build_cache r);
   mark_range_fresh t r
 

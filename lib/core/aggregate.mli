@@ -55,10 +55,11 @@ val attach_faults : t -> Wafl_fault.Fault.t -> unit
 
 val config : t -> Config.t
 
-val pool : t -> Wafl_par.Par.t option
-(** The scan pool every parallel-capable stage of this system uses —
-    rebuilds, Iron scans, the CP's commits and flushes, large harvests;
-    [None] when the run has [jobs = 1]. *)
+val pool : t -> Wafl_par.Par.t
+(** The scan pool every stage of this system runs on — rebuilds, Iron
+    scans, the scrubber's verification, the CP's commits and flushes,
+    large harvests.  A run with [jobs = 1] gets {!Wafl_par.Par.serial},
+    so the stages take the same path at any domain count. *)
 
 val ranges : t -> range array
 val total_blocks : t -> int
@@ -122,8 +123,8 @@ val mark_range_fresh : t -> range -> unit
 
 val rebuild_range : t -> range -> unit
 (** Recompute one range's scores from the bitmap, rebuild its cache and
-    stamp it fresh.  The {!pool}, if any, spreads the per-AA rescoring
-    over its domains; every score slot is written exactly once with a
+    stamp it fresh.  The per-AA rescoring runs as
+    {!Wafl_par.Par.run_ranges} chunks on the {!pool}; every score slot is written exactly once with a
     pure function of the bitmap, so the score
     array — and the cache built from it — is bit-identical to a serial
     rebuild at any domain count.  Building block of {!Rebuild.request};
@@ -173,12 +174,7 @@ val aa_score_now : t -> range -> int -> int
 val no_owner : int
 (** The empty owner slot value (-1). *)
 
-val aa_claimed : range -> aa:int -> bool
-
 val claim_aa : range -> aa:int -> owner:int -> bool
 (** Atomically claim the AA for [owner] (a small non-negative writer id);
     returns false when another writer already owns it.  Allocation-free
     (the slot holds an immediate int). *)
-
-val release_aa : range -> aa:int -> unit
-(** Release a claim (CP boundary; the caller serializes releases). *)

@@ -102,7 +102,7 @@ let smr_streams geometry locals =
       (device, List.map (fun dbn -> (device * span) + Azcs.device_position_of_data dbn) dbns))
     devices
 
-let flush_range_body (range : Aggregate.range) ~cls_locals locals freed_locals =
+let flush_range_body (range : Aggregate.range) ~classes locals freed_locals =
   let flush =
     match range.Aggregate.group with
     | Some group ->
@@ -174,23 +174,23 @@ let flush_range_body (range : Aggregate.range) ~cls_locals locals freed_locals =
       let before = Ftl.stats ftl in
       let ns = Ftl.streams ftl in
       let sbefore = Array.init ns (Ftl.stream_stats ftl) in
-      (match cls_locals with
-      | Some cls_list ->
-        (* Temperature routing: each class's batch goes to its own FTL
-           write stream (classes beyond the drive's stream count share
-           the last one), so segregated AAs also stop sharing open erase
-           blocks inside the device. *)
-        let by_stream = Array.make ns [] in
-        List.iter2
-          (fun p c ->
-            let s = if c < ns then c else ns - 1 in
-            by_stream.(s) <- p :: by_stream.(s))
-          locals cls_list;
-        Array.iteri
-          (fun s batch ->
-            if batch <> [] then Ftl.write_batch ~stream:s ftl (List.rev batch))
-          by_stream
-      | None -> Ftl.write_batch ftl locals);
+      (* Each temperature class's batch goes to its own FTL write stream
+         (classes beyond the drive's stream count share the last one), so
+         segregated AAs also stop sharing open erase blocks inside the
+         device.  A stream that takes every block writes the list as is. *)
+      let stream_of c = if c < ns then c else ns - 1 in
+      let counts = Array.make ns 0 in
+      List.iter (fun c -> counts.(stream_of c) <- counts.(stream_of c) + 1) classes;
+      Array.iteri
+        (fun s count ->
+          if count = base_report.blocks_written then Ftl.write_batch ~stream:s ftl locals
+          else if count > 0 then
+            Ftl.write_batch ~stream:s ftl
+              (List.rev
+                 (List.fold_left2
+                    (fun acc p c -> if stream_of c = s then p :: acc else acc)
+                    [] locals classes)))
+        counts;
       Ftl.trim_batch ftl freed_locals;
       let delta = Ftl.diff_stats ~after:(Ftl.stats ftl) ~before in
       let sdelta =
@@ -263,11 +263,11 @@ let flush_range_body (range : Aggregate.range) ~cls_locals locals freed_locals =
 (* [Device_flush] spans may run concurrently on pool domains; each domain
    stamps its own start slot, so the enter/exit pair is race-free.  The
    [Fun.protect] closure is per-range-per-CP — off the hot path. *)
-let flush_range range ~cls_locals locals freed_locals =
+let flush_range range ~classes locals freed_locals =
   Telemetry.span_enter Span.Device_flush;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Device_flush)
-    (fun () -> flush_range_body range ~cls_locals locals freed_locals)
+    (fun () -> flush_range_body range ~classes locals freed_locals)
 
 (* Aggregate cache stats over the physical ranges and this CP's active
    volumes: (picks, replenishes, work, worst HBPS score error). *)
@@ -473,24 +473,23 @@ let run ?temp walloc staged =
      placement counts, gathered only when a latency recorder is live. *)
   let lat_on = Telemetry.lat_active () in
   let lat_groups = ref [] in
-  let allocated_pvbns = ref [] in
-  let allocated_cls = ref [] in
-  (* Temperature routing is active when an inference handle with more than
-     one class is given; [allocated_cls] then parallels [allocated_pvbns]. *)
-  let routing =
-    match temp with
-    | Some tm when Temperature.classes tm > 1 -> Some tm
-    | _ -> None
-  in
+  (* Every placed block carries its temperature class; without temperature
+     tracking there is one class.  Each class's allocation batch is kept
+     as (class, pvbns, placed count), newest first: in order, the batches
+     list every placed pvbn in placement order, with no per-CP array. *)
+  let classes = match temp with Some tm -> Temperature.classes tm | None -> 1 in
+  let batches = ref [] in
   List.iter
     (fun (vol, writes) ->
       Wafl_fault.Crash.point "cp.place_vol";
       let n = List.length writes in
       let vvbns = Array.make (max 1 n) 0 in
+      (* a write's class slot (at most 4 classes), a byte each *)
+      let slots = Bytes.make n '\000' in
       let got_v = Write_alloc.allocate_vvbns_into walloc vol ~dst:vvbns n in
       let lat_fresh = ref 0 and lat_over = ref 0 in
       (* Place one write at its allocated vvbn/pvbn pair. *)
-      let place_one w vv pv cls =
+      let place_one w vv pv =
         (match Flexvol.write_file vol ~file:w.file ~offset:w.offset ~vvbn:vv with
         | Some old_vvbn ->
           incr lat_over;
@@ -513,72 +512,49 @@ let run ?temp walloc staged =
           Temperature.note_birth tm ~uid:(Flexvol.uid vol)
             ~blocks:(Flexvol.blocks vol) ~vvbn:vv
         | None -> ());
-        allocated_pvbns := pv :: !allocated_pvbns;
-        if routing <> None then allocated_cls := cls :: !allocated_cls;
         incr placed
       in
-      (match routing with
-      | Some tm ->
-        (* SepBIT-style segregation: classify each write by the lifespan of
-           the version it kills (before any of this CP's placements mutate
-           the file maps), then allocate each class's batch through its own
-           Write_alloc cursor row so classes land in different AAs. *)
-        let classes = Temperature.classes tm in
-        let uid = Flexvol.uid vol and vblocks = Flexvol.blocks vol in
-        let buckets = Array.make classes [] in
-        let rec classify_loop writes k =
-          match writes with
-          | w :: ws when k < got_v ->
-            let prev = Flexvol.read_file vol ~file:w.file ~offset:w.offset in
-            let slot =
-              Temperature.slot_of tm
-                (Temperature.classify tm ~uid ~blocks:vblocks ~file:w.file ~prev)
-            in
-            buckets.(slot) <- (w, vvbns.(k)) :: buckets.(slot);
-            classify_loop ws (k + 1)
-          | _ -> ()
-        in
-        classify_loop writes 0;
-        Array.iteri
-          (fun c bucket ->
-            match List.rev bucket with
-            | [] -> ()
-            | batch ->
-              let bn = List.length batch in
-              let pvbns = Array.make bn 0 in
-              let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns bn in
-              let rec place_batch batch k =
-                match batch with
-                | (w, vv) :: rest when k < got_p ->
-                  place_one w vv pvbns.(k) c;
-                  place_batch rest (k + 1)
-                | rest ->
-                  (* reserved virtual blocks with no physical home
-                     (aggregate out of space): hand them back *)
-                  List.iter
-                    (fun ((_, vv) : staged * int) ->
-                      Flexvol.release_reserved vol ~vvbn:vv)
-                    rest
-              in
-              place_batch batch 0)
-          buckets
-      | None ->
-        let pvbns = Array.make (max 1 got_v) 0 in
-        let got_p = Write_alloc.allocate_pvbns_into walloc ~dst:pvbns got_v in
-        (* pair as many writes as we could place both numbers for *)
-        let rec place writes k =
-          match writes with
-          | w :: ws when k < got_p ->
-            place_one w vvbns.(k) pvbns.(k) 0;
-            place ws (k + 1)
-          | _ ->
-            (* reserved virtual blocks with no physical home (aggregate out
-               of space): hand them back *)
-            for j = k to got_v - 1 do
-              Flexvol.release_reserved vol ~vvbn:vvbns.(j)
-            done
-        in
-        place writes 0);
+      (* SepBIT-style segregation: each write with a vvbn takes the class
+         of the lifespan of the version it kills, read before any of this
+         CP's placements mutate the file maps. *)
+      Option.iter
+        (fun tm ->
+          let uid = Flexvol.uid vol and vblocks = Flexvol.blocks vol in
+          List.iteri
+            (fun k w ->
+              if k < got_v then begin
+                let prev = Flexvol.read_file vol ~file:w.file ~offset:w.offset in
+                Bytes.set slots k
+                  (Char.chr
+                     (Temperature.slot_of tm
+                        (Temperature.classify tm ~uid ~blocks:vblocks ~file:w.file ~prev)))
+              end)
+            writes)
+        temp;
+      (* Allocate and place class by class, in write order within each
+         class, through the class's own Write_alloc cursor row so classes
+         land in different AAs.  Reserved virtual blocks with no physical
+         home (aggregate out of space) are handed back. *)
+      for c = 0 to classes - 1 do
+        let bn = ref 0 in
+        for k = 0 to got_v - 1 do
+          if Char.code (Bytes.get slots k) = c then incr bn
+        done;
+        if !bn > 0 then begin
+          let pvbns = Array.make !bn 0 in
+          let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns !bn in
+          batches := (c, pvbns, got_p) :: !batches;
+          let j = ref 0 in
+          List.iteri
+            (fun k w ->
+              if k < got_v && Char.code (Bytes.get slots k) = c then begin
+                if !j < got_p then place_one w vvbns.(k) pvbns.(!j)
+                else Flexvol.release_reserved vol ~vvbn:vvbns.(k);
+                incr j
+              end)
+            writes
+        end
+      done;
       if lat_on && !lat_fresh + !lat_over > 0 then
         lat_groups :=
           ( Telemetry.lat_vol_slot ~uid:(Flexvol.uid vol)
@@ -594,83 +570,49 @@ let run ?temp walloc staged =
   ignore (Write_alloc.drain_queued_frees walloc);
   Wafl_fault.Crash.point "cp.agg_free_commit";
   let agg_pages, freed_pvbns = Aggregate.commit_frees aggregate in
+  (* The per-volume crash points fire first, serially, then the volumes
+     commit on the pool: each volume's activemap, metafile and score
+     delta are private to it, and the page counts are summed in volume
+     order.  (A nested Activemap.commit sees the pool busy and runs
+     inline.) *)
+  List.iter (fun _ -> Wafl_fault.Crash.point "cp.vol_free_commit") by_vol;
+  let vols = Array.of_list (List.map fst by_vol) in
   let vol_pages =
-    match pool with
-    | Some p when Par.jobs p > 1 && List.length by_vol > 1 ->
-      (* Fire the per-volume crash points first, serially — same count and
-         sequence position as the serial fold — then commit the volumes in
-         parallel: each volume's activemap, metafile and score delta are
-         private to it, and the page counts are summed in volume order.
-         (A nested Activemap.commit sees this pool busy and runs inline.) *)
-      List.iter (fun _ -> Wafl_fault.Crash.point "cp.vol_free_commit") by_vol;
-      let vols = Array.of_list (List.map fst by_vol) in
-      let pages =
-        Par.map p ~chunks:(Array.length vols) ~f:(fun i -> Flexvol.commit_frees vols.(i))
-      in
-      Array.fold_left ( + ) 0 pages
-    | _ ->
-      List.fold_left
-        (fun acc (vol, _) ->
-          Wafl_fault.Crash.point "cp.vol_free_commit";
-          acc + Flexvol.commit_frees vol)
-        0 by_vol
+    Array.fold_left ( + ) 0
+      (Par.map pool ~chunks:(Array.length vols) ~f:(fun i -> Flexvol.commit_frees vols.(i)))
   in
   Telemetry.span_exit Span.Activemap_commit;
   (* 3. Device I/O per range: this CP's allocations (and trims) grouped by
         range, in range-local coordinates. *)
-  let locals_by_range = Array.make (Array.length ranges) [] in
+  let n_ranges = Array.length ranges in
+  let locals_by_range = Array.make n_ranges [] and cls_by_range = Array.make n_ranges [] in
   List.iter
-    (fun pvbn ->
-      let r = Aggregate.range_of_pvbn aggregate pvbn in
-      locals_by_range.(r.Aggregate.index) <-
-        Aggregate.to_local r pvbn :: locals_by_range.(r.Aggregate.index))
-    (List.rev !allocated_pvbns);
-  (* With routing on, a class list parallel to each range's locals. *)
-  let cls_by_range =
-    match routing with
-    | None -> None
-    | Some _ ->
-      let arr = Array.make (Array.length ranges) [] in
-      List.iter2
-        (fun pvbn cls ->
-          let r = Aggregate.range_of_pvbn aggregate pvbn in
-          arr.(r.Aggregate.index) <- cls :: arr.(r.Aggregate.index))
-        (List.rev !allocated_pvbns) (List.rev !allocated_cls);
-      Some arr
-  in
-  let cls_locals_of i =
-    match cls_by_range with None -> None | Some arr -> Some (List.rev arr.(i))
-  in
-  let freed_by_range = Array.make (Array.length ranges) [] in
+    (fun (c, pvbns, got_p) ->
+      for i = got_p - 1 downto 0 do
+        let pvbn = pvbns.(i) in
+        let r = Aggregate.range_of_pvbn aggregate pvbn in
+        let ri = r.Aggregate.index in
+        locals_by_range.(ri) <- Aggregate.to_local r pvbn :: locals_by_range.(ri);
+        cls_by_range.(ri) <- c :: cls_by_range.(ri)
+      done)
+    !batches;
+  let freed_by_range = Array.make n_ranges [] in
   List.iter
     (fun pvbn ->
       let r = Aggregate.range_of_pvbn aggregate pvbn in
       freed_by_range.(r.Aggregate.index) <-
         Aggregate.to_local r pvbn :: freed_by_range.(r.Aggregate.index))
     freed_pvbns;
+  (* The per-range crash points fire first, serially, then every range
+     flushes on the pool: a range's RAID group, device simulator and
+     fault handle are private to it, trace emission is mutex-guarded,
+     and the reports land in range order. *)
+  Array.iter (fun _ -> Wafl_fault.Crash.point "cp.device_flush") ranges;
   let devices =
-    match pool with
-    | Some p when Par.jobs p > 1 && Array.length ranges > 1 ->
-      (* Hoist the per-range crash points out of the parallel section —
-         same count and sequence position as the serial mapi — then flush
-         every range on its own domain: a range's RAID group, device
-         simulator and fault handle are private to it, trace emission is
-         mutex-guarded, and the reports land in range order. *)
-      Array.iter (fun _ -> Wafl_fault.Crash.point "cp.device_flush") ranges;
-      Array.to_list
-        (Par.map p ~chunks:(Array.length ranges) ~f:(fun i ->
-             flush_range ranges.(i) ~cls_locals:(cls_locals_of i)
-               (List.rev locals_by_range.(i))
-               (List.rev freed_by_range.(i))))
-    | _ ->
-      Array.to_list
-        (Array.mapi
-           (fun i (r : Aggregate.range) ->
-             Wafl_fault.Crash.point "cp.device_flush";
-             flush_range r ~cls_locals:(cls_locals_of i)
-               (List.rev locals_by_range.(i))
-               (List.rev freed_by_range.(i)))
-           ranges)
+    Array.to_list
+      (Par.map pool ~chunks:n_ranges ~f:(fun i ->
+           flush_range ranges.(i) ~classes:cls_by_range.(i) locals_by_range.(i)
+             (List.rev freed_by_range.(i))))
   in
   (* 4. CP boundary: batched score updates, cache rebalance. *)
   Wafl_fault.Crash.point "cp.score_refile";

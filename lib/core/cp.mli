@@ -66,21 +66,23 @@ val columns : Wafl_telemetry.Timeseries.column list
     every other cell is identical at any domain count. *)
 
 val run : ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
-(** Execute one CP over the staged writes.  With the system's scan pool
-    ({!Aggregate.pool}) the CP is sharded: the delayed-
-    free apply is chunked over page-aligned slices of the block space, the
-    per-volume commits run one volume per domain, and the per-range device
-    flushes run one range per domain.  Crash points fire serially before
-    each parallel section (same names, counts and order as a serial CP),
-    and results merge in volume/range order, so reports, telemetry
-    counters, and all bitmap/cache state are identical to a serial CP at
-    any domain count.
+(** Execute one CP over the staged writes, one code path at any domain
+    or class count.  Each stage runs on the system's scan pool
+    ({!Aggregate.pool}): the per-volume commits one volume per chunk, the
+    per-range device flushes one range per chunk, and (past 512 frees)
+    the delayed-free apply over page-aligned slices of the block space.
+    The crash points of a fanned-out stage fire serially before it (same
+    names, counts and order at any domain count), and results merge in
+    volume/range order, so reports, telemetry counters, and all
+    bitmap/cache state are identical at any domain count.
 
-    With [temp] (and more than one configured class) each staged write is
-    classified before placement — by the lifespan of the version it
-    overwrites — its physical blocks come from the matching
-    {!Write_alloc} class row, and each class's batch is flushed to its
-    own FTL write stream on SSD ranges.  Births are recorded and the
-    temperature clock ticks once per CP either way. *)
+    Every write gets a class slot: with [temp] it is classified before
+    placement by the lifespan of the version it overwrites; without it
+    every write is class 0.  Physical blocks are allocated class by class
+    from the matching {!Write_alloc} class row, and each placed block
+    carries its class into the flush, where each class's batch goes to
+    its own FTL write stream on SSD ranges.  With one class this is the
+    plain unrouted CP.  With [temp], births are recorded and the
+    temperature clock ticks once per CP. *)
 
 val empty_report : report

@@ -26,12 +26,12 @@ type t = {
   snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
   zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
   mutable next_snapshot : int;
-  pool : Wafl_par.Par.t option;
+  pool : Wafl_par.Par.t;
   mutable rebuild_epoch : int;
   mutable cache_epoch : int;  (* cache/scores exact iff = rebuild_epoch *)
 }
 
-let create ?backend ?pool (spec : Config.vol_spec) =
+let create ?backend ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
   if spec.Config.blocks <= 0 then invalid_arg "Flexvol.create: empty volume";
   let aa_blocks = Option.value spec.Config.aa_blocks ~default:Sizing.default_raid_agnostic_blocks in
   let aa_blocks = min aa_blocks spec.Config.blocks in
@@ -129,13 +129,9 @@ let queue_unmap t ~vvbn =
   t.container.(vvbn) <- -1
 
 let commit_frees t =
-  let result = Activemap.commit ?pool:t.pool t.activemap in
+  let result = Activemap.commit ~pool:t.pool t.activemap in
   List.iter (fun vvbn -> Score.note_free t.delta ~vbn:vvbn) result.Activemap.freed;
   result.Activemap.pages_written
-
-let cp_update_cache t =
-  let updates = Score.apply t.delta t.scores in
-  match t.cache with Some cache -> Cache.cp_update cache updates | None -> ()
 
 (* --- cache validity epoch (incremental mount rebuild) ---
    Mirrors [Aggregate]'s per-range epochs; a lazy mount invalidates, and
@@ -151,20 +147,10 @@ let rebuild_cache t =
   (* Parallel rescoring writes each (disjoint) score slot exactly once
      with a pure function of the bitmap — bit-identical to the serial
      fill at any domain count. *)
-  (match t.pool with
-  | Some p when Wafl_par.Par.jobs p > 1 && n >= 32 ->
-    let bounds =
-      Wafl_par.Par.chunk_bounds ~total:n ~align:1 ~chunks:(Wafl_par.Par.jobs p * 4)
-    in
-    Wafl_par.Par.run p ~chunks:(Array.length bounds) ~f:(fun c ->
-        let s, len = bounds.(c) in
-        for aa = s to s + len - 1 do
-          t.scores.(aa) <- Score.score_of_aa t.topology mf aa
-        done)
-  | _ ->
-    for aa = 0 to n - 1 do
-      t.scores.(aa) <- Score.score_of_aa t.topology mf aa
-    done);
+  Wafl_par.Par.run_ranges t.pool ~min:32 n ~f:(fun s len ->
+      for aa = s to s + len - 1 do
+        t.scores.(aa) <- Score.score_of_aa t.topology mf aa
+      done);
   let cache =
     Cache.raid_agnostic ~max_score:(Topology.full_aa_capacity t.topology) ~scores:t.scores ()
   in

@@ -12,8 +12,8 @@ type t
 val create :
   ?backend:Wafl_bitmap.Pagestore.backend -> ?pool:Wafl_par.Par.t -> Config.vol_spec -> t
 (** A volume with its bitmaps on [backend] (default [Heap]).  [pool] —
-    its system's scan pool — spreads the volume's free commits and
-    rescans. *)
+    its system's scan pool, {!Wafl_par.Par.serial} by default — runs the
+    volume's free commits and rescans. *)
 
 val uid : t -> int
 (** Process-wide dense volume id, assigned at creation.  The write
@@ -72,8 +72,6 @@ val commit_frees : t -> int
     metafile pages written.  The volume's pool parallelises the bit-clear
     apply (see {!Wafl_bitmap.Activemap.commit}). *)
 
-val cp_update_cache : t -> unit
-
 val invalidate_cache : t -> unit
 (** Bump the volume's rebuild epoch: the cache/scores become stale (the
     seeded cache stays usable until {!Rebuild.touch_vol} re-materializes
@@ -83,8 +81,8 @@ val cache_fresh : t -> bool
 
 val rebuild_cache : t -> unit
 (** Full-scan score recomputation + fresh HBPS; stamps the cache fresh.
-    The volume's pool, if any, spreads the per-AA rescoring over its
-    domains; the scores — and the HBPS built from them — are bit-identical to a
+    The rescoring runs as {!Wafl_par.Par.run_ranges} chunks on the
+    volume's pool; the scores — and the HBPS built from them — are bit-identical to a
     serial rebuild at any domain count.  Building block of
     {!Rebuild.request}; callers use that API. *)
 

@@ -1,5 +1,4 @@
 open Wafl_util
-open Wafl_bitmap
 
 type t = {
   config : Config.t;
@@ -42,7 +41,7 @@ let create config =
   let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) in
   let vols =
     Array.of_list
-      (List.map (Flexvol.create ~backend ?pool:(Aggregate.pool aggregate)) config.Config.vols)
+      (List.map (Flexvol.create ~backend ~pool:(Aggregate.pool aggregate)) config.Config.vols)
   in
   Array.iter (Write_alloc.register_vol walloc) vols;
   let temp =
@@ -152,9 +151,3 @@ let file_read_chains _t ~vol ~file =
   match collect 0 [] 0 with
   | [] -> Wafl_block.Chain.empty
   | blocks -> Wafl_block.Chain.of_blocks blocks
-
-let total_metafile_pages_written t =
-  let agg = (Metafile.stats (Aggregate.metafile t.aggregate)).Metafile.page_writes in
-  Array.fold_left
-    (fun acc v -> acc + (Metafile.stats (Flexvol.metafile v)).Metafile.page_writes)
-    agg t.vols

@@ -8,8 +8,9 @@ type t
 
 val create : Config.t -> t
 (** Build the system the config describes, running as its {!Config.run}
-    says: page stores on the run's backend, scans and CP stages sharded
-    over a scan pool of [jobs] domains ({!Aggregate.pool}), allocation
+    says: page stores on the run's backend, scans and CP stages run on a
+    scan pool of [jobs] domains ({!Aggregate.pool}; the one-domain
+    {!Wafl_par.Par.serial} handle at [jobs = 1]), allocation
     windows over a separate pool of [alloc_domains], the run's fault spec
     attached, and [scrub_rate] pages scrubbed after every CP.  Pools come
     from a process-wide cache ({!Wafl_par.Par.shared}), so building a
@@ -53,9 +54,9 @@ val staged_ops : t -> (string * int * int) list
     replays before resuming service (§3.4). *)
 
 val run_cp : t -> Cp.report
-(** Flush everything staged as one consistency point.  The system's scan
-    pool shards the CP over its domains with results identical to a
-    serial CP — see {!Cp.run}.  When the run's [scrub_rate] is positive,
+(** Flush everything staged as one consistency point, on the system's
+    scan pool, with the same results at any domain count — see
+    {!Cp.run}.  When the run's [scrub_rate] is positive,
     one scrubber pass of that many pages ({!Scrub.pass}) follows the
     CP. *)
 
@@ -78,9 +79,6 @@ val delete_snapshot : t -> vol:Flexvol.t -> int -> int
     free-space nonuniformity. *)
 
 val cps_completed : t -> int
-
-val total_metafile_pages_written : t -> int
-(** Aggregate + all volumes, cumulative. *)
 
 val file_read_chains : t -> vol:Flexvol.t -> file:int -> Wafl_block.Chain.summary
 (** The device read chains a full sequential read of the file needs: its

@@ -26,25 +26,17 @@ module Par = Wafl_par.Par
 (* Pool-chunked index scan that preserves serial finding order: each
    chunk builds its findings as an ascending list (pure reads, private
    accumulator), and the chunk lists are pushed in chunk order — exactly
-   the ascending sequence the serial [0, n) loop produces. *)
+   the ascending sequence of one [0, n) loop. *)
 let scan_indices pool n ~test ~push =
-  match pool with
-  | Some p when Par.jobs p > 1 && n >= 32 ->
-    let bounds = Par.chunk_bounds ~total:n ~align:1 ~chunks:(Par.jobs p * 4) in
-    let lists =
-      Par.map p ~chunks:(Array.length bounds) ~f:(fun c ->
-          let s, len = bounds.(c) in
-          let acc = ref [] in
-          for i = s + len - 1 downto s do
-            match test i with Some f -> acc := f :: !acc | None -> ()
-          done;
-          !acc)
-    in
-    Array.iter (fun l -> List.iter push l) lists
-  | _ ->
-    for i = 0 to n - 1 do
-      match test i with Some f -> push f | None -> ()
-    done
+  let lists =
+    Par.map_ranges pool ~min:32 n ~f:(fun s len ->
+        let acc = ref [] in
+        for i = s + len - 1 downto s do
+          match test i with Some f -> acc := f :: !acc | None -> ()
+        done;
+        !acc)
+  in
+  Array.iter (fun l -> List.iter push l) lists
 
 let check_body fs =
   let aggregate = Fs.aggregate fs in
@@ -103,24 +95,14 @@ let check_body fs =
         lookups of an unmutated hashtable are safe), so the count is
         chunked over the PVBN space and summed in chunk order. *)
   let total = Aggregate.total_blocks aggregate in
-  let count_orphans s len =
-    let n = ref 0 in
-    for pvbn = s to s + len - 1 do
-      if Metafile.is_allocated mf pvbn && not (Hashtbl.mem owners pvbn) then incr n
-    done;
-    !n
-  in
   let orphans =
-    match pool with
-    | Some p when Par.jobs p > 1 && total >= 4096 ->
-      let bounds = Par.chunk_bounds ~total ~align:1 ~chunks:(Par.jobs p * 4) in
-      let counts =
-        Par.map p ~chunks:(Array.length bounds) ~f:(fun c ->
-            let s, len = bounds.(c) in
-            count_orphans s len)
-      in
-      Array.fold_left ( + ) 0 counts
-    | _ -> count_orphans 0 total
+    Array.fold_left ( + ) 0
+      (Par.map_ranges pool ~min:4096 total ~f:(fun s len ->
+           let n = ref 0 in
+           for pvbn = s to s + len - 1 do
+             if Metafile.is_allocated mf pvbn && not (Hashtbl.mem owners pvbn) then incr n
+           done;
+           !n))
   in
   if orphans > 0 then findings := Orphan_blocks { count = orphans } :: !findings;
   List.rev !findings

@@ -26,13 +26,12 @@ type finding =
 val pp_finding : Format.formatter -> finding -> unit
 
 val check : Fs.t -> finding list
-(** Scan everything; empty list = consistent.  With the system's scan
-    pool ({!Aggregate.pool}) the score-drift and orphan
-    scans — pure bitmap reads — are chunked over its domains, with
-    per-chunk findings concatenated in chunk order, so the finding list
-    is identical to a serial check at any domain count.  The
-    container-reference walk (which builds the shared owner table) stays
-    serial. *)
+(** Scan everything; empty list = consistent.  The score-drift and
+    orphan scans — pure bitmap reads — run as {!Wafl_par.Par.map_ranges}
+    chunks on the system's scan pool ({!Aggregate.pool}), with per-chunk
+    findings concatenated in chunk order, so the finding list is the same
+    at any domain count.  The container-reference walk (which builds the
+    shared owner table) stays serial. *)
 
 type authority =
   | Bitmap_authority

@@ -89,17 +89,17 @@ let pass fs ~budget =
               in
               locate g tracked)
         in
-        (* CRC verification is pure page reads — chunk it over the pool.
-           [verify_page] classifies against already-synced sidecar state,
-           so pool domains never race on it; healing stays serial. *)
+        (* CRC verification is pure page reads — chunk it over the pool
+           and concatenate the chunks' verdicts in order.  [verify_page]
+           classifies against already-synced sidecar state, so pool
+           domains never race on it; healing stays serial. *)
         let verdicts =
-          match Aggregate.pool (Fs.aggregate fs) with
-          | Some p when n > 1 ->
-            Par.map p ~chunks:(min n (Par.jobs p * 4)) ~f:(fun i ->
-                let store, _, page = probes.(i) in
-                Integrity.verify_page store page)
-          | _ ->
-            Array.map (fun (store, _, page) -> Integrity.verify_page store page) probes
+          Array.concat
+            (Array.to_list
+               (Par.map_ranges (Aggregate.pool (Fs.aggregate fs)) ~min:2 n ~f:(fun s len ->
+                    Array.init len (fun i ->
+                        let store, _, page = probes.(s + i) in
+                        Integrity.verify_page store page))))
         in
         let bad = ref 0 and healed = ref 0 in
         Array.iteri

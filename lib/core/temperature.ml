@@ -23,7 +23,6 @@ let create ?(backend = Pagestore.Heap) ?meta_file ~classes () =
   { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0; backend }
 
 let classes t = t.classes
-let cp_clock t = t.cp
 let advance_cp t = t.cp <- t.cp + 1
 
 (* Births are stored as 16-bit little-endian (cp mod 65535) + 1 so that a

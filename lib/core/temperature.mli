@@ -34,7 +34,6 @@ val create :
 
 val classes : t -> int
 
-val cp_clock : t -> int
 val advance_cp : t -> unit
 (** Tick the birth-epoch clock; call once per completed CP. *)
 

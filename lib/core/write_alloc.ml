@@ -56,7 +56,7 @@ type t = {
   weight : int array;                     (* scratch: weight per eligible entry *)
   mutable shards : int array array;       (* harvest-kernel scratch (lazy) *)
   mutable alloc_shards : Alloc_shard.t array;  (* per-domain front-end shards *)
-  alloc_pool : Par.t option;              (* drives parallel allocation windows *)
+  alloc_pool : Par.t;                     (* drives parallel allocation windows *)
   pick_mutex : Mutex.t;                   (* serialises cache picks across domains *)
   mutable used_par : bool;                (* a parallel window ran this epoch *)
   mutable par_capable : int;              (* -1 unknown, 0 no, 1 yes (cached) *)
@@ -308,16 +308,17 @@ let ensure_shards t ~jobs ~capacity =
   t.shards
 
 (* Harvest an AA into the cursor's ring: serial kernel for small AAs (or
-   without a pool), the pool-sharded kernel — bit-identical ring contents,
-   see {!Aggregate.harvest_free_of_aa_sharded} — for large ones. *)
+   a one-domain pool, which then builds no shard scratch), the
+   pool-sharded kernel — bit-identical ring contents, see
+   {!Aggregate.harvest_free_of_aa_sharded} — for large ones. *)
 let harvest_range t range aa ~(cursor : cursor) =
   let capacity = Array.length cursor.ring in
-  match Aggregate.pool t.aggregate with
-  | Some p when capacity >= min_sharded_capacity ->
-    let shards = ensure_shards t ~jobs:(Par.jobs p) ~capacity in
-    Aggregate.harvest_free_of_aa_sharded p t.aggregate range aa ~shards ~dst:cursor.ring
+  let pool = Aggregate.pool t.aggregate in
+  if Par.jobs pool > 1 && capacity >= min_sharded_capacity then
+    let shards = ensure_shards t ~jobs:(Par.jobs pool) ~capacity in
+    Aggregate.harvest_free_of_aa_sharded pool t.aggregate range aa ~shards ~dst:cursor.ring
       ~words:t.words
-  | _ -> Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
+  else Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
 
 let rec refill_range_guarded t range cursor qbudget =
   (* Lazy-mount first touch: a stale range materializes its exact scores
@@ -791,13 +792,14 @@ let allocate_pvbns_into ?(cls = 0) t ~dst n =
   if n <= 0 then 0
   else begin
     let row = t.cursors.(if cls < 0 || cls >= t.classes then 0 else cls) in
-    match t.alloc_pool with
-    | Some p
-      when n >= Par.jobs p * 16
-           && (Aggregate.config t.aggregate).Config.aggregate_policy = Config.Best_aa
-           && parallel_capable t ->
-      allocate_pvbns_par t p ~row ~dst n
-    | _ -> allocate_pvbns_serial t ~row ~dst ~pos0:0 n
+    let pool = t.alloc_pool in
+    if
+      Par.jobs pool > 1
+      && n >= Par.jobs pool * 16
+      && (Aggregate.config t.aggregate).Config.aggregate_policy = Config.Best_aa
+      && parallel_capable t
+    then allocate_pvbns_par t pool ~row ~dst n
+    else allocate_pvbns_serial t ~row ~dst ~pos0:0 n
   end
 
 let temp_classes t = t.classes

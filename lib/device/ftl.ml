@@ -134,7 +134,6 @@ let touch_lru t ~stream eb =
 
 (* Wear accessors: per-erase-block erase counts (wpmfs-style wear state;
    the AA scorer bins these to push worn spans down the Best-AA order). *)
-let erase_blocks t = Array.length t.wear
 let wear_of_eb t ~eb =
   if eb < 0 || eb >= Array.length t.wear then invalid_arg "Ftl.wear_of_eb";
   t.wear.(eb)
@@ -152,10 +151,6 @@ let max_wear_in t ~start ~len =
     done;
     !m
   end
-
-let avg_wear t =
-  let n = Array.length t.wear in
-  if n = 0 then 0 else Array.fold_left ( + ) 0 t.wear / n
 
 let wear_spread t =
   let n = Array.length t.wear in

@@ -117,18 +117,12 @@ val write_amplification : t -> float
 
 val stream_write_amplification : t -> int -> float
 
-val erase_blocks : t -> int
-(** Number of erase blocks covering the logical space. *)
-
 val wear_of_eb : t -> eb:int -> int
 (** Cumulative erases of one erase block. *)
 
 val max_wear_in : t -> start:int -> len:int -> int
 (** Highest per-erase-block wear over a logical page range (0 for an
     empty range). *)
-
-val avg_wear : t -> int
-(** Mean per-erase-block wear across the device (truncated). *)
 
 val wear_spread : t -> int * int
 (** [(min, max)] per-erase-block wear across the device. *)

@@ -22,6 +22,4 @@ let faulty_write_cost_us fault (p : Profile.hdd) ~chains ~locals ~parity_writes 
   in
   write_cost_us p ~chains ~blocks:(written + parity_writes)
 
-let sequential_read_cost_us p ~chains ~blocks = write_cost_us p ~chains ~blocks
-
 let streaming_bandwidth_blocks_per_s p = 1_000_000.0 /. p.Profile.transfer_us_per_block

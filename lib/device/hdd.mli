@@ -23,8 +23,5 @@ val faulty_write_cost_us :
     [locals] (range-local block numbers): failed blocks transfer nothing.
     With [None] it is exactly [write_cost_us ~blocks:(len locals + parity_writes)]. *)
 
-val sequential_read_cost_us : Profile.hdd -> chains:int -> blocks:int -> float
-(** Same shape as writes: one seek per chain plus streaming. *)
-
 val streaming_bandwidth_blocks_per_s : Profile.hdd -> float
 (** Upper bound: blocks per second with no seeks. *)

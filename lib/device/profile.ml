@@ -22,8 +22,6 @@ let default_hdd = { seek_us = 8000.0; transfer_us_per_block = 20.0 }
 let default_ssd =
   { erase_block_blocks = 512; read_us = 60.0; program_us = 200.0; erase_us = 2000.0; overprovision = 0.07 }
 
-let enterprise_ssd = { default_ssd with overprovision = 0.28 }
-
 let default_smr =
   { zone_blocks = 16384; seq_write_us = 15.0; seek_us = 10000.0; zone_rmw_us_per_block = 15.0 }
 

@@ -36,9 +36,6 @@ val default_hdd : hdd
 val default_ssd : ssd
 (** 2MiB erase blocks (512 pages), 7% OP. *)
 
-val enterprise_ssd : ssd
-(** Same geometry with 28% OP (the high-OP drives §3.2.2 mentions). *)
-
 val default_smr : smr
 (** 64MiB zones (16384 blocks). *)
 

@@ -269,7 +269,6 @@ let device t ~id =
     st = zero_stats;
   }
 
-let device_id d = d.id
 let health d = d.dhealth
 
 let set_health d h =

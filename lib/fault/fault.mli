@@ -107,7 +107,6 @@ val device : t -> id:int -> device
     created in a fixed order (the RNG substream is split off at creation),
     so call this once per device at attach time, in device-id order. *)
 
-val device_id : device -> int
 val health : device -> health
 val set_health : device -> health -> unit
 val online : device -> bool

@@ -247,16 +247,34 @@ type kind = Scan | Alloc
 
 let cache : (kind * int, t) Hashtbl.t = Hashtbl.create 4
 
+(* One domain needs no workers: every system that runs serially shares
+   this handle, whose [run]/[map] are plain loops. *)
+let serial = create ~jobs:1
+
 let shared kind ~jobs =
-  if jobs <= 1 then None
+  if jobs <= 1 then serial
   else
     match Hashtbl.find_opt cache (kind, jobs) with
-    | Some p -> Some p
+    | Some p -> p
     | None ->
       if Hashtbl.length cache = 0 then
         at_exit (fun () -> Hashtbl.iter (fun _ p -> shutdown p) cache);
       let p = create ~jobs in
       Hashtbl.replace cache (kind, jobs) p;
-      Some p
+      p
 
-let effective_jobs = function Some t -> jobs t | None -> 1
+let ranges t ~min n =
+  if t.jobs <= 1 || n < min then [| (0, n) |]
+  else chunk_bounds ~total:n ~align:1 ~chunks:(t.jobs * 4)
+
+let run_ranges t ~min n ~f =
+  let bounds = ranges t ~min n in
+  run t ~chunks:(Array.length bounds) ~f:(fun c ->
+      let start, len = bounds.(c) in
+      f start len)
+
+let map_ranges t ~min n ~f =
+  let bounds = ranges t ~min n in
+  map t ~chunks:(Array.length bounds) ~f:(fun c ->
+      let start, len = bounds.(c) in
+      f start len)

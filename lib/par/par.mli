@@ -76,6 +76,20 @@ val chunk_bounds : total:int -> align:int -> chunks:int -> (int * int) array
     the range exactly; returns [[||]] when [total <= 0].  Purely
     arithmetic — the same inputs always produce the same split. *)
 
+val run_ranges : t -> min:int -> int -> f:(int -> int -> unit) -> unit
+(** [run_ranges t ~min n ~f] covers [0 .. n - 1] with [(start, len)]
+    chunks and runs [f start len] for each — the one path of every
+    pool-chunked scan.  A one-domain handle, or [n < min] (too little
+    work to pay for a dispatch), runs the single chunk [(0, n)] inline;
+    otherwise the pool runs [jobs t * 4] near-equal chunks, as {!run}.
+    Chunks that write only their own slots leave the same state at any
+    domain count. *)
+
+val map_ranges : t -> min:int -> int -> f:(int -> int -> 'a) -> 'a array
+(** {!run_ranges} that collects [f start len] per chunk, in chunk order,
+    as {!map} (chunk 0 runs on the caller).  Merging the results in
+    chunk order reproduces the ascending serial loop. *)
+
 (** {1 Shared pools}
 
     Pools are resources, not settings: a system's configuration says how
@@ -86,9 +100,10 @@ val chunk_bounds : total:int -> align:int -> chunks:int -> (int * int) array
 
 type kind = Scan | Alloc
 
-val shared : kind -> jobs:int -> t option
-(** The cached pool of [kind] with [jobs] domains, created on first use
-    and shut down at exit; [None] when [jobs <= 1] (serial). *)
+val serial : t
+(** The one-domain handle: no workers, [run]/[map] are plain loops. *)
 
-val effective_jobs : t option -> int
-(** [jobs] of the pool, or 1 for [None]. *)
+val shared : kind -> jobs:int -> t
+(** The cached pool of [kind] with [jobs] domains, created on first use
+    and shut down at exit; {!serial} when [jobs <= 1], so a serial run
+    takes the same code path as a parallel one on a one-domain handle. *)

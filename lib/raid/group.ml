@@ -159,8 +159,3 @@ let stripe_fullness totals =
   if stripes = 0 then 0.0 else float_of_int totals.full_stripes /. float_of_int stripes
 
 let reset t = t.totals <- empty_totals t.geometry
-
-let pp_totals fmt totals =
-  Format.fprintf fmt "flushes=%d blocks=%d tetrises=%d full=%d partial=%d chains=%d"
-    totals.flushes totals.blocks_written totals.tetrises_written totals.full_stripes
-    totals.partial_stripes totals.chain_count

@@ -48,4 +48,3 @@ val stripe_fullness : totals -> float
 
 val reset : t -> unit
 
-val pp_totals : Format.formatter -> totals -> unit

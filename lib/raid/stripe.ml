@@ -13,8 +13,6 @@ let fullness_ratio c =
 
 let total_device_writes _geom c = c.blocks_in_full + c.blocks_in_partial + c.parity_writes
 
-let total_device_reads c = c.extra_reads
-
 let pp fmt c =
   Format.fprintf fmt "full=%d partial=%d (blocks %d/%d) parity_w=%d extra_r=%d"
     c.full_stripes c.partial_stripes c.blocks_in_full c.blocks_in_partial c.parity_writes

@@ -26,6 +26,4 @@ val fullness_ratio : classification -> float
 val total_device_writes : Geometry.t -> classification -> int
 (** Data + parity blocks physically written. *)
 
-val total_device_reads : classification -> int
-
 val pp : Format.formatter -> classification -> unit

@@ -1,13 +1,3 @@
-let popcount_table =
-  let table = Bytes.create 256 in
-  for i = 0 to 255 do
-    let rec count n = if n = 0 then 0 else (n land 1) + count (n lsr 1) in
-    Bytes.set table i (Char.chr (count i))
-  done;
-  table
-
-let popcount_byte b = Char.code (Bytes.get popcount_table (b land 0xff))
-
 let popcount64 x =
   (* SWAR popcount. *)
   let open Int64 in
@@ -69,14 +59,6 @@ let popcount x =
   let x = (x land 0x1333333333333333) + ((x lsr 2) land 0x1333333333333333) in
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56 land 0x7f
-
-let lowest_zero_byte b =
-  let b = b land 0xff in
-  if b = 0xff then 8
-  else begin
-    let rec go i = if b land (1 lsl i) = 0 then i else go (i + 1) in
-    go 0
-  end
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

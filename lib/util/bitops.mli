@@ -3,9 +3,6 @@
 val popcount64 : int64 -> int
 (** Number of set bits. *)
 
-val popcount_byte : int -> int
-(** Number of set bits in the low 8 bits; table-driven. *)
-
 val ctz64 : int64 -> int
 (** Index (0-based, from least-significant) of the lowest set bit.
     Returns 64 when the argument is zero. *)
@@ -21,9 +18,6 @@ val ctz : int -> int
 val popcount : int -> int
 (** Set bits of a native int.  Defined on non-negative values (the
     harvest masks are at most 32 bits wide). *)
-
-val lowest_zero_byte : int -> int
-(** Index of the lowest clear bit of the low 8 bits; 8 if all set. *)
 
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] for [n > 0]. False for non-positive values. *)

@@ -8,9 +8,6 @@ let mg1_response_time ~service_time ~cv2 ~arrival_rate =
 
 let capacity service_time = 0.98 /. service_time
 
-let achieved_throughput ~service_time ~offered_load =
-  Float.min offered_load (capacity service_time)
-
 let closed_loop_point ~service_time ~cv2 ~offered_load ~throughput ~latency =
   let cap = capacity service_time in
   if offered_load < cap then begin

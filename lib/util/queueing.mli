@@ -14,12 +14,6 @@ val mg1_response_time :
     coefficient of variation of service times, [arrival_rate] in ops/sec.
     [None] when the queue is unstable (utilization >= 1). *)
 
-val achieved_throughput :
-  service_time:float -> offered_load:float -> float
-(** Throughput actually delivered under offered load against a server with
-    the given mean service time: [min offered_load (0.98 / service_time)].
-    The 2% headroom models scheduling overhead at saturation. *)
-
 val closed_loop_point :
   service_time:float -> cv2:float -> offered_load:float ->
   throughput:float ref -> latency:float ref -> unit

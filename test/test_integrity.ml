@@ -338,6 +338,62 @@ let test_heal_closure () =
   check_heal_closure ~name:"rot" ~spec:"rot=0:0@1" ~cps_to_fire:1 ~expect:Integrity.Torn;
   check_heal_closure ~name:"lost" ~spec:"lost=0:0@2" ~cps_to_fire:2 ~expect:Integrity.Stale
 
+(* A pass verifies every page of its budget at any domain count: on a
+   4 x 65536-block rig (18 tracked pages) the cursor starts 12 pages
+   before the wrap, so the rotted page 0 is the pass's 13th probe — past
+   the first [jobs * 4] probes a pool-chunked pass dispatches. *)
+let test_scrub_pass_covers_budget () =
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "jobs %d" jobs in
+      let dir = fresh_dir (Printf.sprintf "wafl_test_integrity_budget_%d" jobs) in
+      let spec =
+        match Wafl_fault.Fault.spec_of_string "rot=0:0@1" with
+        | Ok s -> s
+        | Error msg -> Alcotest.fail msg
+      in
+      Pagestore.with_mmap_dir dir (fun () ->
+          let rg =
+            {
+              Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+              data_devices = 4;
+              parity_devices = 1;
+              device_blocks = 65536;
+              aa_stripes = Some 512;
+            }
+          in
+          let config =
+            Config.make ~raid_groups:[ rg; rg ]
+              ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+              ~run:
+                { Config.default_run with
+                  Config.backend = Config.Mmap dir;
+                  faults = Some spec;
+                  jobs }
+              ~seed:11 ()
+          in
+          let fs = Fs.create config in
+          let rng = Wafl_util.Rng.create ~seed:13 in
+          let vol = (Fs.vols fs).(0) in
+          for _ = 1 to 400 do
+            Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
+              ~offset:(Wafl_util.Rng.int rng 2048)
+          done;
+          ignore (Fs.run_cp fs);
+          let pages store = Option.value ~default:0 (Integrity.n_pages store) in
+          let total =
+            pages (Metafile.store (Aggregate.metafile (Fs.aggregate fs)))
+            + pages (Metafile.store (Flexvol.metafile vol))
+          in
+          check_int (name ^ ": tracked pages") 18 total;
+          Fs.scrub_cursor fs := total - 12;
+          let stats = Scrub.pass fs ~budget:18 in
+          check_int (name ^ ": whole budget verified") 18 stats.Scrub.pages_verified;
+          check_int (name ^ ": rotted page found") 1 stats.Scrub.bad_pages;
+          check_int (name ^ ": and healed") 1 stats.Scrub.healed;
+          check_int (name ^ ": iron clean after heal") 0 (List.length (Iron.check fs))))
+    [ 1; 2 ]
+
 (* Sealing rides the CP flush, never the consume: the ring-served
    allocation window on file-mapped stores allocates no minor words. *)
 let test_sealed_consume_zero_alloc () =
@@ -383,6 +439,8 @@ let () =
         [
           Alcotest.test_case "rot healed between CPs" `Quick test_scrub_heals;
           Alcotest.test_case "rot/lost heal closure" `Quick test_heal_closure;
+          Alcotest.test_case "pass covers its budget at jobs 1 and 2" `Quick
+            test_scrub_pass_covers_budget;
           Alcotest.test_case "consume window zero-alloc" `Quick test_sealed_consume_zero_alloc;
           Alcotest.test_case "dropped systems collected" `Quick test_scrubbed_systems_collected;
         ] );

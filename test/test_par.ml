@@ -87,17 +87,30 @@ let test_chunk_bounds_properties () =
         [ 1; 8; 32; 256 ])
     [ 0; 1; 5; 31; 32; 33; 1000; 4096 ]
 
-(* Pools are cached process resources: one per (kind, size), none for a
-   single domain, and scan pools never double as allocation pools. *)
+(* Pools are cached process resources: one per (kind, size), the shared
+   one-domain handle for a single domain, and scan pools never double as
+   allocation pools. *)
 let test_shared_pools () =
-  check_bool "one domain needs no pool" true (Par.shared Par.Scan ~jobs:1 = None);
+  check_bool "one domain is the serial handle" true (Par.shared Par.Scan ~jobs:1 == Par.serial);
+  check_int "serial handle runs one domain" 1 (Par.jobs Par.serial);
   let scan = Par.shared Par.Scan ~jobs:3 in
-  check_bool "same size, same pool" true
-    (match (scan, Par.shared Par.Scan ~jobs:3) with Some a, Some b -> a == b | _ -> false);
-  check_bool "allocation pool kept apart" true
-    (match (scan, Par.shared Par.Alloc ~jobs:3) with Some a, Some b -> a != b | _ -> false);
-  check_int "effective jobs" 3 (Par.effective_jobs scan);
-  check_int "effective jobs without pool" 1 (Par.effective_jobs None)
+  check_bool "same size, same pool" true (scan == Par.shared Par.Scan ~jobs:3);
+  check_bool "allocation pool kept apart" true (scan != Par.shared Par.Alloc ~jobs:3);
+  check_int "pool jobs" 3 (Par.jobs scan)
+
+(* One path per chunked scan: a single inline chunk on one domain or
+   below the threshold, [jobs * 4] chunks covering [0, n) in order
+   otherwise. *)
+let test_map_ranges () =
+  let cover p ~min n = Par.map_ranges p ~min n ~f:(fun s len -> (s, len)) in
+  check_bool "serial: one chunk" true (cover Par.serial ~min:1 100 = [| (0, 100) |]);
+  check_bool "empty: one empty chunk" true (cover Par.serial ~min:1 0 = [| (0, 0) |]);
+  Par.with_pool ~jobs:2 (fun p ->
+      check_bool "below min: one chunk" true (cover p ~min:32 31 = [| (0, 31) |]);
+      check_bool "at min: jobs * 4 chunks" true
+        (cover p ~min:32 32 = Par.chunk_bounds ~total:32 ~align:1 ~chunks:8);
+      check_bool "fewer items than chunks" true
+        (cover p ~min:2 5 = Par.chunk_bounds ~total:5 ~align:1 ~chunks:8))
 
 (* --- domain-safe telemetry: no lost increments under a multi-domain
        hammer --- *)
@@ -488,6 +501,7 @@ let () =
             test_jobs1_and_shutdown_degrade;
           Alcotest.test_case "chunk_bounds properties" `Quick test_chunk_bounds_properties;
           Alcotest.test_case "shared cache" `Quick test_shared_pools;
+          Alcotest.test_case "map_ranges chunking" `Quick test_map_ranges;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "multi-domain hammer" `Quick test_telemetry_hammer ] );

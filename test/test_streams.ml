@@ -332,6 +332,135 @@ let test_streams_end_to_end () =
   let _, max_wear = Wafl_device.Ftl.wear_spread ftl in
   check_bool "erases recorded as wear" true (max_wear >= 1)
 
+(* --- CP outputs pinned at one and three classes, one and two domains ---
+
+   A CP places, commits and flushes by one code path whatever the class
+   and domain counts; these per-CP facts were measured on the separate
+   routed and unrouted placement loops that path replaced, so the one
+   path reproduces both.  Two SSD RAID groups and two volumes put more
+   than one range and volume behind every fan-out stage. *)
+
+let pin_config ~classes ~streams ~jobs =
+  let profile =
+    { Wafl_device.Profile.default_ssd with
+      Wafl_device.Profile.erase_block_blocks = 64;
+      overprovision = 0.1
+    }
+  in
+  let rg =
+    {
+      Config.media = Config.Ssd profile;
+      data_devices = 2;
+      parity_devices = 1;
+      device_blocks = 4096;
+      aa_stripes = Some 32;
+    }
+  in
+  Config.make ~raid_groups:[ rg; rg ]
+    ~vols:[ Config.default_vol ~name:"a" ~blocks:4096; Config.default_vol ~name:"b" ~blocks:4096 ]
+    ~aggregate_policy:Config.Best_aa
+    ~run:
+      { Config.default_run with
+        Config.jobs;
+        streams =
+          { Config.temp_classes = classes; ssd_streams = streams; wear_bias = 0; meta_file = Some 0 } }
+    ~seed:5 ()
+
+(* Order-sensitive digest of the aggregate activemap's allocated bits. *)
+let activemap_digest fs =
+  let mf = Aggregate.metafile (Fs.aggregate fs) in
+  let h = ref 0 in
+  for vbn = 0 to Metafile.blocks mf - 1 do
+    if Metafile.is_allocated mf vbn then h := ((!h * 1_000_003) + vbn) land 0x3FFF_FFFF
+  done;
+  !h
+
+(* One line per CP: blocks allocated, pvbns and vvbns freed, aggregate
+   and volume metafile pages, then per device and stream the FTL's host
+   pages written / pages relocated, then the activemap digest. *)
+let pinned_cps ~classes ~streams ~jobs =
+  let fs = Fs.create (pin_config ~classes ~streams ~jobs) in
+  let vols = Fs.vols fs in
+  Array.iter
+    (fun vol ->
+      for off = 0 to 2047 do
+        Fs.stage_write fs ~vol ~file:1 ~offset:off
+      done)
+    vols;
+  ignore (Fs.run_cp fs);
+  let rng = Wafl_util.Rng.create ~seed:23 in
+  List.init 10 (fun cp ->
+      Array.iter
+        (fun vol ->
+          for k = 0 to 3 do
+            Fs.stage_write fs ~vol ~file:0 ~offset:(((cp * 4) + k) mod 64)
+          done;
+          for _ = 1 to 400 do
+            (* a skewed overwrite stream: a hot eighth takes most writes *)
+            let off =
+              if Wafl_util.Rng.int rng 4 > 0 then Wafl_util.Rng.int rng 256
+              else Wafl_util.Rng.int rng 2048
+            in
+            Fs.stage_write fs ~vol ~file:1 ~offset:off
+          done)
+        vols;
+      let r = Fs.run_cp fs in
+      let devices =
+        List.map
+          (fun (d : Cp.device_report) ->
+            String.concat ","
+              (Array.to_list
+                 (Array.map
+                    (fun (s : Wafl_device.Ftl.stats) ->
+                      Printf.sprintf "%d/%d" s.Wafl_device.Ftl.host_pages_written
+                        s.Wafl_device.Ftl.relocated_pages)
+                    d.Cp.ssd_stream_stats)))
+          r.Cp.devices
+      in
+      Printf.sprintf "%d %d %d %d %d | %s | %d" r.Cp.blocks_allocated r.Cp.pvbns_freed
+        r.Cp.vvbns_freed r.Cp.agg_metafile_pages r.Cp.vol_metafile_pages
+        (String.concat " " devices) (activemap_digest fs))
+
+let pinned_one_class =
+  [
+    "552 544 544 1 2 | 276/0 276/0 | 919442637";
+    "545 537 537 1 2 | 273/0 272/0 | 1062110821";
+    "557 549 549 1 2 | 279/0 278/0 | 218939693";
+    "527 519 519 1 2 | 264/4 263/0 | 733844429";
+    "545 537 537 1 2 | 273/3 272/0 | 977288939";
+    "549 541 541 1 2 | 275/0 274/0 | 311522245";
+    "568 560 560 1 2 | 284/11 284/0 | 35429338";
+    "546 538 538 1 2 | 274/0 272/0 | 833297536";
+    "536 528 528 1 2 | 269/0 267/0 | 164346835";
+    "541 533 533 1 2 | 271/0 270/0 | 148769119";
+  ]
+
+let pinned_three_classes =
+  [
+    "552 544 544 1 2 | 272/0,0/0,4/0,0/0 272/0,0/0,4/0,0/0 | 977614093";
+    "545 537 537 1 2 | 134/0,135/0,4/0,0/0 133/0,135/0,4/0,0/0 | 180811741";
+    "557 549 549 1 2 | 150/0,125/0,4/0,0/0 150/0,124/0,4/0,0/0 | 313077572";
+    "527 519 519 1 2 | 159/4,102/0,4/0,0/0 157/0,101/0,4/0,0/0 | 35245875";
+    "545 537 537 1 2 | 170/26,99/1,4/30,0/0 169/0,99/0,4/0,0/0 | 1050154194";
+    "549 541 541 1 2 | 173/0,98/0,5/0,0/0 172/0,96/0,5/0,0/0 | 897300350";
+    "568 560 560 1 2 | 185/9,94/0,5/0,0/0 185/0,94/0,5/0,0/0 | 8134751";
+    "546 538 538 1 2 | 181/24,86/0,7/0,0/0 181/0,84/0,7/0,0/0 | 804604361";
+    "536 528 528 1 2 | 180/0,81/0,8/0,0/0 180/0,80/0,7/49,0/0 | 801849802";
+    "541 533 533 1 2 | 188/21,68/25,16/0,0/0 187/0,67/0,15/0,0/0 | 557857053";
+  ]
+
+let test_cp_outputs_pinned () =
+  List.iter
+    (fun (classes, streams, want) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d classes, %d streams, jobs %d" classes streams jobs)
+            want
+            (pinned_cps ~classes ~streams ~jobs))
+        [ 1; 2 ])
+    [ (1, 1, pinned_one_class); (3, 4, pinned_three_classes) ]
+
 let () =
   Alcotest.run "wafl_streams"
     [
@@ -354,5 +483,9 @@ let () =
           Alcotest.test_case "consume window zero-alloc" `Quick test_routed_consume_zero_alloc;
         ] );
       ( "end-to-end",
-        [ Alcotest.test_case "classes reach FTL streams" `Quick test_streams_end_to_end ] );
+        [
+          Alcotest.test_case "classes reach FTL streams" `Quick test_streams_end_to_end;
+          Alcotest.test_case "cp outputs pinned at 1 and 3 classes" `Quick
+            test_cp_outputs_pinned;
+        ] );
     ]
