@@ -1,7 +1,7 @@
 (* The two checks tier-1 cannot host.
 
    Usage:
-     bench/main.exe offheap     the page-store backends at modeled
+     bench/main.exe offheap     the off-heap page store at modeled
                                 billion-block scale; CI runs it under a
                                 6 GiB `ulimit -v` address-space cap
      bench/main.exe overhead    CP time with telemetry, integrity sealing
@@ -108,7 +108,7 @@ let mmap_cp_secs ~sealed ~cps ~ops () =
   let dir = fresh_dir "wafl_bench_overhead_seal" in
   let config =
     Config.make ~raid_groups:[ rg; rg ] ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-      ~run:{ Config.default_run with Config.backend = Config.Mmap dir }
+      ~run:{ Config.default_run with Config.mmap_dir = Some dir }
       ~seed:3 ()
   in
   Wafl_bitmap.Integrity.set_enabled sealed;
@@ -156,12 +156,12 @@ let run_overhead () =
   in
   telemetry && sealing && latency
 
-(* --- offheap: the page-store backends at modeled billion-block scale ---
+(* --- offheap: the page store at modeled billion-block scale ---
 
    An aggregate of 16 object-backed (RAID-agnostic) ranges is sized at
-   2^24 and 2^27 blocks on both backends, and at 2^30 — a modeled
-   billion-block aggregate, 128 MiB of allocation bitmap — on the
-   bigarray backend, where the GC sees only the store handles.  Each case
+   2^24, 2^27 and 2^30 blocks — the last a modeled billion-block
+   aggregate, 128 MiB of allocation bitmap, of which the GC sees only the
+   store handles.  Each case
    builds the system, commits one small CP's worth of allocations,
    snapshots it, and remounts the image twice: lazily (--lazy-rebuild:
    TopAA-seeded, nothing scanned, every range stale) and eagerly (full
@@ -179,7 +179,6 @@ let run_overhead () =
 
 type offheap_case = {
   oh_blocks : int;
-  oh_backend : string;
   oh_lazy_ready_us : float;
   oh_eager_ready_us : float;
   oh_touched_ranges : int;
@@ -208,7 +207,7 @@ let vm_rss_mb () =
 
 let offheap_aa_blocks = 32768
 
-let offheap_case ~backend ~blocks =
+let offheap_case ~blocks =
   let n_ranges = 16 in
   let spec =
     {
@@ -220,9 +219,7 @@ let offheap_case ~backend ~blocks =
   let config =
     Wafl_core.Config.make ~raid_groups:[]
       ~object_ranges:(List.init n_ranges (fun _ -> spec))
-      ~aggregate_policy:Wafl_core.Config.Best_aa
-      ~run:{ Wafl_core.Config.default_run with Wafl_core.Config.backend }
-      ~seed:7 ()
+      ~aggregate_policy:Wafl_core.Config.Best_aa ~seed:7 ()
   in
   let fs = Wafl_core.Fs.create config in
   (* one small committed CP so the image is not trivially empty *)
@@ -253,7 +250,6 @@ let offheap_case ~backend ~blocks =
   let heap_mb = float_of_int ((Gc.quick_stat ()).Gc.heap_words * 8) /. 1048576.0 in
   {
     oh_blocks = blocks;
-    oh_backend = Wafl_core.Config.backend_to_string backend;
     oh_lazy_ready_us = lazy_t.Wafl_core.Mount.ready_us;
     oh_eager_ready_us = eager_t.Wafl_core.Mount.ready_us;
     oh_touched_ranges = touched;
@@ -265,32 +261,21 @@ let offheap_case ~backend ~blocks =
 
 let run_offheap () =
   print_endline "Off-heap page store: modeled billion-block aggregate, lazy vs eager mount";
-  let cases =
-    [
-      (Wafl_core.Config.Heap, 1 lsl 24);
-      (Wafl_core.Config.Heap, 1 lsl 27);
-      (Wafl_core.Config.Bigarray, 1 lsl 24);
-      (Wafl_core.Config.Bigarray, 1 lsl 27);
-      (Wafl_core.Config.Bigarray, 1 lsl 30);
-    ]
-  in
   let rows =
     List.map
-      (fun (backend, blocks) ->
-        let c = offheap_case ~backend ~blocks in
+      (fun blocks ->
+        let c = offheap_case ~blocks in
         Printf.printf
-          "  [%8s] 2^%2.0f blocks: lazy ready %8.0f us, eager %12.0f us, first touch \
-           %d/%d ranges (%d pages), heap %6.1f MB, rss %7.1f MB\n%!"
-          c.oh_backend
+          "  2^%2.0f blocks: lazy ready %8.0f us, eager %12.0f us, first touch %d/%d ranges \
+           (%d pages), heap %6.1f MB, rss %7.1f MB\n%!"
           (Float.log2 (float_of_int blocks))
           c.oh_lazy_ready_us c.oh_eager_ready_us c.oh_touched_ranges c.oh_total_ranges
           c.oh_first_touch_pages c.oh_heap_mb c.oh_rss_mb;
         c)
-      cases
+      [ 1 lsl 24; 1 lsl 27; 1 lsl 30 ]
   in
-  let bigs = List.filter (fun r -> r.oh_backend = "bigarray") rows in
-  let smallest = List.hd bigs in
-  let largest = List.nth bigs (List.length bigs - 1) in
+  let smallest = List.hd rows in
+  let largest = List.nth rows (List.length rows - 1) in
   let lazy_ratio = largest.oh_lazy_ready_us /. smallest.oh_lazy_ready_us in
   let eager_ratio = largest.oh_eager_ready_us /. smallest.oh_eager_ready_us in
   Printf.printf
@@ -312,7 +297,7 @@ let run_offheap () =
     rows;
   let bitmap_mb = float_of_int (largest.oh_blocks / 8) /. 1048576.0 in
   if largest.oh_heap_mb > bitmap_mb /. 4.0 then
-    fail "FAIL: billion-block bigarray case kept %.1f MB on the OCaml heap (budget %.1f MB)\n"
+    fail "FAIL: billion-block case kept %.1f MB on the OCaml heap (budget %.1f MB)\n"
       largest.oh_heap_mb (bitmap_mb /. 4.0);
   !ok
 

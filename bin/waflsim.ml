@@ -263,7 +263,7 @@ let optional_telemetry out =
   else None
 
 (* Every subcommand runs through here: print the run line (the flags that
-   reproduce the run), open the mmap session its backend names, and run
+   reproduce the run), open the mmap session its [--mmap] names, and run
    [f] with [tel] installed, flushing the reports (and, with [summary],
    the latency summary) even if [f] raises.  [after] runs once the
    reports are flushed, still inside the session. *)
@@ -281,9 +281,9 @@ let with_run ?(summary = true) ?(after = ignore) run out tel f =
       Telemetry.with_installed tel (fun () -> Fun.protect ~finally:flush f));
     after ()
   in
-  match run.Wafl_core.Config.backend with
-  | Wafl_core.Config.Mmap dir -> Wafl_bitmap.Pagestore.with_mmap_dir dir go
-  | Wafl_core.Config.Heap | Wafl_core.Config.Bigarray -> go ()
+  match run.Wafl_core.Config.mmap_dir with
+  | Some dir -> Wafl_bitmap.Pagestore.with_mmap_dir dir go
+  | None -> go ()
 
 let experiment_cmd name ~doc run_print =
   let run scale out run no_iron_gate =
@@ -360,15 +360,6 @@ let crash_matrix_cmd =
       & info [ "no-cleaner" ]
           ~doc:"Skip the segment-cleaner pass before the final CP.")
   in
-  let foreground_rebuild_arg =
-    Arg.(
-      value & flag
-      & info [ "foreground-rebuild" ]
-          ~doc:
-            "Remount each crashed image on its seeded TopAA caches alone (no background \
-             full rebuild) — verifies recovery in the immediate-post-failover state the \
-             paper measures.")
-  in
   let lazy_rebuild_arg =
     Arg.(
       value & flag
@@ -376,7 +367,8 @@ let crash_matrix_cmd =
           ~doc:
             "Remount each crashed image incrementally: every range and volume comes up \
              stale-but-seeded and materializes its exact cache on first touch (the \
-             repair's Iron scan, or the replay CP's allocations).  Verifies that lazy \
+             repair's Iron scan, or the replay CP's allocations) — the \
+             immediate-post-failover state the paper measures.  Verifies that lazy \
              mounts recover exactly like eager ones.")
   in
   let verify_mount_arg =
@@ -387,14 +379,13 @@ let crash_matrix_cmd =
             "Verify the persisted pagestore bytes against their CRC integrity sidecars at \
              every post-crash remount: torn and stale (lost-write) pages are detected \
              before the image restore and their ranges/volumes quarantined for rescan.  \
-             Only meaningful with $(b,--backend mmap:PATH), where each crash-matrix run \
+             Only meaningful with $(b,--mmap DIR), where each crash-matrix run \
              gets its own wiped subdirectory and the remount reloads sidecars from disk.")
   in
-  let run seed cps ops no_cleaner foreground_rebuild lazy_rebuild verify_mount out run =
+  let run seed cps ops no_cleaner lazy_rebuild verify_mount out run =
     with_run run out (optional_telemetry out) (fun () ->
         let r =
-          Wafl_core.Crash_matrix.run ~run ~with_cleaner:(not no_cleaner)
-            ~background_rebuild:(not foreground_rebuild) ~lazy_rebuild
+          Wafl_core.Crash_matrix.run ~run ~with_cleaner:(not no_cleaner) ~lazy_rebuild
             ~verify_mount ~seed ~warmup_cps:cps ~ops_per_cp:ops ()
         in
         Printf.printf "crash matrix: %d crash points enumerated (%d workload runs)\n"
@@ -424,8 +415,8 @@ let crash_matrix_cmd =
           verify recovery invariants (no lost acknowledged op, no double-allocated block, \
           clean Iron check)")
     Term.(
-      const run $ seed_arg $ cps_arg $ ops_arg $ no_cleaner_arg $ foreground_rebuild_arg
-      $ lazy_rebuild_arg $ verify_mount_arg $ outputs_term $ Wafl_cli.Run_flags.term)
+      const run $ seed_arg $ cps_arg $ ops_arg $ no_cleaner_arg $ lazy_rebuild_arg
+      $ verify_mount_arg $ outputs_term $ Wafl_cli.Run_flags.term)
 
 (* `waflsim top`: drive an aged random-overwrite system and redraw a
    one-screen health view (current CP phase, picks/s, search ns/block,

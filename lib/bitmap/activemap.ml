@@ -9,12 +9,12 @@ type t = {
 
 type commit_result = { freed : int list; pages_written : int }
 
-let create ?backend ?page_bits ~blocks () =
-  let metafile = Metafile.create ?backend ?page_bits ~blocks () in
+let create ?page_bits ~blocks () =
+  let metafile = Metafile.create ?page_bits ~blocks () in
   (* The pending mask mirrors the in-memory queue, so it is transient by
      definition: zero it explicitly, since in a re-entered mmap directory
      its backing file may still hold a previous process's bits. *)
-  let pending = Bitmap.create ?backend ~bits:blocks () in
+  let pending = Bitmap.create ~bits:blocks () in
   Bitmap.clear_range pending ~start:0 ~len:blocks;
   { metafile; pending; queue = []; n_pending = 0 }
 

@@ -14,7 +14,7 @@ type commit_result = {
   pages_written : int;    (** metafile pages flushed *)
 }
 
-val create : ?backend:Pagestore.backend -> ?page_bits:int -> blocks:int -> unit -> t
+val create : ?page_bits:int -> blocks:int -> unit -> t
 
 val metafile : t -> Metafile.t
 (** The underlying map; reads through it see allocations immediately and

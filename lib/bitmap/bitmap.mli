@@ -1,19 +1,17 @@
 (** Flat bitmaps over a block-number space.
 
     The i-th bit tracks the state of the i-th block (§2.5): set = allocated,
-    clear = free.  Backed by a {!Pagestore} (heap bytes or an off-heap
-    bigarray — same word layout either way) and processed 64 bits at a time
+    clear = free.  Backed by an off-heap {!Pagestore} and processed 64 bits
+    at a time
     for the bulk operations (population counts and free-run searches) that
     the AA score computation and the mount-time cache rebuild perform. *)
 
 type t
 
-val create : ?backend:Pagestore.backend -> bits:int -> unit -> t
+val create : bits:int -> unit -> t
 (** All bits clear (all blocks free).  [bits >= 0].  The backing store is
-    on [backend] (default [Heap]), or the next file of an installed map
-    directory ({!Pagestore.create} [~mapped:true]). *)
-
-val backend : t -> Pagestore.backend
+    anonymous, or the next file of an installed map directory
+    ({!Pagestore.create} [~mapped:true]). *)
 
 val store : t -> Pagestore.t
 (** The backing page store itself.  The integrity plane keys its sidecars

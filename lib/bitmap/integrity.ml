@@ -4,7 +4,7 @@ module Telemetry = Wafl_telemetry.Telemetry
 (* Persisted-state integrity plane.
 
 
-   When pagestores are file-mapped ([--backend mmap:DIR]) the bytes on
+   When pagestores are file-mapped ([--mmap DIR]) the bytes on
    disk ARE the free-space state, and nothing in the mmap path itself can
    tell a faithfully persisted page from one hit by bit-rot or a lost
    write — mmap acks nothing.  This module gives every {e tracked} store

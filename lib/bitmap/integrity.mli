@@ -1,7 +1,7 @@
 (** Persisted-state integrity: CRC-32 sidecars over the file-mapped
     pagestores.
 
-    With [--backend mmap:DIR] the mapped bytes are the durable free-space
+    With [--mmap DIR] the mapped bytes are the durable free-space
     state, and mmap gives no acknowledgement to check them against.  This
     plane seals every {e tracked} store (the bitmap-metafile map stores,
     registered by [Metafile.create]) page by page: a CRC-32 and a

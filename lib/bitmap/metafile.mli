@@ -16,9 +16,9 @@ type io_stats = {
   flushes : int;      (** number of flushes (CPs) *)
 }
 
-val create : ?backend:Pagestore.backend -> ?page_bits:int -> blocks:int -> unit -> t
-(** Metafile tracking [blocks] VBNs, all initially free, with its bitmaps
-    on [backend] (see {!Bitmap.create}).  [page_bits]
+val create : ?page_bits:int -> blocks:int -> unit -> t
+(** Metafile tracking [blocks] VBNs, all initially free (see
+    {!Bitmap.create}).  [page_bits]
     (default 32768, one 4KiB block) sets how many VBNs one metafile page
     covers; simulations scaled far below real device sizes shrink it
     together with the AA size so the page-per-AA alignment of §3.2.1 is

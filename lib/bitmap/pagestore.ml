@@ -1,14 +1,11 @@
-type backend = Heap | Bigarray
-
-type ba = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* Byte-kind view of the little-endian int64-word layout: byte loads and
-   stores are immediate ints on both arms (an int64-kind Bigarray would box
-   every element read), while the word accessor below assembles the same
-   64-bit words the layout defines. *)
-type t =
-  | Bytes_store of Bytes.t
-  | Big_store of ba
+   stores are immediate ints (an int64-kind Bigarray would box every
+   element read), while [word] reads one unaligned 64-bit load. *)
+type t = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external get64u : t -> int -> int64 = "%caml_bigstring_get64u"
+external set64u : t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 (* File-backed stores: when a map directory is installed, every store
    created [~mapped:true] becomes a shared mapping of the next file in the
@@ -76,13 +73,10 @@ let map_file ~path words =
         Unix.ftruncate fd 0;
         Unix.ftruncate fd bytes
       end;
-      let a =
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.int8_unsigned Bigarray.c_layout true [| bytes |])
-      in
-      Big_store a)
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int8_unsigned Bigarray.c_layout true [| bytes |]))
 
-let create ?(backend = Heap) ?(mapped = false) words =
+let create ?(mapped = false) words =
   if words < 0 then invalid_arg "Pagestore.create: negative size";
   match !mmap_dir with
   | Some dir when mapped && words > 0 ->
@@ -92,105 +86,65 @@ let create ?(backend = Heap) ?(mapped = false) words =
     let t = map_file ~path words in
     mapped_rev := (seq, path, t) :: !mapped_rev;
     t
-  | _ -> (
-    match backend with
-    | Heap -> Bytes_store (Bytes.make (words * 8) '\000')
-    | Bigarray ->
-      let a =
-        Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout (words * 8)
-      in
-      Bigarray.Array1.fill a 0;
-      Big_store a)
+  | _ ->
+    let a = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout (words * 8) in
+    Bigarray.Array1.fill a 0;
+    a
 
-let backend = function Bytes_store _ -> Heap | Big_store _ -> Bigarray
-
-let length_bytes = function
-  | Bytes_store b -> Bytes.length b
-  | Big_store a -> Bigarray.Array1.dim a
-
+(* Annotated: an unannotated accessor would compile polymorphically, as a
+   call into the generic C getter instead of one load. *)
+let length_bytes (t : t) = Bigarray.Array1.dim t
 let words t = length_bytes t / 8
-
-let[@inline] byte t i =
-  match t with
-  | Bytes_store b -> Char.code (Bytes.unsafe_get b i)
-  | Big_store a -> Bigarray.Array1.unsafe_get a i
-
-let[@inline] set_byte t i v =
-  match t with
-  | Bytes_store b -> Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
-  | Big_store a -> Bigarray.Array1.unsafe_set a i (v land 0xff)
+let[@inline] byte (t : t) i = Bigarray.Array1.unsafe_get t i
+let[@inline] set_byte (t : t) i v = Bigarray.Array1.unsafe_set t i (v land 0xff)
 
 let word t w =
-  match t with
-  | Bytes_store b -> Bytes.get_int64_le b (w * 8)
-  | Big_store a ->
-    let o = w * 8 in
-    let lo =
-      Bigarray.Array1.unsafe_get a o
-      lor (Bigarray.Array1.unsafe_get a (o + 1) lsl 8)
-      lor (Bigarray.Array1.unsafe_get a (o + 2) lsl 16)
-      lor (Bigarray.Array1.unsafe_get a (o + 3) lsl 24)
-    and hi =
-      Bigarray.Array1.unsafe_get a (o + 4)
-      lor (Bigarray.Array1.unsafe_get a (o + 5) lsl 8)
-      lor (Bigarray.Array1.unsafe_get a (o + 6) lsl 16)
-      lor (Bigarray.Array1.unsafe_get a (o + 7) lsl 24)
-    in
-    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+  let x = get64u t (w * 8) in
+  if Sys.big_endian then bswap64 x else x
 
-let fill t ~pos ~len v =
+(* Whole words, then the ragged tail, allocating nothing: [fill] sits
+   under every bulk [Bitmap.set_range]/[clear_range]. *)
+let fill (t : t) ~pos ~len v =
   if pos < 0 || len < 0 || pos + len > length_bytes t then
     invalid_arg "Pagestore.fill: range out of bounds";
-  match t with
-  | Bytes_store b -> Bytes.fill b pos len (Char.chr (v land 0xff))
-  | Big_store a ->
-    if len > 0 then Bigarray.Array1.fill (Bigarray.Array1.sub a pos len) (v land 0xff)
+  let b = v land 0xff and stop = pos + len in
+  let pattern = Int64.mul (Int64.of_int b) 0x0101010101010101L in
+  let i = ref pos in
+  while !i + 8 <= stop do
+    set64u t !i pattern;
+    i := !i + 8
+  done;
+  while !i < stop do
+    Bigarray.Array1.unsafe_set t !i b;
+    incr i
+  done
 
 let blit ~src ~dst =
-  let n = length_bytes src in
-  if n <> length_bytes dst then invalid_arg "Pagestore.blit: size mismatch";
-  match (src, dst) with
-  | Bytes_store s, Bytes_store d -> Bytes.blit s 0 d 0 n
-  | Big_store s, Big_store d -> Bigarray.Array1.blit s d
-  | _ ->
-    for i = 0 to n - 1 do
-      set_byte dst i (byte src i)
-    done
+  if length_bytes src <> length_bytes dst then invalid_arg "Pagestore.blit: size mismatch";
+  Bigarray.Array1.blit src dst
 
 let copy t =
-  let c = create ~backend:(backend t) (words t) in
+  let c = create (words t) in
   blit ~src:t ~dst:c;
   c
 
-let equal a b =
-  length_bytes a = length_bytes b
-  &&
-  match (a, b) with
-  | Bytes_store x, Bytes_store y -> Bytes.equal x y
-  | _ ->
-    let n = length_bytes a in
-    let rec go i = i >= n || (byte a i = byte b i && go (i + 1)) in
-    go 0
+(* Stores are whole words, so word-at-a-time comparison and copies cover
+   every byte; native order on both sides keeps the copies byte-exact. *)
+let rec equal_from a b i n = i >= n || (get64u a i = get64u b i && equal_from a b (i + 8) n)
+let equal a b = length_bytes a = length_bytes b && equal_from a b 0 (length_bytes a)
 
-let of_bytes ?backend ?mapped b =
+let of_bytes ?mapped b =
   let n = Bytes.length b in
   if n mod 8 <> 0 then invalid_arg "Pagestore.of_bytes: not whole words";
-  let t = create ?backend ?mapped (n / 8) in
-  (match t with
-  | Bytes_store d -> Bytes.blit b 0 d 0 n
-  | Big_store _ ->
-    for i = 0 to n - 1 do
-      set_byte t i (Char.code (Bytes.unsafe_get b i))
-    done);
+  let t = create ?mapped (n / 8) in
+  for w = 0 to (n / 8) - 1 do
+    set64u t (w * 8) (Bytes.get_int64_ne b (w * 8))
+  done;
   t
 
 let to_bytes t =
-  let n = length_bytes t in
-  match t with
-  | Bytes_store b -> Bytes.sub b 0 n
-  | Big_store _ ->
-    let b = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set b i (Char.unsafe_chr (byte t i))
-    done;
-    b
+  let b = Bytes.create (length_bytes t) in
+  for w = 0 to words t - 1 do
+    Bytes.set_int64_ne b (w * 8) (get64u t (w * 8))
+  done;
+  b

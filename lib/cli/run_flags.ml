@@ -10,10 +10,10 @@ let rec mkdir_p dir =
   end
 
 (* An mmap directory is checked (and created) while the command line is
-   parsed, so a bad PATH never becomes a half-finished run.  An empty
-   PATH is left to [Config.validate]. *)
+   parsed, so a bad DIR never becomes a half-finished run.  An empty DIR
+   is left to [Config.validate]. *)
 let prepare_mmap_dir dir =
-  let fail fmt = Printf.ksprintf (fun m -> Error (`Msg ("mmap:" ^ dir ^ m))) fmt in
+  let fail fmt = Printf.ksprintf (fun m -> Error (`Msg (dir ^ m))) fmt in
   if dir = "" then Ok ()
   else if not (Sys.file_exists dir) then
     match mkdir_p dir with
@@ -26,16 +26,9 @@ let prepare_mmap_dir dir =
     | () -> Ok ()
     | exception Unix.Unix_error _ -> fail " is not writable"
 
-let backend_conv =
-  let parse s =
-    match Config.backend_of_string s with
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown backend %S (expected heap|bigarray|mmap:PATH)" s))
-    | Some (Config.Mmap dir as b) -> Result.map (fun () -> b) (prepare_mmap_dir dir)
-    | Some b -> Ok b
-  in
-  let print fmt b = Format.pp_print_string fmt (Config.backend_to_string b) in
-  Arg.conv ~docv:"BACKEND" (parse, print)
+let mmap_conv =
+  let parse dir = Result.map (fun () -> dir) (prepare_mmap_dir dir) in
+  Arg.conv ~docv:"DIR" (parse, Format.pp_print_string)
 
 let fault_conv =
   let parse = function
@@ -47,17 +40,16 @@ let fault_conv =
 
 let d = Config.default_run
 
-let backend =
+let mmap_dir =
   let doc =
-    "Page-store backend for every allocation bitmap, activemap and TopAA block: \
-     $(b,heap) (OCaml bytes, the default), $(b,bigarray) (off-heap words the GC never \
-     scans) or $(b,mmap:PATH) (bigarray words file-mapped under directory PATH, created \
-     if missing — a rerun over the same directory remounts the persisted free-space \
-     state).  PATH is validated when the command line is parsed: a path that exists but \
-     is not a writable directory is rejected before anything runs.  Allocation \
-     behaviour is byte-identical across backends."
+    "File-map every allocation bitmap, activemap and TopAA block under directory \
+     $(docv), created if missing — a rerun over the same directory remounts the \
+     persisted free-space state.  Without it the same off-heap stores are anonymous \
+     memory.  $(docv) is validated when the command line is parsed: a path that exists \
+     but is not a writable directory is rejected before anything runs.  Allocation \
+     behaviour is byte-identical either way."
   in
-  Arg.(value & opt backend_conv d.Config.backend & info [ "backend" ] ~docv:"BACKEND" ~doc)
+  Arg.(value & opt (some mmap_conv) d.Config.mmap_dir & info [ "mmap" ] ~docv:"DIR" ~doc)
 
 let jobs =
   let doc =
@@ -85,7 +77,7 @@ let scrub_rate =
      and self-heal any torn or stale page found — the overlapped ranges/volumes are \
      rescanned and the bitmap-vs-container disagreement settled by container-authority \
      repair.  A full sweep of N tracked pages takes ceil(N/$(docv)) CPs.  Requires \
-     $(b,--backend mmap:PATH); the default of 0 disables scrubbing."
+     $(b,--mmap DIR); the default of 0 disables scrubbing."
   in
   Arg.(value & opt int d.Config.scrub_rate & info [ "scrub-rate" ] ~docv:"N" ~doc)
 
@@ -129,12 +121,12 @@ let wear_bias =
   Arg.(value & opt int d.Config.streams.Config.wear_bias & info [ "wear-bias" ] ~docv:"N" ~doc)
 
 let term =
-  let make backend jobs alloc_domains scrub_rate faults temp_classes ssd_streams wear_bias =
+  let make mmap_dir jobs alloc_domains scrub_rate faults temp_classes ssd_streams wear_bias =
     let streams = { d.Config.streams with Config.temp_classes; ssd_streams; wear_bias } in
-    Config.validate { Config.backend; jobs; alloc_domains; scrub_rate; faults; streams }
+    Config.validate { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults; streams }
     |> Result.map_error Config.run_error_to_string
   in
   Term.(
     term_result' ~usage:true
-      (const make $ backend $ jobs $ alloc_domains $ scrub_rate $ faults $ temp_classes
+      (const make $ mmap_dir $ jobs $ alloc_domains $ scrub_rate $ faults $ temp_classes
      $ ssd_streams $ wear_bias))

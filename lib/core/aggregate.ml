@@ -186,8 +186,7 @@ let create config =
     {
       config;
       ranges;
-      activemap =
-        Activemap.create ~backend:(Config.store_backend run.Config.backend) ~blocks:!base ();
+      activemap = Activemap.create ~blocks:!base ();
       total_blocks = !base;
       pool = Par.shared Par.Scan ~jobs:run.Config.jobs;
       rebuild_epoch = 0;

@@ -39,10 +39,10 @@ type t
 
 val create : Config.t -> t
 (** Builds the ranges and their caches from the config; its run
-    ({!Config.run}) picks the page-store backend and the size of the
-    shared scan pool ({!pool}).  When the run carries a fault spec, a
-    fault plane is created from it and attached as by {!attach_faults},
-    and the spec's persisted-state injections are armed
+    ({!Config.run}) picks the size of the shared scan pool ({!pool}).
+    When the run carries a fault spec, a fault plane is created from it
+    and attached as by {!attach_faults}, and the spec's persisted-state
+    injections are armed
     ({!Wafl_bitmap.Integrity.arm}). *)
 
 val attach_faults : t -> Wafl_fault.Fault.t -> unit

@@ -35,10 +35,8 @@ type stream_spec = {
 let default_streams =
   { temp_classes = 1; ssd_streams = 1; wear_bias = 0; meta_file = None }
 
-type backend = Heap | Bigarray | Mmap of string
-
 type run = {
-  backend : backend;
+  mmap_dir : string option;
   jobs : int;
   alloc_domains : int;
   scrub_rate : int;
@@ -48,7 +46,7 @@ type run = {
 
 let default_run =
   {
-    backend = Heap;
+    mmap_dir = None;
     jobs = 1;
     alloc_domains = 1;
     scrub_rate = 0;
@@ -78,9 +76,9 @@ let validate r =
   else if s.wear_bias < 0 || s.wear_bias > 255 then
     Error (Wear_bias_out_of_range s.wear_bias)
   else
-    match r.backend with
-    | Mmap "" -> Error Empty_mmap_path
-    | Heap | Bigarray when r.scrub_rate > 0 -> Error (Scrub_without_mmap r.scrub_rate)
+    match r.mmap_dir with
+    | Some "" -> Error Empty_mmap_path
+    | None when r.scrub_rate > 0 -> Error (Scrub_without_mmap r.scrub_rate)
     | _ -> Ok r
 
 let run_error_to_string = function
@@ -89,37 +87,23 @@ let run_error_to_string = function
   | Scrub_rate_negative n -> Printf.sprintf "--scrub-rate must be >= 0 (got %d)" n
   | Scrub_without_mmap n ->
     Printf.sprintf
-      "--scrub-rate %d needs --backend mmap:PATH (only file-mapped stores carry the \
-       integrity sidecars the scrubber verifies)"
+      "--scrub-rate %d needs --mmap DIR (only file-mapped stores carry the integrity \
+       sidecars the scrubber verifies)"
       n
   | Temp_classes_out_of_range n -> Printf.sprintf "--temp-classes must be in 1..4 (got %d)" n
   | Streams_out_of_range n -> Printf.sprintf "--streams must be in 1..8 (got %d)" n
   | Wear_bias_out_of_range n -> Printf.sprintf "--wear-bias must be in 0..255 (got %d)" n
-  | Empty_mmap_path -> "--backend mmap: expects a directory path (mmap:PATH)"
-
-let backend_to_string = function
-  | Heap -> "heap"
-  | Bigarray -> "bigarray"
-  | Mmap dir -> "mmap:" ^ dir
-
-let backend_of_string = function
-  | "heap" -> Some Heap
-  | "bigarray" -> Some Bigarray
-  | s when String.starts_with ~prefix:"mmap:" s ->
-    Some (Mmap (String.sub s 5 (String.length s - 5)))
-  | _ -> None
-
-let store_backend = function
-  | Heap -> Wafl_bitmap.Pagestore.Heap
-  | Bigarray | Mmap _ -> Wafl_bitmap.Pagestore.Bigarray
+  | Empty_mmap_path -> "--mmap expects a directory path"
 
 let run_args r =
   let int = string_of_int and s = r.streams in
+  let mmap = Option.map (fun d -> ("mmap", d)) r.mmap_dir in
   let fault = Option.map (fun f -> ("fault-spec", Wafl_fault.Fault.spec_to_string f)) r.faults in
   List.concat_map
     (fun (flag, v) -> [ "--" ^ flag; v ])
-    ([ ("backend", backend_to_string r.backend); ("jobs", int r.jobs);
-       ("alloc-domains", int r.alloc_domains); ("scrub-rate", int r.scrub_rate) ]
+    (Option.to_list mmap
+    @ [ ("jobs", int r.jobs); ("alloc-domains", int r.alloc_domains);
+        ("scrub-rate", int r.scrub_rate) ]
     @ Option.to_list fault
     @ [ ("temp-classes", int s.temp_classes); ("streams", int s.ssd_streams);
         ("wear-bias", int s.wear_bias) ])

@@ -63,16 +63,12 @@ val default_streams : stream_spec
     its {!t}, so nothing about a run is process-wide: two systems built
     with different runs in one process behave as their own runs say. *)
 
-type backend =
-  | Heap  (** page stores are OCaml bytes *)
-  | Bigarray  (** page stores are off-heap words *)
-  | Mmap of string
-      (** off-heap words file-mapped under the directory — the map
-          session itself ({!Wafl_bitmap.Pagestore.with_mmap_dir}) is
-          opened by whoever drives the run *)
-
 type run = {
-  backend : backend;  (** [--backend] *)
+  mmap_dir : string option;
+      (** [--mmap]: file-map the durable page stores under this directory
+          — the map session itself ({!Wafl_bitmap.Pagestore.with_mmap_dir})
+          is opened by whoever drives the run; [None] keeps every store
+          anonymous *)
   jobs : int;  (** [--jobs]: domains of the system's scan pool *)
   alloc_domains : int;  (** [--alloc-domains]: domains of its allocation pool *)
   scrub_rate : int;  (** [--scrub-rate]: pages scrubbed after every CP; 0 = off *)
@@ -83,7 +79,7 @@ type run = {
 }
 
 val default_run : run
-(** Heap stores, serial scans and allocation, no scrubber, no faults,
+(** Anonymous stores, serial scans and allocation, no scrubber, no faults,
     {!default_streams}. *)
 
 type run_error =
@@ -103,17 +99,9 @@ val validate : run -> (run, run_error) result
 val run_error_to_string : run_error -> string
 (** Names the offending flag and its legal range. *)
 
-val backend_to_string : backend -> string
-(** [heap], [bigarray] or [mmap:PATH] — the [--backend] spelling. *)
-
-val backend_of_string : string -> backend option
-
-val store_backend : backend -> Wafl_bitmap.Pagestore.backend
-(** The page-store backend a system's stores use ([Bigarray] for mmap). *)
-
 val run_args : run -> string list
 (** The flags that reproduce the run, as an argument vector ([meta_file]
-    has no flag and is not included). *)
+    has no flag and is not included; [--mmap] appears only when set). *)
 
 val run_to_string : run -> string
 (** {!run_args} as one shell line, words quoted only where a shell would

@@ -113,7 +113,7 @@ let with_pass_dir k f =
     wipe_dir sub;
     Pagestore.with_mmap_dir sub (fun () -> f (Some sub))
 
-let run ?config ?run ?(with_cleaner = true) ?(background_rebuild = true) ?(lazy_rebuild = false)
+let run ?config ?run ?(with_cleaner = true) ?(lazy_rebuild = false)
     ?(verify_mount = false) ~seed ~warmup_cps ~ops_per_cp () =
   let config = match config with Some c -> c | None -> default_config ?run ~seed () in
   (* Pass 1: enumerate the dynamic crash-point sequence the workload
@@ -151,8 +151,7 @@ let run ?config ?run ?(with_cleaner = true) ?(background_rebuild = true) ?(lazy_
             let image = Mount.snapshot fs in
             let remount_and_check () =
               let mounted, _timing =
-                Mount.mount ~background_rebuild ~lazy_rebuild ~verify:verify_mount image
-                  ~with_topaa:true
+                Mount.mount ~lazy_rebuild ~verify:verify_mount image ~with_topaa:true
               in
               let _findings, _repaired =
                 Iron.repair ~authority:Iron.Container_authority mounted

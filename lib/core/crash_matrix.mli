@@ -33,7 +33,6 @@ val run :
   ?config:Config.t ->
   ?run:Config.run ->
   ?with_cleaner:bool ->
-  ?background_rebuild:bool ->
   ?lazy_rebuild:bool ->
   ?verify_mount:bool ->
   seed:int ->
@@ -43,12 +42,10 @@ val run :
   result
 (** Run the full matrix.  [with_cleaner] (default true) inserts a cleaner
     pass before the final CP so the cleaner's crash point is exercised.
-    [background_rebuild] (default true) is forwarded to {!Mount.mount} for
-    every post-crash remount; pass [false] to verify recovery on the
-    seeded TopAA caches alone — the immediate-post-failover state.
-    [lazy_rebuild] (default false) is likewise forwarded: the remounts
-    come up stale-but-seeded and the repair's Iron scan is the first
-    touch that materializes exact caches range by range.
+    [lazy_rebuild] (default false) is forwarded to {!Mount.mount} for
+    every post-crash remount: the remounts come up stale-but-seeded and
+    the repair's Iron scan is the first touch that materializes exact
+    caches range by range.
     [run] (ignored when [config] is given) is the run of the default
     config; every pass and every remount executes as it says — under its
     fault spec, scrubber and pools.

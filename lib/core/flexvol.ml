@@ -31,7 +31,7 @@ type t = {
   mutable cache_epoch : int;  (* cache/scores exact iff = rebuild_epoch *)
 }
 
-let create ?backend ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
+let create ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
   if spec.Config.blocks <= 0 then invalid_arg "Flexvol.create: empty volume";
   let aa_blocks = Option.value spec.Config.aa_blocks ~default:Sizing.default_raid_agnostic_blocks in
   let aa_blocks = min aa_blocks spec.Config.blocks in
@@ -45,7 +45,7 @@ let create ?backend ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
       (* one metafile page per AA — the §3.2.1 alignment — even when the
          simulation scales AAs below the physical 32k-bits-per-block *)
       activemap =
-        Activemap.create ?backend
+        Activemap.create
           ~page_bits:(min Wafl_block.Units.bits_per_metafile_block aa_blocks)
           ~blocks:spec.Config.blocks ();
       scores;

@@ -9,9 +9,8 @@
 
 type t
 
-val create :
-  ?backend:Wafl_bitmap.Pagestore.backend -> ?pool:Wafl_par.Par.t -> Config.vol_spec -> t
-(** A volume with its bitmaps on [backend] (default [Heap]).  [pool] —
+val create : ?pool:Wafl_par.Par.t -> Config.vol_spec -> t
+(** A volume and its bitmaps.  [pool] —
     its system's scan pool, {!Wafl_par.Par.serial} by default — runs the
     volume's free commits and rescans. *)
 

@@ -35,21 +35,19 @@ let registered () = List.rev !registered_rev
 
 let create config =
   let run = config.Config.run in
-  let backend = Config.store_backend run.Config.backend in
   let aggregate = Aggregate.create config in
   let rng = Rng.create ~seed:config.Config.seed in
   let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) in
   let vols =
     Array.of_list
-      (List.map (Flexvol.create ~backend ~pool:(Aggregate.pool aggregate)) config.Config.vols)
+      (List.map (Flexvol.create ~pool:(Aggregate.pool aggregate)) config.Config.vols)
   in
   Array.iter (Write_alloc.register_vol walloc) vols;
   let temp =
     let s = run.Config.streams in
     if s.Config.temp_classes > 1 then
       Some
-        (Temperature.create ~backend ?meta_file:s.Config.meta_file
-           ~classes:s.Config.temp_classes ())
+        (Temperature.create ?meta_file:s.Config.meta_file ~classes:s.Config.temp_classes ())
     else None
   in
   let t =

@@ -8,8 +8,10 @@ type t
 
 val create : Config.t -> t
 (** Build the system the config describes, running as its {!Config.run}
-    says: page stores on the run's backend, scans and CP stages run on a
-    scan pool of [jobs] domains ({!Aggregate.pool}; the one-domain
+    says: durable page stores file-mapped when a map directory is
+    installed ({!Wafl_bitmap.Pagestore.with_mmap_dir}, which [waflsim]
+    opens on [mmap_dir]), scans and CP stages run on a scan pool of
+    [jobs] domains ({!Aggregate.pool}; the one-domain
     {!Wafl_par.Par.serial} handle at [jobs = 1]), allocation
     windows over a separate pool of [alloc_domains], the run's fault spec
     attached, and [scrub_rate] pages scrubbed after every CP.  Pools come

@@ -66,28 +66,27 @@ let default_cost_model =
 
 let snapshot fs =
   let aggregate = Fs.aggregate fs in
-  let backend = Config.store_backend (Fs.config fs).Config.run.Config.backend in
   let range_topaa =
     Array.map
       (fun (r : Aggregate.range) ->
         match r.Aggregate.cache with
         | Some cache -> (
           match Cache.backend cache with
-          | Cache.Raid_aware heap -> Topaa_heap (Topaa.save_raid_aware ~backend heap)
+          | Cache.Raid_aware heap -> Topaa_heap (Topaa.save_raid_aware heap)
           | Cache.Raid_agnostic hbps ->
-            let histogram, list_page = Topaa.save_hbps ~backend hbps in
+            let histogram, list_page = Topaa.save_hbps hbps in
             Topaa_hbps (histogram, list_page))
         | None ->
           (* cache disabled: persist a heap built on the spot, as the real
              system would from its current scores *)
-          Topaa_heap (Topaa.save_raid_aware ~backend (Max_heap.of_scores r.Aggregate.scores)))
+          Topaa_heap (Topaa.save_raid_aware (Max_heap.of_scores r.Aggregate.scores)))
       (Aggregate.ranges aggregate)
   in
   let vol_topaa =
     Array.map
       (fun vol ->
         match Option.map Cache.backend (Flexvol.cache vol) with
-        | Some (Cache.Raid_agnostic hbps) -> Topaa.save_hbps ~backend hbps
+        | Some (Cache.Raid_agnostic hbps) -> Topaa.save_hbps hbps
         | Some (Cache.Raid_aware _) | None ->
           let h =
             Hbps.create
@@ -95,7 +94,7 @@ let snapshot fs =
               ~scores:(Flexvol.scores vol) ()
           in
           Hbps.replenish h;
-          Topaa.save_hbps ~backend h)
+          Topaa.save_hbps h)
       (Fs.vols fs)
   in
   {
@@ -277,6 +276,21 @@ let restore ?(verify = false) ?run image =
   in
   (fs, vreport)
 
+(* An HBPS cache over [topology] seeded from persisted TopAA pages: each
+   listed AA scored at its bin's lower bound, every other AA at zero. *)
+let hbps_cache ?space topology seed =
+  let approx = Array.make (Topology.aa_count topology) 0 in
+  List.iter
+    (fun (aa, s) -> if aa < Array.length approx then approx.(aa) <- s)
+    (Topaa.seed_scores seed);
+  let cache =
+    Cache.raid_agnostic ?space ~max_score:(Topology.full_aa_capacity topology) ~scores:approx ()
+  in
+  (match Cache.backend cache with
+  | Cache.Raid_agnostic h -> Hbps.replenish h
+  | Cache.Raid_aware _ -> ());
+  cache
+
 (* Seed one range cache from its TopAA block.  A corrupt block is detected
    by its checksum; the mount then falls back to scoring that range from
    the bitmaps (the real system would engage WAFL Iron).  Returns
@@ -308,24 +322,12 @@ let seed_range_cache aggregate (r : Aggregate.range) block =
   | Topaa_hbps (histogram, list_page) -> (
     match Topaa.load_hbps (histogram, list_page) with
     | Ok seed ->
-      let approx = Array.make (Topology.aa_count r.Aggregate.topology) 0 in
-      List.iter
-        (fun (aa, s) -> if aa < Array.length approx then approx.(aa) <- s)
-        (Topaa.seed_scores seed);
-      let cache =
-        Cache.raid_agnostic ~space:r.Aggregate.index
-          ~max_score:(Topology.full_aa_capacity r.Aggregate.topology)
-          ~scores:approx ()
-      in
-      (match Cache.backend cache with
-      | Cache.Raid_agnostic h -> Hbps.replenish h
-      | Cache.Raid_aware _ -> ());
-      r.Aggregate.cache <- Some cache;
+      r.Aggregate.cache <- Some (hbps_cache ~space:r.Aggregate.index r.Aggregate.topology seed);
       (List.length seed.Topaa.entries, 0)
     | Error _ -> fallback ())
 
-let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
-    ?(lazy_rebuild = false) ?(verify = false) ?run image ~with_topaa =
+let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = false) ?run
+    image ~with_topaa =
   let fs, vreport = restore ~verify ?run image in
   (* replay the NVRAM log: the logged client operations are re-staged so
      the first CP commits them (no data loss across the takeover) *)
@@ -341,12 +343,9 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
      whatever the TopAA pass installs below stays an approximation until
      that range's first touch (pick, harvest, Iron scan, cleaner pass)
      pays its exact rescore.  Fault fallbacks rebuild from the bitmap
-     right here and re-stamp themselves fresh under the new epoch.  A
-     TopAA mount with no background rebuild is in the same position: the
-     restored scores are still [Fs.create]'s empty-volume values and
-     nothing else would make them exact, so it is stamped stale too. *)
-  if lazy_rebuild || (with_topaa && not background_rebuild) then begin
-    if lazy_rebuild then Telemetry.incr "mount.lazy_mounts";
+     right here and re-stamp themselves fresh under the new epoch. *)
+  if lazy_rebuild then begin
+    Telemetry.incr "mount.lazy_mounts";
     Aggregate.invalidate_caches aggregate;
     Array.iter Flexvol.invalidate_cache (Fs.vols fs)
   end;
@@ -365,19 +364,7 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
       (fun i vol ->
         match Topaa.load_hbps image.vol_topaa.(i) with
         | Ok seed ->
-          let approx = Array.make (Topology.aa_count (Flexvol.topology vol)) 0 in
-          List.iter
-            (fun (aa, s) -> if aa < Array.length approx then approx.(aa) <- s)
-            (Topaa.seed_scores seed);
-          let cache =
-            Cache.raid_agnostic
-              ~max_score:(Topology.full_aa_capacity (Flexvol.topology vol))
-              ~scores:approx ()
-          in
-          (match Cache.backend cache with
-          | Cache.Raid_agnostic h -> Hbps.replenish h
-          | Cache.Raid_aware _ -> ());
-          Flexvol.set_cache vol (Some cache);
+          Flexvol.set_cache vol (Some (hbps_cache (Flexvol.topology vol) seed));
           seeds := !seeds + List.length seed.Topaa.entries
         | Error _ ->
           (* corrupt volume TopAA: score the volume from its bitmap *)
@@ -392,8 +379,7 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
       +. (float_of_int !fallback_pages *. (cost.page_read_us +. cost.page_scan_cpu_us))
       +. replay_us
     in
-    if background_rebuild && not lazy_rebuild then
-      Rebuild.request ~vols:(Fs.vols fs) aggregate Rebuild.Full;
+    if not lazy_rebuild then Rebuild.request ~vols:(Fs.vols fs) aggregate Rebuild.Full;
     Telemetry.incr "mount.topaa_mounts";
     Telemetry.add "mount.topaa_blocks_read" blocks_read;
     Telemetry.add "mount.topaa_seeds" !seeds;
@@ -473,9 +459,9 @@ let mount_body ?(cost = default_cost_model) ?(background_rebuild = true)
 
 (* The whole mount — restore, NVRAM replay, cache seeding or full-scan
    rebuild — is one [Mount_rebuild] span. *)
-let mount ?cost ?background_rebuild ?lazy_rebuild ?verify ?run image ~with_topaa =
+let mount ?cost ?lazy_rebuild ?verify ?run image ~with_topaa =
   Telemetry.span_enter Span.Mount_rebuild;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Mount_rebuild)
     (fun () ->
-      mount_body ?cost ?background_rebuild ?lazy_rebuild ?verify ?run image ~with_topaa)
+      mount_body ?cost ?lazy_rebuild ?verify ?run image ~with_topaa)

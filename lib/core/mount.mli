@@ -77,7 +77,6 @@ val verify_pagestores : Fs.t -> verify_report
 
 val mount :
   ?cost:cost_model ->
-  ?background_rebuild:bool ->
   ?lazy_rebuild:bool ->
   ?verify:bool ->
   ?run:Config.run ->
@@ -86,24 +85,12 @@ val mount :
   Fs.t * timing
 (** Bring the snapshot back as a fresh system: space state, each volume's
     namespace (container map and file block maps) and the NVRAM log.
-    [with_topaa:true] seeds caches from the persisted blocks;
-    [false] pays the full scan.
-
-    [background_rebuild] selects what happens after TopAA seeding:
-    - [true] (the default): the mount additionally runs the full
-      cache rebuild — exact scores for every AA — off the timed path,
-      the way the production system finishes its background scanner
-      dozens of seconds after mount.  By the time [mount] returns, a
-      TopAA mount allocates identically to a full-scan mount.
-    - [false]: the system runs on the seeded caches alone (top ~500
-      AAs per range) — the state the paper measures immediately after
-      failover.  The restored scores are not exact, so every range and
-      volume is stamped stale as on a lazy mount and rescored on its
-      first touch.  Use this to observe seeded-cache behaviour, or to
-      keep mount itself cheap in tests.
-
-    [background_rebuild] only affects [with_topaa:true] mounts; the
-    full-scan path always rebuilds exactly.
+    [with_topaa:true] seeds caches from the persisted blocks and then,
+    unless [lazy_rebuild], runs the full cache rebuild — exact scores for
+    every AA — off the timed path, the way the production system finishes
+    its background scanner dozens of seconds after mount: by the time
+    [mount] returns, a TopAA mount allocates identically to a full-scan
+    mount.  [false] pays the full scan.
 
     [lazy_rebuild] (default [false]) makes the mount {e incremental}:
     every range and volume is stamped stale up front, and each one
@@ -113,7 +100,8 @@ val mount :
     (counted by the [rebuild.lazy_ranges] / [rebuild.lazy_vols]
     telemetry).  With [with_topaa:true] the constant-cost seeding still
     runs (so picks before the first touch follow the persisted top AAs)
-    but the eager background rebuild is skipped; with [with_topaa:false]
+    but the eager background rebuild is skipped — the state the paper
+    measures immediately after failover; with [with_topaa:false]
     nothing is scanned at all and [ready_us] is the NVRAM replay alone —
     independent of aggregate size.  Once every range has been touched,
     the system's state is bit-identical to an eager mount's at any
@@ -134,8 +122,8 @@ val mount :
     after the restore heals the data.  Meaningless (empty report) without
     an installed mmap directory.
 
-    [run] (default: the image's own) is how the mounted system runs — a
-    heap image can come back on bigarray stores, or with more domains.
+    [run] (default: the image's own) is how the mounted system runs — an
+    image can come back with more domains, or file-mapped.
     Its scan pool parallelises the full-scan rescoring — and the
     background rebuild — across its domains with
     bit-identical resulting cache state; the modeled [ready_us] of a

@@ -17,8 +17,8 @@
     [scrub.healed]; the per-CP time series carries the cumulative
     [scrub_pages] / [scrub_bad] columns.  Everything is a no-op unless an
     mmap directory is installed (nothing is tracked otherwise) — which is
-    why {!Config.validate} rejects a positive scrub rate without an mmap
-    backend. *)
+    why {!Config.validate} rejects a positive scrub rate without an
+    [mmap_dir]. *)
 
 type stats = { pages_verified : int; bad_pages : int; healed : int; passes : int }
 

@@ -15,12 +15,11 @@ type t = {
   mutable cp : int;
   vols : (int, vol) Hashtbl.t;
   classified : int array; (* per-cls decision counters, indexed by cls_index *)
-  backend : Pagestore.backend;
 }
 
-let create ?(backend = Pagestore.Heap) ?meta_file ~classes () =
+let create ?meta_file ~classes () =
   if classes < 1 || classes > 4 then invalid_arg "Temperature.create: classes in 1..4";
-  { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0; backend }
+  { classes; meta_file; cp = 0; vols = Hashtbl.create 8; classified = Array.make 4 0 }
 
 let classes t = t.classes
 let advance_cp t = t.cp <- t.cp + 1
@@ -35,9 +34,7 @@ let vol_state t ~uid ~blocks =
   | Some v -> v
   | None ->
     let words = ((2 * blocks) + 7) / 8 in
-    let v =
-      { store = Pagestore.create ~backend:t.backend words; blocks; avg = 8.0 }
-    in
+    let v = { store = Pagestore.create words; blocks; avg = 8.0 } in
     Hashtbl.add t.vols uid v;
     v
 

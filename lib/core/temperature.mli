@@ -11,9 +11,9 @@
     births default to {e warm}; a configured metafile id is classed
     {e meta} unconditionally.
 
-    State is bounded and off-heap-capable: 2 bytes of birth epoch per
+    State is bounded and off-heap: 2 bytes of birth epoch per
     vvbn per tracked volume on a {!Wafl_bitmap.Pagestore} (anonymous even
-    under [--backend mmap] — inferred temperature is a cache, not
+    under [--mmap] — inferred temperature is a cache, not
     persisted state), plus one EWMA float per volume.  Classification is
     allocation-free after a volume's first touch. *)
 
@@ -25,12 +25,10 @@ val cls_index : cls -> int
 
 type t
 
-val create :
-  ?backend:Wafl_bitmap.Pagestore.backend -> ?meta_file:int -> classes:int -> unit -> t
+val create : ?meta_file:int -> classes:int -> unit -> t
 (** [classes] (1..4) is how many routing slots {!slot_of} collapses onto;
     [meta_file] marks one file id as metafile traffic.  The per-volume
-    birth stores live on [backend] (default [Heap]) and are never
-    file-mapped. *)
+    birth stores are never file-mapped. *)
 
 val classes : t -> int
 

@@ -43,8 +43,8 @@ let measure ?run scale ~n_vols ~vol_blocks =
     vols;
   ignore (Fs.run_cp fs);
   let image = Mount.snapshot fs in
-  let _, with_topaa = Mount.mount ~background_rebuild:false image ~with_topaa:true in
-  let _, without = Mount.mount ~background_rebuild:false image ~with_topaa:false in
+  let _, with_topaa = Mount.mount ~lazy_rebuild:true image ~with_topaa:true in
+  let _, without = Mount.mount image ~with_topaa:false in
   (with_topaa.Mount.ready_us, without.Mount.ready_us)
 
 let run ?(scale = Common.Quick) ?run () =

@@ -230,14 +230,15 @@ let test_mmap_remount () =
       let a = Bitmap.create ~bits:(2 * bits_a) () in
       check_int "resized store is zero-filled" 0 (Bitmap.count_set a))
 
+(* Only [~mapped:true] stores join the file sequence: an explicitly
+   unmapped store under an installed directory stays anonymous. *)
 let test_mmap_explicit_backend_stays_anonymous () =
   let dir = fresh_dir "wafl_test_allocpar_mmap2" in
   Pagestore.with_mmap_dir dir (fun () ->
       let n_before = Array.length (Sys.readdir dir) in
-      let s = Pagestore.create ~backend:Pagestore.Heap 16 in
-      ignore (Pagestore.words s);
-      check_int "explicit-backend create maps no file" n_before
-        (Array.length (Sys.readdir dir)))
+      let s = Pagestore.create ~mapped:false 16 in
+      check_bool "unmapped create has no path" true (Pagestore.mapped_path s = None);
+      check_int "unmapped create maps no file" n_before (Array.length (Sys.readdir dir)))
 
 let () =
   Alcotest.run "allocpar"

@@ -120,13 +120,7 @@ let prop_bitmap_free_extents_cover =
       done;
       !ok)
 
-(* --- word-at-a-time kernels vs naive per-bit references ---
-
-   Every kernel property runs once per {!Pagestore} backend: the heap
-   bytes and the off-heap bigarray share the word layout, so the same
-   naive per-bit reference must hold on both. *)
-
-let on_backends f = List.for_all f [ Pagestore.Heap; Pagestore.Bigarray ]
+(* --- word-at-a-time kernels vs naive per-bit references --- *)
 
 (* Random bitmap of [bits] bits with a ragged window [start, start+len). *)
 let ragged_window_gen bits =
@@ -136,8 +130,8 @@ let ragged_window_gen bits =
       (int_bound (bits - 1))
       (int_bound (bits - 1)))
 
-let make_bitmap ~backend bits sets =
-  let b = Bitmap.create ~backend ~bits () in
+let make_bitmap bits sets =
+  let b = Bitmap.create ~bits () in
   List.iter (fun i -> Bitmap.set b i) sets;
   b
 
@@ -147,125 +141,152 @@ let prop_fold_clear_matches_naive =
   QCheck.Test.make ~name:"fold_clear_in matches naive clear-bit scan" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun backend ->
-          let start, len = clamp_window 500 start len in
-          let b = make_bitmap ~backend 500 sets in
-          let naive = ref [] in
-          for i = start + len - 1 downto start do
-            if not (Bitmap.get b i) then naive := i :: !naive
-          done;
-          let folded =
-            List.rev (Bitmap.fold_clear_in b ~start ~len ~init:[] ~f:(fun acc i -> i :: acc))
-          in
-          folded = !naive))
+      let start, len = clamp_window 500 start len in
+      let b = make_bitmap 500 sets in
+      let naive = ref [] in
+      for i = start + len - 1 downto start do
+        if not (Bitmap.get b i) then naive := i :: !naive
+      done;
+      let folded =
+        List.rev (Bitmap.fold_clear_in b ~start ~len ~init:[] ~f:(fun acc i -> i :: acc))
+      in
+      folded = !naive)
 
 let prop_harvest_matches_fold =
   QCheck.Test.make ~name:"harvest_clear_into matches fold_clear_in" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun backend ->
-          let start, len = clamp_window 500 start len in
-          let b = make_bitmap ~backend 500 sets in
-          let dst = Array.make 500 (-1) in
-          let n = Bitmap.harvest_clear_into b ~start ~len ~offset:1000 ~dst ~pos:0 in
-          let harvested = Array.to_list (Array.sub dst 0 n) in
-          let expected =
-            List.rev
-              (Bitmap.fold_clear_in b ~start ~len ~init:[] ~f:(fun acc i -> (i + 1000) :: acc))
-          in
-          harvested = expected))
+      let start, len = clamp_window 500 start len in
+      let b = make_bitmap 500 sets in
+      let dst = Array.make 500 (-1) in
+      let n = Bitmap.harvest_clear_into b ~start ~len ~offset:1000 ~dst ~pos:0 in
+      let harvested = Array.to_list (Array.sub dst 0 n) in
+      let expected =
+        List.rev
+          (Bitmap.fold_clear_in b ~start ~len ~init:[] ~f:(fun acc i -> (i + 1000) :: acc))
+      in
+      harvested = expected)
 
 let prop_find_first_matches_naive =
   QCheck.Test.make ~name:"find_first_clear/set match naive scans" ~count:200
     QCheck.(pair (list (int_bound 299)) (int_bound 299))
     (fun (sets, from) ->
-      on_backends (fun backend ->
-          let b = make_bitmap ~backend 300 sets in
-          let naive target =
-            let rec go i =
-              if i >= 300 then None else if Bitmap.get b i = target then Some i else go (i + 1)
-            in
-            go from
-          in
-          Bitmap.find_first_clear b ~from = naive false
-          && Bitmap.find_first_set b ~from = naive true))
+      let b = make_bitmap 300 sets in
+      let naive target =
+        let rec go i =
+          if i >= 300 then None else if Bitmap.get b i = target then Some i else go (i + 1)
+        in
+        go from
+      in
+      Bitmap.find_first_clear b ~from = naive false
+      && Bitmap.find_first_set b ~from = naive true)
 
 let prop_fill_range_matches_naive =
   QCheck.Test.make ~name:"set_range/clear_range match per-bit loops" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun backend ->
-          let start, len = clamp_window 500 start len in
-          let fast = make_bitmap ~backend 500 sets in
-          let slow = make_bitmap ~backend 500 sets in
-          Bitmap.set_range fast ~start ~len;
-          for i = start to start + len - 1 do
-            Bitmap.set slow i
-          done;
-          let set_ok = Bitmap.equal fast slow in
-          Bitmap.clear_range fast ~start ~len;
-          for i = start to start + len - 1 do
-            Bitmap.clear slow i
-          done;
-          set_ok && Bitmap.equal fast slow))
+      let start, len = clamp_window 500 start len in
+      let fast = make_bitmap 500 sets in
+      let slow = make_bitmap 500 sets in
+      Bitmap.set_range fast ~start ~len;
+      for i = start to start + len - 1 do
+        Bitmap.set slow i
+      done;
+      let set_ok = Bitmap.equal fast slow in
+      Bitmap.clear_range fast ~start ~len;
+      for i = start to start + len - 1 do
+        Bitmap.clear slow i
+      done;
+      set_ok && Bitmap.equal fast slow)
 
 let prop_count_kernels_match_naive =
   QCheck.Test.make ~name:"count_set_in/count_clear_in/free_run_stats match naive" ~count:200
     (ragged_window_gen 500)
     (fun (sets, start, len) ->
-      on_backends (fun backend ->
-          let start, len = clamp_window 500 start len in
-          let b = make_bitmap ~backend 500 sets in
-          let set = ref 0 and runs = ref 0 and largest = ref 0 and cur = ref 0 in
-          for i = start to start + len - 1 do
-            if Bitmap.get b i then begin
-              incr set;
-              cur := 0
-            end
-            else begin
-              if !cur = 0 then incr runs;
-              incr cur;
-              if !cur > !largest then largest := !cur
-            end
-          done;
-          Bitmap.count_set_in b ~start ~len = !set
-          && Bitmap.count_clear_in b ~start ~len = len - !set
-          && Bitmap.free_run_stats b ~start ~len = (!runs, !largest)))
+      let start, len = clamp_window 500 start len in
+      let b = make_bitmap 500 sets in
+      let set = ref 0 and runs = ref 0 and largest = ref 0 and cur = ref 0 in
+      for i = start to start + len - 1 do
+        if Bitmap.get b i then begin
+          incr set;
+          cur := 0
+        end
+        else begin
+          if !cur = 0 then incr runs;
+          incr cur;
+          if !cur > !largest then largest := !cur
+        end
+      done;
+      Bitmap.count_set_in b ~start ~len = !set
+      && Bitmap.count_clear_in b ~start ~len = len - !set
+      && Bitmap.free_run_stats b ~start ~len = (!runs, !largest))
 
 let prop_clear_mask32_matches_naive =
   QCheck.Test.make ~name:"clear_mask32 matches naive 32-bit window" ~count:200
     QCheck.(pair (list (int_bound 299)) (int_bound 299))
     (fun (sets, pos) ->
-      on_backends (fun backend ->
-          let b = make_bitmap ~backend 300 sets in
-          let naive = ref 0 in
-          for i = 31 downto 0 do
-            naive := !naive lsl 1;
-            if pos + i < 300 && not (Bitmap.get b (pos + i)) then naive := !naive lor 1
-          done;
-          Bitmap.clear_mask32 b pos = !naive))
+      let b = make_bitmap 300 sets in
+      let naive = ref 0 in
+      for i = 31 downto 0 do
+        naive := !naive lsl 1;
+        if pos + i < 300 && not (Bitmap.get b (pos + i)) then naive := !naive lor 1
+      done;
+      Bitmap.clear_mask32 b pos = !naive)
 
-(* The two backends are bit-for-bit interchangeable: the same operation
-   sequence yields equal state (checked across backends through
-   [Pagestore.equal]) and every read-side kernel agrees. *)
-let prop_backends_bit_identical =
-  QCheck.Test.make ~name:"heap and bigarray backends produce identical state" ~count:200
-    (ragged_window_gen 500)
-    (fun (sets, start, len) ->
-      let start, len = clamp_window 500 start len in
-      let build backend =
-        let b = make_bitmap ~backend 500 sets in
-        Bitmap.set_range b ~start ~len;
-        if len > 2 then Bitmap.clear_range b ~start:(start + 1) ~len:(len - 2);
-        b
-      in
-      let h = build Pagestore.Heap and g = build Pagestore.Bigarray in
-      Bitmap.backend h = Pagestore.Heap
-      && Bitmap.backend g = Pagestore.Bigarray
-      && Bitmap.equal h g
-      && Bitmap.count_set h = Bitmap.count_set g
-      && Bitmap.find_first_clear h ~from:0 = Bitmap.find_first_clear g ~from:0
-      && Bitmap.free_extents h ~start:0 ~len:500 = Bitmap.free_extents g ~start:0 ~len:500)
+(* --- Pagestore byte layout: the format the mmap files persist ---
+
+   A store is whole little-endian 64-bit words: word [w] is bytes
+   [8w..8w+7], least significant first, whatever the host order. *)
+
+let test_pagestore_layout () =
+  let rng = Random.State.make [| 19 |] in
+  let words = 37 in
+  let n = words * 8 in
+  let img = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let s = Pagestore.of_bytes img in
+  check_bool "to_bytes round-trips of_bytes" true (Bytes.equal img (Pagestore.to_bytes s));
+  for i = 0 to n - 1 do
+    if Pagestore.byte s i <> Char.code (Bytes.get img i) then Alcotest.failf "byte %d" i
+  done;
+  let little_endian w =
+    let x = ref 0L in
+    for k = 7 downto 0 do
+      let b = Int64.of_int (Char.code (Bytes.get img ((8 * w) + k))) in
+      x := Int64.logor (Int64.shift_left !x 8) b
+    done;
+    !x
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check int64) (Printf.sprintf "word %d" w) (little_endian w) (Pagestore.word s w))
+    (0 :: (words - 1) :: List.init 32 (fun _ -> Random.State.int rng words));
+  check_bool "a copy is equal" true (Pagestore.equal s (Pagestore.copy s));
+  check_bool "sizes differ" false (Pagestore.equal s (Pagestore.create (words - 1)));
+  for i = 0 to n - 1 do
+    let t = Pagestore.copy s in
+    Pagestore.set_byte t i (Pagestore.byte t i lxor 0x80);
+    if Pagestore.equal s t || Pagestore.equal t s then
+      Alcotest.failf "equal missed a one-byte difference at byte %d" i
+  done;
+  List.iter
+    (fun (pos, len) ->
+      let t = Pagestore.copy s in
+      Pagestore.fill t ~pos ~len 0x1a5;
+      let want = Bytes.copy img in
+      Bytes.fill want pos len '\xa5';
+      check_bool (Printf.sprintf "fill %d+%d" pos len) true
+        (Bytes.equal want (Pagestore.to_bytes t)))
+    [ (0, 0); (0, 1); (3, 5); (3, 13); (7, 17); (8, 16); (5, n - 5); (0, n); (n - 1, 1); (n, 0) ];
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "fill %d+%d out of range" pos len)
+        (Invalid_argument "Pagestore.fill: range out of bounds")
+        (fun () -> Pagestore.fill s ~pos ~len 0))
+    [ (-1, 1); (0, -1); (0, n + 1); (n, 1); (n - 3, 4) ];
+  Alcotest.check_raises "of_bytes needs whole words"
+    (Invalid_argument "Pagestore.of_bytes: not whole words")
+    (fun () -> ignore (Pagestore.of_bytes (Bytes.create 12)))
 
 let test_clear_mask32 () =
   let b = Bitmap.create ~bits:100 () in
@@ -491,8 +512,7 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [ prop_fold_clear_matches_naive; prop_harvest_matches_fold;
         prop_find_first_matches_naive; prop_fill_range_matches_naive;
-        prop_count_kernels_match_naive; prop_clear_mask32_matches_naive;
-        prop_backends_bit_identical ]
+        prop_count_kernels_match_naive; prop_clear_mask32_matches_naive ]
   in
   Alcotest.run "wafl_bitmap"
     [
@@ -508,6 +528,7 @@ let () =
         ] );
       ( "word kernels",
         [
+          Alcotest.test_case "page store byte layout" `Quick test_pagestore_layout;
           Alcotest.test_case "clear_mask32" `Quick test_clear_mask32;
           Alcotest.test_case "iter_clear_words window" `Quick test_iter_clear_words_window;
         ]

@@ -1,4 +1,4 @@
-(* Tests for Wafl_block: units, vbn, extent, chain. *)
+(* Tests for Wafl_block: units, extent, chain. *)
 
 open Wafl_block
 
@@ -31,19 +31,6 @@ let test_units_paper_example () =
   let vbns = 16 * Units.tib / Units.block_size in
   check_int "4G VBNs" (4 * 1024 * 1024 * 1024) vbns;
   check_int "1M AAs" (1024 * 1024) (vbns / Units.default_hdd_aa_stripes)
-
-(* --- Vbn --- *)
-
-let test_vbn_roundtrip () =
-  let v = Vbn.phys 12345 in
-  check_int "to_int" 12345 (Vbn.to_int v);
-  check_bool "equal" true (Vbn.equal v (Vbn.phys 12345));
-  check_int "add" 12350 (Vbn.to_int (Vbn.add v 5));
-  check_int "diff" 5 (Vbn.diff (Vbn.phys 10) (Vbn.phys 5))
-
-let test_vbn_compare () =
-  check_bool "lt" true (Vbn.compare (Vbn.virt 1) (Vbn.virt 2) < 0);
-  check_bool "eq" true (Vbn.compare (Vbn.virt 2) (Vbn.virt 2) = 0)
 
 (* --- Extent --- *)
 
@@ -168,11 +155,6 @@ let () =
           Alcotest.test_case "constants" `Quick test_units_constants;
           Alcotest.test_case "conversion" `Quick test_units_conversion;
           Alcotest.test_case "paper example" `Quick test_units_paper_example;
-        ] );
-      ( "vbn",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_vbn_roundtrip;
-          Alcotest.test_case "compare" `Quick test_vbn_compare;
         ] );
       ( "extent",
         [

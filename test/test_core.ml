@@ -303,7 +303,7 @@ let test_harvest_ring_no_double_handout () =
 
 (* The ring-served consume window: after a warm-up call fills each
    range's harvest ring (one AA = 2048 blocks), the next call allocates
-   no minor-heap words, on either in-memory page-store backend. *)
+   no minor-heap words. *)
 let check_consume_window_zero_alloc ~run label =
   let fs = Fs.create (small_config ~run ()) in
   let w = Fs.write_alloc fs in
@@ -327,12 +327,7 @@ let check_consume_window_zero_alloc ~run label =
     true (words = 0.0)
 
 let test_walloc_consume_allocates_nothing () =
-  List.iter
-    (fun backend ->
-      check_consume_window_zero_alloc
-        ~run:{ Config.default_run with Config.backend }
-        (Config.backend_to_string backend))
-    [ Config.Heap; Config.Bigarray ]
+  check_consume_window_zero_alloc ~run:Config.default_run "serial"
 
 (* A scan pool must not put work on the consume window. *)
 let test_walloc_consume_allocates_nothing_under_pool () =
@@ -582,13 +577,20 @@ let test_iron_clean_on_lazy_mount () =
   check_int "all staged writes placed" 100 report.Cp.blocks_allocated;
   check_int "still clean after the CP" 0 (List.length (Iron.check fs))
 
-(* --- backend interchangeability --- *)
+(* --- anonymous vs file-mapped stores --- *)
 
 (* The same workload, CP for CP, leaves byte-identical free-space state
-   whether the stores live on the OCaml heap or off-heap. *)
+   whether the stores are anonymous memory or file-mapped ([--mmap]). *)
 let test_backends_identical_after_cps () =
   let fs_h = aged_fs () in
-  let fs_b = aged_fs ~run:{ Config.default_run with Config.backend = Config.Bigarray } () in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wafl_test_core_mmap" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o700;
+  let fs_b =
+    Pagestore.with_mmap_dir dir (fun () ->
+        aged_fs ~run:{ Config.default_run with Config.mmap_dir = Some dir } ())
+  in
   check_bool "aggregate bitmap byte-identical" true
     (Bitmap.equal
        (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_h)))
@@ -609,28 +611,6 @@ let test_backends_identical_after_cps () =
     "next allocations identical"
     (allocate_pvbns (Fs.write_alloc fs_h) 500)
     (allocate_pvbns (Fs.write_alloc fs_b) 500)
-
-(* A snapshot image taken from a heap-backed system restores into a
-   bigarray-backed one (and vice versa) with identical behavior — the
-   crash-image restore path of a backend migration. *)
-let test_cross_backend_mount () =
-  let image = Mount.snapshot (aged_fs ()) in
-  let fs_h, _ = Mount.mount image ~with_topaa:true in
-  let fs_b, _ =
-    Mount.mount ~run:{ Config.default_run with Config.backend = Config.Bigarray } image
-      ~with_topaa:true
-  in
-  check_bool "the image restored onto bigarray stores" true
-    (Bitmap.backend (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_b)))
-     = Pagestore.Bigarray);
-  check_int "same free space"
-    (Aggregate.free_blocks (Fs.aggregate fs_h))
-    (Aggregate.free_blocks (Fs.aggregate fs_b));
-  check_int "clean after the cross-backend restore" 0 (List.length (Iron.check fs_b));
-  Alcotest.(check (list int))
-    "identical allocations after restore"
-    (allocate_pvbns (Fs.write_alloc fs_h) 200)
-    (allocate_pvbns (Fs.write_alloc fs_b) 200)
 
 (* --- Snapshots --- *)
 
@@ -762,8 +742,8 @@ let test_mount_corrupt_costlier_than_clean () =
   let clean = Mount.snapshot fs in
   let damaged = Mount.snapshot fs in
   Mount.corrupt_range_topaa damaged 0;
-  let _, t_clean = Mount.mount ~background_rebuild:false clean ~with_topaa:true in
-  let _, t_damaged = Mount.mount ~background_rebuild:false damaged ~with_topaa:true in
+  let _, t_clean = Mount.mount ~lazy_rebuild:true clean ~with_topaa:true in
+  let _, t_damaged = Mount.mount ~lazy_rebuild:true damaged ~with_topaa:true in
   check_bool "corruption costs ready time" true
     (t_damaged.Mount.ready_us > t_clean.Mount.ready_us)
 
@@ -838,9 +818,10 @@ let test_mount_preserves_every_mapping () =
     [ 1; 7; 9 ];
   check_int "file 7 blocks" 500 (Flexvol.file_blocks vol2 ~file:7)
 
-(* A TopAA mount with no background rebuild leaves the restored scores at
-   the empty-volume values; they must be stamped stale so the first touch
-   rescores them, or the first CP's score update overflows an AA. *)
+(* A lazy TopAA mount runs no background rebuild and leaves the restored
+   scores at the empty-volume values; they must be stamped stale so the
+   first touch rescores them, or the first CP's score update overflows an
+   AA. *)
 let test_topaa_mount_without_rebuild_runs_cps () =
   let fs =
     Fs.create
@@ -857,7 +838,7 @@ let test_topaa_mount_without_rebuild_runs_cps () =
     done;
     ignore (Fs.run_cp fs)
   done;
-  let fs', _ = Mount.mount ~background_rebuild:false (Mount.snapshot fs) ~with_topaa:true in
+  let fs', _ = Mount.mount ~lazy_rebuild:true (Mount.snapshot fs) ~with_topaa:true in
   let vol' = Fs.vol fs' "v" in
   for _ = 1 to 3 do
     for _ = 1 to 1000 do
@@ -868,29 +849,24 @@ let test_topaa_mount_without_rebuild_runs_cps () =
   check_int "iron clean after the CPs" 0 (List.length (Iron.check fs'))
 
 (* A CP can free blocks in a range it never allocates from.  After a lazy
-   (or rebuild-less TopAA) mount that range is still stale at cp_finish,
-   so its frees must not be applied to its not-yet-exact scores. *)
+   mount that range is still stale at cp_finish, so its frees must not be
+   applied to its not-yet-exact scores. *)
 let test_stale_range_frees_after_mount () =
-  List.iter
-    (fun (lazy_rebuild, background_rebuild) ->
-      let fs = Fs.create (small_config ()) in
-      let vol = Fs.vol fs "vol0" in
-      for offset = 0 to 39_999 do
-        Fs.stage_write fs ~vol ~file:1 ~offset
-      done;
-      ignore (Fs.run_cp fs);
-      let fs', _ =
-        Mount.mount ~lazy_rebuild ~background_rebuild (Mount.snapshot fs) ~with_topaa:true
-      in
-      let vol' = Fs.vol fs' "vol0" and agg = Fs.aggregate fs' in
-      for k = 0 to 199 do
-        Fs.stage_write fs' ~vol:vol' ~file:1 ~offset:(k * 199);
-        ignore (Fs.run_cp fs')
-      done;
-      check_bool "a range freed into was never touched" true
-        (Array.exists (fun r -> not (Aggregate.range_fresh agg r)) (Aggregate.ranges agg));
-      check_int "iron clean once every range materializes" 0 (List.length (Iron.check fs')))
-    [ (true, true); (false, false) ]
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  for offset = 0 to 39_999 do
+    Fs.stage_write fs ~vol ~file:1 ~offset
+  done;
+  ignore (Fs.run_cp fs);
+  let fs', _ = Mount.mount ~lazy_rebuild:true (Mount.snapshot fs) ~with_topaa:true in
+  let vol' = Fs.vol fs' "vol0" and agg = Fs.aggregate fs' in
+  for k = 0 to 199 do
+    Fs.stage_write fs' ~vol:vol' ~file:1 ~offset:(k * 199);
+    ignore (Fs.run_cp fs')
+  done;
+  check_bool "a range freed into was never touched" true
+    (Array.exists (fun r -> not (Aggregate.range_fresh agg r)) (Aggregate.ranges agg));
+  check_int "iron clean once every range materializes" 0 (List.length (Iron.check fs'))
 
 let test_torn_bitmap_page_repaired () =
   let fs = Fs.create (small_config ()) in
@@ -1097,8 +1073,8 @@ let test_nvram_replay_costs_time () =
     Fs.stage_write fs ~vol ~file:9 ~offset:(60_000 + offset)
   done;
   let logged = Mount.snapshot fs in
-  let _, t_clean = Mount.mount ~background_rebuild:false clean ~with_topaa:true in
-  let _, t_logged = Mount.mount ~background_rebuild:false logged ~with_topaa:true in
+  let _, t_clean = Mount.mount ~lazy_rebuild:true clean ~with_topaa:true in
+  let _, t_logged = Mount.mount ~lazy_rebuild:true logged ~with_topaa:true in
   check_bool "replay adds to readiness" true (t_logged.Mount.ready_us > t_clean.Mount.ready_us)
 
 (* --- Read-path fragmentation (§2.4) --- *)
@@ -1370,16 +1346,14 @@ let gen_fault_spec =
     retry_budget; retry_backoff_us; bad_ranges; offline_after; degraded_after; rot_pages;
     lost_pages }
 
-let gen_backend =
+let gen_mmap_dir =
   let open QCheck.Gen in
   let name = string_size ~gen:(oneofl [ 'a'; 'b'; '7'; ' '; '\''; '-'; '_' ]) (int_range 1 8) in
-  oneof
-    [ return Config.Heap; return Config.Bigarray;
-      map (fun n -> Config.Mmap (Filename.concat mmap_root ("d " ^ n))) name ]
+  opt (map (fun n -> Filename.concat mmap_root ("d " ^ n)) name)
 
 let gen_valid_run =
   let open QCheck.Gen in
-  let+ backend = gen_backend
+  let+ mmap_dir = gen_mmap_dir
   and+ jobs = int_range 1 64
   and+ alloc_domains = int_range 1 64
   and+ rate = int_bound 5000
@@ -1387,21 +1361,21 @@ let gen_valid_run =
   and+ temp_classes = int_range 1 4
   and+ ssd_streams = int_range 1 8
   and+ wear_bias = int_bound 255 in
-  let scrub_rate = match backend with Config.Mmap _ -> rate | _ -> 0 in
-  { Config.backend; jobs; alloc_domains; scrub_rate; faults;
+  let scrub_rate = if mmap_dir = None then 0 else rate in
+  { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let gen_any_run =
   let open QCheck.Gen in
   let any = int_range (-1000) 1000 in
-  let+ backend = oneof [ gen_backend; return (Config.Mmap "") ]
+  let+ mmap_dir = oneof [ gen_mmap_dir; return (Some "") ]
   and+ jobs = any
   and+ alloc_domains = any
   and+ scrub_rate = any
   and+ temp_classes = any
   and+ ssd_streams = any
   and+ wear_bias = any in
-  { Config.backend; jobs; alloc_domains; scrub_rate; faults = None;
+  { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults = None;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let print_run r = Config.run_to_string r
@@ -1426,9 +1400,9 @@ let test_bad_run_settings_exit_124 () =
   List.iter
     (fun args -> check_int (String.concat " " args) 124 (run_exit_code args))
     [ [ "--jobs"; "0" ]; [ "--alloc-domains"; "0" ]; [ "--fault-spec"; "bogus" ];
-      [ "--temp-classes"; "9" ]; [ "--streams"; "0" ]; [ "--backend"; "nope" ];
+      [ "--temp-classes"; "9" ]; [ "--streams"; "0" ]; [ "--backend"; "heap" ];
       [ "--scrub-rate=-1" ]; [ "--scrub-rate"; "8" ]; [ "--wear-bias"; "256" ];
-      [ "--backend"; "mmap:" ] ];
+      [ "--mmap"; "" ] ];
   check_int "defaults are a valid run" 0 (run_exit_code []);
   check_bool "defaults parse to the default run" true (parse_run [] = Some Config.default_run)
 
@@ -1502,7 +1476,6 @@ let () =
       ( "backends",
         [
           Alcotest.test_case "identical after CPs" `Quick test_backends_identical_after_cps;
-          Alcotest.test_case "cross-backend mount" `Quick test_cross_backend_mount;
         ] );
       ( "cleaner",
         [

@@ -37,7 +37,7 @@ let config ?faults ?(scrub_rate = 0) ?dir ~seed () =
       { Config.default_run with
         Config.faults;
         scrub_rate;
-        backend = (match dir with Some d -> Config.Mmap d | None -> Config.Heap) }
+        mmap_dir = dir }
     ~seed ()
 
 let stage_and_cp fs ~seed ~ops =
@@ -293,7 +293,7 @@ let closure_config ?faults ~dir ~seed () =
   in
   Config.make ~raid_groups:[ rg; rg ]
     ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-    ~run:{ Config.default_run with Config.backend = Config.Mmap dir; faults }
+    ~run:{ Config.default_run with Config.mmap_dir = Some dir; faults }
     ~seed ()
 
 (* Inject one fault at its exact generation; the damaged page must
@@ -367,7 +367,7 @@ let test_scrub_pass_covers_budget () =
               ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
               ~run:
                 { Config.default_run with
-                  Config.backend = Config.Mmap dir;
+                  Config.mmap_dir = Some dir;
                   faults = Some spec;
                   jobs }
               ~seed:11 ()
@@ -403,7 +403,7 @@ let test_sealed_consume_zero_alloc () =
       let agg =
         Aggregate.create
           (Config.make ~raid_groups:[ rg ] ~aggregate_policy:Config.Best_aa
-             ~run:{ Config.default_run with Config.backend = Config.Mmap dir }
+             ~run:{ Config.default_run with Config.mmap_dir = Some dir }
              ~seed:7 ())
       in
       let w = Write_alloc.create agg ~rng:(Wafl_util.Rng.create ~seed:7) in

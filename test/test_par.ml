@@ -351,47 +351,53 @@ let test_parallel_cp_identical () =
   check_bool "cache state identical" true (cache_state fs_par = want);
   check_bitmaps_equal "parallel CP" fs_par fs_serial
 
-(* The backend axis composed with the domain axis: the same pooled
-   workload leaves byte-identical state on heap and bigarray stores at
-   every job count (the serial heap run is the single reference). *)
+(* Run [f dir] with an emptied map directory installed, so the system [f]
+   builds maps fresh zero-filled files rather than remounting old ones. *)
+let with_fresh_mmap_dir name f =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o700;
+  Pagestore.with_mmap_dir dir (fun () -> f dir)
+
+(* The store axis composed with the domain axis: the same pooled
+   workload leaves byte-identical state on anonymous and file-mapped
+   ([--mmap]) stores at every job count (the serial anonymous run is the
+   single reference). *)
 let test_backends_identical_across_jobs () =
-  let build backend jobs =
-    let fs = Fs.create (aged_config ~run:{ Config.default_run with Config.backend; jobs } ()) in
-    let vol = (Fs.vols fs).(0) in
-    for cp = 0 to 2 do
-      for i = 0 to 1023 do
-        Fs.stage_write fs ~vol ~file:(cp mod 2) ~offset:i
-      done;
-      ignore (Fs.run_cp fs)
-    done;
-    fs
-  in
-  let want_fs = build Config.Heap 1 in
+  let want_fs = aged_fs () in
   let want = cache_state want_fs in
   List.iter
     (fun jobs ->
+      let anonymous = aged_fs ~run:(jobs_run jobs) () in
+      let mapped =
+        with_fresh_mmap_dir "wafl_test_par_jobs" (fun dir ->
+            aged_fs ~run:{ (jobs_run jobs) with Config.mmap_dir = Some dir } ())
+      in
       List.iter
-        (fun backend ->
-          let label =
-            Printf.sprintf "jobs=%d backend=%s" jobs (Config.backend_to_string backend)
-          in
-          let fs = build backend jobs in
+        (fun (label, fs) ->
+          let label = Printf.sprintf "jobs=%d %s" jobs label in
           check_bool (label ^ ": cache state identical") true (cache_state fs = want);
           check_bitmaps_equal label fs want_fs)
-        [ Config.Heap; Config.Bigarray ])
+        [ ("anonymous", anonymous); ("mmap", mapped) ])
     [ 1; 2; 4; 8 ]
 
 let test_crash_matrix_bigarray_lazy () =
-  let heap = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
-  check_bool "heap matrix clean" true (heap.Crash_matrix.violations = []);
-  let big =
-    Crash_matrix.run
-      ~run:{ Config.default_run with Config.backend = Config.Bigarray }
-      ~lazy_rebuild:true ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 ()
+  let eager = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
+  check_bool "eager matrix clean" true (eager.Crash_matrix.violations = []);
+  let lazy_mapped =
+    with_fresh_mmap_dir "wafl_test_par_cm" (fun dir ->
+        Crash_matrix.run
+          ~run:{ Config.default_run with Config.mmap_dir = Some dir }
+          ~lazy_rebuild:true ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 ())
   in
-  check_bool "same crash-point sequence off-heap" true
-    (big.Crash_matrix.points = heap.Crash_matrix.points);
-  check_bool "bigarray + lazy-remount matrix clean" true (big.Crash_matrix.violations = [])
+  (* mapped stores add the integrity plane's own crash points *)
+  let store_points =
+    List.filter (fun p -> not (String.starts_with ~prefix:"integrity." p))
+  in
+  check_bool "same crash-point sequence on mapped stores" true
+    (store_points lazy_mapped.Crash_matrix.points = eager.Crash_matrix.points);
+  check_bool "mmap + lazy-remount matrix clean" true (lazy_mapped.Crash_matrix.violations = [])
 
 let test_crash_matrix_with_pool () =
   let serial = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
@@ -415,10 +421,6 @@ let test_crash_matrix_with_pool () =
    shard inline and dispatches nothing; "sharded harvest" above covers
    it. *)
 let test_pool_dispatch_counts () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wafl_test_par_rig" in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-  else Sys.mkdir dir 0o700;
   (* ranges with 128 AAs (parallel rescoring); three ranges and three
      volumes, since a two-chunk map runs its second chunk inline *)
   let rg =
@@ -426,16 +428,16 @@ let test_pool_dispatch_counts () =
       data_devices = 4; parity_devices = 1; device_blocks = 16384; aa_stripes = Some 128 }
   in
   let vol name = { Config.name; blocks = 32768; aa_blocks = Some 1024; policy = Config.Best_aa } in
-  let run =
-    { Config.backend = Config.Mmap dir; jobs = 2; alloc_domains = 2; scrub_rate = 64;
-      faults = None; streams = { Config.default_streams with Config.temp_classes = 2 } }
-  in
-  let config =
-    Config.make ~raid_groups:[ rg; rg; rg ] ~vols:[ vol "a"; vol "b"; vol "c" ]
-      ~aggregate_policy:Config.Best_aa ~run ~seed:42 ()
-  in
   let tel = Telemetry.create () in
-  Pagestore.with_mmap_dir dir (fun () ->
+  with_fresh_mmap_dir "wafl_test_par_rig" (fun dir ->
+      let run =
+        { Config.mmap_dir = Some dir; jobs = 2; alloc_domains = 2; scrub_rate = 64;
+          faults = None; streams = { Config.default_streams with Config.temp_classes = 2 } }
+      in
+      let config =
+        Config.make ~raid_groups:[ rg; rg; rg ] ~vols:[ vol "a"; vol "b"; vol "c" ]
+          ~aggregate_policy:Config.Best_aa ~run ~seed:42 ()
+      in
       Telemetry.with_installed tel (fun () ->
           let fs = Fs.create config in
           let rng = Wafl_util.Rng.create ~seed:5 in

@@ -1,4 +1,4 @@
-(* Tests for Wafl_util: rng, bitops, stats, histo, table, series, queueing. *)
+(* Tests for Wafl_util: rng, bitops, histo, table, series, queueing. *)
 
 open Wafl_util
 
@@ -144,29 +144,6 @@ let test_crc32_detects_change () =
   let before = Checksum.crc32_all b in
   Bytes.set b 50 'r';
   check_bool "differs" true (before <> Checksum.crc32_all b)
-
-(* --- Stats --- *)
-
-let test_stats_mean () = check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |])
-
-let test_stats_stddev () =
-  check_float "constant" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
-  let sd = Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  Alcotest.(check (float 1e-6)) "known stddev" 2.13809 sd
-
-let test_stats_percentile () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p50" 3.0 (Stats.percentile xs 50.0);
-  check_float "p100" 5.0 (Stats.percentile xs 100.0);
-  check_float "p25 interp" 2.0 (Stats.percentile xs 25.0)
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 3.0; 1.0; 2.0 |] in
-  check_int "count" 3 s.Stats.count;
-  check_float "min" 1.0 s.Stats.min;
-  check_float "max" 3.0 s.Stats.max;
-  check_float "p50" 2.0 s.Stats.p50
 
 (* --- Histo --- *)
 
@@ -369,13 +346,6 @@ let () =
           Alcotest.test_case "vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "range" `Quick test_crc32_range;
           Alcotest.test_case "detects change" `Quick test_crc32_detects_change;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "mean" `Quick test_stats_mean;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
       ( "histo",
         [
