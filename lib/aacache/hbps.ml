@@ -35,7 +35,6 @@ let create ?bin_width ?(capacity = 1000) ~max_score ~scores () =
   t
 
 let n_aas t = Array.length t.score_of
-let capacity t = t.list_capacity
 let bin_width t = t.bin_width
 let max_score t = t.max_score
 let count t = t.count

@@ -35,7 +35,6 @@ val create :
     a 32k score space), [capacity] to 1000. *)
 
 val n_aas : t -> int
-val capacity : t -> int
 val bin_width : t -> int
 val max_score : t -> int
 val count : t -> int
@@ -80,9 +79,6 @@ val histogram_count : t -> bin:int -> int
 val bins : t -> int
 val highest_populated_bin : t -> int option
 (** Per the histogram (all AAs). *)
-
-val highest_listed_bin : t -> int option
-val lowest_listed_bin : t -> int option
 
 val is_stale : t -> bool
 (** The histogram knows of a better-populated bin than any bin present in

@@ -15,7 +15,6 @@ val of_scores : int array -> t
 (** Heapify all AAs from a score array (index = AA id) in O(n). *)
 
 val size : t -> int
-val capacity : t -> int
 val mem : t -> int -> bool
 (** Whether an AA is currently in the heap. *)
 

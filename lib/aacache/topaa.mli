@@ -19,9 +19,6 @@ type error = Bad_magic | Bad_version | Bad_checksum | Bad_layout
 
 val pp_error : Format.formatter -> error -> unit
 
-val block_size : int
-(** 4096. *)
-
 (** {2 RAID-aware: one block of best (aa, score) pairs} *)
 
 val raid_aware_capacity : int

@@ -20,8 +20,6 @@ val metafile : t -> Metafile.t
 (** The underlying map; reads through it see allocations immediately and
     queued frees not yet. *)
 
-val blocks : t -> int
-
 val is_allocated : t -> int -> bool
 (** Current on-media state (queued frees still count as allocated). *)
 
@@ -50,16 +48,10 @@ val pending_free_count : t -> int
 
 val has_pending_free : t -> int -> bool
 
-val commit : ?pool:Wafl_par.Par.t -> t -> commit_result
-(** Apply all queued frees, flush the metafile, and return the batch.
-    [pool] defaults to {!Wafl_par.Par.serial}.  With a pool of more than
-    one domain and
-    enough queued frees, the bit clears are applied in parallel: VBNs
-    are bucketed into page-aligned chunks of the block space so domains
-    own disjoint bitmap bytes and disjoint pages, and the dirty-page
-    sets are merged serially afterwards — the resulting map, pending
-    state, freed list and page count are identical to the serial
-    apply. *)
+val commit : t -> commit_result
+(** Apply all queued frees in queue order, flush the metafile, and
+    return the batch.  One serial pass: a cross-domain split of the bit
+    clears measured slower than this loop (DESIGN.md §9). *)
 
 val free_count : t -> start:int -> len:int -> int
 (** Free VBNs in a range per the on-media state. *)

@@ -48,10 +48,6 @@ val free_extents : t -> start:int -> len:int -> Wafl_block.Extent.t list
 (** Maximal runs of clear bits inside the range, in increasing order.
     These are the write chains available to the allocator (§2.4). *)
 
-val fold_free_runs :
-  t -> start:int -> len:int -> init:'a -> f:('a -> run_start:int -> run_len:int -> 'a) -> 'a
-(** Fold over maximal clear runs inside the range without allocating. *)
-
 val free_run_stats : t -> start:int -> len:int -> int * int
 (** [(number of maximal free runs, length of the largest)] inside the
     range — the free-space fragmentation signal of the per-CP time

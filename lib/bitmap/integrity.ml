@@ -81,7 +81,6 @@ type state = {
 let state : state option ref = ref None
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 
 (* --- sidecar / superblock serialization ------------------------------- *)
 

@@ -43,8 +43,6 @@ val set_enabled : bool -> unit
 (** Master switch (default on).  Off: every operation is a no-op even
     under an mmap directory — how the bench measures unsealed CP cost. *)
 
-val enabled : unit -> bool
-
 val arm : Wafl_fault.Fault.spec -> unit
 (** Arm the spec's [rot]/[lost] injections for the current epoch — called
     by an aggregate as it attaches its fault plane.  Idempotent within an

@@ -80,8 +80,9 @@ let[@inline] allocate_harvested t vbn =
 (* {!allocate_harvested} for the multi-domain allocation front-end:
    instead of touching the shared dirty bitmap (a cross-domain race), the
    dirtied page is recorded as one byte in the caller's [touched] page
-   set — the allocation-side mirror of {!free_batch_into}.  Callers fold
-   the set into the dirty state serially with {!mark_touched_dirty}. *)
+   set (bytes of a Bytes.t are distinct locations, so domains writing
+   their own pages' bytes never race).  Callers fold the set into the
+   dirty state serially with {!mark_touched_dirty}. *)
 let[@inline] allocate_harvested_touched t vbn ~touched =
   Bitmap.set t.map vbn;
   Bytes.unsafe_set touched (page_index t vbn) '\001'
@@ -108,24 +109,6 @@ let harvest_free_into t ~start ~len ~offset ~dst ~pos =
 let used_count t ~start ~len = Bitmap.count_set_in t.map ~start ~len
 let free_extents t ~start ~len = Bitmap.free_extents t.map ~start ~len
 let free_run_stats t ~start ~len = Bitmap.free_run_stats t.map ~start ~len
-
-(* Parallel delayed-free support.  [free_batch_into] clears map bits
-   without touching the shared dirty bitmap: each pool domain gets a
-   slice of [vbns] pre-bucketed so its map/page bytes are disjoint from
-   every other domain's, and records the pages it dirtied as one byte
-   per page in [touched] (bytes of a Bytes.t are distinct locations, so
-   domains writing their own pages' bytes never race).  The caller then
-   folds [touched] into the dirty state serially with
-   [mark_touched_dirty], in ascending page order — the dirty set, and
-   hence the flush count, is identical to per-free [free] calls. *)
-
-let free_batch_into t ~vbns ~pos ~len ~touched =
-  for i = pos to pos + len - 1 do
-    let vbn = vbns.(i) in
-    if not (Bitmap.get t.map vbn) then invalid_arg "Metafile.free: VBN already free";
-    Bitmap.clear t.map vbn;
-    Bytes.unsafe_set touched (page_index t vbn) '\001'
-  done
 
 let mark_touched_dirty t ~touched =
   if Bytes.length touched <> t.n_pages then
@@ -180,11 +163,6 @@ let scan_read t ~start ~len =
   end
 
 let stats t = { page_writes = t.page_writes; page_reads = t.page_reads; flushes = t.flushes }
-
-let reset_stats t =
-  t.page_writes <- 0;
-  t.page_reads <- 0;
-  t.flushes <- 0
 
 let snapshot t = Bitmap.copy t.map
 

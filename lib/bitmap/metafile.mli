@@ -53,9 +53,9 @@ val allocate_harvested : t -> int -> unit
 val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
 (** {!allocate_harvested} that records the dirtied page as a nonzero
     byte in [touched] (length {!pages}) instead of updating the shared
-    dirty state — the allocation-side mirror of {!free_batch_into}.
-    Lets concurrent domains allocate into disjoint bitmap bytes without
-    racing on the dirty bitmap; merge with {!mark_touched_dirty}. *)
+    dirty state.  Lets concurrent domains allocate into disjoint bitmap
+    bytes without racing on the dirty bitmap; merge with
+    {!mark_touched_dirty}. *)
 
 val free : t -> int -> unit
 (** Mark a VBN free; it must currently be allocated.  Dirties its page. *)
@@ -85,19 +85,11 @@ val free_run_stats : t -> start:int -> len:int -> int * int
 (** [(run count, largest run length)] over the range without
     materializing extents ({!Bitmap.free_run_stats}).  Not I/O-counted. *)
 
-val free_batch_into : t -> vbns:int array -> pos:int -> len:int -> touched:Bytes.t -> unit
-(** Free [vbns.(pos .. pos+len-1)] without updating the shared dirty
-    state, recording each dirtied page as a nonzero byte in [touched]
-    (length {!pages}).  Building block of the parallel delayed-free
-    apply: callers partition VBNs so concurrent batches touch disjoint
-    bitmap bytes and disjoint pages, then merge with
-    {!mark_touched_dirty}.  Raises [Invalid_argument] on an
-    already-free VBN, like [free]. *)
-
 val mark_touched_dirty : t -> touched:Bytes.t -> unit
 (** Fold a [touched] page set into the dirty state, ascending — the
-    serial merge step after {!free_batch_into} batches.  The resulting
-    dirty set equals what per-VBN [free] calls would have produced. *)
+    serial merge step after {!allocate_harvested_touched} batches.  The
+    resulting dirty set equals what per-VBN [allocate_harvested] calls
+    would have produced. *)
 
 val dirty_pages : t -> int
 (** Distinct pages dirtied since the last flush. *)
@@ -113,8 +105,6 @@ val scan_read : t -> start:int -> len:int -> int
     past the tracked VBN space. *)
 
 val stats : t -> io_stats
-
-val reset_stats : t -> unit
 
 val snapshot : t -> Bitmap.t
 (** Copy of the current bit state (for persistence and verification). *)

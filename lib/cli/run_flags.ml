@@ -54,9 +54,9 @@ let mmap_dir =
 let jobs =
   let doc =
     "Shard every parallel-capable stage — mount-time cache rebuilds, Iron's scans, the \
-     CP's free commits and device flushes, large-AA harvests — over a pool of $(docv) \
-     domains, with results bit-identical to a serial run at any $(docv).  The default \
-     of 1 keeps every path serial."
+     CP's per-volume free commits and per-range device flushes, the scrubber — over a \
+     pool of $(docv) domains, with results bit-identical to a serial run at any $(docv). \
+     The default of 1 keeps every path serial."
   in
   Arg.(value & opt int d.Config.jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

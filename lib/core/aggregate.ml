@@ -254,7 +254,7 @@ let[@inline] allocate_harvested t range ~aa ~pvbn =
 let queue_free t ~pvbn = Activemap.queue_free t.activemap pvbn
 
 let commit_frees t =
-  let result = Activemap.commit ~pool:t.pool t.activemap in
+  let result = Activemap.commit t.activemap in
   List.iter
     (fun pvbn ->
       let r = range_of_pvbn t pvbn in
@@ -318,11 +318,10 @@ let disable_caches t = Array.iter (fun r -> r.cache <- None) t.ranges
    block, and one ctz per such stripe replaces 32 * devices bit probes.
    Adds words (32-bit masks) read to [words].  The per-block inner loop
    allocates nothing; only the per-AA setup does (a small mask array). *)
-(* Stripe-window kernel shared by the serial and the sharded harvest:
-   emit the free PVBNs of stripes [first, first + count) into [dst] from
-   index 0, stripe-major.  Pure bitmap reads; the words-read cost is
-   [data_devices * ceil_div count 32] (computed by the callers so a
-   shared accumulator never sees concurrent writes). *)
+(* Stripe-window kernel of the RAID-aware harvest: emit the free PVBNs of
+   stripes [first, first + count) into [dst] from index 0, stripe-major.
+   Pure bitmap reads; the caller adds the words-read cost,
+   [data_devices * ceil_div count 32]. *)
 let harvest_stripes mf range geometry ~first ~count ~dst =
   let devices = Geometry.data_devices geometry in
   let device_blocks = Geometry.device_blocks geometry in
@@ -372,57 +371,3 @@ let harvest_free_of_aa t range aa ~dst ~words =
     let count = min aa_stripes (Geometry.stripes geometry - first) in
     words := !words + (Geometry.data_devices geometry * Wafl_util.Bitops.ceil_div count 32);
     harvest_stripes mf range geometry ~first ~count ~dst
-
-(* Sharded harvest: split the AA's span into one 32-aligned chunk per
-   shard, let each pool domain harvest its chunk into its own scratch
-   ring, then concatenate the shards into [dst] in chunk order.  Chunk
-   boundaries fall on 32-block (or 32-stripe) marks, so the per-chunk
-   word counts sum to exactly the serial count and the concatenation
-   reproduces the serial emission order — ring contents are identical to
-   {!harvest_free_of_aa} at any domain count.  Every shard must hold the
-   AA's full capacity (chunk sizes are an internal detail). *)
-let harvest_free_of_aa_sharded pool t range aa ~shards ~dst ~words =
-  if aa < 0 || aa >= Topology.aa_count range.topology then
-    invalid_arg "Aggregate.harvest_free_of_aa_sharded: AA index out of bounds";
-  let mf = metafile t in
-  let gather counts =
-    let pos = ref 0 in
-    Array.iteri
-      (fun c count ->
-        Array.blit shards.(c) 0 dst !pos count;
-        pos := !pos + count)
-      counts;
-    !pos
-  in
-  match range.topology with
-  | Topology.Raid_agnostic { total_blocks; aa_blocks } ->
-    let start = aa * aa_blocks in
-    let len = min aa_blocks (total_blocks - start) in
-    let bounds = Par.chunk_bounds ~total:len ~align:32 ~chunks:(Array.length shards) in
-    if Array.length bounds <= 1 then harvest_free_of_aa t range aa ~dst ~words
-    else begin
-      words := !words + Wafl_util.Bitops.ceil_div len 32;
-      let counts =
-        Par.map pool ~chunks:(Array.length bounds) ~f:(fun c ->
-            let cstart, clen = bounds.(c) in
-            Metafile.harvest_free_into mf ~start:(range.base + start + cstart) ~len:clen
-              ~offset:0 ~dst:shards.(c) ~pos:0)
-      in
-      gather counts
-    end
-  | Topology.Raid_aware { geometry; aa_stripes } ->
-    let first = aa * aa_stripes in
-    let count = min aa_stripes (Geometry.stripes geometry - first) in
-    let bounds = Par.chunk_bounds ~total:count ~align:32 ~chunks:(Array.length shards) in
-    if Array.length bounds <= 1 then harvest_free_of_aa t range aa ~dst ~words
-    else begin
-      words :=
-        !words + (Geometry.data_devices geometry * Wafl_util.Bitops.ceil_div count 32);
-      let counts =
-        Par.map pool ~chunks:(Array.length bounds) ~f:(fun c ->
-            let cfirst, ccount = bounds.(c) in
-            harvest_stripes mf range geometry ~first:(first + cfirst) ~count:ccount
-              ~dst:shards.(c))
-      in
-      gather counts
-    end

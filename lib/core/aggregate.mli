@@ -57,9 +57,10 @@ val config : t -> Config.t
 
 val pool : t -> Wafl_par.Par.t
 (** The scan pool every stage of this system runs on — rebuilds, Iron
-    scans, the scrubber's verification, the CP's commits and flushes,
-    large harvests.  A run with [jobs = 1] gets {!Wafl_par.Par.serial},
-    so the stages take the same path at any domain count. *)
+    scans, the scrubber's verification, the CP's per-volume commits
+    and per-range flushes.  A run with [jobs = 1] gets
+    {!Wafl_par.Par.serial}, so the stages take the same path at any
+    domain count. *)
 
 val ranges : t -> range array
 val total_blocks : t -> int
@@ -98,9 +99,7 @@ val queue_free : t -> pvbn:int -> unit
 val commit_frees : t -> int * int list
 (** Apply queued frees (noting score increments) and flush the aggregate
     bitmap metafile; returns (metafile pages written, freed PVBNs).  The
-    freed list is what gets trimmed down to SSDs.  The {!pool}
-    parallelises the bit-clear apply — see
-    {!Wafl_bitmap.Activemap.commit}. *)
+    freed list is what gets trimmed down to SSDs. *)
 
 (** {2 Cache validity epochs (incremental mount rebuild)}
 
@@ -141,23 +140,6 @@ val harvest_free_of_aa : t -> range -> int -> dst:int array -> words:int ref -> 
     harvest-cursor kernel.  (The PR-2 list-returning variant
     [free_vbns_of_aa] is gone; this caller-array form is the only
     harvest API.) *)
-
-val harvest_free_of_aa_sharded :
-  Wafl_par.Par.t ->
-  t ->
-  range ->
-  int ->
-  shards:int array array ->
-  dst:int array ->
-  words:int ref ->
-  int
-(** Pool-driven {!harvest_free_of_aa}: the AA's span is split into one
-    32-aligned chunk per shard, each pool domain harvests its chunk into
-    its own scratch ring, and the shards are concatenated into [dst] in
-    chunk order — emission order, count and words-read accounting are
-    identical to the serial harvest at any domain count.  Each shard
-    must hold the AA's full capacity.  Falls back to the serial harvest
-    when the span is too small to split. *)
 
 val aa_score_now : t -> range -> int -> int
 (** Recompute an AA's score from the bitmap (bypasses the cached array). *)

@@ -68,9 +68,9 @@ val columns : Wafl_telemetry.Timeseries.column list
 val run : ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
 (** Execute one CP over the staged writes, one code path at any domain
     or class count.  Each stage runs on the system's scan pool
-    ({!Aggregate.pool}): the per-volume commits one volume per chunk, the
-    per-range device flushes one range per chunk, and (past 512 frees)
-    the delayed-free apply over page-aligned slices of the block space.
+    ({!Aggregate.pool}): the per-volume commits one volume per chunk and
+    the per-range device flushes one range per chunk; the aggregate's
+    delayed-free apply is one serial pass.
     The crash points of a fanned-out stage fire serially before it (same
     names, counts and order at any domain count), and results merge in
     volume/range order, so reports, telemetry counters, and all

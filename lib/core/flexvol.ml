@@ -129,7 +129,7 @@ let queue_unmap t ~vvbn =
   t.container.(vvbn) <- -1
 
 let commit_frees t =
-  let result = Activemap.commit ~pool:t.pool t.activemap in
+  let result = Activemap.commit t.activemap in
   List.iter (fun vvbn -> Score.note_free t.delta ~vbn:vvbn) result.Activemap.freed;
   result.Activemap.pages_written
 

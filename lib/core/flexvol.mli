@@ -68,8 +68,7 @@ val queue_unmap : t -> vvbn:int -> unit
 
 val commit_frees : t -> int
 (** Apply queued frees and flush the volume's bitmap metafile; returns
-    metafile pages written.  The volume's pool parallelises the bit-clear
-    apply (see {!Wafl_bitmap.Activemap.commit}). *)
+    metafile pages written. *)
 
 val invalidate_cache : t -> unit
 (** Bump the volume's rebuild epoch: the cache/scores become stale (the

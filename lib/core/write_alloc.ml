@@ -5,11 +5,6 @@ open Wafl_aacache
 open Wafl_telemetry
 module Par = Wafl_par.Par
 
-(* Below this AA capacity a sharded harvest's chunk setup costs more than
-   the word loop it spreads out; Quick-scale AAs (4096 blocks) stay on the
-   serial kernel, Full-scale AAs (16384) shard. *)
-let min_sharded_capacity = 8192
-
 (* Per-range (or per-volume) allocation cursor: a preallocated ring holding
    the free VBNs of the AA currently being filled (harvested word-at-a-time,
    consumed front to back), plus the AAs taken since the last CP.  The ring
@@ -54,7 +49,6 @@ type t = {
   mutable harvested : int;                (* cumulative VBNs harvested into rings *)
   elig : int array;                       (* scratch: eligible range indices *)
   weight : int array;                     (* scratch: weight per eligible entry *)
-  mutable shards : int array array;       (* harvest-kernel scratch (lazy) *)
   mutable alloc_shards : Alloc_shard.t array;  (* per-domain front-end shards *)
   alloc_pool : Par.t;                     (* drives parallel allocation windows *)
   pick_mutex : Mutex.t;                   (* serialises cache picks across domains *)
@@ -118,7 +112,6 @@ let create aggregate ~rng =
     harvested = 0;
     elig = Array.make (Array.length ranges) 0;
     weight = Array.make (Array.length ranges) 0;
-    shards = [||];
     alloc_shards = [||];
     alloc_pool = Par.shared Par.Alloc ~jobs:run.Config.alloc_domains;
     pick_mutex = Mutex.create ();
@@ -296,30 +289,6 @@ let aa_overlaps_fault (range : Aggregate.range) dev aa =
    from ever re-filing it, and the pick retries.  Quarantine retries are
    bounded so the cacheless policies (which pick by free count and cannot
    learn) give up instead of spinning on an all-bad range. *)
-(* Per-domain scratch rings for the sharded harvest, grown to the largest
-   (jobs, capacity) seen.  Refill is off the consume window, so sizing (and
-   the pool dispatch below) may allocate; the per-block loops inside the
-   harvest kernels still do not. *)
-let ensure_shards t ~jobs ~capacity =
-  if
-    Array.length t.shards < jobs
-    || (Array.length t.shards > 0 && Array.length t.shards.(0) < capacity)
-  then t.shards <- Array.init jobs (fun _ -> Array.make capacity 0);
-  t.shards
-
-(* Harvest an AA into the cursor's ring: serial kernel for small AAs (or
-   a one-domain pool, which then builds no shard scratch), the
-   pool-sharded kernel — bit-identical ring contents, see
-   {!Aggregate.harvest_free_of_aa_sharded} — for large ones. *)
-let harvest_range t range aa ~(cursor : cursor) =
-  let capacity = Array.length cursor.ring in
-  let pool = Aggregate.pool t.aggregate in
-  if Par.jobs pool > 1 && capacity >= min_sharded_capacity then
-    let shards = ensure_shards t ~jobs:(Par.jobs pool) ~capacity in
-    Aggregate.harvest_free_of_aa_sharded pool t.aggregate range aa ~shards ~dst:cursor.ring
-      ~words:t.words
-  else Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
-
 let rec refill_range_guarded t range cursor qbudget =
   (* Lazy-mount first touch: a stale range materializes its exact scores
      and cache here, before the pick trusts either. *)
@@ -355,7 +324,9 @@ let rec refill_range_guarded t range cursor qbudget =
         t.candidates_scanned + Topology.aa_capacity range.Aggregate.topology aa;
       let words0 = !(t.words) in
       Telemetry.span_enter Span.Harvest;
-      let count = harvest_range t range aa ~cursor in
+      let count =
+        Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
+      in
       Telemetry.span_exit Span.Harvest;
       cursor.head <- 0;
       cursor.len <- count;
@@ -765,7 +736,7 @@ let allocate_pvbns_par t pool ~row ~dst n =
   done;
   t.used_par <- true;
   let am = Aggregate.activemap t.aggregate in
-  let bounds = Par.chunk_bounds ~total:n ~align:1 ~chunks:jobs in
+  let bounds = Par.chunk_bounds ~total:n ~chunks:jobs in
   let chunks = Array.length bounds in
   let filled = Array.make chunks 0 in
   Par.run_with_slot pool ~chunks ~f:(fun ~slot:_ i ->

@@ -269,8 +269,6 @@ let device t ~id =
     st = zero_stats;
   }
 
-let health d = d.dhealth
-
 let set_health d h =
   (match (d.dhealth, h) with
   | (Healthy | Degraded), Offline -> Telemetry.incr "fault.offline_transitions"

@@ -73,8 +73,6 @@ val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 (** Round-trips through {!spec_of_string}. *)
 
-type health = Healthy | Degraded | Offline
-
 type io_stats = {
   ios : int;  (** writes consulted *)
   injected_transient : int;  (** transient error bursts drawn *)
@@ -107,8 +105,6 @@ val device : t -> id:int -> device
     created in a fixed order (the RNG substream is split off at creation),
     so call this once per device at attach time, in device-id order. *)
 
-val health : device -> health
-val set_health : device -> health -> unit
 val online : device -> bool
 val stats : device -> io_stats
 

@@ -223,19 +223,13 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let chunk_bounds ~total ~align ~chunks =
+let chunk_bounds ~total ~chunks =
   if total <= 0 then [||]
   else begin
-    let align = if align <= 0 then 1 else align in
-    let chunks = if chunks <= 0 then 1 else chunks in
-    let units = (total + align - 1) / align in
-    let n = if chunks < units then chunks else units in
+    let n = if chunks <= 0 then 1 else if chunks < total then chunks else total in
     Array.init n (fun i ->
-        let u0 = units * i / n in
-        let u1 = units * (i + 1) / n in
-        let start = u0 * align in
-        let stop = if u1 * align < total then u1 * align else total in
-        (start, stop - start))
+        let start = total * i / n in
+        (start, (total * (i + 1) / n) - start))
   end
 
 (* Pools are process resources, not settings: systems built one after
@@ -265,7 +259,7 @@ let shared kind ~jobs =
 
 let ranges t ~min n =
   if t.jobs <= 1 || n < min then [| (0, n) |]
-  else chunk_bounds ~total:n ~align:1 ~chunks:(t.jobs * 4)
+  else chunk_bounds ~total:n ~chunks:(t.jobs * 4)
 
 let run_ranges t ~min n ~f =
   let bounds = ranges t ~min n in

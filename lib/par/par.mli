@@ -68,11 +68,10 @@ val map : t -> chunks:int -> f:(int -> 'a) -> 'a array
 (** Like [run], but collects [| f 0; ...; f (chunks - 1) |].  Slot order
     is by chunk index, never by completion order. *)
 
-val chunk_bounds : total:int -> align:int -> chunks:int -> (int * int) array
-(** [chunk_bounds ~total ~align ~chunks] splits the range
-    [0 .. total - 1] into at most [chunks] contiguous [(start, len)]
-    pieces of near-equal size whose internal boundaries fall on
-    multiples of [align].  Every piece is non-empty and the pieces cover
+val chunk_bounds : total:int -> chunks:int -> (int * int) array
+(** [chunk_bounds ~total ~chunks] splits the range [0 .. total - 1]
+    into at most [chunks] contiguous [(start, len)] pieces of
+    near-equal size.  Every piece is non-empty and the pieces cover
     the range exactly; returns [[||]] when [total <= 0].  Purely
     arithmetic — the same inputs always produce the same split. *)
 

@@ -51,21 +51,18 @@ let bucket_bounds i =
     let lo = (sub_count + sub) lsl dec in
     (lo, lo + (1 lsl dec) - 1)
 
-let record_n t v k =
+let record t v =
   let v = if v < 0 then 0 else v in
   let i = index_of v in
-  t.counts.(i) <- t.counts.(i) + k;
-  t.total <- t.total + k;
-  t.sum <- t.sum + (v * k);
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.total <- t.total + 1;
+  t.sum <- t.sum + v;
   if v > t.max_v then t.max_v <- v;
   if v < t.min_v then t.min_v <- v
-
-let record t v = record_n t v 1
 let count t = t.total
 let sum t = t.sum
 let max_value t = t.max_v
 let min_value t = if t.total = 0 then 0 else t.min_v
-let mean t = if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
 
 let quantile t q =
   if t.total = 0 then 0
@@ -101,13 +98,6 @@ let merge_into ~dst src =
   dst.sum <- dst.sum + src.sum;
   if src.max_v > dst.max_v then dst.max_v <- src.max_v;
   if src.min_v < dst.min_v then dst.min_v <- src.min_v
-
-let clear t =
-  Array.fill t.counts 0 n_buckets 0;
-  t.total <- 0;
-  t.sum <- 0;
-  t.max_v <- 0;
-  t.min_v <- max_int
 
 let iter_nonempty t f =
   for i = 0 to n_buckets - 1 do

@@ -10,18 +10,11 @@
 
 type t
 
-val n_buckets : int
-(** Number of buckets; fixed at creation for all histograms so any two can
-    be merged. *)
-
 val create : unit -> t
 
 val record : t -> int -> unit
 (** [record t v] adds one sample of value [v] (clamped to [0] if negative).
     Zero minor-heap allocation. *)
-
-val record_n : t -> int -> int -> unit
-(** [record_n t v k] adds [k] samples of value [v]. *)
 
 val count : t -> int
 (** Total samples recorded. *)
@@ -42,14 +35,9 @@ val quantile : t -> float -> int
     within one bucket width of the exact order statistic (relative error
     <= 1/32 for values >= 64). *)
 
-val mean : t -> float
-(** Exact mean ([sum/count]); [0.] when empty. *)
-
 val merge_into : dst:t -> t -> unit
 (** Add every bucket count (and the exact sum/count/min/max) of the source
     into [dst].  The source is unchanged. *)
-
-val clear : t -> unit
 
 val index_of : int -> int
 (** Bucket index for a value (exposed for tests). *)

@@ -103,9 +103,6 @@ let create ?(model = default_model) ?slo ?(max_vols = 16) ?(max_exemplars = 32)
     last_reports = [];
   }
 
-let model t = t.model
-let slo t = t.slo
-
 let vol_slot t ~uid ~name =
   let rec find i =
     if i >= t.vols_used then -1 else if t.vol_ids.(i) = uid then i else find (i + 1)

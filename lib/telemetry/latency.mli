@@ -55,9 +55,6 @@ val create :
     the limit share the last slot.  [max_exemplars] (default 32) bounds
     the exemplar ring. *)
 
-val model : t -> model
-val slo : t -> Slo.t option
-
 val vol_slot : t -> uid:int -> name:string -> int
 (** Dense slot for a volume uid, registering it (with a display name) on
     first sight.  Called from the CP path only — not thread-safe. *)

@@ -2,6 +2,8 @@ let glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
                 "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
 (* U+2581..U+2588, lower one-eighth block .. full block *)
 
+(* One row of block glyphs scaled to the series' own min/max; longer
+   series are bucketed by averaging, non-finite values ignored. *)
 let sparkline ?(width = 60) xs =
   let xs = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq xs)) in
   let n = Array.length xs in

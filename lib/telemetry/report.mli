@@ -13,11 +13,6 @@
     escapes — the caller decides whether to clear the screen between
     refreshes — so tests can assert on its output directly. *)
 
-val sparkline : ?width:int -> float array -> string
-(** Render the series as one row of block glyphs, scaled to its own
-    min/max ([width] defaults to 60; longer series are bucketed by
-    averaging, non-finite values ignored).  Empty input yields [""]. *)
-
 val health : ?width:int -> Telemetry.t -> string
 (** The full screen, [width] columns wide (default 80, clamped to a
     sane minimum).  Sections with nothing to show (no spans entered, no

@@ -100,7 +100,6 @@ let create ?(fast_window = 12) ?(slow_window = 120) objectives =
     slow = Array.map (fun _ -> win_create slow_window) objs;
   }
 
-let objectives t = Array.to_list t.objs
 let thresholds_ns t = t.thr_ns
 
 type report = {

@@ -39,7 +39,6 @@ val create : ?fast_window:int -> ?slow_window:int -> objective list -> t
     objective list, a repeated objective name (its gauges and counters
     would collide) or non-positive windows. *)
 
-val objectives : t -> objective list
 val thresholds_ns : t -> int array
 (** Violation thresholds in ns, in objective order (for the record loop). *)
 

@@ -26,19 +26,12 @@ let latency t = t.latency
 
 let on_sample t hook = t.sample_hook <- hook
 
-let reset t =
-  Registry.clear t.registry;
-  Tracer.clear t.tracer;
-  Span.clear t.spans;
-  Timeseries.clear t.series
-
 (* --- process-wide installation --- *)
 
 let state : t option ref = ref None
 
 let install t = state := Some t
 let uninstall () = state := None
-let installed () = !state
 let is_active () = !state <> None
 
 let with_installed t f =

@@ -46,15 +46,12 @@ val series : t -> Timeseries.t
 val latency : t -> Latency.t option
 (** The request-latency recorder, when this instance carries one. *)
 
-val reset : t -> unit
-
 (* --- process-wide installation --- *)
 
 val install : t -> unit
 (** Replaces any previously installed instance. *)
 
 val uninstall : unit -> unit
-val installed : unit -> t option
 val is_active : unit -> bool
 
 val with_installed : t -> (unit -> 'a) -> 'a

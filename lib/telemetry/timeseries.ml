@@ -17,8 +17,6 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
   { cap = capacity; cols = [||]; rows = Array.make capacity [||]; head = 0; len = 0; appended = 0 }
 
-let capacity t = t.cap
-
 let set_columns t cols =
   let cols = Array.of_list cols in
   if Array.length t.cols = 0 then t.cols <- cols

@@ -28,8 +28,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 4096 rows.  Raises [Invalid_argument] when it
     is not positive. *)
 
-val capacity : t -> int
-
 val set_columns : t -> column list -> unit
 (** Fix the schema.  The first call wins; later calls must pass the same
     columns (raises [Invalid_argument] otherwise), so independent sample

@@ -49,7 +49,6 @@ let create ?(capacity = 4096) ?(enabled = false) () =
 
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
-let capacity t = Array.length t.ring
 let emitted t = t.emitted
 let length t = min t.emitted (Array.length t.ring)
 let current_cp t = t.cp
@@ -69,11 +68,6 @@ let to_list t =
   let cap = Array.length t.ring in
   let oldest = if t.emitted <= cap then 0 else t.next in
   List.init n (fun i -> t.ring.((oldest + i) mod cap))
-
-let clear t =
-  t.next <- 0;
-  t.emitted <- 0;
-  t.cp <- 0
 
 let cp_begin t =
   t.cp <- t.cp + 1;

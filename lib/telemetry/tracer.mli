@@ -48,7 +48,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val capacity : t -> int
 
 val emitted : t -> int
 (** Events emitted over the tracer's lifetime (retained or overwritten). *)
@@ -60,8 +59,6 @@ val current_cp : t -> int
 
 val to_list : t -> event list
 (** Retained events, oldest first. *)
-
-val clear : t -> unit
 
 (* --- emitters (no-ops when disabled) --- *)
 

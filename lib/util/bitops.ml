@@ -53,13 +53,6 @@ let ctz x =
     !n
   end
 
-let popcount x =
-  (* SWAR popcount over the low 62 bits (native ints are 63-bit). *)
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x1333333333333333) + ((x lsr 2) land 0x1333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (x * 0x0101010101010101) lsr 56 land 0x7f
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let ceil_div n m =

@@ -15,10 +15,6 @@ val ctz : int -> int
     the hot-path variant the harvest kernels use so a scan allocates
     nothing.  Returns [Sys.int_size] when the argument is zero. *)
 
-val popcount : int -> int
-(** Set bits of a native int.  Defined on non-negative values (the
-    harvest masks are at most 32 bits wide). *)
-
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] for [n > 0]. False for non-positive values. *)
 

@@ -11,8 +11,6 @@ let create ~max_value ~bin_width =
   { max_value; bin_width; counts = Array.make bins 0; total = 0 }
 
 let bins t = Array.length t.counts
-let bin_width t = t.bin_width
-let max_value t = t.max_value
 
 let bin_of_value t v =
   let v = if v < 0 then 0 else if v > t.max_value then t.max_value else v in
@@ -57,7 +55,3 @@ let iter t f =
   for i = bins t - 1 downto 0 do
     f i t.counts.(i)
   done
-
-let clear t =
-  Array.fill t.counts 0 (bins t) 0;
-  t.total <- 0

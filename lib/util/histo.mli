@@ -14,10 +14,6 @@ val create : max_value:int -> bin_width:int -> t
 val bins : t -> int
 (** Number of bins. *)
 
-val bin_width : t -> int
-
-val max_value : t -> int
-
 val bin_of_value : t -> int -> int
 (** Bin index holding a value; values are clamped into the domain. *)
 
@@ -46,5 +42,3 @@ val highest_nonempty : t -> int option
 
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f bin count] from the highest-value bin downward. *)
-
-val clear : t -> unit

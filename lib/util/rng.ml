@@ -62,8 +62,6 @@ let float t bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   assert (mean > 0.0);
   let u = float t 1.0 in

@@ -31,9 +31,6 @@ val int_in : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean (> 0). *)
 

@@ -35,9 +35,6 @@ let interpolate t x =
   in
   go t.points
 
-let pp fmt t =
-  List.iter (fun p -> Format.fprintf fmt "%s %.6g %.6g@." t.name p.x p.y) t.points
-
 let print_all ~header series =
   let tbl = Table.create ~columns:[ ("series", Table.Left); ("x", Table.Right); ("y", Table.Right) ] in
   List.iter

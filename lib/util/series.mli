@@ -19,8 +19,5 @@ val interpolate : t -> float -> float option
 (** [interpolate t x] linearly interpolates y at [x]; [None] outside the
     x-range.  Points must be in increasing-x order. *)
 
-val pp : Format.formatter -> t -> unit
-(** One line per point: [name x y]. *)
-
 val print_all : header:string -> t list -> unit
 (** Print several series under a header as a combined table to stdout. *)

@@ -502,11 +502,53 @@ let prop_activemap_free_count_consistent =
         allocs;
       Activemap.free_count a ~start:0 ~len:500 = 500 - Hashtbl.length allocated)
 
+(* The delayed-free commit against its per-VBN reference: after a
+   random allocation pattern and a random, page-spanning free queue over
+   at least 64k blocks, one commit frees the queue in order, leaves the
+   map [Metafile.free] would, writes each dirtied page once and drains
+   the queue. *)
+let prop_activemap_commit_matches_reference =
+  QCheck.Test.make ~name:"commit matches per-VBN free in queue order" ~count:20
+    QCheck.(
+      quad (int_bound 1_000_000) (int_bound 16_384) (int_range 1 8)
+        (oneofl [ 4096; 32768 ]))
+    (fun (seed, extra, density, page_bits) ->
+      let module Rng = Wafl_util.Rng in
+      let blocks = 65_536 + extra in
+      let rng = Rng.create ~seed in
+      let am = Activemap.create ~page_bits ~blocks () in
+      let reference = Metafile.create ~page_bits ~blocks () in
+      let allocated = ref [] in
+      for vbn = 0 to blocks - 1 do
+        if Rng.int rng 8 < density then begin
+          Activemap.allocate am vbn;
+          Metafile.allocate reference vbn;
+          allocated := vbn :: !allocated
+        end
+      done;
+      ignore (Activemap.commit am);
+      ignore (Metafile.flush reference);
+      let queue = Array.of_list !allocated in
+      Rng.shuffle rng queue;
+      let queue = Array.sub queue 0 (Rng.int rng (Array.length queue + 1)) in
+      Array.iter (Activemap.queue_free am) queue;
+      let dirtied = Hashtbl.create 16 in
+      Array.iter
+        (fun vbn ->
+          Metafile.free reference vbn;
+          Hashtbl.replace dirtied (Metafile.page_of_block reference vbn) ())
+        queue;
+      let r = Activemap.commit am in
+      r.Activemap.freed = Array.to_list queue
+      && Bitmap.equal (Metafile.snapshot (Activemap.metafile am)) (Metafile.snapshot reference)
+      && r.Activemap.pages_written = Hashtbl.length dirtied
+      && Activemap.pending_free_count am = 0)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [ prop_bitmap_count_matches_naive; prop_bitmap_free_extents_cover;
-        prop_activemap_free_count_consistent ]
+        prop_activemap_free_count_consistent; prop_activemap_commit_matches_reference ]
   in
   let kernel_qsuite =
     List.map QCheck_alcotest.to_alcotest
