@@ -105,13 +105,17 @@ let merge_into ~src ~dst =
   done;
   clear src
 
-let apply d scores =
-  let updates =
-    fold d ~init:[] ~f:(fun acc ~aa ~change ->
-        let updated = scores.(aa) + change in
-        assert (updated >= 0 && updated <= Topology.aa_capacity d.topology aa);
-        scores.(aa) <- updated;
-        (aa, updated) :: acc)
-  in
-  clear d;
-  updates
+(* Newest touch first: the order the cache has always been handed these
+   updates in, which its HBPS list admission depends on. *)
+let apply d scores ~f =
+  for k = d.n_touched - 1 downto 0 do
+    let aa = d.touched.(k) in
+    let change = d.change.(aa) in
+    if change <> 0 then begin
+      let updated = scores.(aa) + change in
+      assert (updated >= 0 && updated <= Topology.aa_capacity d.topology aa);
+      scores.(aa) <- updated;
+      f aa updated
+    end
+  done;
+  clear d

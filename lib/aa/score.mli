@@ -58,8 +58,10 @@ val merge_into : src:delta -> dst:delta -> unit
     range's CP delta — the merged result equals having bumped [dst]
     directly. *)
 
-val apply : delta -> int array -> (int * int) list
-(** Apply to a score array in place; returns [(aa, new_score)] for each
-    changed AA (input to the cache rebalance) and clears the accumulator. *)
+val apply : delta -> int array -> f:(int -> int -> unit) -> unit
+(** Apply to a score array in place, calling [f aa new_score] for each
+    changed AA (the cache rebalance, {!Wafl_aacache.Cache.cp_update}),
+    newest-touched AA first, then clear the accumulator.  Allocates
+    nothing per AA. *)
 
 val clear : delta -> unit

@@ -113,15 +113,21 @@ let best_score t =
   | Raid_aware h -> Max_heap.top_score h
   | Raid_agnostic h -> Hbps.top_score h
 
-let cp_update t updates =
-  t.updates <- t.updates + List.length updates;
+(* Each update is charged at the batch's starting size, as one batch. *)
+let cp_update t refile =
+  let before = t.updates in
   match t.backend with
   | Raid_aware h ->
-    t.work <- t.work + (List.length updates * heap_op_work h);
-    Max_heap.apply_updates h updates
+    let per = heap_op_work h in
+    refile (fun aa score ->
+        t.updates <- t.updates + 1;
+        Max_heap.apply_update h ~aa ~score);
+    t.work <- t.work + ((t.updates - before) * per)
   | Raid_agnostic h ->
-    t.work <- t.work + (List.length updates * hbps_op_work);
-    Hbps.apply_updates h updates;
+    refile (fun aa score ->
+        t.updates <- t.updates + 1;
+        Hbps.update h ~aa ~score);
+    t.work <- t.work + ((t.updates - before) * hbps_op_work);
     if Hbps.needs_replenish h then begin
       t.replenishes <- t.replenishes + 1;
       t.work <- t.work + Hbps.n_aas h;

@@ -69,9 +69,11 @@ val best_score : t -> int
     an option — the write allocator's per-call range weighting stays
     allocation-free. *)
 
-val cp_update : t -> (int * int) list -> unit
-(** CP-boundary batch: apply [(aa, new_score)] pairs and rebalance; for an
-    HBPS, also replenish when the list is dry or stale. *)
+val cp_update : t -> ((int -> int -> unit) -> unit) -> unit
+(** CP-boundary batch: [cp_update t refile] calls [refile file], which
+    calls [file aa new_score] once per update, in batch order; then, for
+    an HBPS, the list is replenished when dry or stale.  The updates are
+    streamed, not collected, so the batch allocates nothing per AA. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

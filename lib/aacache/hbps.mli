@@ -73,8 +73,6 @@ val update : t -> aa:int -> score:int -> unit
     moves the AA between bins in the list, inserts it when it newly
     qualifies, or leaves it out when it does not. *)
 
-val apply_updates : t -> (int * int) list -> unit
-
 val histogram_count : t -> bin:int -> int
 val bins : t -> int
 val highest_populated_bin : t -> int option

@@ -132,11 +132,7 @@ let update t ~aa ~score =
   t.scores.(i) <- score;
   if score > old then sift_up t i else if score < old then sift_down t i
 
-let apply_updates t updates =
-  List.iter
-    (fun (aa, new_score) ->
-      if mem t aa then update t ~aa ~score:new_score else insert t ~aa ~score:new_score)
-    updates
+let apply_update t ~aa ~score = if mem t aa then update t ~aa ~score else insert t ~aa ~score
 
 let top_k t k =
   (* Pull k best from a scratch copy; k is small (512 for TopAA). *)

@@ -49,9 +49,9 @@ val score : t -> aa:int -> int
 val update : t -> aa:int -> score:int -> unit
 (** Change an AA's key and restore heap order (sift up or down). *)
 
-val apply_updates : t -> (int * int) list -> unit
-(** Batched CP rebalance: apply [(aa, new_score)] pairs.  AAs not currently
-    in the heap are inserted (covers the mount-time background fill). *)
+val apply_update : t -> aa:int -> score:int -> unit
+(** One CP-rebalance update: {!update} a present AA, {!insert} an absent
+    one (covers the mount-time background fill). *)
 
 val top_k : t -> int -> (int * int) list
 (** The [k] best (aa, score) pairs in descending score order, without

@@ -10,7 +10,8 @@
 type t
 
 type commit_result = {
-  freed : int list;       (** VBNs whose bits were cleared by this commit *)
+  freed : int;            (** VBNs whose bits were cleared by this commit:
+                              [(freed t).(0 .. freed-1)], in queue order *)
   pages_written : int;    (** metafile pages flushed *)
 }
 
@@ -50,8 +51,15 @@ val has_pending_free : t -> int -> bool
 
 val commit : t -> commit_result
 (** Apply all queued frees in queue order, flush the metafile, and
-    return the batch.  One serial pass: a cross-domain split of the bit
-    clears measured slower than this loop (DESIGN.md §9). *)
+    return the count.  One serial pass: a cross-domain split of the bit
+    clears measured slower than this loop (DESIGN.md §9).  The queue is
+    one growable array reused across commits, so a commit allocates
+    nothing per VBN. *)
+
+val freed : t -> int array
+(** The queue array: after {!commit} returned [{ freed = n; _ }], its
+    first [n] slots are the committed VBNs in queue order.  Read-only,
+    and valid until the next {!queue_free} overwrites it. *)
 
 val free_count : t -> start:int -> len:int -> int
 (** Free VBNs in a range per the on-media state. *)

@@ -255,12 +255,13 @@ let queue_free t ~pvbn = Activemap.queue_free t.activemap pvbn
 
 let commit_frees t =
   let result = Activemap.commit t.activemap in
-  List.iter
-    (fun pvbn ->
-      let r = range_of_pvbn t pvbn in
-      Score.note_free r.delta ~vbn:(to_local r pvbn))
-    result.Activemap.freed;
-  (result.Activemap.pages_written, result.Activemap.freed)
+  let freed = Activemap.freed t.activemap in
+  for i = 0 to result.Activemap.freed - 1 do
+    let pvbn = freed.(i) in
+    let r = range_of_pvbn t pvbn in
+    Score.note_free r.delta ~vbn:(to_local r pvbn)
+  done;
+  result
 
 let aa_score_now t range aa =
   let mf = metafile t in

@@ -96,10 +96,11 @@ val allocate_harvested : t -> range -> aa:int -> pvbn:int -> unit
 val queue_free : t -> pvbn:int -> unit
 (** Queue a PVBN free for the next CP. *)
 
-val commit_frees : t -> int * int list
+val commit_frees : t -> Wafl_bitmap.Activemap.commit_result
 (** Apply queued frees (noting score increments) and flush the aggregate
-    bitmap metafile; returns (metafile pages written, freed PVBNs).  The
-    freed list is what gets trimmed down to SSDs. *)
+    bitmap metafile; returns the freed count and metafile pages written.
+    The freed PVBNs, which get trimmed down to SSDs, are the slice
+    [(Activemap.freed (activemap t)).(0 .. freed-1)]. *)
 
 (** {2 Cache validity epochs (incremental mount rebuild)}
 

@@ -7,7 +7,16 @@
     and bitmap-metafile pages, and finally applies the batched AA-score
     updates to the caches (§3.3). *)
 
-type staged = { vol : Flexvol.t; file : int; offset : int }
+type batch = {
+  mutable vol : int array;
+  mutable file : int array;
+  mutable offset : int array;
+  mutable len : int;
+}
+(** Staged writes, [0 .. len-1], in first-staging order: write [k] is
+    block [offset.(k)] of file [file.(k)] in volume [vols.(vol.(k))] of
+    the [vols] array {!run} is given.  {!Fs} keeps the arrays and reuses
+    them across CPs; [run] only reads them. *)
 
 type device_report = {
   range_index : int;
@@ -65,9 +74,14 @@ val columns : Wafl_telemetry.Timeseries.column list
     columns, [search_ns_per_block] and [cp_wall_ns], are [Measured];
     every other cell is identical at any domain count. *)
 
-val run : ?temp:Temperature.t -> Write_alloc.t -> staged list -> report
+val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> report
 (** Execute one CP over the staged writes, one code path at any domain
-    or class count.  Each stage runs on the system's scan pool
+    or class count.  Writes are grouped by volume with a stable counting
+    sort (volumes in first-appearance order), and every per-block list —
+    placed PVBNs and their classes, freed PVBNs, each range's share of
+    both — is a slice of a scratch array that belongs to the calling
+    domain and is reused across CPs, so a CP allocates O(volumes +
+    ranges) words, not O(blocks).  Each stage runs on the system's scan pool
     ({!Aggregate.pool}): the per-volume commits one volume per chunk and
     the per-range device flushes one range per chunk; the aggregate's
     delayed-free apply is one serial pass.

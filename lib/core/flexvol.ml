@@ -88,8 +88,10 @@ let delta t = t.delta
 let free_blocks t = Activemap.free_count t.activemap ~start:0 ~len:(blocks t)
 let used_fraction t = 1.0 -. (float_of_int (free_blocks t) /. float_of_int (blocks t))
 
+let container_pvbn t vvbn = t.container.(vvbn)
+
 let pvbn_of_vvbn t vvbn =
-  let p = t.container.(vvbn) in
+  let p = container_pvbn t vvbn in
   if p < 0 then None else Some p
 
 let reserve_vvbn t ~vvbn =
@@ -130,7 +132,10 @@ let queue_unmap t ~vvbn =
 
 let commit_frees t =
   let result = Activemap.commit t.activemap in
-  List.iter (fun vvbn -> Score.note_free t.delta ~vbn:vvbn) result.Activemap.freed;
+  let freed = Activemap.freed t.activemap in
+  for i = 0 to result.Activemap.freed - 1 do
+    Score.note_free t.delta ~vbn:freed.(i)
+  done;
   result.Activemap.pages_written
 
 (* --- cache validity epoch (incremental mount rebuild) ---
@@ -253,11 +258,8 @@ let write_file t ~file ~offset ~vvbn =
   end;
   let old = map.vvbns.(offset) in
   map.vvbns.(offset) <- vvbn;
-  if old < 0 then begin
-    map.mapped <- map.mapped + 1;
-    None
-  end
-  else Some old
+  if old < 0 then map.mapped <- map.mapped + 1;
+  old
 
 let read_file t ~file ~offset =
   check_offset "Flexvol.read_file" offset;

@@ -36,6 +36,10 @@ val used_fraction : t -> float
 val pvbn_of_vvbn : t -> int -> int option
 (** Container-map lookup: physical location of a virtual block. *)
 
+val container_pvbn : t -> int -> int
+(** {!pvbn_of_vvbn} with [-1] for an unmapped VVBN: the CP's overwrite
+    path reads it once per block without boxing an option. *)
+
 val reserve_vvbn : t -> vvbn:int -> unit
 (** Mark a VVBN allocated (and note the score decrement) at hand-out time,
     before its container entry exists.  Prevents the allocator from
@@ -127,9 +131,10 @@ val snapshot_read : t -> snapshot:int -> vvbn:int -> int option
 
 (** {2 Files} *)
 
-val write_file : t -> file:int -> offset:int -> vvbn:int -> int option
+val write_file : t -> file:int -> offset:int -> vvbn:int -> int
 (** Point file block [offset] at [vvbn]; returns the VVBN it previously
-    pointed at (the block an overwrite frees), if any.  A file's block map
+    pointed at (the block an overwrite frees), or [-1] for a fresh
+    block, so the CP's per-block path boxes no option.  A file's block map
     is a dense array indexed by offset that grows by doubling, so offsets
     should be dense from 0 (as every workload writes them).  Raises
     [Invalid_argument] for a negative offset. *)

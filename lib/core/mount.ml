@@ -276,13 +276,32 @@ let restore ?(verify = false) ?run image =
   in
   (fs, vreport)
 
-(* An HBPS cache over [topology] seeded from persisted TopAA pages: each
-   listed AA scored at its bin's lower bound, every other AA at zero. *)
+(* Whether decoded TopAA seeds fit the space they seed: every id in
+   [0, aa_count), every score in [0, full AA capacity], no id twice.  A
+   valid checksum only says the block reads back as written, not that it
+   was written for this range or volume; seeds that do not fit take the
+   same fallback as a checksum failure. *)
+let seeds_fit topology seeds =
+  let n = Topology.aa_count topology and cap = Topology.full_aa_capacity topology in
+  let seen = Bytes.make n '\000' in
+  List.for_all
+    (fun (aa, score) ->
+      aa >= 0 && aa < n && score >= 0 && score <= cap
+      && Bytes.get seen aa = '\000'
+      &&
+      (Bytes.set seen aa '\001';
+       true))
+    seeds
+
+let hbps_seed_fits topology seed =
+  seed.Topaa.bin_width > 0 && seeds_fit topology (Topaa.seed_scores seed)
+
+(* An HBPS cache over [topology] seeded from persisted TopAA pages that
+   fit it: each listed AA scored at its bin's lower bound, every other AA
+   at zero. *)
 let hbps_cache ?space topology seed =
   let approx = Array.make (Topology.aa_count topology) 0 in
-  List.iter
-    (fun (aa, s) -> if aa < Array.length approx then approx.(aa) <- s)
-    (Topaa.seed_scores seed);
+  List.iter (fun (aa, s) -> approx.(aa) <- s) (Topaa.seed_scores seed);
   let cache =
     Cache.raid_agnostic ?space ~max_score:(Topology.full_aa_capacity topology) ~scores:approx ()
   in
@@ -292,8 +311,9 @@ let hbps_cache ?space topology seed =
   cache
 
 (* Seed one range cache from its TopAA block.  A corrupt block is detected
-   by its checksum; the mount then falls back to scoring that range from
-   the bitmaps (the real system would engage WAFL Iron).  Returns
+   by its checksum, a block whose seeds do not fit the range by
+   {!seeds_fit}; either way the mount falls back to scoring that range
+   from the bitmaps (the real system would engage WAFL Iron).  Returns
    (seeds inserted, fallback metafile pages scanned). *)
 let seed_range_cache aggregate (r : Aggregate.range) block =
   (* Checksum failure engages the bitmap-truth rescore for just this
@@ -311,20 +331,18 @@ let seed_range_cache aggregate (r : Aggregate.range) block =
   match block with
   | Topaa_heap page -> (
     match Topaa.load_raid_aware page with
-    | Ok seeds ->
+    | Ok seeds when seeds_fit r.Aggregate.topology seeds ->
       let heap = Max_heap.create ~n_aas:(Topology.aa_count r.Aggregate.topology) in
-      List.iter
-        (fun (aa, score) -> if not (Max_heap.mem heap aa) then Max_heap.insert heap ~aa ~score)
-        seeds;
+      List.iter (fun (aa, score) -> Max_heap.insert heap ~aa ~score) seeds;
       r.Aggregate.cache <- Some (Cache.make ~space:r.Aggregate.index (Cache.Raid_aware heap));
       (List.length seeds, 0)
-    | Error _ -> fallback ())
+    | Ok _ | Error _ -> fallback ())
   | Topaa_hbps (histogram, list_page) -> (
     match Topaa.load_hbps (histogram, list_page) with
-    | Ok seed ->
+    | Ok seed when hbps_seed_fits r.Aggregate.topology seed ->
       r.Aggregate.cache <- Some (hbps_cache ~space:r.Aggregate.index r.Aggregate.topology seed);
       (List.length seed.Topaa.entries, 0)
-    | Error _ -> fallback ())
+    | Ok _ | Error _ -> fallback ())
 
 let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = false) ?run
     image ~with_topaa =
@@ -363,11 +381,12 @@ let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = f
     Array.iteri
       (fun i vol ->
         match Topaa.load_hbps image.vol_topaa.(i) with
-        | Ok seed ->
+        | Ok seed when hbps_seed_fits (Flexvol.topology vol) seed ->
           Flexvol.set_cache vol (Some (hbps_cache (Flexvol.topology vol) seed));
           seeds := !seeds + List.length seed.Topaa.entries
-        | Error _ ->
-          (* corrupt volume TopAA: score the volume from its bitmap *)
+        | Ok _ | Error _ ->
+          (* corrupt or misfit volume TopAA: score the volume from its
+             bitmap *)
           fallback_pages :=
             !fallback_pages
             + Metafile.scan_read (Flexvol.metafile vol) ~start:0 ~len:(Flexvol.blocks vol);

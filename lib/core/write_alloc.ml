@@ -829,18 +829,45 @@ let allocate_vvbns_into t vol ~dst n =
     vvbn_loop t vol cursor dst n 0
   end
 
-(* CP boundary for one space: release every taken AA's claim (across all
-   of the space's class cursors — their taken lists are disjoint, the
-   shared claim words block a second class from taking an owned AA),
-   apply the score delta once, and make sure every taken AA is re-filed
-   in the cache, even if its score did not change.  [Score.mem] answers
-   "will apply emit this AA?" directly from the delta's preallocated
-   accumulator, so no per-CP hash table or list concatenation is needed.
+(* Whether any of a space's class cursors from [i] on quarantined [aa];
+   top-level, so the per-AA refile builds no closure. *)
+let rec quarantined cursors aa i =
+  i < Array.length cursors
+  && (Hashtbl.mem cursors.(i).quarantined aa || quarantined cursors aa (i + 1))
+
+(* CP boundary for one space: make sure every taken AA is re-filed in the
+   cache, even if its score did not change, apply the score delta once,
+   then release every taken AA's claim (across all of the space's class
+   cursors — their taken lists are disjoint, the shared claim words block
+   a second class from taking an owned AA).  The cache is handed the
+   taken-but-unchanged AAs first, in taken order, then the delta's
+   updates ({!Score.apply}'s order); [Score.mem] answers "will apply
+   emit this AA?" from the delta's preallocated accumulator, and both
+   streams go straight to the cache, so nothing is collected per AA.
    [wear_adjust], when given, maps [(aa, score)] to the cache-filed score
    — the free-count [scores] array itself is never touched by wear. *)
 let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust ~delta
     ~(scores : int array) ~cache cursors =
-  let extra = ref [] in
+  (match cache with
+  | None -> Score.apply delta scores ~f:(fun _ _ -> ())
+  | Some cache ->
+    (* quarantined AAs sit on bad device ranges: never re-file them, or
+       the cache would hand them right back.  An empty quarantine (the
+       fault-free common case) skips the per-AA lookups. *)
+    let none_quarantined = Array.for_all (fun c -> Hashtbl.length c.quarantined = 0) cursors in
+    Cache.cp_update cache (fun file ->
+        let file aa score =
+          if none_quarantined || not (quarantined cursors aa 0) then
+            file aa (match wear_adjust with None -> score | Some f -> (f aa score : int))
+        in
+        Array.iter
+          (fun cursor ->
+            for k = 0 to cursor.n_taken - 1 do
+              let aa = cursor.taken_list.(k) in
+              if not (Score.mem delta ~aa) then file aa scores.(aa)
+            done)
+          cursors;
+        Score.apply delta scores ~f:file));
   Array.iter
     (fun cursor ->
       (* With several class rows over shared claim words, a surviving ring
@@ -858,8 +885,7 @@ let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust ~delta
       for k = 0 to cursor.n_taken - 1 do
         let aa = cursor.taken_list.(k) in
         if aa = keep_aa then kept := true
-        else Atomic.set cursor.owners.(aa) Aggregate.no_owner;
-        if not (Score.mem delta ~aa) then extra := (aa, scores.(aa)) :: !extra
+        else Atomic.set cursor.owners.(aa) Aggregate.no_owner
       done;
       cursor.n_taken <- 0;
       if !kept then push_taken cursor keep_aa
@@ -868,30 +894,7 @@ let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust ~delta
         cursor.head <- 0;
         cursor.len <- 0
       end)
-    cursors;
-  let extra = !extra in
-  let updates = Score.apply delta scores in
-  match cache with
-  | Some cache ->
-    let updates =
-      (* quarantined AAs sit on bad device ranges: never re-file them, or
-         the cache would hand them right back.  Empty quarantine (the
-         fault-free common case) skips the filter allocation. *)
-      if Array.for_all (fun c -> Hashtbl.length c.quarantined = 0) cursors then
-        List.rev_append extra updates
-      else
-        List.filter
-          (fun (aa, _) ->
-            not (Array.exists (fun c -> Hashtbl.mem c.quarantined aa) cursors))
-          (List.rev_append extra updates)
-    in
-    let updates =
-      match wear_adjust with
-      | None -> updates
-      | Some f -> List.map (fun (aa, score) -> (aa, (f aa score : int))) updates
-    in
-    Cache.cp_update cache updates
-  | None -> ()
+    cursors
 
 (* Worst per-erase-block wear under an AA's range-local extents — the
    per-AA wear the scorer bins.  An AA far smaller than an erase block

@@ -207,19 +207,16 @@ let ensure_scratch t n =
    the reused scratch array — sorted, deduplicated and fault-filtered in
    place — then walked in erase-block runs, so a large CP flush costs no
    per-batch heap beyond (rare) scratch growth. *)
-let write_batch ?(stream = 0) t pages =
+let write_batch ?(stream = 0) t pages ~pos ~len:n =
   check_stream t stream;
-  let n = List.length pages in
   if n > 0 then begin
     ensure_scratch t n;
     let scratch = t.scratch in
-    let k = ref 0 in
-    List.iter
-      (fun p ->
-        check t p;
-        scratch.(!k) <- p;
-        incr k)
-      pages;
+    for k = 0 to n - 1 do
+      let p = pages.(pos + k) in
+      check t p;
+      scratch.(k) <- p
+    done;
     (* Sort and dedup (coalesce rewrites within one flush), then the fault
        plane: failed pages never reach the flash and are dropped here; torn
        pages are programmed (cost is paid) but their content is garbage, so
@@ -289,7 +286,10 @@ let trim t p =
     t.trimmed_pages <- t.trimmed_pages + 1
   end
 
-let trim_batch t pages = List.iter (trim t) pages
+let trim_batch t pages ~pos ~len =
+  for k = pos to pos + len - 1 do
+    trim t pages.(k)
+  done
 
 let stats t =
   {

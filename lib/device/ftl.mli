@@ -93,17 +93,19 @@ val stream_of_open : t -> eb:int -> int option
 val open_blocks_of_stream : t -> int -> int
 (** Erase blocks currently open under the given stream's budget. *)
 
-val write_batch : ?stream:int -> t -> int list -> unit
-(** Process one flush's host writes (logical page numbers; duplicates are
-    coalesced) under the given stream (default 0).  Pages become live.
-    The batch is staged on a reused scratch array — sorted, deduplicated
+val write_batch : ?stream:int -> t -> int array -> pos:int -> len:int -> unit
+(** Process one flush's host writes, the logical page numbers
+    [pages.(pos .. pos+len-1)] (duplicates are coalesced; [pages] is only
+    read), under the given stream (default 0).  Pages become live.
+    The batch is copied onto a reused scratch array — sorted, deduplicated
     and walked in erase-block runs in place — so large CP flushes do not
     allocate per batch. *)
 
 val trim : t -> int -> unit
 (** Host free: the page is no longer live; no-op when already dead. *)
 
-val trim_batch : t -> int list -> unit
+val trim_batch : t -> int array -> pos:int -> len:int -> unit
+(** {!trim} each of [pages.(pos .. pos+len-1)], in order. *)
 
 val stats : t -> stats
 

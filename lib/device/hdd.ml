@@ -8,17 +8,18 @@ let random_read_cost_us (p : Profile.hdd) ~ios =
 (* HDDs are stateless cost models, so fault handling lives in the cost
    function: each block in [locals] is offered to the fault plane; failed
    blocks transfer nothing (torn blocks still spin under the head). *)
-let faulty_write_cost_us fault (p : Profile.hdd) ~chains ~locals ~parity_writes =
+let faulty_write_cost_us fault (p : Profile.hdd) ~chains ~locals ~pos ~len ~parity_writes =
   let written =
     match fault with
-    | None -> List.length locals
+    | None -> len
     | Some dev ->
-      List.fold_left
-        (fun acc b ->
-          match Wafl_fault.Fault.write dev ~block:b with
-          | Wafl_fault.Fault.Written | Wafl_fault.Fault.Written_torn -> acc + 1
-          | Wafl_fault.Fault.Failed -> acc)
-        0 locals
+      let n = ref 0 in
+      for k = pos to pos + len - 1 do
+        match Wafl_fault.Fault.write dev ~block:locals.(k) with
+        | Wafl_fault.Fault.Written | Wafl_fault.Fault.Written_torn -> incr n
+        | Wafl_fault.Fault.Failed -> ()
+      done;
+      !n
   in
   write_cost_us p ~chains ~blocks:(written + parity_writes)
 

@@ -16,12 +16,15 @@ val faulty_write_cost_us :
   Wafl_fault.Fault.device option ->
   Profile.hdd ->
   chains:int ->
-  locals:int list ->
+  locals:int array ->
+  pos:int ->
+  len:int ->
   parity_writes:int ->
   float
 (** {!write_cost_us} with a fault plane consulted per data block in
-    [locals] (range-local block numbers): failed blocks transfer nothing.
-    With [None] it is exactly [write_cost_us ~blocks:(len locals + parity_writes)]. *)
+    [locals.(pos .. pos+len-1)] (range-local block numbers), in order:
+    failed blocks transfer nothing.  With [None] it is exactly
+    [write_cost_us ~blocks:(len + parity_writes)]. *)
 
 val streaming_bandwidth_blocks_per_s : Profile.hdd -> float
 (** Upper bound: blocks per second with no seeks. *)

@@ -41,13 +41,6 @@ type flush_report = {
   chain_blocks : int;
 }
 
-let rec stage a ~total i = function
-  | [] -> ()
-  | vbn :: rest ->
-    if vbn < 0 || vbn >= total then invalid_arg "Geometry: VBN out of bounds";
-    a.(i) <- vbn;
-    stage a ~total (i + 1) rest
-
 (* The flush accounting kernel: two sorts of the reused scratch array and
    two linear passes, with no per-block allocation.
 
@@ -61,16 +54,20 @@ let rec stage a ~total i = function
    blocks per stripe (full or partial, hence parity writes and
    read-modify-write reads) and the distinct [stripe / 64] values, which
    are the tetrises written. *)
-let record_flush t ~vbns =
+let record_flush t ~vbns ~pos ~len =
   let geom = t.geometry in
   let data = Geometry.data_devices geom in
   let parity = Geometry.parity_devices geom in
   let device_blocks = Geometry.device_blocks geom in
-  let len = List.length vbns in
   if Array.length t.scratch < len then
     t.scratch <- Array.make (max len (2 * Array.length t.scratch)) 0;
   let a = t.scratch in
-  stage a ~total:(Geometry.total_blocks geom) 0 vbns;
+  let total = Geometry.total_blocks geom in
+  for i = 0 to len - 1 do
+    let vbn = vbns.(pos + i) in
+    if vbn < 0 || vbn >= total then invalid_arg "Geometry: VBN out of bounds";
+    a.(i) <- vbn
+  done;
   (* pass 1: devices and chains *)
   let n = Wafl_util.Int_sort.sort_uniq a ~len in
   let per_device = Array.make data 0 in

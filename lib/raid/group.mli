@@ -30,10 +30,11 @@ type flush_report = {
   chain_blocks : int;
 }
 
-val record_flush : t -> vbns:int list -> flush_report
-(** Account one CP's writes to this group and return that flush's own
-    classification, tetris summary and chain counts.  Duplicate VBNs count
-    once.  The VBNs are staged in a scratch array the group keeps (grown to
+val record_flush : t -> vbns:int array -> pos:int -> len:int -> flush_report
+(** Account one CP's writes, [vbns.(pos .. pos+len-1)], to this group and
+    return that flush's own classification, tetris summary and chain
+    counts.  Duplicate VBNs count once; [vbns] is only read.  The VBNs
+    are copied into a scratch array the group keeps (grown to
     the largest flush, never shrunk) and sorted there twice, so the work
     allocates nothing per block: a flush's heap cost is its report alone.
     Raises [Invalid_argument] for a VBN outside the group. *)

@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro state s0..s3 as four little-endian 64-bit words of one
+   32-byte buffer.  Stores into [mutable int64] record fields would box
+   every word on every draw; the bytes primitives read and write raw
+   words, so a draw allocates nothing. *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_le t (8 * i)
+let[@inline] set t i v = Bytes.set_int64_le t (8 * i) v
 
 (* splitmix64 step, used only for seeding so that near-identical seeds still
    produce unrelated xoshiro states. *)
@@ -10,48 +17,49 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_seed64 seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = of_seed64 (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step.  Inlined into each caller, so the int64
+   temporaries stay unboxed. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tt = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tt = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 1 (logxor s1 s2);
+  set t 0 (logxor s0 s3);
+  set t 2 (logxor s2 tt);
+  set t 3 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let split t = of_seed64 (next t)
+
+(* Rejection sampling over the top 62 bits to avoid modulo bias; a
+   top-level loop, so a draw builds no closure. *)
+let mask62 = 0x3FFF_FFFF_FFFF_FFFF
+
+let rec draw t bound =
+  let r = Int64.to_int (next t) land mask62 in
+  let v = r mod bound in
+  if r - v > mask62 - bound + 1 then draw t bound else v
 
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec go () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then go () else v
-  in
-  go ()
+  draw t bound
 
 let int_in t ~lo ~hi =
   assert (lo <= hi);
@@ -59,7 +67,7 @@ let int_in t ~lo ~hi =
 
 let float t bound =
   (* 53 uniform bits -> [0,1). *)
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int r /. 9007199254740992.0 *. bound
 
 let exponential t ~mean =

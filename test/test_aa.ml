@@ -165,10 +165,13 @@ let test_score_delta_apply () =
   (* free without prior alloc: scores would exceed capacity; use an alloc'd one *)
   Score.note_alloc d ~vbn:129;
   Score.note_alloc d ~vbn:130;
-  let updates = Score.apply d scores in
+  let updates = ref [] in
+  Score.apply d scores ~f:(fun aa score -> updates := (aa, score) :: !updates);
   check_int "aa0 dropped" 511 scores.(0);
   check_int "aa1 net -1" 511 scores.(1);
-  check_int "two updates" 2 (List.length updates);
+  check_int "two updates" 2 (List.length !updates);
+  Alcotest.(check (list (pair int int)))
+    "newest-touched AA first" [ (1, 511); (0, 511) ] (List.rev !updates);
   check_bool "cleared" true (Score.is_empty d)
 
 let prop_score_matches_metafile =
@@ -187,7 +190,7 @@ let prop_score_matches_metafile =
             Hashtbl.replace allocated vbn ()
           end)
         vbns;
-      ignore (Score.apply d scores);
+      Score.apply d scores ~f:(fun _ _ -> ());
       scores = Score.all_scores raid_topo mf)
 
 let () =

@@ -62,7 +62,8 @@ let test_heap_apply_updates () =
   let h = Max_heap.of_scores [| 10; 20; 30 |] in
   ignore (Max_heap.extract_best h);
   (* CP-boundary batch: updates present AAs, re-inserts the extracted one *)
-  Max_heap.apply_updates h [ (0, 99); (2, 1) ];
+  Max_heap.apply_update h ~aa:0 ~score:99;
+  Max_heap.apply_update h ~aa:2 ~score:1;
   check_int "size" 3 (Max_heap.size h);
   Alcotest.(check (option (pair int int))) "best" (Some (0, 99)) (Max_heap.peek_best h);
   check_bool "invariant" true (Max_heap.check_invariant h)
@@ -363,7 +364,7 @@ let test_cache_take_and_update () =
     check_int "best aa" 1 aa;
     check_int "best score" 30 s
   | None -> Alcotest.fail "empty");
-  Cache.cp_update c [ (1, 0) ];
+  Cache.cp_update c (fun file -> file 1 0);
   (match Cache.peek_best_score c with
   | Some s -> check_int "next best" 20 s
   | None -> Alcotest.fail "empty");
@@ -376,11 +377,11 @@ let test_cache_hbps_auto_replenish () =
   let scores = Array.init 100 (fun i -> (i * 331) mod 32_769) in
   let c = Cache.raid_agnostic ~capacity:5 ~max_score:32_768 ~scores () in
   (* drain the (initially empty, then replenished) list via cp_update *)
-  Cache.cp_update c [];
+  Cache.cp_update c ignore;
   check_bool "replenished on first cp" true ((Cache.stats c).Cache.replenishes >= 1);
   let rec drain n = if n > 0 then begin ignore (Cache.take_best c); drain (n - 1) end in
   drain 5;
-  Cache.cp_update c [];
+  Cache.cp_update c ignore;
   check_bool "take works after auto-replenish" true (Cache.take_best c <> None)
 
 (* Every HBPS pick's tracked score error must respect the §3.3 guarantee:
@@ -396,11 +397,11 @@ let test_cache_hbps_score_error_bound () =
   in
   let scores = Array.init 4096 (fun _ -> next ()) in
   let c = Cache.raid_agnostic ~max_score ~scores () in
-  Cache.cp_update c [] (* initial replenish *);
+  Cache.cp_update c ignore (* initial replenish *);
   for _ = 1 to 50 do
     (match Cache.take_best c with
-    | Some (aa, _) -> Cache.cp_update c [ (aa, next ()) ]
-    | None -> Cache.cp_update c []);
+    | Some (aa, _) -> Cache.cp_update c (fun file -> file aa (next ()))
+    | None -> Cache.cp_update c ignore);
     let s = Cache.stats c in
     check_bool
       (Printf.sprintf "pick error %.5f within 3.125%% bound" s.Cache.score_error_last)

@@ -7,6 +7,16 @@ let check_bool = Alcotest.(check bool)
 
 (* --- Ftl --- *)
 
+(* One flush's pages, written as a list, passed as the whole-array slice
+   the batch calls take. *)
+let write_batch ?stream f pages =
+  let a = Array.of_list pages in
+  Ftl.write_batch ?stream f a ~pos:0 ~len:(Array.length a)
+
+let trim_batch f pages =
+  let a = Array.of_list pages in
+  Ftl.trim_batch f a ~pos:0 ~len:(Array.length a)
+
 let small_ssd () =
   (* 64-page erase blocks so tests stay small. *)
   let profile = { Profile.default_ssd with Profile.erase_block_blocks = 64; overprovision = 0.0 } in
@@ -14,7 +24,7 @@ let small_ssd () =
 
 let test_ftl_fresh_write_wa_one () =
   let f = small_ssd () in
-  Ftl.write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 Fun.id);
   let s = Ftl.stats f in
   check_int "host" 64 s.Ftl.host_pages_written;
   check_int "device" 64 s.Ftl.device_pages_written;
@@ -24,9 +34,9 @@ let test_ftl_partial_overwrite_relocates () =
   let f = small_ssd () in
   (* Fill erase block 0 (it closes once fully appended), then rewrite half
      of it: reopening relocates the 32 still-live pages outside the batch. *)
-  Ftl.write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 Fun.id);
   check_bool "closed after full append" false (Ftl.is_open f ~eb:0);
-  Ftl.write_batch f (List.init 32 Fun.id);
+  write_batch f (List.init 32 Fun.id);
   let s = Ftl.stats f in
   check_int "host" 96 s.Ftl.host_pages_written;
   check_int "device" (64 + 32 + 32) s.Ftl.device_pages_written;
@@ -41,9 +51,9 @@ let test_ftl_batch_split_invariant () =
      write the even pages of the same span in one batch vs eight. *)
   let run chunks =
     let f = small_ssd () in
-    Ftl.write_batch f (List.init 512 (fun i -> (i * 2) + 1));
+    write_batch f (List.init 512 (fun i -> (i * 2) + 1));
     Ftl.reset_stats f;
-    List.iter (fun batch -> Ftl.write_batch f batch) chunks;
+    List.iter (fun batch -> write_batch f batch) chunks;
     (Ftl.stats f).Ftl.relocated_pages
   in
   let one = run [ List.init 128 (fun i -> i * 2) ] in
@@ -55,10 +65,10 @@ let test_ftl_batch_split_invariant () =
 
 let test_ftl_trim_avoids_relocation () =
   let f = small_ssd () in
-  Ftl.write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 Fun.id);
   (* Trim the half we are not going to rewrite, then rewrite the other half. *)
-  Ftl.trim_batch f (List.init 32 (fun i -> 32 + i));
-  Ftl.write_batch f (List.init 32 Fun.id);
+  trim_batch f (List.init 32 (fun i -> 32 + i));
+  write_batch f (List.init 32 Fun.id);
   let s = Ftl.stats f in
   check_int "nothing relocated" 0 s.Ftl.relocated_pages;
   check_int "trimmed" 32 s.Ftl.trimmed_pages
@@ -69,13 +79,13 @@ let test_ftl_small_aa_vs_large_aa () =
   let run ~chunk =
     let f = small_ssd () in
     (* Pre-fill the device half-full with even pages live. *)
-    Ftl.write_batch f (List.init 512 (fun i -> i * 2));
+    write_batch f (List.init 512 (fun i -> i * 2));
     Ftl.reset_stats f;
     (* Rewrite 256 pages in chunks of [chunk] consecutive odd/even pages. *)
     let rec go start remaining =
       if remaining > 0 then begin
         let batch = List.init chunk (fun i -> start + i) in
-        Ftl.write_batch f batch;
+        write_batch f batch;
         go (start + chunk) (remaining - chunk)
       end
     in
@@ -90,16 +100,16 @@ let test_ftl_overprovision_absorbs () =
   let profile28 = { profile0 with Profile.overprovision = 0.28 } in
   let run profile =
     let f = Ftl.create ~profile ~logical_blocks:1024 () in
-    Ftl.write_batch f (List.init 1024 Fun.id);
+    write_batch f (List.init 1024 Fun.id);
     Ftl.reset_stats f;
-    Ftl.write_batch f (List.init 64 (fun i -> i * 16));
+    write_batch f (List.init 64 (fun i -> i * 16));
     Ftl.write_amplification f
   in
   check_bool "more OP, less WA" true (run profile28 < run profile0)
 
 let test_ftl_live_tracking () =
   let f = small_ssd () in
-  Ftl.write_batch f [ 0; 1; 2 ];
+  write_batch f [ 0; 1; 2 ];
   check_int "live" 3 (Ftl.live_pages_in f ~start:0 ~len:64);
   Ftl.trim f 1;
   check_int "after trim" 2 (Ftl.live_pages_in f ~start:0 ~len:64);
@@ -111,7 +121,7 @@ let prop_ftl_wa_at_least_one =
     QCheck.(list_of_size Gen.(1 -- 20) (list_of_size Gen.(1 -- 30) (int_bound 1023)))
     (fun batches ->
       let f = small_ssd () in
-      List.iter (fun batch -> Ftl.write_batch f batch) batches;
+      List.iter (fun batch -> write_batch f batch) batches;
       Ftl.write_amplification f >= 1.0 -. 1e-9)
 
 (* --- Ftl multi-stream placement --- *)
@@ -126,10 +136,10 @@ let test_ftl_stream_budget () =
   check_int "budget split evenly" 2 (Ftl.stream_capacity f);
   (* Partial writes keep the blocks open; a third open under the same
      stream must evict that stream's LRU, not grow past the budget. *)
-  Ftl.write_batch ~stream:0 f [ 0 ];
-  Ftl.write_batch ~stream:0 f [ 64 ];
+  write_batch ~stream:0 f [ 0 ];
+  write_batch ~stream:0 f [ 64 ];
   check_int "two open" 2 (Ftl.open_blocks_of_stream f 0);
-  Ftl.write_batch ~stream:0 f [ 128 ];
+  write_batch ~stream:0 f [ 128 ];
   check_int "budget enforced" 2 (Ftl.open_blocks_of_stream f 0);
   check_bool "oldest evicted" false (Ftl.is_open f ~eb:0);
   check_bool "newest open" true (Ftl.is_open f ~eb:2);
@@ -138,23 +148,23 @@ let test_ftl_stream_budget () =
 
 let test_ftl_stream_lru_recency () =
   let f = multi_ssd () in
-  Ftl.write_batch ~stream:0 f [ 0 ];
-  Ftl.write_batch ~stream:0 f [ 64 ];
+  write_batch ~stream:0 f [ 0 ];
+  write_batch ~stream:0 f [ 64 ];
   (* appending to eb0 again makes eb1 the stream's LRU *)
-  Ftl.write_batch ~stream:0 f [ 1 ];
-  Ftl.write_batch ~stream:0 f [ 128 ];
+  write_batch ~stream:0 f [ 1 ];
+  write_batch ~stream:0 f [ 128 ];
   check_bool "recently appended survives" true (Ftl.is_open f ~eb:0);
   check_bool "least recent evicted" false (Ftl.is_open f ~eb:1)
 
 let test_ftl_stream_isolation () =
   let f = multi_ssd () in
-  Ftl.write_batch ~stream:0 f [ 0 ];
-  Ftl.write_batch ~stream:0 f [ 64 ];
+  write_batch ~stream:0 f [ 0 ];
+  write_batch ~stream:0 f [ 64 ];
   (* churning stream 1 through many fresh blocks must never evict
      stream 0's open blocks — that cross-eviction is exactly what
      segregation exists to stop *)
   for k = 2 to 9 do
-    Ftl.write_batch ~stream:1 f [ k * 64 ]
+    write_batch ~stream:1 f [ k * 64 ]
   done;
   check_int "stream 1 capped at its own budget" 2 (Ftl.open_blocks_of_stream f 1);
   check_bool "stream 0 block 0 untouched" true (Ftl.is_open f ~eb:0);
@@ -163,8 +173,8 @@ let test_ftl_stream_isolation () =
 
 let test_ftl_stream_stats_attribution () =
   let f = multi_ssd () in
-  Ftl.write_batch ~stream:0 f (List.init 64 Fun.id);
-  Ftl.write_batch ~stream:2 f (List.init 64 (fun i -> 64 + i));
+  write_batch ~stream:0 f (List.init 64 Fun.id);
+  write_batch ~stream:2 f (List.init 64 (fun i -> 64 + i));
   let s0 = Ftl.stream_stats f 0
   and s1 = Ftl.stream_stats f 1
   and s2 = Ftl.stream_stats f 2 in
@@ -187,14 +197,14 @@ let test_ftl_segregation_reduces_wa () =
       { Profile.default_ssd with Profile.erase_block_blocks = 64; overprovision = 0.0 }
     in
     let f = Ftl.create ~profile ~open_blocks:4 ~streams ~logical_blocks:8192 () in
-    Ftl.write_batch f (List.init 128 Fun.id);
+    write_batch f (List.init 128 Fun.id);
     Ftl.reset_stats f;
     let cold_stream = min 1 (streams - 1) in
     let cold = ref 256 in
     for round = 0 to 15 do
-      Ftl.write_batch ~stream:0 f [ ((round mod 2) * 64) + (round mod 64) ];
+      write_batch ~stream:0 f [ ((round mod 2) * 64) + (round mod 64) ];
       for _ = 1 to 4 do
-        Ftl.write_batch ~stream:cold_stream f (List.init 32 (fun i -> !cold + i));
+        write_batch ~stream:cold_stream f (List.init 32 (fun i -> !cold + i));
         cold := !cold + 64
       done
     done;
@@ -207,21 +217,21 @@ let test_ftl_segregation_reduces_wa () =
 
 let test_ftl_trim_open_block () =
   let f = small_ssd () in
-  Ftl.write_batch f (List.init 32 Fun.id);
+  write_batch f (List.init 32 Fun.id);
   check_bool "partially filled block is open" true (Ftl.is_open f ~eb:0);
-  Ftl.trim_batch f (List.init 16 Fun.id);
+  trim_batch f (List.init 16 Fun.id);
   check_bool "trim leaves it open" true (Ftl.is_open f ~eb:0);
   check_int "live after trim" 16 (Ftl.live_pages_in f ~start:0 ~len:64);
   (* rewriting the trimmed pages appends into the still-open block *)
-  Ftl.write_batch f (List.init 16 Fun.id);
+  write_batch f (List.init 16 Fun.id);
   check_int "no relocation" 0 (Ftl.stats f).Ftl.relocated_pages;
   check_int "trims tallied" 16 (Ftl.stats f).Ftl.trimmed_pages
 
 let test_ftl_wear_counters () =
   let f = small_ssd () in
-  Ftl.write_batch f (List.init 64 Fun.id);
-  Ftl.write_batch f (List.init 64 Fun.id);
-  Ftl.write_batch f (List.init 64 (fun i -> 64 + i));
+  write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 (fun i -> 64 + i));
   check_int "rewritten block wore twice" 2 (Ftl.wear_of_eb f ~eb:0);
   check_int "fresh block wore once" 1 (Ftl.wear_of_eb f ~eb:1);
   check_int "max over a span" 2 (Ftl.max_wear_in f ~start:0 ~len:128);
@@ -235,7 +245,7 @@ let test_ftl_wear_counters () =
 let test_ftl_service_time () =
   let f = small_ssd () in
   let before = Ftl.stats f in
-  Ftl.write_batch f (List.init 64 Fun.id);
+  write_batch f (List.init 64 Fun.id);
   let delta = Ftl.diff_stats ~after:(Ftl.stats f) ~before in
   let t = Ftl.service_time_us f ~stats_delta:delta in
   (* 64 programs + 1 erase *)

@@ -271,7 +271,7 @@ let test_torn_ftl_pages () =
   let dev = Fault.device (Fault.create spec) ~id:0 in
   let ftl = Wafl_device.Ftl.create ~logical_blocks:4096 () in
   Wafl_device.Ftl.set_fault ftl (Some dev);
-  Wafl_device.Ftl.write_batch ftl (List.init 64 Fun.id);
+  Wafl_device.Ftl.write_batch ftl (Array.init 64 Fun.id) ~pos:0 ~len:64;
   let st = Wafl_device.Ftl.stats ftl in
   check_int "pages programmed (cost paid)" 64 st.Wafl_device.Ftl.host_pages_written;
   check_int "but none live (content garbage)" 0

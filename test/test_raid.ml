@@ -162,7 +162,14 @@ module Naive = struct
     }
 end
 
-let flush vbns = Group.record_flush (Group.create geom) ~vbns
+(* One flush's VBNs, written as a list, passed as the slice
+   [Group.record_flush] takes, between two out-of-group VBNs: reading
+   past either end of the slice raises. *)
+let record g vbns =
+  let a = Array.of_list ((-1 :: vbns) @ [ -1 ]) in
+  Group.record_flush g ~vbns:a ~pos:1 ~len:(List.length vbns)
+
+let flush vbns = record (Group.create geom) vbns
 let classify vbns = (flush vbns).Group.classification
 let summarize vbns = (flush vbns).Group.tetris
 
@@ -254,8 +261,8 @@ let prop_tetris_blocks_conserved =
 
 let test_group_accumulates () =
   let g = Group.create geom in
-  let _ = Group.record_flush g ~vbns:(Geometry.vbns_of_stripe geom 0) in
-  let _ = Group.record_flush g ~vbns:[ Geometry.vbn_of_location geom { Geometry.device = 0; dbn = 999 } ] in
+  let _ = record g (Geometry.vbns_of_stripe geom 0) in
+  let _ = record g [ Geometry.vbn_of_location geom { Geometry.device = 0; dbn = 999 } ] in
   let t = Group.totals g in
   check_int "flushes" 2 t.Group.flushes;
   check_int "blocks" 7 t.Group.blocks_written;
@@ -268,7 +275,7 @@ let test_group_chains () =
   let g = Group.create geom in
   (* 3 consecutive dbns on device 0: one chain *)
   let vbns = List.map (fun dbn -> Geometry.vbn_of_location geom { Geometry.device = 0; dbn }) [ 10; 11; 12 ] in
-  let _ = Group.record_flush g ~vbns in
+  let _ = record g vbns in
   let t = Group.totals g in
   check_int "one chain" 1 t.Group.chain_count;
   Alcotest.(check (float 1e-9)) "chain len 3" 3.0 (Group.mean_chain_len t)
@@ -282,12 +289,12 @@ let test_group_chain_split_across_devices () =
         List.map (fun dbn -> Geometry.vbn_of_location geom { Geometry.device; dbn }) [ 0; 1 ])
       [ 0; 1 ]
   in
-  let _ = Group.record_flush g ~vbns in
+  let _ = record g vbns in
   check_int "two chains" 2 (Group.totals g).Group.chain_count
 
 let test_group_reset () =
   let g = Group.create geom in
-  let _ = Group.record_flush g ~vbns:(Geometry.vbns_of_stripe geom 0) in
+  let _ = record g (Geometry.vbns_of_stripe geom 0) in
   Group.reset g;
   check_int "zeroed" 0 (Group.totals g).Group.blocks_written
 
@@ -332,7 +339,7 @@ let prop_kernel_matches_reference =
         List.fold_left
           (fun tot vbns ->
             let want = Naive.record_flush small vbns in
-            if not (same_report (Group.record_flush g ~vbns) want) then
+            if not (same_report (record g vbns) want) then
               QCheck.Test.fail_reportf "flush report differs on %s"
                 (QCheck.Print.(list int) vbns);
             Naive.accumulate tot want)
@@ -343,7 +350,7 @@ let prop_kernel_matches_reference =
 
 let test_group_empty_flush () =
   let g = Group.create geom in
-  let f = Group.record_flush g ~vbns:[] in
+  let f = record g [] in
   check_bool "empty report" true (same_report f (Naive.record_flush geom []));
   check_int "counted as a flush" 1 (Group.totals g).Group.flushes;
   check_int "no tetrises" 0 (Group.totals g).Group.tetrises_written
@@ -356,16 +363,16 @@ let test_group_device_boundary_chains () =
 
 let test_group_flush_allocation_flat () =
   let g = Group.create geom in
-  (* distinct VBNs in scrambled order: 7919 is coprime with 6000 *)
-  let big = List.init 4096 (fun i -> i * 7919 mod 6000) in
-  let tiny = List.filteri (fun i _ -> i < 16) big in
-  let words vbns =
+  (* distinct VBNs in scrambled order: 7919 is coprime with 6000; the
+     16-block flush is a slice from the middle of the same array *)
+  let vbns = Array.init 4096 (fun i -> i * 7919 mod 6000) in
+  let words ~pos ~len =
     let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Group.record_flush g ~vbns));
+    ignore (Sys.opaque_identity (Group.record_flush g ~vbns ~pos ~len));
     Gc.minor_words () -. before
   in
-  ignore (words big) (* grows the scratch array once *);
-  let w_big = words big and w_tiny = words tiny in
+  ignore (words ~pos:0 ~len:4096) (* grows the scratch array once *);
+  let w_big = words ~pos:0 ~len:4096 and w_tiny = words ~pos:1000 ~len:16 in
   check_bool
     (Printf.sprintf "4096-block flush allocates no more than a 16-block one (%.0f vs %.0f words)"
        w_big w_tiny)

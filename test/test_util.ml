@@ -81,6 +81,58 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
 
+(* The generator's stream, pinned: the first eight [bits64] and
+   [int _ 1000] draws for three seeds and for a [split] child, as the
+   four-[int64]-field generator produced them.  A change of state layout
+   must not change a single draw. *)
+let test_rng_stream_pinned () =
+  let bits r = List.init 8 (fun _ -> Rng.bits64 r) in
+  let ints r = List.init 8 (fun _ -> Rng.int r 1000) in
+  let check_bits label seed expected =
+    Alcotest.(check (list int64)) label expected (bits (Rng.create ~seed))
+  in
+  let check_ints label seed expected =
+    Alcotest.(check (list int)) label expected (ints (Rng.create ~seed))
+  in
+  check_bits "bits64, seed 0" 0
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ];
+  check_ints "int, seed 0" 0 [ 612; 274; 768; 628; 929; 786; 440; 295 ];
+  check_bits "bits64, seed 1" 1
+    [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+      0xb27a48e29a233673L; 0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL ];
+  check_ints "int, seed 1" 1 [ 749; 714; 92; 479; 563; 162; 286; 525 ];
+  check_bits "bits64, seed 42" 42
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L ];
+  check_ints "int, seed 42" 42 [ 742; 198; 201; 481; 764; 872; 946; 695 ];
+  let parent = Rng.create ~seed:42 in
+  Alcotest.(check (list int64))
+    "bits64, split child of seed 42"
+    [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L; 0x91d83a17b20e6585L;
+      0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L; 0x3162280b9dcfa5efL; 0xb4f9f0541228b854L ]
+    (bits (Rng.split parent));
+  Alcotest.(check int64) "split advances the parent by one draw" 0x6104d9866d113a7eL
+    (Rng.bits64 parent);
+  Alcotest.(check (list int))
+    "int, split child of seed 42"
+    [ 723; 706; 925; 365; 149; 793; 791; 636 ]
+    (ints (Rng.split (Rng.create ~seed:42)))
+
+(* A draw allocates nothing: the state is raw bytes, not boxed int64
+   fields, and the rejection loop is a top-level function. *)
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create ~seed:0 in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Rng.int r 1000))
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.int r 1000))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "10,000 draws allocate 0 minor words (%.0f)" words) true (words = 0.0)
+
 (* --- Bitops --- *)
 
 let test_popcount64 () =
@@ -331,6 +383,8 @@ let () =
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick test_rng_int_allocates_nothing;
         ] );
       ( "bitops",
         [
