@@ -242,7 +242,8 @@ let offheap_case ~blocks =
   in
   let touched =
     Array.fold_left
-      (fun acc r -> if Wafl_core.Aggregate.range_fresh agg r then acc + 1 else acc)
+      (fun acc (r : Wafl_core.Aggregate.range) ->
+        if r.Wafl_core.Aggregate.space.Wafl_core.Space.stale then acc else acc + 1)
       0 (Wafl_core.Aggregate.ranges agg)
   in
   let _, eager_t = Wafl_core.Mount.mount image ~with_topaa:false in

@@ -16,12 +16,12 @@ let print_aa_histogram fs =
   let buckets = Array.make 10 0 in
   Array.iteri
     (fun aa _ ->
-      let score = Aggregate.aa_score_now (Fs.aggregate fs) range aa in
+      let score = Space.score_now range.Aggregate.space aa in
       let b = min 9 (score * 10 / max 1 cap) in
       buckets.(b) <- buckets.(b) + 1)
-    range.Aggregate.scores;
+    range.Aggregate.space.Space.scores;
   Printf.printf "  AA free-space histogram (0-100%% free, %d AAs):\n"
-    (Array.length range.Aggregate.scores);
+    (Array.length range.Aggregate.space.Space.scores);
   Array.iteri
     (fun i count ->
       Printf.printf "    %3d-%3d%%  %s\n" (i * 10) ((i + 1) * 10) (String.make count '#'))

@@ -45,7 +45,7 @@ let () =
   (* Peek at the RAID-aware AA cache: the allocator consumes the emptiest
      area first, so the best score stays high. *)
   let range = (Aggregate.ranges (Fs.aggregate fs)).(0) in
-  (match range.Aggregate.cache with
+  (match range.Aggregate.space.Space.cache with
   | Some cache ->
     (match Wafl_aacache.Cache.peek_best_score cache with
     | Some score ->

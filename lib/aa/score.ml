@@ -1,15 +1,15 @@
 open Wafl_bitmap
 open Wafl_block
 
-let score_of_aa topology metafile i =
+let score_of_aa ~base topology metafile i =
   let extents = Topology.extents_of_aa topology i in
   List.fold_left
     (fun acc e ->
-      acc + Metafile.free_count metafile ~start:(Extent.start e) ~len:(Extent.len e))
+      acc + Metafile.free_count metafile ~start:(base + Extent.start e) ~len:(Extent.len e))
     0 extents
 
 let all_scores topology metafile =
-  Array.init (Topology.aa_count topology) (score_of_aa topology metafile)
+  Array.init (Topology.aa_count topology) (score_of_aa ~base:0 topology metafile)
 
 (* Wear-aware scoring term (wpmfs-style wear binning): wear counts are
    collapsed into coarse bins of [quantum] erases, and every bin an AA

@@ -5,8 +5,10 @@
     and increase as VBNs are freed; both kinds of update are accumulated
     during a CP and applied in one batch at the CP boundary. *)
 
-val score_of_aa : Topology.t -> Wafl_bitmap.Metafile.t -> int -> int
-(** Free blocks in AA [i] per the metafile. *)
+val score_of_aa : base:int -> Topology.t -> Wafl_bitmap.Metafile.t -> int -> int
+(** Free blocks in AA [i] per the metafile; [base] is the metafile
+    position of the topology's VBN 0 (a range's offset in the aggregate
+    bitmap, 0 for a FlexVol). *)
 
 val all_scores : Topology.t -> Wafl_bitmap.Metafile.t -> int array
 (** Scores for every AA, by a linear walk of the bitmap (the expensive

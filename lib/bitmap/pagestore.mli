@@ -47,14 +47,6 @@ val create : ?mapped:bool -> int -> t
     existing file keeps its contents).  The system's durable structures
     (bitmaps, TopAA pages) are created [~mapped:true]. *)
 
-val map_file : path:string -> int -> t
-(** [map_file ~path words] maps (creating if missing) [path] as a shared
-    store of [words] 64-bit words.  The file is resized (and thereby
-    OS-zeroed) only when its size does not already match, so a right-sized
-    existing file keeps its persisted contents.  Discarding a wrong-sized
-    non-empty file is surfaced: a [pagestore.recreated] telemetry
-    increment plus a stderr warning naming the file. *)
-
 val of_bytes : ?mapped:bool -> Bytes.t -> t
 (** Copy a byte image into a fresh store.  The image length must be a
     multiple of 8 (whole words) — raises [Invalid_argument] otherwise. *)

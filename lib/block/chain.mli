@@ -18,9 +18,6 @@ val of_blocks : int list -> summary
 (** Chains of a non-empty, possibly unsorted list of block numbers; duplicate
     numbers are counted once. *)
 
-val of_extents : Extent.t list -> summary
-(** Chains of a coalesced view of the given extents (must be non-empty). *)
-
 val empty : summary
 (** Zero blocks, zero chains. *)
 

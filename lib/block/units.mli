@@ -26,9 +26,6 @@ val azcs_region_blocks : int
 val azcs_data_blocks : int
 (** Data blocks per AZCS region: 63. *)
 
-val kib : int
-val mib : int
-val gib : int
 val tib : int
 
 val blocks_of_bytes : int -> int

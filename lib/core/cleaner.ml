@@ -41,7 +41,7 @@ let fullest_cleanable (range : Aggregate.range) ~picked =
         | Some (_, s) when s <= score -> ()
         | Some _ | None -> best := Some (aa, score)
       end)
-    range.Aggregate.scores;
+    range.Aggregate.space.Space.scores;
   !best
 
 let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
@@ -57,8 +57,8 @@ let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
     (fun (r : Aggregate.range) ->
       Wafl_fault.Crash.point "cleaner.range_pass";
       (* cleaner pass counts as a first touch on a lazily mounted range *)
-      Rebuild.touch_range aggregate r;
-      match r.Aggregate.cache with
+      Space.touch r.Aggregate.space;
+      match r.Aggregate.space.Space.cache with
       | None -> ()
       | Some cache ->
         let picked = Hashtbl.create 8 in

@@ -118,9 +118,6 @@ type t = {
   seed : int;
 }
 
-val default_raid_group : raid_group_spec
-(** 6+1 HDD, 64k blocks/device, default AA sizing. *)
-
 val default_vol : name:string -> blocks:int -> vol_spec
 
 val make :

@@ -351,8 +351,8 @@ let cache_totals ranges vols =
       work := !work + s.Cache.work;
       err := Float.max !err s.Cache.score_error_max
   in
-  Array.iter (fun (r : Aggregate.range) -> tally r.Aggregate.cache) ranges;
-  Array.iter (fun vol -> tally (Flexvol.cache vol)) vols;
+  Array.iter (fun (r : Aggregate.range) -> tally r.Aggregate.space.Space.cache) ranges;
+  Array.iter (fun vol -> tally (Flexvol.space vol).Space.cache) vols;
   (!picks, !repl, !work, !err)
 
 (* Aggregate state read once per sampled time-series row: the free-run
@@ -379,7 +379,9 @@ let view tel aggregate =
   let ranges = Aggregate.ranges aggregate in
   let free_runs, largest_run = Aggregate.free_run_stats aggregate in
   let scores =
-    Array.concat (Array.to_list (Array.map (fun (r : Aggregate.range) -> r.Aggregate.scores) ranges))
+    Array.concat
+      (Array.to_list
+         (Array.map (fun (r : Aggregate.range) -> r.Aggregate.space.Space.scores) ranges))
   in
   Array.sort Int.compare scores;
   let n = Array.length scores in

@@ -26,9 +26,6 @@ type result = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val default_config : ?run:Config.run -> seed:int -> unit -> Config.t
-(** A small two-RAID-group HDD system sized so the matrix stays fast. *)
-
 val run :
   ?config:Config.t ->
   ?run:Config.run ->

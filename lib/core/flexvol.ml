@@ -1,6 +1,5 @@
 open Wafl_bitmap
 open Wafl_aa
-open Wafl_aacache
 
 (* Process-wide volume id counter: every volume gets a small dense uid at
    creation, which the write allocator uses as an O(1) cursor-slot index
@@ -16,19 +15,12 @@ type block_map = { mutable vvbns : int array; mutable mapped : int }
 type t = {
   uid : int;
   spec : Config.vol_spec;
-  topology : Topology.t;
-  activemap : Activemap.t;
-  scores : int array;
-  mutable cache : Cache.t option;
-  delta : Score.delta;
+  space : Space.t;
   container : int array;  (* vvbn -> pvbn, -1 when unmapped *)
   inodes : (int, block_map) Hashtbl.t;  (* file -> offset -> vvbn *)
   snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
   zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
   mutable next_snapshot : int;
-  pool : Wafl_par.Par.t;
-  mutable rebuild_epoch : int;
-  mutable cache_epoch : int;  (* cache/scores exact iff = rebuild_epoch *)
 }
 
 let create ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
@@ -36,56 +28,34 @@ let create ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
   let aa_blocks = Option.value spec.Config.aa_blocks ~default:Sizing.default_raid_agnostic_blocks in
   let aa_blocks = min aa_blocks spec.Config.blocks in
   let topology = Topology.raid_agnostic ~total_blocks:spec.Config.blocks ~aa_blocks in
-  let scores = Array.init (Topology.aa_count topology) (Topology.aa_capacity topology) in
-  let t =
-    {
-      uid = Atomic.fetch_and_add next_uid 1;
-      spec;
-      topology;
-      (* one metafile page per AA — the §3.2.1 alignment — even when the
-         simulation scales AAs below the physical 32k-bits-per-block *)
-      activemap =
-        Activemap.create
-          ~page_bits:(min Wafl_block.Units.bits_per_metafile_block aa_blocks)
-          ~blocks:spec.Config.blocks ();
-      scores;
-      cache = None;
-      delta = Score.create_delta topology;
-      container = Array.make spec.Config.blocks (-1);
-      inodes = Hashtbl.create 16;
-      snapshots = Hashtbl.create 4;
-      zombies = Hashtbl.create 256;
-      next_snapshot = 1;
-      pool;
-      rebuild_epoch = 0;
-      cache_epoch = 0;
-    }
+  (* one metafile page per AA — the §3.2.1 alignment — even when the
+     simulation scales AAs below the physical 32k-bits-per-block *)
+  let activemap =
+    Activemap.create
+      ~page_bits:(min Wafl_block.Units.bits_per_metafile_block aa_blocks)
+      ~blocks:spec.Config.blocks ()
   in
-  if spec.Config.policy = Config.Best_aa then begin
-    let cache =
-      Cache.raid_agnostic ~max_score:(Topology.full_aa_capacity topology) ~scores ()
-    in
-    (* an empty volume: every AA qualifies; fill the list page *)
-    (match Cache.backend cache with
-    | Cache.Raid_agnostic h -> Hbps.replenish h
-    | Cache.Raid_aware _ -> ());
-    t.cache <- Some cache
-  end;
-  t
+  {
+    uid = Atomic.fetch_and_add next_uid 1;
+    spec;
+    space =
+      Space.create ~label:(Space.Vol spec.Config.name) ~base:0 ~activemap ~pool
+        ~policy:spec.Config.policy topology;
+    container = Array.make spec.Config.blocks (-1);
+    inodes = Hashtbl.create 16;
+    snapshots = Hashtbl.create 4;
+    zombies = Hashtbl.create 256;
+    next_snapshot = 1;
+  }
 
 let uid t = t.uid
 let name t = t.spec.Config.name
 let blocks t = Array.length t.container
-let spec t = t.spec
-let topology t = t.topology
-let activemap t = t.activemap
-let metafile t = Activemap.metafile t.activemap
-let scores t = t.scores
-let cache t = t.cache
-let set_cache t c = t.cache <- c
-let delta t = t.delta
+let space t = t.space
+let activemap t = t.space.Space.activemap
+let metafile t = Activemap.metafile (activemap t)
 
-let free_blocks t = Activemap.free_count t.activemap ~start:0 ~len:(blocks t)
+let free_blocks t = Activemap.free_count (activemap t) ~start:0 ~len:(blocks t)
 let used_fraction t = 1.0 -. (float_of_int (free_blocks t) /. float_of_int (blocks t))
 
 let container_pvbn t vvbn = t.container.(vvbn)
@@ -94,25 +64,17 @@ let pvbn_of_vvbn t vvbn =
   let p = container_pvbn t vvbn in
   if p < 0 then None else Some p
 
-let reserve_vvbn t ~vvbn =
-  Activemap.allocate t.activemap vvbn;
-  Score.note_alloc t.delta ~vbn:vvbn
-
-(* Trusted hot-path variant mirroring [Aggregate.allocate_harvested]:
-   the harvest cursor knows the AA and guarantees the VVBN is free. *)
-let reserve_harvested t ~aa ~vvbn =
-  Activemap.allocate_harvested t.activemap vvbn;
-  Score.note_alloc_aa t.delta ~aa
+let reserve_vvbn t ~vvbn = Space.allocate t.space vvbn
 
 let attach_reserved t ~vvbn ~pvbn =
-  if not (Activemap.is_allocated t.activemap vvbn) then
+  if not (Activemap.is_allocated (activemap t) vvbn) then
     invalid_arg "Flexvol.attach_reserved: VVBN not reserved";
   if t.container.(vvbn) >= 0 then invalid_arg "Flexvol.attach_reserved: VVBN already mapped";
   t.container.(vvbn) <- pvbn
 
 let release_reserved t ~vvbn =
   if t.container.(vvbn) >= 0 then invalid_arg "Flexvol.release_reserved: VVBN is mapped";
-  Activemap.queue_free t.activemap vvbn
+  Activemap.queue_free (activemap t) vvbn
 
 let map_vvbn t ~vvbn ~pvbn =
   if t.container.(vvbn) >= 0 then invalid_arg "Flexvol.map_vvbn: VVBN already mapped";
@@ -127,56 +89,17 @@ let remap_vvbn t ~vvbn ~pvbn =
 
 let queue_unmap t ~vvbn =
   if t.container.(vvbn) < 0 then invalid_arg "Flexvol.queue_unmap: VVBN not mapped";
-  Activemap.queue_free t.activemap vvbn;
+  Activemap.queue_free (activemap t) vvbn;
   t.container.(vvbn) <- -1
 
 let commit_frees t =
-  let result = Activemap.commit t.activemap in
-  let freed = Activemap.freed t.activemap in
+  let am = activemap t in
+  let result = Activemap.commit am in
+  let freed = Activemap.freed am in
   for i = 0 to result.Activemap.freed - 1 do
-    Score.note_free t.delta ~vbn:freed.(i)
+    Space.note_free t.space freed.(i)
   done;
   result.Activemap.pages_written
-
-(* --- cache validity epoch (incremental mount rebuild) ---
-   Mirrors [Aggregate]'s per-range epochs; a lazy mount invalidates, and
-   [Rebuild.touch_vol] re-materializes on first touch. *)
-let invalidate_cache t = t.rebuild_epoch <- t.rebuild_epoch + 1
-let[@inline] cache_fresh t = t.cache_epoch = t.rebuild_epoch
-
-(* Exact rescore + fresh HBPS; building block of [Rebuild.request]. *)
-let rebuild_cache t =
-  Score.clear t.delta;
-  let mf = metafile t in
-  let n = Topology.aa_count t.topology in
-  (* Parallel rescoring writes each (disjoint) score slot exactly once
-     with a pure function of the bitmap — bit-identical to the serial
-     fill at any domain count. *)
-  Wafl_par.Par.run_ranges t.pool ~min:32 n ~f:(fun s len ->
-      for aa = s to s + len - 1 do
-        t.scores.(aa) <- Score.score_of_aa t.topology mf aa
-      done);
-  let cache =
-    Cache.raid_agnostic ~max_score:(Topology.full_aa_capacity t.topology) ~scores:t.scores ()
-  in
-  (match Cache.backend cache with
-  | Cache.Raid_agnostic h -> Hbps.replenish h
-  | Cache.Raid_aware _ -> ());
-  t.cache <- Some cache;
-  t.cache_epoch <- t.rebuild_epoch
-
-let harvest_free_of_aa t aa ~dst ~words =
-  match t.topology with
-  | Topology.Raid_agnostic { total_blocks; aa_blocks } ->
-    let start = aa * aa_blocks in
-    if start < 0 || start >= total_blocks then
-      invalid_arg "Flexvol.harvest_free_of_aa: AA index out of bounds";
-    let len = min aa_blocks (total_blocks - start) in
-    words := !words + Wafl_util.Bitops.ceil_div len 32;
-    Metafile.harvest_free_into (metafile t) ~start ~len ~offset:0 ~dst ~pos:0
-  | Topology.Raid_aware _ ->
-    (* create only ever builds RAID-agnostic volume topologies *)
-    assert false
 
 (* --- snapshots ---
 

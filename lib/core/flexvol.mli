@@ -4,8 +4,8 @@
     block-number space) and a physical VBN (its location in the aggregate).
     Virtual VBN selection has no effect on physical layout; its only goal is
     colocation in the number space, to touch as few bitmap-metafile blocks
-    as possible per CP (§2.5).  The volume therefore uses RAID-agnostic AAs
-    and an HBPS cache (§3.3.2). *)
+    as possible per CP (§2.5).  The volume is therefore one RAID-agnostic
+    AA space ({!Space}) with an HBPS cache (§3.3.2). *)
 
 type t
 
@@ -21,14 +21,13 @@ val uid : t -> int
 
 val name : t -> string
 val blocks : t -> int
-val spec : t -> Config.vol_spec
-val topology : t -> Wafl_aa.Topology.t
+
+val space : t -> Space.t
+(** The volume's AA space over its own activemap (base 0), labeled
+    [Vol name]. *)
+
 val activemap : t -> Wafl_bitmap.Activemap.t
 val metafile : t -> Wafl_bitmap.Metafile.t
-val scores : t -> int array
-val cache : t -> Wafl_aacache.Cache.t option
-val set_cache : t -> Wafl_aacache.Cache.t option -> unit
-val delta : t -> Wafl_aa.Score.delta
 
 val free_blocks : t -> int
 val used_fraction : t -> float
@@ -44,11 +43,6 @@ val reserve_vvbn : t -> vvbn:int -> unit
 (** Mark a VVBN allocated (and note the score decrement) at hand-out time,
     before its container entry exists.  Prevents the allocator from
     offering the same VVBN twice across AA re-picks. *)
-
-val reserve_harvested : t -> aa:int -> vvbn:int -> unit
-(** Trusted {!reserve_vvbn} for the write allocator's harvest rings: the
-    caller names the VVBN's AA and guarantees it is free, skipping the
-    VVBN->AA division and the already-allocated re-check. *)
 
 val attach_reserved : t -> vvbn:int -> pvbn:int -> unit
 (** Install the container entry for a previously reserved VVBN. *)
@@ -73,27 +67,6 @@ val queue_unmap : t -> vvbn:int -> unit
 val commit_frees : t -> int
 (** Apply queued frees and flush the volume's bitmap metafile; returns
     metafile pages written. *)
-
-val invalidate_cache : t -> unit
-(** Bump the volume's rebuild epoch: the cache/scores become stale (the
-    seeded cache stays usable until {!Rebuild.touch_vol} re-materializes
-    it). *)
-
-val cache_fresh : t -> bool
-
-val rebuild_cache : t -> unit
-(** Full-scan score recomputation + fresh HBPS; stamps the cache fresh.
-    The rescoring runs as {!Wafl_par.Par.run_ranges} chunks on the
-    volume's pool; the scores — and the HBPS built from them — are bit-identical to a
-    serial rebuild at any domain count.  Building block of
-    {!Rebuild.request}; callers use that API. *)
-
-val harvest_free_of_aa : t -> int -> dst:int array -> words:int ref -> int
-(** Fill [dst] (sized to at least the AA capacity) with the AA's
-    currently-free VVBNs, ascending, word-at-a-time; returns the count
-    and adds bitmap words read to [words].  Allocation-free per block.
-    (The PR-2 list-returning variant [free_vvbns_of_aa] is gone; this
-    caller-array form is the only harvest API.) *)
 
 (** {2 Snapshots}
 

@@ -72,6 +72,12 @@ let config t = t.config
 let aggregate t = t.aggregate
 let write_alloc t = t.walloc
 let vols t = t.vols
+
+let spaces t =
+  Array.append
+    (Array.map (fun (r : Aggregate.range) -> r.Aggregate.space) (Aggregate.ranges t.aggregate))
+    (Array.map Flexvol.space t.vols)
+
 let temperature t = t.temp
 let scrub_cursor t = t.scrub_cursor
 

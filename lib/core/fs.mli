@@ -40,6 +40,10 @@ val vols : t -> Flexvol.t array
 val vol : t -> string -> Flexvol.t
 (** Raises [Not_found] for an unknown volume name. *)
 
+val spaces : t -> Space.t array
+(** Every AA space of the system: the aggregate's ranges in index order,
+    then the volumes in config order. *)
+
 val rng : t -> Wafl_util.Rng.t
 (** The system's seeded generator (workloads should [Rng.split] it). *)
 

@@ -44,34 +44,26 @@ let check_body fs =
   let mf = Aggregate.metafile aggregate in
   let findings = ref [] in
   let push f = findings := f :: !findings in
-  (* After a lazy mount, untouched ranges carry seeded (approximate)
+  (* After a lazy mount, untouched spaces carry seeded (approximate)
      scores by design; materialize them before the drift scan so Iron
      compares real caches against the bitmap instead of flagging the
      seeds. *)
-  Array.iter (fun r -> Rebuild.touch_range aggregate r) (Aggregate.ranges aggregate);
-  Array.iter Rebuild.touch_vol (Fs.vols fs);
+  let spaces = Fs.spaces fs in
+  Array.iter Space.touch spaces;
   (* 1. cached AA scores vs bitmap truth (pending deltas excluded: run this
         between CPs) *)
   Array.iter
-    (fun (r : Aggregate.range) ->
-      if Score.is_empty r.Aggregate.delta then
-        scan_indices pool (Array.length r.Aggregate.scores) ~push ~test:(fun aa ->
-            let cached = r.Aggregate.scores.(aa) in
-            let actual = Aggregate.aa_score_now aggregate r aa in
-            if cached <> actual then
-              Some (Range_score_drift { range = r.Aggregate.index; aa; cached; actual })
-            else None))
-    (Aggregate.ranges aggregate);
-  Array.iter
-    (fun vol ->
-      if Score.is_empty (Flexvol.delta vol) then
-        scan_indices pool (Array.length (Flexvol.scores vol)) ~push ~test:(fun aa ->
-            let cached = (Flexvol.scores vol).(aa) in
-            let actual = Score.score_of_aa (Flexvol.topology vol) (Flexvol.metafile vol) aa in
-            if cached <> actual then
-              Some (Vol_score_drift { vol = Flexvol.name vol; aa; cached; actual })
-            else None))
-    (Fs.vols fs);
+    (fun (s : Space.t) ->
+      if Score.is_empty s.Space.delta then
+        scan_indices pool (Array.length s.Space.scores) ~push ~test:(fun aa ->
+            let cached = s.Space.scores.(aa) and actual = Space.score_now s aa in
+            if cached = actual then None
+            else
+              Some
+                (match s.Space.label with
+                | Space.Range range -> Range_score_drift { range; aa; cached; actual }
+                | Space.Vol vol -> Vol_score_drift { vol; aa; cached; actual })))
+    spaces;
   (* 2. container references: dangling and cross-linked *)
   let owners = Hashtbl.create 4096 in
   Array.iter
@@ -114,16 +106,17 @@ let repair_body ?(authority = Bitmap_authority) fs =
   let aggregate = Fs.aggregate fs in
   let mf = Aggregate.metafile aggregate in
   let repaired = ref 0 in
-  let drifted_ranges = Hashtbl.create 8 in
-  let drifted_vols = Hashtbl.create 8 in
+  let drifted = ref [] in
+  let note_drift space = if not (List.memq space !drifted) then drifted := space :: !drifted in
   let container_fixes = ref 0 in
   (* findings arrive in check order — dangling references before the
      orphan summary — so under [Container_authority] the re-marked blocks
      are owned by the time the orphan rescan below runs *)
   List.iter
     (function
-      | Range_score_drift { range; _ } -> Hashtbl.replace drifted_ranges range ()
-      | Vol_score_drift { vol; _ } -> Hashtbl.replace drifted_vols vol ()
+      | Range_score_drift { range; _ } ->
+        note_drift (Aggregate.ranges aggregate).(range).Aggregate.space
+      | Vol_score_drift { vol; _ } -> note_drift (Flexvol.space (Fs.vol fs vol))
       | Dangling_container { vol; vvbn; pvbn } -> (
         match authority with
         | Bitmap_authority ->
@@ -175,17 +168,17 @@ let repair_body ?(authority = Bitmap_authority) fs =
           incr container_fixes)
       | Cross_link _ -> ())
     findings;
-  if Hashtbl.length drifted_ranges > 0 || !container_fixes > 0 then begin
-    (* recompute every range's scores and rebuild the caches from truth *)
+  (* Drift in a range, or a container fix (which rewrote aggregate bitmap
+     bits under any range), rescores every range from truth; a drifted
+     volume is rebuilt on its own. *)
+  let in_range (s : Space.t) =
+    match s.Space.label with Space.Range _ -> true | Space.Vol _ -> false
+  in
+  if List.exists in_range !drifted || !container_fixes > 0 then
     Rebuild.request aggregate Rebuild.Full;
-    repaired := !repaired + Hashtbl.length drifted_ranges
-  end;
-  Hashtbl.iter
-    (fun vol () ->
-      Rebuild.request_vol (Fs.vol fs vol);
-      incr repaired)
-    drifted_vols;
-  (findings, !repaired)
+  Rebuild.request aggregate
+    (Rebuild.Spaces (List.filter (fun s -> not (in_range s)) (List.rev !drifted)));
+  (findings, !repaired + List.length !drifted)
 
 (* Consistency checking and repair are each one [Iron] span; [repair]
    wraps its embedded check in the same span rather than nesting two. *)

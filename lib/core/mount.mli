@@ -10,7 +10,7 @@
 
 type image
 (** A crash-consistent snapshot: configuration, allocation bitmaps, and the
-    persisted TopAA blocks. *)
+    persisted TopAA pages — one {!Space.topaa} per [Best_aa] space. *)
 
 type verify_report = {
   pages_verified : int;  (** integrity pages checked against sidecars *)
@@ -24,6 +24,7 @@ type verify_report = {
 
 type timing = {
   topaa_blocks_read : int;
+      (** TopAA pages read: one per heap block, two per HBPS *)
   metafile_pages_scanned : int;
   aas_scored : int;            (** AA scores recomputed before first CP *)
   ops_replayed : int;          (** NVRAM-logged operations re-staged *)
@@ -38,22 +39,17 @@ type cost_model = {
   replay_op_us : float;   (** re-stage one NVRAM-logged operation *)
 }
 
-val default_cost_model : cost_model
-
 val snapshot : Fs.t -> image
 (** Capture bitmaps and TopAA blocks, as the last completed CP would have
     persisted them, plus the NVRAM log of operations staged since —
     {!mount} replays those so no acknowledged operation is lost. *)
 
-val corrupt_range_topaa : image -> int -> unit
-(** Fault injection: flip bytes in the TopAA block of physical range [i].
-    A subsequent {!mount} detects the damage via the block checksum and
-    falls back to scanning that range's bitmap (charged to [ready_us]).
-    Raises [Invalid_argument] if [i] is not a valid range index. *)
-
-val corrupt_vol_topaa : image -> int -> unit
-(** Same, for the HBPS pages of volume [i].
-    Raises [Invalid_argument] if [i] is not a valid volume index. *)
+val corrupt_topaa : image -> Space.label -> unit
+(** Fault injection: flip bytes in every TopAA page of the space with this
+    label.  A subsequent {!mount} detects the damage via the page checksum
+    and falls back to scanning that space's bitmap (charged to
+    [ready_us]).  Raises [Invalid_argument] if no space with TopAA pages
+    has the label (a cacheless space has none). *)
 
 val tear_agg_bitmap_page : image -> page:int -> unit
 (** Fault injection: model a torn write to aggregate bitmap-metafile page
@@ -85,7 +81,9 @@ val mount :
   Fs.t * timing
 (** Bring the snapshot back as a fresh system: space state, each volume's
     namespace (container map and file block maps) and the NVRAM log.
-    [with_topaa:true] seeds caches from the persisted blocks and then,
+    [with_topaa:true] seeds each [Best_aa] space's cache from its
+    persisted TopAA pages ({!Space.seed}; a cacheless space has none, and
+    reads none) and then,
     unless [lazy_rebuild], runs the full cache rebuild — exact scores for
     every AA — off the timed path, the way the production system finishes
     its background scanner dozens of seconds after mount: by the time
@@ -93,17 +91,17 @@ val mount :
     mount.  [false] pays the full scan.
 
     [lazy_rebuild] (default [false]) makes the mount {e incremental}:
-    every range and volume is stamped stale up front, and each one
-    materializes its exact scores and cache on first touch — the
+    every space is marked stale up front, and each one materializes its
+    exact scores and cache on first touch ({!Space.touch}) — the
     allocator's AA pick or harvest, the Iron scan, or a cleaner pass —
-    paying the metafile page reads for just that range, right then
+    paying the metafile page reads for just that space, right then
     (counted by the [rebuild.lazy_ranges] / [rebuild.lazy_vols]
     telemetry).  With [with_topaa:true] the constant-cost seeding still
     runs (so picks before the first touch follow the persisted top AAs)
     but the eager background rebuild is skipped — the state the paper
     measures immediately after failover; with [with_topaa:false]
     nothing is scanned at all and [ready_us] is the NVRAM replay alone —
-    independent of aggregate size.  Once every range has been touched,
+    independent of aggregate size.  Once every space has been touched,
     the system's state is bit-identical to an eager mount's at any
     domain count, because both funnel through {!Rebuild.request}.
 

@@ -47,16 +47,12 @@ let heal fs store owner page =
   let aggregate = Fs.aggregate fs in
   (match owner with
   | Agg ->
-    let bits_per_page = 8 * Integrity.page_size in
-    let vbn0 = page * bits_per_page in
-    let vbn1 = min (Aggregate.total_blocks aggregate) ((page + 1) * bits_per_page) - 1 in
-    let rs =
-      Array.to_list (Aggregate.ranges aggregate)
-      |> List.filter (fun (r : Aggregate.range) ->
-             r.Aggregate.base <= vbn1 && r.Aggregate.base + r.Aggregate.blocks - 1 >= vbn0)
-    in
-    if rs <> [] then Rebuild.request aggregate (Rebuild.Ranges rs)
-  | Vol vol -> Rebuild.request_vol vol);
+    Rebuild.request aggregate
+      (Rebuild.Spaces
+         (List.map
+            (fun (r : Aggregate.range) -> r.Aggregate.space)
+            (Aggregate.ranges_of_pages aggregate [ page ])))
+  | Vol vol -> Rebuild.request aggregate (Rebuild.Spaces [ Flexvol.space vol ]));
   (* The page's bits are damaged and there is no replica to read back: the
      container maps are the redundant copy.  Container-authority repair
      re-marks every block they reference and frees the orphans, which

@@ -20,8 +20,6 @@
 type cls = Hot | Warm | Cold | Meta
 
 val cls_name : cls -> string
-val cls_index : cls -> int
-(** Stable 0..3 order: hot, warm, cold, meta. *)
 
 type t
 

@@ -5,27 +5,25 @@ open Wafl_aacache
 open Wafl_telemetry
 module Par = Wafl_par.Par
 
-(* Per-range (or per-volume) allocation cursor: a preallocated ring holding
-   the free VBNs of the AA currently being filled (harvested word-at-a-time,
-   consumed front to back), plus the AAs taken since the last CP.  The ring
-   is sized to a full AA once, at cursor creation, so the steady-state
-   pick -> harvest -> allocate loop allocates no per-block heap words.
+(* Per-space allocation cursor (one per range per class row, one per
+   volume): a preallocated ring holding the free positions of the AA
+   currently being filled (harvested word-at-a-time, consumed front to
+   back), plus the AAs taken since the last CP.  The ring is sized to a
+   full AA once, at cursor creation, so the steady-state pick -> harvest
+   -> allocate loop allocates no per-block heap words.
 
    Taken AAs live in a flat id array (an AA is taken at most once per CP —
-   the claim word filters re-picks), and every take claims the AA in
-   [owners]: range cursors alias the range's claim array so the parallel
-   front-end and the serial path see each other's ownership; volume cursors
-   get a private array (volumes have no concurrent writers, the claim only
-   carries the taken-at-most-once invariant). *)
+   the claim word filters re-picks), and every take claims the AA in its
+   space's claim words, which every class row and the parallel front-end
+   share. *)
 type cursor = {
-  mutable ring : int array;       (* harvested free VBNs; [head, len) live *)
+  mutable ring : int array;       (* harvested free positions; [head, len) live *)
   mutable head : int;
   mutable len : int;
   mutable ring_aa : int;          (* the AA the live entries belong to *)
   mutable ring_epoch : int;       (* CP epoch the live entries were harvested in *)
   mutable taken_list : int array; (* AAs checked out of the cache this CP *)
   mutable n_taken : int;
-  owners : int Atomic.t array;    (* per-AA claim word (see Aggregate.claim_aa) *)
   quarantined : (int, unit) Hashtbl.t;  (* AAs overlapping device bad ranges *)
   mutable scan_pos : int;         (* First_fit scan position *)
 }
@@ -42,7 +40,7 @@ type t = {
   rng : Rng.t;
   classes : int;                          (* temperature routing slots (>= 1) *)
   cursors : cursor array array;           (* [class][range]; rows share owners *)
-  mutable vols : (Flexvol.t * cursor) list;
+  mutable vols : (Space.t * cursor) list; (* registered volumes, newest first *)
   mutable vol_slots : cursor option array;  (* indexed by Flexvol.uid *)
   mutable epoch : int;                    (* bumped at every cp_finish *)
   words : int ref;                        (* cumulative 32-bit bitmap words read *)
@@ -56,23 +54,22 @@ type t = {
   mutable par_capable : int;              (* -1 unknown, 0 no, 1 yes (cached) *)
   mutable last_par : par_slot_stats array;
   mutable claim_conflicts : int;
+  mutable candidates_scanned : int;
   mutable phys_taken : int;
   mutable phys_score_sum : int;
   mutable virt_taken : int;
   mutable virt_score_sum : int;
-  mutable candidates_scanned : int;
 }
 
-let new_cursor ~capacity ~owners =
+let new_cursor (s : Space.t) =
   {
-    ring = Array.make (max 1 capacity) 0;
+    ring = Array.make (max 1 (Topology.full_aa_capacity s.Space.topology)) 0;
     head = 0;
     len = 0;
     ring_aa = 0;
     ring_epoch = 0;
     taken_list = Array.make 16 0;
     n_taken = 0;
-    owners;
     quarantined = Hashtbl.create 8;
     scan_pos = 0;
   }
@@ -94,17 +91,12 @@ let create aggregate ~rng =
     aggregate;
     rng;
     classes;
-    (* Every class row aliases the range's claim array, so two classes can
-       never check out the same AA within a CP — segregation falls out of
-       the same owner words the multi-writer front-end uses. *)
+    (* Every class row claims in the range space's words, so two classes
+       can never check out the same AA within a CP — segregation falls out
+       of the same owner words the multi-writer front-end uses. *)
     cursors =
       Array.init classes (fun _ ->
-          Array.map
-            (fun (r : Aggregate.range) ->
-              new_cursor
-                ~capacity:(Topology.full_aa_capacity r.Aggregate.topology)
-                ~owners:r.Aggregate.owners)
-            ranges);
+          Array.map (fun (r : Aggregate.range) -> new_cursor r.Aggregate.space) ranges);
     vols = [];
     vol_slots = Array.make 8 None;
     epoch = 0;
@@ -119,11 +111,11 @@ let create aggregate ~rng =
     par_capable = -1;
     last_par = [||];
     claim_conflicts = 0;
+    candidates_scanned = 0;
     phys_taken = 0;
     phys_score_sum = 0;
     virt_taken = 0;
     virt_score_sum = 0;
-    candidates_scanned = 0;
   }
 
 let aggregate t = t.aggregate
@@ -137,16 +129,9 @@ let rec vol_cursor t vol =
     match Array.unsafe_get t.vol_slots uid with
     | Some c -> c
     | None ->
-      let topology = Flexvol.topology vol in
-      let c =
-        new_cursor
-          ~capacity:(Topology.full_aa_capacity topology)
-          ~owners:
-            (Array.init (Topology.aa_count topology) (fun _ ->
-                 Atomic.make Aggregate.no_owner))
-      in
+      let c = new_cursor (Flexvol.space vol) in
       t.vol_slots.(uid) <- Some c;
-      t.vols <- (vol, c) :: t.vols;
+      t.vols <- (Flexvol.space vol, c) :: t.vols;
       c
   end
   else begin
@@ -160,81 +145,78 @@ let rec vol_cursor t vol =
 
 let register_vol t vol = ignore (vol_cursor t vol)
 
-(* Pick the next AA id for a space with [n_aas] AAs under [policy].
-   [free_of aa] recomputes the AA's current free count (used by the
-   cacheless policies).  [space] labels the pick in the telemetry trace
-   (range index, or -1 for a FlexVol); a cache-backed pick is traced by the
+(* Claim-aware cache take: skip over empty-scored AAs, bounded so a
+   drained cache terminates.  The take skips AAs another cursor or domain
+   owns (the space's [unclaimed] predicate), and the CAS right after makes
+   the ownership authoritative — a lost race (counted, structurally
+   impossible while picks are serialised by the pick mutex) just retries.
+   Top-level and returning the cache's own option, so a pick allocates no
+   closure and no second tuple. *)
+let rec try_take t (s : Space.t) c cursor ~owner attempts =
+  if attempts = 0 then None
+  else begin
+    match Cache.take_best_filtered c ~keep:s.Space.unclaimed with
+    | None -> None
+    | Some (aa, score) as taken ->
+      if Atomic.compare_and_set s.Space.owners.(aa) Space.no_owner owner then begin
+        push_taken cursor aa;
+        if score > 0 then taken else try_take t s c cursor ~owner (attempts - 1)
+      end
+      else begin
+        t.claim_conflicts <- t.claim_conflicts + 1;
+        Telemetry.incr "write_alloc.claim_conflicts";
+        try_take t s c cursor ~owner (attempts - 1)
+      end
+  end
+
+(* The §4.1 baseline: uniformly random AA, regardless of emptiness. *)
+let rec try_random t (s : Space.t) attempts =
+  if attempts = 0 then None
+  else begin
+    let aa = Rng.int t.rng (Topology.aa_count s.Space.topology) in
+    let free = Space.score_now s aa in
+    if free > 0 then begin
+      Telemetry.trace_aa_pick ~space:(Space.trace_id s) ~aa ~score:free;
+      Some (aa, free)
+    end
+    else try_random t s (attempts - 1)
+  end
+
+let rec scan_first_fit (s : Space.t) cursor steps pos =
+  let n_aas = Topology.aa_count s.Space.topology in
+  if steps > n_aas then None
+  else begin
+    let free = Space.score_now s pos in
+    if free > 0 then begin
+      cursor.scan_pos <- (pos + 1) mod n_aas;
+      Telemetry.trace_aa_pick ~space:(Space.trace_id s) ~aa:pos ~score:free;
+      Some (pos, free)
+    end
+    else scan_first_fit s cursor (steps + 1) ((pos + 1) mod n_aas)
+  end
+
+(* Pick the next AA of a space under its policy; the cacheless policies
+   read free counts from the bitmap.  A cache-backed pick is traced by the
    cache itself.  [owner] is the claim id a Best_aa take is registered
    under (serial cursors claim as 0, shard c as c+1).  Returns
    (aa, score-at-take) or None. *)
-let pick_aa t cursor ~policy ~space ~cache ~n_aas ~free_of ~owner =
-  match (policy : Config.allocation_policy) with
+let pick_aa t (s : Space.t) cursor ~owner =
+  match s.Space.policy with
   | Config.Best_aa -> (
-    match cache with
-    | None -> None
-    | Some c ->
-      (* Skip over empty-scored AAs; bounded so a drained cache terminates.
-         The claim-aware take skips AAs another cursor or domain owns, and
-         the CAS right after makes the ownership authoritative — a lost
-         race (counted, structurally impossible while picks are serialised
-         by the pick mutex) just retries. *)
-      let keep aa = Atomic.get cursor.owners.(aa) = Aggregate.no_owner in
-      let rec try_take attempts =
-        if attempts = 0 then None
-        else begin
-          match Cache.take_best_filtered c ~keep with
-          | None -> None
-          | Some (aa, score) ->
-            if Atomic.compare_and_set cursor.owners.(aa) Aggregate.no_owner owner
-            then begin
-              push_taken cursor aa;
-              if score > 0 then Some (aa, score) else try_take (attempts - 1)
-            end
-            else begin
-              t.claim_conflicts <- t.claim_conflicts + 1;
-              Telemetry.incr "write_alloc.claim_conflicts";
-              try_take (attempts - 1)
-            end
-        end
-      in
-      try_take 8)
-  | Config.Random_aa ->
-    (* The §4.1 baseline: uniformly random AA, regardless of emptiness. *)
-    let rec try_pick attempts =
-      if attempts = 0 then None
-      else begin
-        let aa = Rng.int t.rng n_aas in
-        let free = free_of aa in
-        if free > 0 then begin
-          Telemetry.trace_aa_pick ~space ~aa ~score:free;
-          Some (aa, free)
-        end
-        else try_pick (attempts - 1)
-      end
-    in
-    try_pick 64
-  | Config.First_fit ->
-    let rec scan steps pos =
-      if steps > n_aas then None
-      else begin
-        let free = free_of pos in
-        if free > 0 then begin
-          cursor.scan_pos <- (pos + 1) mod n_aas;
-          Telemetry.trace_aa_pick ~space ~aa:pos ~score:free;
-          Some (pos, free)
-        end
-        else scan (steps + 1) ((pos + 1) mod n_aas)
-      end
-    in
-    scan 0 cursor.scan_pos
+    match s.Space.cache with None -> None | Some c -> try_take t s c cursor ~owner 8)
+  | Config.Random_aa -> try_random t s 64
+  | Config.First_fit -> scan_first_fit s cursor 0 cursor.scan_pos
 
-let note_phys_take t score =
-  t.phys_taken <- t.phys_taken + 1;
-  t.phys_score_sum <- t.phys_score_sum + score
-
-let note_virt_take t score =
-  t.virt_taken <- t.virt_taken + 1;
-  t.virt_score_sum <- t.virt_score_sum + score
+(* A range take is the physical trace, a volume take the virtual one. *)
+let note_take t (s : Space.t) ~aa ~score =
+  (match s.Space.label with
+  | Space.Range _ ->
+    t.phys_taken <- t.phys_taken + 1;
+    t.phys_score_sum <- t.phys_score_sum + score
+  | Space.Vol _ ->
+    t.virt_taken <- t.virt_taken + 1;
+    t.virt_score_sum <- t.virt_score_sum + score);
+  t.candidates_scanned <- t.candidates_scanned + Topology.aa_capacity s.Space.topology aa
 
 let note_harvest t ~words0 ~count =
   t.harvested <- t.harvested + count;
@@ -270,111 +252,95 @@ let revalidate t cursor mf =
 
 (* Does the AA (its range-local extents) overlap a permanent bad range of
    the range's fault device?  Only called with a fault handle attached. *)
-let aa_overlaps_fault (range : Aggregate.range) dev aa =
+let aa_overlaps_fault (s : Space.t) dev aa =
   List.exists
     (fun e ->
       Wafl_fault.Fault.range_faulty dev ~start:(Wafl_block.Extent.start e)
         ~len:(Wafl_block.Extent.len e))
-    (Topology.extents_of_aa range.Aggregate.topology aa)
+    (Topology.extents_of_aa s.Space.topology aa)
 
-(* Refill a range cursor's ring from the next AA; false when no AA with
-   free blocks is available.  A pick can harvest zero blocks even with a
-   positive cached score: a ring that survived the last CP may have already
-   consumed the AA's blocks that the CP re-filed it with.  Such an AA is
-   simply spent — retry with the next pick.
+(* Refill a cursor's ring from the next AA of its space; false when no AA
+   with free blocks is available.  A pick can harvest zero blocks even with
+   a positive cached score: a ring that survived the last CP may have
+   already consumed the AA's blocks that the CP re-filed it with.  Such an
+   AA is simply spent — retry with the next pick.
 
-   With a fault device attached, an AA overlapping a permanent bad range is
-   quarantined instead of harvested: it stays claimed and taken (so a
-   re-pick this CP is impossible) but the quarantine set keeps cp_finish
-   from ever re-filing it, and the pick retries.  Quarantine retries are
-   bounded so the cacheless policies (which pick by free count and cannot
-   learn) give up instead of spinning on an all-bad range. *)
-let rec refill_range_guarded t range cursor qbudget =
-  (* Lazy-mount first touch: a stale range materializes its exact scores
+   [fault] is the range's fault device ([None] for a volume).  An AA
+   overlapping a permanent bad range is quarantined instead of harvested:
+   it stays claimed and taken (so a re-pick this CP is impossible) but the
+   quarantine set keeps cp_finish from ever re-filing it, and the pick
+   retries.  Quarantine retries are bounded so the cacheless policies
+   (which pick by free count and cannot learn) give up instead of spinning
+   on an all-bad range. *)
+let rec refill_guarded t s cursor ~fault qbudget =
+  (* Lazy-mount first touch: a stale space materializes its exact scores
      and cache here, before the pick trusts either. *)
-  Rebuild.touch_range t.aggregate range;
-  let policy = (Aggregate.config t.aggregate).Config.aggregate_policy in
+  Space.touch s;
   Telemetry.span_enter Span.Pick;
-  let picked =
-    pick_aa t cursor ~policy ~space:range.Aggregate.index ~cache:range.Aggregate.cache
-      ~n_aas:(Topology.aa_count range.Aggregate.topology)
-      ~free_of:(fun aa -> Aggregate.aa_score_now t.aggregate range aa)
-      ~owner:0
-  in
+  let picked = pick_aa t s cursor ~owner:0 in
   Telemetry.span_exit Span.Pick;
   match picked with
   | None -> false
   | Some (aa, score) ->
-    let bad =
-      match range.Aggregate.fault with
-      | Some dev -> aa_overlaps_fault range dev aa
-      | None -> false
-    in
+    let bad = match fault with Some dev -> aa_overlaps_fault s dev aa | None -> false in
     if bad then begin
       if qbudget = 0 then false
       else begin
         Hashtbl.replace cursor.quarantined aa ();
         Telemetry.incr "fault.aa_quarantined";
-        refill_range_guarded t range cursor (qbudget - 1)
+        refill_guarded t s cursor ~fault (qbudget - 1)
       end
     end
     else begin
-      note_phys_take t score;
-      t.candidates_scanned <-
-        t.candidates_scanned + Topology.aa_capacity range.Aggregate.topology aa;
+      note_take t s ~aa ~score;
       let words0 = !(t.words) in
       Telemetry.span_enter Span.Harvest;
-      let count =
-        Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:cursor.ring ~words:t.words
-      in
+      let count = Space.harvest s aa ~dst:cursor.ring ~words:t.words in
       Telemetry.span_exit Span.Harvest;
       cursor.head <- 0;
       cursor.len <- count;
       cursor.ring_aa <- aa;
       cursor.ring_epoch <- t.epoch;
       note_harvest t ~words0 ~count;
-      count > 0 || refill_range_guarded t range cursor qbudget
+      count > 0 || refill_guarded t s cursor ~fault qbudget
     end
 
-let refill_range t range cursor =
-  match range.Aggregate.fault with
+let refill t s cursor ~fault =
+  match fault with
   | Some dev when not (Wafl_fault.Fault.online dev) -> false
-  | _ -> refill_range_guarded t range cursor 64
+  | _ -> refill_guarded t s cursor ~fault 64
 
 (* The ring-pop loop, top-level so the steady-state path allocates no
-   closure.  Pops need no [is_allocated] recheck (see [revalidate]). *)
-let rec take_loop t range cursor dst pos want =
-  if want = 0 then pos
+   closure.  Pops need no [is_allocated] recheck (see [revalidate]); a
+   volume's pop reserves the VVBN at once, so a re-gathered AA cannot
+   offer it again. *)
+let rec take_loop t s cursor ~fault dst pos stop =
+  if pos >= stop then pos
   else if cursor.head < cursor.len then begin
-    let pvbn = cursor.ring.(cursor.head) in
+    let v = cursor.ring.(cursor.head) in
     cursor.head <- cursor.head + 1;
-    Aggregate.allocate_harvested t.aggregate range ~aa:cursor.ring_aa ~pvbn;
-    dst.(pos) <- pvbn;
-    take_loop t range cursor dst (pos + 1) (want - 1)
+    Space.allocate_harvested s ~aa:cursor.ring_aa v;
+    dst.(pos) <- v;
+    take_loop t s cursor ~fault dst (pos + 1) stop
   end
-  else if refill_range t range cursor then take_loop t range cursor dst pos want
+  else if refill t s cursor ~fault then take_loop t s cursor ~fault dst pos stop
   else pos
 
-(* Take up to [want] allocatable PVBNs from one range into [dst] at [pos];
-   returns the new fill position.  Allocation-free while the ring lasts. *)
-let take_from_range_into t range cursor ~dst ~pos want =
-  revalidate t cursor (Aggregate.metafile t.aggregate);
-  take_loop t range cursor dst pos want
+(* Take up to [want] positions from one space into [dst] at [pos]; returns
+   the new fill position.  Allocation-free while the ring lasts. *)
+let take_into t (s : Space.t) cursor ~fault ~dst ~pos want =
+  revalidate t cursor (Activemap.metafile s.Space.activemap);
+  take_loop t s cursor ~fault dst pos (pos + want)
 
-let rec array_max a i best =
-  if i >= Array.length a then best else array_max a (i + 1) (if a.(i) > best then a.(i) else best)
+let take_range t (r : Aggregate.range) row ~dst ~pos want =
+  take_into t r.Aggregate.space row.(r.Aggregate.index) ~fault:r.Aggregate.fault ~dst ~pos want
 
 let best_score_of_range (range : Aggregate.range) =
   match range.Aggregate.fault with
   | Some dev when not (Wafl_fault.Fault.online dev) ->
     (* an offline device offers nothing, whatever its cache says *)
     0
-  | _ -> (
-    match range.Aggregate.cache with
-    | Some c -> Cache.best_score c
-    | None ->
-      (* cacheless: use the true best score so throttling still works *)
-      array_max range.Aggregate.scores 0 0)
+  | _ -> Space.best_score range.Aggregate.space
 
 (* The fan-out stages of the serial [allocate_pvbns_into], top-level
    (closure-free): the whole call must allocate nothing when served from
@@ -405,11 +371,7 @@ let rec take_shares t ranges row dst n m total_weight k got =
   else begin
     let share = n * t.weight.(k) / total_weight in
     let got =
-      if share > 0 then begin
-        let i = t.elig.(k) in
-        take_from_range_into t ranges.(i) row.(i) ~dst ~pos:got share
-      end
-      else got
+      if share > 0 then take_range t ranges.(t.elig.(k)) row ~dst ~pos:got share else got
     in
     take_shares t ranges row dst n m total_weight (k + 1) got
   end
@@ -420,9 +382,8 @@ let rec take_shares t ranges row dst n m total_weight k got =
 let rec mop_round t ranges row dst stop m k got =
   if k >= m || got >= stop then got
   else begin
-    let i = t.elig.(k) in
     mop_round t ranges row dst stop m (k + 1)
-      (take_from_range_into t ranges.(i) row.(i) ~dst ~pos:got (min 64 (stop - got)))
+      (take_range t ranges.(t.elig.(k)) row ~dst ~pos:got (min 64 (stop - got)))
   end
 
 let rec mop_up t ranges row dst stop m got =
@@ -556,19 +517,13 @@ let par_pick_locked t row (shard : Alloc_shard.t) =
       let i = !best_i in
       let range = ranges.(i) in
       let cursor = row.(i) in
-      let picked =
-        pick_aa t cursor ~policy:Config.Best_aa ~space:range.Aggregate.index
-          ~cache:range.Aggregate.cache
-          ~n_aas:(Topology.aa_count range.Aggregate.topology)
-          ~free_of:(fun aa -> Aggregate.aa_score_now t.aggregate range aa)
-          ~owner:(shard.id + 1)
-      in
-      match picked with
+      let space = range.Aggregate.space in
+      match pick_aa t space cursor ~owner:(shard.id + 1) with
       | None -> (-1, 0)
       | Some (aa, score) ->
         let bad =
           match range.Aggregate.fault with
-          | Some dev -> aa_overlaps_fault range dev aa
+          | Some dev -> aa_overlaps_fault space dev aa
           | None -> false
         in
         if bad then begin
@@ -580,11 +535,9 @@ let par_pick_locked t row (shard : Alloc_shard.t) =
           end
         end
         else begin
-          note_phys_take t score;
+          note_take t space ~aa ~score;
           shard.taken <- shard.taken + 1;
           shard.score_sum <- shard.score_sum + score;
-          t.candidates_scanned <-
-            t.candidates_scanned + Topology.aa_capacity range.Aggregate.topology aa;
           (i, aa)
         end
     end
@@ -608,10 +561,7 @@ let rec par_refill t row (shard : Alloc_shard.t) =
   if range_idx < 0 then false
   else begin
     let range = (Aggregate.ranges t.aggregate).(range_idx) in
-    let count =
-      Aggregate.harvest_free_of_aa t.aggregate range aa ~dst:shard.ring
-        ~words:shard.words
-    in
+    let count = Space.harvest range.Aggregate.space aa ~dst:shard.ring ~words:shard.words in
     shard.harvested <- shard.harvested + count;
     (* The ring's monotone byte group, which steals split on: plain
        [pvbn lsr 3] for a contiguous AA, the per-device stripe byte for
@@ -692,7 +642,7 @@ let merge_par_window t jobs =
         Bytes.fill shard.touched 0 (Bytes.length shard.touched) '\000';
         Array.iteri
           (fun i (r : Aggregate.range) ->
-            Score.merge_into ~src:shard.deltas.(i) ~dst:r.Aggregate.delta)
+            Score.merge_into ~src:shard.deltas.(i) ~dst:r.Aggregate.space.Space.delta)
           ranges;
         t.words := !(t.words) + !(shard.words);
         Telemetry.add "write_alloc.words_scanned" !(shard.words);
@@ -722,7 +672,7 @@ let allocate_pvbns_par t pool ~row ~dst n =
      must not rebuild from a worker), and drop serial rings left over
      from a previous epoch — their AAs are unclaimed again, so a shard
      could re-harvest the very blocks they still hold. *)
-  Array.iter (fun r -> Rebuild.touch_range t.aggregate r) ranges;
+  Array.iter (fun (r : Aggregate.range) -> Space.touch r.Aggregate.space) ranges;
   Array.iter
     (Array.iter (fun c ->
          if c.ring_epoch <> t.epoch then begin
@@ -780,54 +730,8 @@ let claim_conflicts t = t.claim_conflicts
 
 (* ------------------------------------------------------------------ *)
 
-let rec refill_vol t vol cursor =
-  Rebuild.touch_vol vol;
-  let policy = (Flexvol.spec vol).Config.policy in
-  Telemetry.span_enter Span.Pick;
-  let picked =
-    pick_aa t cursor ~policy ~space:(-1) ~cache:(Flexvol.cache vol)
-      ~n_aas:(Topology.aa_count (Flexvol.topology vol))
-      ~free_of:(fun aa -> Score.score_of_aa (Flexvol.topology vol) (Flexvol.metafile vol) aa)
-      ~owner:0
-  in
-  Telemetry.span_exit Span.Pick;
-  match picked with
-  | None -> false
-  | Some (aa, score) ->
-    note_virt_take t score;
-    t.candidates_scanned <-
-      t.candidates_scanned + Topology.aa_capacity (Flexvol.topology vol) aa;
-    let words0 = !(t.words) in
-    Telemetry.span_enter Span.Harvest;
-    let count = Flexvol.harvest_free_of_aa vol aa ~dst:cursor.ring ~words:t.words in
-    Telemetry.span_exit Span.Harvest;
-    cursor.head <- 0;
-    cursor.len <- count;
-    cursor.ring_aa <- aa;
-    cursor.ring_epoch <- t.epoch;
-    note_harvest t ~words0 ~count;
-    count > 0 || refill_vol t vol cursor
-
-let rec vvbn_loop t vol cursor dst n pos =
-  if pos >= n then pos
-  else if cursor.head < cursor.len then begin
-    let vvbn = cursor.ring.(cursor.head) in
-    cursor.head <- cursor.head + 1;
-    (* reserve immediately so a re-gathered AA cannot offer it again *)
-    Flexvol.reserve_harvested vol ~aa:cursor.ring_aa ~vvbn;
-    dst.(pos) <- vvbn;
-    vvbn_loop t vol cursor dst n (pos + 1)
-  end
-  else if refill_vol t vol cursor then vvbn_loop t vol cursor dst n pos
-  else pos
-
 let allocate_vvbns_into t vol ~dst n =
-  if n <= 0 then 0
-  else begin
-    let cursor = vol_cursor t vol in
-    revalidate t cursor (Flexvol.metafile vol);
-    vvbn_loop t vol cursor dst n 0
-  end
+  if n <= 0 then 0 else take_into t (Flexvol.space vol) (vol_cursor t vol) ~fault:None ~dst ~pos:0 n
 
 (* Whether any of a space's class cursors from [i] on quarantined [aa];
    top-level, so the per-AA refile builds no closure. *)
@@ -846,9 +750,14 @@ let rec quarantined cursors aa i =
    streams go straight to the cache, so nothing is collected per AA.
    [wear_adjust], when given, maps [(aa, score)] to the cache-filed score
    — the free-count [scores] array itself is never touched by wear. *)
-let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust ~delta
-    ~(scores : int array) ~cache cursors =
-  (match cache with
+let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust (s : Space.t) cursors =
+  (* A space still stale after a mount (lazy, or TopAA without a
+     background rebuild) was never picked from this CP, but its frees were
+     noted against scores that are not yet exact: drop them — its first
+     touch rescores from the bitmap, which already holds them. *)
+  if s.Space.stale then Score.clear s.Space.delta;
+  let delta = s.Space.delta and scores = s.Space.scores in
+  (match s.Space.cache with
   | None -> Score.apply delta scores ~f:(fun _ _ -> ())
   | Some cache ->
     (* quarantined AAs sit on bad device ranges: never re-file them, or
@@ -885,7 +794,7 @@ let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust ~delta
       for k = 0 to cursor.n_taken - 1 do
         let aa = cursor.taken_list.(k) in
         if aa = keep_aa then kept := true
-        else Atomic.set cursor.owners.(aa) Aggregate.no_owner
+        else Atomic.set s.Space.owners.(aa) Space.no_owner
       done;
       cursor.n_taken <- 0;
       if !kept then push_taken cursor keep_aa
@@ -943,23 +852,10 @@ let cp_finish t =
                   ~score)
           | _ -> None
       in
-      (* A range still stale after a mount (lazy, or TopAA without a
-         background rebuild) was never picked from this CP, but its frees
-         were noted against scores that are not yet exact: drop them —
-         its first touch rescores from the bitmap, which already holds
-         them. *)
-      if not (Aggregate.range_fresh t.aggregate range) then Score.clear range.Aggregate.delta;
-      cp_finish_space ~keep_claimed_rings:(t.classes > 1) ?wear_adjust
-        ~delta:range.Aggregate.delta ~scores:range.Aggregate.scores
-        ~cache:range.Aggregate.cache
+      cp_finish_space ~keep_claimed_rings:(t.classes > 1) ?wear_adjust range.Aggregate.space
         (Array.map (fun row -> row.(i)) t.cursors))
     (Aggregate.ranges t.aggregate);
-  List.iter
-    (fun (vol, cursor) ->
-      if not (Flexvol.cache_fresh vol) then Score.clear (Flexvol.delta vol);
-      cp_finish_space ~delta:(Flexvol.delta vol) ~scores:(Flexvol.scores vol)
-        ~cache:(Flexvol.cache vol) [| cursor |])
-    t.vols
+  List.iter (fun (space, cursor) -> cp_finish_space space [| cursor |]) t.vols
 
 let candidates_scanned t = t.candidates_scanned
 let words_scanned t = !(t.words)

@@ -11,8 +11,8 @@
     AAs taken from a cache are remembered so the CP boundary can re-file
     them with their updated scores (a heap entry would otherwise be lost,
     and an untouched HBPS entry would never re-qualify).  Every Best_aa
-    take also claims the AA in an atomic per-AA owner word
-    ({!Aggregate.claim_aa}); the claim blocks re-picks within a CP and is
+    take also claims the AA in its space's atomic per-AA owner word
+    ({!Space.t} [owners]); the claim blocks re-picks within a CP and is
     what lets multiple domains allocate concurrently (below) without two
     writers ever touching the same AA between CPs.
 
@@ -60,8 +60,8 @@ val allocate_pvbns_into : ?cls:int -> t -> dst:int array -> int -> int
     behavior is exactly the unrouted allocator's.
 
     On a lazily mounted system, the first pick from a stale range
-    materializes its exact scores and cache ({!Rebuild.touch_range})
-    before any score is trusted. *)
+    materializes its exact scores and cache ({!Space.touch}) before any
+    score is trusted. *)
 
 val temp_classes : t -> int
 (** Number of temperature routing slots ({!Config.stream_spec}
@@ -69,8 +69,9 @@ val temp_classes : t -> int
 
 val allocate_vvbns_into : t -> Flexvol.t -> dst:int array -> int -> int
 (** Allocate up to [n] virtual blocks in a volume, from its current AA
-    onward, mirroring {!allocate_pvbns_into} (and like it, the only
-    form — [allocate_vvbns] is gone). *)
+    onward: the same refill and ring-pop loop {!allocate_pvbns_into} runs
+    on each range, over the volume's space, reserving each VVBN as it is
+    handed out. *)
 
 val cp_finish : t -> unit
 (** CP boundary: apply every range's and volume's batched score delta,

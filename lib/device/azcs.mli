@@ -15,9 +15,6 @@
 val region_blocks : int
 (** 64: 63 data blocks + 1 checksum block. *)
 
-val data_blocks : int
-(** 63. *)
-
 val region_of_block : int -> int
 (** AZCS region index of a device block. *)
 

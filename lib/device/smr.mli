@@ -23,7 +23,6 @@ val create : ?profile:Profile.smr -> blocks:int -> unit -> t
 
 val blocks : t -> int
 val profile : t -> Profile.smr
-val zones : t -> int
 
 val set_fault : t -> Wafl_fault.Fault.device option -> unit
 (** Attach (or detach) a fault-injection handle; {!write} consults it per
@@ -32,7 +31,6 @@ val set_fault : t -> Wafl_fault.Fault.device option -> unit
 
 val fault : t -> Wafl_fault.Fault.device option
 
-val zone_of_block : t -> int -> int
 val write_pointer : t -> zone:int -> int
 (** Highest written position + 1 within the zone (0 = empty zone). *)
 

@@ -97,7 +97,7 @@ let run_variant ?run scale variant =
   let virt_trace = Write_alloc.virt_take_trace walloc in
   let curve = Load.sweep ~label:(variant_name variant) costs in
   let full_phys = Wafl_aa.Topology.full_aa_capacity range0.Aggregate.topology in
-  let full_virt = Wafl_aa.Topology.full_aa_capacity (Flexvol.topology vol) in
+  let full_virt = Wafl_aa.Topology.full_aa_capacity (Flexvol.space vol).Space.topology in
   let frac (n, sum) full =
     if n = 0 then 0.0 else float_of_int sum /. float_of_int n /. float_of_int full
   in

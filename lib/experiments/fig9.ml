@@ -33,8 +33,10 @@ let aa_stripes_of scale sizing =
    themselves stay free — only the pick order changes. *)
 let perturb_scores fs ~rng =
   let range0 = (Aggregate.ranges (Fs.aggregate fs)).(0) in
-  let noisy = Array.map (fun s -> max 0 (s - Wafl_util.Rng.int rng 8)) range0.Aggregate.scores in
-  range0.Aggregate.cache <-
+  let noisy =
+    Array.map (fun s -> max 0 (s - Wafl_util.Rng.int rng 8)) range0.Aggregate.space.Space.scores
+  in
+  range0.Aggregate.space.Space.cache <-
     Some
       (Wafl_aacache.Cache.make ~space:range0.Aggregate.index
          (Wafl_aacache.Cache.Raid_aware (Wafl_aacache.Max_heap.of_scores noisy)))

@@ -7,6 +7,3 @@ type summary = {
   per_device_blocks : int array;
 }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "tetrises=%d blocks=%d mean=%.1f" s.tetrises s.blocks
-    s.mean_blocks_per_tetris

@@ -19,4 +19,3 @@ type summary = {
 val stripes_per_tetris : int
 (** 64. *)
 
-val pp_summary : Format.formatter -> summary -> unit

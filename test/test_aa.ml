@@ -131,8 +131,8 @@ let test_score_computation () =
   (* allocate all of stripe 0 (AA 0 vbns: device d offset 0..127) *)
   Metafile.allocate mf 0;
   Metafile.allocate mf 1024;
-  check_int "aa0 score" 510 (Score.score_of_aa raid_topo mf 0);
-  check_int "aa1 untouched" 512 (Score.score_of_aa raid_topo mf 1)
+  check_int "aa0 score" 510 (Score.score_of_aa ~base:0 raid_topo mf 0);
+  check_int "aa1 untouched" 512 (Score.score_of_aa ~base:0 raid_topo mf 1)
 
 let test_score_all () =
   let mf = Metafile.create ~blocks:4096 () in

@@ -34,7 +34,7 @@ let free_vbns_of_aa agg (r : Aggregate.range) aa =
 let free_vvbns_of_aa vol aa =
   let mf = Flexvol.metafile vol in
   let acc = ref [] in
-  Wafl_aa.Topology.iter_aa_vbns (Flexvol.topology vol) aa ~f:(fun vvbn ->
+  Wafl_aa.Topology.iter_aa_vbns (Flexvol.space vol).Space.topology aa ~f:(fun vvbn ->
       if not (Metafile.is_allocated mf vvbn) then acc := vvbn :: !acc);
   List.rev !acc
 
@@ -65,8 +65,8 @@ let test_aggregate_layout () =
   let r0 = (Aggregate.ranges agg).(0) and r1 = (Aggregate.ranges agg).(1) in
   check_int "r0 base" 0 r0.Aggregate.base;
   check_int "r1 base" (4 * 8192) r1.Aggregate.base;
-  check_int "aa count per range (8192/512)" 16 (Array.length r0.Aggregate.scores);
-  check_bool "caches on" true (r0.Aggregate.cache <> None);
+  check_int "aa count per range (8192/512)" 16 (Array.length r0.Aggregate.space.Space.scores);
+  check_bool "caches on" true (r0.Aggregate.space.Space.cache <> None);
   (* range_of_pvbn picks the right range *)
   check_int "pvbn in r1" 1 (Aggregate.range_of_pvbn agg (4 * 8192)).Aggregate.index;
   check_int "roundtrip local" 0 (Aggregate.to_local r1 (4 * 8192))
@@ -249,7 +249,7 @@ let test_harvest_matches_list_raid_aware () =
   let dst = Array.make (Wafl_aa.Topology.full_aa_capacity r0.Aggregate.topology) 0 in
   let words = ref 0 in
   for aa = 0 to 4 do
-    let n = Aggregate.harvest_free_of_aa agg r0 aa ~dst ~words in
+    let n = Space.harvest r0.Aggregate.space aa ~dst ~words in
     Alcotest.(check (list int))
       (Printf.sprintf "AA %d: harvest = list gather (stripe-major)" aa)
       (free_vbns_of_aa agg r0 aa)
@@ -269,7 +269,7 @@ let test_harvest_matches_list_vol () =
   let words = ref 0 in
   (* includes the ragged final AA (4000 = 7*512 + 416) *)
   for aa = 0 to 7 do
-    let n = Flexvol.harvest_free_of_aa vol aa ~dst ~words in
+    let n = Space.harvest (Flexvol.space vol) aa ~dst ~words in
     Alcotest.(check (list int))
       (Printf.sprintf "AA %d: harvest = list gather (ascending)" aa)
       (free_vvbns_of_aa vol aa)
@@ -501,8 +501,7 @@ let test_cp_colocation_best_vs_random () =
 
 (* --- Mount / TopAA --- *)
 
-let aged_fs ?run () =
-  let fs = Fs.create (small_config ?run ()) in
+let age fs =
   let vol = Fs.vol fs "vol0" in
   let r = Wafl_util.Rng.create ~seed:5 in
   for offset = 0 to 19_999 do
@@ -516,6 +515,42 @@ let aged_fs ?run () =
     ignore (Fs.run_cp fs)
   done;
   fs
+
+let aged_fs ?run () = age (Fs.create (small_config ?run ()))
+
+(* A mixed aggregate, aged like [aged_fs]: an SSD RAID group (heap TopAA,
+   one page) beside a 65,536-block object range with 4,096-block AAs (a
+   physical HBPS, two TopAA pages) and one Best_aa volume (two pages). *)
+let mixed_aged_fs () =
+  let ssd_rg =
+    {
+      Config.media =
+        Config.Ssd
+          { Wafl_device.Profile.default_ssd with Wafl_device.Profile.erase_block_blocks = 512 };
+      data_devices = 2;
+      parity_devices = 1;
+      device_blocks = 8192;
+      aa_stripes = Some 512;
+    }
+  in
+  let object_range =
+    {
+      Config.profile = Wafl_device.Profile.default_object_store;
+      blocks = 65536;
+      aa_blocks = Some 4096;
+    }
+  in
+  age
+    (Fs.create
+       (Config.make ~raid_groups:[ ssd_rg ] ~object_ranges:[ object_range ]
+          ~vols:
+            [ { Config.name = "vol0"; blocks = 65536; aa_blocks = None; policy = Config.Best_aa } ]
+          ~seed:4 ()))
+
+let counter tel name =
+  match Wafl_telemetry.Registry.find (Wafl_telemetry.Telemetry.registry tel) name with
+  | Some (Wafl_telemetry.Registry.Counter c) -> Wafl_telemetry.Registry.count c
+  | _ -> 0
 
 let test_mount_with_topaa_constant_work () =
   let fs = aged_fs () in
@@ -534,19 +569,63 @@ let test_mount_without_topaa_scans () =
   check_bool "scanned pages" true (timing.Mount.metafile_pages_scanned > 0);
   check_bool "scored AAs" true (timing.Mount.aas_scored > 0)
 
+(* Both TopAA paths and the scan path bring back the same system: same
+   free space, the same allocation sequence, a clean Iron check after a
+   CP.  A TopAA mount reads one page per heap and two per HBPS, and its
+   ready time is that page count at the cost model's page-read price plus
+   the seeds and the replay. *)
 let test_mount_paths_agree_behaviorally () =
-  let fs = aged_fs () in
-  let image = Mount.snapshot fs in
-  let fs_a, _ = Mount.mount image ~with_topaa:true in
-  let fs_b, _ = Mount.mount image ~with_topaa:false in
-  (* same space state *)
-  check_int "same free space"
-    (Aggregate.free_blocks (Fs.aggregate fs_a))
-    (Aggregate.free_blocks (Fs.aggregate fs_b));
-  (* after background rebuild both allocate the same sequence *)
-  let a = allocate_pvbns (Fs.write_alloc fs_a) 200 in
-  let b = allocate_pvbns (Fs.write_alloc fs_b) 200 in
-  Alcotest.(check (list int)) "identical allocations" a b
+  let cost =
+    {
+      Mount.page_read_us = 250.0;
+      page_scan_cpu_us = 40.0;
+      seed_insert_us = 0.2;
+      replay_op_us = 5.0;
+    }
+  in
+  List.iter
+    (fun (name, fs, pages) ->
+      let image = Mount.snapshot fs in
+      let paths =
+        [
+          ("topaa", fun () -> Mount.mount ~cost image ~with_topaa:true);
+          ("lazy topaa", fun () -> Mount.mount ~cost ~lazy_rebuild:true image ~with_topaa:true);
+          ("scan", fun () -> Mount.mount ~cost image ~with_topaa:false);
+        ]
+      in
+      List.iter
+        (fun (path, mount) ->
+          let label = name ^ " " ^ path in
+          let tel = Wafl_telemetry.Telemetry.create () in
+          let fs', timing = Wafl_telemetry.Telemetry.with_installed tel mount in
+          if path <> "scan" then begin
+            check_int (label ^ ": TopAA pages read") pages timing.Mount.topaa_blocks_read;
+            Alcotest.(check (float 1e-6))
+              (label ^ ": ready_us is the per-page arithmetic")
+              ((float_of_int pages *. cost.Mount.page_read_us)
+              +. (float_of_int (counter tel "mount.topaa_seeds") *. cost.Mount.seed_insert_us)
+              +. (float_of_int timing.Mount.ops_replayed *. cost.Mount.replay_op_us))
+              timing.Mount.ready_us
+          end;
+          let vol = Fs.vol fs' "vol0" in
+          for offset = 0 to 999 do
+            Fs.stage_write fs' ~vol ~file:2 ~offset
+          done;
+          ignore (Fs.run_cp fs');
+          check_int (label ^ ": iron clean after a CP") 0 (List.length (Iron.check fs')))
+        paths;
+      let mounted = List.map (fun (_, mount) -> fst (mount ())) paths in
+      let free = List.map (fun fs' -> Aggregate.free_blocks (Fs.aggregate fs')) mounted in
+      Alcotest.(check (list int))
+        (name ^ ": same free space")
+        [ List.hd free; List.hd free; List.hd free ]
+        free;
+      let allocs = List.map (fun fs' -> allocate_pvbns (Fs.write_alloc fs') 200) mounted in
+      Alcotest.(check (list (list int)))
+        (name ^ ": identical allocations")
+        [ List.hd allocs; List.hd allocs; List.hd allocs ]
+        allocs)
+    [ ("hdd", aged_fs (), 4); ("mixed", mixed_aged_fs (), 5) ]
 
 let test_mount_timing_scales () =
   (* the without-TopAA scan must grow with volume size; the TopAA path
@@ -575,20 +654,24 @@ let test_lazy_mount_matches_eager () =
      in until first touch *)
   let agg = Fs.aggregate fs_lazy in
   check_bool "ranges stale after lazy mount" true
-    (Array.for_all (fun r -> not (Aggregate.range_fresh agg r)) (Aggregate.ranges agg));
+    (Array.for_all
+       (fun (r : Aggregate.range) -> r.Aggregate.space.Space.stale)
+       (Aggregate.ranges agg));
   check_bool "vols stale after lazy mount" true
-    (Array.for_all (fun v -> not (Flexvol.cache_fresh v)) (Fs.vols fs_lazy));
+    (Array.for_all (fun v -> (Flexvol.space v).Space.stale) (Fs.vols fs_lazy));
   (* allocations materialize the touched ranges and then track the eager
      mount exactly *)
   let a = allocate_pvbns (Fs.write_alloc fs_eager) 200 in
   let b = allocate_pvbns (Fs.write_alloc fs_lazy) 200 in
   Alcotest.(check (list int)) "identical pvbn allocations" a b;
   check_bool "a touched range materialized" true
-    (Array.exists (fun r -> Aggregate.range_fresh agg r) (Aggregate.ranges agg));
+    (Array.exists
+       (fun (r : Aggregate.range) -> not r.Aggregate.space.Space.stale)
+       (Aggregate.ranges agg));
   let va = allocate_vvbns (Fs.write_alloc fs_eager) (Fs.vol fs_eager "vol0") 200 in
   let vb = allocate_vvbns (Fs.write_alloc fs_lazy) (Fs.vol fs_lazy "vol0") 200 in
   Alcotest.(check (list int)) "identical vvbn allocations" va vb;
-  check_bool "vol materialized" true (Flexvol.cache_fresh (Fs.vol fs_lazy "vol0"))
+  check_bool "vol materialized" true (not (Flexvol.space (Fs.vol fs_lazy "vol0")).Space.stale)
 
 let test_lazy_deferred_scan_mount () =
   let image = Mount.snapshot (aged_fs ()) in
@@ -767,8 +850,8 @@ let test_snapshot_survives_cleaning () =
 let test_mount_corrupt_topaa_falls_back () =
   let fs = aged_fs () in
   let image = Mount.snapshot fs in
-  Mount.corrupt_range_topaa image 0;
-  Mount.corrupt_vol_topaa image 0;
+  Mount.corrupt_topaa image (Space.Range 0);
+  Mount.corrupt_topaa image (Space.Vol "vol0");
   let fs2, timing = Mount.mount image ~with_topaa:true in
   (* the corrupt blocks force a bitmap scan for those caches *)
   check_bool "fallback pages scanned" true (timing.Mount.metafile_pages_scanned > 0);
@@ -788,14 +871,7 @@ let mount_forged image =
         Wafl_telemetry.Telemetry.with_installed tel (fun () ->
             Mount.mount ~lazy_rebuild image ~with_topaa:true)
       in
-      let fallback =
-        match
-          Wafl_telemetry.Registry.find (Wafl_telemetry.Telemetry.registry tel)
-            "mount.fallback_pages_scanned"
-        with
-        | Some (Wafl_telemetry.Registry.Counter c) -> Wafl_telemetry.Registry.count c
-        | _ -> 0
-      in
+      let fallback = counter tel "mount.fallback_pages_scanned" in
       check_bool "fallback pages counted" true (fallback > 0);
       check_int "fallback pages in the timing" fallback timing.Mount.metafile_pages_scanned;
       check_int "iron clean after mount" 0 (List.length (Iron.check fs2));
@@ -813,32 +889,32 @@ let test_mount_forged_topaa_falls_back () =
   let fs = aged_fs () in
   let forged = Max_heap.create ~n_aas:100_001 in
   Max_heap.insert forged ~aa:100_000 ~score:7;
-  (Aggregate.ranges (Fs.aggregate fs)).(0).Aggregate.cache <-
+  (Aggregate.ranges (Fs.aggregate fs)).(0).Aggregate.space.Space.cache <-
     Some (Cache.make ~space:0 (Cache.Raid_aware forged));
   mount_forged (Mount.snapshot fs);
   (* an AA id in range with a negative score *)
   let fs = aged_fs () in
   let forged = Max_heap.create ~n_aas:16 in
   Max_heap.insert forged ~aa:3 ~score:(-5);
-  (Aggregate.ranges (Fs.aggregate fs)).(0).Aggregate.cache <-
+  (Aggregate.ranges (Fs.aggregate fs)).(0).Aggregate.space.Space.cache <-
     Some (Cache.make ~space:0 (Cache.Raid_aware forged));
   mount_forged (Mount.snapshot fs);
   (* the volume's HBPS pages listing AA 100,000 *)
   let fs = aged_fs () in
   let vol = Fs.vol fs "vol0" in
-  let max_score = Wafl_aa.Topology.full_aa_capacity (Flexvol.topology vol) in
+  let max_score = Wafl_aa.Topology.full_aa_capacity (Flexvol.space vol).Space.topology in
   let scores = Array.make 100_001 0 in
   scores.(100_000) <- max_score;
   let h = Hbps.create ~max_score ~scores () in
   Hbps.replenish h;
-  Flexvol.set_cache vol (Some (Cache.make (Cache.Raid_agnostic h)));
+  (Flexvol.space vol).Space.cache <- Some (Cache.make (Cache.Raid_agnostic h));
   mount_forged (Mount.snapshot fs)
 
 let test_mount_corrupt_costlier_than_clean () =
   let fs = aged_fs () in
   let clean = Mount.snapshot fs in
   let damaged = Mount.snapshot fs in
-  Mount.corrupt_range_topaa damaged 0;
+  Mount.corrupt_topaa damaged (Space.Range 0);
   let _, t_clean = Mount.mount ~lazy_rebuild:true clean ~with_topaa:true in
   let _, t_damaged = Mount.mount ~lazy_rebuild:true damaged ~with_topaa:true in
   check_bool "corruption costs ready time" true
@@ -854,14 +930,13 @@ let test_mount_corrupt_bounds () =
          false
        with Invalid_argument _ -> true)
   in
-  raises "range index too large" (fun () -> Mount.corrupt_range_topaa image 99);
-  raises "range index negative" (fun () -> Mount.corrupt_range_topaa image (-1));
-  raises "vol index too large" (fun () -> Mount.corrupt_vol_topaa image 99);
-  raises "vol index negative" (fun () -> Mount.corrupt_vol_topaa image (-1));
+  raises "range index too large" (fun () -> Mount.corrupt_topaa image (Space.Range 99));
+  raises "range index negative" (fun () -> Mount.corrupt_topaa image (Space.Range (-1)));
+  raises "unknown volume" (fun () -> Mount.corrupt_topaa image (Space.Vol "vol9"));
   raises "page out of range" (fun () -> Mount.tear_agg_bitmap_page image ~page:1000);
   (* in-range indices still work *)
-  Mount.corrupt_range_topaa image 0;
-  Mount.corrupt_vol_topaa image 0;
+  Mount.corrupt_topaa image (Space.Range 0);
+  Mount.corrupt_topaa image (Space.Vol "vol0");
   Mount.tear_agg_bitmap_page image ~page:0
 
 let test_mount_restores_namespace () =
@@ -962,7 +1037,9 @@ let test_stale_range_frees_after_mount () =
     ignore (Fs.run_cp fs')
   done;
   check_bool "a range freed into was never touched" true
-    (Array.exists (fun r -> not (Aggregate.range_fresh agg r)) (Aggregate.ranges agg));
+    (Array.exists
+       (fun (r : Aggregate.range) -> r.Aggregate.space.Space.stale)
+       (Aggregate.ranges agg));
   check_int "iron clean once every range materializes" 0 (List.length (Iron.check fs'))
 
 let test_torn_bitmap_page_repaired () =
@@ -1077,7 +1154,7 @@ let test_fabric_pool_object_range () =
   let obj = (Aggregate.ranges agg).(1) in
   check_bool "object range is raid-agnostic" true (obj.Aggregate.geometry = None);
   (* the object range's cache is an HBPS, not a heap *)
-  (match obj.Aggregate.cache with
+  (match obj.Aggregate.space.Space.cache with
   | Some cache ->
     check_bool "hbps cache" true
       (match Wafl_aacache.Cache.backend cache with
@@ -1096,6 +1173,72 @@ let test_fabric_pool_object_range () =
 
 (* --- RG fragmentation threshold (§3.3.1) --- *)
 
+(* Whether a space has a cache is decided by its policy when it is
+   created.  A Random_aa or First_fit system has none, and no mount path
+   and no Iron repair gives it one: afterwards every space is still
+   cacheless and a CP does no cache work.  A cacheless space has no
+   TopAA either, so a TopAA mount of such a system reads no pages.  A
+   Best_aa control keeps its caches through the same paths. *)
+let test_cacheless_spaces_stay_cacheless () =
+  let write_cp fs =
+    let vol = Fs.vol fs "vol0" in
+    let rng = Wafl_util.Rng.create ~seed:3 in
+    for _ = 1 to 1000 do
+      Fs.stage_write fs ~vol ~file:1 ~offset:(Wafl_util.Rng.int rng 20_000)
+    done;
+    (Fs.run_cp fs).Cp.cache_work
+  in
+  let system policy =
+    let fs =
+      Fs.create
+        (Config.make
+           ~vols:[ { Config.name = "vol0"; blocks = 65536; aa_blocks = None; policy } ]
+           ~aggregate_policy:policy ~seed:3 ())
+    in
+    ignore (write_cp fs);
+    ignore (write_cp fs);
+    fs
+  in
+  let topaa_mount ~best ~lazy_rebuild name fs =
+    let fs', t = Mount.mount ~lazy_rebuild (Mount.snapshot fs) ~with_topaa:true in
+    check_bool (name ^ ": TopAA pages read iff Best_aa") best (t.Mount.topaa_blocks_read > 0);
+    fs'
+  in
+  let cases =
+    [
+      ("scan mount", fun ~best:_ fs -> fst (Mount.mount (Mount.snapshot fs) ~with_topaa:false));
+      ( "lazy topaa mount and a CP",
+        fun ~best fs ->
+          let fs' = topaa_mount ~best ~lazy_rebuild:true "lazy topaa mount" fs in
+          ignore (write_cp fs');
+          fs' );
+      ("eager topaa mount", topaa_mount ~lazy_rebuild:false "eager topaa mount");
+      ( "iron repair of score drift",
+        fun ~best:_ fs ->
+          Array.iter
+            (fun (s : Space.t) -> s.Space.scores.(0) <- s.Space.scores.(0) + 5)
+            (Fs.spaces fs);
+          let findings, _ = Iron.repair fs in
+          check_bool "drift found" true (findings <> []);
+          fs );
+    ]
+  in
+  List.iter
+    (fun policy ->
+      let best = policy = Config.Best_aa in
+      List.iter
+        (fun (name, path) ->
+          let fs = path ~best (system policy) in
+          Array.iter
+            (fun (s : Space.t) ->
+              check_bool (name ^ ": cache iff Best_aa") best (s.Space.cache <> None))
+            (Fs.spaces fs);
+          let work = write_cp fs in
+          if best then check_bool (name ^ ": Best_aa caches work") true (work > 0)
+          else check_int (name ^ ": no cache work") 0 work)
+        cases)
+    [ Config.Random_aa; Config.First_fit; Config.Best_aa ]
+
 let test_rg_threshold_skips_fragmented_group () =
   let fs = Fs.create (small_config ~rg_score_threshold:1500 ()) in
   let agg = Fs.aggregate fs in
@@ -1113,7 +1256,7 @@ let test_rg_threshold_skips_fragmented_group () =
   done;
   Write_alloc.cp_finish w;
   Rebuild.request agg Rebuild.Full;
-  let best0 = Wafl_aacache.Cache.peek_best_score (Option.get r0.Aggregate.cache) in
+  let best0 = Wafl_aacache.Cache.peek_best_score (Option.get r0.Aggregate.space.Space.cache) in
   check_bool "rig: best AA of RG0 below threshold" true (Option.get best0 < 1500);
   let blocks = allocate_pvbns w 1000 in
   let in_r0 =
@@ -1216,7 +1359,7 @@ let test_iron_detects_and_repairs_score_drift () =
   let fs = aged_fs () in
   let r0 = (Aggregate.ranges (Fs.aggregate fs)).(0) in
   (* memory scribble on a cached score *)
-  r0.Aggregate.scores.(3) <- r0.Aggregate.scores.(3) + 7;
+  r0.Aggregate.space.Space.scores.(3) <- r0.Aggregate.space.Space.scores.(3) + 7;
   let findings = Iron.check fs in
   check_bool "drift found" true
     (List.exists (function Iron.Range_score_drift { aa = 3; _ } -> true | _ -> false) findings);
@@ -1636,5 +1779,7 @@ let () =
         [
           Alcotest.test_case "rg threshold" `Quick test_rg_threshold_skips_fragmented_group;
           Alcotest.test_case "vvbn reserve/release" `Quick test_vvbn_reserve_release;
+          Alcotest.test_case "cacheless spaces stay cacheless" `Quick
+            test_cacheless_spaces_stay_cacheless;
         ] );
     ]

@@ -5,7 +5,6 @@
    any domain count. *)
 
 open Wafl_bitmap
-open Wafl_aacache
 open Wafl_core
 open Wafl_telemetry
 module Par = Wafl_par.Par
@@ -168,28 +167,13 @@ let aged_fs ?run () =
   done;
   fs
 
-(* The full observable cache state: every score array plus the persisted
-   TopAA bytes of every cache (heap contents / HBPS pages). *)
+(* The full observable cache state: every space's score array plus the
+   persisted TopAA bytes of its cache (heap contents / HBPS pages). *)
 let cache_state fs =
-  let range_state (r : Aggregate.range) =
-    let topaa =
-      match Option.map Cache.backend r.Aggregate.cache with
-      | Some (Cache.Raid_aware heap) -> Some (Topaa.save_raid_aware heap)
-      | Some (Cache.Raid_agnostic hbps) -> Some (fst (Topaa.save_hbps hbps))
-      | None -> None
-    in
-    (Array.copy r.Aggregate.scores, topaa)
-  in
-  let vol_state vol =
-    let hbps =
-      match Option.map Cache.backend (Flexvol.cache vol) with
-      | Some (Cache.Raid_agnostic h) -> Some (Topaa.save_hbps h)
-      | _ -> None
-    in
-    (Array.copy (Flexvol.scores vol), hbps)
-  in
-  ( Array.map range_state (Aggregate.ranges (Fs.aggregate fs)),
-    Array.map vol_state (Fs.vols fs) )
+  Array.map
+    (fun (s : Space.t) ->
+      (Array.copy s.Space.scores, Option.bind s.Space.cache (fun _ -> Space.save_topaa s)))
+    (Fs.spaces fs)
 
 let check_bitmaps_equal label fs_a fs_b =
   check_bool (label ^ ": aggregate bitmap")
@@ -252,11 +236,11 @@ let test_rebuild_caches_determinism () =
 let drifted_fs ?run () =
   let fs = aged_fs ?run () in
   let r = (Aggregate.ranges (Fs.aggregate fs)).(1) in
-  r.Aggregate.scores.(3) <- r.Aggregate.scores.(3) + 1;
-  r.Aggregate.scores.(Array.length r.Aggregate.scores - 1) <-
-    r.Aggregate.scores.(Array.length r.Aggregate.scores - 1) + 2;
+  let scores = r.Aggregate.space.Space.scores in
+  scores.(3) <- scores.(3) + 1;
+  scores.(Array.length scores - 1) <- scores.(Array.length scores - 1) + 2;
   let vol = (Fs.vols fs).(0) in
-  let vol_scores = Flexvol.scores vol in
+  let vol_scores = (Flexvol.space vol).Space.scores in
   vol_scores.(Array.length vol_scores - 1) <- vol_scores.(Array.length vol_scores - 1) + 1;
   fs
 
