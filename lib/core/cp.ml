@@ -113,8 +113,12 @@ type scratch = {
   mutable placed_cls : int array;  (* ... and its class *)
   mutable locals : int array;  (* placed PVBNs by range, range-local *)
   mutable local_cls : int array;  (* ... and their classes *)
+  mutable sorted : int array;  (* each range's slice of [locals], sorted, distinct *)
+  mutable sorted_cls : int array;  (* ... and their classes *)
   mutable stream : int array;  (* per-stream batches, within a range's slice *)
   mutable freed_locals : int array;  (* freed PVBNs by range, range-local *)
+  mutable score_counts : int array;  (* [view]'s AA-score histogram: per value *)
+  mutable score_blocks : int array;  (* ... and per 64 values *)
 }
 
 let scratch_key =
@@ -129,8 +133,12 @@ let scratch_key =
         placed_cls = [||];
         locals = [||];
         local_cls = [||];
+        sorted = [||];
+        sorted_cls = [||];
         stream = [||];
         freed_locals = [||];
+        score_counts = [||];
+        score_blocks = [||];
       })
 
 (* [a] when it holds [n] slots, else a fresh array of at least twice its
@@ -160,13 +168,51 @@ let counting_sort keys n ~buckets ~emit =
   done;
   starts
 
+(* A block's class rides in the low bits of its sort key: at most 4
+   classes, as a write's one-byte class slot in [run] assumes. *)
+let cls_bits = 2
+
+(* The one sort of a range's writes per CP: [locals.(pos .. pos+len-1)]
+   with their classes into [sorted] and [sorted_cls] at the same offset,
+   ascending and duplicate-free.  One sort of [local lsl cls_bits lor
+   class] keys, then a decode pass that keeps each VBN's first key.
+   Returns the distinct count.  The RAID group and the FTL read this
+   slice; the HDD fault plane, SMR and object ranges read [locals] in
+   allocation order. *)
+let sort_writes sc ~pos ~len =
+  let locals = sc.locals and local_cls = sc.local_cls in
+  let sorted = sc.sorted and sorted_cls = sc.sorted_cls in
+  for k = pos to pos + len - 1 do
+    sorted.(k) <- (locals.(k) lsl cls_bits) lor local_cls.(k)
+  done;
+  Wafl_util.Int_sort.sort ~pos sorted ~len;
+  let m = ref pos and prev = ref (-1) in
+  for k = pos to pos + len - 1 do
+    let key = sorted.(k) in
+    let local = key lsr cls_bits in
+    if local <> !prev then begin
+      sorted.(!m) <- local;
+      sorted_cls.(!m) <- key land ((1 lsl cls_bits) - 1);
+      prev := local;
+      incr m
+    end
+  done;
+  !m - pos
+
 let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
   let locals = sc.locals in
+  (* An object range has no RAID group and no FTL to read a sorted
+     slice; every other range sorts its writes once. *)
+  let distinct =
+    match range.Aggregate.device with
+    | Aggregate.Object_sim _ -> 0
+    | _ -> sort_writes sc ~pos ~len
+  in
   let flush =
     match range.Aggregate.group with
     | Some group ->
       Telemetry.span_enter Span.Tetris_write;
-      let f = Group.record_flush group ~vbns:locals ~pos ~len in
+      let f = Group.record_flush group ~vbns:sc.sorted ~pos ~len:distinct in
       Telemetry.span_exit Span.Tetris_write;
       Some f
     | None -> None
@@ -236,10 +282,12 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
       (* Each temperature class's batch goes to its own FTL write stream
          (classes beyond the drive's stream count share the last one), so
          segregated AAs also stop sharing open erase blocks inside the
-         device.  A stream that takes every block writes the slice as is;
-         otherwise its blocks are filtered, in order, into this range's
-         own slice of the stream array (ranges flush concurrently). *)
-      let classes = sc.local_cls and stream = sc.stream in
+         device.  The FTL reads the sorted slice: a stream that takes
+         every block writes it as is; otherwise its blocks are filtered,
+         in order (so still sorted), into this range's own slice of the
+         stream array (ranges flush concurrently). *)
+      let sorted = sc.sorted and classes = sc.sorted_cls and stream = sc.stream in
+      let len = distinct in
       let stream_of c = if c < ns then c else ns - 1 in
       let counts = Array.make ns 0 in
       for k = pos to pos + len - 1 do
@@ -248,12 +296,12 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
       done;
       Array.iteri
         (fun s count ->
-          if count = len then Ftl.write_batch ~stream:s ftl locals ~pos ~len
+          if count = len then Ftl.write_batch ~stream:s ftl sorted ~pos ~len
           else if count > 0 then begin
             let m = ref pos in
             for k = pos to pos + len - 1 do
               if stream_of classes.(k) = s then begin
-                stream.(!m) <- locals.(k);
+                stream.(!m) <- sorted.(k);
                 incr m
               end
             done;
@@ -374,17 +422,66 @@ type view = {
   lat : float array array;  (* [|p50; p99; p999|]: overall, then volume slots 0..3 *)
 }
 
+(* The nine deciles of every range's AA scores: the value at sorted rank
+   [(k+1) * (n-1) / 10], as a sort of all the scores would give it, read
+   from a histogram instead.  A score is a free count, at most the full
+   AA capacity; the histogram spans the scores present, [lo .. hi], so a
+   drifted score still counts.  It has two levels so that a row costs
+   O(scores + width / 64), not O(width): a rig with a few large AAs (16
+   of 32,768 blocks under [top --ssd]) would otherwise walk and clear a
+   32,768-slot array per row.  Coarse counts of 64 values each find the
+   blocks the ranks fall in, and only those blocks' fine counts are
+   walked.  The fine counts are all zero between rows: each row clears
+   the slots its scores touched. *)
+let score_deciles ranges =
+  let each f =
+    Array.iter (fun (r : Aggregate.range) -> Array.iter f r.Aggregate.space.Space.scores) ranges
+  in
+  let lo = ref max_int and hi = ref min_int and n = ref 0 in
+  each (fun s ->
+      incr n;
+      if s < !lo then lo := s;
+      if s > !hi then hi := s);
+  let n = !n and lo = !lo in
+  let rank k = (k + 1) * (n - 1) / 10 in
+  let deciles = Array.make 9 0.0 in
+  if n > 0 then begin
+    let sc = Domain.DLS.get scratch_key in
+    let width = !hi - lo + 1 in
+    let blocks = (width + 63) / 64 in
+    sc.score_counts <- grow sc.score_counts width;
+    sc.score_blocks <- grow sc.score_blocks blocks;
+    let fine = sc.score_counts and coarse = sc.score_blocks in
+    Array.fill coarse 0 blocks 0;
+    each (fun s ->
+        let v = s - lo in
+        fine.(v) <- fine.(v) + 1;
+        coarse.(v / 64) <- coarse.(v / 64) + 1);
+    (* decile [k] is the first value whose count carries the running
+       total past [rank k] *)
+    let k = ref 0 and below = ref 0 in
+    for b = 0 to blocks - 1 do
+      let next = !below + coarse.(b) in
+      if !k < 9 && rank !k < next then begin
+        let total = ref !below in
+        for v = b * 64 to min width ((b + 1) * 64) - 1 do
+          total := !total + fine.(v);
+          while !k < 9 && rank !k < !total do
+            deciles.(!k) <- float_of_int (lo + v);
+            incr k
+          done
+        done
+      end;
+      below := next
+    done;
+    each (fun s -> fine.(s - lo) <- 0)
+  end;
+  deciles
+
 let view tel aggregate =
   let reg = Telemetry.registry tel in
   let ranges = Aggregate.ranges aggregate in
   let free_runs, largest_run = Aggregate.free_run_stats aggregate in
-  let scores =
-    Array.concat
-      (Array.to_list
-         (Array.map (fun (r : Aggregate.range) -> r.Aggregate.space.Space.scores) ranges))
-  in
-  Array.sort Int.compare scores;
-  let n = Array.length scores in
   let ssd_host = ref 0 and ssd_dev = ref 0 and ssd_wear = ref 0 in
   Array.iter
     (fun (r : Aggregate.range) ->
@@ -406,8 +503,7 @@ let view tel aggregate =
     total = Aggregate.total_blocks aggregate;
     free_runs;
     largest_run;
-    deciles =
-      Array.init 9 (fun k -> if n = 0 then 0.0 else float_of_int scores.((k + 1) * (n - 1) / 10));
+    deciles = score_deciles ranges;
     scrub_pages;
     scrub_bad;
     ssd_wa = (if !ssd_host = 0 then 1.0 else float_of_int !ssd_dev /. float_of_int !ssd_host);
@@ -576,6 +672,7 @@ let run ?temp walloc vols batch =
   let pool = Aggregate.pool aggregate in
   let sc = Domain.DLS.get scratch_key in
   let ops = batch.len in
+  Telemetry.span_enter Span.Place;
   (* Group the writes by volume, volumes in first-appearance order and
      writes in staging order within each: rank the volumes, then a
      stable counting sort of the batch indices into [order]. *)
@@ -688,6 +785,7 @@ let run ?temp walloc vols batch =
           !lat_over )
         :: !lat_groups
   done;
+  Telemetry.span_exit Span.Place;
   (* 2. Commit delayed frees (aggregate + volumes) and flush metafiles.
         Concurrent frees queued by allocation-pool domains drain first, in
         shard order, into the aggregate's validated queue. *)
@@ -713,6 +811,8 @@ let run ?temp walloc vols batch =
   sc.locals <- grow sc.locals !placed;
   sc.local_cls <- grow sc.local_cls !placed;
   sc.stream <- grow sc.stream !placed;
+  sc.sorted <- grow sc.sorted !placed;
+  sc.sorted_cls <- grow sc.sorted_cls !placed;
   let starts =
     split_by_range ~cls:(sc.placed_cls, sc.local_cls) aggregate sc ~src:sc.placed !placed
       ~dst:sc.locals
@@ -737,7 +837,9 @@ let run ?temp walloc vols batch =
   in
   (* 4. CP boundary: batched score updates, cache rebalance. *)
   Wafl_fault.Crash.point "cp.score_refile";
+  Telemetry.span_enter Span.Refile;
   Write_alloc.cp_finish walloc;
+  Telemetry.span_exit Span.Refile;
   Wafl_fault.Crash.point "cp.topaa_write";
   (* Persist the integrity sidecars for every page sealed this CP and
      advance the committed generation — the durable close of the CP when
@@ -799,7 +901,9 @@ let run ?temp walloc vols batch =
         | Some fs -> fs.Wafl_fault.Fault.penalty_us
         | None -> 0.0)
       ~pick_ns ~harvest_ns;
+  Telemetry.span_enter Span.Publish;
   publish aggregate report;
+  Telemetry.span_exit Span.Publish;
   (* Tick the temperature clock after the CP's placements: lifespans are
      measured in whole CPs between a birth and the overwrite killing it. *)
   (match temp with Some tm -> Temperature.advance_cp tm | None -> ());

@@ -204,9 +204,10 @@ let ensure_scratch t n =
   end
 
 (* Process one flush's host writes for [stream].  The batch is staged in
-   the reused scratch array — sorted, deduplicated and fault-filtered in
-   place — then walked in erase-block runs, so a large CP flush costs no
-   per-batch heap beyond (rare) scratch growth. *)
+   the reused scratch array — sorted and deduplicated (a linear check for
+   the CP's presorted slices) and fault-filtered in place — then walked in
+   erase-block runs, so a large CP flush costs no per-batch heap beyond
+   (rare) scratch growth. *)
 let write_batch ?(stream = 0) t pages ~pos ~len:n =
   check_stream t stream;
   if n > 0 then begin

@@ -95,11 +95,14 @@ val open_blocks_of_stream : t -> int -> int
 
 val write_batch : ?stream:int -> t -> int array -> pos:int -> len:int -> unit
 (** Process one flush's host writes, the logical page numbers
-    [pages.(pos .. pos+len-1)] (duplicates are coalesced; [pages] is only
-    read), under the given stream (default 0).  Pages become live.
-    The batch is copied onto a reused scratch array — sorted, deduplicated
-    and walked in erase-block runs in place — so large CP flushes do not
-    allocate per batch. *)
+    [pages.(pos .. pos+len-1)] ([pages] is only read), under the given
+    stream (default 0).  Pages become live.  The CP passes each stream's
+    pages sorted and duplicate-free (its one sort per range, the slice the
+    RAID group also reads), which costs one linear check here; any other
+    order is sorted, and duplicates are coalesced, with the same result.
+    The batch is copied onto a reused scratch array and walked in
+    erase-block runs in place, so large CP flushes do not allocate per
+    batch.  Raises [Invalid_argument] for a page outside the device. *)
 
 val trim : t -> int -> unit
 (** Host free: the page is no longer live; no-op when already dead. *)

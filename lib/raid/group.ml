@@ -11,10 +11,18 @@ type totals = {
   chain_blocks : int;
 }
 
-(* [scratch] stages one flush's VBNs for the accounting kernel.  It grows
-   to the largest flush seen and is never shrunk; nothing in [t] is sized
-   by the geometry, so a mount's fresh groups cost no per-stripe memory. *)
-type t = { geometry : Geometry.t; mutable totals : totals; mutable scratch : int array }
+(* [scratch] stages one flush's VBNs, then their DBNs, for the accounting
+   kernel.  It grows to the largest flush seen and is never shrunk;
+   [cursor] and [stop] are the stripe pass's per-device merge cursors.
+   Nothing in [t] is sized by the stripe count, so a mount's fresh groups
+   cost no per-stripe memory. *)
+type t = {
+  geometry : Geometry.t;
+  mutable totals : totals;
+  mutable scratch : int array;
+  cursor : int array;
+  stop : int array;
+}
 
 let empty_totals geom =
   {
@@ -30,7 +38,15 @@ let empty_totals geom =
     chain_blocks = 0;
   }
 
-let create geometry = { geometry; totals = empty_totals geometry; scratch = [||] }
+let create geometry =
+  let data = Geometry.data_devices geometry in
+  {
+    geometry;
+    totals = empty_totals geometry;
+    scratch = [||];
+    cursor = Array.make data 0;
+    stop = Array.make data 0;
+  }
 
 let geometry t = t.geometry
 
@@ -41,19 +57,25 @@ type flush_report = {
   chain_blocks : int;
 }
 
-(* The flush accounting kernel: two sorts of the reused scratch array and
-   two linear passes, with no per-block allocation.
+(* The flush accounting kernel: one [sort_uniq] of the reused scratch
+   array, which is a linear check when the VBNs arrive sorted and
+   duplicate-free (as the CP hands them over), then a walk and a merge,
+   with no per-block allocation.
 
-   Pass 1 sorts and dedups the VBNs.  VBNs are device-major, so one walk
+   Pass 1 walks the distinct VBNs.  VBNs are device-major, so one walk
    yields the per-device counts and the write chains: a chain breaks where
    the next VBN is not [prev + 1] or lies on another device (the last DBN
    of one device and DBN 0 of the next are adjacent VBNs but two I/Os).
-   The same walk re-keys each VBN to [stripe * data_devices + device].
+   The same walk replaces each VBN by its DBN, which is its stripe, and
+   marks where each device's run starts and stops.
 
-   Pass 2 sorts the keys, which groups them by stripe: one walk counts the
-   blocks per stripe (full or partial, hence parity writes and
-   read-modify-write reads) and the distinct [stripe / 64] values, which
-   are the tetrises written. *)
+   Pass 2 merges the per-device runs, each ascending by stripe: every step
+   takes the lowest stripe under the cursors and advances each cursor that
+   is on it, so it visits the stripes in order and counts the blocks of
+   each (full or partial, hence parity writes and read-modify-write
+   reads) and the distinct [stripe / 64] values, which are the tetrises
+   written.  A step looks at every device's cursor once, so the pass
+   costs [data] compares per stripe written. *)
 let record_flush t ~vbns ~pos ~len =
   let geom = t.geometry in
   let data = Geometry.data_devices geom in
@@ -61,7 +83,7 @@ let record_flush t ~vbns ~pos ~len =
   let device_blocks = Geometry.device_blocks geom in
   if Array.length t.scratch < len then
     t.scratch <- Array.make (max len (2 * Array.length t.scratch)) 0;
-  let a = t.scratch in
+  let a = t.scratch and cursor = t.cursor and stop = t.stop in
   let total = Geometry.total_blocks geom in
   for i = 0 to len - 1 do
     let vbn = vbns.(pos + i) in
@@ -70,6 +92,8 @@ let record_flush t ~vbns ~pos ~len =
   done;
   (* pass 1: devices and chains *)
   let n = Wafl_util.Int_sort.sort_uniq a ~len in
+  Array.fill cursor 0 data 0;
+  Array.fill stop 0 data 0;
   let per_device = Array.make data 0 in
   let chains = ref 0 in
   let prev = ref (-2) and prev_device = ref (-1) in
@@ -77,23 +101,32 @@ let record_flush t ~vbns ~pos ~len =
     let vbn = a.(i) in
     let device = vbn / device_blocks in
     per_device.(device) <- per_device.(device) + 1;
+    if device <> !prev_device then cursor.(device) <- i;
+    stop.(device) <- i + 1;
     if vbn <> !prev + 1 || device <> !prev_device then incr chains;
     prev := vbn;
     prev_device := device;
-    a.(i) <- ((vbn - (device * device_blocks)) * data) + device
+    a.(i) <- vbn - (device * device_blocks)
   done;
   (* pass 2: stripes and tetrises *)
-  Wafl_util.Int_sort.sort a ~len:n;
   let full = ref 0 and partial = ref 0 and in_partial = ref 0 in
   let tetrises = ref 0 and prev_tetris = ref (-1) in
-  let i = ref 0 in
-  while !i < n do
-    let stripe = a.(!i) / data in
-    let j = ref (!i + 1) in
-    while !j < n && a.(!j) / data = stripe do
-      incr j
+  let remaining = ref n in
+  while !remaining > 0 do
+    let stripe = ref max_int in
+    for d = 0 to data - 1 do
+      if cursor.(d) < stop.(d) && a.(cursor.(d)) < !stripe then stripe := a.(cursor.(d))
     done;
-    let count = !j - !i in
+    let stripe = !stripe in
+    let count = ref 0 in
+    for d = 0 to data - 1 do
+      if cursor.(d) < stop.(d) && a.(cursor.(d)) = stripe then begin
+        cursor.(d) <- cursor.(d) + 1;
+        incr count
+      end
+    done;
+    let count = !count in
+    remaining := !remaining - count;
     if count = data then incr full
     else begin
       incr partial;
@@ -103,8 +136,7 @@ let record_flush t ~vbns ~pos ~len =
     if tetris <> !prev_tetris then begin
       incr tetrises;
       prev_tetris := tetris
-    end;
-    i := !j
+    end
   done;
   let stripes = !full + !partial in
   let classification =

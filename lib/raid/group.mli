@@ -33,11 +33,15 @@ type flush_report = {
 val record_flush : t -> vbns:int array -> pos:int -> len:int -> flush_report
 (** Account one CP's writes, [vbns.(pos .. pos+len-1)], to this group and
     return that flush's own classification, tetris summary and chain
-    counts.  Duplicate VBNs count once; [vbns] is only read.  The VBNs
-    are copied into a scratch array the group keeps (grown to
-    the largest flush, never shrunk) and sorted there twice, so the work
-    allocates nothing per block: a flush's heap cost is its report alone.
-    Raises [Invalid_argument] for a VBN outside the group. *)
+    counts.  [vbns] is only read.  The CP passes each range's writes
+    sorted and duplicate-free (sorted once per CP, the same slice the
+    FTL reads); that input costs one linear check.  Any other order, and
+    duplicates, are accepted too: they are sorted and duplicates count
+    once.  The VBNs are copied into a scratch array the group keeps
+    (grown to the largest flush, never shrunk), and the stripe pass is a
+    merge of the per-device runs, so the work allocates nothing per
+    block: a flush's heap cost is its report alone.  Raises
+    [Invalid_argument] for a VBN outside the group. *)
 
 val totals : t -> totals
 

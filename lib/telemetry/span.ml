@@ -6,6 +6,9 @@ type kind =
   | Device_flush
   | Activemap_commit
   | Bit_clear
+  | Place
+  | Refile
+  | Publish
   | Mount_rebuild
   | Iron
   | Cleaner
@@ -13,8 +16,8 @@ type kind =
 
 let all =
   [
-    Cp; Pick; Harvest; Tetris_write; Device_flush; Activemap_commit; Bit_clear;
-    Mount_rebuild; Iron; Cleaner; Scrub;
+    Cp; Pick; Harvest; Tetris_write; Device_flush; Activemap_commit; Bit_clear; Place;
+    Refile; Publish; Mount_rebuild; Iron; Cleaner; Scrub;
   ]
 
 let index = function
@@ -25,12 +28,15 @@ let index = function
   | Device_flush -> 4
   | Activemap_commit -> 5
   | Bit_clear -> 6
-  | Mount_rebuild -> 7
-  | Iron -> 8
-  | Cleaner -> 9
-  | Scrub -> 10
+  | Place -> 7
+  | Refile -> 8
+  | Publish -> 9
+  | Mount_rebuild -> 10
+  | Iron -> 11
+  | Cleaner -> 12
+  | Scrub -> 13
 
-let n_kinds = 11
+let n_kinds = 14
 
 let name = function
   | Cp -> "cp"
@@ -40,6 +46,9 @@ let name = function
   | Device_flush -> "cp.device_flush"
   | Activemap_commit -> "cp.activemap_commit"
   | Bit_clear -> "cp.activemap_commit.bit_clear"
+  | Place -> "cp.place"
+  | Refile -> "cp.refile"
+  | Publish -> "cp.publish"
   | Mount_rebuild -> "mount.rebuild"
   | Iron -> "iron"
   | Cleaner -> "cleaner"
@@ -47,7 +56,8 @@ let name = function
 
 let parent = function
   | Cp | Mount_rebuild | Iron | Cleaner | Scrub -> None
-  | Pick | Harvest | Tetris_write | Device_flush | Activemap_commit -> Some Cp
+  | Pick | Harvest | Tetris_write | Device_flush | Activemap_commit | Place | Refile | Publish ->
+    Some Cp
   | Bit_clear -> Some Activemap_commit
 
 let rec depth k = match parent k with None -> 0 | Some p -> 1 + depth p

@@ -11,6 +11,12 @@
     activemap commit) without runtime stacks, which is what keeps exits
     from concurrent domains well-defined.
 
+    The parent relation names where a kind is reported, not every span
+    it runs inside: in a CP, [Pick] and [Harvest] run inside [Place],
+    and [Tetris_write] inside [Device_flush].  A CP's disjoint phases are
+    [Place], [Activemap_commit], [Device_flush], [Refile] and [Publish];
+    the rest of the [Cp] span is unattributed.
+
     Callers normally go through {!Telemetry.span_enter} /
     {!Telemetry.span_exit}, which are single-branch no-ops when no
     telemetry instance is installed — the zero-allocation contract of the
@@ -24,6 +30,9 @@ type kind =
   | Device_flush  (** one range's device simulation (may run on a pool domain) *)
   | Activemap_commit  (** delayed-free commit + metafile flush *)
   | Bit_clear  (** the bit-clearing apply inside the activemap commit *)
+  | Place  (** step 1 of [Cp.run]: allocate and place every staged write *)
+  | Refile  (** step 4 of [Cp.run]: batched score refile and cache rebalance *)
+  | Publish  (** the CP report's counters and time-series row *)
   | Mount_rebuild  (** full-scan or TopAA mount ([Mount.mount]) *)
   | Iron  (** consistency check / repair scans *)
   | Cleaner  (** segment-cleaning passes *)

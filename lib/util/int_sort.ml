@@ -4,7 +4,7 @@ let[@inline] swap (a : int array) i j =
   Array.unsafe_set a j x
 
 (* Quicksort (median-of-three, insertion below 16) over [a.(lo .. hi)].
-   Bounds are checked once in [sort]; no closure, no boxed value, so the
+   Bounds are checked once, by [check]; no closure, no boxed value, so the
    sort allocates nothing whatever the range length.  The [int array]
    annotation matters: left polymorphic, every [<] would be a call to the
    generic compare. *)
@@ -43,18 +43,35 @@ let rec sort_range (a : int array) lo hi =
     sort_range a !i hi
   end
 
-let sort a ~len =
-  if len < 0 || len > Array.length a then invalid_arg "Int_sort.sort: length out of bounds";
-  sort_range a 0 (len - 1)
+let check a pos len =
+  if pos < 0 || len < 0 || pos + len > Array.length a then
+    invalid_arg "Int_sort.sort: length out of bounds"
+
+let sort ?(pos = 0) a ~len =
+  check a pos len;
+  sort_range a pos (pos + len - 1)
+
+(* Whether [a.(0 .. len-1)] is strictly ascending: sorted and
+   duplicate-free, the shape the CP hands its consumers. *)
+let strictly_ascending (a : int array) len =
+  let i = ref 1 in
+  while !i < len && Array.unsafe_get a (!i - 1) < Array.unsafe_get a !i do
+    incr i
+  done;
+  !i >= len
 
 let sort_uniq (a : int array) ~len =
-  sort a ~len;
-  let m = ref 0 in
-  for i = 0 to len - 1 do
-    let v = Array.unsafe_get a i in
-    if i = 0 || v <> Array.unsafe_get a (!m - 1) then begin
-      Array.unsafe_set a !m v;
-      incr m
-    end
-  done;
-  !m
+  check a 0 len;
+  if strictly_ascending a len then len
+  else begin
+    sort_range a 0 (len - 1);
+    let m = ref 0 in
+    for i = 0 to len - 1 do
+      let v = Array.unsafe_get a i in
+      if i = 0 || v <> Array.unsafe_get a (!m - 1) then begin
+        Array.unsafe_set a !m v;
+        incr m
+      end
+    done;
+    !m
+  end

@@ -242,6 +242,26 @@ let test_ftl_wear_counters () =
   check_int "wear is physical state, survives reset" 2 (Ftl.wear_of_eb f ~eb:0);
   check_int "erase counter is a statistic, resets" 0 (Ftl.stats f).Ftl.erases
 
+(* The CP hands the FTL each batch sorted and duplicate-free.  The same
+   pages shuffled, each repeated once, must leave the device exactly as
+   the presorted batches do: stats, live pages and wear. *)
+let test_ftl_presorted_matches_shuffled () =
+  let rng = Random.State.make [| 17 |] in
+  let sorted_ftl = small_ssd () and shuffled_ftl = small_ssd () in
+  for _ = 1 to 20 do
+    let start = Random.State.int rng 768 in
+    let pages =
+      List.sort_uniq Int.compare
+        (List.init 96 (fun _ -> start + Random.State.int rng 256))
+    in
+    write_batch sorted_ftl pages;
+    let keyed = List.map (fun p -> (Random.State.bits rng, p)) (pages @ pages) in
+    write_batch shuffled_ftl (List.map snd (List.sort compare keyed))
+  done;
+  let state f = (Ftl.stats f, Ftl.live_pages_in f ~start:0 ~len:1024, Ftl.wear_spread f) in
+  check_bool "identical stats, live pages and wear" true (state sorted_ftl = state shuffled_ftl);
+  check_bool "the batches relocated" true ((Ftl.stats sorted_ftl).Ftl.relocated_pages > 0)
+
 let test_ftl_service_time () =
   let f = small_ssd () in
   let before = Ftl.stats f in
@@ -450,6 +470,8 @@ let () =
           Alcotest.test_case "trim in open block" `Quick test_ftl_trim_open_block;
           Alcotest.test_case "wear counters" `Quick test_ftl_wear_counters;
           Alcotest.test_case "service time" `Quick test_ftl_service_time;
+          Alcotest.test_case "presorted matches shuffled" `Quick
+            test_ftl_presorted_matches_shuffled;
         ]
         @ qsuite );
       ( "azcs",

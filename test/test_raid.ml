@@ -330,11 +330,13 @@ let same_report (a : Group.flush_report) (b : Group.flush_report) =
   && a.tetris.Tetris.per_device_blocks = b.tetris.Tetris.per_device_blocks
   && a.chains = b.chains && a.chain_blocks = b.chain_blocks
 
+(* Each generated flush runs twice: as generated, and in the shape the CP
+   hands a group (sorted and duplicate-free), each into its own group. *)
 let prop_kernel_matches_reference =
   QCheck.Test.make ~name:"record_flush matches the list reference" ~count:300
     QCheck.(make ~print:Print.(list (list int)) Gen.(list_size (int_range 1 6) gen_flush))
     (fun flushes ->
-      let g = Group.create small in
+      let g = Group.create small and g_sorted = Group.create small in
       let expected =
         List.fold_left
           (fun tot vbns ->
@@ -342,11 +344,14 @@ let prop_kernel_matches_reference =
             if not (same_report (record g vbns) want) then
               QCheck.Test.fail_reportf "flush report differs on %s"
                 (QCheck.Print.(list int) vbns);
+            if not (same_report (record g_sorted (Naive.distinct vbns)) want) then
+              QCheck.Test.fail_reportf "sorted flush report differs on %s"
+                (QCheck.Print.(list int) vbns);
             Naive.accumulate tot want)
           (Group.totals (Group.create small))
           flushes
       in
-      Group.totals g = expected)
+      Group.totals g = expected && Group.totals g_sorted = expected)
 
 let test_group_empty_flush () =
   let g = Group.create geom in

@@ -340,9 +340,25 @@ let test_json_errors () =
 
 (* --- Int_sort --- *)
 
+(* The prefix takes each shape the sorts meet: random values, already
+   ascending (the CP's sorted slices, which [sort_uniq] only checks),
+   ascending with repeats, descending and all equal. *)
+let gen_int_sort_prefix =
+  QCheck.Gen.(
+    map2
+      (fun shape xs ->
+        match shape with
+        | 0 -> xs
+        | 1 -> List.sort_uniq Int.compare xs
+        | 2 -> List.sort Int.compare (xs @ xs)
+        | 3 -> List.rev (List.sort Int.compare xs)
+        | _ -> List.map (fun _ -> 7) xs)
+      (int_bound 4)
+      (list_size (int_bound 200) (int_range (-50) 50)))
+
 let prop_int_sort_matches_list_sort =
-  QCheck.Test.make ~name:"int_sort sorts and dedups a prefix like List" ~count:300
-    QCheck.(pair (list (int_range (-50) 50)) small_nat)
+  QCheck.Test.make ~name:"int_sort sorts and dedups a prefix like List" ~count:500
+    QCheck.(pair (make ~print:Print.(list int) gen_int_sort_prefix) small_nat)
     (fun (xs, tail) ->
       let len = List.length xs in
       let a = Array.of_list (xs @ List.init tail (fun i -> 1000 + i)) in
@@ -351,7 +367,8 @@ let prop_int_sort_matches_list_sort =
       let m = Wafl_util.Int_sort.sort_uniq b ~len in
       Array.to_list (Array.sub a 0 len) = List.sort Int.compare xs
       && Array.to_list (Array.sub b 0 m) = List.sort_uniq Int.compare xs
-      && Array.sub a len tail = Array.init tail (fun i -> 1000 + i))
+      && Array.sub a len tail = Array.init tail (fun i -> 1000 + i)
+      && Array.sub b len tail = Array.init tail (fun i -> 1000 + i))
 
 let test_int_sort_allocates_nothing () =
   let n = 10_000 in
