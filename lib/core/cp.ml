@@ -117,8 +117,6 @@ type scratch = {
   mutable sorted_cls : int array;  (* ... and their classes *)
   mutable stream : int array;  (* per-stream batches, within a range's slice *)
   mutable freed_locals : int array;  (* freed PVBNs by range, range-local *)
-  mutable score_counts : int array;  (* [view]'s AA-score histogram: per value *)
-  mutable score_blocks : int array;  (* ... and per 64 values *)
 }
 
 let scratch_key =
@@ -137,8 +135,6 @@ let scratch_key =
         sorted_cls = [||];
         stream = [||];
         freed_locals = [||];
-        score_counts = [||];
-        score_blocks = [||];
       })
 
 (* [a] when it holds [n] slots, else a fresh array of at least twice its
@@ -422,66 +418,17 @@ type view = {
   lat : float array array;  (* [|p50; p99; p999|]: overall, then volume slots 0..3 *)
 }
 
-(* The nine deciles of every range's AA scores: the value at sorted rank
-   [(k+1) * (n-1) / 10], as a sort of all the scores would give it, read
-   from a histogram instead.  A score is a free count, at most the full
-   AA capacity; the histogram spans the scores present, [lo .. hi], so a
-   drifted score still counts.  It has two levels so that a row costs
-   O(scores + width / 64), not O(width): a rig with a few large AAs (16
-   of 32,768 blocks under [top --ssd]) would otherwise walk and clear a
-   32,768-slot array per row.  Coarse counts of 64 values each find the
-   blocks the ranks fall in, and only those blocks' fine counts are
-   walked.  The fine counts are all zero between rows: each row clears
-   the slots its scores touched. *)
-let score_deciles ranges =
-  let each f =
-    Array.iter (fun (r : Aggregate.range) -> Array.iter f r.Aggregate.space.Space.scores) ranges
-  in
-  let lo = ref max_int and hi = ref min_int and n = ref 0 in
-  each (fun s ->
-      incr n;
-      if s < !lo then lo := s;
-      if s > !hi then hi := s);
-  let n = !n and lo = !lo in
-  let rank k = (k + 1) * (n - 1) / 10 in
-  let deciles = Array.make 9 0.0 in
-  if n > 0 then begin
-    let sc = Domain.DLS.get scratch_key in
-    let width = !hi - lo + 1 in
-    let blocks = (width + 63) / 64 in
-    sc.score_counts <- grow sc.score_counts width;
-    sc.score_blocks <- grow sc.score_blocks blocks;
-    let fine = sc.score_counts and coarse = sc.score_blocks in
-    Array.fill coarse 0 blocks 0;
-    each (fun s ->
-        let v = s - lo in
-        fine.(v) <- fine.(v) + 1;
-        coarse.(v / 64) <- coarse.(v / 64) + 1);
-    (* decile [k] is the first value whose count carries the running
-       total past [rank k] *)
-    let k = ref 0 and below = ref 0 in
-    for b = 0 to blocks - 1 do
-      let next = !below + coarse.(b) in
-      if !k < 9 && rank !k < next then begin
-        let total = ref !below in
-        for v = b * 64 to min width ((b + 1) * 64) - 1 do
-          total := !total + fine.(v);
-          while !k < 9 && rank !k < !total do
-            deciles.(!k) <- float_of_int (lo + v);
-            incr k
-          done
-        done
-      end;
-      below := next
-    done;
-    each (fun s -> fine.(s - lo) <- 0)
-  end;
-  deciles
-
 let view tel aggregate =
   let reg = Telemetry.registry tel in
   let ranges = Aggregate.ranges aggregate in
   let free_runs, largest_run = Aggregate.free_run_stats aggregate in
+  let scores =
+    Array.concat
+      (Array.to_list
+         (Array.map (fun (r : Aggregate.range) -> r.Aggregate.space.Space.scores) ranges))
+  in
+  Array.sort Int.compare scores;
+  let n = Array.length scores in
   let ssd_host = ref 0 and ssd_dev = ref 0 and ssd_wear = ref 0 in
   Array.iter
     (fun (r : Aggregate.range) ->
@@ -503,7 +450,8 @@ let view tel aggregate =
     total = Aggregate.total_blocks aggregate;
     free_runs;
     largest_run;
-    deciles = score_deciles ranges;
+    deciles =
+      Array.init 9 (fun k -> if n = 0 then 0.0 else float_of_int scores.((k + 1) * (n - 1) / 10));
     scrub_pages;
     scrub_bad;
     ssd_wa = (if !ssd_host = 0 then 1.0 else float_of_int !ssd_dev /. float_of_int !ssd_host);

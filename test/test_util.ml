@@ -340,35 +340,39 @@ let test_json_errors () =
 
 (* --- Int_sort --- *)
 
-(* The prefix takes each shape the sorts meet: random values, already
-   ascending (the CP's sorted slices, which [sort_uniq] only checks),
-   ascending with repeats, descending and all equal. *)
-let gen_int_sort_prefix =
-  QCheck.Gen.(
-    map2
-      (fun shape xs ->
-        match shape with
-        | 0 -> xs
-        | 1 -> List.sort_uniq Int.compare xs
-        | 2 -> List.sort Int.compare (xs @ xs)
-        | 3 -> List.rev (List.sort Int.compare xs)
-        | _ -> List.map (fun _ -> 7) xs)
-      (int_bound 4)
-      (list_size (int_bound 200) (int_range (-50) 50)))
+(* [sort] and [sort_uniq] on the prefix [xs] of an array agree with
+   List's, and leave the [tail] slots after it alone. *)
+let int_sort_agrees_with_list xs tail =
+  let len = List.length xs in
+  let a = Array.of_list (xs @ List.init tail (fun i -> 1000 + i)) in
+  let b = Array.copy a in
+  Wafl_util.Int_sort.sort a ~len;
+  let m = Wafl_util.Int_sort.sort_uniq b ~len in
+  Array.to_list (Array.sub a 0 len) = List.sort Int.compare xs
+  && Array.to_list (Array.sub b 0 m) = List.sort_uniq Int.compare xs
+  && Array.sub a len tail = Array.init tail (fun i -> 1000 + i)
+  && Array.sub b len tail = Array.init tail (fun i -> 1000 + i)
 
 let prop_int_sort_matches_list_sort =
-  QCheck.Test.make ~name:"int_sort sorts and dedups a prefix like List" ~count:500
-    QCheck.(pair (make ~print:Print.(list int) gen_int_sort_prefix) small_nat)
-    (fun (xs, tail) ->
-      let len = List.length xs in
-      let a = Array.of_list (xs @ List.init tail (fun i -> 1000 + i)) in
-      let b = Array.copy a in
-      Wafl_util.Int_sort.sort a ~len;
-      let m = Wafl_util.Int_sort.sort_uniq b ~len in
-      Array.to_list (Array.sub a 0 len) = List.sort Int.compare xs
-      && Array.to_list (Array.sub b 0 m) = List.sort_uniq Int.compare xs
-      && Array.sub a len tail = Array.init tail (fun i -> 1000 + i)
-      && Array.sub b len tail = Array.init tail (fun i -> 1000 + i))
+  QCheck.Test.make ~name:"int_sort sorts and dedups a prefix like List" ~count:300
+    QCheck.(pair (list (int_range (-50) 50)) small_nat)
+    (fun (xs, tail) -> int_sort_agrees_with_list xs tail)
+
+(* The shaped inputs the sorts also meet: already ascending (the CP's
+   sorted slices, which [sort_uniq] only checks), ascending with
+   repeats, descending and all equal.  The list is drawn as above, so
+   sizes and shrinking are the same. *)
+let int_sort_shape shape xs =
+  match shape with
+  | 0 -> List.sort_uniq Int.compare xs
+  | 1 -> List.sort Int.compare (xs @ xs)
+  | 2 -> List.rev (List.sort Int.compare xs)
+  | _ -> List.map (fun _ -> 7) xs
+
+let prop_int_sort_shaped_inputs =
+  QCheck.Test.make ~name:"int_sort sorts and dedups shaped prefixes like List" ~count:300
+    QCheck.(triple (int_bound 3) (list (int_range (-50) 50)) small_nat)
+    (fun (shape, xs, tail) -> int_sort_agrees_with_list (int_sort_shape shape xs) tail)
 
 let test_int_sort_allocates_nothing () =
   let n = 10_000 in
@@ -385,7 +389,10 @@ let test_int_sort_allocates_nothing () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_histo_total_conserved ] in
-  let sort_suite = List.map QCheck_alcotest.to_alcotest [ prop_int_sort_matches_list_sort ] in
+  let sort_suite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_int_sort_matches_list_sort; prop_int_sort_shaped_inputs ]
+  in
   Alcotest.run "wafl_util"
     [
       ( "rng",
