@@ -147,11 +147,10 @@ let run_overhead () =
       ~installed:(mmap_cp_secs ~sealed:true ~cps:8 ~ops:8000)
   in
   let latency =
-    let model = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default in
     overhead_ok "latency recorder"
       ~base:(fun () -> sequential_cp_secs ~tel:(Telemetry.create ()) ~cps:20 ~ops:1000 ())
       ~installed:(fun () ->
-        let latency = Latency.create ~model () in
+        let latency = Latency.create () in
         sequential_cp_secs ~tel:(Telemetry.create ~latency ()) ~cps:20 ~ops:1000 ())
   in
   telemetry && sealing && latency

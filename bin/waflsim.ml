@@ -198,17 +198,14 @@ let flush_telemetry out tel =
       Printf.printf "telemetry: time series written to %s\n%!" path)
     out.timeseries_out
 
-(* A --latency / --slo run gets a request-latency recorder seeded with the
-   sim's cost constants, so the modeled per-op clock and the analytic
-   M/G/1 sweeps price the same work identically. *)
+(* A --latency / --slo run gets a request-latency recorder; its modeled
+   per-op clock and the analytic M/G/1 sweeps price work from the same
+   cost table. *)
 let make_latency out =
   if out.latency || out.slos <> [] then
     match if out.slos = [] then None else Some (Slo.create out.slos) with
     | slo ->
-      Some
-        (Latency.create
-           ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
-           ?slo ())
+      Some (Latency.create ?slo ())
     | exception Invalid_argument msg ->
       Printf.eprintf "waflsim: %s\n" msg;
       exit 2

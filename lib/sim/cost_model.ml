@@ -1,24 +1,5 @@
 open Wafl_core
 
-type t = {
-  cpu_base_us_per_op : float;
-  metafile_page_cpu_us : float;
-  metafile_page_write_us : float;
-  cache_work_unit_us : float;
-  read_fraction_us : float;
-  alloc_candidate_us : float;
-}
-
-let default =
-  {
-    cpu_base_us_per_op = 100.0;
-    metafile_page_cpu_us = 15.0;
-    metafile_page_write_us = 25.0;
-    cache_work_unit_us = 0.05;
-    read_fraction_us = 0.0;
-    alloc_candidate_us = 8.0;
-  }
-
 type op_costs = {
   ops : int;
   cpu_us_per_op : float;
@@ -27,7 +8,9 @@ type op_costs = {
   cp_duration_us : float;
 }
 
-let of_report ?(model = default) (r : Cp.report) =
+let model = Wafl_telemetry.Latency.model
+
+let of_report (r : Cp.report) =
   if r.Cp.ops <= 0 then invalid_arg "Cost_model.of_report: empty CP";
   let ops = float_of_int r.Cp.ops in
   let pages = float_of_int (r.Cp.agg_metafile_pages + r.Cp.vol_metafile_pages) in
@@ -45,19 +28,6 @@ let of_report ?(model = default) (r : Cp.report) =
     cache_us_per_op = cache_us /. ops;
     service_time_us = (cpu_total +. io_total) /. ops;
     cp_duration_us = cpu_total +. io_total;
-  }
-
-(* The latency layer lives below the sim (telemetry can't depend on sim),
-   so it keeps its own copy of the cost constants; this is the one
-   conversion point, and a test pins
-   [latency_model default = Latency.default_model]. *)
-let latency_model m =
-  {
-    Wafl_telemetry.Latency.cpu_base_us_per_op = m.cpu_base_us_per_op;
-    metafile_page_cpu_us = m.metafile_page_cpu_us;
-    metafile_page_write_us = m.metafile_page_write_us;
-    cache_work_unit_us = m.cache_work_unit_us;
-    alloc_candidate_us = m.alloc_candidate_us;
   }
 
 let combine costs =

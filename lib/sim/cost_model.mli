@@ -12,27 +12,9 @@
       already parallel across ranges),
     - the cache maintenance work (abstract units from {!Wafl_aacache.Cache}).
 
-    All constants are per-simulated-core microseconds; absolute values are
+    The constants are {!Wafl_telemetry.Latency.model}, the one cost table
+    the request-latency clock also prices with; absolute values are
     calibration, the experiments compare ratios. *)
-
-type t = {
-  cpu_base_us_per_op : float;      (** fixed WAFL code-path cost per op *)
-  metafile_page_cpu_us : float;    (** CPU to update + checksum one page *)
-  metafile_page_write_us : float;  (** device time to write one page *)
-  cache_work_unit_us : float;      (** one abstract cache-maintenance unit *)
-  read_fraction_us : float;        (** extra service time per read op *)
-  alloc_candidate_us : float;
-      (** allocation-path CPU per candidate block examined while gathering
-          an AA's free VBNs; emptier AAs yield more blocks per candidate
-          (the Â§4.1.2 CPU-per-op mechanism) *)
-}
-
-val default : t
-
-val latency_model : t -> Wafl_telemetry.Latency.model
-(** The subset of these constants the request-latency modeled clock uses
-    ({!Wafl_telemetry.Latency}); the conversion point that keeps the two
-    cost tables in lock-step. *)
 
 type op_costs = {
   ops : int;
@@ -42,7 +24,7 @@ type op_costs = {
   cp_duration_us : float;
 }
 
-val of_report : ?model:t -> Wafl_core.Cp.report -> op_costs
+val of_report : Wafl_core.Cp.report -> op_costs
 (** Costs of one CP.  [ops] must be positive in the report. *)
 
 val combine : op_costs list -> op_costs

@@ -10,27 +10,24 @@ type curve = {
   points : point list;
 }
 
-let measure_service_time ?model ~cps ~ops_per_cp ~step () =
+let measure_service_time ~cps ~ops_per_cp ~step () =
   assert (cps > 0 && ops_per_cp > 0);
   let reports = List.init cps (fun _ -> step ops_per_cp) in
-  Cost_model.combine (List.map (fun r -> Cost_model.of_report ?model r) reports)
+  Cost_model.combine (List.map Cost_model.of_report reports)
 
 let default_loads capacity =
   List.map (fun frac -> frac *. capacity)
     [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95; 1.0; 1.1; 1.3; 1.6 ]
 
-let sweep ~label ?(cv2 = 1.0) ?loads (costs : Cost_model.op_costs) =
+let sweep ~label (costs : Cost_model.op_costs) =
   let service_s = costs.Cost_model.service_time_us *. 1e-6 in
-  let capacity = 1.0 /. service_s in
-  let loads = match loads with Some l -> l | None -> default_loads capacity in
-  let throughput = ref 0.0 and latency = ref 0.0 in
+  let loads = default_loads (1.0 /. service_s) in
   let points =
-    List.map
-      (fun offered_load ->
-        Queueing.closed_loop_point ~service_time:service_s ~cv2 ~offered_load ~throughput
-          ~latency;
-        { offered_load; throughput = !throughput; latency_ms = !latency *. 1e3 })
+    List.map2
+      (fun offered_load (throughput, latency) ->
+        { offered_load; throughput; latency_ms = latency *. 1e3 })
       loads
+      (Queueing.sweep ~service_time:service_s ~cv2:1.0 ~loads)
   in
   {
     label;

@@ -24,16 +24,17 @@ type curve = {
 }
 
 val measure_service_time :
-  ?model:Cost_model.t -> cps:int -> ops_per_cp:int ->
+  cps:int -> ops_per_cp:int ->
   step:(int -> Wafl_core.Cp.report) -> unit -> Cost_model.op_costs
 (** Run [cps] consistency points of [ops_per_cp] staged operations each via
     [step] (which stages and runs one CP, returning its report) and combine
     into steady-state per-op costs. *)
 
-val sweep :
-  label:string -> ?cv2:float -> ?loads:float list -> Cost_model.op_costs -> curve
-(** Build the latency-throughput curve for a measured service demand.
-    Default loads ramp from 5% to 160% of the service capacity. *)
+val sweep : label:string -> Cost_model.op_costs -> curve
+(** Build the latency-throughput curve for a measured service demand via
+    {!Wafl_util.Queueing.sweep} with exponential service times
+    ([cv2 = 1]); offered loads ramp from 5% to 160% of the service
+    capacity. *)
 
 val peak_throughput : curve -> float
 val latency_at_peak_ms : curve -> float

@@ -317,7 +317,7 @@ let metrics_prom tel =
       (fun op ->
         List.iter
           (fun (slot, vname) ->
-            let h = Latency.merged ~op ~vol:slot lat in
+            let h = Latency.cell lat ~op ~vol:slot in
             if Hdrhist.count h > 0 then begin
               let labels =
                 Printf.sprintf "op=\"%s\",vol=\"%s\"" (Latency.op_name op)

@@ -89,16 +89,6 @@ let quantile t q =
     !res
   end
 
-let merge_into ~dst src =
-  for i = 0 to n_buckets - 1 do
-    let c = src.counts.(i) in
-    if c > 0 then dst.counts.(i) <- dst.counts.(i) + c
-  done;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum + src.sum;
-  if src.max_v > dst.max_v then dst.max_v <- src.max_v;
-  if src.min_v < dst.min_v then dst.min_v <- src.min_v
-
 let iter_nonempty t f =
   for i = 0 to n_buckets - 1 do
     let c = t.counts.(i) in

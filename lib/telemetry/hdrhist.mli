@@ -3,9 +3,8 @@
     Values are non-negative integers (nanoseconds by convention).  Buckets
     are exact for values below 64 and log-linear above: each power-of-two
     decade is split into 32 linear sub-buckets, bounding the relative
-    quantile error at 1/32 (~3.1%).  Recording is allocation-free and
-    lock-free on a single histogram; concurrent recording into the *same*
-    histogram is not supported — shard per domain and [merge_into] instead
+    quantile error at 1/32 (~3.1%).  Recording is allocation-free; a
+    histogram is not domain-safe, so record into it from one domain only
     (see {!Latency}). *)
 
 type t
@@ -34,10 +33,6 @@ val quantile : t -> float -> int
     rank, clamped to [max_value t].  [0] when empty.  The estimate is
     within one bucket width of the exact order statistic (relative error
     <= 1/32 for values >= 64). *)
-
-val merge_into : dst:t -> t -> unit
-(** Add every bucket count (and the exact sum/count/min/max) of the source
-    into [dst].  The source is unchanged. *)
 
 val index_of : int -> int
 (** Bucket index for a value (exposed for tests). *)

@@ -13,9 +13,7 @@ type model = {
   alloc_candidate_us : float;
 }
 
-(* Must stay field-for-field equal to Sim.Cost_model.default; a test pins
-   this against Cost_model.latency_model Cost_model.default. *)
-let default_model =
+let model =
   {
     cpu_base_us_per_op = 100.0;
     metafile_page_cpu_us = 15.0;
@@ -24,15 +22,8 @@ let default_model =
     alloc_candidate_us = 8.0;
   }
 
-(* One recording domain's private histograms: a cell per (op, vol slot)
-   plus an overall one, created lazily so idle cells cost nothing.  Only
-   the owning domain writes; readers merge possibly-stale counts and
-   become exact after the domain's next synchronising edge (e.g. pool task
-   completion). *)
-type shard = {
-  cells : Hdrhist.t option array; (* n_ops * max_vols *)
-  mutable overall : Hdrhist.t option;
-}
+let max_vols = 16
+let max_exemplars = 32
 
 (* Preallocated exemplar slot: every field is an immediate (ints and
    constant constructors), so capture is a handful of plain stores. *)
@@ -54,12 +45,11 @@ type exemplar = {
 }
 
 type t = {
-  model : model;
   slo : Slo.t option;
-  max_vols : int;
-  lock : Mutex.t; (* guards shard-table growth only *)
-  shards : shard option array Atomic.t; (* indexed by domain id *)
-  (* Serial CP-boundary state below. *)
+  (* Histograms are created on first record, so idle cells cost nothing. *)
+  cells : Hdrhist.t option array; (* n_ops * max_vols, per (op, vol slot) *)
+  vol_hists : Hdrhist.t option array; (* max_vols, both ops *)
+  overall : Hdrhist.t;
   vol_ids : int array; (* uid per slot; -1 = empty *)
   vol_names : string array;
   mutable vols_used : int;
@@ -74,16 +64,12 @@ type t = {
   mutable last_reports : Slo.report list;
 }
 
-let create ?(model = default_model) ?slo ?(max_vols = 16) ?(max_exemplars = 32)
-    () =
-  if max_vols < 1 then invalid_arg "Latency.create: max_vols < 1";
-  if max_exemplars < 1 then invalid_arg "Latency.create: max_exemplars < 1";
+let create ?slo () =
   {
-    model;
     slo;
-    max_vols;
-    lock = Mutex.create ();
-    shards = Atomic.make (Array.make 8 None);
+    cells = Array.make (n_ops * max_vols) None;
+    vol_hists = Array.make max_vols None;
+    overall = Hdrhist.create ();
     vol_ids = Array.make max_vols (-1);
     vol_names = Array.make max_vols "";
     vols_used = 0;
@@ -110,14 +96,14 @@ let vol_slot t ~uid ~name =
   match find 0 with
   | i when i >= 0 -> i
   | _ ->
-    if t.vols_used < t.max_vols then begin
+    if t.vols_used < max_vols then begin
       let i = t.vols_used in
       t.vol_ids.(i) <- uid;
       t.vol_names.(i) <- name;
       t.vols_used <- i + 1;
       i
     end
-    else t.max_vols - 1 (* overflow volumes share the last slot *)
+    else max_vols - 1 (* overflow volumes share the last slot *)
 
 let vols t =
   let rec go i acc =
@@ -125,101 +111,25 @@ let vols t =
   in
   go (t.vols_used - 1) []
 
-(* --- recording ------------------------------------------------------- *)
-
-let new_shard t =
-  { cells = Array.make (n_ops * t.max_vols) None; overall = None }
-
-(* Slow path: grow the shard table (Registry idiom — publish through the
-   Atomic, grow under the lock, copy shard references). *)
-let rec shard_for t =
-  let id = (Domain.self () :> int) in
-  let shards = Atomic.get t.shards in
-  if id < Array.length shards then begin
-    match shards.(id) with
-    | Some s -> s
-    | None ->
-      let s = new_shard t in
-      Mutex.lock t.lock;
-      let shards = Atomic.get t.shards in
-      (match shards.(id) with
-      | Some _ -> ()
-      | None -> shards.(id) <- Some s);
-      Mutex.unlock t.lock;
-      shard_for t
-  end
-  else begin
-    Mutex.lock t.lock;
-    let shards = Atomic.get t.shards in
-    (if id >= Array.length shards then begin
-       let n = ref (max 8 (Array.length shards)) in
-       while !n <= id do
-         n := !n * 2
-       done;
-       Atomic.set t.shards
-         (Array.init !n (fun i ->
-              if i < Array.length shards then shards.(i) else None))
-     end);
-    Mutex.unlock t.lock;
-    shard_for t
-  end
-
-let cell_hist s idx =
-  match s.cells.(idx) with
-  | Some h -> h
-  | None ->
-    let h = Hdrhist.create () in
-    s.cells.(idx) <- Some h;
-    h
-
-let overall_hist s =
-  match s.overall with
-  | Some h -> h
-  | None ->
-    let h = Hdrhist.create () in
-    s.overall <- Some h;
-    h
-
-let record t ~op ~vol ns =
-  let vol = if vol < 0 then 0 else if vol >= t.max_vols then t.max_vols - 1 else vol in
-  let s = shard_for t in
-  Hdrhist.record (cell_hist s ((op_index op * t.max_vols) + vol)) ns;
-  Hdrhist.record (overall_hist s) ns
-
 (* --- read side ------------------------------------------------------- *)
 
-let merged ?op ?vol t =
-  let dst = Hdrhist.create () in
-  let shards = Atomic.get t.shards in
-  Array.iter
-    (function
-      | None -> ()
-      | Some s -> (
-        match (op, vol) with
-        | None, None -> (
-          match s.overall with
-          | Some h -> Hdrhist.merge_into ~dst h
-          | None -> ())
-        | _ ->
-          List.iter
-            (fun o ->
-              match op with
-              | Some o' when o' <> o -> ()
-              | _ ->
-                for v = 0 to t.max_vols - 1 do
-                  match vol with
-                  | Some v' when v' <> v -> ()
-                  | _ -> (
-                    match s.cells.((op_index o * t.max_vols) + v) with
-                    | Some h -> Hdrhist.merge_into ~dst h
-                    | None -> ())
-                done)
-            all_ops))
-    shards;
-  dst
+(* Stands in for a histogram nothing has been recorded into; never
+   written. *)
+let empty = Hdrhist.create ()
 
-let quantiles_ms ?op ?vol t =
-  let h = merged ?op ?vol t in
+let stored hists i =
+  if i < 0 || i >= Array.length hists then empty
+  else match hists.(i) with Some h -> h | None -> empty
+
+let hist ?vol t =
+  match vol with None -> t.overall | Some v -> stored t.vol_hists v
+
+let cell t ~op ~vol =
+  if vol < 0 || vol >= max_vols then empty
+  else stored t.cells ((op_index op * max_vols) + vol)
+
+let quantiles_ms ?vol t =
+  let h = hist ?vol t in
   if Hdrhist.count h = 0 then (0., 0., 0.)
   else
     let ms q = float_of_int (Hdrhist.quantile h q) /. 1e6 in
@@ -281,20 +191,27 @@ let capture_exemplar t ~ns ~op ~vol ~phase =
   s.e_cp <- t.cps;
   s.e_phase <- phase
 
+let created hists i =
+  match hists.(i) with
+  | Some h -> h
+  | None ->
+    let h = Hdrhist.create () in
+    hists.(i) <- Some h;
+    h
+
 (* Record [count] ops of one (vol, op) run, positions [pos .. pos+count-1]
    of [n] in the arrival window.  Integer-only per-op arithmetic: zero
    minor-heap words in steady state. *)
-let record_run t ~shard ~thr_ns ~op ~vol ~count ~pos ~n ~arrival_ns ~total_ns
-    ~phase =
-  let oi = op_index op in
-  let cell = cell_hist shard ((oi * t.max_vols) + vol) in
-  let overall = overall_hist shard in
+let record_run t ~thr_ns ~op ~vol ~count ~pos ~n ~arrival_ns ~total_ns ~phase =
+  let cell = created t.cells ((op_index op * max_vols) + vol) in
+  let vol_hist = created t.vol_hists vol in
   let n_thr = Array.length thr_ns in
   for j = 0 to count - 1 do
     let p = pos + j in
     let ns = total_ns + (arrival_ns * (n - 1 - p) / n) in
     Hdrhist.record cell ns;
-    Hdrhist.record overall ns;
+    Hdrhist.record vol_hist ns;
+    Hdrhist.record t.overall ns;
     for k = 0 to n_thr - 1 do
       if ns > thr_ns.(k) then t.slo_over.(k) <- t.slo_over.(k) + 1
     done;
@@ -307,14 +224,13 @@ let cp_record t ~groups ~pages ~cache_work ~candidates ~device_us ~spike_us
     ~pick_ns ~harvest_ns =
   let n = List.fold_left (fun a (_, f, o) -> a + f + o) 0 groups in
   if n > 0 then begin
-    let m = t.model in
     let fn = float_of_int n in
-    let cache_us = float_of_int cache_work *. m.cache_work_unit_us in
-    let scan_us = float_of_int candidates *. m.alloc_candidate_us in
+    let cache_us = float_of_int cache_work *. model.cache_work_unit_us in
+    let scan_us = float_of_int candidates *. model.alloc_candidate_us in
     let pages_us =
-      float_of_int pages *. (m.metafile_page_cpu_us +. m.metafile_page_write_us)
+      float_of_int pages *. (model.metafile_page_cpu_us +. model.metafile_page_write_us)
     in
-    let cpu_us = (m.cpu_base_us_per_op *. fn) +. cache_us in
+    let cpu_us = (model.cpu_base_us_per_op *. fn) +. cache_us in
     let total_us = cpu_us +. scan_us +. pages_us +. device_us in
     (* Ops accumulated while the previous CP drained; the first CP has no
        predecessor, so its batch is treated as arriving over its own
@@ -340,28 +256,27 @@ let cp_record t ~groups ~pages ~cache_work ~candidates ~device_us ~spike_us
     let thr_ns =
       match t.slo with Some s -> Slo.thresholds_ns s | None -> [||]
     in
-    let shard = shard_for t in
     let pos = ref 0 in
     List.iter
       (fun (vol, fresh, over) ->
         let vol =
           if vol < 0 then 0
-          else if vol >= t.max_vols then t.max_vols - 1
+          else if vol >= max_vols then max_vols - 1
           else vol
         in
         pos :=
-          record_run t ~shard ~thr_ns ~op:Write ~vol ~count:fresh ~pos:!pos ~n
+          record_run t ~thr_ns ~op:Write ~vol ~count:fresh ~pos:!pos ~n
             ~arrival_ns ~total_ns ~phase;
         pos :=
-          record_run t ~shard ~thr_ns ~op:Overwrite ~vol ~count:over ~pos:!pos
+          record_run t ~thr_ns ~op:Overwrite ~vol ~count:over ~pos:!pos
             ~n ~arrival_ns ~total_ns ~phase)
       groups;
     t.total_ops <- t.total_ops + n;
     t.prev_cp_us <- total_us;
     t.cps <- t.cps + 1;
-    (* Re-arm the exemplar threshold from the merged p999 so "top bucket"
+    (* Re-arm the exemplar threshold from the overall p999 so "top bucket"
        tracks the whole run, not just this CP. *)
-    t.ex_threshold_ns <- max 1 (Hdrhist.quantile (merged t) 0.999);
+    t.ex_threshold_ns <- max 1 (Hdrhist.quantile t.overall 0.999);
     (match t.slo with
     | Some s ->
       t.last_reports <- Slo.cp_tick s ~ops:n ~violations:t.slo_over;

@@ -7,17 +7,18 @@
 
     where [cp_duration] is the modeled service time of the CP that
     committed it (CPU + metafile pages + AA scan + device flush, including
-    any injected device latency spikes — the same cost constants as
-    [Sim.Cost_model], mirrored in {!model} to keep the dependency arrow
-    pointing sim -> telemetry), and [wait_in_batch] spreads the ops across
-    the arrival window (the previous CP's duration, since ops accumulate
-    while the previous CP drains): op [i] of [n] waits
+    any injected device latency spikes, priced by the cost table {!model},
+    which [Sim.Cost_model] reads too), and [wait_in_batch] spreads the ops
+    across the arrival window (the previous CP's duration, since ops
+    accumulate while the previous CP drains): op [i] of [n] waits
     [(n-1-i)/n * arrival].  The clock is deterministic and integer-only on
     the per-op path.
 
-    Samples land in log-linear {!Hdrhist}s keyed by (op kind x volume
-    slot), sharded per domain: record is lock-free and allocation-free in
-    steady state, the read side merges shards.
+    Samples land in log-linear {!Hdrhist}s: one per (op kind x volume
+    slot), one per volume slot and one overall.  Like {!Timeseries}, the
+    recorder is written only from the serial tail of [Cp.run] and is not
+    domain-safe; recording is allocation-free in steady state and reads
+    return the stored histograms.
 
     Tail exemplars: when an op's modeled latency clears the current p999
     (tracked across CPs), a preallocated slot captures (latency, op kind,
@@ -33,27 +34,26 @@ type op = Write | Overwrite
 val op_name : op -> string
 val all_ops : op list
 
-(** Cost constants of the modeled clock; field-for-field the subset of
-    [Sim.Cost_model.t] the clock uses.  [Sim.Cost_model.latency_model]
-    converts, and a test pins [default_model] to the sim's defaults. *)
+(** Cost constants of the modeled clock, in per-simulated-core
+    microseconds.  The one cost table: [Sim.Cost_model] prices its CP
+    reports with these same values. *)
 type model = {
-  cpu_base_us_per_op : float;
-  metafile_page_cpu_us : float;
-  metafile_page_write_us : float;
-  cache_work_unit_us : float;
+  cpu_base_us_per_op : float;  (** fixed WAFL code-path cost per op *)
+  metafile_page_cpu_us : float;  (** CPU to update + checksum one page *)
+  metafile_page_write_us : float;  (** device time to write one page *)
+  cache_work_unit_us : float;  (** one abstract cache-maintenance unit *)
   alloc_candidate_us : float;
+      (** allocation-path CPU per candidate block examined while gathering
+          an AA's free VBNs *)
 }
 
-val default_model : model
+val model : model
 
 type t
 
-val create :
-  ?model:model -> ?slo:Slo.t -> ?max_vols:int -> ?max_exemplars:int ->
-  unit -> t
-(** [max_vols] (default 16) bounds the per-volume keying; volumes beyond
-    the limit share the last slot.  [max_exemplars] (default 32) bounds
-    the exemplar ring. *)
+val create : ?slo:Slo.t -> unit -> t
+(** Keys up to 16 volumes (later ones share the last slot) and keeps 32
+    tail-exemplar slots, overwritten round-robin once full. *)
 
 val vol_slot : t -> uid:int -> name:string -> int
 (** Dense slot for a volume uid, registering it (with a display name) on
@@ -61,10 +61,6 @@ val vol_slot : t -> uid:int -> name:string -> int
 
 val vols : t -> (int * string) list
 (** Registered (slot, name) pairs in first-seen order. *)
-
-val record : t -> op:op -> vol:int -> int -> unit
-(** [record t ~op ~vol ns] adds one sample into the calling domain's
-    shard.  Steady state is allocation-free and lock-free. *)
 
 val cp_record :
   t ->
@@ -89,11 +85,14 @@ val cp_record :
 val ops_recorded : t -> int
 val cps_recorded : t -> int
 
-val merged : ?op:op -> ?vol:int -> t -> Hdrhist.t
-(** Fresh histogram merging every shard, optionally filtered to one op
-    kind and/or one volume slot. *)
+val hist : ?vol:int -> t -> Hdrhist.t
+(** Every recorded op, or only volume slot [vol]'s.  The stored
+    histogram, not a copy: read it, never record into it. *)
 
-val quantiles_ms : ?op:op -> ?vol:int -> t -> float * float * float
+val cell : t -> op:op -> vol:int -> Hdrhist.t
+(** Ops of one kind on one volume slot; stored, like {!hist}. *)
+
+val quantiles_ms : ?vol:int -> t -> float * float * float
 (** [(p50, p99, p999)] in milliseconds; zeros when empty. *)
 
 type exemplar = {

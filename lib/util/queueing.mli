@@ -14,16 +14,11 @@ val mg1_response_time :
     coefficient of variation of service times, [arrival_rate] in ops/sec.
     [None] when the queue is unstable (utilization >= 1). *)
 
-val closed_loop_point :
-  service_time:float -> cv2:float -> offered_load:float ->
-  throughput:float ref -> latency:float ref -> unit
-(** One point of a latency-throughput sweep.  At stable loads this is the
-    M/G/1 response time; past saturation, throughput caps at capacity and
-    latency grows linearly with the excess offered load (clients queue up),
-    matching the hockey-stick shape of the paper's figures. *)
-
 val sweep :
   service_time:float -> cv2:float -> loads:float list ->
   (float * float) list
-(** [(throughput, latency)] pairs for each offered load, via
-    {!closed_loop_point}. *)
+(** [(throughput, latency)] for each offered load of a latency-throughput
+    sweep.  At stable loads this is the M/G/1 response time; past
+    saturation (98% of capacity), throughput caps there and latency grows
+    linearly with the excess offered load (clients queue up), matching the
+    hockey-stick shape of the paper's figures. *)

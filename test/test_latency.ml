@@ -1,6 +1,6 @@
 (* Tests for the request-latency subsystem: Hdrhist bucket math and
-   quantile error bounds, multi-domain merge exactness, the modeled
-   per-op clock, exemplar blame, SLO burn rates, and the prom/health
+   quantile error bounds, the modeled per-op clock and its allocation
+   profile, exemplar blame, SLO burn rates, and the prom/health
    renderings. *)
 
 open Wafl_telemetry
@@ -71,55 +71,7 @@ let test_hdrhist_quantile_vs_sorted () =
         (est <= exact + (exact / 32) + 1))
     [ 0.5; 0.9; 0.99; 0.999; 1.0 ]
 
-let test_hdrhist_merge_exact () =
-  let a = Hdrhist.create () and b = Hdrhist.create () in
-  for i = 1 to 1000 do
-    Hdrhist.record a (i * 17);
-    Hdrhist.record b (i * 131)
-  done;
-  let dst = Hdrhist.create () in
-  Hdrhist.merge_into ~dst a;
-  Hdrhist.merge_into ~dst b;
-  check_int "merged count" (Hdrhist.count a + Hdrhist.count b) (Hdrhist.count dst);
-  check_int "merged sum" (Hdrhist.sum a + Hdrhist.sum b) (Hdrhist.sum dst);
-  check_int "merged max" (Hdrhist.max_value b) (Hdrhist.max_value dst);
-  check_int "merged min" (Hdrhist.min_value a) (Hdrhist.min_value dst)
-
-(* --- multi-domain hammer: exact totals across concurrent recorders --- *)
-
-let test_latency_multi_domain_merge () =
-  let lat = Latency.create () in
-  let vol = Latency.vol_slot lat ~uid:1 ~name:"hammer" in
-  let per_domain = 20_000 in
-  let record_some seed =
-    for i = 1 to per_domain do
-      Latency.record lat ~op:Latency.Write ~vol (1 + ((i * seed) land 0xFFFFF))
-    done
-  in
-  let domains =
-    List.map (fun seed -> Domain.spawn (fun () -> record_some seed)) [ 3; 5; 7 ]
-  in
-  record_some 11;
-  List.iter Domain.join domains;
-  let h = Latency.merged lat in
-  check_int "exact total across domains" (4 * per_domain) (Hdrhist.count h);
-  let expected_sum =
-    List.fold_left
-      (fun acc seed ->
-        let s = ref 0 in
-        for i = 1 to per_domain do
-          s := !s + 1 + ((i * seed) land 0xFFFFF)
-        done;
-        acc + !s)
-      0 [ 3; 5; 7; 11 ]
-  in
-  check_int "exact sum across domains" expected_sum (Hdrhist.sum h)
-
 (* --- the modeled clock --- *)
-
-let test_model_pinned_to_sim () =
-  let m = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default in
-  check_bool "telemetry default model = sim cost model" true (m = Latency.default_model)
 
 let test_cp_record_latency_bounds () =
   let lat = Latency.create () in
@@ -130,10 +82,10 @@ let test_cp_record_latency_bounds () =
   (* pure-CPU CP: total = cpu_base * n; first CP's arrival window is its
      own duration, so op latencies span [total, total * (2n-1)/n) *)
   let total_ns =
-    int_of_float (Latency.default_model.Latency.cpu_base_us_per_op *. float_of_int n)
+    int_of_float (Latency.model.cpu_base_us_per_op *. float_of_int n)
     * 1000
   in
-  let h = Latency.merged lat in
+  let h = Latency.hist lat in
   check_int "one op per staged write" n (Hdrhist.count h);
   check_bool "min >= CP duration" true (Hdrhist.min_value h >= total_ns);
   check_bool "max < 2x CP duration" true (Hdrhist.max_value h < 2 * total_ns);
@@ -149,10 +101,13 @@ let test_cp_record_per_vol_keying () =
     ~groups:[ (a, 30, 0); (b, 0, 70) ]
     ~pages:0 ~cache_work:0 ~candidates:0 ~device_us:0.0 ~spike_us:0.0 ~pick_ns:0
     ~harvest_ns:0;
-  check_int "vol a count" 30 (Hdrhist.count (Latency.merged ~vol:a lat));
-  check_int "vol b count" 70 (Hdrhist.count (Latency.merged ~vol:b lat));
+  check_int "vol a count" 30 (Hdrhist.count (Latency.hist ~vol:a lat));
+  check_int "vol b count" 70 (Hdrhist.count (Latency.hist ~vol:b lat));
   check_int "op split: overwrites on b" 70
-    (Hdrhist.count (Latency.merged ~op:Latency.Overwrite lat));
+    (Hdrhist.count (Latency.cell lat ~op:Latency.Overwrite ~vol:b));
+  check_int "op split: no writes on b" 0
+    (Hdrhist.count (Latency.cell lat ~op:Latency.Write ~vol:b));
+  check_int "overall count" 100 (Hdrhist.count (Latency.hist lat));
   check_bool "vols registered in order" true
     (Latency.vols lat = [ (a, "va"); (b, "vb") ])
 
@@ -307,10 +262,7 @@ let test_uninstalled_hooks_inert () =
   check_int "never active" 0 !hits
 
 let e2e_tel () =
-  let lat =
-    Latency.create ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default)
-      ()
-  in
+  let lat = Latency.create () in
   let tel = Telemetry.create ~latency:lat () in
   let rg =
     {
@@ -384,8 +336,6 @@ let test_prom_exposition () =
   check_int "metric names unique" (List.length types)
     (List.length (List.sort_uniq String.compare types))
 
-let lat_model = Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default
-
 (* [cps] CPs of [ops] sequential writes on a fresh quick-scale HDD
    aggregate with [tel] installed; returns the per-CP reports. *)
 let sequential_run ?faults ~tel ~cps ~ops () =
@@ -425,7 +375,7 @@ let test_spike_blamed_end_to_end () =
     | Ok o -> o
     | Error e -> Alcotest.fail e
   in
-  let lat = Latency.create ~model:lat_model ~slo:(Slo.create [ objective ]) () in
+  let lat = Latency.create ~slo:(Slo.create [ objective ]) () in
   ignore
     (sequential_run ~faults:spec ~tel:(Telemetry.create ~latency:lat ()) ~cps:30 ~ops:500 ());
   let exs = Latency.exemplars lat in
@@ -443,7 +393,7 @@ let test_spike_blamed_end_to_end () =
    an explanation. *)
 let test_curve_shape () =
   let measure ops =
-    let lat = Latency.create ~model:lat_model () in
+    let lat = Latency.create () in
     let reports = sequential_run ~tel:(Telemetry.create ~latency:lat ()) ~cps:12 ~ops () in
     let costs =
       Wafl_sim.Cost_model.combine (List.map Wafl_sim.Cost_model.of_report reports)
@@ -474,18 +424,37 @@ let test_curve_shape () =
   check_bool "overload refused" true
     (Result.is_error (Wafl_sim.Load.latency_at_load_ms curve (peak *. 2.0)))
 
-let test_record_path_zero_alloc () =
+(* The per-op path is allocation-free: a warm 10,000-op CP allocates no
+   more minor words than a 10-op one.  And a warm CP plus a per-volume
+   quantile read allocates less than one histogram (1,856 buckets):
+   reads return the stored histogram, nothing is merged. *)
+let test_cp_record_alloc () =
   let lat = Latency.create () in
-  let vol = Latency.vol_slot lat ~uid:1 ~name:"z" in
-  for i = 1 to 10_000 do
-    Latency.record lat ~op:Latency.Write ~vol i
+  let v = Latency.vol_slot lat ~uid:1 ~name:"z" in
+  let cp ops =
+    Latency.cp_record lat ~groups:[ (v, ops, ops / 2) ] ~pages:3 ~cache_work:5
+      ~candidates:7 ~device_us:100.0 ~spike_us:0.0 ~pick_ns:0 ~harvest_ns:0
+  in
+  for _ = 1 to 3 do
+    cp 10_000
   done;
-  let before = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    Latency.record lat ~op:Latency.Write ~vol (i * 31)
-  done;
-  let words = Gc.minor_words () -. before in
-  check_bool "zero minor words on warm record path" true (words = 0.0)
+  let minor_words ops =
+    let before = Gc.minor_words () in
+    cp ops;
+    Gc.minor_words () -. before
+  in
+  let small = minor_words 10 in
+  let large = minor_words 10_000 in
+  check_bool
+    (Printf.sprintf "10k-op CP %.0f words <= 10-op CP %.0f words" large small)
+    true (large <= small);
+  let before = Gc.allocated_bytes () in
+  cp 100;
+  ignore (Latency.quantiles_ms ~vol:v lat);
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_bool
+    (Printf.sprintf "warm CP + read %.0f words < one histogram" words)
+    true (words < 1856.0)
 
 let () =
   Alcotest.run "wafl_latency"
@@ -495,17 +464,14 @@ let () =
           Alcotest.test_case "exact below 64" `Quick test_hdrhist_exact_small;
           Alcotest.test_case "relative error bound" `Quick test_hdrhist_relative_error_bound;
           Alcotest.test_case "quantile vs sorted" `Quick test_hdrhist_quantile_vs_sorted;
-          Alcotest.test_case "merge exact" `Quick test_hdrhist_merge_exact;
         ] );
       ( "latency",
         [
-          Alcotest.test_case "multi-domain merge" `Quick test_latency_multi_domain_merge;
-          Alcotest.test_case "model pinned to sim" `Quick test_model_pinned_to_sim;
           Alcotest.test_case "cp_record bounds" `Quick test_cp_record_latency_bounds;
           Alcotest.test_case "per-vol keying" `Quick test_cp_record_per_vol_keying;
           Alcotest.test_case "exemplar device blame" `Quick test_exemplar_blames_device_flush;
           Alcotest.test_case "exemplar activemap blame" `Quick test_exemplar_blames_activemap;
-          Alcotest.test_case "record path zero alloc" `Quick test_record_path_zero_alloc;
+          Alcotest.test_case "record path zero alloc" `Quick test_cp_record_alloc;
         ] );
       ( "slo",
         [

@@ -21,7 +21,7 @@ let report ~ops ~pages ~device_us ~cache_work =
     cache_work;
   }
 
-let base = Cost_model.default.Cost_model.cpu_base_us_per_op
+let base = Wafl_telemetry.Latency.model.cpu_base_us_per_op
 
 let test_cost_model_basics () =
   let costs = Cost_model.of_report (report ~ops:100 ~pages:0 ~device_us:0.0 ~cache_work:0) in

@@ -483,9 +483,7 @@ let cp_run ~ssd ~jobs =
           faults = (if ssd then Some Wafl_fault.Fault.default_spec else None) }
       ~seed:42 ()
   in
-  let lat =
-    Latency.create ~model:(Wafl_sim.Cost_model.latency_model Wafl_sim.Cost_model.default) ()
-  in
+  let lat = Latency.create () in
   let tel = Telemetry.create ~latency:lat () in
   let run () =
     let fs = Wafl_core.Fs.create config in
