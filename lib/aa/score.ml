@@ -95,16 +95,6 @@ let clear d =
   done;
   d.n_touched <- 0
 
-let merge_into ~src ~dst =
-  if Topology.aa_count src.topology <> Topology.aa_count dst.topology then
-    invalid_arg "Score.merge_into: topology mismatch";
-  for k = 0 to src.n_touched - 1 do
-    let aa = src.touched.(k) in
-    let change = src.change.(aa) in
-    if change <> 0 then bump_aa dst aa change
-  done;
-  clear src
-
 (* Newest touch first: the order the cache has always been handed these
    updates in, which its HBPS list admission depends on. *)
 let apply d scores ~f =

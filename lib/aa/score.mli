@@ -53,13 +53,6 @@ val mem : delta -> aa:int -> bool
 val fold : delta -> init:'a -> f:('a -> aa:int -> change:int -> 'a) -> 'a
 (** Visit every AA with a non-zero net change. *)
 
-val merge_into : src:delta -> dst:delta -> unit
-(** Fold [src]'s pending changes into [dst] and clear [src].  The deltas
-    must cover AA spaces of the same size.  Used to merge per-domain
-    accumulators produced by the parallel allocation front-end into the
-    range's CP delta — the merged result equals having bumped [dst]
-    directly. *)
-
 val apply : delta -> int array -> f:(int -> int -> unit) -> unit
 (** Apply to a score array in place, calling [f aa new_score] for each
     changed AA (the cache rebalance, {!Wafl_aacache.Cache.cp_update}),

@@ -55,8 +55,8 @@ val take_best : t -> (int * int) option
 
 val take_best_filtered : t -> keep:(int -> bool) -> (int * int) option
 (** {!take_best} restricted to AAs satisfying [keep] — the claim-aware
-    pick of the concurrent allocation front-end: AAs owned by another
-    writer are skipped without losing score order (heap entries rejected
+    pick of the write allocator's class rows: AAs another row has
+    claimed are skipped without losing score order (heap entries rejected
     on the way are reinserted; HBPS scans the list page in stored
     order).  Accounting matches {!take_best}. *)
 

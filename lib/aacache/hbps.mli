@@ -63,7 +63,7 @@ val take_best : t -> (int * int) option
 
 val take_best_filtered : t -> keep:(int -> bool) -> (int * int) option
 (** {!take_best} restricted to AAs satisfying [keep] — the claim-aware
-    pick of the concurrent allocation front-end.  Scans the list page in
+    pick of the write allocator's class rows.  Scans the list page in
     stored order (highest bin first), removes and returns the first kept
     entry; all other entries are untouched.  The one-bin-width error
     bound of {!take_best} still holds relative to the kept AAs. *)

@@ -35,8 +35,8 @@ val extract_best : t -> (int * int) option
 
 val extract_best_filtered : t -> keep:(int -> bool) -> (int * int) option
 (** Remove and return the best entry whose AA satisfies [keep] — the
-    claim-aware pick of the concurrent allocation front-end (skip AAs
-    another writer owns without losing score order).  Entries rejected
+    claim-aware pick of the write allocator's class rows (skip AAs
+    another row has claimed without losing score order).  Entries rejected
     on the way are reinserted, so the heap afterwards holds exactly the
     original entries minus the returned one. *)
 

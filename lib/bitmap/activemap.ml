@@ -30,12 +30,6 @@ let allocate t vbn =
    redundant. *)
 let[@inline] allocate_harvested t vbn = Metafile.allocate_harvested t.metafile vbn
 
-(* {!allocate_harvested} recording the dirtied page in the caller's
-   [touched] set instead of the shared dirty state — see
-   {!Metafile.allocate_harvested_touched}. *)
-let[@inline] allocate_harvested_touched t vbn ~touched =
-  Metafile.allocate_harvested_touched t.metafile vbn ~touched
-
 let queue_free t vbn =
   if not (Metafile.is_allocated t.metafile vbn) then
     invalid_arg "Activemap.queue_free: VBN not allocated";

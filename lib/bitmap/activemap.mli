@@ -34,13 +34,6 @@ val allocate_harvested : t -> int -> unit
     guarantees the VBN is free, which (since only allocated VBNs can be
     queued) also rules out a pending free; both checks are skipped. *)
 
-val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
-(** {!allocate_harvested} that records the dirtied metafile page as a
-    nonzero byte in [touched] (length [Metafile.pages (metafile t)])
-    instead of updating the shared dirty state, so concurrent domains
-    allocating into disjoint bitmap bytes never race; merge afterwards
-    with {!Metafile.mark_touched_dirty}. *)
-
 val queue_free : t -> int -> unit
 (** Queue a VBN to be freed at the next commit.  It must currently be
     allocated; queuing the same VBN twice is an error. *)

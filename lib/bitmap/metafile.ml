@@ -77,16 +77,6 @@ let[@inline] allocate_harvested t vbn =
   Bitmap.set t.map vbn;
   mark_dirty t (page_index t vbn)
 
-(* {!allocate_harvested} for the multi-domain allocation front-end:
-   instead of touching the shared dirty bitmap (a cross-domain race), the
-   dirtied page is recorded as one byte in the caller's [touched] page
-   set (bytes of a Bytes.t are distinct locations, so domains writing
-   their own pages' bytes never race).  Callers fold the set into the
-   dirty state serially with {!mark_touched_dirty}. *)
-let[@inline] allocate_harvested_touched t vbn ~touched =
-  Bitmap.set t.map vbn;
-  Bytes.unsafe_set touched (page_index t vbn) '\001'
-
 let free t vbn =
   if not (Bitmap.get t.map vbn) then invalid_arg "Metafile.free: VBN already free";
   Bitmap.clear t.map vbn;
@@ -109,13 +99,6 @@ let harvest_free_into t ~start ~len ~offset ~dst ~pos =
 let used_count t ~start ~len = Bitmap.count_set_in t.map ~start ~len
 let free_extents t ~start ~len = Bitmap.free_extents t.map ~start ~len
 let free_run_stats t ~start ~len = Bitmap.free_run_stats t.map ~start ~len
-
-let mark_touched_dirty t ~touched =
-  if Bytes.length touched <> t.n_pages then
-    invalid_arg "Metafile.mark_touched_dirty: touched length <> pages";
-  for page = 0 to t.n_pages - 1 do
-    if Bytes.unsafe_get touched page <> '\000' then mark_dirty t page
-  done
 
 let dirty_pages t = t.n_dirty
 

@@ -50,13 +50,6 @@ val allocate_harvested : t -> int -> unit
     blocks), so the already-allocated check is skipped.  Still
     bounds-checked and still dirties the page. *)
 
-val allocate_harvested_touched : t -> int -> touched:Bytes.t -> unit
-(** {!allocate_harvested} that records the dirtied page as a nonzero
-    byte in [touched] (length {!pages}) instead of updating the shared
-    dirty state.  Lets concurrent domains allocate into disjoint bitmap
-    bytes without racing on the dirty bitmap; merge with
-    {!mark_touched_dirty}. *)
-
 val free : t -> int -> unit
 (** Mark a VBN free; it must currently be allocated.  Dirties its page. *)
 
@@ -84,12 +77,6 @@ val free_extents : t -> start:int -> len:int -> Wafl_block.Extent.t list
 val free_run_stats : t -> start:int -> len:int -> int * int
 (** [(run count, largest run length)] over the range without
     materializing extents ({!Bitmap.free_run_stats}).  Not I/O-counted. *)
-
-val mark_touched_dirty : t -> touched:Bytes.t -> unit
-(** Fold a [touched] page set into the dirty state, ascending — the
-    serial merge step after {!allocate_harvested_touched} batches.  The
-    resulting dirty set equals what per-VBN [allocate_harvested] calls
-    would have produced. *)
 
 val dirty_pages : t -> int
 (** Distinct pages dirtied since the last flush. *)

@@ -60,16 +60,6 @@ let jobs =
   in
   Arg.(value & opt int d.Config.jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let alloc_domains =
-  let doc =
-    "Drive write allocation with $(docv) concurrent domains: each domain pops physical \
-     blocks from its own lock-free harvest ring, claims AAs atomically through the \
-     shared cache pick path, and steals byte-aligned ring suffixes from other domains \
-     when it runs dry.  The committed free-space state is identical to a serial run at \
-     any $(docv); the default of 1 keeps allocation serial."
-  in
-  Arg.(value & opt int d.Config.alloc_domains & info [ "alloc-domains" ] ~docv:"N" ~doc)
-
 let scrub_rate =
   let doc =
     "Run the background pagestore scrubber: after every CP, verify $(docv) integrity \
@@ -121,12 +111,12 @@ let wear_bias =
   Arg.(value & opt int d.Config.streams.Config.wear_bias & info [ "wear-bias" ] ~docv:"N" ~doc)
 
 let term =
-  let make mmap_dir jobs alloc_domains scrub_rate faults temp_classes ssd_streams wear_bias =
+  let make mmap_dir jobs scrub_rate faults temp_classes ssd_streams wear_bias =
     let streams = { d.Config.streams with Config.temp_classes; ssd_streams; wear_bias } in
-    Config.validate { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults; streams }
+    Config.validate { Config.mmap_dir; jobs; scrub_rate; faults; streams }
     |> Result.map_error Config.run_error_to_string
   in
   Term.(
     term_result' ~usage:true
-      (const make $ mmap_dir $ jobs $ alloc_domains $ scrub_rate $ faults $ temp_classes
-     $ ssd_streams $ wear_bias))
+      (const make $ mmap_dir $ jobs $ scrub_rate $ faults $ temp_classes $ ssd_streams
+     $ wear_bias))

@@ -131,7 +131,7 @@ let create config =
     List.fold_left (fun acc (topology, _) -> acc + Topology.total_blocks topology) 0 specs
   in
   let activemap = Activemap.create ~blocks:total_blocks () in
-  let pool = Par.shared Par.Scan ~jobs:run.Config.jobs in
+  let pool = Par.shared ~jobs:run.Config.jobs in
   let base = ref 0 in
   let ranges =
     Array.of_list

@@ -27,7 +27,7 @@ type range = {
   space : Space.t;
       (** the range's AA space over [\[base, base + blocks)] of the
           aggregate activemap, labeled [Range index]: scores, delta,
-          cache, staleness and claim words *)
+          cache, staleness and claim flags *)
 }
 
 type t

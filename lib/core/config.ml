@@ -38,7 +38,6 @@ let default_streams =
 type run = {
   mmap_dir : string option;
   jobs : int;
-  alloc_domains : int;
   scrub_rate : int;
   faults : Wafl_fault.Fault.spec option;
   streams : stream_spec;
@@ -48,7 +47,6 @@ let default_run =
   {
     mmap_dir = None;
     jobs = 1;
-    alloc_domains = 1;
     scrub_rate = 0;
     faults = None;
     streams = default_streams;
@@ -56,7 +54,6 @@ let default_run =
 
 type run_error =
   | Jobs_below_one of int
-  | Alloc_domains_below_one of int
   | Scrub_rate_negative of int
   | Scrub_without_mmap of int
   | Temp_classes_out_of_range of int
@@ -67,7 +64,6 @@ type run_error =
 let validate r =
   let s = r.streams in
   if r.jobs < 1 then Error (Jobs_below_one r.jobs)
-  else if r.alloc_domains < 1 then Error (Alloc_domains_below_one r.alloc_domains)
   else if r.scrub_rate < 0 then Error (Scrub_rate_negative r.scrub_rate)
   else if s.temp_classes < 1 || s.temp_classes > 4 then
     Error (Temp_classes_out_of_range s.temp_classes)
@@ -83,7 +79,6 @@ let validate r =
 
 let run_error_to_string = function
   | Jobs_below_one n -> Printf.sprintf "--jobs must be at least 1 (got %d)" n
-  | Alloc_domains_below_one n -> Printf.sprintf "--alloc-domains must be at least 1 (got %d)" n
   | Scrub_rate_negative n -> Printf.sprintf "--scrub-rate must be >= 0 (got %d)" n
   | Scrub_without_mmap n ->
     Printf.sprintf
@@ -102,8 +97,7 @@ let run_args r =
   List.concat_map
     (fun (flag, v) -> [ "--" ^ flag; v ])
     (Option.to_list mmap
-    @ [ ("jobs", int r.jobs); ("alloc-domains", int r.alloc_domains);
-        ("scrub-rate", int r.scrub_rate) ]
+    @ [ ("jobs", int r.jobs); ("scrub-rate", int r.scrub_rate) ]
     @ Option.to_list fault
     @ [ ("temp-classes", int s.temp_classes); ("streams", int s.ssd_streams);
         ("wear-bias", int s.wear_bias) ])

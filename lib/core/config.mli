@@ -58,7 +58,7 @@ val default_streams : stream_spec
 
 (** {1 Run configuration}
 
-    How one run executes, as opposed to what system it builds: the eight
+    How one run executes, as opposed to what system it builds: the seven
     settings [waflsim] exposes as flags.  Every system carries its run in
     its {!t}, so nothing about a run is process-wide: two systems built
     with different runs in one process behave as their own runs say. *)
@@ -70,7 +70,6 @@ type run = {
           is opened by whoever drives the run; [None] keeps every store
           anonymous *)
   jobs : int;  (** [--jobs]: domains of the system's scan pool *)
-  alloc_domains : int;  (** [--alloc-domains]: domains of its allocation pool *)
   scrub_rate : int;  (** [--scrub-rate]: pages scrubbed after every CP; 0 = off *)
   faults : Wafl_fault.Fault.spec option;  (** [--fault-spec] *)
   streams : stream_spec;
@@ -79,12 +78,11 @@ type run = {
 }
 
 val default_run : run
-(** Anonymous stores, serial scans and allocation, no scrubber, no faults,
+(** Anonymous stores, serial scans, no scrubber, no faults,
     {!default_streams}. *)
 
 type run_error =
   | Jobs_below_one of int
-  | Alloc_domains_below_one of int
   | Scrub_rate_negative of int
   | Scrub_without_mmap of int
       (** only file-mapped stores carry the sidecars a scrub verifies *)

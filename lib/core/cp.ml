@@ -734,11 +734,8 @@ let run ?temp walloc vols batch =
         :: !lat_groups
   done;
   Telemetry.span_exit Span.Place;
-  (* 2. Commit delayed frees (aggregate + volumes) and flush metafiles.
-        Concurrent frees queued by allocation-pool domains drain first, in
-        shard order, into the aggregate's validated queue. *)
+  (* 2. Commit delayed frees (aggregate + volumes) and flush metafiles. *)
   Telemetry.span_enter Span.Activemap_commit;
-  ignore (Write_alloc.drain_queued_frees walloc);
   Wafl_fault.Crash.point "cp.agg_free_commit";
   let agg_commit = Aggregate.commit_frees aggregate in
   let agg_pages = agg_commit.Wafl_bitmap.Activemap.pages_written in

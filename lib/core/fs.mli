@@ -12,8 +12,7 @@ val create : Config.t -> t
     installed ({!Wafl_bitmap.Pagestore.with_mmap_dir}, which [waflsim]
     opens on [mmap_dir]), scans and CP stages run on a scan pool of
     [jobs] domains ({!Aggregate.pool}; the one-domain
-    {!Wafl_par.Par.serial} handle at [jobs = 1]), allocation
-    windows over a separate pool of [alloc_domains], the run's fault spec
+    {!Wafl_par.Par.serial} handle at [jobs = 1]), the run's fault spec
     attached, and [scrub_rate] pages scrubbed after every CP.  Pools come
     from a process-wide cache ({!Wafl_par.Par.shared}), so building a
     system spawns no domains of its own. *)

@@ -16,7 +16,7 @@ type t = {
   delta : Score.delta;
   mutable cache : Cache.t option;
   mutable stale : bool;
-  owners : int Atomic.t array;
+  claimed : Bytes.t;
   unclaimed : int -> bool;
 }
 
@@ -43,18 +43,12 @@ let build_cache s =
   | Topology.Raid_aware _ -> Cache.raid_aware ~space:(trace_id s) ~scores:s.scores ()
   | Topology.Raid_agnostic _ -> hbps_cache s s.scores
 
-(* --- atomic AA claims (multi-writer allocation front-end) ---
-
-   One slot per AA holding the claiming cursor/domain id, or -1 when
-   unclaimed.  A claim is a single CAS on an immediate int — no
-   allocation, no lock — and between CPs an AA is owned by at most one
-   writer, which is what keeps the word-at-a-time harvest kernels
-   single-writer.  All claims are released serially at the CP boundary. *)
-let no_owner = -1
-
+(* One claim byte per AA, nonzero while a class row holds the AA: within
+   a CP an AA is filled by at most one row.  Claims are released at the
+   CP boundary. *)
 let create ~label ~base ~activemap ~pool ~policy topology =
   let n = Topology.aa_count topology in
-  let owners = Array.init n (fun _ -> Atomic.make no_owner) in
+  let claimed = Bytes.make n '\000' in
   let s =
     {
       label;
@@ -67,8 +61,8 @@ let create ~label ~base ~activemap ~pool ~policy topology =
       delta = Score.create_delta topology;
       cache = None;
       stale = false;
-      owners;
-      unclaimed = (fun aa -> Atomic.get owners.(aa) = no_owner);
+      claimed;
+      unclaimed = (fun aa -> Bytes.get claimed aa = '\000');
     }
   in
   if cached s then s.cache <- Some (build_cache s);

@@ -35,10 +35,11 @@ type t = {
   mutable stale : bool;
       (** set by a lazy mount: scores and cache are approximations until
           {!touch} rebuilds them *)
-  owners : int Atomic.t array;
-      (** per-AA claim word: the claiming writer id, or {!no_owner} *)
+  claimed : Bytes.t;
+      (** one claim flag per AA, nonzero while a class row of the write
+          allocator holds it; cleared at the CP boundary *)
   unclaimed : int -> bool;
-      (** whether an AA's claim word is {!no_owner}; built once, so the
+      (** whether an AA's claim flag is clear; built once, so the
           claim-aware cache take allocates no predicate per pick *)
 }
 
@@ -57,9 +58,6 @@ val create :
 val trace_id : t -> int
 (** The telemetry label of the space's picks and cache: the range index,
     or -1 for a FlexVol. *)
-
-val no_owner : int
-(** The empty claim word (-1). *)
 
 val score_now : t -> int -> int
 (** An AA's free count read from the bitmap (bypasses [scores]). *)

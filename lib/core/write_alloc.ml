@@ -3,7 +3,6 @@ open Wafl_bitmap
 open Wafl_aa
 open Wafl_aacache
 open Wafl_telemetry
-module Par = Wafl_par.Par
 
 (* Per-space allocation cursor (one per range per class row, one per
    volume): a preallocated ring holding the free positions of the AA
@@ -13,9 +12,8 @@ module Par = Wafl_par.Par
    -> allocate loop allocates no per-block heap words.
 
    Taken AAs live in a flat id array (an AA is taken at most once per CP —
-   the claim word filters re-picks), and every take claims the AA in its
-   space's claim words, which every class row and the parallel front-end
-   share. *)
+   the claim flag filters re-picks), and every take claims the AA in its
+   space's claim flags, which every class row shares. *)
 type cursor = {
   mutable ring : int array;       (* harvested free positions; [head, len) live *)
   mutable head : int;
@@ -28,18 +26,11 @@ type cursor = {
   mutable scan_pos : int;         (* First_fit scan position *)
 }
 
-type par_slot_stats = {
-  ps_allocated : int;
-  ps_steals : int;
-  ps_high_water : int;
-  ps_minor_words : int;
-}
-
 type t = {
   aggregate : Aggregate.t;
   rng : Rng.t;
   classes : int;                          (* temperature routing slots (>= 1) *)
-  cursors : cursor array array;           (* [class][range]; rows share owners *)
+  cursors : cursor array array;           (* [class][range]; rows share claims *)
   mutable vols : (Space.t * cursor) list; (* registered volumes, newest first *)
   mutable vol_slots : cursor option array;  (* indexed by Flexvol.uid *)
   mutable epoch : int;                    (* bumped at every cp_finish *)
@@ -47,13 +38,6 @@ type t = {
   mutable harvested : int;                (* cumulative VBNs harvested into rings *)
   elig : int array;                       (* scratch: eligible range indices *)
   weight : int array;                     (* scratch: weight per eligible entry *)
-  mutable alloc_shards : Alloc_shard.t array;  (* per-domain front-end shards *)
-  alloc_pool : Par.t;                     (* drives parallel allocation windows *)
-  pick_mutex : Mutex.t;                   (* serialises cache picks across domains *)
-  mutable used_par : bool;                (* a parallel window ran this epoch *)
-  mutable par_capable : int;              (* -1 unknown, 0 no, 1 yes (cached) *)
-  mutable last_par : par_slot_stats array;
-  mutable claim_conflicts : int;
   mutable candidates_scanned : int;
   mutable phys_taken : int;
   mutable phys_score_sum : int;
@@ -91,9 +75,8 @@ let create aggregate ~rng =
     aggregate;
     rng;
     classes;
-    (* Every class row claims in the range space's words, so two classes
-       can never check out the same AA within a CP — segregation falls out
-       of the same owner words the multi-writer front-end uses. *)
+    (* Every class row claims in the range space's flags, so two classes
+       can never check out the same AA within a CP. *)
     cursors =
       Array.init classes (fun _ ->
           Array.map (fun (r : Aggregate.range) -> new_cursor r.Aggregate.space) ranges);
@@ -104,13 +87,6 @@ let create aggregate ~rng =
     harvested = 0;
     elig = Array.make (Array.length ranges) 0;
     weight = Array.make (Array.length ranges) 0;
-    alloc_shards = [||];
-    alloc_pool = Par.shared Par.Alloc ~jobs:run.Config.alloc_domains;
-    pick_mutex = Mutex.create ();
-    used_par = false;
-    par_capable = -1;
-    last_par = [||];
-    claim_conflicts = 0;
     candidates_scanned = 0;
     phys_taken = 0;
     phys_score_sum = 0;
@@ -146,27 +122,19 @@ let rec vol_cursor t vol =
 let register_vol t vol = ignore (vol_cursor t vol)
 
 (* Claim-aware cache take: skip over empty-scored AAs, bounded so a
-   drained cache terminates.  The take skips AAs another cursor or domain
-   owns (the space's [unclaimed] predicate), and the CAS right after makes
-   the ownership authoritative — a lost race (counted, structurally
-   impossible while picks are serialised by the pick mutex) just retries.
-   Top-level and returning the cache's own option, so a pick allocates no
-   closure and no second tuple. *)
-let rec try_take t (s : Space.t) c cursor ~owner attempts =
+   drained cache terminates.  The take skips AAs another class row has
+   claimed (the space's [unclaimed] predicate) and claims the one it
+   returns.  Top-level and returning the cache's own option, so a pick
+   allocates no closure and no second tuple. *)
+let rec try_take (s : Space.t) c cursor attempts =
   if attempts = 0 then None
   else begin
     match Cache.take_best_filtered c ~keep:s.Space.unclaimed with
     | None -> None
     | Some (aa, score) as taken ->
-      if Atomic.compare_and_set s.Space.owners.(aa) Space.no_owner owner then begin
-        push_taken cursor aa;
-        if score > 0 then taken else try_take t s c cursor ~owner (attempts - 1)
-      end
-      else begin
-        t.claim_conflicts <- t.claim_conflicts + 1;
-        Telemetry.incr "write_alloc.claim_conflicts";
-        try_take t s c cursor ~owner (attempts - 1)
-      end
+      Bytes.set s.Space.claimed aa '\001';
+      push_taken cursor aa;
+      if score > 0 then taken else try_take s c cursor (attempts - 1)
   end
 
 (* The §4.1 baseline: uniformly random AA, regardless of emptiness. *)
@@ -197,13 +165,11 @@ let rec scan_first_fit (s : Space.t) cursor steps pos =
 
 (* Pick the next AA of a space under its policy; the cacheless policies
    read free counts from the bitmap.  A cache-backed pick is traced by the
-   cache itself.  [owner] is the claim id a Best_aa take is registered
-   under (serial cursors claim as 0, shard c as c+1).  Returns
-   (aa, score-at-take) or None. *)
-let pick_aa t (s : Space.t) cursor ~owner =
+   cache itself.  Returns (aa, score-at-take) or None. *)
+let pick_aa t (s : Space.t) cursor =
   match s.Space.policy with
   | Config.Best_aa -> (
-    match s.Space.cache with None -> None | Some c -> try_take t s c cursor ~owner 8)
+    match s.Space.cache with None -> None | Some c -> try_take s c cursor 8)
   | Config.Random_aa -> try_random t s 64
   | Config.First_fit -> scan_first_fit s cursor 0 cursor.scan_pos
 
@@ -277,7 +243,7 @@ let rec refill_guarded t s cursor ~fault qbudget =
      and cache here, before the pick trusts either. *)
   Space.touch s;
   Telemetry.span_enter Span.Pick;
-  let picked = pick_aa t s cursor ~owner:0 in
+  let picked = pick_aa t s cursor in
   Telemetry.span_exit Span.Pick;
   match picked with
   | None -> false
@@ -342,10 +308,8 @@ let best_score_of_range (range : Aggregate.range) =
     0
   | _ -> Space.best_score range.Aggregate.space
 
-(* The fan-out stages of the serial [allocate_pvbns_into], top-level
-   (closure-free): the whole call must allocate nothing when served from
-   rings.  Fill positions are absolute ([pos0] is the caller's base), so
-   the parallel front-end can reuse the serial path for its shortfall. *)
+(* The fan-out stages of [allocate_pvbns_into], top-level (closure-free):
+   the whole call must allocate nothing when served from rings. *)
 
 let rec filter_elig t ranges min_score i m =
   if i >= Array.length ranges then m
@@ -393,342 +357,40 @@ let rec mop_up t ranges row dst stop m got =
     if got' > got then mop_up t ranges row dst stop m got' else got'
   end
 
-(* Serial allocation core for one class row, filling
-   [dst.(pos0 .. pos0+n-1)]; returns the absolute fill position reached. *)
-let allocate_pvbns_serial t ~row ~dst ~pos0 n =
-  let ranges = Aggregate.ranges t.aggregate in
-  let nr = Array.length ranges in
-  let threshold = (Aggregate.config t.aggregate).Config.rg_score_threshold in
-  (* Eligible ranges into the preallocated [elig] scratch. *)
-  let m =
-    match threshold with
-    | None ->
-      for i = 0 to nr - 1 do
-        t.elig.(i) <- i
-      done;
-      nr
-    | Some min_score ->
-      let m = filter_elig t ranges min_score 0 0 in
-      if m > 0 then m
-      else begin
-        (* never stall entirely: fall back to every range (§3.3.1) *)
-        for i = 0 to nr - 1 do
-          t.elig.(i) <- i
-        done;
-        nr
-      end
-  in
-  let total_weight = weigh_elig t ranges m 0 0 in
-  let after_shares = take_shares t ranges row dst n m total_weight 0 pos0 in
-  mop_up t ranges row dst (pos0 + n) m after_shares
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent allocation front-end (the multi-writer path).            *)
-
-(* Concurrent word-at-a-time bitmap mutation is only safe when no two AAs
-   can share a bitmap byte: every extent of every AA must start and end on
-   a byte boundary in aggregate PVBN space.  Static per-aggregate property;
-   computed once and cached. *)
-let compute_par_capable t =
-  Array.for_all
-    (fun (r : Aggregate.range) ->
-      let n = Topology.aa_count r.Aggregate.topology in
-      let ok = ref true in
-      for aa = 0 to n - 1 do
-        List.iter
-          (fun e ->
-            if
-              (r.Aggregate.base + Wafl_block.Extent.start e) land 7 <> 0
-              || Wafl_block.Extent.len e land 7 <> 0
-            then ok := false)
-          (Topology.extents_of_aa r.Aggregate.topology aa)
-      done;
-      !ok)
-    (Aggregate.ranges t.aggregate)
-
-let parallel_capable t =
-  if t.par_capable < 0 then t.par_capable <- (if compute_par_capable t then 1 else 0);
-  t.par_capable = 1
-
-(* Grow the per-domain shard set; shard [c] claims AAs as owner [c + 1]
-   (0 is the serial cursors' id). *)
-let ensure_alloc_shards t jobs =
-  if Array.length t.alloc_shards < jobs then begin
-    let ranges = Aggregate.ranges t.aggregate in
-    let capacity =
-      Array.fold_left
-        (fun acc (r : Aggregate.range) ->
-          max acc (Topology.full_aa_capacity r.Aggregate.topology))
-        1 ranges
-    in
-    let pages = Metafile.pages (Aggregate.metafile t.aggregate) in
-    let old = t.alloc_shards in
-    t.alloc_shards <-
-      Array.init jobs (fun c ->
-          if c < Array.length old then old.(c)
-          else
-            Alloc_shard.create ~id:c ~capacity
-              ~deltas:
-                (Array.map
-                   (fun (r : Aggregate.range) -> Score.create_delta r.Aggregate.topology)
-                   ranges)
-              ~touched_pages:pages)
-  end
-
-let prepare_par t ~jobs = ensure_alloc_shards t jobs
-
-(* Concurrent free: O(1) into the calling slot's private queue.  Drained
-   serially (in shard order, so the commit order is deterministic) into
-   the aggregate's validated free queue before the CP commit. *)
-let queue_free_par t ~slot ~pvbn = Alloc_shard.queue_free t.alloc_shards.(slot) pvbn
-
-let drain_queued_frees t =
-  let total = ref 0 in
-  Array.iter
-    (fun (shard : Alloc_shard.t) ->
-      for k = 0 to shard.n_free - 1 do
-        Aggregate.queue_free t.aggregate ~pvbn:shard.free_q.(k)
-      done;
-      total := !total + shard.n_free;
-      shard.n_free <- 0)
-    t.alloc_shards;
-  !total
-
-(* Claim-aware pick for one shard, under the pick mutex: chooses the range
-   with the best available score (offline ranges score 0 and are skipped),
-   then takes + claims its best unclaimed AA as owner [shard.id + 1].  The
-   take is registered in the range cursor's taken list, so cp_finish
-   releases and re-files shard-claimed AAs exactly like serial ones.
-   Returns the range index and AA, or (-1, _) when nothing is available. *)
-let par_pick_locked t row (shard : Alloc_shard.t) =
-  let ranges = Aggregate.ranges t.aggregate in
-  let rec pick_range_aa qbudget =
-    let best_i = ref (-1) and best_s = ref 0 in
-    Array.iteri
-      (fun i r ->
-        let s = best_score_of_range r in
-        if s > !best_s then begin
-          best_i := i;
-          best_s := s
-        end)
-      ranges;
-    if !best_i < 0 then (-1, 0)
-    else begin
-      let i = !best_i in
-      let range = ranges.(i) in
-      let cursor = row.(i) in
-      let space = range.Aggregate.space in
-      match pick_aa t space cursor ~owner:(shard.id + 1) with
-      | None -> (-1, 0)
-      | Some (aa, score) ->
-        let bad =
-          match range.Aggregate.fault with
-          | Some dev -> aa_overlaps_fault space dev aa
-          | None -> false
-        in
-        if bad then begin
-          if qbudget = 0 then (-1, 0)
-          else begin
-            Hashtbl.replace cursor.quarantined aa ();
-            Telemetry.incr "fault.aa_quarantined";
-            pick_range_aa (qbudget - 1)
-          end
-        end
-        else begin
-          note_take t space ~aa ~score;
-          shard.taken <- shard.taken + 1;
-          shard.score_sum <- shard.score_sum + score;
-          (i, aa)
-        end
-    end
-  in
-  pick_range_aa 64
-
-(* Refill a shard's (empty) ring: pick under the mutex, harvest outside it
-   (the harvest reads only bitmap bytes of the freshly claimed AA, which
-   no other domain can touch).  A spent AA (score went stale across a CP)
-   harvests zero and the pick retries. *)
-let rec par_refill t row (shard : Alloc_shard.t) =
-  Mutex.lock t.pick_mutex;
-  let range_idx, aa =
-    match par_pick_locked t row shard with
-    | exception exn ->
-      Mutex.unlock t.pick_mutex;
-      raise exn
-    | res -> res
-  in
-  Mutex.unlock t.pick_mutex;
-  if range_idx < 0 then false
-  else begin
-    let range = (Aggregate.ranges t.aggregate).(range_idx) in
-    let count = Space.harvest range.Aggregate.space aa ~dst:shard.ring ~words:shard.words in
-    shard.harvested <- shard.harvested + count;
-    (* The ring's monotone byte group, which steals split on: plain
-       [pvbn lsr 3] for a contiguous AA, the per-device stripe byte for
-       the stripe-major RAID-aware emission (adjacent entries there are
-       on different devices, so adjacent-pvbn bytes say nothing). *)
-    let key_base, key_mod =
-      match range.Aggregate.topology with
-      | Topology.Raid_agnostic _ -> (0, 0)
-      | Topology.Raid_aware { geometry; _ } ->
-        (range.Aggregate.base, Wafl_raid.Geometry.device_blocks geometry)
-    in
-    Alloc_shard.publish shard ~range_idx ~aa ~key_base ~key_mod ~count;
-    count > 0 || par_refill t row shard
-  end
-
-(* Steal from the fullest other shard; a single attempt (failure falls
-   through to a fresh pick). *)
-let try_steal_from_any t (shard : Alloc_shard.t) =
-  let shards = t.alloc_shards in
-  let best = ref (-1) and best_n = ref 1 in
-  for j = 0 to Array.length shards - 1 do
-    if j <> shard.id then begin
-      let n = Alloc_shard.entries shards.(j) in
-      if n > !best_n then begin
-        best := j;
-        best_n := n
-      end
-    end
-  done;
-  !best >= 0 && Alloc_shard.try_steal ~victim:shards.(!best) ~thief:shard
-
-(* The per-block consume loop of one shard: pop, set the bitmap bit (byte
-   disjoint from every other domain by the claim + byte-aligned-steal
-   invariants), record the touched metafile page and the score decrement
-   in the shard's private accumulators.  Zero heap words per block. *)
-let rec par_consume t (shard : Alloc_shard.t) am dst pos stop =
-  if pos >= stop then pos
-  else begin
-    let pvbn = Alloc_shard.pop shard in
-    if pvbn < 0 then pos
-    else begin
-      Activemap.allocate_harvested_touched am pvbn ~touched:shard.touched;
-      Score.note_alloc_aa
-        (Array.unsafe_get shard.deltas shard.ring_range)
-        ~aa:shard.ring_aa;
-      Array.unsafe_set dst pos pvbn;
-      par_consume t shard am dst (pos + 1) stop
-    end
-  end
-
-(* One shard's chunk: consume / steal / refill until the slice is full or
-   the aggregate is dry.  [Gc.minor_words] brackets only the pop-consume
-   segments — refills and steals run off the zero-allocation window. *)
-let rec par_chunk t row (shard : Alloc_shard.t) am dst pos stop =
-  if pos >= stop then pos
-  else begin
-    let m0 = Gc.minor_words () in
-    let pos' = par_consume t shard am dst pos stop in
-    shard.consume_minor <-
-      shard.consume_minor + int_of_float (Gc.minor_words () -. m0);
-    shard.allocated <- shard.allocated + (pos' - pos);
-    if pos' >= stop then pos'
-    else if try_steal_from_any t shard then par_chunk t row shard am dst pos' stop
-    else if par_refill t row shard then par_chunk t row shard am dst pos' stop
-    else pos'
-  end
-
-(* Fold every shard's private window state back into the shared structures,
-   serially, in shard order — the merge is the only writer, so the result
-   is independent of how the window's work interleaved. *)
-let merge_par_window t jobs =
-  let mf = Aggregate.metafile t.aggregate in
-  let ranges = Aggregate.ranges t.aggregate in
-  t.last_par <-
-    Array.init jobs (fun c ->
-        let shard = t.alloc_shards.(c) in
-        Metafile.mark_touched_dirty mf ~touched:shard.touched;
-        Bytes.fill shard.touched 0 (Bytes.length shard.touched) '\000';
-        Array.iteri
-          (fun i (r : Aggregate.range) ->
-            Score.merge_into ~src:shard.deltas.(i) ~dst:r.Aggregate.space.Space.delta)
-          ranges;
-        t.words := !(t.words) + !(shard.words);
-        Telemetry.add "write_alloc.words_scanned" !(shard.words);
-        shard.words := 0;
-        t.harvested <- t.harvested + shard.harvested;
-        Telemetry.add "write_alloc.vbns_harvested" shard.harvested;
-        Telemetry.add "write_alloc.steals" shard.steals;
-        Telemetry.max_gauge
-          ("write_alloc.ring_high_water.d" ^ string_of_int c)
-          (float_of_int shard.high_water);
-        {
-          ps_allocated = shard.allocated;
-          ps_steals = shard.steals;
-          ps_high_water = shard.high_water;
-          ps_minor_words = shard.consume_minor;
-        })
-
-(* A parallel allocation window: one chunk (= one shard) per pool domain,
-   each filling its own contiguous slice of [dst]; holes from uneven
-   shortfalls are compacted afterwards and any remainder is retried on the
-   serial path (which sees shard claims and cannot double-hand-out). *)
-let allocate_pvbns_par t pool ~row ~dst n =
-  let jobs = Par.jobs pool in
-  ensure_alloc_shards t jobs;
-  let ranges = Aggregate.ranges t.aggregate in
-  (* Serial prologue: materialize lazily mounted ranges (the pick path
-     must not rebuild from a worker), and drop serial rings left over
-     from a previous epoch — their AAs are unclaimed again, so a shard
-     could re-harvest the very blocks they still hold. *)
-  Array.iter (fun (r : Aggregate.range) -> Space.touch r.Aggregate.space) ranges;
-  Array.iter
-    (Array.iter (fun c ->
-         if c.ring_epoch <> t.epoch then begin
-           c.head <- 0;
-           c.len <- 0;
-           c.ring_epoch <- t.epoch
-         end))
-    t.cursors;
-  for c = 0 to jobs - 1 do
-    Alloc_shard.reset_window t.alloc_shards.(c)
-  done;
-  t.used_par <- true;
-  let am = Aggregate.activemap t.aggregate in
-  let bounds = Par.chunk_bounds ~total:n ~chunks:jobs in
-  let chunks = Array.length bounds in
-  let filled = Array.make chunks 0 in
-  Par.run_with_slot pool ~chunks ~f:(fun ~slot:_ i ->
-      let start, len = bounds.(i) in
-      filled.(i) <- par_chunk t row t.alloc_shards.(i) am dst start (start + len) - start);
-  merge_par_window t jobs;
-  (* With temperature routing active the next window may serve a different
-     class: flush leftover shard-ring entries so blocks harvested from
-     this class's claimed AAs cannot leak into another class's batch.
-     The blocks stay free in the bitmap and the AAs stay claimed until
-     cp_finish — nothing is lost, the next same-class pick re-harvests. *)
-  if t.classes > 1 then Array.iter Alloc_shard.flush t.alloc_shards;
-  (* Compact the per-chunk slices left-justified. *)
-  let pos = ref 0 in
-  Array.iteri
-    (fun i (start, _len) ->
-      let f = filled.(i) in
-      if start <> !pos && f > 0 then Array.blit dst start dst !pos f;
-      pos := !pos + f)
-    bounds;
-  if !pos < n then allocate_pvbns_serial t ~row ~dst ~pos0:!pos (n - !pos) else !pos
-
+(* One class row fills [dst.(0 .. n-1)]; returns the fill position
+   reached. *)
 let allocate_pvbns_into ?(cls = 0) t ~dst n =
   if n <= 0 then 0
   else begin
     let row = t.cursors.(if cls < 0 || cls >= t.classes then 0 else cls) in
-    let pool = t.alloc_pool in
-    if
-      Par.jobs pool > 1
-      && n >= Par.jobs pool * 16
-      && (Aggregate.config t.aggregate).Config.aggregate_policy = Config.Best_aa
-      && parallel_capable t
-    then allocate_pvbns_par t pool ~row ~dst n
-    else allocate_pvbns_serial t ~row ~dst ~pos0:0 n
+    let ranges = Aggregate.ranges t.aggregate in
+    let nr = Array.length ranges in
+    let threshold = (Aggregate.config t.aggregate).Config.rg_score_threshold in
+    (* Eligible ranges into the preallocated [elig] scratch. *)
+    let m =
+      match threshold with
+      | None ->
+        for i = 0 to nr - 1 do
+          t.elig.(i) <- i
+        done;
+        nr
+      | Some min_score ->
+        let m = filter_elig t ranges min_score 0 0 in
+        if m > 0 then m
+        else begin
+          (* never stall entirely: fall back to every range (§3.3.1) *)
+          for i = 0 to nr - 1 do
+            t.elig.(i) <- i
+          done;
+          nr
+        end
+    in
+    let total_weight = weigh_elig t ranges m 0 0 in
+    let after_shares = take_shares t ranges row dst n m total_weight 0 0 in
+    mop_up t ranges row dst n m after_shares
   end
 
 let temp_classes t = t.classes
-
-let last_par_stats t = t.last_par
-let claim_conflicts t = t.claim_conflicts
-
-(* ------------------------------------------------------------------ *)
 
 let allocate_vvbns_into t vol ~dst n =
   if n <= 0 then 0 else take_into t (Flexvol.space vol) (vol_cursor t vol) ~fault:None ~dst ~pos:0 n
@@ -742,8 +404,8 @@ let rec quarantined cursors aa i =
 (* CP boundary for one space: make sure every taken AA is re-filed in the
    cache, even if its score did not change, apply the score delta once,
    then release every taken AA's claim (across all of the space's class
-   cursors — their taken lists are disjoint, the shared claim words block
-   a second class from taking an owned AA).  The cache is handed the
+   cursors — their taken lists are disjoint, the shared claim flags block
+   a second class from taking a claimed AA).  The cache is handed the
    taken-but-unchanged AAs first, in taken order, then the delta's
    updates ({!Score.apply}'s order); [Score.mem] answers "will apply
    emit this AA?" from the delta's preallocated accumulator, and both
@@ -779,7 +441,7 @@ let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust (s : Space.t) cur
         Score.apply delta scores ~f:file));
   Array.iter
     (fun cursor ->
-      (* With several class rows over shared claim words, a surviving ring
+      (* With several class rows over shared claim flags, a surviving ring
          is only safe if its AA stays claimed across the boundary: the ring
          blocks are still free in the bitmap, and an unclaimed AA could be
          picked and re-harvested by another class next CP.  Keep the claim
@@ -794,7 +456,7 @@ let cp_finish_space ?(keep_claimed_rings = false) ?wear_adjust (s : Space.t) cur
       for k = 0 to cursor.n_taken - 1 do
         let aa = cursor.taken_list.(k) in
         if aa = keep_aa then kept := true
-        else Atomic.set s.Space.owners.(aa) Space.no_owner
+        else Bytes.set s.Space.claimed aa '\000'
       done;
       cursor.n_taken <- 0;
       if !kept then push_taken cursor keep_aa
@@ -820,23 +482,6 @@ let aa_max_wear (range : Aggregate.range) ftl aa =
 
 let cp_finish t =
   t.epoch <- t.epoch + 1;
-  if t.used_par then begin
-    (* After a parallel window, any surviving ring — serial or shard —
-       holds blocks of AAs whose claims are released and whose scores are
-       about to be re-filed; a later pick could re-harvest those blocks.
-       Drop all rings (the blocks stay free in the bitmap, nothing is
-       lost) and start the next CP clean.  Class rows in serial mode keep
-       their rings instead: cp_finish_space holds the ring AA's claim
-       across the boundary, so each class keeps filling the same AA over
-       consecutive CPs exactly like the unrouted serial allocator. *)
-    Array.iter
-      (Array.iter (fun c ->
-           c.head <- 0;
-           c.len <- 0))
-      t.cursors;
-    Array.iter Alloc_shard.flush t.alloc_shards;
-    t.used_par <- false
-  end;
   let bias = (Aggregate.config t.aggregate).Config.run.Config.streams.Config.wear_bias in
   Array.iteri
     (fun i (range : Aggregate.range) ->

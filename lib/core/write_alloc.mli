@@ -11,32 +11,11 @@
     AAs taken from a cache are remembered so the CP boundary can re-file
     them with their updated scores (a heap entry would otherwise be lost,
     and an untouched HBPS entry would never re-qualify).  Every Best_aa
-    take also claims the AA in its space's atomic per-AA owner word
-    ({!Space.t} [owners]); the claim blocks re-picks within a CP and is
-    what lets multiple domains allocate concurrently (below) without two
-    writers ever touching the same AA between CPs.
-
-    {b Concurrent front-end.}  When the run asks for more than one
-    allocation domain ({!Config.run} [alloc_domains]), the allocator takes
-    an allocation pool of that size (apart from the scan pool) and large
-    [allocate_pvbns_into] calls fan out
-    over per-domain shards ({!Alloc_shard}): each domain pops from its own
-    lock-free harvest ring, claims fresh AAs through the shared
-    (mutex-serialised) cache pick path, steals byte-aligned ring suffixes
-    from other shards when it runs dry, and accumulates score deltas and
-    touched metafile pages privately; a serial epilogue merges everything
-    back in shard order, so the committed state is independent of the
-    window's interleaving.  The per-block consume loop allocates zero
-    minor-heap words per domain. *)
+    take also sets the AA's claim flag in its space ({!Space.t}
+    [claimed]); the claim blocks re-picks within a CP, and with several
+    temperature classes it keeps two class rows off the same AA. *)
 
 type t
-
-type par_slot_stats = {
-  ps_allocated : int;   (** blocks this shard handed out in the last window *)
-  ps_steals : int;      (** successful ring steals by this shard *)
-  ps_high_water : int;  (** largest ring fill this shard published *)
-  ps_minor_words : int; (** minor-heap words inside its pop-consume loops *)
-}
 
 val create : Aggregate.t -> rng:Wafl_util.Rng.t -> t
 
@@ -54,7 +33,7 @@ val allocate_pvbns_into : ?cls:int -> t -> dst:int array -> int -> int
 
     [cls] (default 0, clamped into the configured class count) selects
     the temperature routing slot: each class runs its own cursor row —
-    own rings, own taken AAs — over the shared per-AA claim words, so
+    own rings, own taken AAs — over the shared per-AA claim flags, so
     within a CP no two classes ever fill the same AA.  With
     [temp_classes = 1] (the default config) there is a single row and
     behavior is exactly the unrouted allocator's.
@@ -77,51 +56,17 @@ val cp_finish : t -> unit
 (** CP boundary: apply every range's and volume's batched score delta,
     re-file taken AAs, rebalance caches.  Clears per-CP state but keeps
     partially-consumed AA queues (WAFL continues filling an AA across
-    CPs) — except after a parallel window, where surviving rings are
-    dropped (their AAs lose their claims at this boundary, so another
-    shard could re-harvest the blocks they hold).  With
-    [temp_classes > 1] each class row instead keeps its live ring's AA
-    {e claimed} across the boundary and carries it in the taken list:
-    the row resumes filling the same erase block next CP, and the held
-    claim is what stops any other class from re-harvesting it.  With a positive {!Config.stream_spec} [wear_bias] and an
-    SSD range, the scores filed into the pick cache are demoted by
+    CPs).  With [temp_classes > 1] each class row also keeps its live
+    ring's AA {e claimed} across the boundary and carries it in the taken
+    list: the row resumes filling the same erase block next CP, and the
+    held claim is what stops any other class from re-harvesting it.  With
+    a positive {!Config.stream_spec} [wear_bias] and an SSD range, the
+    scores filed into the pick cache are demoted by
     {!Wafl_aa.Score.wear_adjusted} — worn AAs sink in the Best-AA order
     while the exact free-count arrays stay untouched. *)
 
 val register_vol : t -> Flexvol.t -> unit
 (** Track a volume so {!cp_finish} updates its cache too. *)
-
-(** {2 Concurrent allocation front-end} *)
-
-val parallel_capable : t -> bool
-(** Whether every AA extent of every range is bitmap-byte aligned — the
-    static precondition for unsynchronised multi-domain bitmap writes.
-    When false, {!allocate_pvbns_into} stays serial regardless of the
-    allocation pool. *)
-
-val prepare_par : t -> jobs:int -> unit
-(** Materialize [jobs] shards up front (e.g. so {!queue_free_par} can be
-    used before any parallel allocation ran). *)
-
-val queue_free_par : t -> slot:int -> pvbn:int -> unit
-(** Constant-time concurrent free into slot's private queue; requires the
-    slot's shard to exist ({!prepare_par}).  Queued frees take effect when
-    {!drain_queued_frees} routes them into the aggregate's validated free
-    queue. *)
-
-val drain_queued_frees : t -> int
-(** Serially (in shard order) move every queued concurrent free into
-    {!Aggregate.queue_free}; returns the count.  Run before the CP commit
-    ({!Cp.run} does). *)
-
-val last_par_stats : t -> par_slot_stats array
-(** Per-shard stats of the most recent parallel window ([[||]] before the
-    first one). *)
-
-val claim_conflicts : t -> int
-(** Cumulative lost claim CAS races (structurally 0 while picks are
-    serialised by the pick mutex; also emitted as the
-    [write_alloc.claim_conflicts] counter). *)
 
 val aas_taken : t -> int
 (** Cumulative AAs taken from caches (all ranges and volumes). *)

@@ -19,7 +19,7 @@ module Telemetry = Wafl_telemetry.Telemetry
 module Span = Wafl_telemetry.Span
 
 type task = {
-  f : slot:int -> int -> unit;
+  f : int -> unit;
   next : int Atomic.t;
   total : int;
   pending : int Atomic.t;
@@ -62,10 +62,10 @@ let drain t ~slot task =
     if i < task.total then begin
       (if timed then begin
          let t0 = Span.now_ns () in
-         (try task.f ~slot i with exn -> record_failure task i exn);
+         (try task.f i with exn -> record_failure task i exn);
          ignore (Atomic.fetch_and_add task.busy_ns.(slot) (Span.now_ns () - t0))
        end
-       else try task.f ~slot i with exn -> record_failure task i exn);
+       else try task.f i with exn -> record_failure task i exn);
       if Atomic.fetch_and_add task.pending (-1) = 1 then begin
         (* Last chunk retired: wake a caller blocked in [await]. *)
         Mutex.lock t.m;
@@ -152,30 +152,22 @@ let run_parallel t ~chunks ~f =
   if timed then emit_worker_stats t task ~chunks ~t0;
   match Atomic.get task.failed with None -> () | Some (_, exn) -> raise exn
 
-(* [run] with the executing participant's slot exposed to the chunk
-   function: slot 0 is the caller, slots 1 .. jobs-1 the workers.  Two
-   chunks with the same slot never overlap in time (a participant drains
-   one chunk at a time), so per-slot scratch state is single-writer —
-   the hook the multi-domain allocation front-end builds on.  On every
-   serial/degraded path the caller runs all chunks with slot 0. *)
-let run_with_slot t ~chunks ~f =
+let run t ~chunks ~f =
   if chunks <= 0 then ()
   else if t.jobs <= 1 || (not t.live) || chunks = 1 then
     for i = 0 to chunks - 1 do
-      f ~slot:0 i
+      f i
     done
   else if not (Atomic.compare_and_set t.busy false true) then
     (* Nested run (e.g. issued from inside a chunk): inline serially
        rather than deadlocking on the single task slot. *)
     for i = 0 to chunks - 1 do
-      f ~slot:0 i
+      f i
     done
   else
     Fun.protect
       ~finally:(fun () -> Atomic.set t.busy false)
       (fun () -> run_parallel t ~chunks ~f)
-
-let run t ~chunks ~f = run_with_slot t ~chunks ~f:(fun ~slot:_ i -> f i)
 
 let map t ~chunks ~f =
   if chunks <= 0 then [||]
@@ -234,27 +226,24 @@ let chunk_bounds ~total ~chunks =
 
 (* Pools are process resources, not settings: systems built one after
    another (an experiment builds dozens) take theirs from this cache by
-   size instead of each spawning domains.  Scan and allocation pools are
-   cached apart, so a run's two domain counts stay two pools. *)
+   size instead of each spawning domains. *)
 
-type kind = Scan | Alloc
-
-let cache : (kind * int, t) Hashtbl.t = Hashtbl.create 4
+let cache : (int, t) Hashtbl.t = Hashtbl.create 4
 
 (* One domain needs no workers: every system that runs serially shares
    this handle, whose [run]/[map] are plain loops. *)
 let serial = create ~jobs:1
 
-let shared kind ~jobs =
+let shared ~jobs =
   if jobs <= 1 then serial
   else
-    match Hashtbl.find_opt cache (kind, jobs) with
+    match Hashtbl.find_opt cache jobs with
     | Some p -> p
     | None ->
       if Hashtbl.length cache = 0 then
         at_exit (fun () -> Hashtbl.iter (fun _ p -> shutdown p) cache);
       let p = create ~jobs in
-      Hashtbl.replace cache (kind, jobs) p;
+      Hashtbl.replace cache jobs p;
       p
 
 let ranges t ~min n =

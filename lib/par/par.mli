@@ -56,14 +56,6 @@ val run : t -> chunks:int -> f:(int -> unit) -> unit
     chunk (matching what the serial loop would have raised first);
     remaining chunks still run to completion first. *)
 
-val run_with_slot : t -> chunks:int -> f:(slot:int -> int -> unit) -> unit
-(** [run] with the executing participant's slot index exposed: slot 0 is
-    the calling domain, slots 1 .. jobs-1 the workers.  A participant
-    drains one chunk at a time, so two chunk executions with the same
-    slot never overlap — per-slot scratch state (rings, accumulators,
-    [Gc.minor_words] windows) is single-writer by construction.  Serial
-    and degraded paths run every chunk on the caller with slot 0. *)
-
 val map : t -> chunks:int -> f:(int -> 'a) -> 'a array
 (** Like [run], but collects [| f 0; ...; f (chunks - 1) |].  Slot order
     is by chunk index, never by completion order. *)
@@ -94,15 +86,12 @@ val map_ranges : t -> min:int -> int -> f:(int -> int -> 'a) -> 'a array
     Pools are resources, not settings: a system's configuration says how
     many domains it uses, and the system takes a pool of that size from
     a process-wide cache, so building many systems spawns each pool's
-    domains once.  Scan and allocation pools are cached apart, so a
-    run's two domain counts ([jobs], [alloc_domains]) stay two pools. *)
-
-type kind = Scan | Alloc
+    domains once. *)
 
 val serial : t
 (** The one-domain handle: no workers, [run]/[map] are plain loops. *)
 
-val shared : kind -> jobs:int -> t
-(** The cached pool of [kind] with [jobs] domains, created on first use
+val shared : jobs:int -> t
+(** The cached pool with [jobs] domains, created on first use
     and shut down at exit; {!serial} when [jobs <= 1], so a serial run
     takes the same code path as a parallel one on a one-domain handle. *)

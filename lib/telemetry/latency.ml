@@ -201,24 +201,27 @@ let created hists i =
 
 (* Record [count] ops of one (vol, op) run, positions [pos .. pos+count-1]
    of [n] in the arrival window.  Integer-only per-op arithmetic: zero
-   minor-heap words in steady state. *)
+   minor-heap words in steady state.  An empty run creates no histogram. *)
 let record_run t ~thr_ns ~op ~vol ~count ~pos ~n ~arrival_ns ~total_ns ~phase =
-  let cell = created t.cells ((op_index op * max_vols) + vol) in
-  let vol_hist = created t.vol_hists vol in
-  let n_thr = Array.length thr_ns in
-  for j = 0 to count - 1 do
-    let p = pos + j in
-    let ns = total_ns + (arrival_ns * (n - 1 - p) / n) in
-    Hdrhist.record cell ns;
-    Hdrhist.record vol_hist ns;
-    Hdrhist.record t.overall ns;
-    for k = 0 to n_thr - 1 do
-      if ns > thr_ns.(k) then t.slo_over.(k) <- t.slo_over.(k) + 1
+  if count = 0 then pos
+  else begin
+    let cell = created t.cells ((op_index op * max_vols) + vol) in
+    let vol_hist = created t.vol_hists vol in
+    let n_thr = Array.length thr_ns in
+    for j = 0 to count - 1 do
+      let p = pos + j in
+      let ns = total_ns + (arrival_ns * (n - 1 - p) / n) in
+      Hdrhist.record cell ns;
+      Hdrhist.record vol_hist ns;
+      Hdrhist.record t.overall ns;
+      for k = 0 to n_thr - 1 do
+        if ns > thr_ns.(k) then t.slo_over.(k) <- t.slo_over.(k) + 1
+      done;
+      if t.ex_threshold_ns > 0 && ns >= t.ex_threshold_ns then
+        capture_exemplar t ~ns ~op ~vol ~phase
     done;
-    if t.ex_threshold_ns > 0 && ns >= t.ex_threshold_ns then
-      capture_exemplar t ~ns ~op ~vol ~phase
-  done;
-  pos + count
+    pos + count
+  end
 
 let cp_record t ~groups ~pages ~cache_work ~candidates ~device_us ~spike_us
     ~pick_ns ~harvest_ns =

@@ -549,6 +549,52 @@ let prop_activemap_commit_matches_reference =
       && r.Activemap.pages_written = Hashtbl.length dirtied
       && Activemap.pending_free_count am = 0)
 
+(* --- mmap pagestore: remount reproduces persisted state --- *)
+
+let fresh_dir name =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o700;
+  dir
+
+let test_mmap_remount () =
+  let dir = fresh_dir "wafl_test_bitmap_mmap" in
+  let bits_a = 4096 and bits_b = 10000 in
+  (* First process: create two stores (deterministic ps0/ps1 sequence)
+     and persist a bit pattern into each. *)
+  Pagestore.with_mmap_dir dir (fun () ->
+      let a = Bitmap.create ~bits:bits_a () in
+      let b = Bitmap.create ~bits:bits_b () in
+      Bitmap.set a 7;
+      Bitmap.set a 4090;
+      Bitmap.set_range b ~start:100 ~len:33);
+  (* Remount: the same creation order maps the same files, so the bits
+     come back without any explicit load step. *)
+  Pagestore.with_mmap_dir dir (fun () ->
+      let a = Bitmap.create ~bits:bits_a () in
+      let b = Bitmap.create ~bits:bits_b () in
+      check_bool "bit 7 persisted" true (Bitmap.get a 7);
+      check_bool "bit 4090 persisted" true (Bitmap.get a 4090);
+      check_int "store a population" 2 (Bitmap.count_set a);
+      check_int "store b population" 33 (Bitmap.count_set b);
+      check_bool "unset bit stays unset" false (Bitmap.get b 99));
+  (* A size change must not inherit stale bytes: recreating store a at a
+     different word count zero-fills it. *)
+  Pagestore.with_mmap_dir dir (fun () ->
+      let a = Bitmap.create ~bits:(2 * bits_a) () in
+      check_int "resized store is zero-filled" 0 (Bitmap.count_set a))
+
+(* Only [~mapped:true] stores join the file sequence: an explicitly
+   unmapped store under an installed directory stays anonymous. *)
+let test_mmap_explicit_backend_stays_anonymous () =
+  let dir = fresh_dir "wafl_test_bitmap_mmap2" in
+  Pagestore.with_mmap_dir dir (fun () ->
+      let n_before = Array.length (Sys.readdir dir) in
+      let s = Pagestore.create ~mapped:false 16 in
+      check_bool "unmapped create has no path" true (Pagestore.mapped_path s = None);
+      check_int "unmapped create maps no file" n_before (Array.length (Sys.readdir dir)))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -603,4 +649,10 @@ let () =
           Alcotest.test_case "commit flushes" `Quick test_activemap_commit_flushes_metafile;
         ]
         @ qsuite );
+      ( "mmap backend",
+        [
+          Alcotest.test_case "remount reproduces state" `Quick test_mmap_remount;
+          Alcotest.test_case "explicit backend stays anonymous" `Quick
+            test_mmap_explicit_backend_stays_anonymous;
+        ] );
     ]

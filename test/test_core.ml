@@ -1595,14 +1595,13 @@ let gen_valid_run =
   let open QCheck.Gen in
   let+ mmap_dir = gen_mmap_dir
   and+ jobs = int_range 1 64
-  and+ alloc_domains = int_range 1 64
   and+ rate = int_bound 5000
   and+ faults = opt gen_fault_spec
   and+ temp_classes = int_range 1 4
   and+ ssd_streams = int_range 1 8
   and+ wear_bias = int_bound 255 in
   let scrub_rate = if mmap_dir = None then 0 else rate in
-  { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults;
+  { Config.mmap_dir; jobs; scrub_rate; faults;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let gen_any_run =
@@ -1610,12 +1609,11 @@ let gen_any_run =
   let any = int_range (-1000) 1000 in
   let+ mmap_dir = oneof [ gen_mmap_dir; return (Some "") ]
   and+ jobs = any
-  and+ alloc_domains = any
   and+ scrub_rate = any
   and+ temp_classes = any
   and+ ssd_streams = any
   and+ wear_bias = any in
-  { Config.mmap_dir; jobs; alloc_domains; scrub_rate; faults = None;
+  { Config.mmap_dir; jobs; scrub_rate; faults = None;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let print_run r = Config.run_to_string r
@@ -1634,12 +1632,13 @@ let prop_validate_never_raises =
       | Error e -> String.length (Config.run_error_to_string e) > 0
       | exception _ -> false)
 
-(* Every bad run setting fails the command line with cmdliner's CLI-error
-   code, before anything runs. *)
+(* Every bad run setting, and every removed flag ([--alloc-domains],
+   [--backend]), fails the command line with cmdliner's CLI-error code,
+   before anything runs. *)
 let test_bad_run_settings_exit_124 () =
   List.iter
     (fun args -> check_int (String.concat " " args) 124 (run_exit_code args))
-    [ [ "--jobs"; "0" ]; [ "--alloc-domains"; "0" ]; [ "--fault-spec"; "bogus" ];
+    [ [ "--jobs"; "0" ]; [ "--alloc-domains"; "2" ]; [ "--fault-spec"; "bogus" ];
       [ "--temp-classes"; "9" ]; [ "--streams"; "0" ]; [ "--backend"; "heap" ];
       [ "--scrub-rate=-1" ]; [ "--scrub-rate"; "8" ]; [ "--wear-bias"; "256" ];
       [ "--mmap"; "" ] ];

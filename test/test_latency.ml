@@ -456,6 +456,30 @@ let test_cp_record_alloc () =
     (Printf.sprintf "warm CP + read %.0f words < one histogram" words)
     true (words < 1856.0)
 
+(* An empty run creates no histogram: a new volume whose CP brings only
+   fresh writes gets its write cell and its volume histogram, and no
+   empty overwrite cell; the reverse holds for overwrites.  Such a CP
+   allocates 3,721 words, about two histograms; an empty third cell
+   would add 1,858. *)
+let test_cp_record_empty_run_no_cell () =
+  let lat = Latency.create () in
+  let record groups =
+    Latency.cp_record lat ~groups ~pages:3 ~cache_work:5 ~candidates:7 ~device_us:100.0
+      ~spike_us:0.0 ~pick_ns:0 ~harvest_ns:0
+  in
+  record [ (Latency.vol_slot lat ~uid:1 ~name:"warm", 10, 10) ];
+  List.iter
+    (fun (uid, fresh, over) ->
+      let v = Latency.vol_slot lat ~uid ~name:(string_of_int uid) in
+      let before = Gc.allocated_bytes () in
+      record [ (v, fresh, over) ];
+      let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+      check_bool
+        (Printf.sprintf "%d fresh + %d overwrites on a new volume: %.0f words < 2.5 histograms"
+           fresh over words)
+        true (words < 2.5 *. 1856.0))
+    [ (2, 10, 0); (3, 0, 10) ]
+
 let () =
   Alcotest.run "wafl_latency"
     [
@@ -472,6 +496,7 @@ let () =
           Alcotest.test_case "exemplar device blame" `Quick test_exemplar_blames_device_flush;
           Alcotest.test_case "exemplar activemap blame" `Quick test_exemplar_blames_activemap;
           Alcotest.test_case "record path zero alloc" `Quick test_cp_record_alloc;
+          Alcotest.test_case "empty run creates no cell" `Quick test_cp_record_empty_run_no_cell;
         ] );
       ( "slo",
         [

@@ -81,15 +81,13 @@ let test_chunk_bounds_properties () =
         [ 1; 2; 3; 7; 16 ])
     [ 0; 1; 5; 31; 32; 33; 1000; 4096 ]
 
-(* Pools are cached process resources: one per (kind, size), the shared
-   one-domain handle for a single domain, and scan pools never double as
-   allocation pools. *)
+(* Pools are cached process resources: one per size, and the shared
+   one-domain handle for a single domain. *)
 let test_shared_pools () =
-  check_bool "one domain is the serial handle" true (Par.shared Par.Scan ~jobs:1 == Par.serial);
+  check_bool "one domain is the serial handle" true (Par.shared ~jobs:1 == Par.serial);
   check_int "serial handle runs one domain" 1 (Par.jobs Par.serial);
-  let scan = Par.shared Par.Scan ~jobs:3 in
-  check_bool "same size, same pool" true (scan == Par.shared Par.Scan ~jobs:3);
-  check_bool "allocation pool kept apart" true (scan != Par.shared Par.Alloc ~jobs:3);
+  let scan = Par.shared ~jobs:3 in
+  check_bool "same size, same pool" true (scan == Par.shared ~jobs:3);
   check_int "pool jobs" 3 (Par.jobs scan)
 
 (* One path per chunked scan: a single inline chunk on one domain or
@@ -333,12 +331,12 @@ let test_crash_matrix_with_pool () =
 
    State is bit-identical at any domain count, so the determinism tests
    above cannot see a stage that silently runs serially.  This fixed rig
-   drives every stage that dispatches at two domains — allocation
-   windows (allocation pool), per-volume commits and per-range flushes,
-   scrubber verification, Iron's scans and a full-scan remount's
-   rescoring (scan pool) — and pins the dispatch counters (SSD, 2
-   temperature classes, 2 + 2 domains, 10 CPs).  The activemap bit
-   clears and the AA harvest run serially at any domain count. *)
+   drives every stage that dispatches at two domains — per-volume
+   commits and per-range flushes, scrubber verification, Iron's scans
+   and a full-scan remount's rescoring — and pins the dispatch counters
+   (SSD, 2 temperature classes, 2 domains, 10 CPs).  Write allocation,
+   the activemap bit clears and the AA harvest run serially at any
+   domain count. *)
 let test_pool_dispatch_counts () =
   (* ranges with 128 AAs (parallel rescoring); three ranges and three
      volumes, since a two-chunk map runs its second chunk inline *)
@@ -350,7 +348,7 @@ let test_pool_dispatch_counts () =
   let tel = Telemetry.create () in
   with_fresh_mmap_dir "wafl_test_par_rig" (fun dir ->
       let run =
-        { Config.mmap_dir = Some dir; jobs = 2; alloc_domains = 2; scrub_rate = 64;
+        { Config.mmap_dir = Some dir; jobs = 2; scrub_rate = 64;
           faults = None; streams = { Config.default_streams with Config.temp_classes = 2 } }
       in
       let config =
@@ -377,8 +375,8 @@ let test_pool_dispatch_counts () =
     | Some (Registry.Counter c) -> Registry.count c
     | _ -> 0
   in
-  check_int "par.tasks" 100 (counter "par.tasks");
-  check_int "par.chunks" 321 (counter "par.chunks")
+  check_int "par.tasks" 43 (counter "par.tasks");
+  check_int "par.chunks" 207 (counter "par.chunks")
 
 (* --- modeled scaling of the full-scan mount ---
 
