@@ -51,15 +51,6 @@ let mmap_dir =
   in
   Arg.(value & opt (some mmap_conv) d.Config.mmap_dir & info [ "mmap" ] ~docv:"DIR" ~doc)
 
-let jobs =
-  let doc =
-    "Shard every parallel-capable stage — mount-time cache rebuilds, Iron's scans, the \
-     CP's per-volume free commits and per-range device flushes, the scrubber — over a \
-     pool of $(docv) domains, with results bit-identical to a serial run at any $(docv). \
-     The default of 1 keeps every path serial."
-  in
-  Arg.(value & opt int d.Config.jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let scrub_rate =
   let doc =
     "Run the background pagestore scrubber: after every CP, verify $(docv) integrity \
@@ -111,12 +102,12 @@ let wear_bias =
   Arg.(value & opt int d.Config.streams.Config.wear_bias & info [ "wear-bias" ] ~docv:"N" ~doc)
 
 let term =
-  let make mmap_dir jobs scrub_rate faults temp_classes ssd_streams wear_bias =
+  let make mmap_dir scrub_rate faults temp_classes ssd_streams wear_bias =
     let streams = { d.Config.streams with Config.temp_classes; ssd_streams; wear_bias } in
-    Config.validate { Config.mmap_dir; jobs; scrub_rate; faults; streams }
+    Config.validate { Config.mmap_dir; scrub_rate; faults; streams }
     |> Result.map_error Config.run_error_to_string
   in
   Term.(
     term_result' ~usage:true
-      (const make $ mmap_dir $ jobs $ scrub_rate $ faults $ temp_classes $ ssd_streams
+      (const make $ mmap_dir $ scrub_rate $ faults $ temp_classes $ ssd_streams
      $ wear_bias))

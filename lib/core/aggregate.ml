@@ -2,7 +2,6 @@ open Wafl_bitmap
 open Wafl_raid
 open Wafl_device
 open Wafl_aa
-module Par = Wafl_par.Par
 
 type device_sim =
   | Hdd_sim of Profile.hdd
@@ -28,7 +27,6 @@ type t = {
   ranges : range array;
   activemap : Activemap.t;
   total_blocks : int;
-  pool : Par.t;
 }
 
 (* A range's topology, and how to finish the range once the aggregate-wide
@@ -131,14 +129,13 @@ let create config =
     List.fold_left (fun acc (topology, _) -> acc + Topology.total_blocks topology) 0 specs
   in
   let activemap = Activemap.create ~blocks:total_blocks () in
-  let pool = Par.shared ~jobs:run.Config.jobs in
   let base = ref 0 in
   let ranges =
     Array.of_list
       (List.mapi
          (fun index (topology, make) ->
            let space =
-             Space.create ~label:(Space.Range index) ~base:!base ~activemap ~pool
+             Space.create ~label:(Space.Range index) ~base:!base ~activemap
                ~policy:config.Config.aggregate_policy topology
            in
            let r = make index !base space in
@@ -151,10 +148,9 @@ let create config =
     attach_faults ranges (Wafl_fault.Fault.create spec);
     Integrity.arm spec
   | None -> ());
-  { config; ranges; activemap; total_blocks; pool }
+  { config; ranges; activemap; total_blocks }
 
 let config t = t.config
-let pool t = t.pool
 let ranges t = t.ranges
 let total_blocks t = t.total_blocks
 let activemap t = t.activemap

@@ -33,8 +33,7 @@ type range = {
 type t
 
 val create : Config.t -> t
-(** Builds the ranges and their spaces from the config; its run
-    ({!Config.run}) picks the size of the shared scan pool ({!pool}).
+(** Builds the ranges and their spaces from the config.
     When the run carries a fault spec, a fault plane is created from it,
     one device handle per range (in range-index order, so RNG substreams
     are stable) is threaded into the range's device sim and kept on
@@ -42,13 +41,6 @@ val create : Config.t -> t
     ({!Wafl_bitmap.Integrity.arm}). *)
 
 val config : t -> Config.t
-
-val pool : t -> Wafl_par.Par.t
-(** The scan pool every stage of this system runs on — rebuilds, Iron
-    scans, the scrubber's verification, the CP's per-volume commits
-    and per-range flushes.  A run with [jobs = 1] gets
-    {!Wafl_par.Par.serial}, so the stages take the same path at any
-    domain count. *)
 
 val ranges : t -> range array
 val total_blocks : t -> int

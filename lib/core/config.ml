@@ -37,7 +37,6 @@ let default_streams =
 
 type run = {
   mmap_dir : string option;
-  jobs : int;
   scrub_rate : int;
   faults : Wafl_fault.Fault.spec option;
   streams : stream_spec;
@@ -46,14 +45,12 @@ type run = {
 let default_run =
   {
     mmap_dir = None;
-    jobs = 1;
     scrub_rate = 0;
     faults = None;
     streams = default_streams;
   }
 
 type run_error =
-  | Jobs_below_one of int
   | Scrub_rate_negative of int
   | Scrub_without_mmap of int
   | Temp_classes_out_of_range of int
@@ -63,8 +60,7 @@ type run_error =
 
 let validate r =
   let s = r.streams in
-  if r.jobs < 1 then Error (Jobs_below_one r.jobs)
-  else if r.scrub_rate < 0 then Error (Scrub_rate_negative r.scrub_rate)
+  if r.scrub_rate < 0 then Error (Scrub_rate_negative r.scrub_rate)
   else if s.temp_classes < 1 || s.temp_classes > 4 then
     Error (Temp_classes_out_of_range s.temp_classes)
   else if s.ssd_streams < 1 || s.ssd_streams > 8 then
@@ -78,7 +74,6 @@ let validate r =
     | _ -> Ok r
 
 let run_error_to_string = function
-  | Jobs_below_one n -> Printf.sprintf "--jobs must be at least 1 (got %d)" n
   | Scrub_rate_negative n -> Printf.sprintf "--scrub-rate must be >= 0 (got %d)" n
   | Scrub_without_mmap n ->
     Printf.sprintf
@@ -97,7 +92,7 @@ let run_args r =
   List.concat_map
     (fun (flag, v) -> [ "--" ^ flag; v ])
     (Option.to_list mmap
-    @ [ ("jobs", int r.jobs); ("scrub-rate", int r.scrub_rate) ]
+    @ [ ("scrub-rate", int r.scrub_rate) ]
     @ Option.to_list fault
     @ [ ("temp-classes", int s.temp_classes); ("streams", int s.ssd_streams);
         ("wear-bias", int s.wear_bias) ])

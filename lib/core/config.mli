@@ -58,7 +58,7 @@ val default_streams : stream_spec
 
 (** {1 Run configuration}
 
-    How one run executes, as opposed to what system it builds: the seven
+    How one run executes, as opposed to what system it builds: the six
     settings [waflsim] exposes as flags.  Every system carries its run in
     its {!t}, so nothing about a run is process-wide: two systems built
     with different runs in one process behave as their own runs say. *)
@@ -69,7 +69,6 @@ type run = {
           — the map session itself ({!Wafl_bitmap.Pagestore.with_mmap_dir})
           is opened by whoever drives the run; [None] keeps every store
           anonymous *)
-  jobs : int;  (** [--jobs]: domains of the system's scan pool *)
   scrub_rate : int;  (** [--scrub-rate]: pages scrubbed after every CP; 0 = off *)
   faults : Wafl_fault.Fault.spec option;  (** [--fault-spec] *)
   streams : stream_spec;
@@ -78,11 +77,10 @@ type run = {
 }
 
 val default_run : run
-(** Anonymous stores, serial scans, no scrubber, no faults,
+(** Anonymous stores, no scrubber, no faults,
     {!default_streams}. *)
 
 type run_error =
-  | Jobs_below_one of int
   | Scrub_rate_negative of int
   | Scrub_without_mmap of int
       (** only file-mapped stores carry the sidecars a scrub verifies *)

@@ -2,7 +2,6 @@ open Wafl_raid
 open Wafl_device
 open Wafl_aacache
 open Wafl_telemetry
-module Par = Wafl_par.Par
 
 type batch = {
   mutable vol : int array;
@@ -373,9 +372,8 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
       fault = Some fs;
     }
 
-(* [Device_flush] spans may run concurrently on pool domains; each domain
-   stamps its own start slot, so the enter/exit pair is race-free.  The
-   [Fun.protect] closure is per-range-per-CP — off the hot path. *)
+(* One [Device_flush] span per range.  The [Fun.protect] closure is
+   per-range-per-CP — off the hot path. *)
 let flush_range range sc ~pos ~len ~fpos ~flen =
   Telemetry.span_enter Span.Device_flush;
   Fun.protect
@@ -617,7 +615,6 @@ let run ?temp walloc vols batch =
   let pick_ns0 = Telemetry.span_total_ns Span.Pick in
   let harvest_ns0 = Telemetry.span_total_ns Span.Harvest in
   let aggregate = Write_alloc.aggregate walloc in
-  let pool = Aggregate.pool aggregate in
   let sc = Domain.DLS.get scratch_key in
   let ops = batch.len in
   Telemetry.span_enter Span.Place;
@@ -740,14 +737,12 @@ let run ?temp walloc vols batch =
   let agg_commit = Aggregate.commit_frees aggregate in
   let agg_pages = agg_commit.Wafl_bitmap.Activemap.pages_written in
   let n_freed = agg_commit.Wafl_bitmap.Activemap.freed in
-  (* The per-volume crash points fire first, serially, then the volumes
-     commit on the pool: each volume's activemap, metafile and score
-     delta are private to it, and the page counts are summed in volume
-     order. *)
-  Array.iter (fun _ -> Wafl_fault.Crash.point "cp.vol_free_commit") active;
   let vol_pages =
-    Array.fold_left ( + ) 0
-      (Par.map pool ~chunks:n_active ~f:(fun i -> Flexvol.commit_frees active.(i)))
+    Array.fold_left
+      (fun acc vol ->
+        Wafl_fault.Crash.point "cp.vol_free_commit";
+        acc + Flexvol.commit_frees vol)
+      0 active
   in
   Telemetry.span_exit Span.Activemap_commit;
   (* 3. Device I/O per range: this CP's allocations (and trims) split by
@@ -768,17 +763,11 @@ let run ?temp walloc vols batch =
       ~src:(Wafl_bitmap.Activemap.freed (Aggregate.activemap aggregate))
       n_freed ~dst:sc.freed_locals
   in
-  (* The per-range crash points fire first, serially, then every range
-     flushes on the pool: a range's RAID group, device simulator and
-     fault handle are private to it, each reads only its own slices,
-     trace emission is mutex-guarded, and the reports land in range
-     order. *)
-  Array.iter (fun _ -> Wafl_fault.Crash.point "cp.device_flush") ranges;
   let devices =
-    Array.to_list
-      (Par.map pool ~chunks:n_ranges ~f:(fun i ->
-           flush_range ranges.(i) sc ~pos:starts.(i) ~len:(starts.(i + 1) - starts.(i))
-             ~fpos:fstarts.(i) ~flen:(fstarts.(i + 1) - fstarts.(i))))
+    List.init n_ranges (fun i ->
+        Wafl_fault.Crash.point "cp.device_flush";
+        flush_range ranges.(i) sc ~pos:starts.(i) ~len:(starts.(i + 1) - starts.(i))
+          ~fpos:fstarts.(i) ~flen:(fstarts.(i + 1) - fstarts.(i)))
   in
   (* 4. CP boundary: batched score updates, cache rebalance. *)
   Wafl_fault.Crash.point "cp.score_refile";

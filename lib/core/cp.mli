@@ -72,23 +72,21 @@ val columns : Wafl_telemetry.Timeseries.column list
     modeled latency quantiles overall and for the first four volume
     slots) and carries a unit and a kind.  Only the two wall-clock
     columns, [search_ns_per_block] and [cp_wall_ns], are [Measured];
-    every other cell is identical at any domain count. *)
+    every other cell is the same on every run of the same seed, with or
+    without [--mmap]. *)
 
 val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> report
-(** Execute one CP over the staged writes, one code path at any domain
-    or class count.  Writes are grouped by volume with a stable counting
+(** Execute one CP over the staged writes, one code path at any class
+    count.  Writes are grouped by volume with a stable counting
     sort (volumes in first-appearance order), and every per-block list —
     placed PVBNs and their classes, freed PVBNs, each range's share of
     both — is a slice of a scratch array that belongs to the calling
     domain and is reused across CPs, so a CP allocates O(volumes +
-    ranges) words, not O(blocks).  Each stage runs on the system's scan pool
-    ({!Aggregate.pool}): the per-volume commits one volume per chunk and
-    the per-range device flushes one range per chunk; the aggregate's
-    delayed-free apply is one serial pass.
-    The crash points of a fanned-out stage fire serially before it (same
-    names, counts and order at any domain count), and results merge in
-    volume/range order, so reports, telemetry counters, and all
-    bitmap/cache state are identical at any domain count.
+    ranges) words, not O(blocks).  The aggregate's delayed frees commit
+    first, then each volume's ([cp.vol_free_commit] fires just before
+    each), then each range flushes ([cp.device_flush] fires just before
+    each), in volume and range order: a crash at the second range's point
+    leaves the first range flushed and the second not.
 
     Every write gets a class slot: with [temp] it is classified before
     placement by the lifespan of the version it overwrites; without it

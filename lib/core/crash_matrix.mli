@@ -45,7 +45,7 @@ val run :
     caches range by range.
     [run] (ignored when [config] is given) is the run of the default
     config; every pass and every remount executes as it says — under its
-    fault spec, scrubber and pools.
+    fault spec and scrubber.
     [verify_mount] (default false) forwards [~verify:true] to every
     post-crash {!Mount.mount}, classifying the persisted pagestore bytes
     against their integrity sidecars before the image restore.  When an
@@ -56,7 +56,4 @@ val run :
     persisted, and {!Wafl_bitmap.Integrity} reloads sidecars and
     superblock from disk, discarding seals that died with the crash.
     Runs with rot/lost fault specs should also set a scrub rate so damage
-    injected during replay CPs is healed before the invariant checks.
-    With [jobs > 1] the remounts, repairs and replay CPs all shard over
-    the scan pool — the recorded point sequence and the verdicts are
-    identical at any domain count. *)
+    injected during replay CPs is healed before the invariant checks. *)

@@ -23,7 +23,7 @@ type t = {
   mutable next_snapshot : int;
 }
 
-let create ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
+let create (spec : Config.vol_spec) =
   if spec.Config.blocks <= 0 then invalid_arg "Flexvol.create: empty volume";
   let aa_blocks = Option.value spec.Config.aa_blocks ~default:Sizing.default_raid_agnostic_blocks in
   let aa_blocks = min aa_blocks spec.Config.blocks in
@@ -39,7 +39,7 @@ let create ?(pool = Wafl_par.Par.serial) (spec : Config.vol_spec) =
     uid = Atomic.fetch_and_add next_uid 1;
     spec;
     space =
-      Space.create ~label:(Space.Vol spec.Config.name) ~base:0 ~activemap ~pool
+      Space.create ~label:(Space.Vol spec.Config.name) ~base:0 ~activemap
         ~policy:spec.Config.policy topology;
     container = Array.make spec.Config.blocks (-1);
     inodes = Hashtbl.create 16;

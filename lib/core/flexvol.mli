@@ -9,10 +9,8 @@
 
 type t
 
-val create : ?pool:Wafl_par.Par.t -> Config.vol_spec -> t
-(** A volume and its bitmaps.  [pool] —
-    its system's scan pool, {!Wafl_par.Par.serial} by default — runs the
-    volume's free commits and rescans. *)
+val create : Config.vol_spec -> t
+(** A volume and its bitmaps. *)
 
 val uid : t -> int
 (** Process-wide dense volume id, assigned at creation.  The write

@@ -38,10 +38,7 @@ let create config =
   let aggregate = Aggregate.create config in
   let rng = Rng.create ~seed:config.Config.seed in
   let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) in
-  let vols =
-    Array.of_list
-      (List.map (Flexvol.create ~pool:(Aggregate.pool aggregate)) config.Config.vols)
-  in
+  let vols = Array.of_list (List.map Flexvol.create config.Config.vols) in
   Array.iter (Write_alloc.register_vol walloc) vols;
   let temp =
     let s = run.Config.streams in

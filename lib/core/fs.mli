@@ -10,12 +10,8 @@ val create : Config.t -> t
 (** Build the system the config describes, running as its {!Config.run}
     says: durable page stores file-mapped when a map directory is
     installed ({!Wafl_bitmap.Pagestore.with_mmap_dir}, which [waflsim]
-    opens on [mmap_dir]), scans and CP stages run on a scan pool of
-    [jobs] domains ({!Aggregate.pool}; the one-domain
-    {!Wafl_par.Par.serial} handle at [jobs = 1]), the run's fault spec
-    attached, and [scrub_rate] pages scrubbed after every CP.  Pools come
-    from a process-wide cache ({!Wafl_par.Par.shared}), so building a
-    system spawns no domains of its own. *)
+    opens on [mmap_dir]), the run's fault spec attached, and
+    [scrub_rate] pages scrubbed after every CP. *)
 
 val enable_registry : unit -> unit
 (** Start recording every subsequently {!create}d system in a process-wide
@@ -62,8 +58,7 @@ val staged_ops : t -> (string * int * int) list
     replays before resuming service (§3.4). *)
 
 val run_cp : t -> Cp.report
-(** Flush everything staged as one consistency point, on the system's
-    scan pool, with the same results at any domain count — see
+(** Flush everything staged as one consistency point — see
     {!Cp.run}.  When the run's [scrub_rate] is positive,
     one scrubber pass of that many pages ({!Scrub.pass}) follows the
     CP. *)

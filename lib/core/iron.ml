@@ -21,29 +21,10 @@ let pp_finding fmt = function
   | Orphan_blocks { count } ->
     Format.fprintf fmt "%d allocated physical blocks have no volume owner" count
 
-module Par = Wafl_par.Par
-
-(* Pool-chunked index scan that preserves serial finding order: each
-   chunk builds its findings as an ascending list (pure reads, private
-   accumulator), and the chunk lists are pushed in chunk order — exactly
-   the ascending sequence of one [0, n) loop. *)
-let scan_indices pool n ~test ~push =
-  let lists =
-    Par.map_ranges pool ~min:32 n ~f:(fun s len ->
-        let acc = ref [] in
-        for i = s + len - 1 downto s do
-          match test i with Some f -> acc := f :: !acc | None -> ()
-        done;
-        !acc)
-  in
-  Array.iter (fun l -> List.iter push l) lists
-
 let check_body fs =
   let aggregate = Fs.aggregate fs in
-  let pool = Aggregate.pool aggregate in
   let mf = Aggregate.metafile aggregate in
   let findings = ref [] in
-  let push f = findings := f :: !findings in
   (* After a lazy mount, untouched spaces carry seeded (approximate)
      scores by design; materialize them before the drift scan so Iron
      compares real caches against the bitmap instead of flagging the
@@ -55,14 +36,16 @@ let check_body fs =
   Array.iter
     (fun (s : Space.t) ->
       if Score.is_empty s.Space.delta then
-        scan_indices pool (Array.length s.Space.scores) ~push ~test:(fun aa ->
-            let cached = s.Space.scores.(aa) and actual = Space.score_now s aa in
-            if cached = actual then None
-            else
-              Some
+        Array.iteri
+          (fun aa cached ->
+            let actual = Space.score_now s aa in
+            if cached <> actual then
+              findings :=
                 (match s.Space.label with
                 | Space.Range range -> Range_score_drift { range; aa; cached; actual }
-                | Space.Vol vol -> Vol_score_drift { vol; aa; cached; actual })))
+                | Space.Vol vol -> Vol_score_drift { vol; aa; cached; actual })
+                :: !findings)
+          s.Space.scores)
     spaces;
   (* 2. container references: dangling and cross-linked *)
   let owners = Hashtbl.create 4096 in
@@ -82,21 +65,12 @@ let check_body fs =
           Hashtbl.replace owners pvbn (Flexvol.name vol :: prior)
       done)
     (Fs.vols fs);
-  (* 3. orphans: allocated physical blocks without a container reference.
-        Pure reads ([owners] is frozen after phase 2, and concurrent
-        lookups of an unmutated hashtable are safe), so the count is
-        chunked over the PVBN space and summed in chunk order. *)
-  let total = Aggregate.total_blocks aggregate in
-  let orphans =
-    Array.fold_left ( + ) 0
-      (Par.map_ranges pool ~min:4096 total ~f:(fun s len ->
-           let n = ref 0 in
-           for pvbn = s to s + len - 1 do
-             if Metafile.is_allocated mf pvbn && not (Hashtbl.mem owners pvbn) then incr n
-           done;
-           !n))
-  in
-  if orphans > 0 then findings := Orphan_blocks { count = orphans } :: !findings;
+  (* 3. orphans: allocated physical blocks without a container reference *)
+  let orphans = ref 0 in
+  for pvbn = 0 to Aggregate.total_blocks aggregate - 1 do
+    if Metafile.is_allocated mf pvbn && not (Hashtbl.mem owners pvbn) then incr orphans
+  done;
+  if !orphans > 0 then findings := Orphan_blocks { count = !orphans } :: !findings;
   List.rev !findings
 
 type authority = Bitmap_authority | Container_authority

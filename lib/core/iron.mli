@@ -26,12 +26,9 @@ type finding =
 val pp_finding : Format.formatter -> finding -> unit
 
 val check : Fs.t -> finding list
-(** Scan everything; empty list = consistent.  The score-drift and
-    orphan scans — pure bitmap reads — run as {!Wafl_par.Par.map_ranges}
-    chunks on the system's scan pool ({!Aggregate.pool}), with per-chunk
-    findings concatenated in chunk order, so the finding list is the same
-    at any domain count.  The container-reference walk (which builds the
-    shared owner table) stays serial. *)
+(** Scan everything; empty list = consistent.  Findings come in scan
+    order: score drift (spaces in {!Fs.spaces} order, AAs ascending),
+    then container references, then the orphan count. *)
 
 type authority =
   | Bitmap_authority

@@ -298,13 +298,8 @@ let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = f
     Telemetry.incr "mount.full_scan_mounts";
     Telemetry.add "mount.scan_pages" pages;
     Telemetry.add "mount.aas_scored" aas;
-    (* Each pool domain reads and scores its own disjoint slice of the AA
-       range — page reads spread over the RAID group's spindles, scoring
-       over the cores — so the linear page term divides by the domain
-       count.  Seeding the caches and replaying the log stay serial. *)
-    let jobs = float_of_int (Wafl_par.Par.jobs (Aggregate.pool aggregate)) in
     let ready_us =
-      (float_of_int pages *. (cost.page_read_us +. cost.page_scan_cpu_us) /. jobs)
+      (float_of_int pages *. (cost.page_read_us +. cost.page_scan_cpu_us))
       +. (float_of_int aas *. cost.seed_insert_us)
       +. replay_us
     in

@@ -102,8 +102,8 @@ val mount :
     measures immediately after failover; with [with_topaa:false]
     nothing is scanned at all and [ready_us] is the NVRAM replay alone —
     independent of aggregate size.  Once every space has been touched,
-    the system's state is bit-identical to an eager mount's at any
-    domain count, because both funnel through {!Rebuild.request}.
+    the system's state is bit-identical to an eager mount's, because
+    both funnel through {!Rebuild.request}.
 
     Every mount increments exactly one of the [mount.topaa_mounts] /
     [mount.full_scan_mounts] / [mount.deferred_scan_mounts] telemetry
@@ -121,10 +121,4 @@ val mount :
     an installed mmap directory.
 
     [run] (default: the image's own) is how the mounted system runs — an
-    image can come back with more domains, or file-mapped.
-    Its scan pool parallelises the full-scan rescoring — and the
-    background rebuild — across its domains with
-    bit-identical resulting cache state; the modeled [ready_us] of a
-    full-scan mount divides its linear page-scan term by the domain
-    count, since each domain reads and scores a disjoint slice of the
-    AA ranges. *)
+    image can come back file-mapped, with the same resulting state. *)

@@ -3,9 +3,8 @@
     Every path that recomputes AA scores and caches from the bitmaps —
     eager full-scan mount, Iron repair, fault fallback for a corrupt
     TopAA block, verified-remount quarantine and the scrubber — funnels
-    through {!Space.rebuild}, so they share one implementation (and one
-    determinism argument: each score slot is a pure function of the
-    bitmap, written exactly once, at any domain count).  The lazy
+    through {!Space.rebuild}, so they share one implementation: each
+    score slot is a pure function of the bitmap.  The lazy
     first-touch materialization behind incremental mount is
     {!Space.touch}. *)
 
@@ -16,6 +15,4 @@ type scope =
 
 val request : ?vols:Flexvol.t array -> Aggregate.t -> scope -> unit
 (** Rebuild every space in [scope] ({!Space.rebuild}); a [Full] request
-    counts [aggregate.cache_rebuilds].  The system's scan pool
-    ({!Aggregate.pool}) spreads the per-AA rescoring over its domains;
-    results are bit-identical to a serial rebuild at any domain count. *)
+    counts [aggregate.cache_rebuilds]. *)

@@ -1,6 +1,5 @@
 open Wafl_bitmap
 open Wafl_telemetry
-module Par = Wafl_par.Par
 
 (* Background pagestore scrubber.
 
@@ -85,17 +84,11 @@ let pass fs ~budget =
               in
               locate g tracked)
         in
-        (* CRC verification is pure page reads — chunk it over the pool
-           and concatenate the chunks' verdicts in order.  [verify_page]
-           classifies against already-synced sidecar state, so pool
-           domains never race on it; healing stays serial. *)
+        (* Verify the whole budget before healing anything: a heal
+           rebuilds and reseals, and must not change what later probes of
+           the same pass read. *)
         let verdicts =
-          Array.concat
-            (Array.to_list
-               (Par.map_ranges (Aggregate.pool (Fs.aggregate fs)) ~min:2 n ~f:(fun s len ->
-                    Array.init len (fun i ->
-                        let store, _, page = probes.(s + i) in
-                        Integrity.verify_page store page))))
+          Array.map (fun (store, _, page) -> Integrity.verify_page store page) probes
         in
         let bad = ref 0 and healed = ref 0 in
         Array.iteri

@@ -26,10 +26,8 @@ val zero_stats : stats
 
 val pass : Fs.t -> budget:int -> stats
 (** Run one scrub pass over [fs] now: verify up to [budget] integrity
-    pages from the system's round-robin cursor ({!Fs.scrub_cursor}; CRC
-    checks run as {!Wafl_par.Par.map_ranges} chunks on the system's scan
-    pool, each chunk covering a page range; healing is serial), heal
-    any torn/stale page found.  Returns what happened.  {!Fs.run_cp}
+    pages from the system's round-robin cursor ({!Fs.scrub_cursor}), then
+    heal any torn/stale page found.  Returns what happened.  {!Fs.run_cp}
     runs one pass with [budget = scrub_rate] after every CP of a system
     whose run sets a positive rate, so a full sweep of [N] tracked pages
     takes [ceil (N / rate)] CPs. *)

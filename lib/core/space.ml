@@ -10,7 +10,6 @@ type t = {
   topology : Topology.t;
   base : int;
   activemap : Activemap.t;
-  pool : Wafl_par.Par.t;
   policy : Config.allocation_policy;
   scores : int array;
   delta : Score.delta;
@@ -46,7 +45,7 @@ let build_cache s =
 (* One claim byte per AA, nonzero while a class row holds the AA: within
    a CP an AA is filled by at most one row.  Claims are released at the
    CP boundary. *)
-let create ~label ~base ~activemap ~pool ~policy topology =
+let create ~label ~base ~activemap ~policy topology =
   let n = Topology.aa_count topology in
   let claimed = Bytes.make n '\000' in
   let s =
@@ -55,7 +54,6 @@ let create ~label ~base ~activemap ~pool ~policy topology =
       topology;
       base;
       activemap;
-      pool;
       policy;
       scores = Array.init n (Topology.aa_capacity topology);
       delta = Score.create_delta topology;
@@ -80,17 +78,12 @@ let rec array_max a i best =
 let best_score s =
   match s.cache with Some c -> Cache.best_score c | None -> array_max s.scores 0 0
 
-(* Each chunk fills its own (disjoint) score slots with a pure function of
-   the bitmap, so the array is bit-identical at any domain count.  Below 32
-   AAs the dispatch would cost more than the scan, so the space is
-   rescored inline. *)
 let rebuild s =
   (match s.label with Range _ -> Telemetry.incr "aggregate.range_rebuilds" | Vol _ -> ());
   Score.clear s.delta;
-  Wafl_par.Par.run_ranges s.pool ~min:32 (Topology.aa_count s.topology) ~f:(fun first len ->
-      for aa = first to first + len - 1 do
-        s.scores.(aa) <- score_now s aa
-      done);
+  for aa = 0 to Topology.aa_count s.topology - 1 do
+    s.scores.(aa) <- score_now s aa
+  done;
   s.cache <- (if cached s then Some (build_cache s) else None);
   s.stale <- false
 

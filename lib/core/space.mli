@@ -22,7 +22,6 @@ type t = {
   topology : Wafl_aa.Topology.t;
   base : int;  (** bitmap position of the space's VBN 0 *)
   activemap : Wafl_bitmap.Activemap.t;
-  pool : Wafl_par.Par.t;  (** runs rescores *)
   policy : Config.allocation_policy;
       (** how the allocator picks the space's AAs; the space keeps an AA
           cache iff it is {!Config.Best_aa} *)
@@ -47,7 +46,6 @@ val create :
   label:label ->
   base:int ->
   activemap:Wafl_bitmap.Activemap.t ->
-  pool:Wafl_par.Par.t ->
   policy:Config.allocation_policy ->
   Wafl_aa.Topology.t ->
   t
@@ -69,9 +67,6 @@ val best_score : t -> int
 val rebuild : t -> unit
 (** Clear the delta, rescore every AA from the bitmap, rebuild the cache
     of a [Best_aa] space (a cacheless one keeps none) and clear [stale].
-    The rescore runs as {!Wafl_par.Par.run_ranges} chunks of at least 32
-    AAs on [pool]; each slot is written once with a pure function of the
-    bitmap, so scores and cache are bit-identical at any domain count.
     Counts [aggregate.range_rebuilds] on a range. *)
 
 val touch : t -> unit

@@ -1,6 +1,6 @@
-(* Counters and gauges are Atomic-backed so increments from parallel
-   scan domains are never lost (the multi-domain hammer test in test_par
-   exercises this).  The registry table itself is guarded by a mutex:
+(* Counters and gauges are Atomic-backed so increments from several
+   domains are never lost (the multi-domain hammer test in
+   test_telemetry exercises this).  The registry table itself is guarded by a mutex:
    registration is rare, but first-touch of a name can race when two
    domains emit the same new counter simultaneously. *)
 

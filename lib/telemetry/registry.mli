@@ -8,7 +8,7 @@
     per-CP values in the time series, request latency in {!Hdrhist}.
 
     Domain safety: counters and gauges are [Atomic]-backed — concurrent
-    [incr]/[add]/[set_max] from pool domains lose no updates — and
+    [incr]/[add]/[set_max] from several domains lose no updates — and
     registration of a new name is serialised by an internal lock. *)
 
 type t

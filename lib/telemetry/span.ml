@@ -67,7 +67,7 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 (* Start stamps live in one flat int array indexed by
    (domain id mod max_domains, kind).  Each slot is written only by its own
    domain, so plain (non-atomic) stores suffice; a collision would need two
-   concurrent domains 128 ids apart, far beyond any pool here. *)
+   concurrent domains 128 ids apart. *)
 let max_domains = 128
 let no_start = min_int
 

@@ -4,7 +4,7 @@
 
     The kind set is closed — one constructor per instrumented phase — so a
     recorder is a handful of preallocated atomic arrays and [enter]/[exit]
-    never allocate, never take a lock, and are safe to call from pool
+    never allocate, never take a lock, and are safe to call from several
     domains (each domain stamps its start time into its own slot).  The
     static {!parent} relation recreates the nesting ([Pick] and
     [Device_flush] live under the per-CP root, [Bit_clear] under the
@@ -27,7 +27,7 @@ type kind =
   | Pick  (** AA selection for a refill ([Write_alloc.pick_aa]) *)
   | Harvest  (** bitmap walk filling a harvest ring *)
   | Tetris_write  (** RAID tetris/stripe accounting of a range flush *)
-  | Device_flush  (** one range's device simulation (may run on a pool domain) *)
+  | Device_flush  (** one range's device simulation *)
   | Activemap_commit  (** delayed-free commit + metafile flush *)
   | Bit_clear  (** the bit-clearing apply inside the activemap commit *)
   | Place  (** step 1 of [Cp.run]: allocate and place every staged write *)
@@ -71,8 +71,8 @@ val count : t -> kind -> int
 
 val total_ns : t -> kind -> int
 (** Wall nanoseconds accumulated over completed spans of this kind.
-    Concurrent spans (e.g. [Device_flush] on several domains) each
-    contribute their full duration, so a kind's total may exceed its
+    Concurrent spans of one kind on several domains each contribute
+    their full duration, so a kind's total may exceed its
     parent's. *)
 
 val open_now : t -> kind -> int

@@ -12,9 +12,9 @@
 
     Domain safety: counter, gauge and span updates are atomic and trace
     pushes are serialised, so the name-based helpers below may be called
-    from parallel scan domains (see {!Wafl_par.Par}) without losing
-    updates.  The time series remains single-domain: it is sampled only
-    from the serial tail of [Cp.run].
+    from several domains at once without losing updates.  The simulator
+    itself runs on one domain; the time series is sampled only from the
+    tail of [Cp.run].
 
     Typical use:
     {[

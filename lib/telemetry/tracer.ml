@@ -53,8 +53,8 @@ let emitted t = t.emitted
 let length t = min t.emitted (Array.length t.ring)
 let current_cp t = t.cp
 
-(* Emitters may run inside pool domains (e.g. tetris/fault traces from a
-   parallel device flush), so slot claims are serialised.  The disabled
+(* Emitters may run on several domains at once, so slot claims are
+   serialised.  The disabled
    path never reaches here and stays lock- and allocation-free. *)
 let push t ev =
   Mutex.lock t.lock;

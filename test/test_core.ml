@@ -303,8 +303,8 @@ let test_harvest_ring_no_double_handout () =
 (* The ring-served consume window: after a warm-up call fills each
    range's harvest ring (one AA = 2048 blocks), the next call allocates
    no minor-heap words. *)
-let check_consume_window_zero_alloc ~run label =
-  let fs = Fs.create (small_config ~run ()) in
+let test_walloc_consume_allocates_nothing () =
+  let fs = Fs.create (small_config ()) in
   let w = Fs.write_alloc fs in
   let dst = Array.make 256 0 in
   let words_of consume =
@@ -315,14 +315,12 @@ let check_consume_window_zero_alloc ~run label =
   in
   let words = words_of (fun () -> ignore (Write_alloc.allocate_pvbns_into w ~dst 256)) in
   check_bool
-    (Printf.sprintf "%s: ring-served PVBN allocation is heap-allocation-free (%.0f words)"
-       label words)
+    (Printf.sprintf "ring-served PVBN allocation is heap-allocation-free (%.0f words)" words)
     true (words = 0.0);
   let vol = Fs.vol fs "vol0" in
   let words = words_of (fun () -> ignore (Write_alloc.allocate_vvbns_into w vol ~dst 256)) in
   check_bool
-    (Printf.sprintf "%s: ring-served VVBN allocation is heap-allocation-free (%.0f words)"
-       label words)
+    (Printf.sprintf "ring-served VVBN allocation is heap-allocation-free (%.0f words)" words)
     true (words = 0.0)
 
 (* A CP's heap allocation does not grow with its size: every per-block
@@ -364,15 +362,6 @@ let test_cp_allocation_independent_of_size () =
        small)
     true
     (big -. small <= 1024.0)
-
-let test_walloc_consume_allocates_nothing () =
-  check_consume_window_zero_alloc ~run:Config.default_run "serial"
-
-(* A scan pool must not put work on the consume window. *)
-let test_walloc_consume_allocates_nothing_under_pool () =
-  check_consume_window_zero_alloc
-    ~run:{ Config.default_run with Config.jobs = 4 }
-    "4-domain pool"
 
 (* --- CP integration --- *)
 
@@ -1594,26 +1583,24 @@ let gen_mmap_dir =
 let gen_valid_run =
   let open QCheck.Gen in
   let+ mmap_dir = gen_mmap_dir
-  and+ jobs = int_range 1 64
   and+ rate = int_bound 5000
   and+ faults = opt gen_fault_spec
   and+ temp_classes = int_range 1 4
   and+ ssd_streams = int_range 1 8
   and+ wear_bias = int_bound 255 in
   let scrub_rate = if mmap_dir = None then 0 else rate in
-  { Config.mmap_dir; jobs; scrub_rate; faults;
+  { Config.mmap_dir; scrub_rate; faults;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let gen_any_run =
   let open QCheck.Gen in
   let any = int_range (-1000) 1000 in
   let+ mmap_dir = oneof [ gen_mmap_dir; return (Some "") ]
-  and+ jobs = any
   and+ scrub_rate = any
   and+ temp_classes = any
   and+ ssd_streams = any
   and+ wear_bias = any in
-  { Config.mmap_dir; jobs; scrub_rate; faults = None;
+  { Config.mmap_dir; scrub_rate; faults = None;
     streams = { Config.default_streams with Config.temp_classes; ssd_streams; wear_bias } }
 
 let print_run r = Config.run_to_string r
@@ -1632,13 +1619,13 @@ let prop_validate_never_raises =
       | Error e -> String.length (Config.run_error_to_string e) > 0
       | exception _ -> false)
 
-(* Every bad run setting, and every removed flag ([--alloc-domains],
-   [--backend]), fails the command line with cmdliner's CLI-error code,
+(* Every bad run setting, and every removed flag ([--jobs]/[-j],
+   [--alloc-domains], [--backend]), fails the command line with cmdliner's CLI-error code,
    before anything runs. *)
 let test_bad_run_settings_exit_124 () =
   List.iter
     (fun args -> check_int (String.concat " " args) 124 (run_exit_code args))
-    [ [ "--jobs"; "0" ]; [ "--alloc-domains"; "2" ]; [ "--fault-spec"; "bogus" ];
+    [ [ "--jobs"; "2" ]; [ "-j"; "2" ]; [ "--alloc-domains"; "2" ]; [ "--fault-spec"; "bogus" ];
       [ "--temp-classes"; "9" ]; [ "--streams"; "0" ]; [ "--backend"; "heap" ];
       [ "--scrub-rate=-1" ]; [ "--scrub-rate"; "8" ]; [ "--wear-bias"; "256" ];
       [ "--mmap"; "" ] ];
@@ -1685,8 +1672,6 @@ let () =
           Alcotest.test_case "ring no double handout" `Quick test_harvest_ring_no_double_handout;
           Alcotest.test_case "consume window zero-alloc" `Quick
             test_walloc_consume_allocates_nothing;
-          Alcotest.test_case "consume window under a pool" `Quick
-            test_walloc_consume_allocates_nothing_under_pool;
         ] );
       ( "cp",
         [

@@ -298,6 +298,63 @@ let test_crash_point_machinery () =
   Crash.disarm ();
   Crash.point "z" (* off again: no effect *)
 
+(* Each range's [cp.device_flush] point fires just before that range
+   flushes, so a crash at the second range's point leaves a partly
+   flushed CP: the first range's FTL holds this CP's pages, the second
+   range's none. *)
+let test_crash_between_range_flushes () =
+  let rg =
+    { Config.media = Config.Ssd Wafl_device.Profile.default_ssd; data_devices = 4;
+      parity_devices = 1; device_blocks = 2048; aa_stripes = None }
+  in
+  let staged () =
+    let fs =
+      Fs.create
+        (Config.make ~raid_groups:[ rg; rg ]
+           ~vols:[ Config.default_vol ~name:"vol0" ~blocks:16384 ]
+           ~aggregate_policy:Config.Best_aa ~seed:3 ())
+    in
+    let vol = Fs.vol fs "vol0" in
+    for offset = 0 to 9999 do
+      Fs.stage_write fs ~vol ~file:1 ~offset
+    done;
+    fs
+  in
+  let host_pages fs =
+    Array.map
+      (fun (r : Aggregate.range) ->
+        match r.Aggregate.device with
+        | Aggregate.Ssd_sim ftl -> (Wafl_device.Ftl.stats ftl).Wafl_device.Ftl.host_pages_written
+        | _ -> Alcotest.fail "not an SSD range")
+      (Aggregate.ranges (Fs.aggregate fs))
+  in
+  (* the uncrashed CP writes to both ranges; record where its second
+     range flush point falls *)
+  let clean = staged () in
+  Crash.record ();
+  ignore (Fs.run_cp clean);
+  let points = Crash.recorded () in
+  Crash.disarm ();
+  let want = host_pages clean in
+  check_bool "the CP spans both ranges" true (want.(0) > 0 && want.(1) > 0);
+  let second_flush =
+    let rec find i seen = function
+      | [] -> Alcotest.fail "fewer than two cp.device_flush points"
+      | "cp.device_flush" :: _ when seen -> i
+      | p :: rest -> find (i + 1) (seen || p = "cp.device_flush") rest
+    in
+    find 0 false points
+  in
+  let fs = staged () in
+  Crash.arm ~at:second_flush;
+  Fun.protect ~finally:Crash.disarm (fun () ->
+      match Fs.run_cp fs with
+      | _ -> Alcotest.fail "armed CP did not crash"
+      | exception Crash.Crashed { point; _ } -> check_string "crashed at" "cp.device_flush" point);
+  let got = host_pages fs in
+  check_int "range 0 flushed" want.(0) got.(0);
+  check_int "range 1 not flushed" 0 got.(1)
+
 let test_crash_matrix_small () =
   let r = Crash_matrix.run ~with_cleaner:true ~seed:3 ~warmup_cps:1 ~ops_per_cp:150 () in
   check_bool "points enumerated" true (List.length r.Crash_matrix.points > 5);
@@ -360,6 +417,8 @@ let () =
       ( "crash",
         [
           Alcotest.test_case "point machinery" `Quick test_crash_point_machinery;
+          Alcotest.test_case "crash between range flushes" `Quick
+            test_crash_between_range_flushes;
           Alcotest.test_case "small matrix recovers clean" `Slow test_crash_matrix_small;
         ] );
     ]

@@ -1,6 +1,7 @@
-(* Persisted-state integrity: CRC sidecars, verified remount, scrubber.
+(* Persisted-state integrity: CRC sidecars, verified remount, scrubber,
+   and anonymous-vs-file-mapped determinism.
 
-   Every test drives the real mmap path: a first "process" (an
+   The remount tests drive the real mmap path: a first "process" (an
    [with_mmap_dir] session) creates a system and commits CPs, the bytes
    on disk are then damaged (or not), and a second session remounts the
    same directory and must classify exactly what happened. *)
@@ -338,61 +339,52 @@ let test_heal_closure () =
   check_heal_closure ~name:"rot" ~spec:"rot=0:0@1" ~cps_to_fire:1 ~expect:Integrity.Torn;
   check_heal_closure ~name:"lost" ~spec:"lost=0:0@2" ~cps_to_fire:2 ~expect:Integrity.Stale
 
-(* A pass verifies every page of its budget at any domain count: on a
-   4 x 65536-block rig (18 tracked pages) the cursor starts 12 pages
-   before the wrap, so the rotted page 0 is the pass's 13th probe — past
-   the first [jobs * 4] probes a pool-chunked pass dispatches. *)
+(* A pass verifies every page of its budget: on a 4 x 65536-block rig
+   (18 tracked pages) the cursor starts 12 pages before the wrap, so the
+   rotted page 0 is the pass's 13th probe, after the wrap. *)
 let test_scrub_pass_covers_budget () =
-  List.iter
-    (fun jobs ->
-      let name = Printf.sprintf "jobs %d" jobs in
-      let dir = fresh_dir (Printf.sprintf "wafl_test_integrity_budget_%d" jobs) in
-      let spec =
-        match Wafl_fault.Fault.spec_of_string "rot=0:0@1" with
-        | Ok s -> s
-        | Error msg -> Alcotest.fail msg
+  let dir = fresh_dir "wafl_test_integrity_budget" in
+  let spec =
+    match Wafl_fault.Fault.spec_of_string "rot=0:0@1" with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Pagestore.with_mmap_dir dir (fun () ->
+      let rg =
+        {
+          Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+          data_devices = 4;
+          parity_devices = 1;
+          device_blocks = 65536;
+          aa_stripes = Some 512;
+        }
       in
-      Pagestore.with_mmap_dir dir (fun () ->
-          let rg =
-            {
-              Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
-              data_devices = 4;
-              parity_devices = 1;
-              device_blocks = 65536;
-              aa_stripes = Some 512;
-            }
-          in
-          let config =
-            Config.make ~raid_groups:[ rg; rg ]
-              ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
-              ~run:
-                { Config.default_run with
-                  Config.mmap_dir = Some dir;
-                  faults = Some spec;
-                  jobs }
-              ~seed:11 ()
-          in
-          let fs = Fs.create config in
-          let rng = Wafl_util.Rng.create ~seed:13 in
-          let vol = (Fs.vols fs).(0) in
-          for _ = 1 to 400 do
-            Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
-              ~offset:(Wafl_util.Rng.int rng 2048)
-          done;
-          ignore (Fs.run_cp fs);
-          let pages store = Option.value ~default:0 (Integrity.n_pages store) in
-          let total =
-            pages (Metafile.store (Aggregate.metafile (Fs.aggregate fs)))
-            + pages (Metafile.store (Flexvol.metafile vol))
-          in
-          check_int (name ^ ": tracked pages") 18 total;
-          Fs.scrub_cursor fs := total - 12;
-          let stats = Scrub.pass fs ~budget:18 in
-          check_int (name ^ ": whole budget verified") 18 stats.Scrub.pages_verified;
-          check_int (name ^ ": rotted page found") 1 stats.Scrub.bad_pages;
-          check_int (name ^ ": and healed") 1 stats.Scrub.healed;
-          check_int (name ^ ": iron clean after heal") 0 (List.length (Iron.check fs))))
-    [ 1; 2 ]
+      let config =
+        Config.make ~raid_groups:[ rg; rg ]
+          ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+          ~run:{ Config.default_run with Config.mmap_dir = Some dir; faults = Some spec }
+          ~seed:11 ()
+      in
+      let fs = Fs.create config in
+      let rng = Wafl_util.Rng.create ~seed:13 in
+      let vol = (Fs.vols fs).(0) in
+      for _ = 1 to 400 do
+        Fs.stage_write fs ~vol ~file:(Wafl_util.Rng.int rng 16)
+          ~offset:(Wafl_util.Rng.int rng 2048)
+      done;
+      ignore (Fs.run_cp fs);
+      let pages store = Option.value ~default:0 (Integrity.n_pages store) in
+      let total =
+        pages (Metafile.store (Aggregate.metafile (Fs.aggregate fs)))
+        + pages (Metafile.store (Flexvol.metafile vol))
+      in
+      check_int "tracked pages" 18 total;
+      Fs.scrub_cursor fs := total - 12;
+      let stats = Scrub.pass fs ~budget:18 in
+      check_int "whole budget verified" 18 stats.Scrub.pages_verified;
+      check_int "rotted page found" 1 stats.Scrub.bad_pages;
+      check_int "and healed" 1 stats.Scrub.healed;
+      check_int "iron clean after heal" 0 (List.length (Iron.check fs)))
 
 (* Sealing rides the CP flush, never the consume: the ring-served
    allocation window on file-mapped stores allocates no minor words. *)
@@ -415,6 +407,153 @@ let test_sealed_consume_zero_alloc () =
       check_bool
         (Printf.sprintf "sealed mmap consume window allocates nothing (%.0f words)" words)
         true (words = 0.0))
+
+(* --- determinism: anonymous and file-mapped stores, bit for bit ---
+
+   Every stage reads and writes the off-heap stores through one
+   interface, so a run leaves the same state whether they are anonymous
+   memory or file-mapped ([--mmap]). *)
+
+let aged_config ?run () =
+  let rg =
+    {
+      Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+      data_devices = 4;
+      parity_devices = 1;
+      device_blocks = 8192;
+      aa_stripes = Some 512;
+    }
+  in
+  Config.make ~raid_groups:[ rg; rg ]
+    ~vols:[ Config.default_vol ~name:"vol0" ~blocks:65536 ]
+    ~aggregate_policy:Config.Best_aa ?run ~seed:11 ()
+
+(* Overwrite pressure leaves nonuniform free space behind, so the scans
+   under test have real structure to reproduce. *)
+let aged_fs ?run () =
+  let fs = Fs.create (aged_config ?run ()) in
+  let vol = (Fs.vols fs).(0) in
+  for cp = 0 to 2 do
+    for i = 0 to 1023 do
+      Fs.stage_write fs ~vol ~file:(cp mod 2) ~offset:i
+    done;
+    ignore (Fs.run_cp fs)
+  done;
+  fs
+
+(* [f run] once on anonymous stores and once on fresh file-mapped ones
+   under [name]: (anonymous result, mapped result). *)
+let both_stores name f =
+  let anonymous = f Config.default_run in
+  let dir = fresh_dir name in
+  let mapped =
+    Pagestore.with_mmap_dir dir (fun () ->
+        f { Config.default_run with Config.mmap_dir = Some dir })
+  in
+  (anonymous, mapped)
+
+(* The full observable cache state: every space's score array plus the
+   persisted TopAA bytes of its cache (heap contents / HBPS pages). *)
+let cache_state fs =
+  Array.map
+    (fun (s : Space.t) ->
+      (Array.copy s.Space.scores, Option.bind s.Space.cache (fun _ -> Space.save_topaa s)))
+    (Fs.spaces fs)
+
+let check_bitmaps_equal label fs_a fs_b =
+  check_bool (label ^ ": aggregate bitmap")
+    true
+    (Bitmap.equal
+       (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_a)))
+       (Metafile.snapshot (Aggregate.metafile (Fs.aggregate fs_b))));
+  Array.iteri
+    (fun i va ->
+      check_bool
+        (Printf.sprintf "%s: vol %d bitmap" label i)
+        true
+        (Bitmap.equal
+           (Metafile.snapshot (Flexvol.metafile va))
+           (Metafile.snapshot (Flexvol.metafile (Fs.vols fs_b).(i)))))
+    (Fs.vols fs_a)
+
+let test_mount_full_scan_determinism () =
+  let image = Mount.snapshot (aged_fs ()) in
+  let (fs_a, timing_a), (fs_m, timing_m) =
+    both_stores "wafl_test_integrity_det_mount" (fun run ->
+        Mount.mount ~run image ~with_topaa:false)
+  in
+  check_bool "cache state identical" true (cache_state fs_m = cache_state fs_a);
+  check_bitmaps_equal "full-scan mount" fs_m fs_a;
+  check_int "same pages scanned" timing_a.Mount.metafile_pages_scanned
+    timing_m.Mount.metafile_pages_scanned;
+  Alcotest.(check (float 0.0)) "same modeled ready_us" timing_a.Mount.ready_us
+    timing_m.Mount.ready_us
+
+let test_rebuild_caches_determinism () =
+  let anonymous, mapped =
+    both_stores "wafl_test_integrity_det_rebuild" (fun run ->
+        let fs = aged_fs ~run () in
+        Rebuild.request ~vols:(Fs.vols fs) (Fs.aggregate fs) Rebuild.Full;
+        cache_state fs)
+  in
+  check_bool "rebuild identical" true (mapped = anonymous)
+
+(* Score drift injected in a range and a volume so the scan has findings
+   to order. *)
+let drifted_fs ?run () =
+  let fs = aged_fs ?run () in
+  let r = (Aggregate.ranges (Fs.aggregate fs)).(1) in
+  let scores = r.Aggregate.space.Space.scores in
+  scores.(3) <- scores.(3) + 1;
+  scores.(Array.length scores - 1) <- scores.(Array.length scores - 1) + 2;
+  let vol = (Fs.vols fs).(0) in
+  let vol_scores = (Flexvol.space vol).Space.scores in
+  vol_scores.(Array.length vol_scores - 1) <- vol_scores.(Array.length vol_scores - 1) + 1;
+  fs
+
+let test_iron_determinism () =
+  let anonymous, mapped =
+    both_stores "wafl_test_integrity_det_iron" (fun run -> Iron.check (drifted_fs ~run ()))
+  in
+  check_bool "drift detected" true (List.length anonymous >= 3);
+  check_bool "findings identical (content and order)" true (mapped = anonymous)
+
+let test_whole_cp_determinism () =
+  let (aged_a, report_a, fs_a), (aged_m, report_m, fs_m) =
+    both_stores "wafl_test_integrity_det_cp" (fun run ->
+        let fs = aged_fs ~run () in
+        let aged = cache_state fs in
+        let vol = (Fs.vols fs).(0) in
+        for i = 0 to 1023 do
+          (* overwrites: every CP after the first queues frees *)
+          Fs.stage_write fs ~vol ~file:0 ~offset:i
+        done;
+        (aged, Fs.run_cp fs, fs))
+  in
+  check_bool "aged cache state identical" true (aged_m = aged_a);
+  check_bool "reports identical" true (report_m = report_a);
+  check_bool "cache state identical" true (cache_state fs_m = cache_state fs_a);
+  check_bitmaps_equal "whole CP" fs_m fs_a
+
+(* The crash matrix on file-mapped stores with lazy remounts reaches the
+   same CP crash points as the anonymous eager one, and recovers clean. *)
+let test_crash_matrix_bigarray_lazy () =
+  let eager = Crash_matrix.run ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 () in
+  check_bool "eager matrix clean" true (eager.Crash_matrix.violations = []);
+  let dir = fresh_dir "wafl_test_integrity_cm" in
+  let lazy_mapped =
+    Pagestore.with_mmap_dir dir (fun () ->
+        Crash_matrix.run
+          ~run:{ Config.default_run with Config.mmap_dir = Some dir }
+          ~lazy_rebuild:true ~seed:5 ~warmup_cps:1 ~ops_per_cp:60 ())
+  in
+  (* mapped stores add the integrity plane's own crash points *)
+  let store_points =
+    List.filter (fun p -> not (String.starts_with ~prefix:"integrity." p))
+  in
+  check_bool "same crash-point sequence on mapped stores" true
+    (store_points lazy_mapped.Crash_matrix.points = eager.Crash_matrix.points);
+  check_bool "mmap + lazy-remount matrix clean" true (lazy_mapped.Crash_matrix.violations = [])
 
 let () =
   Alcotest.run "integrity"
@@ -439,9 +578,17 @@ let () =
         [
           Alcotest.test_case "rot healed between CPs" `Quick test_scrub_heals;
           Alcotest.test_case "rot/lost heal closure" `Quick test_heal_closure;
-          Alcotest.test_case "pass covers its budget at jobs 1 and 2" `Quick
+          Alcotest.test_case "pass covers its whole budget" `Quick
             test_scrub_pass_covers_budget;
           Alcotest.test_case "consume window zero-alloc" `Quick test_sealed_consume_zero_alloc;
           Alcotest.test_case "dropped systems collected" `Quick test_scrubbed_systems_collected;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "mount full scan" `Quick test_mount_full_scan_determinism;
+          Alcotest.test_case "rebuild caches" `Quick test_rebuild_caches_determinism;
+          Alcotest.test_case "iron findings" `Quick test_iron_determinism;
+          Alcotest.test_case "whole CP" `Quick test_whole_cp_determinism;
+          Alcotest.test_case "crash matrix bigarray + lazy" `Slow test_crash_matrix_bigarray_lazy;
         ] );
     ]

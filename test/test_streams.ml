@@ -307,15 +307,16 @@ let test_streams_end_to_end () =
   let _, max_wear = Wafl_device.Ftl.wear_spread ftl in
   check_bool "erases recorded as wear" true (max_wear >= 1)
 
-(* --- CP outputs pinned at one and three classes, one and two domains ---
+(* --- CP outputs pinned at one and three classes ---
 
    A CP places, commits and flushes by one code path whatever the class
-   and domain counts; these per-CP facts were measured on the separate
+   count; these per-CP facts were measured on the separate
    routed and unrouted placement loops that path replaced, so the one
    path reproduces both.  Two SSD RAID groups and two volumes put more
-   than one range and volume behind every fan-out stage. *)
+   than one range and volume behind every per-range and per-volume
+   stage. *)
 
-let pin_config ~classes ~streams ~jobs =
+let pin_config ~classes ~streams =
   let profile =
     { Wafl_device.Profile.default_ssd with
       Wafl_device.Profile.erase_block_blocks = 64;
@@ -336,8 +337,7 @@ let pin_config ~classes ~streams ~jobs =
     ~aggregate_policy:Config.Best_aa
     ~run:
       { Config.default_run with
-        Config.jobs;
-        streams =
+        Config.streams =
           { Config.temp_classes = classes; ssd_streams = streams; wear_bias = 0; meta_file = Some 0 } }
     ~seed:5 ()
 
@@ -353,8 +353,8 @@ let activemap_digest fs =
 (* One line per CP: blocks allocated, pvbns and vvbns freed, aggregate
    and volume metafile pages, then per device and stream the FTL's host
    pages written / pages relocated, then the activemap digest. *)
-let pinned_cps ~classes ~streams ~jobs =
-  let fs = Fs.create (pin_config ~classes ~streams ~jobs) in
+let pinned_cps ~classes ~streams =
+  let fs = Fs.create (pin_config ~classes ~streams) in
   let vols = Fs.vols fs in
   Array.iter
     (fun vol ->
@@ -427,13 +427,10 @@ let pinned_three_classes =
 let test_cp_outputs_pinned () =
   List.iter
     (fun (classes, streams, want) ->
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "%d classes, %d streams, jobs %d" classes streams jobs)
-            want
-            (pinned_cps ~classes ~streams ~jobs))
-        [ 1; 2 ])
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d classes, %d streams" classes streams)
+        want
+        (pinned_cps ~classes ~streams))
     [ (1, 1, pinned_one_class); (3, 4, pinned_three_classes) ]
 
 let () =

@@ -57,6 +57,36 @@ let test_registry_enumeration () =
   Registry.clear r;
   check_int "clear zeroes, handle survives" 0 (Registry.count c)
 
+(* --- domain-safe telemetry: no lost increments under a multi-domain
+       hammer --- *)
+
+let test_telemetry_hammer () =
+  let tel = Telemetry.create () in
+  Telemetry.with_installed tel (fun () ->
+      let domains = 4 and per_domain = 50_000 in
+      let workers =
+        Array.init domains (fun d ->
+            Domain.spawn (fun () ->
+                for _ = 1 to per_domain do
+                  Telemetry.incr "hammer.count"
+                done;
+                Telemetry.add "hammer.add" d;
+                Telemetry.max_gauge "hammer.max" (float_of_int d)))
+      in
+      Array.iter Domain.join workers;
+      let reg = Telemetry.registry tel in
+      (match Registry.find reg "hammer.count" with
+      | Some (Registry.Counter c) ->
+        check_int "no lost increments" (domains * per_domain) (Registry.count c)
+      | _ -> Alcotest.fail "hammer.count not registered");
+      (match Registry.find reg "hammer.add" with
+      | Some (Registry.Counter c) -> check_int "adds summed" 6 (Registry.count c)
+      | _ -> Alcotest.fail "hammer.add not registered");
+      match Registry.find reg "hammer.max" with
+      | Some (Registry.Gauge g) ->
+        Alcotest.(check (float 0.0)) "max gauge kept the max" 3.0 (Registry.value g)
+      | _ -> Alcotest.fail "hammer.max not registered")
+
 (* --- Tracer --- *)
 
 let test_tracer_ring () =
@@ -459,50 +489,44 @@ let test_cp_schema () =
        (fun (c : Timeseries.column) -> if c.kind = Timeseries.Measured then Some c.name else None)
        Cp.columns)
 
-(* The [waflsim top] workload scaled down: an aged random-overwrite run at
-   a fixed seed, telemetry and latency accounting installed.  Returns the
-   instance and the reports of the measured (post-aging) CPs. *)
-let cp_run ~ssd ~jobs =
-  let rg =
-    if ssd then
-      { Config.media = Config.Ssd (Wafl_experiments.Common.ssd_profile Quick);
-        data_devices = 4; parity_devices = 1; device_blocks = 16384; aa_stripes = None }
-    else
-      { Config.media = Config.Hdd Wafl_device.Profile.default_hdd; data_devices = 4;
-        parity_devices = 1; device_blocks = 8192; aa_stripes = Some 512 }
-  in
-  let config =
-    Config.make ~raid_groups:[ rg ]
-      ~vols:
-        [ { Config.name = "lun"; blocks = 4 * rg.Config.device_blocks * 9 / 8;
-            aa_blocks = Some 1024; policy = Config.Best_aa } ]
-      ~aggregate_policy:Config.Best_aa
-      ~run:
-        { Config.default_run with
-          Config.jobs;
-          faults = (if ssd then Some Wafl_fault.Fault.default_spec else None) }
-      ~seed:42 ()
-  in
-  let lat = Latency.create () in
-  let tel = Telemetry.create ~latency:lat () in
-  let run () =
-    let fs = Wafl_core.Fs.create config in
-    let vol = Wafl_core.Fs.vol fs "lun" in
-    let rng = Wafl_util.Rng.split (Wafl_core.Fs.rng fs) in
-    let spec =
-      { Wafl_workload.Aging.fill_fraction = 0.55; fragmentation_cps = 6; writes_per_cp = 500;
-        file = 1 }
-    in
-    let working_set = Wafl_workload.Aging.age fs vol ~spec ~rng () in
-    let w =
-      Wafl_workload.Random_overwrite.create fs vol ~working_set ~rng:(Wafl_util.Rng.split rng) ()
-    in
-    List.init 10 (fun _ -> Wafl_workload.Random_overwrite.step w 400)
-  in
-  let reports = Telemetry.with_installed tel run in
-  (tel, reports)
-
-let ssd_run = lazy (cp_run ~ssd:true ~jobs:1)
+(* The [waflsim top --ssd] workload scaled down: an aged random-overwrite
+   run at a fixed seed under the default fault profile, telemetry and
+   latency accounting installed.  Forces to the instance and the reports
+   of the measured (post-aging) CPs. *)
+let ssd_run =
+  lazy
+    (let rg =
+       { Config.media = Config.Ssd (Wafl_experiments.Common.ssd_profile Quick);
+         data_devices = 4; parity_devices = 1; device_blocks = 16384; aa_stripes = None }
+     in
+     let config =
+       Config.make ~raid_groups:[ rg ]
+         ~vols:
+           [ { Config.name = "lun"; blocks = 4 * rg.Config.device_blocks * 9 / 8;
+               aa_blocks = Some 1024; policy = Config.Best_aa } ]
+         ~aggregate_policy:Config.Best_aa
+         ~run:{ Config.default_run with Config.faults = Some Wafl_fault.Fault.default_spec }
+         ~seed:42 ()
+     in
+     let lat = Latency.create () in
+     let tel = Telemetry.create ~latency:lat () in
+     let run () =
+       let fs = Wafl_core.Fs.create config in
+       let vol = Wafl_core.Fs.vol fs "lun" in
+       let rng = Wafl_util.Rng.split (Wafl_core.Fs.rng fs) in
+       let spec =
+         { Wafl_workload.Aging.fill_fraction = 0.55; fragmentation_cps = 6; writes_per_cp = 500;
+           file = 1 }
+       in
+       let working_set = Wafl_workload.Aging.age fs vol ~spec ~rng () in
+       let w =
+         Wafl_workload.Random_overwrite.create fs vol ~working_set
+           ~rng:(Wafl_util.Rng.split rng) ()
+       in
+       List.init 10 (fun _ -> Wafl_workload.Random_overwrite.step w 400)
+     in
+     let reports = Telemetry.with_installed tel run in
+     (tel, reports))
 
 let test_cp_series_json () =
   let tel, _ = Lazy.force ssd_run in
@@ -565,28 +589,6 @@ let test_cp_columns_match_report () =
         fields)
     (List.combine reports rows)
 
-(* Sharding a CP over two domains changes no count and no modeled cell. *)
-let test_cp_series_jobs_invariant () =
-  List.iter
-    (fun ssd ->
-      let series jobs =
-        let tel, _ = if ssd && jobs = 1 then Lazy.force ssd_run else cp_run ~ssd ~jobs in
-        Timeseries.rows (Telemetry.series tel)
-      in
-      let serial = series 1 and sharded = series 2 in
-      check_int "same row count" (List.length serial) (List.length sharded);
-      List.iteri
-        (fun j (c : Timeseries.column) ->
-          if c.kind <> Timeseries.Measured then
-            List.iteri
-              (fun cp (a, b) ->
-                Alcotest.(check (float 0.0))
-                  (Printf.sprintf "%s cp %d %s" (if ssd then "ssd" else "hdd") cp c.name)
-                  a.(j) b.(j))
-              (List.combine serial sharded))
-        Cp.columns)
-    [ false; true ]
-
 let () =
   Alcotest.run "wafl_telemetry"
     [
@@ -597,6 +599,8 @@ let () =
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
           Alcotest.test_case "enumeration" `Quick test_registry_enumeration;
         ] );
+      ( "telemetry",
+        [ Alcotest.test_case "multi-domain hammer" `Quick test_telemetry_hammer ] );
       ( "tracer",
         [
           Alcotest.test_case "ring overwrite" `Quick test_tracer_ring;
@@ -629,8 +633,6 @@ let () =
           Alcotest.test_case "schema" `Quick test_cp_schema;
           Alcotest.test_case "series json units and kinds" `Quick test_cp_series_json;
           Alcotest.test_case "columns match the report" `Quick test_cp_columns_match_report;
-          Alcotest.test_case "jobs 1 = jobs 2 outside measured" `Quick
-            test_cp_series_jobs_invariant;
         ] );
       ( "overhead",
         [
