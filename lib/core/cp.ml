@@ -107,7 +107,12 @@ type scratch = {
   mutable order : int array;  (* batch indices grouped by volume, stably *)
   mutable vvbns : int array;  (* one volume's allocated VVBNs *)
   mutable slots : Bytes.t;  (* one volume's class slot per write *)
-  mutable pvbns : int array;  (* one class batch's allocated PVBNs *)
+  mutable files : int array;  (* one class batch's files, in write order *)
+  mutable offsets : int array;  (* ... their offsets *)
+  mutable cls_vvbns : int array;  (* ... their reserved VVBNs *)
+  mutable pvbns : int array;  (* ... and their allocated PVBNs *)
+  mutable old_vvbns : int array;  (* the VVBNs they replace, -1 if none *)
+  mutable old_pvbns : int array;  (* ... and those VVBNs' PVBNs *)
   mutable placed : int array;  (* every placed PVBN, in allocation order *)
   mutable placed_cls : int array;  (* ... and its class *)
   mutable locals : int array;  (* placed PVBNs by range, range-local *)
@@ -125,7 +130,12 @@ let scratch_key =
         order = [||];
         vvbns = [||];
         slots = Bytes.empty;
+        files = [||];
+        offsets = [||];
+        cls_vvbns = [||];
         pvbns = [||];
+        old_vvbns = [||];
+        old_pvbns = [||];
         placed = [||];
         placed_cls = [||];
         locals = [||];
@@ -565,34 +575,6 @@ let publish aggregate report =
       let v = view tel aggregate in
       Array.of_list (List.map (fun c -> c.get report v) table))
 
-(* Place one write at its allocated vvbn/pvbn pair.  Returns 0 for a
-   fresh block, 1 for an overwrite whose old block a snapshot pins, 2 for
-   an overwrite whose old block was queued for freeing. *)
-let place aggregate temp vol ~file ~offset ~vvbn ~pvbn =
-  let old_vvbn = Flexvol.write_file vol ~file ~offset ~vvbn in
-  let outcome =
-    if old_vvbn < 0 then 0
-    else if Flexvol.snapshot_holds vol ~vvbn:old_vvbn then begin
-      (* COW: the replaced block dies at this CP — unless a snapshot
-         still pins it, in which case it merely leaves the active map and
-         is released at snapshot deletion *)
-      Flexvol.detach_vvbn vol ~vvbn:old_vvbn;
-      1
-    end
-    else begin
-      let old_pvbn = Flexvol.container_pvbn vol old_vvbn in
-      if old_pvbn >= 0 then Aggregate.queue_free aggregate ~pvbn:old_pvbn;
-      Flexvol.queue_unmap vol ~vvbn:old_vvbn;
-      2
-    end
-  in
-  Flexvol.attach_reserved vol ~vvbn ~pvbn;
-  (match temp with
-  | Some tm ->
-    Temperature.note_birth tm ~uid:(Flexvol.uid vol) ~blocks:(Flexvol.blocks vol) ~vvbn
-  | None -> ());
-  outcome
-
 (* Split [n] PVBNs, [src.(0 .. n-1)], by aggregate range into [dst] in
    range-local coordinates, keeping their order within a range; [cls],
    when given, is carried along from the first array of the pair into
@@ -608,9 +590,7 @@ let split_by_range ?cls aggregate sc ~src n ~dst =
       dst.(j) <- Aggregate.to_local ranges.(keys.(k)) src.(k);
       match cls with Some (c, d) -> d.(j) <- c.(k) | None -> ())
 
-let run ?temp walloc vols batch =
-  Telemetry.trace_cp_begin ();
-  Telemetry.span_enter Span.Cp;
+let run_body ?temp walloc vols batch =
   let cp_t0 = Telemetry.now_ns () in
   let pick_ns0 = Telemetry.span_total_ns Span.Pick in
   let harvest_ns0 = Telemetry.span_total_ns Span.Harvest in
@@ -688,37 +668,43 @@ let run ?temp walloc vols batch =
       done);
     (* Allocate and place class by class, in write order within each
        class, through the class's own Write_alloc cursor row so classes
-       land in different AAs.  Reserved virtual blocks with no physical
-       home (aggregate out of space) are handed back. *)
+       land in different AAs: gather the class's writes, allocate their
+       PVBNs, place them ({!Flexvol.place}).  Reserved virtual blocks with
+       no physical home (aggregate out of space) are handed back after
+       the class's placements. *)
+    sc.files <- grow sc.files got_v;
+    sc.offsets <- grow sc.offsets got_v;
+    sc.cls_vvbns <- grow sc.cls_vvbns got_v;
+    sc.pvbns <- grow sc.pvbns got_v;
+    sc.old_vvbns <- grow sc.old_vvbns got_v;
+    sc.old_pvbns <- grow sc.old_pvbns got_v;
+    let files = sc.files and offsets = sc.offsets and cls_vvbns = sc.cls_vvbns in
+    let pvbns = sc.pvbns and old_vvbns = sc.old_vvbns and old_pvbns = sc.old_pvbns in
     for c = 0 to classes - 1 do
       let bn = ref 0 in
       for k = 0 to got_v - 1 do
-        if Char.code (Bytes.get slots k) = c then incr bn
+        if Char.code (Bytes.get slots k) = c then begin
+          let w = order.(base + k) in
+          files.(!bn) <- batch.file.(w);
+          offsets.(!bn) <- batch.offset.(w);
+          cls_vvbns.(!bn) <- vvbns.(k);
+          incr bn
+        end
       done;
-      if !bn > 0 then begin
-        sc.pvbns <- grow sc.pvbns !bn;
-        let pvbns = sc.pvbns in
-        let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns !bn in
+      let bn = !bn in
+      if bn > 0 then begin
+        let got_p = Write_alloc.allocate_pvbns_into ~cls:c walloc ~dst:pvbns bn in
         Array.blit pvbns 0 sc.placed !placed got_p;
         Array.fill sc.placed_cls !placed got_p c;
-        let j = ref 0 in
-        for k = 0 to got_v - 1 do
-          if Char.code (Bytes.get slots k) = c then begin
-            if !j < got_p then begin
-              let w = order.(base + k) in
-              match
-                place aggregate temp vol ~file:batch.file.(w) ~offset:batch.offset.(w)
-                  ~vvbn:vvbns.(k) ~pvbn:pvbns.(!j)
-              with
-              | 0 -> incr lat_fresh
-              | 1 -> incr lat_over
-              | _ ->
-                incr lat_over;
-                incr vvbn_frees
-            end
-            else Flexvol.release_reserved vol ~vvbn:vvbns.(k);
-            incr j
-          end
+        let fresh, freed =
+          Flexvol.place vol aggregate ?temp ~files ~offsets ~vvbns:cls_vvbns ~pvbns ~old_vvbns
+            ~old_pvbns got_p
+        in
+        lat_fresh := !lat_fresh + fresh;
+        lat_over := !lat_over + got_p - fresh;
+        vvbn_frees := !vvbn_frees + freed;
+        for i = got_p to bn - 1 do
+          Flexvol.release_reserved vol ~vvbn:cls_vvbns.(i)
         done;
         placed := !placed + got_p
       end
@@ -841,5 +827,23 @@ let run ?temp walloc vols batch =
   (* Tick the temperature clock after the CP's placements: lifespans are
      measured in whole CPs between a birth and the overwrite killing it. *)
   (match temp with Some tm -> Temperature.advance_cp tm | None -> ());
-  Telemetry.span_exit Span.Cp;
   report
+
+let run ?temp walloc vols batch =
+  Telemetry.trace_cp_begin ();
+  Telemetry.span_enter Span.Cp;
+  match run_body ?temp walloc vols batch with
+  | report ->
+    Telemetry.span_exit Span.Cp;
+    report
+  | exception e ->
+    (* A crash point (or a failed check) unwinding the CP: close every
+       span the body enters, so none stays open across the remount.  An
+       exit of a span that is not open is ignored, and each range's
+       device-flush span closes itself. *)
+    Telemetry.span_exit Span.Place;
+    Telemetry.span_exit Span.Activemap_commit;
+    Telemetry.span_exit Span.Refile;
+    Telemetry.span_exit Span.Publish;
+    Telemetry.span_exit Span.Cp;
+    raise e

@@ -16,7 +16,12 @@ type batch = {
 (** Staged writes, [0 .. len-1], in first-staging order: write [k] is
     block [offset.(k)] of file [file.(k)] in volume [vols.(vol.(k))] of
     the [vols] array {!run} is given.  {!Fs} keeps the arrays and reuses
-    them across CPs; [run] only reads them. *)
+    them across CPs; [run] only reads them.
+
+    Precondition: each (vol, file, offset) appears at most once.
+    {!Fs.stage_write} guarantees it by coalescing; {!run} rejects a batch
+    that repeats a write with [Invalid_argument] (see
+    {!Flexvol.place}). *)
 
 type device_report = {
   range_index : int;
@@ -82,11 +87,14 @@ val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> re
     placed PVBNs and their classes, freed PVBNs, each range's share of
     both — is a slice of a scratch array that belongs to the calling
     domain and is reused across CPs, so a CP allocates O(volumes +
-    ranges) words, not O(blocks).  The aggregate's delayed frees commit
-    first, then each volume's ([cp.vol_free_commit] fires just before
-    each), then each range flushes ([cp.device_flush] fires just before
-    each), in volume and range order: a crash at the second range's point
-    leaves the first range flushed and the second not.
+    ranges) words, not O(blocks).  Each class batch of a volume is
+    placed by {!Flexvol.place} in three tight passes (file maps,
+    container gather, then frees and attaches in write order), so the
+    random reads of consecutive writes overlap.  The aggregate's delayed
+    frees commit first, then each volume's ([cp.vol_free_commit] fires
+    just before each), then each range flushes ([cp.device_flush] fires
+    just before each), in volume and range order: a crash at the second
+    range's point leaves the first range flushed and the second not.
 
     Every write gets a class slot: with [temp] it is classified before
     placement by the lifespan of the version it overwrites; without it
@@ -95,6 +103,10 @@ val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> re
     carries its class into the flush, where each class's batch goes to
     its own FTL write stream on SSD ranges.  With one class this is the
     plain unrouted CP.  With [temp], births are recorded and the
-    temperature clock ticks once per CP. *)
+    temperature clock ticks once per CP.
+
+    An exception that unwinds the CP (a {!Wafl_fault.Crash} point, a
+    failed check) first closes every span the CP had open, so
+    [Span.open_now] reads 0 after a crash. *)
 
 val empty_report : report

@@ -58,10 +58,8 @@ let metafile t = Activemap.metafile (activemap t)
 let free_blocks t = Activemap.free_count (activemap t) ~start:0 ~len:(blocks t)
 let used_fraction t = 1.0 -. (float_of_int (free_blocks t) /. float_of_int (blocks t))
 
-let container_pvbn t vvbn = t.container.(vvbn)
-
 let pvbn_of_vvbn t vvbn =
-  let p = container_pvbn t vvbn in
+  let p = t.container.(vvbn) in
   if p < 0 then None else Some p
 
 let reserve_vvbn t ~vvbn = Space.allocate t.space vvbn
@@ -130,13 +128,6 @@ let snapshot_holds t ~vvbn =
   Hashtbl.length t.snapshots > 0
   && Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
 
-let detach_vvbn t ~vvbn =
-  if t.container.(vvbn) < 0 then invalid_arg "Flexvol.detach_vvbn: VVBN not mapped";
-  if not (snapshot_holds t ~vvbn) then
-    invalid_arg "Flexvol.detach_vvbn: VVBN not snapshot-held";
-  (* container entry survives for the snapshots' benefit *)
-  Hashtbl.replace t.zombies vvbn ()
-
 let delete_snapshot t id =
   let pinned =
     match Hashtbl.find_opt t.snapshots id with
@@ -170,19 +161,76 @@ let inode t file =
 
 let check_offset fn offset = if offset < 0 then invalid_arg (fn ^ ": negative offset")
 
-let write_file t ~file ~offset ~vvbn =
-  check_offset "Flexvol.write_file" offset;
-  let map = inode t file in
+let grow_map map offset =
   let len = Array.length map.vvbns in
-  if offset >= len then begin
-    let grown = Array.make (max (offset + 1) (max 16 (2 * len))) (-1) in
-    Array.blit map.vvbns 0 grown 0 len;
-    map.vvbns <- grown
-  end;
+  let grown = Array.make (max (offset + 1) (max 16 (2 * len))) (-1) in
+  Array.blit map.vvbns 0 grown 0 len;
+  map.vvbns <- grown
+
+(* Point block [offset] of [map] at [vvbn]; returns the VVBN it replaces,
+   or [-1] for a hole. *)
+let[@inline] set_block map ~offset ~vvbn =
+  if offset >= Array.length map.vvbns then grow_map map offset;
   let old = map.vvbns.(offset) in
   map.vvbns.(offset) <- vvbn;
   if old < 0 then map.mapped <- map.mapped + 1;
   old
+
+let write_file t ~file ~offset ~vvbn =
+  check_offset "Flexvol.write_file" offset;
+  set_block (inode t file) ~offset ~vvbn
+
+(* --- placement: three tight passes, so the random file-map and
+   container reads of consecutive writes overlap (see the .mli) --- *)
+
+(* Pass A's inode before its first lookup; never written. *)
+let no_map = { vvbns = [||]; mapped = 0 }
+
+let place t aggregate ?temp ~files ~offsets ~vvbns ~pvbns ~old_vvbns ~old_pvbns n =
+  (* A: file maps *)
+  let map = ref no_map in
+  for i = 0 to n - 1 do
+    let file = files.(i) and offset = offsets.(i) in
+    check_offset "Flexvol.place" offset;
+    if i = 0 || file <> files.(i - 1) then map := inode t file;
+    old_vvbns.(i) <- set_block !map ~offset ~vvbn:vvbns.(i)
+  done;
+  (* B: container gather *)
+  let container = t.container in
+  for i = 0 to n - 1 do
+    let old = old_vvbns.(i) in
+    old_pvbns.(i) <- (if old < 0 then -1 else container.(old))
+  done;
+  (* C: frees and attaches, in batch order.  A replaced VVBN must still
+     map the PVBN gathered in pass B: an earlier write of this batch
+     would have changed it only if the batch repeated a write. *)
+  let am = activemap t in
+  let fresh = ref 0 and freed = ref 0 in
+  for i = 0 to n - 1 do
+    let old = old_vvbns.(i) in
+    if old < 0 then incr fresh
+    else begin
+      let old_pvbn = old_pvbns.(i) in
+      if old_pvbn < 0 || container.(old) <> old_pvbn then
+        invalid_arg "Flexvol.place: replaced VVBN not mapped to its gathered PVBN";
+      (* COW: the replaced block dies at this CP, unless a snapshot still
+         pins it: then it only leaves the active map (a zombie whose
+         container entry survives) and is released at snapshot deletion *)
+      if snapshot_holds t ~vvbn:old then Hashtbl.replace t.zombies old ()
+      else begin
+        Aggregate.queue_free aggregate ~pvbn:old_pvbn;
+        Activemap.queue_free am old;
+        container.(old) <- -1;
+        incr freed
+      end
+    end;
+    let vvbn = vvbns.(i) in
+    attach_reserved t ~vvbn ~pvbn:pvbns.(i);
+    match temp with
+    | Some tm -> Temperature.note_birth tm ~uid:t.uid ~blocks:(Array.length container) ~vvbn
+    | None -> ()
+  done;
+  (!fresh, !freed)
 
 let read_file t ~file ~offset =
   check_offset "Flexvol.read_file" offset;

@@ -5,7 +5,13 @@
     Virtual VBN selection has no effect on physical layout; its only goal is
     colocation in the number space, to touch as few bitmap-metafile blocks
     as possible per CP (§2.5).  The volume is therefore one RAID-agnostic
-    AA space ({!Space}) with an HBPS cache (§3.3.2). *)
+    AA space ({!Space}) with an HBPS cache (§3.3.2).
+
+    A CP writes into the volume through one entry point, {!place}: it
+    points file blocks at their new VVBNs, attaches each VVBN to its PVBN
+    and retires the blocks the writes replace, in three tight passes over
+    a class batch so that the random file-map and container reads of
+    consecutive writes overlap. *)
 
 type t
 
@@ -32,10 +38,6 @@ val used_fraction : t -> float
 
 val pvbn_of_vvbn : t -> int -> int option
 (** Container-map lookup: physical location of a virtual block. *)
-
-val container_pvbn : t -> int -> int
-(** {!pvbn_of_vvbn} with [-1] for an unmapped VVBN: the CP's overwrite
-    path reads it once per block without boxing an option. *)
 
 val reserve_vvbn : t -> vvbn:int -> unit
 (** Mark a VVBN allocated (and note the score decrement) at hand-out time,
@@ -82,15 +84,6 @@ val create_snapshot : t -> int
 
 val snapshots : t -> int list
 
-val snapshot_holds : t -> vvbn:int -> bool
-(** Whether any snapshot pins this virtual block. *)
-
-val detach_vvbn : t -> vvbn:int -> unit
-(** Mark a snapshot-held VVBN as no longer part of the active namespace
-    ("zombie"); its container entry and allocation survive until the last
-    snapshot pinning it is deleted (the overwrite path for shared
-    blocks). *)
-
 val delete_snapshot : t -> int -> (int * int) list
 (** Remove a snapshot; returns the [(vvbn, pvbn)] pairs that are no longer
     referenced by the active map or any remaining snapshot.  The caller
@@ -104,11 +97,48 @@ val snapshot_read : t -> snapshot:int -> vvbn:int -> int option
 
 val write_file : t -> file:int -> offset:int -> vvbn:int -> int
 (** Point file block [offset] at [vvbn]; returns the VVBN it previously
-    pointed at (the block an overwrite frees), or [-1] for a fresh
-    block, so the CP's per-block path boxes no option.  A file's block map
-    is a dense array indexed by offset that grows by doubling, so offsets
-    should be dense from 0 (as every workload writes them).  Raises
-    [Invalid_argument] for a negative offset. *)
+    pointed at (the block an overwrite frees), or [-1] for a fresh block.
+    A file's block map is a dense array indexed by offset that grows by
+    doubling, so offsets should be dense from 0 (as every workload writes
+    them).  Raises [Invalid_argument] for a negative offset. *)
+
+val place :
+  t ->
+  Aggregate.t ->
+  ?temp:Temperature.t ->
+  files:int array ->
+  offsets:int array ->
+  vvbns:int array ->
+  pvbns:int array ->
+  old_vvbns:int array ->
+  old_pvbns:int array ->
+  int ->
+  int * int
+(** [place vol aggregate ~files ~offsets ~vvbns ~pvbns ~old_vvbns
+    ~old_pvbns n] places a CP's [n] writes to the volume: write [i] points
+    block [offsets.(i)] of file [files.(i)] at the reserved VVBN
+    [vvbns.(i)], whose container entry becomes [pvbns.(i)].  An overwrite's
+    replaced block leaves the active map: if a snapshot pins it, it
+    becomes a zombie whose container entry and allocation survive until
+    the last such snapshot is deleted; otherwise its PVBN's aggregate free
+    and its VVBN's volume free are queued for the next commit and its
+    container entry is cleared.  With [temp], each new VVBN's birth is
+    noted.  Returns [(fresh, freed)]: writes that replaced nothing, and
+    overwrites whose old block was queued for freeing.
+
+    Three passes, so the random reads of consecutive writes overlap
+    instead of waiting on each other in one long loop body: (A) every
+    file-map write, gathering the replaced VVBN into [old_vvbns], with
+    one inode lookup per run of writes to the same file; (B) each
+    replaced VVBN's container entry into [old_pvbns]; (C) the frees and
+    attaches, in write order, which is the order of every queued free
+    and every birth.  The two scratch arrays hold at least [n] slots.
+
+    The writes must name distinct file blocks, as a staged batch does
+    ({!Fs.stage_write} coalesces).  Raises [Invalid_argument] for a
+    negative offset, for a VVBN that is not reserved or already mapped,
+    and when a replaced VVBN no longer maps the PVBN gathered for it,
+    which a repeated file block causes. *)
 
 val read_file : t -> file:int -> offset:int -> int option
 (** VVBN currently backing a file block; [None] for a hole or an offset

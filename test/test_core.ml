@@ -409,6 +409,26 @@ let test_cp_coalesces_staged_duplicates () =
   let report = Fs.run_cp fs in
   check_int "one op" 1 report.Cp.ops
 
+(* [Cp.run]'s precondition is a duplicate-free batch, which staging
+   guarantees.  A hand-built batch that repeats a write must be rejected,
+   and the first write's PVBN must stay owned by its container entry, not
+   be orphaned by the repeat's unmap. *)
+let test_cp_rejects_repeated_write () =
+  let fs = Fs.create (small_config ()) in
+  let vol = Fs.vol fs "vol0" in
+  let batch = { Cp.vol = [| 0; 0 |]; file = [| 1; 1 |]; offset = [| 0; 0 |]; len = 2 } in
+  Alcotest.check_raises "the repeat fails the container check"
+    (Invalid_argument "Flexvol.place: replaced VVBN not mapped to its gathered PVBN") (fun () ->
+      ignore (Cp.run (Fs.write_alloc fs) (Fs.vols fs) batch));
+  let agg = Fs.aggregate fs in
+  match List.filter_map (Flexvol.pvbn_of_vvbn vol) (List.init (Flexvol.blocks vol) Fun.id) with
+  | [ pvbn ] ->
+    check_bool "first write's PVBN allocated" true
+      (Metafile.is_allocated (Aggregate.metafile agg) pvbn);
+    check_bool "and not queued for freeing" false
+      (Activemap.has_pending_free (Aggregate.activemap agg) pvbn)
+  | mapped -> Alcotest.failf "%d VVBNs mapped, want the first write's one" (List.length mapped)
+
 let test_cp_no_double_allocation_over_many_cps () =
   let fs = Fs.create (small_config ()) in
   let vol = Fs.vol fs "vol0" in
@@ -1678,6 +1698,7 @@ let () =
           Alcotest.test_case "simple write" `Quick test_cp_simple_write;
           Alcotest.test_case "overwrite frees" `Quick test_cp_overwrite_frees;
           Alcotest.test_case "coalesces duplicates" `Quick test_cp_coalesces_staged_duplicates;
+          Alcotest.test_case "rejects a repeated write" `Quick test_cp_rejects_repeated_write;
           Alcotest.test_case "allocation independent of size" `Quick
             test_cp_allocation_independent_of_size;
           Alcotest.test_case "no double allocation" `Quick

@@ -355,6 +355,63 @@ let test_crash_between_range_flushes () =
   check_int "range 0 flushed" want.(0) got.(0);
   check_int "range 1 not flushed" 0 got.(1)
 
+(* A crash point that unwinds a CP must close every span the CP entered:
+   afterwards no span kind is open.  [integrity.seal] fires only on
+   file-mapped stores, so the systems run under a map directory. *)
+let test_crash_closes_spans () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wafl_test_fault_spans" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o700;
+  let rg =
+    { Config.media = Config.Hdd Wafl_device.Profile.default_hdd; data_devices = 4;
+      parity_devices = 1; device_blocks = 1024; aa_stripes = Some 128 }
+  in
+  let staged () =
+    let fs =
+      Fs.create
+        (Config.make ~raid_groups:[ rg; rg ]
+           ~vols:[ Config.default_vol ~name:"vol0" ~blocks:4096 ]
+           ~run:{ Config.default_run with Config.mmap_dir = Some dir }
+           ~seed:3 ())
+    in
+    let vol = Fs.vol fs "vol0" in
+    for offset = 0 to 499 do
+      Fs.stage_write fs ~vol ~file:(offset mod 3) ~offset
+    done;
+    fs
+  in
+  Wafl_bitmap.Pagestore.with_mmap_dir dir (fun () ->
+      let clean = staged () in
+      Crash.record ();
+      ignore (Fs.run_cp clean);
+      let points = Crash.recorded () in
+      Crash.disarm ();
+      List.iter
+        (fun point ->
+          let rec first i = function
+            | [] -> Alcotest.fail (point ^ " is not reached by the CP")
+            | p :: _ when p = point -> i
+            | _ :: rest -> first (i + 1) rest
+          in
+          let at = first 0 points in
+          let tel = Telemetry.create () in
+          Telemetry.with_installed tel (fun () ->
+              let fs = staged () in
+              Crash.arm ~at;
+              Fun.protect ~finally:Crash.disarm (fun () ->
+                  match Fs.run_cp fs with
+                  | _ -> Alcotest.fail "armed CP did not crash"
+                  | exception Crash.Crashed { point = p; _ } -> check_string "crashed at" point p));
+          List.iter
+            (fun k ->
+              check_int
+                (Printf.sprintf "%s open after a crash at %s" (Span.name k) point)
+                0
+                (Span.open_now (Telemetry.spans tel) k))
+            Span.all)
+        [ "cp.place_vol"; "cp.vol_free_commit"; "integrity.seal" ])
+
 let test_crash_matrix_small () =
   let r = Crash_matrix.run ~with_cleaner:true ~seed:3 ~warmup_cps:1 ~ops_per_cp:150 () in
   check_bool "points enumerated" true (List.length r.Crash_matrix.points > 5);
@@ -419,6 +476,7 @@ let () =
           Alcotest.test_case "point machinery" `Quick test_crash_point_machinery;
           Alcotest.test_case "crash between range flushes" `Quick
             test_crash_between_range_flushes;
+          Alcotest.test_case "crashed CP closes its spans" `Quick test_crash_closes_spans;
           Alcotest.test_case "small matrix recovers clean" `Slow test_crash_matrix_small;
         ] );
     ]

@@ -433,6 +433,160 @@ let test_cp_outputs_pinned () =
         (pinned_cps ~classes ~streams))
     [ (1, 1, pinned_one_class); (3, 4, pinned_three_classes) ]
 
+(* --- placement pinned over mixed batches ---
+
+   Three volumes, three files each, with every CP's writes interleaved
+   across volumes and files (runs of one file and runs of several); a
+   snapshot taken mid-run on two volumes, so their overwrites detach
+   instead of freeing, and one of them deleted later; new offsets keep
+   arriving until the aggregate is full and reserved VVBNs are handed
+   back.  After each CP the line hashes every file map, container map,
+   the aggregate and volume activemaps, their free queues in queue order
+   (commit order feeds the score deltas), and the report's counts. *)
+
+let mixed_config ~classes =
+  let profile =
+    { Wafl_device.Profile.default_ssd with
+      Wafl_device.Profile.erase_block_blocks = 64;
+      overprovision = 0.1
+    }
+  in
+  let rg =
+    {
+      Config.media = Config.Ssd profile;
+      data_devices = 2;
+      parity_devices = 1;
+      device_blocks = 1024;
+      aa_stripes = Some 32;
+    }
+  in
+  Config.make ~raid_groups:[ rg; rg ]
+    ~vols:(List.map (fun name -> Config.default_vol ~name ~blocks:4096) [ "a"; "b"; "c" ])
+    ~aggregate_policy:Config.Best_aa
+    ~run:
+      { Config.default_run with
+        Config.streams =
+          { Config.temp_classes = classes; ssd_streams = 4; wear_bias = 0; meta_file = Some 2 } }
+    ~seed:11 ()
+
+let mix h x = ((h * 1_000_003) + x + 1) land 0x3FFF_FFFF
+
+let metafile_hash mf =
+  let h = ref 0 in
+  for vbn = 0 to Metafile.blocks mf - 1 do
+    if Metafile.is_allocated mf vbn then h := mix !h vbn
+  done;
+  !h
+
+let max_offset = 1200
+
+let queue_hash am = Array.fold_left mix 0 (Activemap.freed am)
+
+let mixed_line fs (r : Cp.report) =
+  let agg = Fs.aggregate fs in
+  let files = ref 0 and containers = ref 0 and vol_maps = ref 0 in
+  let queues = ref (queue_hash (Aggregate.activemap agg)) in
+  Array.iter
+    (fun vol ->
+      for file = 0 to 2 do
+        for offset = 0 to max_offset - 1 do
+          match Flexvol.read_file vol ~file ~offset with
+          | Some vvbn -> files := mix (mix !files offset) vvbn
+          | None -> ()
+        done
+      done;
+      for vvbn = 0 to Flexvol.blocks vol - 1 do
+        match Flexvol.pvbn_of_vvbn vol vvbn with
+        | Some pvbn -> containers := mix (mix !containers vvbn) pvbn
+        | None -> ()
+      done;
+      vol_maps := mix !vol_maps (metafile_hash (Flexvol.metafile vol));
+      queues := mix !queues (queue_hash (Flexvol.activemap vol)))
+    (Fs.vols fs);
+  Printf.sprintf "%d %d %d %d %d %d | %d %d %d %d %d" r.Cp.ops r.Cp.blocks_allocated
+    r.Cp.pvbns_freed r.Cp.vvbns_freed r.Cp.agg_metafile_pages r.Cp.vol_metafile_pages !files
+    !containers
+    (metafile_hash (Aggregate.metafile agg))
+    !vol_maps !queues
+
+let mixed_cps ~classes =
+  let fs = Fs.create (mixed_config ~classes) in
+  let vols = Fs.vols fs in
+  let rng = Wafl_util.Rng.create ~seed:31 in
+  let snap = ref None in
+  List.init 12 (fun cp ->
+      if cp = 4 then begin
+        snap := Some (Fs.create_snapshot fs ~vol:vols.(0));
+        ignore (Fs.create_snapshot fs ~vol:vols.(1))
+      end;
+      (if cp = 9 then
+         match !snap with
+         | Some id -> ignore (Fs.delete_snapshot fs ~vol:vols.(0) id)
+         | None -> ());
+      (* each file grows by 60 offsets a CP; a round stages one write
+         to every (volume, file) pair, or a run of four to one of them *)
+      let top = min max_offset (60 * (cp + 1)) in
+      for round = 0 to 79 do
+        if round mod 5 = 4 then begin
+          let vol = vols.(Wafl_util.Rng.int rng 3) and file = Wafl_util.Rng.int rng 3 in
+          let start = Wafl_util.Rng.int rng (top - 4) in
+          for k = 0 to 3 do
+            Fs.stage_write fs ~vol ~file ~offset:(start + k)
+          done
+        end
+        else
+          Array.iter
+            (fun vol ->
+              for file = 0 to 2 do
+                let offset =
+                  if round < 60 then top - 60 + round else Wafl_util.Rng.int rng top
+                in
+                Fs.stage_write fs ~vol ~file ~offset
+              done)
+            vols
+      done;
+      mixed_line fs (Fs.run_cp fs))
+
+(* Measured on the per-block placement loop the gather passes replaced. *)
+let mixed_one_class =
+  [
+    "467 467 0 0 1 3 | 680303682 842248273 295732705 525299695 257741005";
+    "537 537 81 81 1 3 | 56427049 965756268 897736779 293298984 975325744";
+    "571 571 112 112 1 3 | 787090148 750636856 131856004 569656473 70250091";
+    "590 590 131 131 1 3 | 901537488 92719482 150762034 943937233 423667242";
+    "589 589 42 42 1 3 | 550578138 883883885 697998294 18792060 694095652";
+    "589 589 64 64 1 3 | 138434235 137587532 91836363 296259262 744759014";
+    "601 601 88 88 1 3 | 802570165 114903065 278892727 205809061 987189832";
+    "618 618 110 110 1 3 | 41028239 244272178 697205516 85055063 186889045";
+    "623 162 11 11 1 3 | 368165392 682567176 106944275 498871668 24392965";
+    "612 11 137 0 1 3 | 740706667 1026675761 936622592 791382896 534286659";
+    "620 137 4 4 1 3 | 252786525 316291244 699103669 610914376 942643854";
+    "624 4 0 0 1 3 | 186709198 356716123 521496576 154102738 844945068";
+  ]
+
+let mixed_three_classes =
+  [
+    "467 467 0 0 1 3 | 680303682 790501895 62051959 525299695 257741005";
+    "537 537 81 81 1 3 | 56427049 450748785 465829740 293298984 347238125";
+    "571 571 112 112 1 3 | 787090148 174202010 81450056 569656473 488511591";
+    "590 590 131 131 1 3 | 901537488 170002928 540544492 943937233 448501250";
+    "589 589 42 42 1 3 | 550578138 59141719 603429314 18792060 665911946";
+    "589 589 64 64 1 3 | 138434235 1010283994 358490103 296259262 38772481";
+    "601 601 88 88 1 3 | 802570165 434407872 962922592 205809061 711210717";
+    "618 618 110 110 1 3 | 41028239 237472713 826966255 85055063 919378332";
+    "623 156 43 43 1 3 | 886671562 1024004344 986531202 937347369 804579809";
+    "612 49 164 22 1 3 | 942265571 63335953 257255239 880290839 424904375";
+    "620 164 38 38 1 3 | 567831373 325832046 505668484 57849087 955865856";
+    "624 38 21 21 1 3 | 690828357 73710952 632148417 344604790 547220213";
+  ]
+
+let test_mixed_batches_pinned () =
+  List.iter
+    (fun (classes, want) ->
+      Alcotest.(check (list string)) (Printf.sprintf "%d classes" classes) want (mixed_cps ~classes))
+    [ (1, mixed_one_class); (3, mixed_three_classes) ]
+
+
 let () =
   Alcotest.run "wafl_streams"
     [
@@ -459,5 +613,7 @@ let () =
           Alcotest.test_case "classes reach FTL streams" `Quick test_streams_end_to_end;
           Alcotest.test_case "cp outputs pinned at 1 and 3 classes" `Quick
             test_cp_outputs_pinned;
+          Alcotest.test_case "placement pinned over mixed batches" `Quick
+            test_mixed_batches_pinned;
         ] );
     ]
