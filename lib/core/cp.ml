@@ -289,8 +289,8 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
          segregated AAs also stop sharing open erase blocks inside the
          device.  The FTL reads the sorted slice: a stream that takes
          every block writes it as is; otherwise its blocks are filtered,
-         in order (so still sorted), into this range's own slice of the
-         stream array (ranges flush concurrently). *)
+         in order (so still sorted), into the stream array at the slice's
+         own positions, so the FTL reads them with the slice's [pos]. *)
       let sorted = sc.sorted and classes = sc.sorted_cls and stream = sc.stream in
       let len = distinct in
       let stream_of c = if c < ns then c else ns - 1 in
@@ -723,12 +723,20 @@ let run_body ?temp walloc vols batch =
   let agg_commit = Aggregate.commit_frees aggregate in
   let agg_pages = agg_commit.Wafl_bitmap.Activemap.pages_written in
   let n_freed = agg_commit.Wafl_bitmap.Activemap.freed in
+  let commit acc vol =
+    Wafl_fault.Crash.point "cp.vol_free_commit";
+    acc + Flexvol.commit_frees vol
+  in
+  (* Then every volume that still holds queued frees: one this CP did not
+     write, whose frees a snapshot delete queued. *)
   let vol_pages =
     Array.fold_left
       (fun acc vol ->
-        Wafl_fault.Crash.point "cp.vol_free_commit";
-        acc + Flexvol.commit_frees vol)
-      0 active
+        if Wafl_bitmap.Activemap.pending_free_count (Flexvol.activemap vol) > 0 then
+          commit acc vol
+        else acc)
+      (Array.fold_left commit 0 active)
+      vols
   in
   Telemetry.span_exit Span.Activemap_commit;
   (* 3. Device I/O per range: this CP's allocations (and trims) split by

@@ -91,10 +91,12 @@ val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> re
     placed by {!Flexvol.place} in three tight passes (file maps,
     container gather, then frees and attaches in write order), so the
     random reads of consecutive writes overlap.  The aggregate's delayed
-    frees commit first, then each volume's ([cp.vol_free_commit] fires
-    just before each), then each range flushes ([cp.device_flush] fires
-    just before each), in volume and range order: a crash at the second
-    range's point leaves the first range flushed and the second not.
+    frees commit first, then each written volume's, then each other
+    volume's that holds queued frees (a deleted snapshot's)
+    ([cp.vol_free_commit] fires just before each), then each range
+    flushes ([cp.device_flush] fires just before each), in range order:
+    a crash at the second range's point leaves the first range flushed
+    and the second not.
 
     Every write gets a class slot: with [temp] it is classified before
     placement by the lifespan of the version it overwrites; without it

@@ -248,15 +248,28 @@ let files t = Hashtbl.fold (fun file _ acc -> file :: acc) t.inodes []
 
 (* --- namespace persistence (crash images) ---
 
-   The container map and inode maps are the durable namespace a crash
-   image must carry: without them a remount cannot answer "which physical
-   block holds file F offset O", and Iron cannot cross-check container
-   references against the bitmaps. *)
+   The container map, inode maps and snapshots are the durable namespace
+   a crash image must carry: without them a remount cannot answer "which
+   physical block holds file F offset O", Iron cannot cross-check
+   container references against the bitmaps, and a snapshot's blocks
+   could never be released. *)
 
-type namespace = { container_copy : int array; file_maps : (int * block_map) list }
+type namespace = {
+  container_copy : int array;
+  file_maps : (int * block_map) list;
+  snapshots_copy : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  zombies_copy : (int, unit) Hashtbl.t;
+  next_snapshot_id : int;
+}
+
+(* [Hashtbl.copy] keeps each table's iteration order, so a remounted
+   snapshot releases its blocks in the order the original would. *)
+let copy_snapshots snapshots =
+  Hashtbl.of_seq
+    (Seq.map (fun (id, pinned) -> (id, Hashtbl.copy pinned)) (Hashtbl.to_seq snapshots))
 
 (* Copies, trimmed to each file's last mapped offset: the image must not
-   alias the live arrays the source system keeps writing. *)
+   alias the live arrays and tables the source system keeps writing. *)
 let export_namespace t =
   let file_maps =
     Hashtbl.fold
@@ -268,7 +281,13 @@ let export_namespace t =
         (file, { vvbns = Array.sub map.vvbns 0 !len; mapped = map.mapped }) :: acc)
       t.inodes []
   in
-  { container_copy = Array.copy t.container; file_maps }
+  {
+    container_copy = Array.copy t.container;
+    file_maps;
+    snapshots_copy = copy_snapshots t.snapshots;
+    zombies_copy = Hashtbl.copy t.zombies;
+    next_snapshot_id = t.next_snapshot;
+  }
 
 let import_namespace t ns =
   if Array.length ns.container_copy <> Array.length t.container then
@@ -277,4 +296,7 @@ let import_namespace t ns =
   List.iter
     (fun (file, map) ->
       Hashtbl.replace t.inodes file { vvbns = Array.copy map.vvbns; mapped = map.mapped })
-    ns.file_maps
+    ns.file_maps;
+  Hashtbl.iter (Hashtbl.replace t.snapshots) (copy_snapshots ns.snapshots_copy);
+  Hashtbl.iter (Hashtbl.replace t.zombies) ns.zombies_copy;
+  t.next_snapshot <- ns.next_snapshot_id

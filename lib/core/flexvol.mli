@@ -153,15 +153,17 @@ val files : t -> int list
 (** {2 Namespace persistence} *)
 
 type namespace
-(** A volume's durable namespace: the container map and every file's block
-    map, copied out of the live volume. *)
+(** A volume's durable namespace: the container map, every file's block
+    map, and the snapshots (each snapshot's id and pinned VVBNs, the
+    zombie VVBNs and the next snapshot id), copied out of the live
+    volume. *)
 
 val export_namespace : t -> namespace
 (** Capture the namespace a crash image carries so a remounted system can
-    still translate file reads and Iron can cross-check container
-    references. *)
+    still translate file reads, read and delete its snapshots, and let
+    Iron cross-check container references. *)
 
 val import_namespace : t -> namespace -> unit
-(** Load a namespace captured by {!export_namespace} into a fresh volume.
-    Raises [Invalid_argument] if it was captured from a volume of another
-    size. *)
+(** Load a namespace captured by {!export_namespace} into a fresh volume,
+    without aliasing it.  Raises [Invalid_argument] if it was captured
+    from a volume of another size. *)

@@ -52,7 +52,7 @@ type cost_model = {
   replay_op_us : float;
 }
 
-let default_cost_model =
+let cost =
   { page_read_us = 250.0; page_scan_cpu_us = 40.0; seed_insert_us = 0.2; replay_op_us = 5.0 }
 
 let snapshot fs =
@@ -206,8 +206,7 @@ let restore ?(verify = false) ?run image =
   in
   (fs, vreport)
 
-let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = false) ?run
-    image ~with_topaa =
+let mount_body ?(lazy_rebuild = false) ?(verify = false) ?run image ~with_topaa =
   let fs, vreport = restore ~verify ?run image in
   (* replay the NVRAM log: the logged client operations are re-staged so
      the first CP commits them (no data loss across the takeover) *)
@@ -308,9 +307,8 @@ let mount_body ?(cost = default_cost_model) ?(lazy_rebuild = false) ?(verify = f
 
 (* The whole mount — restore, NVRAM replay, cache seeding or full-scan
    rebuild — is one [Mount_rebuild] span. *)
-let mount ?cost ?lazy_rebuild ?verify ?run image ~with_topaa =
+let mount ?lazy_rebuild ?verify ?run image ~with_topaa =
   Telemetry.span_enter Span.Mount_rebuild;
   Fun.protect
     ~finally:(fun () -> Telemetry.span_exit Span.Mount_rebuild)
-    (fun () ->
-      mount_body ?cost ?lazy_rebuild ?verify ?run image ~with_topaa)
+    (fun () -> mount_body ?lazy_rebuild ?verify ?run image ~with_topaa)

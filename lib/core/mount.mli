@@ -39,6 +39,11 @@ type cost_model = {
   replay_op_us : float;   (** re-stage one NVRAM-logged operation *)
 }
 
+val cost : cost_model
+(** The modeled prices every mount charges to [ready_us]: 250 µs per
+    page read, 40 µs to score a scanned page, 0.2 µs per seeded AA and
+    5 µs per replayed operation. *)
+
 val snapshot : Fs.t -> image
 (** Capture bitmaps and TopAA blocks, as the last completed CP would have
     persisted them, plus the NVRAM log of operations staged since —
@@ -72,7 +77,6 @@ val verify_pagestores : Fs.t -> verify_report
     telemetry. *)
 
 val mount :
-  ?cost:cost_model ->
   ?lazy_rebuild:bool ->
   ?verify:bool ->
   ?run:Config.run ->

@@ -1,6 +1,11 @@
-(** JSON and CSV renderings of a telemetry instance.  Self-contained (no
-    external JSON dependency); output is deterministic: metrics in
-    registration order, series rows and events oldest first. *)
+(** JSON, CSV and Prometheus renderings of a telemetry instance.  Each
+    JSON export is one {!Wafl_util.Json.t} printed by
+    {!Wafl_util.Json.to_string}: compact, on one newline-terminated line.
+    Every number, in JSON, CSV and Prometheus alike, is printed by
+    {!Wafl_util.Json.number}, so it parses back to the recorded value
+    exactly.  Output is deterministic: metrics in registration order,
+    series rows and events oldest first.  A span kind appears in the
+    metrics exports once it has fired: entered at least once, or open. *)
 
 val metrics_json : Telemetry.t -> string
 (** One JSON object:
@@ -51,4 +56,6 @@ val trace_csv : Telemetry.t -> string
     not apply to an event kind are left empty. *)
 
 val trace_json : Telemetry.t -> string
-(** JSON array of event objects ([{"event": ..., "cp": ..., ...}]). *)
+(** JSON array of event objects ([{"event": ..., "cp": ..., ...}]), each
+    with the fields of its kind: strings for [event] and [slo], numbers
+    for the rest. *)

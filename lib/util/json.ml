@@ -186,14 +186,17 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* Integers (the common case: counts, ns) print without an exponent;
+   anything else gets 17 significant digits, which round-trips every
+   finite double. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f ->
-    Buffer.add_string buf
-      (if not (Float.is_finite f) then "null"
-       else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-       else Printf.sprintf "%.17g" f)
+  | Num f -> Buffer.add_string buf (if Float.is_finite f then number f else "null")
   | Str s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);

@@ -1,11 +1,13 @@
-(** A minimal JSON reader/writer — just enough to parse the exporter's
-    own output (metrics, time series) back into a tree for round-trip
-    tests.  No external dependency,
-    no streaming: documents here are small (tens of KiB).
+(** A minimal JSON reader/writer, and the one JSON writer of the
+    program: every telemetry export ([Wafl_telemetry.Export]) builds a
+    {!t} and prints it with {!to_string}, and its CSV and Prometheus
+    renderings print their numbers with {!number}.  No external
+    dependency, no streaming: documents here are small (tens of KiB).
 
-    Numbers all parse to [float]; the exporters print integers without an
-    exponent and other values with 17 significant digits, so every number
-    they emit survives the round-trip exactly. *)
+    Output is compact (no whitespace between tokens).  Numbers all parse
+    to [float]; the writer prints integers without an exponent and other
+    values with 17 significant digits, so every number it emits survives
+    the round-trip exactly. *)
 
 type t =
   | Null
@@ -23,7 +25,13 @@ val parse_exn : string -> t
 (** Raises [Failure] with the {!parse} error. *)
 
 val to_string : t -> string
-(** Compact rendering (objects keep member order). *)
+(** Compact rendering (objects keep member order); a non-finite number
+    prints as [null]. *)
+
+val number : float -> string
+(** How {!to_string} prints a finite number: an integer below 1e15 in
+    magnitude without an exponent, anything else with 17 significant
+    digits, so [float_of_string (number f) = f]. *)
 
 val member : string -> t -> t option
 (** Field of an [Obj]; [None] on a missing field or a non-object. *)

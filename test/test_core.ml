@@ -584,22 +584,15 @@ let test_mount_without_topaa_scans () =
    ready time is that page count at the cost model's page-read price plus
    the seeds and the replay. *)
 let test_mount_paths_agree_behaviorally () =
-  let cost =
-    {
-      Mount.page_read_us = 250.0;
-      page_scan_cpu_us = 40.0;
-      seed_insert_us = 0.2;
-      replay_op_us = 5.0;
-    }
-  in
+  let cost = Mount.cost in
   List.iter
     (fun (name, fs, pages) ->
       let image = Mount.snapshot fs in
       let paths =
         [
-          ("topaa", fun () -> Mount.mount ~cost image ~with_topaa:true);
-          ("lazy topaa", fun () -> Mount.mount ~cost ~lazy_rebuild:true image ~with_topaa:true);
-          ("scan", fun () -> Mount.mount ~cost image ~with_topaa:false);
+          ("topaa", fun () -> Mount.mount image ~with_topaa:true);
+          ("lazy topaa", fun () -> Mount.mount ~lazy_rebuild:true image ~with_topaa:true);
+          ("scan", fun () -> Mount.mount image ~with_topaa:false);
         ]
       in
       List.iter
@@ -824,6 +817,88 @@ let test_snapshot_excludes_zombies () =
   let snap_b = Fs.create_snapshot fs ~vol in
   check_int "zombie released with its only holder" 1 (Fs.delete_snapshot fs ~vol snap_a);
   check_int "new snapshot did not pin history" 0 (Fs.delete_snapshot fs ~vol snap_b)
+
+(* Write 100 blocks, snapshot them, overwrite them and run a CP: the
+   snapshot alone holds the old blocks. *)
+let snapshot_overwritten fs vol =
+  let write_all () =
+    for offset = 0 to 99 do
+      Fs.stage_write fs ~vol ~file:1 ~offset
+    done;
+    ignore (Fs.run_cp fs)
+  in
+  write_all ();
+  let snap = Fs.create_snapshot fs ~vol in
+  write_all ();
+  snap
+
+let snapshot_blocks vol snap =
+  List.filter_map
+    (fun vvbn -> Option.map (fun p -> (vvbn, p)) (Flexvol.snapshot_read vol ~snapshot:snap ~vvbn))
+    (List.init (Flexvol.blocks vol) Fun.id)
+
+(* A crash image carries the snapshots: after a remount the snapshot is
+   listed and readable, and deleting it frees its blocks at the next CP. *)
+let test_snapshot_survives_remount () =
+  let fs = Fs.create (small_config ~vol_blocks:32768 ()) in
+  let snap = snapshot_overwritten fs (Fs.vol fs "vol0") in
+  let pinned = snapshot_blocks (Fs.vol fs "vol0") snap in
+  check_int "snapshot pins 100 blocks" 100 (List.length pinned);
+  let fs', _ = Mount.mount (Mount.snapshot fs) ~with_topaa:true in
+  let vol = Fs.vol fs' "vol0" and agg = Fs.aggregate fs' in
+  Alcotest.(check (list int)) "snapshot listed" [ snap ] (Flexvol.snapshots vol);
+  Alcotest.(check (list (pair int int))) "snapshot reads its blocks" pinned
+    (snapshot_blocks vol snap);
+  let vol_free = Flexvol.free_blocks vol and agg_free = Aggregate.free_blocks agg in
+  check_int "delete releases the 100 blocks" 100 (Fs.delete_snapshot fs' ~vol snap);
+  ignore (Fs.run_cp fs');
+  check_int "volume frees them" (vol_free + 100) (Flexvol.free_blocks vol);
+  check_int "aggregate frees them" (agg_free + 100) (Aggregate.free_blocks agg);
+  check_int "iron clean" 0 (List.length (Iron.check fs'));
+  check_int "snapshot ids continue" (snap + 1) (Fs.create_snapshot fs' ~vol)
+
+(* Two volumes on one HDD group.  A snapshot delete queues frees on a
+   volume that the next CP does not write: that CP still commits them,
+   at one more [cp.vol_free_commit] after the written volume's. *)
+let test_snapshot_delete_frees_idle_volume () =
+  let rg =
+    {
+      Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+      data_devices = 4;
+      parity_devices = 1;
+      device_blocks = 8192;
+      aa_stripes = Some 512;
+    }
+  in
+  let fs =
+    Fs.create
+      (Config.make ~raid_groups:[ rg ]
+         ~vols:
+           [
+             Config.default_vol ~name:"a" ~blocks:32768; Config.default_vol ~name:"b" ~blocks:32768;
+           ]
+         ~seed:7 ())
+  in
+  let a = Fs.vol fs "a" and b = Fs.vol fs "b" in
+  let snap = snapshot_overwritten fs a in
+  let cp_writing_b () =
+    Fs.stage_write fs ~vol:b ~file:1 ~offset:0;
+    Wafl_fault.Crash.record ();
+    Fun.protect ~finally:Wafl_fault.Crash.disarm (fun () -> ignore (Fs.run_cp fs));
+    Wafl_fault.Crash.recorded ()
+  in
+  let points = cp_writing_b () in
+  let a_free = Flexvol.free_blocks a in
+  check_int "delete releases the 100 blocks" 100 (Fs.delete_snapshot fs ~vol:a snap);
+  let points' = cp_writing_b () in
+  check_int "idle volume's frees commit" (a_free + 100) (Flexvol.free_blocks a);
+  let rec with_extra_commit = function
+    | "cp.vol_free_commit" :: rest -> "cp.vol_free_commit" :: "cp.vol_free_commit" :: rest
+    | p :: rest -> p :: with_extra_commit rest
+    | [] -> []
+  in
+  Alcotest.(check (list string)) "one more free commit" (with_extra_commit points) points';
+  Alcotest.(check (list string)) "then the same sequence again" points (cp_writing_b ())
 
 let test_snapshot_survives_cleaning () =
   let fs = Fs.create (small_config ()) in
@@ -1736,6 +1811,9 @@ let () =
           Alcotest.test_case "sharing" `Quick test_snapshot_sharing_between_snapshots;
           Alcotest.test_case "excludes zombies" `Quick test_snapshot_excludes_zombies;
           Alcotest.test_case "survives cleaning" `Quick test_snapshot_survives_cleaning;
+          Alcotest.test_case "survives a remount" `Quick test_snapshot_survives_remount;
+          Alcotest.test_case "delete frees an idle volume" `Quick
+            test_snapshot_delete_frees_idle_volume;
         ] );
       ( "read-path",
         [ Alcotest.test_case "young vs aged chains" `Quick test_read_chains_young_vs_aged ] );

@@ -163,25 +163,60 @@ let contains ~needle haystack =
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   n = 0 || at 0
 
+let json_get path v =
+  let open Wafl_util.Json in
+  List.fold_left
+    (fun acc key -> match acc with Some v -> member key v | None -> None)
+    (Some v) path
+
+let parse_json what s =
+  match Wafl_util.Json.parse s with
+  | Ok v -> v
+  | Error msg -> Alcotest.fail (what ^ " does not parse: " ^ msg)
+
+let json_num path v =
+  match json_get path v with
+  | Some (Wafl_util.Json.Num x) -> x
+  | _ -> Alcotest.fail ("missing numeric leaf " ^ String.concat "." path)
+
 let test_metrics_json () =
-  let json = Export.metrics_json (sample_telemetry ()) in
-  List.iter
-    (fun fragment ->
-      check_bool (Printf.sprintf "json contains %S" fragment) true
-        (contains ~needle:fragment json))
-    [
-      "\"cp.ops\": 12";
-      "\"cache.hbps.score_error_max\": 0.03125";
-      "\"emitted\": 2";
-    ];
-  (* crude structural validity: brackets and braces balance, no trailing comma *)
-  let depth = ref 0 in
-  String.iter
-    (fun ch ->
-      (match ch with '{' | '[' -> incr depth | '}' | ']' -> decr depth | _ -> ());
-      check_bool "never negative depth" true (!depth >= 0))
-    json;
-  check_int "balanced" 0 !depth
+  let v = parse_json "metrics json" (Export.metrics_json (sample_telemetry ())) in
+  let exact = Alcotest.(check (float 0.0)) in
+  exact "cp.ops" 12.0 (json_num [ "counters"; "cp.ops" ] v);
+  exact "score_error_max" 0.03125 (json_num [ "gauges"; "cache.hbps.score_error_max" ] v);
+  exact "emitted" 2.0 (json_num [ "trace"; "emitted" ] v)
+
+(* A gauge reads back bit-exact through every metrics rendering. *)
+let test_exact_gauge () =
+  let g = 0.1234567891 in
+  let tel = Telemetry.create () in
+  Telemetry.with_installed tel (fun () -> Telemetry.set_gauge "g" g);
+  let exact = Alcotest.(check (float 0.0)) in
+  exact "json" g (json_num [ "gauges"; "g" ] (parse_json "metrics json" (Export.metrics_json tel)));
+  let csv_value =
+    List.find_map
+      (fun l -> match String.split_on_char ',' l with [ "gauge"; "g"; v ] -> Some v | _ -> None)
+      (String.split_on_char '\n' (Export.metrics_csv tel))
+  in
+  exact "csv" g (float_of_string (Option.get csv_value))
+
+(* Names with a quote, a backslash, a newline and a control byte come
+   back unchanged from the JSON exports, and trace burn rates exactly. *)
+let test_escaped_names () =
+  let name = "a\"b\\c\nd\001e" in
+  let tel = Telemetry.create ~tracing:true () in
+  Telemetry.with_installed tel (fun () -> Telemetry.add name 7);
+  Tracer.slo_violation (Telemetry.tracer tel) ~slo:name ~burn_fast:1.2345678 ~burn_slow:0.1
+    ~violations:3;
+  let m = parse_json "metrics json" (Export.metrics_json tel) in
+  Alcotest.(check (float 0.0)) "counter under its name" 7.0 (json_num [ "counters"; name ] m);
+  match parse_json "trace json" (Export.trace_json tel) with
+  | Wafl_util.Json.List [ ev ] ->
+    check_bool "slo name" true (json_get [ "slo" ] ev = Some (Wafl_util.Json.Str name));
+    Alcotest.(check (float 0.0)) "burn_fast" 1.2345678 (json_num [ "burn_fast" ] ev);
+    Alcotest.(check (float 0.0)) "burn_slow" 0.1 (json_num [ "burn_slow" ] ev);
+    Alcotest.(check (float 0.0)) "violations" 3.0 (json_num [ "violations" ] ev)
+  | _ -> Alcotest.fail "trace json is not one event"
 
 let test_metrics_csv () =
   let csv = Export.metrics_csv (sample_telemetry ()) in
@@ -340,12 +375,6 @@ let test_timeseries_ring () =
 
 (* --- span + time-series export round-trips --- *)
 
-let json_get path v =
-  let open Wafl_util.Json in
-  List.fold_left
-    (fun acc key -> match acc with Some v -> member key v | None -> None)
-    (Some v) path
-
 let span_telemetry () =
   let now = ref 0 in
   let tel = Telemetry.create ~clock:(fun () -> !now) () in
@@ -362,16 +391,8 @@ let span_telemetry () =
 
 let test_span_json_roundtrip () =
   let tel = span_telemetry () in
-  let v =
-    match Wafl_util.Json.parse (Export.metrics_json tel) with
-    | Ok v -> v
-    | Error msg -> Alcotest.fail ("metrics json does not parse: " ^ msg)
-  in
-  let num path =
-    match json_get path v with
-    | Some (Wafl_util.Json.Num x) -> x
-    | _ -> Alcotest.fail ("missing numeric leaf " ^ String.concat "." path)
-  in
+  let v = parse_json "metrics json" (Export.metrics_json tel) in
+  let num path = json_num path v in
   Alcotest.(check (float 1e-9)) "cp count" 1.0 (num [ "spans"; "cp"; "count" ]);
   Alcotest.(check (float 1e-9)) "cp total" 100.0 (num [ "spans"; "cp"; "total_ns" ]);
   Alcotest.(check (float 1e-9)) "pick total" 15.0 (num [ "spans"; "cp.pick"; "total_ns" ]);
@@ -396,11 +417,7 @@ let sampled_telemetry () =
 
 let test_timeseries_json_roundtrip () =
   let tel = sampled_telemetry () in
-  let v =
-    match Wafl_util.Json.parse (Export.timeseries_json tel) with
-    | Ok v -> v
-    | Error msg -> Alcotest.fail ("timeseries json does not parse: " ^ msg)
-  in
+  let v = parse_json "timeseries json" (Export.timeseries_json tel) in
   let strings key =
     match json_get [ key ] v with
     | Some (Wafl_util.Json.List l) ->
@@ -530,11 +547,7 @@ let ssd_run =
 
 let test_cp_series_json () =
   let tel, _ = Lazy.force ssd_run in
-  let v =
-    match Wafl_util.Json.parse (Export.timeseries_json tel) with
-    | Ok v -> v
-    | Error msg -> Alcotest.fail ("timeseries json does not parse: " ^ msg)
-  in
+  let v = parse_json "timeseries json" (Export.timeseries_json tel) in
   let strings key =
     match json_get [ key ] v with
     | Some (Wafl_util.Json.List l) ->
@@ -612,6 +625,8 @@ let () =
         [
           Alcotest.test_case "metrics json" `Quick test_metrics_json;
           Alcotest.test_case "metrics csv" `Quick test_metrics_csv;
+          Alcotest.test_case "exact gauge" `Quick test_exact_gauge;
+          Alcotest.test_case "escaped names round-trip" `Quick test_escaped_names;
           Alcotest.test_case "trace csv+json" `Quick test_trace_exports;
         ] );
       ( "spans",
