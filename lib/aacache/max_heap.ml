@@ -100,10 +100,10 @@ let extract_best t =
 
 (* Claim-aware take: extract the best entry satisfying [keep], restoring
    every rejected entry afterwards.  Rejections are rare (an AA is
-   rejected only while another writer owns it), extraction order is
-   deterministic (score, then lower AA id), and reinserting the rejected
-   entries reproduces the exact original heap contents — so concurrent
-   claimants see the same score order the serial path would. *)
+   rejected only while another class row has claimed it), extraction
+   order is deterministic (score, then lower AA id), and reinserting the
+   rejected entries reproduces the exact original heap contents — so
+   every class row sees the same score order an unfiltered take would. *)
 let extract_best_filtered t ~keep =
   let rec go rejected =
     match extract_best t with

@@ -44,8 +44,8 @@ val has_pending_free : t -> int -> bool
 
 val commit : t -> commit_result
 (** Apply all queued frees in queue order, flush the metafile, and
-    return the count.  One serial pass: a cross-domain split of the bit
-    clears measured slower than this loop (DESIGN.md §9).  The queue is
+    return the count.  One pass: splitting the bit clears over several
+    threads measured slower than this loop (DESIGN.md §9).  The queue is
     one growable array reused across commits, so a commit allocates
     nothing per VBN. *)
 

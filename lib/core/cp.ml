@@ -98,9 +98,9 @@ let smr_streams geometry locals =
 (* One CP's per-block working arrays.  Each grows by doubling to the
    largest CP seen and is reused by every later CP, so a CP allocates
    O(volumes + ranges) words, not O(blocks): a per-CP array over 256
-   words would go straight to the major heap.  One record per domain
-   (below), not per system: a mount-heavy run builds two systems per
-   failover cycle, and per-system scratch would keep each one's
+   words would go straight to the major heap.  One record for the
+   process (below), not per system: a mount-heavy run builds two systems
+   per failover cycle, and per-system scratch would keep each one's
    high-water arrays alive while it lives. *)
 type scratch = {
   mutable keys : int array;  (* sort key per index: volume rank, or range *)
@@ -123,28 +123,27 @@ type scratch = {
   mutable freed_locals : int array;  (* freed PVBNs by range, range-local *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        keys = [||];
-        order = [||];
-        vvbns = [||];
-        slots = Bytes.empty;
-        files = [||];
-        offsets = [||];
-        cls_vvbns = [||];
-        pvbns = [||];
-        old_vvbns = [||];
-        old_pvbns = [||];
-        placed = [||];
-        placed_cls = [||];
-        locals = [||];
-        local_cls = [||];
-        sorted = [||];
-        sorted_cls = [||];
-        stream = [||];
-        freed_locals = [||];
-      })
+let scratch =
+  {
+    keys = [||];
+    order = [||];
+    vvbns = [||];
+    slots = Bytes.empty;
+    files = [||];
+    offsets = [||];
+    cls_vvbns = [||];
+    pvbns = [||];
+    old_vvbns = [||];
+    old_pvbns = [||];
+    placed = [||];
+    placed_cls = [||];
+    locals = [||];
+    local_cls = [||];
+    sorted = [||];
+    sorted_cls = [||];
+    stream = [||];
+    freed_locals = [||];
+  }
 
 (* [a] when it holds [n] slots, else a fresh array of at least twice its
    size; contents are not kept. *)
@@ -595,7 +594,7 @@ let run_body ?temp walloc vols batch =
   let pick_ns0 = Telemetry.span_total_ns Span.Pick in
   let harvest_ns0 = Telemetry.span_total_ns Span.Harvest in
   let aggregate = Write_alloc.aggregate walloc in
-  let sc = Domain.DLS.get scratch_key in
+  let sc = scratch in
   let ops = batch.len in
   Telemetry.span_enter Span.Place;
   (* Group the writes by volume, volumes in first-appearance order and
@@ -649,7 +648,7 @@ let run_body ?temp walloc vols batch =
     if Bytes.length sc.slots < n then sc.slots <- Bytes.create (max n (2 * Bytes.length sc.slots));
     let slots = sc.slots in
     Bytes.fill slots 0 n '\000';
-    let got_v = Write_alloc.allocate_vvbns_into walloc vol ~dst:vvbns n in
+    let got_v = Write_alloc.allocate_vvbns_into walloc by_rank.(r) ~dst:vvbns n in
     let lat_fresh = ref 0 and lat_over = ref 0 in
     (* SepBIT-style segregation: each write with a vvbn takes the class
        of the lifespan of the version it kills, read before any of this

@@ -85,8 +85,8 @@ val run : ?temp:Temperature.t -> Write_alloc.t -> Flexvol.t array -> batch -> re
     count.  Writes are grouped by volume with a stable counting
     sort (volumes in first-appearance order), and every per-block list —
     placed PVBNs and their classes, freed PVBNs, each range's share of
-    both — is a slice of a scratch array that belongs to the calling
-    domain and is reused across CPs, so a CP allocates O(volumes +
+    both — is a slice of a scratch array that every system in the
+    process shares and every CP reuses, so a CP allocates O(volumes +
     ranges) words, not O(blocks).  Each class batch of a volume is
     placed by {!Flexvol.place} in three tight passes (file maps,
     container gather, then frees and attaches in write order), so the

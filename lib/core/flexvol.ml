@@ -1,10 +1,9 @@
 open Wafl_bitmap
 open Wafl_aa
 
-(* Process-wide volume id counter: every volume gets a small dense uid at
-   creation, which the write allocator uses as an O(1) cursor-slot index
-   (fleet-scale volume counts must not pay a list walk per allocation). *)
-let next_uid = Atomic.make 0
+(* Process-wide volume id counter: every volume gets a uid at creation,
+   its identity across systems (latency cells, temperature state). *)
+let next_uid = ref 0
 
 (* A file's block map: [vvbns.(offset)] is the VVBN backing that offset,
    -1 for a hole.  Dense because every writer fills offsets from 0 (a
@@ -35,8 +34,10 @@ let create (spec : Config.vol_spec) =
       ~page_bits:(min Wafl_block.Units.bits_per_metafile_block aa_blocks)
       ~blocks:spec.Config.blocks ()
   in
+  let uid = !next_uid in
+  incr next_uid;
   {
-    uid = Atomic.fetch_and_add next_uid 1;
+    uid;
     spec;
     space =
       Space.create ~label:(Space.Vol spec.Config.name) ~base:0 ~activemap

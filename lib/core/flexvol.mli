@@ -19,9 +19,8 @@ val create : Config.vol_spec -> t
 (** A volume and its bitmaps. *)
 
 val uid : t -> int
-(** Process-wide dense volume id, assigned at creation.  The write
-    allocator indexes its per-volume cursor slots by it (O(1) lookup
-    instead of an assoc-list walk). *)
+(** Process-wide volume id, assigned at creation: the volume's identity
+    across systems, which keys its latency cells and temperature state. *)
 
 val name : t -> string
 val blocks : t -> int

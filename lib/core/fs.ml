@@ -37,9 +37,8 @@ let create config =
   let run = config.Config.run in
   let aggregate = Aggregate.create config in
   let rng = Rng.create ~seed:config.Config.seed in
-  let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) in
   let vols = Array.of_list (List.map Flexvol.create config.Config.vols) in
-  Array.iter (Write_alloc.register_vol walloc) vols;
+  let walloc = Write_alloc.create aggregate ~rng:(Rng.split rng) ~vols in
   let temp =
     let s = run.Config.streams in
     if s.Config.temp_classes > 1 then

@@ -31,8 +31,8 @@ type t = {
   rng : Rng.t;
   classes : int;                          (* temperature routing slots (>= 1) *)
   cursors : cursor array array;           (* [class][range]; rows share claims *)
-  mutable vols : (Space.t * cursor) list; (* registered volumes, newest first *)
-  mutable vol_slots : cursor option array;  (* indexed by Flexvol.uid *)
+  vol_spaces : Space.t array;             (* the system's volumes, by position *)
+  vol_cursors : cursor array;             (* one cursor per volume, same order *)
   mutable epoch : int;                    (* bumped at every cp_finish *)
   words : int ref;                        (* cumulative 32-bit bitmap words read *)
   mutable harvested : int;                (* cumulative VBNs harvested into rings *)
@@ -67,7 +67,7 @@ let push_taken cursor aa =
   cursor.taken_list.(cursor.n_taken) <- aa;
   cursor.n_taken <- cursor.n_taken + 1
 
-let create aggregate ~rng =
+let create aggregate ~rng ~vols =
   let ranges = Aggregate.ranges aggregate in
   let run = (Aggregate.config aggregate).Config.run in
   let classes = run.Config.streams.Config.temp_classes in
@@ -80,8 +80,8 @@ let create aggregate ~rng =
     cursors =
       Array.init classes (fun _ ->
           Array.map (fun (r : Aggregate.range) -> new_cursor r.Aggregate.space) ranges);
-    vols = [];
-    vol_slots = Array.make 8 None;
+    vol_spaces = Array.map Flexvol.space vols;
+    vol_cursors = Array.map (fun v -> new_cursor (Flexvol.space v)) vols;
     epoch = 0;
     words = ref 0;
     harvested = 0;
@@ -95,31 +95,6 @@ let create aggregate ~rng =
   }
 
 let aggregate t = t.aggregate
-
-(* O(1), option- and closure-free on the hit path: volume cursors sit under
-   the zero-allocation VVBN take path, and the slot array is indexed by the
-   volume's process-wide dense uid. *)
-let rec vol_cursor t vol =
-  let uid = Flexvol.uid vol in
-  if uid < Array.length t.vol_slots then begin
-    match Array.unsafe_get t.vol_slots uid with
-    | Some c -> c
-    | None ->
-      let c = new_cursor (Flexvol.space vol) in
-      t.vol_slots.(uid) <- Some c;
-      t.vols <- (Flexvol.space vol, c) :: t.vols;
-      c
-  end
-  else begin
-    let bigger =
-      Array.make (max (uid + 1) (2 * Array.length t.vol_slots)) None
-    in
-    Array.blit t.vol_slots 0 bigger 0 (Array.length t.vol_slots);
-    t.vol_slots <- bigger;
-    vol_cursor t vol
-  end
-
-let register_vol t vol = ignore (vol_cursor t vol)
 
 (* Claim-aware cache take: skip over empty-scored AAs, bounded so a
    drained cache terminates.  The take skips AAs another class row has
@@ -392,8 +367,8 @@ let allocate_pvbns_into ?(cls = 0) t ~dst n =
 
 let temp_classes t = t.classes
 
-let allocate_vvbns_into t vol ~dst n =
-  if n <= 0 then 0 else take_into t (Flexvol.space vol) (vol_cursor t vol) ~fault:None ~dst ~pos:0 n
+let allocate_vvbns_into t v ~dst n =
+  if n <= 0 then 0 else take_into t t.vol_spaces.(v) t.vol_cursors.(v) ~fault:None ~dst ~pos:0 n
 
 (* Whether any of a space's class cursors from [i] on quarantined [aa];
    top-level, so the per-AA refile builds no closure. *)
@@ -500,7 +475,11 @@ let cp_finish t =
       cp_finish_space ~keep_claimed_rings:(t.classes > 1) ?wear_adjust range.Aggregate.space
         (Array.map (fun row -> row.(i)) t.cursors))
     (Aggregate.ranges t.aggregate);
-  List.iter (fun (space, cursor) -> cp_finish_space space [| cursor |]) t.vols
+  (* last volume first: the trace records the volumes' cache events in
+     this order *)
+  for v = Array.length t.vol_cursors - 1 downto 0 do
+    cp_finish_space t.vol_spaces.(v) [| t.vol_cursors.(v) |]
+  done
 
 let candidates_scanned t = t.candidates_scanned
 let words_scanned t = !(t.words)

@@ -17,7 +17,9 @@
 
 type t
 
-val create : Aggregate.t -> rng:Wafl_util.Rng.t -> t
+val create : Aggregate.t -> rng:Wafl_util.Rng.t -> vols:Flexvol.t array -> t
+(** An allocator over the aggregate's ranges and the system's volumes;
+    a volume is named by its position in [vols] from then on. *)
 
 val aggregate : t -> Aggregate.t
 
@@ -46,8 +48,9 @@ val temp_classes : t -> int
 (** Number of temperature routing slots ({!Config.stream_spec}
     [temp_classes] at creation). *)
 
-val allocate_vvbns_into : t -> Flexvol.t -> dst:int array -> int -> int
-(** Allocate up to [n] virtual blocks in a volume, from its current AA
+val allocate_vvbns_into : t -> int -> dst:int array -> int -> int
+(** [allocate_vvbns_into t v ~dst n] allocates up to [n] virtual blocks
+    in the volume at position [v] of {!create}'s [vols], from its current AA
     onward: the same refill and ring-pop loop {!allocate_pvbns_into} runs
     on each range, over the volume's space, reserving each VVBN as it is
     handed out. *)
@@ -64,9 +67,6 @@ val cp_finish : t -> unit
     scores filed into the pick cache are demoted by
     {!Wafl_aa.Score.wear_adjusted} — worn AAs sink in the Best-AA order
     while the exact free-count arrays stay untouched. *)
-
-val register_vol : t -> Flexvol.t -> unit
-(** Track a volume so {!cp_finish} updates its cache too. *)
 
 val aas_taken : t -> int
 (** Cumulative AAs taken from caches (all ranges and volumes). *)

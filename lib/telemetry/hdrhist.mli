@@ -3,9 +3,8 @@
     Values are non-negative integers (nanoseconds by convention).  Buckets
     are exact for values below 64 and log-linear above: each power-of-two
     decade is split into 32 linear sub-buckets, bounding the relative
-    quantile error at 1/32 (~3.1%).  Recording is allocation-free; a
-    histogram is not domain-safe, so record into it from one domain only
-    (see {!Latency}). *)
+    quantile error at 1/32 (~3.1%).  Recording is allocation-free (see
+    {!Latency}). *)
 
 type t
 

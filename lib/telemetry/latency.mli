@@ -16,9 +16,9 @@
 
     Samples land in log-linear {!Hdrhist}s: one per (op kind x volume
     slot), one per volume slot and one overall.  Like {!Timeseries}, the
-    recorder is written only from the serial tail of [Cp.run] and is not
-    domain-safe; recording is allocation-free in steady state and reads
-    return the stored histograms.
+    recorder is written only from the tail of [Cp.run]; recording is
+    allocation-free in steady state and reads return the stored
+    histograms.
 
     Tail exemplars: when an op's modeled latency clears the current p999
     (tracked across CPs), a preallocated slot captures (latency, op kind,

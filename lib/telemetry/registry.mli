@@ -5,11 +5,7 @@
     instead go through the name-based helpers each time; the hot allocation
     path must not (see {!Tracer} for the per-pick instrument).  Metric
     names are dotted, e.g. ["cache.picks"].  Distributions live elsewhere:
-    per-CP values in the time series, request latency in {!Hdrhist}.
-
-    Domain safety: counters and gauges are [Atomic]-backed — concurrent
-    [incr]/[add]/[set_max] from several domains lose no updates — and
-    registration of a new name is serialised by an internal lock. *)
+    per-CP values in the time series, request latency in {!Hdrhist}. *)
 
 type t
 

@@ -66,14 +66,23 @@ let win_push w ~ops ~viol =
   w.w_viol.(i) <- viol;
   w.w_idx <- (i + 1) mod Array.length w.w_ops
 
-let win_burn w ~target =
+(* The error budget [1 - target], rounded to 12 decimal places: [1. -.
+   0.9] is 0.09999999999999998, which would read a window exactly at
+   budget as burn 1.0000000000000002, a breach.  Rounded, a decimal
+   target's budget is the nearest double to its decimal value, and the
+   burns of whole fractions come out exact.  A target within 5e-13 of 1
+   keeps its raw budget rather than rounding to 0. *)
+let error_budget target =
+  let b = Float.round ((1. -. target) *. 1e12) /. 1e12 in
+  if b > 0. then b else 1. -. target
+
+let win_burn w ~budget =
   if w.w_sum_ops = 0 then 0.
-  else
-    let frac = float_of_int w.w_sum_viol /. float_of_int w.w_sum_ops in
-    frac /. (1. -. target)
+  else float_of_int w.w_sum_viol /. float_of_int w.w_sum_ops /. budget
 
 type t = {
   objs : objective array;
+  budgets : float array;
   thr_ns : int array;
   fast : win array;
   slow : win array;
@@ -94,6 +103,7 @@ let create ?(fast_window = 12) ?(slow_window = 120) objectives =
   let objs = Array.of_list objectives in
   {
     objs;
+    budgets = Array.map (fun o -> error_budget o.target) objs;
     thr_ns =
       Array.map (fun o -> int_of_float (o.threshold_ms *. 1e6)) objs;
     fast = Array.map (fun _ -> win_create fast_window) objs;
@@ -122,8 +132,8 @@ let cp_tick t ~ops ~violations =
     let o = t.objs.(i) and viol = violations.(i) in
     win_push t.fast.(i) ~ops ~viol;
     win_push t.slow.(i) ~ops ~viol;
-    let burn_fast = win_burn t.fast.(i) ~target:o.target in
-    let burn_slow = win_burn t.slow.(i) ~target:o.target in
+    let burn_fast = win_burn t.fast.(i) ~budget:t.budgets.(i) in
+    let burn_slow = win_burn t.slow.(i) ~budget:t.budgets.(i) in
     reports :=
       {
         r_name = o.name;

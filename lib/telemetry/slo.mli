@@ -2,7 +2,8 @@
 
     An objective says "[target] of ops complete under [threshold_ms]".  The
     burn rate over a window is the observed violation fraction divided by
-    the allowed fraction [1 - target]: burn 1.0 means the error budget is
+    the allowed fraction [1 - target] (rounded to 12 decimal places, so a
+    decimal target's burns are exact): burn 1.0 means the error budget is
     being consumed exactly as fast as it accrues, >1.0 means faster.  Two
     windows are kept per objective — a fast one (default 12 CPs) that
     reacts to incidents and a slow one (default 120 CPs) that filters

@@ -64,55 +64,45 @@ let rec depth k = match parent k with None -> 0 | Some p -> 1 + depth p
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* Start stamps live in one flat int array indexed by
-   (domain id mod max_domains, kind).  Each slot is written only by its own
-   domain, so plain (non-atomic) stores suffice; a collision would need two
-   concurrent domains 128 ids apart. *)
-let max_domains = 128
 let no_start = min_int
 
 type t = {
   clock : unit -> int;
-  counts : int Atomic.t array;    (* completed spans per kind *)
-  totals : int Atomic.t array;    (* accumulated ns per kind *)
-  opens : int Atomic.t array;     (* currently-open spans per kind *)
-  starts : int array;             (* (domain mod max_domains) * n_kinds + kind *)
+  counts : int array;  (* completed spans per kind *)
+  totals : int array;  (* accumulated ns per kind *)
+  opens : int array;  (* currently-open spans per kind *)
+  starts : int array;  (* start stamp per kind, [no_start] when closed *)
 }
 
 let create ?(clock = now_ns) () =
   {
     clock;
-    counts = Array.init n_kinds (fun _ -> Atomic.make 0);
-    totals = Array.init n_kinds (fun _ -> Atomic.make 0);
-    opens = Array.init n_kinds (fun _ -> Atomic.make 0);
-    starts = Array.make (max_domains * n_kinds) no_start;
+    counts = Array.make n_kinds 0;
+    totals = Array.make n_kinds 0;
+    opens = Array.make n_kinds 0;
+    starts = Array.make n_kinds no_start;
   }
 
-let slot k = (((Domain.self () :> int) land (max_domains - 1)) * n_kinds) + index k
-
 let enter t k =
-  let s = slot k in
-  t.starts.(s) <- t.clock ();
-  Atomic.incr t.opens.(index k)
+  let i = index k in
+  t.starts.(i) <- t.clock ();
+  t.opens.(i) <- t.opens.(i) + 1
 
 let exit t k =
-  let s = slot k in
-  let start = t.starts.(s) in
+  let i = index k in
+  let start = t.starts.(i) in
   if start <> no_start then begin
-    t.starts.(s) <- no_start;
-    let i = index k in
+    t.starts.(i) <- no_start;
     let dt = t.clock () - start in
-    ignore (Atomic.fetch_and_add t.totals.(i) (if dt > 0 then dt else 0));
-    Atomic.incr t.counts.(i);
-    Atomic.decr t.opens.(i)
+    t.totals.(i) <- t.totals.(i) + (if dt > 0 then dt else 0);
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.opens.(i) <- t.opens.(i) - 1
   end
 
-let count t k = Atomic.get t.counts.(index k)
-let total_ns t k = Atomic.get t.totals.(index k)
-let open_now t k = Atomic.get t.opens.(index k)
+let count t k = t.counts.(index k)
+let total_ns t k = t.totals.(index k)
+let open_now t k = t.opens.(index k)
 
 let clear t =
-  Array.iter (fun a -> Atomic.set a 0) t.counts;
-  Array.iter (fun a -> Atomic.set a 0) t.totals;
-  Array.iter (fun a -> Atomic.set a 0) t.opens;
-  Array.fill t.starts 0 (Array.length t.starts) no_start
+  List.iter (fun a -> Array.fill a 0 n_kinds 0) [ t.counts; t.totals; t.opens ];
+  Array.fill t.starts 0 n_kinds no_start

@@ -3,13 +3,11 @@
     kind.
 
     The kind set is closed — one constructor per instrumented phase — so a
-    recorder is a handful of preallocated atomic arrays and [enter]/[exit]
-    never allocate, never take a lock, and are safe to call from several
-    domains (each domain stamps its start time into its own slot).  The
-    static {!parent} relation recreates the nesting ([Pick] and
-    [Device_flush] live under the per-CP root, [Bit_clear] under the
-    activemap commit) without runtime stacks, which is what keeps exits
-    from concurrent domains well-defined.
+    recorder is four preallocated [int] arrays indexed by kind, and
+    [enter]/[exit] never allocate.  The static {!parent} relation
+    recreates the nesting ([Pick] and [Device_flush] live under the
+    per-CP root, [Bit_clear] under the activemap commit) without a
+    runtime stack.
 
     The parent relation names where a kind is reported, not every span
     it runs inside: in a CP, [Pick] and [Harvest] run inside [Place],
@@ -62,18 +60,17 @@ val create : ?clock:(unit -> int) -> unit -> t
 
 val enter : t -> kind -> unit
 val exit : t -> kind -> unit
-(** Close the calling domain's open span of that kind; a stray [exit]
-    without a matching [enter] is ignored.  At most one span per (domain,
-    kind) may be open — phase code upholds this by construction. *)
+(** Close the open span of that kind; a stray [exit] without a matching
+    [enter] is ignored.  At most one span per kind may be open — phase
+    code upholds this by construction. *)
 
 val count : t -> kind -> int
 (** Completed spans of this kind. *)
 
 val total_ns : t -> kind -> int
 (** Wall nanoseconds accumulated over completed spans of this kind.
-    Concurrent spans of one kind on several domains each contribute
-    their full duration, so a kind's total may exceed its
-    parent's. *)
+    Spans of one kind never overlap, so this is wall time actually spent
+    in the phase: a CP's disjoint phases sum to at most its [Cp] total. *)
 
 val open_now : t -> kind -> int
 (** Spans of this kind currently open — the live "current phase" signal. *)

@@ -9,12 +9,7 @@
     lookup — so an uninstrumented run pays (almost) nothing.  The trace
     emitters additionally check the tracer's enabled flag, so an installed
     instance with tracing off still allocates nothing on the pick path.
-
-    Domain safety: counter, gauge and span updates are atomic and trace
-    pushes are serialised, so the name-based helpers below may be called
-    from several domains at once without losing updates.  The simulator
-    itself runs on one domain; the time series is sampled only from the
-    tail of [Cp.run].
+    The time series is sampled only from the tail of [Cp.run].
 
     Typical use:
     {[

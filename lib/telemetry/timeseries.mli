@@ -9,8 +9,8 @@
     CP count — which keeps the schema uniform for the CSV/JSON exporters
     and the regression differ.
 
-    Appends and reads are meant for the serial sections of a run (the CP
-    tail, the live reporter); the recorder is not domain-safe. *)
+    Rows are appended at the CP tail and read by the exporters and the
+    live reporter. *)
 
 type kind =
   | Count  (** deterministic counts and ratios of counts *)

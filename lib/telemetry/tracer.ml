@@ -33,7 +33,6 @@ type t = {
   mutable next : int; (* ring slot the next event lands in *)
   mutable emitted : int;
   mutable cp : int;
-  lock : Mutex.t; (* guards next/emitted/ring when enabled emitters race *)
 }
 
 let create ?(capacity = 4096) ?(enabled = false) () =
@@ -44,7 +43,6 @@ let create ?(capacity = 4096) ?(enabled = false) () =
     next = 0;
     emitted = 0;
     cp = 0;
-    lock = Mutex.create ();
   }
 
 let enabled t = t.enabled
@@ -53,15 +51,11 @@ let emitted t = t.emitted
 let length t = min t.emitted (Array.length t.ring)
 let current_cp t = t.cp
 
-(* Emitters may run on several domains at once, so slot claims are
-   serialised.  The disabled
-   path never reaches here and stays lock- and allocation-free. *)
+(* The disabled path never reaches here and stays allocation-free. *)
 let push t ev =
-  Mutex.lock t.lock;
   t.ring.(t.next) <- ev;
   t.next <- (t.next + 1) mod Array.length t.ring;
-  t.emitted <- t.emitted + 1;
-  Mutex.unlock t.lock
+  t.emitted <- t.emitted + 1
 
 let to_list t =
   let n = length t in

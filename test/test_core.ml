@@ -15,9 +15,11 @@ let allocate_pvbns w n =
   let got = Write_alloc.allocate_pvbns_into w ~dst n in
   Array.to_list (Array.sub dst 0 got)
 
-let allocate_vvbns w vol n =
+(* [v] is the volume's position in the system; [small_config]'s one
+   volume, "vol0", is position 0. *)
+let allocate_vvbns w v n =
   let dst = Array.make (max 1 n) 0 in
-  let got = Write_alloc.allocate_vvbns_into w vol ~dst n in
+  let got = Write_alloc.allocate_vvbns_into w v ~dst n in
   Array.to_list (Array.sub dst 0 got)
 
 (* Naive per-bit list gathers — the references the harvest kernels are
@@ -206,8 +208,7 @@ let test_walloc_best_aa_consumes_emptiest () =
 let test_walloc_vvbns_sequential_colocated () =
   let fs = Fs.create (small_config ()) in
   let w = Fs.write_alloc fs in
-  let vol = Fs.vol fs "vol0" in
-  let vvbns = allocate_vvbns w vol 100 in
+  let vvbns = allocate_vvbns w 0 100 in
   check_int "got 100" 100 (List.length vvbns);
   (* empty volume + best-AA policy: strictly sequential from AA start *)
   let expected_start = List.hd vvbns in
@@ -217,8 +218,7 @@ let test_walloc_exhaustion () =
   (* tiny volume: ask for more vvbns than exist *)
   let fs = Fs.create (small_config ~vol_blocks:5000 ()) in
   let w = Fs.write_alloc fs in
-  let vol = Fs.vol fs "vol0" in
-  let vvbns = allocate_vvbns w vol 6000 in
+  let vvbns = allocate_vvbns w 0 6000 in
   check_int "clamped to volume size" 5000 (List.length vvbns)
 
 let test_walloc_random_policy_works () =
@@ -317,11 +317,38 @@ let test_walloc_consume_allocates_nothing () =
   check_bool
     (Printf.sprintf "ring-served PVBN allocation is heap-allocation-free (%.0f words)" words)
     true (words = 0.0);
-  let vol = Fs.vol fs "vol0" in
-  let words = words_of (fun () -> ignore (Write_alloc.allocate_vvbns_into w vol ~dst 256)) in
+  let words = words_of (fun () -> ignore (Write_alloc.allocate_vvbns_into w 0 ~dst 256)) in
   check_bool
     (Printf.sprintf "ring-served VVBN allocation is heap-allocation-free (%.0f words)" words)
     true (words = 0.0)
+
+(* A system's write allocator sizes its volume cursors by the system's
+   own volumes, not by how many volumes the process has built before: a
+   mount-heavy run (two systems per failover cycle) must not pay a
+   slightly larger, mostly empty array at every mount.  Counted in every
+   heap word, minor and major, since a large array skips the minor heap;
+   a minor collection on each side brings the major-heap count up to
+   date. *)
+let test_fs_create_words_independent_of_history () =
+  let config = small_config () in
+  let words_of_create () =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let fs = Sys.opaque_identity (Fs.create config) in
+    Gc.minor ();
+    let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+    ignore (Sys.opaque_identity fs);
+    words
+  in
+  ignore (words_of_create ()) (* warm up *);
+  let first = words_of_create () in
+  for _ = 1 to 5000 do
+    ignore
+      (Flexvol.create
+         { Config.name = "other"; blocks = 64; aa_blocks = None; policy = Config.Best_aa })
+  done;
+  let later = words_of_create () in
+  Alcotest.(check (float 0.0)) "same words after 5000 other volumes" first later
 
 (* A CP's heap allocation does not grow with its size: every per-block
    list of the CP is a slice of reused scratch, so after warm-up (and
@@ -670,8 +697,8 @@ let test_lazy_mount_matches_eager () =
     (Array.exists
        (fun (r : Aggregate.range) -> not r.Aggregate.space.Space.stale)
        (Aggregate.ranges agg));
-  let va = allocate_vvbns (Fs.write_alloc fs_eager) (Fs.vol fs_eager "vol0") 200 in
-  let vb = allocate_vvbns (Fs.write_alloc fs_lazy) (Fs.vol fs_lazy "vol0") 200 in
+  let va = allocate_vvbns (Fs.write_alloc fs_eager) 0 200 in
+  let vb = allocate_vvbns (Fs.write_alloc fs_lazy) 0 200 in
   Alcotest.(check (list int)) "identical vvbn allocations" va vb;
   check_bool "vol materialized" true (not (Flexvol.space (Fs.vol fs_lazy "vol0")).Space.stale)
 
@@ -1767,6 +1794,8 @@ let () =
           Alcotest.test_case "ring no double handout" `Quick test_harvest_ring_no_double_handout;
           Alcotest.test_case "consume window zero-alloc" `Quick
             test_walloc_consume_allocates_nothing;
+          Alcotest.test_case "create words independent of history" `Quick
+            test_fs_create_words_independent_of_history;
         ] );
       ( "cp",
         [

@@ -398,7 +398,7 @@ let test_sealed_consume_zero_alloc () =
              ~run:{ Config.default_run with Config.mmap_dir = Some dir }
              ~seed:7 ())
       in
-      let w = Write_alloc.create agg ~rng:(Wafl_util.Rng.create ~seed:7) in
+      let w = Write_alloc.create agg ~rng:(Wafl_util.Rng.create ~seed:7) ~vols:[||] in
       let dst = Array.make 256 0 in
       ignore (Write_alloc.allocate_pvbns_into w ~dst 256);
       let before = Gc.minor_words () in

@@ -223,6 +223,29 @@ let test_slo_burn_and_breach () =
   check_bool "slow window remembers" true (r.Slo.r_burn_slow > 1.0);
   check_bool "no breach once fast is clean" true (not r.Slo.r_breach)
 
+(* Burn rates are exact for decimal targets: a window where every op
+   breaches reads 1 / (1 - target) exactly, and one exactly at budget
+   reads 1.0, which is not a breach (both windows must exceed 1.0). *)
+let test_slo_burn_exact () =
+  let slo_of target =
+    match Slo.objective ~name:"w" ~threshold_ms:1.0 ~target with
+    | Ok o -> Slo.create ~fast_window:2 ~slow_window:4 [ o ]
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (target, burn) ->
+      let r = List.hd (Slo.cp_tick (slo_of target) ~ops:100 ~violations:[| 100 |]) in
+      let name = Printf.sprintf "every op breaches %g" target in
+      Alcotest.(check (float 0.0)) (name ^ ", fast") burn r.Slo.r_burn_fast;
+      Alcotest.(check (float 0.0)) (name ^ ", slow") burn r.Slo.r_burn_slow)
+    [ (0.9, 10.); (0.95, 20.); (0.99, 100.); (0.999, 1000.); (0.9999, 10000.) ];
+  let slo = slo_of 0.9 in
+  ignore (Slo.cp_tick slo ~ops:100 ~violations:[| 10 |]);
+  let r = List.hd (Slo.cp_tick slo ~ops:100 ~violations:[| 10 |]) in
+  Alcotest.(check (float 0.0)) "at budget, fast" 1.0 r.Slo.r_burn_fast;
+  Alcotest.(check (float 0.0)) "at budget, slow" 1.0 r.Slo.r_burn_slow;
+  check_bool "exactly at budget is no breach" false r.Slo.r_breach
+
 let test_slo_violations_from_cp_record () =
   let o =
     match Slo.objective ~name:"tight" ~threshold_ms:0.001 ~target:0.999 with
@@ -505,6 +528,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_slo_roundtrip;
           Alcotest.test_case "duplicate names rejected" `Quick test_slo_duplicate_names;
           Alcotest.test_case "burn and breach" `Quick test_slo_burn_and_breach;
+          Alcotest.test_case "exact burn at decimal targets" `Quick test_slo_burn_exact;
           Alcotest.test_case "violations from cp_record" `Quick
             test_slo_violations_from_cp_record;
         ] );

@@ -57,36 +57,6 @@ let test_registry_enumeration () =
   Registry.clear r;
   check_int "clear zeroes, handle survives" 0 (Registry.count c)
 
-(* --- domain-safe telemetry: no lost increments under a multi-domain
-       hammer --- *)
-
-let test_telemetry_hammer () =
-  let tel = Telemetry.create () in
-  Telemetry.with_installed tel (fun () ->
-      let domains = 4 and per_domain = 50_000 in
-      let workers =
-        Array.init domains (fun d ->
-            Domain.spawn (fun () ->
-                for _ = 1 to per_domain do
-                  Telemetry.incr "hammer.count"
-                done;
-                Telemetry.add "hammer.add" d;
-                Telemetry.max_gauge "hammer.max" (float_of_int d)))
-      in
-      Array.iter Domain.join workers;
-      let reg = Telemetry.registry tel in
-      (match Registry.find reg "hammer.count" with
-      | Some (Registry.Counter c) ->
-        check_int "no lost increments" (domains * per_domain) (Registry.count c)
-      | _ -> Alcotest.fail "hammer.count not registered");
-      (match Registry.find reg "hammer.add" with
-      | Some (Registry.Counter c) -> check_int "adds summed" 6 (Registry.count c)
-      | _ -> Alcotest.fail "hammer.add not registered");
-      match Registry.find reg "hammer.max" with
-      | Some (Registry.Gauge g) ->
-        Alcotest.(check (float 0.0)) "max gauge kept the max" 3.0 (Registry.value g)
-      | _ -> Alcotest.fail "hammer.max not registered")
-
 (* --- Tracer --- *)
 
 let test_tracer_ring () =
@@ -602,6 +572,52 @@ let test_cp_columns_match_report () =
         fields)
     (List.combine reports rows)
 
+(* On one thread a CP's disjoint phases nest inside its [Cp] span one
+   after another, so under a clock that only moves forward their totals
+   sum to at most the CP's, and the bit clears to at most the activemap
+   commit around them: the unattributed remainder is never negative.  A
+   counting clock makes every total exact and the check deterministic. *)
+let test_cp_phase_accounting () =
+  let ticks = ref 0 in
+  let tel = Telemetry.create ~clock:(fun () -> incr ticks; !ticks) () in
+  let rg =
+    { Config.media = Config.Hdd Wafl_device.Profile.default_hdd; data_devices = 4;
+      parity_devices = 1; device_blocks = 8192; aa_stripes = Some 512 }
+  in
+  let config =
+    Config.make ~raid_groups:[ rg; rg ]
+      ~vols:[ { Config.name = "v"; blocks = 16384; aa_blocks = None; policy = Config.Best_aa } ]
+      ~aggregate_policy:Config.Best_aa ~seed:3 ()
+  in
+  let fs = Wafl_core.Fs.create config in
+  let vol = Wafl_core.Fs.vol fs "v" in
+  let cps = 12 in
+  Telemetry.with_installed tel (fun () ->
+      for cp = 0 to cps - 1 do
+        (* overwrites from the second CP on, so frees reach the commit *)
+        for i = 0 to 399 do
+          Wafl_core.Fs.stage_write fs ~vol ~file:1 ~offset:(((cp * 97) + (i * 13)) mod 2000)
+        done;
+        ignore (Wafl_core.Fs.run_cp fs)
+      done);
+  let spans = Telemetry.spans tel in
+  let total k = Span.total_ns spans k in
+  check_int "every CP closed its span" cps (Span.count spans Span.Cp);
+  let phases = Span.[ Place; Activemap_commit; Device_flush; Refile; Publish ] in
+  List.iter
+    (fun k -> check_bool (Span.name k ^ " was timed") true (total k > 0))
+    (Span.Bit_clear :: phases);
+  let attributed = List.fold_left (fun acc k -> acc + total k) 0 phases in
+  check_bool
+    (Printf.sprintf "disjoint phases %d <= cp %d" attributed (total Span.Cp))
+    true
+    (attributed <= total Span.Cp);
+  check_bool
+    (Printf.sprintf "bit_clear %d <= activemap_commit %d" (total Span.Bit_clear)
+       (total Span.Activemap_commit))
+    true
+    (total Span.Bit_clear <= total Span.Activemap_commit)
+
 let () =
   Alcotest.run "wafl_telemetry"
     [
@@ -612,8 +628,6 @@ let () =
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
           Alcotest.test_case "enumeration" `Quick test_registry_enumeration;
         ] );
-      ( "telemetry",
-        [ Alcotest.test_case "multi-domain hammer" `Quick test_telemetry_hammer ] );
       ( "tracer",
         [
           Alcotest.test_case "ring overwrite" `Quick test_tracer_ring;
@@ -633,6 +647,7 @@ let () =
         [
           Alcotest.test_case "enter/exit semantics" `Quick test_span_semantics;
           Alcotest.test_case "json round-trip" `Quick test_span_json_roundtrip;
+          Alcotest.test_case "cp phase accounting" `Quick test_cp_phase_accounting;
         ] );
       ( "timeseries",
         [
