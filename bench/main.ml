@@ -50,10 +50,11 @@ let overhead_ok name ~base ~installed =
     (if ok then "ok" else "OVER 1.05 x base + 5 ms");
   ok
 
+(* Seconds [f] takes, on the monotonic clock the spans read. *)
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   f ();
-  Unix.gettimeofday () -. t0
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
 
 (* Seconds spent in [cps] CPs of [ops] sequential writes on a fresh
    quick-scale HDD aggregate, with [tel] installed when given. *)

@@ -211,40 +211,14 @@ let make_latency out =
       exit 2
   else None
 
-(* Post-run latency summary on stdout: headline quantiles, per-volume
-   rows, SLO burn state and the slowest tail exemplars with their blame
-   phase — so a --latency run reports itself without any output file. *)
+(* Post-run latency summary on stdout: the latency pane of [top]'s health
+   view, so a --latency run reports itself without any output file. *)
 let print_latency_summary tel =
-  match Telemetry.latency tel with
-  | None -> ()
-  | Some lat when Latency.ops_recorded lat = 0 ->
-    Printf.printf "latency: no ops recorded\n%!"
-  | Some lat ->
-    let p50, p99, p999 = Latency.quantiles_ms lat in
-    Printf.printf "latency: %d ops over %d CPs  p50 %.2f ms  p99 %.2f ms  p999 %.2f ms\n"
-      (Latency.ops_recorded lat) (Latency.cps_recorded lat) p50 p99 p999;
-    List.iter
-      (fun (slot, name) ->
-        let p50, p99, p999 = Latency.quantiles_ms ~vol:slot lat in
-        Printf.printf "  vol %-14s p50 %.2f ms  p99 %.2f ms  p999 %.2f ms\n" name p50 p99
-          p999)
-      (Latency.vols lat);
-    List.iter
-      (fun r ->
-        Printf.printf "  slo %-14s burn fast %.2f  slow %.2f%s\n" r.Slo.r_name
-          r.Slo.r_burn_fast r.Slo.r_burn_slow
-          (if r.Slo.r_breach then "  ** BREACH **" else ""))
-      (Latency.last_slo_reports lat);
-    List.iteri
-      (fun i ex ->
-        if i < 3 then
-          Printf.printf "  tail %.2f ms  %s/%s  cp %d  %s\n"
-            (float_of_int ex.Latency.ex_ns /. 1e6)
-            (Latency.op_name ex.Latency.ex_op)
-            ex.Latency.ex_vol_name ex.Latency.ex_cp
-            (Latency.phase_stack ex.Latency.ex_phase))
-      (Latency.exemplars lat);
-    flush stdout
+  Option.iter
+    (fun lat ->
+      print_string (Report.latency_pane lat);
+      flush stdout)
+    (Telemetry.latency tel)
 
 let make_telemetry ?series_capacity out =
   Telemetry.create ~trace_capacity:out.trace_capacity ?series_capacity

@@ -35,11 +35,8 @@ let create ?(profile = Profile.default_smr) ~blocks () =
     fault = None;
   }
 
-let blocks t = t.n_blocks
-let profile t = t.profile
 let zones t = Array.length t.write_pointers
 let set_fault t f = t.fault <- f
-let fault t = t.fault
 
 let zone_of_block t b =
   if b < 0 || b >= t.n_blocks then invalid_arg "Smr: block out of bounds";
@@ -109,10 +106,3 @@ let stats t =
     rmw_blocks = t.rmw_blocks;
     total_us = t.total_us;
   }
-
-let reset_stats t =
-  t.blocks_written <- 0;
-  t.sequential_writes <- 0;
-  t.random_writes <- 0;
-  t.rmw_blocks <- 0;
-  t.total_us <- 0.0

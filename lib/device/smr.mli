@@ -21,15 +21,10 @@ type stats = {
 
 val create : ?profile:Profile.smr -> blocks:int -> unit -> t
 
-val blocks : t -> int
-val profile : t -> Profile.smr
-
 val set_fault : t -> Wafl_fault.Fault.device option -> unit
 (** Attach (or detach) a fault-injection handle; {!write} consults it per
     block.  Failed writes are dropped (no head movement, no pointer
     advance); torn writes pay the full mechanical cost. *)
-
-val fault : t -> Wafl_fault.Fault.device option
 
 val write_pointer : t -> zone:int -> int
 (** Highest written position + 1 within the zone (0 = empty zone). *)
@@ -44,4 +39,3 @@ val reset_zone : t -> zone:int -> unit
 (** Model the drive (or host trim) recycling a zone. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit

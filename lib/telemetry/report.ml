@@ -62,6 +62,41 @@ let column series name =
     |> List.filter_map (fun r -> if i < Array.length r then Some r.(i) else None)
     |> Array.of_list
 
+let latency_pane lat =
+  if Latency.ops_recorded lat = 0 then "latency: no ops recorded\n"
+  else begin
+    let buf = Buffer.create 1024 in
+    let pr fmt = Printf.bprintf buf fmt in
+    let p50, p99, p999 = Latency.quantiles_ms lat in
+    pr "latency:  %d ops over %d cps  p50 %.2f ms  p99 %.2f ms  p999 %.2f ms\n"
+      (Latency.ops_recorded lat) (Latency.cps_recorded lat) p50 p99 p999;
+    List.iter
+      (fun (slot, name) ->
+        let v50, v99, v999 = Latency.quantiles_ms ~vol:slot lat in
+        if v50 > 0.0 then
+          pr "  vol %-16s p50 %8.2f  p99 %8.2f  p999 %8.2f ms\n" name v50 v99 v999)
+      (Latency.vols lat);
+    List.iter
+      (fun (r : Slo.report) ->
+        pr "slo %-12s <%gms @%.3g  burn fast %.2f  slow %.2f%s\n" r.r_name r.r_threshold_ms
+          r.r_target r.r_burn_fast r.r_burn_slow
+          (if r.r_breach then "  ** BREACH **" else ""))
+      (Latency.last_slo_reports lat);
+    (match Latency.exemplars lat with
+    | [] -> ()
+    | exs ->
+      pr "tail exemplars:\n";
+      List.iteri
+        (fun i (e : Latency.exemplar) ->
+          if i < 3 then
+            pr "  %8.2f ms  %-9s vol %-12s cp %-5d %s\n"
+              (float_of_int e.ex_ns /. 1e6)
+              (Latency.op_name e.ex_op) e.ex_vol_name e.ex_cp
+              (Latency.phase_stack e.ex_phase))
+        exs);
+    Buffer.contents buf
+  end
+
 let health ?(width = 80) tel =
   let width = max 40 width in
   let buf = Buffer.create 2048 in
@@ -143,33 +178,6 @@ let health ?(width = 80) tel =
   (match Telemetry.latency tel with
   | Some lat when Latency.ops_recorded lat > 0 ->
     rule ();
-    let p50, p99, p999 = Latency.quantiles_ms lat in
-    pr "latency:  %d ops over %d cps  p50 %.2f ms  p99 %.2f ms  p999 %.2f ms\n"
-      (Latency.ops_recorded lat) (Latency.cps_recorded lat) p50 p99 p999;
-    List.iter
-      (fun (slot, name) ->
-        let v50, v99, v999 = Latency.quantiles_ms ~vol:slot lat in
-        if v50 > 0.0 then
-          pr "  vol %-16s p50 %8.2f  p99 %8.2f  p999 %8.2f ms\n" name v50 v99
-            v999)
-      (Latency.vols lat);
-    List.iter
-      (fun (r : Slo.report) ->
-        pr "slo %-12s <%gms @%.3g  burn fast %.2f  slow %.2f%s\n" r.r_name
-          r.r_threshold_ms r.r_target r.r_burn_fast r.r_burn_slow
-          (if r.r_breach then "  ** BREACH **" else ""))
-      (Latency.last_slo_reports lat);
-    (match Latency.exemplars lat with
-    | [] -> ()
-    | exs ->
-      pr "tail exemplars:\n";
-      List.iteri
-        (fun i (e : Latency.exemplar) ->
-          if i < 3 then
-            pr "  %8.2f ms  %-9s vol %-12s cp %-5d %s\n"
-              (float_of_int e.ex_ns /. 1e6)
-              (Latency.op_name e.ex_op) e.ex_vol_name e.ex_cp
-              (Latency.phase_stack e.ex_phase))
-        exs)
+    Buffer.add_string buf (latency_pane lat)
   | _ -> ());
   Buffer.contents buf

@@ -17,3 +17,10 @@ val health : ?width:int -> Telemetry.t -> string
 (** The full screen, [width] columns wide (default 80, clamped to a
     sane minimum).  Sections with nothing to show (no spans entered, no
     rows sampled) collapse to a single placeholder line. *)
+
+val latency_pane : Latency.t -> string
+(** The request-latency pane {!health} shows, on its own: overall and
+    per-volume p50/p99/p999, SLO burn rates (flagging breaches) and the
+    three slowest tail exemplars with their blame span stack.  A recorder
+    that has seen no ops renders as one "no ops recorded" line.  [waflsim]
+    prints it as a run's post-run latency summary. *)

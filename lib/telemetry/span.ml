@@ -62,7 +62,7 @@ let parent = function
 
 let rec depth k = match parent k with None -> 0 | Some p -> 1 + depth p
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let no_start = min_int
 

@@ -50,8 +50,8 @@ val depth : kind -> int
 (** Number of ancestors (0 for roots). *)
 
 val now_ns : unit -> int
-(** Wall clock in nanoseconds (monotonic enough for span arithmetic); the
-    default clock of {!create}. *)
+(** Monotonic clock in nanoseconds ([CLOCK_MONOTONIC], through
+    [bechamel.monotonic_clock]); the default clock of {!create}. *)
 
 type t
 
