@@ -61,10 +61,10 @@ let fill_range t ~start ~len ~value =
 let set_range t ~start ~len = fill_range t ~start ~len ~value:true
 let clear_range t ~start ~len = fill_range t ~start ~len ~value:false
 
-let word t w = Pagestore.word t.data w
+let[@inline] word t w = Pagestore.word t.data w
 
 (* All-ones below bit [i+1]: mask selecting word bits [0, i]. *)
-let low_mask64 i = Int64.shift_right_logical (-1L) (63 - i)
+let[@inline] low_mask64 i = Int64.shift_right_logical (-1L) (63 - i)
 
 let count_set_in t ~start ~len =
   check_range t ~start ~len;

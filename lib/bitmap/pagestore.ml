@@ -98,7 +98,7 @@ let words t = length_bytes t / 8
 let[@inline] byte (t : t) i = Bigarray.Array1.unsafe_get t i
 let[@inline] set_byte (t : t) i v = Bigarray.Array1.unsafe_set t i (v land 0xff)
 
-let word t w =
+let[@inline] word t w =
   let x = get64u t (w * 8) in
   if Sys.big_endian then bswap64 x else x
 

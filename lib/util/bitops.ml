@@ -1,4 +1,4 @@
-let popcount64 x =
+let[@inline] popcount64 x =
   (* SWAR popcount. *)
   let open Int64 in
   let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in

@@ -49,6 +49,25 @@ let test_bitmap_count_in () =
   check_int "free in window" 57 (Bitmap.count_clear_in b ~start:10 ~len:60);
   check_int "all" 4 (Bitmap.count_set_in b ~start:0 ~len:256)
 
+(* A count is one popcount per 64-bit word.  Every word kernel inlines
+   across modules in the default (release) build, so no [int64] is boxed:
+   counting 2,048 words allocates no more than counting one.  The dev
+   profile's [-opaque] stops that inlining, and this test with it.
+   [Aggregate.used_fraction] sits on this path. *)
+let test_bitmap_count_allocation_flat () =
+  let b = Bitmap.create ~bits:131_072 () in
+  Bitmap.set_range b ~start:1000 ~len:70_000;
+  let words ~len =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Bitmap.count_set_in b ~start:3 ~len));
+    Gc.minor_words () -. before
+  in
+  let w_big = words ~len:131_000 and w_tiny = words ~len:60 in
+  check_bool
+    (Printf.sprintf "2,048-word count allocates no more than a one-word one (%.0f vs %.0f words)"
+       w_big w_tiny)
+    true (w_big <= w_tiny)
+
 let test_bitmap_find () =
   let b = Bitmap.create ~bits:200 () in
   Bitmap.set_range b ~start:0 ~len:150;
@@ -615,6 +634,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitmap_bounds;
           Alcotest.test_case "range ops" `Quick test_bitmap_range_ops;
           Alcotest.test_case "count in range" `Quick test_bitmap_count_in;
+          Alcotest.test_case "count allocation flat" `Quick test_bitmap_count_allocation_flat;
           Alcotest.test_case "find" `Quick test_bitmap_find;
           Alcotest.test_case "free extents" `Quick test_bitmap_free_extents;
           Alcotest.test_case "blit" `Quick test_bitmap_blit;
