@@ -7,19 +7,6 @@ type report = { aas_cleaned : int; blocks_relocated : int; blocks_reclaimed : in
 
 type strategy = Emptiest_first | Fullest_first
 
-(* Reverse map pvbn -> (vol, vvbn), built by scanning container maps. *)
-let reverse_map fs =
-  let map = Hashtbl.create 4096 in
-  Array.iter
-    (fun vol ->
-      for vvbn = 0 to Flexvol.blocks vol - 1 do
-        match Flexvol.pvbn_of_vvbn vol vvbn with
-        | Some pvbn -> Hashtbl.replace map pvbn (vol, vvbn)
-        | None -> ()
-      done)
-    (Fs.vols fs);
-  map
-
 let in_use_pvbns aggregate (range : Aggregate.range) aa =
   let mf = Aggregate.metafile aggregate in
   let acc = ref [] in
@@ -36,7 +23,7 @@ let fullest_cleanable (range : Aggregate.range) ~picked =
   Array.iteri
     (fun aa score ->
       let capacity = Wafl_aa.Topology.aa_capacity range.Aggregate.topology aa in
-      if score < capacity && not (Hashtbl.mem picked aa) then begin
+      if score < capacity && not picked.(aa) then begin
         match !best with
         | Some (_, s) when s <= score -> ()
         | Some _ | None -> best := Some (aa, score)
@@ -47,11 +34,10 @@ let fullest_cleanable (range : Aggregate.range) ~picked =
 let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
   let aggregate = Fs.aggregate fs in
   let walloc = Fs.write_alloc fs in
-  let owners = reverse_map fs in
+  let owners = Iron.owners fs and vols = Fs.vols fs in
+  let n = Array.length vols in
   let activemap = Aggregate.activemap aggregate in
-  let aas_cleaned = ref 0 in
-  let relocated = ref 0 in
-  let reclaimed = ref 0 in
+  let aas_cleaned = ref 0 and relocated = ref 0 and reclaimed = ref 0 in
   let one = Array.make 1 0 in
   Array.iter
     (fun (r : Aggregate.range) ->
@@ -61,7 +47,7 @@ let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
       match r.Aggregate.space.Space.cache with
       | None -> ()
       | Some cache ->
-        let picked = Hashtbl.create 8 in
+        let picked = Array.make (Array.length r.Aggregate.space.Space.scores) false in
         for _ = 1 to aas_per_range do
           let pick =
             match strategy with
@@ -71,14 +57,15 @@ let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
           match pick with
           | None -> ()
           | Some (aa, _score) ->
-            Hashtbl.replace picked aa ();
+            picked.(aa) <- true;
             incr aas_cleaned;
             let victims = in_use_pvbns aggregate r aa in
             List.iter
               (fun old_pvbn ->
                 if not (Activemap.has_pending_free activemap old_pvbn) then begin
-                  match Hashtbl.find_opt owners old_pvbn with
-                  | Some (vol, vvbn) -> (
+                  let owner = owners.(old_pvbn) in
+                  if owner >= 0 then begin
+                    let vol = vols.(owner mod n) and vvbn = owner / n in
                     (* the allocator's queue may still hold free blocks of
                        the very AA being cleaned; skip those targets (they
                        are queued free again and die at the next CP) *)
@@ -109,12 +96,14 @@ let clean_fs_body ?(strategy = Emptiest_first) fs ~aas_per_range =
                       assert (previous = old_pvbn);
                       Aggregate.queue_free aggregate ~pvbn:old_pvbn;
                       incr relocated
-                    | None -> ())
-                  | None ->
+                    | None -> ()
+                  end
+                  else begin
                     (* block not owned by any volume (e.g. direct aggregate
                        allocation in tests): drop it outright *)
                     Aggregate.queue_free aggregate ~pvbn:old_pvbn;
                     incr reclaimed
+                  end
                 end)
               victims
         done)

@@ -95,13 +95,10 @@ val validate : run -> (run, run_error) result
 val run_error_to_string : run_error -> string
 (** Names the offending flag and its legal range. *)
 
-val run_args : run -> string list
-(** The flags that reproduce the run, as an argument vector ([meta_file]
-    has no flag and is not included; [--mmap] appears only when set). *)
-
 val run_to_string : run -> string
-(** {!run_args} as one shell line, words quoted only where a shell would
-    split or expand them. *)
+(** The flags that reproduce the run, as one shell line, words quoted
+    only where a shell would split or expand them ([meta_file] has no
+    flag and is not included; [--mmap] appears only when set). *)
 
 type t = {
   raid_groups : raid_group_spec list;

@@ -203,47 +203,28 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
     | Some m -> Config.media_name m
     | None -> "object"
   in
-  let base_report =
-    {
-      range_index = range.Aggregate.index;
-      media;
-      blocks_written = len;
-      chains = 0;
-      full_stripes = 0;
-      partial_stripes = 0;
-      tetrises = 0;
-      parity_writes = 0;
-      parity_reads = 0;
-      device_time_us = 0.0;
-      ssd_stats = None;
-      ssd_stream_stats = [||];
-      smr_random_checksum_writes = 0;
-      fault = None;
-    }
-  in
-  let with_raid =
+  let chains, full_stripes, partial_stripes, tetrises, parity_writes, parity_reads =
     match flush with
-    | None -> base_report
+    | None -> (0, 0, 0, 0, 0, 0)
     | Some f ->
-      {
-        base_report with
-        chains = f.Group.chains;
-        full_stripes = f.Group.classification.Stripe.full_stripes;
-        partial_stripes = f.Group.classification.Stripe.partial_stripes;
-        tetrises = f.Group.tetris.Tetris.tetrises;
-        parity_writes = f.Group.classification.Stripe.parity_writes;
-        parity_reads = f.Group.classification.Stripe.extra_reads;
-      }
+      let c = f.Group.classification in
+      ( f.Group.chains,
+        c.Stripe.full_stripes,
+        c.Stripe.partial_stripes,
+        f.Group.tetris.Tetris.tetrises,
+        c.Stripe.parity_writes,
+        c.Stripe.extra_reads )
   in
-  if with_raid.blocks_written > 0 && flush <> None then
-    Telemetry.trace_tetris_write ~space:range.Aggregate.index ~tetrises:with_raid.tetrises
-      ~full_stripes:with_raid.full_stripes ~partial_stripes:with_raid.partial_stripes;
+  if len > 0 && flush <> None then
+    Telemetry.trace_tetris_write ~space:range.Aggregate.index ~tetrises ~full_stripes
+      ~partial_stripes;
   let fault_before =
     match range.Aggregate.fault with
     | Some dev -> Wafl_fault.Fault.stats dev
     | None -> Wafl_fault.Fault.zero_stats
   in
-  let report =
+  let ssd_stats = ref None and ssd_stream_stats = ref [||] and random_cs = ref 0 in
+  let device_time_us =
     match range.Aggregate.device with
     | Aggregate.Hdd_sim profile ->
       (* One positioning per chain; stream data + parity; parity reads for
@@ -251,11 +232,9 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
          data block inside the cost model (HDD sims are stateless). *)
       let write_time =
         Hdd.faulty_write_cost_us range.Aggregate.fault profile
-          ~chains:(with_raid.chains + with_raid.partial_stripes)
-          ~locals ~pos ~len ~parity_writes:with_raid.parity_writes
+          ~chains:(chains + partial_stripes) ~locals ~pos ~len ~parity_writes
       in
-      let read_time = Hdd.random_read_cost_us profile ~ios:with_raid.parity_reads in
-      { with_raid with device_time_us = write_time +. read_time }
+      write_time +. Hdd.random_read_cost_us profile ~ios:parity_reads
     | Aggregate.Ssd_sim ftl ->
       let ns = Ftl.streams ftl in
       let sbefore = Array.init ns (Ftl.stream_stats ftl) in
@@ -294,15 +273,12 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
             Ftl.diff_stats ~after:(Ftl.stream_stats ftl s) ~before:sbefore.(s))
       in
       let delta = Ftl.sum_stats sdelta ~trimmed_pages in
-      {
-        with_raid with
-        device_time_us = Ftl.service_time_us ftl ~stats_delta:delta;
-        ssd_stats = Some delta;
-        ssd_stream_stats = sdelta;
-      }
+      ssd_stats := Some delta;
+      ssd_stream_stats := sdelta;
+      Ftl.service_time_us ftl ~stats_delta:delta
     | Aggregate.Smr_sim (smr, trackers) -> (
       match range.Aggregate.geometry with
-      | None -> with_raid
+      | None -> 0.0
       | Some geometry ->
         let before = Smr.stats smr in
         (* Per-device write streams: the slice grouped by data device,
@@ -323,7 +299,6 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
               let dbn = Geometry.stripe_of_vbn geometry locals.(pos + k) in
               stream.(pos + j) <- (keys.(k) * span) + Azcs.device_position_of_data dbn)
         in
-        let random_cs = ref 0 in
         for device = 0 to devices - 1 do
           let tracker = trackers.(device) in
           for j = pos + starts.(device) to pos + starts.(device + 1) - 1 do
@@ -339,39 +314,51 @@ let flush_range_body (range : Aggregate.range) sc ~pos ~len ~fpos ~flen =
             Smr.write smr dev_pos
           done
         done;
-        let after = Smr.stats smr in
-        {
-          with_raid with
-          device_time_us = after.Smr.total_us -. before.Smr.total_us;
-          smr_random_checksum_writes = !random_cs;
-        })
+        (Smr.stats smr).Smr.total_us -. before.Smr.total_us)
     | Aggregate.Object_sim store ->
       let before = Object_store.stats store in
       Object_store.write_batch store locals ~pos ~len;
       let delta = Object_store.diff_stats ~after:(Object_store.stats store) ~before in
-      { with_raid with device_time_us = Object_store.cost_us store ~stats_delta:delta }
+      Object_store.cost_us store ~stats_delta:delta
   in
-  match range.Aggregate.fault with
-  | None -> report
-  | Some dev ->
-    let fs =
-      Wafl_fault.Fault.diff_stats ~before:fault_before ~after:(Wafl_fault.Fault.stats dev)
-    in
-    if fs.Wafl_fault.Fault.injected_transient + fs.Wafl_fault.Fault.torn
-       + fs.Wafl_fault.Fault.failed + fs.Wafl_fault.Fault.spikes > 0
-    then
-      Telemetry.trace_fault_inject ~space:range.Aggregate.index
-        ~transients:fs.Wafl_fault.Fault.injected_transient ~torn:fs.Wafl_fault.Fault.torn
-        ~failed:fs.Wafl_fault.Fault.failed ~spikes:fs.Wafl_fault.Fault.spikes;
-    if fs.Wafl_fault.Fault.retries > 0 then
-      Telemetry.trace_io_retry ~space:range.Aggregate.index
-        ~retries:fs.Wafl_fault.Fault.retries ~ok:fs.Wafl_fault.Fault.retries_ok;
-    {
-      report with
-      (* retry backoff and latency spikes stall this range's flush *)
-      device_time_us = report.device_time_us +. fs.Wafl_fault.Fault.penalty_us;
-      fault = Some fs;
-    }
+  let fault =
+    match range.Aggregate.fault with
+    | None -> None
+    | Some dev ->
+      let fs =
+        Wafl_fault.Fault.diff_stats ~before:fault_before ~after:(Wafl_fault.Fault.stats dev)
+      in
+      if fs.Wafl_fault.Fault.injected_transient + fs.Wafl_fault.Fault.torn
+         + fs.Wafl_fault.Fault.failed + fs.Wafl_fault.Fault.spikes > 0
+      then
+        Telemetry.trace_fault_inject ~space:range.Aggregate.index
+          ~transients:fs.Wafl_fault.Fault.injected_transient ~torn:fs.Wafl_fault.Fault.torn
+          ~failed:fs.Wafl_fault.Fault.failed ~spikes:fs.Wafl_fault.Fault.spikes;
+      if fs.Wafl_fault.Fault.retries > 0 then
+        Telemetry.trace_io_retry ~space:range.Aggregate.index
+          ~retries:fs.Wafl_fault.Fault.retries ~ok:fs.Wafl_fault.Fault.retries_ok;
+      Some fs
+  in
+  {
+    range_index = range.Aggregate.index;
+    media;
+    blocks_written = len;
+    chains;
+    full_stripes;
+    partial_stripes;
+    tetrises;
+    parity_writes;
+    parity_reads;
+    (* retry backoff and latency spikes stall this range's flush *)
+    device_time_us =
+      (match fault with
+      | Some fs -> device_time_us +. fs.Wafl_fault.Fault.penalty_us
+      | None -> device_time_us);
+    ssd_stats = !ssd_stats;
+    ssd_stream_stats = !ssd_stream_stats;
+    smr_random_checksum_writes = !random_cs;
+    fault;
+  }
 
 (* One [Device_flush] span per range.  The [Fun.protect] closure is
    per-range-per-CP — off the hot path. *)

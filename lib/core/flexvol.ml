@@ -11,16 +11,25 @@ let next_uid = ref 0
    [mapped] counts the non-hole entries. *)
 type block_map = { mutable vvbns : int array; mutable mapped : int }
 
+(* The snapshot block map holds one word per VVBN: bit 0 marks a zombie
+   (a block overwritten while pinned, kept only for snapshots) and bit
+   k + 1 marks the block held by the snapshot in slot k — one bit per
+   snapshot per block, as WAFL's block map keeps them. *)
+let max_snapshots = 62
+let zombie = 1
+
 type t = {
   uid : int;
   spec : Config.vol_spec;
   space : Space.t;
   container : int array;  (* vvbn -> pvbn, -1 when unmapped *)
-  inodes : (int, block_map) Hashtbl.t;  (* file -> offset -> vvbn *)
-  snapshots : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* id -> pinned vvbns *)
-  zombies : (int, unit) Hashtbl.t;  (* vvbns kept only for snapshots *)
+  mutable files : block_map array;  (* file id -> offset -> vvbn *)
+  mutable held : int array;  (* vvbn -> block-map word; [||] before the first snapshot *)
+  slots : int array;  (* slot -> snapshot id, 0 for a free slot *)
   mutable next_snapshot : int;
 }
+
+let new_map _ = { vvbns = [||]; mapped = 0 }
 
 let create (spec : Config.vol_spec) =
   if spec.Config.blocks <= 0 then invalid_arg "Flexvol.create: empty volume";
@@ -43,9 +52,9 @@ let create (spec : Config.vol_spec) =
       Space.create ~label:(Space.Vol spec.Config.name) ~base:0 ~activemap
         ~policy:spec.Config.policy topology;
     container = Array.make spec.Config.blocks (-1);
-    inodes = Hashtbl.create 16;
-    snapshots = Hashtbl.create 4;
-    zombies = Hashtbl.create 256;
+    files = Array.init 16 new_map;
+    held = [||];
+    slots = Array.make max_snapshots 0;
     next_snapshot = 1;
   }
 
@@ -57,7 +66,6 @@ let activemap t = t.space.Space.activemap
 let metafile t = Activemap.metafile (activemap t)
 
 let free_blocks t = Activemap.free_count (activemap t) ~start:0 ~len:(blocks t)
-let used_fraction t = 1.0 -. (float_of_int (free_blocks t) /. float_of_int (blocks t))
 
 let pvbn_of_vvbn t vvbn =
   let p = t.container.(vvbn) in
@@ -102,65 +110,76 @@ let commit_frees t =
 
 (* --- snapshots ---
 
-   A snapshot pins a set of VVBNs; the virtual-to-physical translation
-   stays in the shared container map, so physical relocation (segment
-   cleaning) is transparent to snapshots.  A VVBN overwritten while pinned
-   becomes a "zombie": it leaves the active namespace but keeps its
-   container entry until the last snapshot holding it is deleted. *)
+   The virtual-to-physical translation stays in the shared container
+   map, so segment cleaning is transparent to snapshots.  A VVBN
+   overwritten while pinned is a zombie: out of the active namespace, it
+   keeps its container entry until the last snapshot holding it goes. *)
 
 let create_snapshot t =
+  let k =
+    match Array.find_index (( = ) 0) t.slots with
+    | Some k -> k
+    | None -> invalid_arg "Flexvol.create_snapshot: 62 live snapshots is the limit"
+  in
   let id = t.next_snapshot in
   t.next_snapshot <- id + 1;
-  let pinned = Hashtbl.create 1024 in
+  t.slots.(k) <- id;
+  if Array.length t.held = 0 then t.held <- Array.make (blocks t) 0;
+  let held = t.held and bit = 2 lsl k in
   Array.iteri
     (fun vvbn pvbn ->
       (* zombies are history, not part of the active image being captured *)
-      if pvbn >= 0 && not (Hashtbl.mem t.zombies vvbn) then Hashtbl.replace pinned vvbn ())
+      if pvbn >= 0 && held.(vvbn) land zombie = 0 then held.(vvbn) <- held.(vvbn) lor bit)
     t.container;
-  Hashtbl.replace t.snapshots id pinned;
   id
 
-let snapshots t =
-  List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.snapshots [])
+let snapshots t = List.sort Int.compare (List.filter (( <> ) 0) (Array.to_list t.slots))
 
-(* Asked on every overwrite: with no snapshot, skip the fold (and the
-   closure it allocates). *)
-let snapshot_holds t ~vvbn =
-  Hashtbl.length t.snapshots > 0
-  && Hashtbl.fold (fun _ pinned acc -> acc || Hashtbl.mem pinned vvbn) t.snapshots false
+(* The slot of live snapshot [id]; its bit in a block-map word is
+   [2 lsl slot]. *)
+let slot_of t id =
+  match Array.find_index (( = ) id) t.slots with
+  | Some k when id > 0 -> k
+  | Some _ | None -> raise Not_found
+
+(* Asked on every overwrite: one word read, none without a snapshot. *)
+let[@inline] snapshot_holds t ~vvbn =
+  Array.length t.held > 0 && t.held.(vvbn) land lnot zombie <> 0
 
 let delete_snapshot t id =
-  let pinned =
-    match Hashtbl.find_opt t.snapshots id with
-    | Some m -> m
-    | None -> raise Not_found
-  in
-  Hashtbl.remove t.snapshots id;
-  Hashtbl.fold
-    (fun vvbn () acc ->
-      if Hashtbl.mem t.zombies vvbn && not (snapshot_holds t ~vvbn) then begin
-        let pvbn = t.container.(vvbn) in
-        Hashtbl.remove t.zombies vvbn;
-        t.container.(vvbn) <- -1;
-        (vvbn, pvbn) :: acc
+  let k = slot_of t id in
+  t.slots.(k) <- 0;
+  let held = t.held and bit = 2 lsl k and released = ref [] in
+  for vvbn = Array.length held - 1 downto 0 do
+    let word = held.(vvbn) in
+    if word land bit <> 0 then
+      if word lxor bit <> zombie then held.(vvbn) <- word lxor bit
+      else begin
+        held.(vvbn) <- 0;
+        released := (vvbn, t.container.(vvbn)) :: !released;
+        t.container.(vvbn) <- -1
       end
-      else acc)
-    pinned []
+  done;
+  (* with no snapshot left every word is zero: back to no block map *)
+  if Array.for_all (fun s -> s = 0) t.slots then t.held <- [||];
+  !released
 
 let snapshot_read t ~snapshot ~vvbn =
-  match Hashtbl.find_opt t.snapshots snapshot with
-  | None -> None
-  | Some pinned -> if Hashtbl.mem pinned vvbn then pvbn_of_vvbn t vvbn else None
+  match slot_of t snapshot with
+  | k -> if t.held.(vvbn) land (2 lsl k) <> 0 then pvbn_of_vvbn t vvbn else None
+  | exception Not_found -> None
 
+(* The block map of [file], growing the file table by doubling. *)
 let inode t file =
-  match Hashtbl.find t.inodes file with
-  | map -> map
-  | exception Not_found ->
-    let map = { vvbns = [||]; mapped = 0 } in
-    Hashtbl.add t.inodes file map;
-    map
+  let len = Array.length t.files in
+  if file >= len then
+    t.files <-
+      Array.init (max (file + 1) (2 * len)) (fun i -> if i < len then t.files.(i) else new_map i);
+  t.files.(file)
 
-let check_offset fn offset = if offset < 0 then invalid_arg (fn ^ ": negative offset")
+let check_block fn ~file ~offset =
+  if file < 0 then invalid_arg (fn ^ ": negative file id");
+  if offset < 0 then invalid_arg (fn ^ ": negative offset")
 
 let grow_map map offset =
   let len = Array.length map.vvbns in
@@ -178,7 +197,7 @@ let[@inline] set_block map ~offset ~vvbn =
   old
 
 let write_file t ~file ~offset ~vvbn =
-  check_offset "Flexvol.write_file" offset;
+  check_block "Flexvol.write_file" ~file ~offset;
   set_block (inode t file) ~offset ~vvbn
 
 (* --- placement: three tight passes, so the random file-map and
@@ -192,7 +211,7 @@ let place t aggregate ?temp ~files ~offsets ~vvbns ~pvbns ~old_vvbns ~old_pvbns 
   let map = ref no_map in
   for i = 0 to n - 1 do
     let file = files.(i) and offset = offsets.(i) in
-    check_offset "Flexvol.place" offset;
+    check_block "Flexvol.place" ~file ~offset;
     if i = 0 || file <> files.(i - 1) then map := inode t file;
     old_vvbns.(i) <- set_block !map ~offset ~vvbn:vvbns.(i)
   done;
@@ -217,7 +236,7 @@ let place t aggregate ?temp ~files ~offsets ~vvbns ~pvbns ~old_vvbns ~old_pvbns 
       (* COW: the replaced block dies at this CP, unless a snapshot still
          pins it: then it only leaves the active map (a zombie whose
          container entry survives) and is released at snapshot deletion *)
-      if snapshot_holds t ~vvbn:old then Hashtbl.replace t.zombies old ()
+      if snapshot_holds t ~vvbn:old then t.held.(old) <- t.held.(old) lor zombie
       else begin
         Aggregate.queue_free aggregate ~pvbn:old_pvbn;
         Activemap.queue_free am old;
@@ -234,59 +253,44 @@ let place t aggregate ?temp ~files ~offsets ~vvbns ~pvbns ~old_vvbns ~old_pvbns 
   (!fresh, !freed)
 
 let read_file t ~file ~offset =
-  check_offset "Flexvol.read_file" offset;
-  match Hashtbl.find t.inodes file with
-  | map when offset < Array.length map.vvbns ->
-    let vvbn = map.vvbns.(offset) in
-    if vvbn < 0 then None else Some vvbn
-  | _ -> None
-  | exception Not_found -> None
+  check_block "Flexvol.read_file" ~file ~offset;
+  let vvbns = if file < Array.length t.files then t.files.(file).vvbns else [||] in
+  if offset < Array.length vvbns && vvbns.(offset) >= 0 then Some vvbns.(offset) else None
 
 let file_blocks t ~file =
-  match Hashtbl.find_opt t.inodes file with None -> 0 | Some map -> map.mapped
-
-let files t = Hashtbl.fold (fun file _ acc -> file :: acc) t.inodes []
+  if file < 0 || file >= Array.length t.files then 0 else t.files.(file).mapped
 
 (* --- namespace persistence (crash images) ---
 
-   The container map, inode maps and snapshots are the durable namespace
-   a crash image must carry: without them a remount cannot answer "which
-   physical block holds file F offset O", Iron cannot cross-check
-   container references against the bitmaps, and a snapshot's blocks
-   could never be released. *)
+   The container map, file maps and snapshot block map are the durable
+   namespace a crash image must carry: without them a remount cannot
+   answer "which physical block holds file F offset O", Iron cannot
+   cross-check container references against the bitmaps, and a
+   snapshot's blocks could never be released. *)
 
 type namespace = {
   container_copy : int array;
-  file_maps : (int * block_map) list;
-  snapshots_copy : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  zombies_copy : (int, unit) Hashtbl.t;
+  file_maps : int array array;  (* file id -> offset -> vvbn, trimmed *)
+  held_copy : int array;
+  slots_copy : int array;
   next_snapshot_id : int;
 }
 
-(* [Hashtbl.copy] keeps each table's iteration order, so a remounted
-   snapshot releases its blocks in the order the original would. *)
-let copy_snapshots snapshots =
-  Hashtbl.of_seq
-    (Seq.map (fun (id, pinned) -> (id, Hashtbl.copy pinned)) (Hashtbl.to_seq snapshots))
-
 (* Copies, trimmed to each file's last mapped offset: the image must not
-   alias the live arrays and tables the source system keeps writing. *)
+   alias the live arrays the source system keeps writing. *)
 let export_namespace t =
-  let file_maps =
-    Hashtbl.fold
-      (fun file map acc ->
-        let len = ref (Array.length map.vvbns) in
-        while !len > 0 && map.vvbns.(!len - 1) < 0 do
-          decr len
-        done;
-        (file, { vvbns = Array.sub map.vvbns 0 !len; mapped = map.mapped }) :: acc)
-      t.inodes []
+  let trim map =
+    let len = ref (Array.length map.vvbns) in
+    while !len > 0 && map.vvbns.(!len - 1) < 0 do
+      decr len
+    done;
+    Array.sub map.vvbns 0 !len
   in
   {
     container_copy = Array.copy t.container;
-    file_maps;
-    snapshots_copy = copy_snapshots t.snapshots;
-    zombies_copy = Hashtbl.copy t.zombies;
+    file_maps = Array.map trim t.files;
+    held_copy = Array.copy t.held;
+    slots_copy = Array.copy t.slots;
     next_snapshot_id = t.next_snapshot;
   }
 
@@ -294,10 +298,8 @@ let import_namespace t ns =
   if Array.length ns.container_copy <> Array.length t.container then
     invalid_arg "Flexvol.import_namespace: volume size differs";
   Array.blit ns.container_copy 0 t.container 0 (Array.length t.container);
-  List.iter
-    (fun (file, map) ->
-      Hashtbl.replace t.inodes file { vvbns = Array.copy map.vvbns; mapped = map.mapped })
-    ns.file_maps;
-  Hashtbl.iter (Hashtbl.replace t.snapshots) (copy_snapshots ns.snapshots_copy);
-  Hashtbl.iter (Hashtbl.replace t.zombies) ns.zombies_copy;
+  let mapped vvbns = Array.fold_left (fun n v -> if v >= 0 then n + 1 else n) 0 vvbns in
+  t.files <- Array.map (fun v -> { vvbns = Array.copy v; mapped = mapped v }) ns.file_maps;
+  t.held <- Array.copy ns.held_copy;
+  Array.blit ns.slots_copy 0 t.slots 0 (Array.length t.slots);
   t.next_snapshot <- ns.next_snapshot_id

@@ -33,7 +33,6 @@ val activemap : t -> Wafl_bitmap.Activemap.t
 val metafile : t -> Wafl_bitmap.Metafile.t
 
 val free_blocks : t -> int
-val used_fraction : t -> float
 
 val pvbn_of_vvbn : t -> int -> int option
 (** Container-map lookup: physical location of a virtual block. *)
@@ -79,13 +78,18 @@ val commit_frees : t -> int
 val create_snapshot : t -> int
 (** Pin every currently mapped VVBN; returns the snapshot id.  The
     virtual-to-physical translation stays in the shared container map, so
-    segment cleaning can relocate physical blocks under snapshots. *)
+    segment cleaning can relocate physical blocks under snapshots.  The
+    first snapshot allocates the block map, one word per VVBN; a volume
+    that never snapshots keeps none.  A word holds a zombie bit and one
+    bit per snapshot, so [Invalid_argument] is raised when 62 snapshots
+    are already live. *)
 
 val snapshots : t -> int list
 
 val delete_snapshot : t -> int -> (int * int) list
 (** Remove a snapshot; returns the [(vvbn, pvbn)] pairs that are no longer
-    referenced by the active map or any remaining snapshot.  The caller
+    referenced by the active map or any remaining snapshot, in ascending
+    VVBN order.  The caller
     queues the frees (volume VVBNs and aggregate PVBNs) so they commit at
     the next CP.  Raises [Not_found] for an unknown id. *)
 
@@ -99,7 +103,9 @@ val write_file : t -> file:int -> offset:int -> vvbn:int -> int
     pointed at (the block an overwrite frees), or [-1] for a fresh block.
     A file's block map is a dense array indexed by offset that grows by
     doubling, so offsets should be dense from 0 (as every workload writes
-    them).  Raises [Invalid_argument] for a negative offset. *)
+    them).  The file table is a dense array indexed by file id that
+    grows the same way, so file ids should be small.  Raises
+    [Invalid_argument] for a negative file id or offset. *)
 
 val place :
   t ->
@@ -135,27 +141,25 @@ val place :
 
     The writes must name distinct file blocks, as a staged batch does
     ({!Fs.stage_write} coalesces).  Raises [Invalid_argument] for a
-    negative offset, for a VVBN that is not reserved or already mapped,
+    negative file id or offset, for a VVBN that is not reserved or already mapped,
     and when a replaced VVBN no longer maps the PVBN gathered for it,
     which a repeated file block causes. *)
 
 val read_file : t -> file:int -> offset:int -> int option
 (** VVBN currently backing a file block; [None] for a hole or an offset
     past the end of the file.  Raises [Invalid_argument] for a negative
-    offset. *)
+    file id or offset. *)
 
 val file_blocks : t -> file:int -> int
 (** Blocks currently mapped in a file. *)
 
-val files : t -> int list
-
 (** {2 Namespace persistence} *)
 
 type namespace
-(** A volume's durable namespace: the container map, every file's block
-    map, and the snapshots (each snapshot's id and pinned VVBNs, the
-    zombie VVBNs and the next snapshot id), copied out of the live
-    volume. *)
+(** A volume's durable namespace, copied out of the live volume as flat
+    arrays: the container map, every file's block map (trimmed to its
+    last mapped offset), the snapshot block map, the slot-to-snapshot-id
+    table and the next snapshot id. *)
 
 val export_namespace : t -> namespace
 (** Capture the namespace a crash image carries so a remounted system can

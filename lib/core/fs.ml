@@ -130,6 +130,7 @@ let rehash t =
   t.index <- index
 
 let stage_write t ~vol ~file ~offset =
+  if file < 0 then invalid_arg "Fs.stage_write: negative file id";
   if offset < 0 then invalid_arg "Fs.stage_write: negative offset";
   let v = vol_index t.vols vol 0 in
   let s = probe t.index t.staged v file offset in
@@ -193,19 +194,16 @@ let delete_snapshot t ~vol id =
   List.length released
 
 let file_read_chains _t ~vol ~file =
-  (* walk offsets until a gap longer than a window, so dense files (our
-     workloads) terminate without a sparse-file index *)
-  let rec collect offset acc misses =
-    if misses > 4096 then acc
-    else begin
+  (* walk offsets from 0 until every mapped block of the file is found *)
+  let rec collect offset left acc =
+    if left = 0 then acc
+    else
       match Flexvol.read_file vol ~file ~offset with
-      | Some vvbn -> (
-        match Flexvol.pvbn_of_vvbn vol vvbn with
-        | Some pvbn -> collect (offset + 1) (pvbn :: acc) 0
-        | None -> collect (offset + 1) acc (misses + 1))
-      | None -> collect (offset + 1) acc (misses + 1)
-    end
+      | None -> collect (offset + 1) left acc
+      | Some vvbn ->
+        let acc = match Flexvol.pvbn_of_vvbn vol vvbn with Some p -> p :: acc | None -> acc in
+        collect (offset + 1) (left - 1) acc
   in
-  match collect 0 [] 0 with
+  match collect 0 (Flexvol.file_blocks vol ~file) [] with
   | [] -> Wafl_block.Chain.empty
   | blocks -> Wafl_block.Chain.of_blocks blocks

@@ -45,10 +45,10 @@ val rng : t -> Wafl_util.Rng.t
 val stage_write : t -> vol:Flexvol.t -> file:int -> offset:int -> unit
 (** Stage one 4KiB block write.  Writing the same (vol, file, offset) twice
     before a CP coalesces, as the in-memory buffer cache would.  Raises
-    [Invalid_argument] for a negative offset, before anything is staged.
-    Writes are kept as a {!Cp.batch} of reused arrays, deduplicated by an
-    open-addressed slot table, so staging allocates nothing once the
-    arrays have grown to the largest CP. *)
+    [Invalid_argument] for a negative file id or offset, before anything is
+    staged.  Writes are kept as a {!Cp.batch} of reused arrays,
+    deduplicated by an open-addressed slot table, so staging allocates
+    nothing once the arrays have grown to the largest CP. *)
 
 val staged_count : t -> int
 

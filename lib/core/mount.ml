@@ -135,38 +135,37 @@ let classify_stores fs =
   (!totals, agg_store, agg_bad, bad_ranges, bad_vols)
 
 (* Damage routing: the cost of a verified remount is proportional to the
-   damage — only the ranges/volumes a bad page overlaps are rescanned. *)
-let quarantine fs ~bad_ranges ~bad_vols =
+   damage — only the ranges/volumes a bad page overlaps are rescanned.
+   Returns the classification's report, which telemetry also counts. *)
+let quarantine fs (totals, _, _, bad_ranges, bad_vols) =
   Rebuild.request (Fs.aggregate fs)
     (Rebuild.Spaces
        (List.map (fun (r : Aggregate.range) -> r.Aggregate.space) bad_ranges
-       @ List.map (fun (vol, _, _) -> Flexvol.space vol) bad_vols))
-
-let emit_verify_telemetry r =
-  Telemetry.incr "mount.verified_mounts";
-  Telemetry.add "mount.verify_pages" r.pages_verified;
-  Telemetry.add "mount.verify_torn" r.torn_pages;
-  Telemetry.add "mount.verify_stale" r.stale_pages;
-  Telemetry.add "mount.verify_quarantined_ranges" r.ranges_quarantined;
-  Telemetry.add "mount.verify_quarantined_vols" r.vols_quarantined
-
-let verify_pagestores fs =
-  let totals, agg_store, agg_bad, bad_ranges, bad_vols = classify_stores fs in
-  quarantine fs ~bad_ranges ~bad_vols;
-  (* The persisted bits are all we have on this path: take them as bitmap
-     truth, re-stamp the damaged pages, and let the caller's Iron pass
-     settle bitmap-vs-container disagreements under container
-     authority. *)
-  List.iter (Integrity.reseal_page agg_store) agg_bad;
-  List.iter (fun (_, store, pages) -> List.iter (Integrity.reseal_page store) pages) bad_vols;
-  let report =
+       @ List.map (fun (vol, _, _) -> Flexvol.space vol) bad_vols));
+  let r =
     {
       totals with
       ranges_quarantined = List.length bad_ranges;
       vols_quarantined = List.length bad_vols;
     }
   in
-  emit_verify_telemetry report;
+  Telemetry.incr "mount.verified_mounts";
+  Telemetry.add "mount.verify_pages" r.pages_verified;
+  Telemetry.add "mount.verify_torn" r.torn_pages;
+  Telemetry.add "mount.verify_stale" r.stale_pages;
+  Telemetry.add "mount.verify_quarantined_ranges" r.ranges_quarantined;
+  Telemetry.add "mount.verify_quarantined_vols" r.vols_quarantined;
+  r
+
+let verify_pagestores fs =
+  let ((_, agg_store, agg_bad, _, bad_vols) as classified) = classify_stores fs in
+  let report = quarantine fs classified in
+  (* The persisted bits are all we have on this path: take them as bitmap
+     truth, re-stamp the damaged pages, and let the caller's Iron pass
+     settle bitmap-vs-container disagreements under container
+     authority. *)
+  List.iter (Integrity.reseal_page agg_store) agg_bad;
+  List.iter (fun (_, store, pages) -> List.iter (Integrity.reseal_page store) pages) bad_vols;
   report
 
 (* Restore space state into a fresh system.  The caches Fs.create builds
@@ -189,21 +188,7 @@ let restore ?(verify = false) ?run image =
     image.vol_bits;
   Array.iter (fun (name, ns) -> Flexvol.import_namespace (Fs.vol fs name) ns) image.namespace;
   Array.iter (fun (s : Space.t) -> s.Space.cache <- None) (Fs.spaces fs);
-  let vreport =
-    match pre with
-    | None -> None
-    | Some (totals, _, _, bad_ranges, bad_vols) ->
-      quarantine fs ~bad_ranges ~bad_vols;
-      let r =
-        {
-          totals with
-          ranges_quarantined = List.length bad_ranges;
-          vols_quarantined = List.length bad_vols;
-        }
-      in
-      emit_verify_telemetry r;
-      Some r
-  in
+  let vreport = Option.map (quarantine fs) pre in
   (fs, vreport)
 
 let mount_body ?(lazy_rebuild = false) ?(verify = false) ?run image ~with_topaa =

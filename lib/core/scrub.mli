@@ -22,8 +22,6 @@
 
 type stats = { pages_verified : int; bad_pages : int; healed : int; passes : int }
 
-val zero_stats : stats
-
 val pass : Fs.t -> budget:int -> stats
 (** Run one scrub pass over [fs] now: verify up to [budget] integrity
     pages from the system's round-robin cursor ({!Fs.scrub_cursor}), then

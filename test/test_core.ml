@@ -1741,6 +1741,163 @@ let prop_validate_never_raises =
       | Error e -> String.length (Config.run_error_to_string e) > 0
       | exception _ -> false)
 
+(* A block-map word holds a zombie bit and 62 snapshot bits: the 63rd
+   live snapshot is refused, and a delete frees a slot again. *)
+let test_snapshot_limit () =
+  let fs = Fs.create (small_config ~vol_blocks:4096 ()) in
+  let vol = Fs.vol fs "vol0" in
+  let ids = List.init 62 (fun _ -> Fs.create_snapshot fs ~vol) in
+  Alcotest.check_raises "63rd snapshot"
+    (Invalid_argument "Flexvol.create_snapshot: 62 live snapshots is the limit") (fun () ->
+      ignore (Fs.create_snapshot fs ~vol));
+  ignore (Fs.delete_snapshot fs ~vol (List.nth ids 10));
+  check_int "a freed slot is reused" 63 (Fs.create_snapshot fs ~vol)
+
+(* --- model-based namespace test ---
+
+   Random sequences of writes, CPs, snapshot creates and deletes and
+   in-process remounts against a reference model: each file's mapped
+   offsets, and each live snapshot's (VVBN, PVBN) pairs read when it was
+   taken.  After every CP the active map, every snapshot, Iron and the
+   free-space books must agree with the model, and each delete must
+   release exactly the blocks only that snapshot still held. *)
+
+type ns_cmd = Ns_write of int * int | Ns_cp | Ns_snap | Ns_delete of int | Ns_remount
+
+let ns_cmd_to_string = function
+  | Ns_write (file, offset) -> Printf.sprintf "write %d:%d" file offset
+  | Ns_cp -> "cp"
+  | Ns_snap -> "snap"
+  | Ns_delete k -> Printf.sprintf "delete #%d" k
+  | Ns_remount -> "remount"
+
+let gen_ns_cmds =
+  let open QCheck.Gen in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (12, map2 (fun file offset -> Ns_write (file, offset)) (int_bound 3) (int_bound 63));
+         (3, return Ns_cp);
+         (1, return Ns_snap);
+         (1, map (fun k -> Ns_delete k) (int_bound 7));
+         (1, return Ns_remount);
+       ])
+
+let ns_config () =
+  let rg =
+    {
+      Config.media = Config.Hdd Wafl_device.Profile.default_hdd;
+      data_devices = 4;
+      parity_devices = 1;
+      device_blocks = 1024;
+      aa_stripes = Some 128;
+    }
+  in
+  Config.make ~raid_groups:[ rg; rg ] ~vols:[ Config.default_vol ~name:"vol0" ~blocks:4096 ]
+    ~seed:3 ()
+
+let run_ns_model cmds =
+  let fs = ref (Fs.create (ns_config ())) in
+  let vol () = (Fs.vols !fs).(0) in
+  let mapped = Array.make_matrix 4 64 false and staged = ref [] in
+  let snaps = ref [] (* (id, pinned (vvbn, pvbn) pairs), oldest first *) in
+  let unreleased = ref 0 (* blocks deleted snapshots released since the last CP *) in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let active () =
+    let acc = ref [] in
+    for file = 0 to 3 do
+      for offset = 0 to 63 do
+        if mapped.(file).(offset) then
+          match Flexvol.read_file (vol ()) ~file ~offset with
+          | Some vvbn -> acc := (vvbn, Option.get (Flexvol.pvbn_of_vvbn (vol ()) vvbn)) :: !acc
+          | None -> fail "file %d offset %d lost" file offset
+      done
+    done;
+    !acc
+  in
+  let check_cp () =
+    let v = vol () and agg = Fs.aggregate !fs in
+    for file = 0 to 3 do
+      for offset = 0 to 63 do
+        if Flexvol.read_file v ~file ~offset <> None <> mapped.(file).(offset) then
+          fail "file %d offset %d: read-back differs from the model" file offset
+      done
+    done;
+    List.iter
+      (fun (id, pinned) ->
+        List.iter
+          (fun (vvbn, pvbn) ->
+            if Flexvol.snapshot_read v ~snapshot:id ~vvbn <> Some pvbn then
+              fail "snapshot %d lost vvbn %d" id vvbn)
+          pinned)
+      !snaps;
+    (match Iron.check !fs with
+    | [] -> ()
+    | f :: _ -> fail "iron: %s" (Format.asprintf "%a" Iron.pp_finding f));
+    (* every referenced block is allocated once, and nothing else is *)
+    let live = List.sort_uniq compare (active () @ List.concat_map snd !snaps) in
+    let vol_used = Metafile.used_count (Flexvol.metafile v) ~start:0 ~len:(Flexvol.blocks v) in
+    let agg_total = Aggregate.total_blocks agg in
+    let agg_used = Metafile.used_count (Aggregate.metafile agg) ~start:0 ~len:agg_total in
+    if Flexvol.free_blocks v + vol_used <> Flexvol.blocks v then fail "volume books";
+    if Aggregate.free_blocks agg + agg_used <> agg_total then fail "aggregate books";
+    if vol_used <> List.length live || agg_used <> List.length live then
+      fail "%d live blocks, %d VVBNs and %d PVBNs used" (List.length live) vol_used agg_used
+  in
+  List.iter
+    (function
+      | Ns_write (file, offset) ->
+        Fs.stage_write !fs ~vol:(vol ()) ~file ~offset;
+        staged := (file, offset) :: !staged
+      | Ns_cp ->
+        ignore (Fs.run_cp !fs);
+        List.iter (fun (file, offset) -> mapped.(file).(offset) <- true) !staged;
+        staged := [];
+        unreleased := 0;
+        check_cp ()
+      | Ns_snap ->
+        let pinned = active () in
+        snaps := !snaps @ [ (Fs.create_snapshot !fs ~vol:(vol ()), pinned) ]
+      | Ns_delete k -> (
+        match !snaps with
+        | [] -> ()
+        | all ->
+          let id, pinned = List.nth all (k mod List.length all) in
+          let others = List.filter (fun (i, _) -> i <> id) all in
+          let held = active () @ List.concat_map snd others in
+          let expect = List.length (List.filter (fun b -> not (List.mem b held)) pinned) in
+          let released = Fs.delete_snapshot !fs ~vol:(vol ()) id in
+          if released <> expect then
+            fail "snapshot %d released %d blocks, the model %d" id released expect;
+          unreleased := !unreleased + released;
+          snaps := others)
+      | Ns_remount ->
+        (* An image carries no queued frees, so the releases of a delete
+           since the last CP reach the remounted system as orphans: Iron
+           must name exactly those, and the container-authority heal
+           frees them. *)
+        fs := fst (Mount.mount (Mount.snapshot !fs) ~with_topaa:true);
+        let expect =
+          if !unreleased = 0 then []
+          else
+            [
+              Iron.Orphan_vvbns { vol = "vol0"; count = !unreleased };
+              Iron.Orphan_blocks { count = !unreleased };
+            ]
+        in
+        if Iron.check !fs <> expect then fail "remount: unexpected iron findings";
+        if !unreleased > 0 then ignore (Iron.repair ~authority:Iron.Container_authority !fs);
+        unreleased := 0)
+    (cmds @ [ Ns_cp ]);
+  true
+
+let prop_namespace_model =
+  QCheck.Test.make ~name:"namespace matches the model" ~count:150
+    (QCheck.make
+       ~print:(fun cmds -> String.concat "; " (List.map ns_cmd_to_string cmds))
+       ~shrink:QCheck.Shrink.list gen_ns_cmds)
+    run_ns_model
+
 (* Every bad run setting, and every removed flag ([--jobs]/[-j],
    [--alloc-domains], [--backend]), fails the command line with cmdliner's CLI-error code,
    before anything runs. *)
@@ -1843,6 +2000,8 @@ let () =
           Alcotest.test_case "survives a remount" `Quick test_snapshot_survives_remount;
           Alcotest.test_case "delete frees an idle volume" `Quick
             test_snapshot_delete_frees_idle_volume;
+          QCheck_alcotest.to_alcotest prop_namespace_model;
+          Alcotest.test_case "62 live snapshots at most" `Quick test_snapshot_limit;
         ] );
       ( "read-path",
         [ Alcotest.test_case "young vs aged chains" `Quick test_read_chains_young_vs_aged ] );

@@ -547,7 +547,9 @@ let mixed_cps ~classes =
       done;
       mixed_line fs (Fs.run_cp fs))
 
-(* Measured on the per-block placement loop the gather passes replaced. *)
+(* Measured on the per-block placement loop the gather passes replaced.
+   The queue column of the last three CPs follows the snapshot delete at
+   CP 9, which queues its releases in ascending VVBN order. *)
 let mixed_one_class =
   [
     "467 467 0 0 1 3 | 680303682 842248273 295732705 525299695 257741005";
@@ -559,9 +561,9 @@ let mixed_one_class =
     "601 601 88 88 1 3 | 802570165 114903065 278892727 205809061 987189832";
     "618 618 110 110 1 3 | 41028239 244272178 697205516 85055063 186889045";
     "623 162 11 11 1 3 | 368165392 682567176 106944275 498871668 24392965";
-    "612 11 137 0 1 3 | 740706667 1026675761 936622592 791382896 534286659";
-    "620 137 4 4 1 3 | 252786525 316291244 699103669 610914376 942643854";
-    "624 4 0 0 1 3 | 186709198 356716123 521496576 154102738 844945068";
+    "612 11 137 0 1 3 | 740706667 1026675761 936622592 791382896 539024561";
+    "620 137 4 4 1 3 | 252786525 316291244 699103669 610914376 522823130";
+    "624 4 0 0 1 3 | 186709198 356716123 521496576 154102738 497583195";
   ]
 
 let mixed_three_classes =
@@ -575,9 +577,9 @@ let mixed_three_classes =
     "601 601 88 88 1 3 | 802570165 434407872 962922592 205809061 711210717";
     "618 618 110 110 1 3 | 41028239 237472713 826966255 85055063 919378332";
     "623 156 43 43 1 3 | 886671562 1024004344 986531202 937347369 804579809";
-    "612 49 164 22 1 3 | 942265571 63335953 257255239 880290839 424904375";
-    "620 164 38 38 1 3 | 567831373 325832046 505668484 57849087 955865856";
-    "624 38 21 21 1 3 | 690828357 73710952 632148417 344604790 547220213";
+    "612 49 164 22 1 3 | 942265571 63335953 257255239 880290839 483259851";
+    "620 164 38 38 1 3 | 567831373 325832046 505668484 57849087 368708228";
+    "624 38 21 21 1 3 | 690828357 73710952 632148417 344604790 243919935";
   ]
 
 let test_mixed_batches_pinned () =
